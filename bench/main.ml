@@ -633,6 +633,13 @@ let micro_benchmarks () =
   let device = dataset.Workload.device in
   let p1 = suspicious.(0) and p2 = suspicious.(Array.length suspicious / 2) in
   let content = Packet.content_string p1 in
+  (* Fixed-size fields cut from the trace's packet text: 160 B is about a
+     p90 content field, 4 KiB a long body. *)
+  let text =
+    String.concat "\n" (Array.to_list (Array.map Packet.content_string suspicious))
+  in
+  let field_160 = String.sub text 0 160 and field_160' = String.sub text 160 160 in
+  let field_4k = String.sub text 0 4096 in
   let dist = Distance.create () in
   let sample = Sample.without_replacement (Prng.create 3) 30 suspicious in
   let small_sample = Sample.without_replacement (Prng.create 3) 25 suspicious in
@@ -644,6 +651,15 @@ let micro_benchmarks () =
       Test.make ~name:"sha1_digest_64B" (Staged.stage (fun () -> Leakdetect_crypto.Sha1.hex content));
       Test.make ~name:"lz77_compress_content"
         (Staged.stage (fun () -> Leakdetect_compress.Lz77.compressed_length_bits content));
+      Test.make ~name:"lz77_length_empty"
+        (Staged.stage (fun () -> Leakdetect_compress.Lz77.compressed_length_bits ""));
+      Test.make ~name:"lz77_length_160B"
+        (Staged.stage (fun () -> Leakdetect_compress.Lz77.compressed_length_bits field_160));
+      Test.make ~name:"lz77_length_4KiB"
+        (Staged.stage (fun () -> Leakdetect_compress.Lz77.compressed_length_bits field_4k));
+      Test.make ~name:"lz77_concat_length_160B_pair"
+        (Staged.stage (fun () ->
+             Leakdetect_compress.Lz77.concat_length_bits field_160 field_160'));
       Test.make ~name:"ncd_pair"
         (Staged.stage (fun () ->
              let cache = Compressor.Cache.create Compressor.Lz77 in

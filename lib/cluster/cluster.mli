@@ -13,8 +13,13 @@ type algorithm =
       (** Naive Lance-Williams agglomeration — the paper's Sec. IV-D
           procedure.  O(n^3). *)
   | Nn_chain of Agglomerative.linkage
-      (** Nearest-neighbour-chain agglomeration: same hierarchy for the
-          reducible linkages, O(n^2). *)
+      (** Nearest-neighbour-chain agglomeration, O(n^2): the same
+          hierarchy as [Agglomerative] for the reducible linkages when no
+          two candidate merges tie.  On ties the two break them
+          differently: the topology may differ, and under group-average
+          or complete linkage so may the merge heights (single linkage's
+          stay equal).  NCD matrices tie heavily — most fields are empty —
+          so swapping it in for {!default} changes signatures. *)
   | Kmedoids of { k : int; seed : int }
       (** PAM with [k] clusters; [seed] feeds a private
           {!Leakdetect_util.Prng} so the result is deterministic data. *)

@@ -25,6 +25,11 @@ let length_bits = function
   | Lzw -> Lzw.compressed_length_bits
   | Huffman -> Huffman.compressed_length_bits
 
+let concat_length_bits = function
+  | Lz77 -> Lz77.concat_length_bits
+  | Lzw -> fun x y -> Lzw.compressed_length_bits (x ^ y)
+  | Huffman -> fun x y -> Huffman.compressed_length_bits (x ^ y)
+
 let algo_length_bits = length_bits
 
 module Cache = struct
@@ -132,10 +137,10 @@ module Cache = struct
         v
       | None when t.frozen ->
         Atomic.incr t.frozen_misses;
-        algo_length_bits t.algo (x ^ y)
+        concat_length_bits t.algo x y
       | None ->
         t.pair_misses <- t.pair_misses + 1;
-        let v = algo_length_bits t.algo (x ^ y) in
+        let v = concat_length_bits t.algo x y in
         if Hashtbl.length t.pair_table < t.pair_capacity then Hashtbl.add t.pair_table key v;
         v)
 

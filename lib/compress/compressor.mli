@@ -19,6 +19,12 @@ val length_bits : algorithm -> string -> int
     formula.  Bits rather than bytes: packets are short and byte rounding
     would quantize the distance visibly. *)
 
+val concat_length_bits : algorithm -> string -> string -> int
+(** [concat_length_bits algo x y] is [length_bits algo (x ^ y)] — the
+    [C(xy)] term of the NCD.  LZ77 computes it without allocating the
+    concatenation (see {!Lz77.concat_length_bits}); LZW and Huffman form
+    [x ^ y]. *)
+
 module Cache : sig
   (** Memoizes [C(x)] per input string and [C(xy)] per canonical pair.  The
       clustering stage evaluates C(x), C(y) and C(xy) for every pair in an
@@ -75,8 +81,10 @@ module Cache : sig
   val ncd : t -> string -> string -> float
   (** [ncd t x y] is [(C(xy) - min(C(x),C(y))) / max(C(x),C(y))], clamped to
       [\[0, 1\]]; by convention 0 when both strings are empty.  The
-      concatenation is formed in canonical (lexicographic) order so the
-      distance is exactly symmetric. *)
+      concatenation is taken in canonical (lexicographic) order so the
+      distance is exactly symmetric.  A pair-cache miss, frozen or not,
+      computes [C(xy)] with {!concat_length_bits}, so under LZ77 it
+      allocates nothing. *)
 
   val stats : t -> stats
   (** Counter snapshot — exposed for tests and the benchmark report.

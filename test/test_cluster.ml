@@ -214,6 +214,65 @@ let prop_nn_chain_complete =
   prop_nn_chain_matches_naive Agglomerative.Complete
     "nn-chain = naive merge heights (complete)"
 
+(* Distances drawn from at most four values, like NCD matrices full of
+   empty fields: most candidate merges tie. *)
+let tied_matrix rng n =
+  let values = [| 0.; 0.5; 0.75; 1. |] in
+  let k = 1 + Leakdetect_util.Prng.int rng (Array.length values) in
+  Dist_matrix.build n (fun _ _ -> values.(Leakdetect_util.Prng.int rng k))
+
+(* Every merge sits at the linkage distance between its two children's
+   leaves in the original matrix, and no merge sits below a child merge. *)
+let consistent_hierarchy linkage m tree =
+  let link a b =
+    let ds = List.concat_map (fun i -> List.map (fun j -> Dist_matrix.get m i j) b) a in
+    match linkage with
+    | Agglomerative.Single -> List.fold_left Float.min infinity ds
+    | Agglomerative.Complete -> List.fold_left Float.max neg_infinity ds
+    | Agglomerative.Group_average ->
+      List.fold_left ( +. ) 0. ds /. float_of_int (List.length ds)
+  in
+  let rec ok = function
+    | Dendrogram.Leaf _ -> true
+    | Dendrogram.Node { left; right; height; _ } ->
+      Float.abs (height -. link (Dendrogram.members left) (Dendrogram.members right)) < 1e-9
+      && Dendrogram.height left <= height +. 1e-9
+      && Dendrogram.height right <= height +. 1e-9
+      && ok left && ok right
+  in
+  ok tree
+
+(* On ties the two algorithms break ties differently.  Both must still
+   build a consistent hierarchy over every leaf; single linkage's heights
+   (the minimum spanning tree's edges) must also agree. *)
+let prop_nn_chain_tied =
+  List.map
+    (fun (linkage, name) ->
+      QCheck.Test.make ~count:200
+        ~name:(Printf.sprintf "nn-chain on tied distances (%s)" name)
+        QCheck.(pair (int_range 2 22) small_nat)
+        (fun (n, seed) ->
+          let m = tied_matrix (Leakdetect_util.Prng.create ((n * 97) + seed)) n in
+          let naive = Option.get (Agglomerative.cluster ~linkage m) in
+          let chain = Option.get (Nn_chain.cluster ~linkage m) in
+          Dendrogram.members chain = List.init n Fun.id
+          && consistent_hierarchy linkage m naive
+          && consistent_hierarchy linkage m chain
+          && (linkage <> Agglomerative.Single || sorted_heights naive = sorted_heights chain)))
+    [ (Agglomerative.Group_average, "group-average"); (Agglomerative.Single, "single");
+      (Agglomerative.Complete, "complete") ]
+
+let test_nn_chain_tie_changes_heights () =
+  (* Items 0 and 1 are 1 apart, every other pair 0.5.  The naive scan
+     merges {0,2}, then adds 3 (a 0.5 tie), then 1 at 2/3; the chain pairs
+     {0,2} and {1,3} and joins them at 5/8.  Both are valid group-average
+     hierarchies, which is why Nn_chain cannot replace the default without
+     changing signatures. *)
+  let m = Dist_matrix.build 4 (fun i j -> if i + j = 1 then 1. else 0.5) in
+  let root algo = Dendrogram.height (Option.get (algo m)) in
+  Alcotest.(check (float 1e-9)) "naive root" (2. /. 3.) (root (Agglomerative.cluster ?linkage:None));
+  Alcotest.(check (float 1e-9)) "nn-chain root" 0.625 (root (Nn_chain.cluster ?linkage:None))
+
 (* --- Kmedoids --- *)
 
 let two_blob_matrix () =
@@ -425,10 +484,12 @@ let suite =
       [
         Alcotest.test_case "hand case" `Quick test_nn_chain_hand_case;
         Alcotest.test_case "edge cases" `Quick test_nn_chain_edge_cases;
+        Alcotest.test_case "ties change heights" `Quick test_nn_chain_tie_changes_heights;
         qtest prop_nn_chain_average;
         qtest prop_nn_chain_single;
         qtest prop_nn_chain_complete;
-      ] );
+      ]
+      @ List.map qtest prop_nn_chain_tied );
     ( "cluster.kmedoids",
       [
         Alcotest.test_case "two blobs" `Quick test_kmedoids_two_blobs;

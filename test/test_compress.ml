@@ -155,6 +155,151 @@ let test_huffman_code_lengths () =
   let single = Huffman.code_lengths "aaaa" in
   Alcotest.(check int) "single-symbol alphabet gets 1 bit" 1 single.(Char.code 'a')
 
+(* --- LZ77 scratch parser vs the token-list oracle --- *)
+
+(* Strings over 1-3 symbols: long runs, matches capped at [max_match] and
+   hash chains full of equal-length candidates. *)
+let low_entropy_gen =
+  QCheck.Gen.(
+    int_range 1 3 >>= fun k ->
+    string_size ~gen:(map (fun i -> Char.chr (97 + i)) (int_bound (k - 1))) (0 -- 2000))
+
+(* Runs of one byte, each possibly past [max_match]. *)
+let runs_gen =
+  QCheck.Gen.(
+    map (String.concat "")
+      (list_size (1 -- 8)
+         (map2 (fun c n -> String.make n c) (map Char.chr (int_range 0 255)) (1 -- 700))))
+
+(* A repeat straddling the window edge: [p ^ filler ^ p ^ p] with the
+   filler sized so the second [p] lands just inside or just outside the
+   32 KiB window. *)
+let long_gen =
+  QCheck.Gen.(
+    map3
+      (fun p gap filler_seed ->
+        let rng = Leakdetect_util.Prng.create filler_seed in
+        let filler =
+          String.init
+            (Lz77.window_size - String.length p + gap)
+            (fun _ -> Char.chr (Leakdetect_util.Prng.int rng 256))
+        in
+        String.concat "" [ p; filler; p; p ])
+      (string_size ~gen:(map Char.chr (int_range 32 126)) (8 -- 64))
+      (int_range (-80) 80) nat)
+
+let lz77_gens =
+  [
+    ("ascii", ascii_gen, 200);
+    ("binary", binary_gen, 200);
+    ("low-entropy", low_entropy_gen, 200);
+    ("runs", runs_gen, 100);
+    ("past window", long_gen, 8);
+  ]
+
+let oracle_props name prop =
+  List.map
+    (fun (gen_name, gen, count) ->
+      QCheck.Test.make ~name:(Printf.sprintf "%s (%s)" name gen_name) ~count
+        (QCheck.make gen) prop)
+    lz77_gens
+
+let prop_lz77_length_matches_oracle =
+  oracle_props "lz77 length = token-list oracle" (fun s ->
+      Lz77.compressed_length_bits s = Lz77_oracle.compressed_length_bits s)
+
+let prop_lz77_compress_matches_oracle =
+  oracle_props "lz77 compress = token-list oracle bytes" (fun s ->
+      Lz77.compress s = Lz77_oracle.compress s)
+
+(* Splitting one generated string at every kind of point (including
+   inside a repeat, so the tail match crosses the x|y boundary). *)
+let prop_lz77_concat_matches_oracle =
+  List.map
+    (fun (gen_name, gen, count) ->
+      QCheck.Test.make
+        ~name:(Printf.sprintf "lz77 concat length = oracle on x ^ y (%s)" gen_name)
+        ~count
+        (QCheck.make QCheck.Gen.(pair gen (pair gen (int_bound 1000))))
+        (fun (x, (y, cut)) ->
+          let xy = x ^ y in
+          let cut = cut mod (String.length xy + 1) in
+          let a = String.sub xy 0 cut and b = String.sub xy cut (String.length xy - cut) in
+          let want = Lz77_oracle.compressed_length_bits xy in
+          Lz77.concat_length_bits x y = want && Lz77.concat_length_bits a b = want))
+    lz77_gens
+
+let test_lz77_scratch_reuse () =
+  (* A long parse leaves positions in the reused tables; the short parses
+     after it must not see them, and vice versa. *)
+  let long = Leakdetect_util.Strutil.repeat "abcdefgh" 6000 in
+  let cases = [ "abcdefgh"; long; ""; "abcabcabc"; long ^ "x"; "a"; "abcdefghabcdefgh" ] in
+  List.iter
+    (fun s ->
+      Alcotest.(check int)
+        (Printf.sprintf "len=%d" (String.length s))
+        (Lz77_oracle.compressed_length_bits s)
+        (Lz77.compressed_length_bits s);
+      Alcotest.(check int)
+        (Printf.sprintf "concat len=%d" (String.length s))
+        (Lz77_oracle.compressed_length_bits (s ^ s))
+        (Lz77.concat_length_bits s s))
+    (cases @ List.rev cases)
+
+let test_lz77_window_edge () =
+  (* A repeat at distance window_size - 1, window_size and window_size + 1:
+     the first two are matches, the last is out of reach. *)
+  let p = "SENTINEL-0123456789" in
+  let rng = Leakdetect_util.Prng.create 5 in
+  let filler =
+    String.init (Lz77.window_size + 8) (fun _ -> Char.chr (Leakdetect_util.Prng.int rng 256))
+  in
+  let at dist = p ^ String.sub filler 0 (dist - String.length p) ^ p in
+  let bits =
+    List.map
+      (fun dist ->
+        let s = at dist in
+        Alcotest.(check int) (Printf.sprintf "length at distance %d" dist)
+          (Lz77_oracle.compressed_length_bits s) (Lz77.compressed_length_bits s);
+        Alcotest.(check string) (Printf.sprintf "bytes at distance %d" dist)
+          (Lz77_oracle.compress s) (Lz77.compress s);
+        Lz77.compressed_length_bits s - (9 * dist))
+      [ Lz77.window_size - 1; Lz77.window_size; Lz77.window_size + 1 ]
+  in
+  match bits with
+  | [ inside; edge; outside ] ->
+    Alcotest.(check int) "edge still matches" inside edge;
+    Alcotest.(check bool) "past the edge is literal" true (outside > edge)
+  | _ -> assert false
+
+let test_lz77_parallel_scratch () =
+  (* Every domain grows its own scratch from cold: sizes cycle from empty
+     to past the window so buffers grow mid-job on each domain. *)
+  let rng = Leakdetect_util.Prng.create 11 in
+  let strings =
+    Array.init 240 (fun i ->
+        let n = [| 0; 5; 160; 700; 4096; Lz77.window_size + 300 |].(i mod 6) in
+        String.init n (fun _ -> Char.chr (97 + Leakdetect_util.Prng.int rng (1 + (i mod 4)))))
+  in
+  let sequential = Array.map (Compressor.length_bits Compressor.Lz77) strings in
+  let parallel =
+    Leakdetect_parallel.Pool.with_pool 2 (fun pool ->
+        Leakdetect_parallel.Pool.parallel_map_array ~pool ~chunk:3
+          (Compressor.length_bits Compressor.Lz77) strings)
+  in
+  Alcotest.(check (array int)) "jobs=2 = sequential" sequential parallel;
+  Alcotest.(check (array int)) "sequential = oracle"
+    (Array.map Lz77_oracle.compressed_length_bits strings) sequential
+
+let test_concat_length_bits_all_algos () =
+  let x = "GET /ad/sdk?imei=355021930123456" and y = "&imei=355021930123456 HTTP/1.1" in
+  List.iter
+    (fun algo ->
+      Alcotest.(check int) (Compressor.name algo)
+        (Compressor.length_bits algo (x ^ y))
+        (Compressor.concat_length_bits algo x y))
+    Compressor.all
+
 (* --- NCD --- *)
 
 let test_ncd_range_and_identity () =
@@ -254,6 +399,16 @@ let suite =
         qtest prop_huffman_binary;
         qtest prop_length_bits_consistent;
       ] );
+    ( "compress.lz77_oracle",
+      [
+        Alcotest.test_case "scratch reuse across sizes" `Quick test_lz77_scratch_reuse;
+        Alcotest.test_case "window edge" `Quick test_lz77_window_edge;
+        Alcotest.test_case "per-domain scratch (jobs=2)" `Quick test_lz77_parallel_scratch;
+        Alcotest.test_case "concat length (all algos)" `Quick test_concat_length_bits_all_algos;
+      ]
+      @ List.map qtest
+          (prop_lz77_length_matches_oracle @ prop_lz77_compress_matches_oracle
+         @ prop_lz77_concat_matches_oracle) );
     ( "compress.ncd",
       [
         Alcotest.test_case "range and identity" `Quick test_ncd_range_and_identity;
