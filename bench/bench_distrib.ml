@@ -1,6 +1,13 @@
-(* Distribution-tier benchmark: journaled publish throughput on the
-   authority, delta-vs-snapshot sync cost as the fleet lags further
-   behind, and recovery time as the journal grows.
+(* Distribution-tier benchmark: changelog append throughput as history
+   grows, journaled publish throughput on the authority, delta-vs-snapshot
+   sync cost as the fleet lags further behind, and recovery time as the
+   journal grows.
+
+   Appends cost O(log n) each, so their rate must stay flat as history
+   grows: the run exits non-zero if appends at the largest size run at
+   less than half the rate at the smallest.  A publish stays O(v) per
+   call — its input is the whole desired set, diffed against the live
+   one — so publish rates are reported, not gated.
 
    The delta/snapshot comparison is the one the design hangs on: a
    client [lag] versions behind pays for [lag] changelog entries over
@@ -10,9 +17,11 @@
 
    Emits BENCH_distrib.json so runs can be diffed.
 
-   Usage: bench_distrib.exe [--quick]   (--quick shrinks every axis) *)
+   Usage: bench_distrib.exe [--quick]   (--quick shrinks every axis but
+   the append sizes, which the gate compares) *)
 
 module Json = Leakdetect_util.Json
+module Changelog = Leakdetect_distrib.Changelog
 module Signature = Leakdetect_core.Signature
 module Signature_io = Leakdetect_core.Signature_io
 module Authority = Leakdetect_distrib.Authority
@@ -45,8 +54,44 @@ let sig_of i =
     [ "leak"; Printf.sprintf "tok%06d" i;
       Printf.sprintf "imei=3550219301%05d" i ]
 
-(* Grow a set one signature per version: version v has signatures 1..v. *)
-let set_at v = List.init v (fun i -> sig_of (i + 1))
+(* Grow a set one signature per version: version v has signatures 1..v.
+   The signatures are built once, so a timed publish pays for its input
+   list but not for formatting every signature in it. *)
+let sigs = Array.init 3_000 (fun i -> sig_of (i + 1))
+let set_at v = Array.to_list (Array.sub sigs 0 v)
+
+(* One [Add] per version, as the publish loop produces, on a standalone
+   changelog.  Timed over the later half of the history, where a cost
+   growing with the set would show.  A sample repeats that later half on
+   fresh logs until at least 40 ms of appends have been timed, so a GC
+   slice or a scheduler hiccup cannot swing a short history's rate; the
+   result is the median of five samples. *)
+let bench_append n =
+  let changes = Array.init n (fun i -> Changelog.Add sigs.(i)) in
+  let half = n / 2 in
+  let later_half () =
+    let log = Changelog.create () in
+    for i = 0 to half - 1 do
+      ignore (Changelog.append log changes.(i))
+    done;
+    snd
+      (time (fun () ->
+           for i = half to n - 1 do
+             ignore (Changelog.append log changes.(i))
+           done))
+  in
+  let sample () =
+    let rec go appends s =
+      if s >= 0.04 then float_of_int appends /. s
+      else go (appends + n - half) (s +. later_half ())
+    in
+    go 0 0.
+  in
+  let rate = List.nth (List.sort compare (List.init 5 (fun _ -> sample ()))) 2 in
+  Printf.printf "%6d versions: append %9.0f chg/s over the later half\n%!" n rate;
+  ( rate,
+    Json.Obj
+      [ ("versions", Json.Int n); ("append_changes_per_s", Json.Float rate) ] )
 
 let bench_publish n =
   let dir = fresh_dir () in
@@ -256,6 +301,10 @@ let () =
   let versions = if quick then 400 else 2_000 in
   let rounds = if quick then 20 else 50 in
   let lags = [ 1; 10; 100 ] in
+  Printf.printf "-- changelog append as history grows --\n%!";
+  let append = List.map bench_append [ 200; 1_000; 3_000 ] in
+  let smallest = fst (List.hd append)
+  and largest = fst (List.nth append (List.length append - 1)) in
   Printf.printf "-- journaled publish / replay / compact --\n%!";
   let publish_rows = List.map bench_publish publish_sizes in
   Printf.printf "-- sync cost vs lag (head at %d versions, %d clients each) --\n%!"
@@ -276,6 +325,7 @@ let () =
     Json.Obj
       [ ("bench", Json.String "distrib");
         ("quick", Json.Bool quick);
+        ("changelog_append", Json.List (List.map snd append));
         ("publish", Json.List publish_rows);
         ("sync_vs_lag", Json.List sync_rows);
         ("repair_vs_resnapshot", Json.List repair_rows);
@@ -285,4 +335,11 @@ let () =
   output_string oc (Json.to_string_pretty doc);
   output_char oc '\n';
   close_out oc;
-  Printf.printf "wrote BENCH_distrib.json\n"
+  Printf.printf "wrote BENCH_distrib.json\n";
+  if largest < 0.5 *. smallest then begin
+    Printf.eprintf
+      "bench_append: %.0f chg/s at the largest history is under half the \
+       %.0f chg/s at the smallest\n"
+      largest smallest;
+    exit 1
+  end

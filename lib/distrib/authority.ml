@@ -38,6 +38,7 @@ type tenant_state = {
   log : Changelog.t;
   candidates : (string, candidate) Hashtbl.t;  (* key -> candidate *)
   pending : (string, int) Hashtbl.t;  (* reporter -> live memberships *)
+  published : (string, int) Hashtbl.t;  (* key -> live signatures with it *)
 }
 
 (* A candidate's identity is its mode plus token list: the reporter-local
@@ -47,13 +48,32 @@ let key_of (s : Signature.t) =
     (Signature.make ~id:0 ~mode:s.Signature.mode ~cluster_size:0
        s.Signature.tokens)
 
-let fresh_tenant name =
-  {
-    name;
-    log = Changelog.create ();
-    candidates = Hashtbl.create 16;
-    pending = Hashtbl.create 16;
-  }
+let add_published ts s =
+  let key = key_of s in
+  Hashtbl.replace ts.published key
+    (1 + Option.value ~default:0 (Hashtbl.find_opt ts.published key))
+
+let remove_published ts s =
+  let key = key_of s in
+  match Hashtbl.find_opt ts.published key with
+  | Some n when n > 1 -> Hashtbl.replace ts.published key (n - 1)
+  | Some _ -> Hashtbl.remove ts.published key
+  | None -> ()
+
+let tenant_of_log name log =
+  let ts =
+    {
+      name;
+      log;
+      candidates = Hashtbl.create 16;
+      pending = Hashtbl.create 16;
+      published = Hashtbl.create 64;
+    }
+  in
+  List.iter (add_published ts) (Changelog.current log);
+  ts
+
+let fresh_tenant name = tenant_of_log name (Changelog.create ())
 
 (* --- journal entries --- *)
 
@@ -176,12 +196,12 @@ let signatures t ~tenant =
 let checksum t ~tenant =
   match Hashtbl.find_opt t.tenants tenant with
   | Some ts -> Changelog.current_checksum ts.log
-  | None -> Changelog.checksum_set []
+  | None -> Sigset.checksum Sigset.empty
 
 let checksum_at t ~tenant ~version =
   match Hashtbl.find_opt t.tenants tenant with
   | Some ts -> Changelog.checksum_at ts.log version
-  | None -> if version = 0 then Some (Changelog.checksum_set []) else None
+  | None -> if version = 0 then Some (Sigset.checksum Sigset.empty) else None
 
 let horizon t ~tenant =
   match Hashtbl.find_opt t.tenants tenant with
@@ -195,6 +215,11 @@ let changelog_entries t ~tenant =
 
 let wal_size t = match t.writer with Some w -> Wal.size w | None -> 0
 let promotions t = List.rev t.rev_promotions
+
+let is_published t ~tenant signature =
+  match Hashtbl.find_opt t.tenants tenant with
+  | Some ts -> Hashtbl.mem ts.published (key_of signature)
+  | None -> false
 
 let pending_candidates t ~tenant =
   match Hashtbl.find_opt t.tenants tenant with
@@ -224,8 +249,7 @@ let journal t jentry =
       count t "leakdetect_authority_journal_appends_total"
         "Entries appended to the authority journal."
 
-let in_published_set ts key =
-  List.exists (fun s -> key_of s = key) (Changelog.current ts.log)
+let in_published_set ts key = Hashtbl.mem ts.published key
 
 let decr_pending ts reporter =
   match Hashtbl.find_opt ts.pending reporter with
@@ -236,14 +260,22 @@ let decr_pending ts reporter =
 let pending_of ts reporter =
   Option.value ~default:0 (Hashtbl.find_opt ts.pending reporter)
 
-(* Apply one changelog change to a tenant (in-memory).  An [Add] clears
-   any pending candidate with the same identity: whether it arrived by
-   publish or by promotion, the signature is now published and the tally
-   is spent. *)
+(* Apply one changelog change to a tenant (in-memory), keeping the
+   published-key index in step.  An [Add] clears any pending candidate
+   with the same identity: whether it arrived by publish or by promotion,
+   the signature is now published and the tally is spent. *)
 let apply_change ts change =
+  let id =
+    match change with
+    | Changelog.Add s -> s.Signature.id
+    | Changelog.Retire id -> id
+  in
+  Option.iter (remove_published ts)
+    (Sigset.find id (Changelog.current_set ts.log));
   let entry = Changelog.append ts.log change in
   (match change with
   | Changelog.Add s -> (
+    add_published ts s;
     let key = key_of s in
     match Hashtbl.find_opt ts.candidates key with
     | Some cand ->
@@ -407,14 +439,7 @@ let parse_tenant_section header rest =
           | None -> Error "snapshot: candidates overrun payload"
           | Some (cand_lines, rest) ->
             let* log = Changelog.restore ~base_version ~base ~next_id ~entries in
-            let ts =
-              {
-                name;
-                log;
-                candidates = Hashtbl.create 16;
-                pending = Hashtbl.create 16;
-              }
-            in
+            let ts = tenant_of_log name log in
             let rec cands = function
               | [] -> Ok ()
               | line :: more -> (
@@ -664,26 +689,48 @@ let close t =
 
 (* --- mutations --- *)
 
+(* Signatures are plain data and their line codec is injective, so
+   structural equality decides "same line" without serializing either.
+   [desired] is walked in ascending id order, the last of several
+   signatures with one id winning.  Publishers already pass id-ascending
+   sets, so one linear check skips the sort: on [distrib_history] that
+   skip is worth ~5% of a round's median latency. *)
 let diff_changes current desired =
-  let module IM = Map.Make (Int) in
-  let index set =
-    List.fold_left (fun m s -> IM.add s.Signature.id s m) IM.empty set
+  let id (s : Signature.t) = s.Signature.id in
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> id a < id b && ascending rest
+    | _ -> true
   in
-  let cur = index current and want = index desired in
+  let rec last_per_id = function
+    | a :: (b :: _ as rest) when id a = id b -> last_per_id rest
+    | a :: rest -> a :: last_per_id rest
+    | [] -> []
+  in
+  let want =
+    if ascending desired then desired
+    else last_per_id (List.stable_sort (fun a b -> compare (id a) (id b)) desired)
+  in
   let adds =
-    IM.fold
-      (fun id s acc ->
-        match IM.find_opt id cur with
-        | Some old when Signature_io.to_line old = Signature_io.to_line s -> acc
-        | _ -> Changelog.Add s :: acc)
-      want []
-    |> List.rev
+    List.filter_map
+      (fun s ->
+        match Sigset.find (id s) current with
+        | Some old when old == s || old = s -> None
+        | _ -> Some (Changelog.Add s))
+      want
   in
+  let rest = ref want in
   let retires =
-    IM.fold
-      (fun id _ acc ->
-        if IM.mem id want then acc else Changelog.Retire id :: acc)
-      cur []
+    Sigset.fold
+      (fun s acc ->
+        let rec skip = function
+          | x :: more when id x < id s -> skip more
+          | l -> l
+        in
+        rest := skip !rest;
+        match !rest with
+        | x :: _ when id x = id s -> acc
+        | _ -> Changelog.Retire (id s) :: acc)
+      current []
     |> List.rev
   in
   adds @ retires
@@ -691,7 +738,7 @@ let diff_changes current desired =
 let publish ?(inject = fun _ -> ()) t ~tenant desired =
   check_id "tenant" tenant;
   let ts = lookup t tenant in
-  let changes = diff_changes (Changelog.current ts.log) desired in
+  let changes = diff_changes (Changelog.current_set ts.log) desired in
   if changes = [] then begin
     count t "leakdetect_authority_publish_noops_total"
       "Publishes whose set was already live (no version bump).";
@@ -850,11 +897,8 @@ let respond t (response : Http.Response.t) =
   response
 
 let version_headers ts =
-  let version = Changelog.version ts.log in
-  [ ("X-Signature-Version", string_of_int version);
-    ( "X-Signature-Checksum",
-      Crc32.to_hex (Changelog.wire_checksum ~version (Changelog.current ts.log))
-    ) ]
+  [ ("X-Signature-Version", string_of_int (Changelog.version ts.log));
+    ("X-Signature-Checksum", Crc32.to_hex (Changelog.wire_checksum ts.log)) ]
 
 let count_sync_response t mode =
   count t

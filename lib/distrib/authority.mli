@@ -113,6 +113,12 @@ val promotions : t -> promotion list
 
 val pending_candidates : t -> tenant:string -> int
 
+val is_published : t -> tenant:string -> Signature.t -> bool
+(** Whether a live signature of the tenant has this one's identity (mode
+    and token list; id and cluster size ignored) — the test that turns a
+    candidate report into a [Duplicate].  O(1) from an index kept in step
+    with every change and rebuilt on recovery and adoption. *)
+
 (** {1 Mutations} *)
 
 val publish :

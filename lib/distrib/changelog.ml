@@ -59,118 +59,141 @@ let apply_change set change =
     ins set
   | Retire id -> List.filter (fun x -> x.Signature.id <> id) set
 
-let canonical set =
-  let sorted =
-    List.sort (fun a b -> compare a.Signature.id b.Signature.id) set
-  in
-  String.concat "\n" (List.map Signature_io.to_line sorted)
+let apply set = function
+  | Add s -> Sigset.add s set
+  | Retire id -> Sigset.remove id set
 
-let checksum_set set = Crc32.string (canonical set)
-
-let wire_checksum ~version set =
-  Crc32.string (string_of_int version ^ "\n" ^ canonical set)
-
+(* The retained history is indexed by version: [entries.(i)] is the entry
+   at version [base_version + 1 + i] and [sums.(i)] the canonical-set CRC
+   it produced, for [i < count]; the sum at [base_version] is the base
+   set's own.  Both arrays grow by doubling. *)
 type t = {
   mutable base_version : int;
-  mutable base : Signature.t list;
-  mutable rev_entries : entry list;  (* newest first *)
-  mutable version : int;
-  mutable set : Signature.t list;  (* current, id-ascending *)
+  mutable base : Sigset.t;
+  mutable entries : entry array;
+  mutable sums : int array;
+  mutable count : int;
+  mutable set : Sigset.t;  (* current *)
   mutable next_id : int;
-  sums : (int, int) Hashtbl.t;  (* version -> canonical-set CRC *)
 }
 
+let no_entry = { version = 0; change = Retire 0 }
+
 let create () =
-  let sums = Hashtbl.create 64 in
-  Hashtbl.replace sums 0 (checksum_set []);
   {
     base_version = 0;
-    base = [];
-    rev_entries = [];
-    version = 0;
-    set = [];
+    base = Sigset.empty;
+    entries = [||];
+    sums = [||];
+    count = 0;
+    set = Sigset.empty;
     next_id = 0;
-    sums;
   }
 
-let version t = t.version
+let version t = t.base_version + t.count
 let horizon t = t.base_version
 let next_id t = t.next_id
-let current t = t.set
-let current_checksum t = checksum_set t.set
-let checksum_at t v = Hashtbl.find_opt t.sums v
-let entries t = List.rev t.rev_entries
-let base t = t.base
+let current t = Sigset.to_list t.set
+let current_set t = t.set
+let current_checksum t = Sigset.checksum t.set
+let wire_checksum t = Sigset.wire_checksum ~version:(version t) t.set
+
+let checksum_at t v =
+  if v = t.base_version then Some (Sigset.checksum t.base)
+  else if v > t.base_version && v <= version t then
+    Some t.sums.(v - t.base_version - 1)
+  else None
+
+let entries t = Array.to_list (Array.sub t.entries 0 t.count)
+let base t = Sigset.to_list t.base
 
 let note_id t = function
   | Add s -> t.next_id <- max t.next_id (s.Signature.id + 1)
   | Retire _ -> ()
 
 let append t change =
-  t.version <- t.version + 1;
-  t.set <- apply_change t.set change;
+  if t.count = Array.length t.entries then begin
+    let cap = max 16 (2 * t.count) in
+    let entries = Array.make cap no_entry and sums = Array.make cap 0 in
+    Array.blit t.entries 0 entries 0 t.count;
+    Array.blit t.sums 0 sums 0 t.count;
+    t.entries <- entries;
+    t.sums <- sums
+  end;
+  let entry = { version = version t + 1; change } in
+  t.set <- apply t.set change;
   note_id t change;
-  let entry = { version = t.version; change } in
-  t.rev_entries <- entry :: t.rev_entries;
-  Hashtbl.replace t.sums t.version (checksum_set t.set);
+  t.entries.(t.count) <- entry;
+  t.sums.(t.count) <- Sigset.checksum t.set;
+  t.count <- t.count + 1;
   entry
+
+let replay t entries =
+  let rec go = function
+    | [] -> Ok ()
+    | (e : entry) :: rest ->
+      if e.version <> version t + 1 then
+        Error
+          (Printf.sprintf "changelog: entry version %d after %d" e.version
+             (version t))
+      else begin
+        ignore (append t e.change);
+        go rest
+      end
+  in
+  go entries
+
+let of_set ~version set =
+  if version < 0 then invalid_arg "Changelog.of_set: negative version";
+  let next_id = Sigset.fold (fun s n -> max n (s.Signature.id + 1)) set 0 in
+  { (create ()) with base_version = version; base = set; set; next_id }
 
 let restore ~base_version ~base ~next_id ~entries =
   if base_version < 0 then Error "restore: negative base version"
   else if next_id < 0 then Error "restore: negative next id"
-  else begin
-    let t = create () in
-    t.base_version <- base_version;
-    t.base <- List.sort (fun a b -> compare a.Signature.id b.Signature.id) base;
-    t.version <- base_version;
-    t.set <- t.base;
-    t.next_id <- next_id;
-    List.iter (fun s -> note_id t (Add s)) t.base;
-    Hashtbl.reset t.sums;
-    Hashtbl.replace t.sums base_version (checksum_set t.set);
-    let rec replay = function
-      | [] -> Ok t
-      | (e : entry) :: rest ->
-        if e.version <> t.version + 1 then
-          Error
-            (Printf.sprintf "restore: entry version %d after %d" e.version
-               t.version)
-        else begin
-          ignore (append t e.change);
-          replay rest
-        end
-    in
-    replay entries
-  end
+  else
+    match Sigset.of_list base with
+    | Error (`Duplicate_id id) ->
+      Error (Printf.sprintf "restore: duplicate signature id %d in base" id)
+    | Ok set ->
+      let t = of_set ~version:base_version set in
+      t.next_id <- max t.next_id next_id;
+      Result.map (fun () -> t) (replay t entries)
+
+let truncate t ~version:v =
+  let t' = of_set ~version:t.base_version t.base in
+  for i = 0 to min (v - t.base_version) t.count - 1 do
+    ignore (append t' t.entries.(i).change)
+  done;
+  t'
 
 let since t v =
-  if v < t.base_version || v > t.version then None
+  if v < t.base_version || v > version t then None
   else
-    Some
-      (List.filter (fun (e : entry) -> e.version > v) (List.rev t.rev_entries))
+    let rec collect i acc =
+      if i < v - t.base_version then acc
+      else collect (i - 1) (t.entries.(i) :: acc)
+    in
+    Some (collect (t.count - 1) [])
 
 (* Checkpoints ascend from the first retained version in [interval]
    steps; the head is always the last checkpoint, so a digest is never
-   empty and a head-only probe is [digest ~since:max_int].  Only sums the
-   table still holds (>= horizon) are emitted — a divergence below the
+   empty and a head-only probe is [digest ~since:max_int].  Only sums
+   still retained (>= horizon) are emitted — a divergence below the
    horizon is not localizable and the caller falls back to a snapshot. *)
 let digest t ~since ~interval =
   if interval < 1 then invalid_arg "Changelog.digest: interval < 1";
-  let lo = max since t.base_version in
+  let head = version t in
+  let sum v = Option.get (checksum_at t v) in
+  (* [interval >= head - v] rather than [v + interval >= head]: the
+     interval comes from a query string and the sum may overflow. *)
   let rec collect v acc =
-    if v >= t.version then acc
+    if v >= head then acc
     else
-      collect (v + interval)
-        (match Hashtbl.find_opt t.sums v with
-        | Some sum -> (v, sum) :: acc
-        | None -> acc)
+      let acc = (v, sum v) :: acc in
+      if interval >= head - v then acc else collect (v + interval) acc
   in
-  let head =
-    match Hashtbl.find_opt t.sums t.version with
-    | Some sum -> [ (t.version, sum) ]
-    | None -> []
-  in
-  List.rev_append (collect lo []) head
+  List.rev_append (collect (max since t.base_version) []) [ (head, sum head) ]
 
 let digest_to_body d =
   String.concat "\n"
@@ -198,19 +221,15 @@ let digest_of_body body =
   loop (-1) [] lines
 
 let compact t ~keep =
-  let all = List.rev t.rev_entries in
-  let n = List.length all in
-  let keep = max 0 (min keep n) in
-  let fold_n = n - keep in
+  let keep = max 0 (min keep t.count) in
+  let fold_n = t.count - keep in
   if fold_n > 0 then begin
-    let folded = List.filteri (fun i _ -> i < fold_n) all in
-    List.iter
-      (fun e -> t.base <- apply_change t.base e.change)
-      folded;
+    for i = 0 to fold_n - 1 do
+      t.base <- apply t.base t.entries.(i).change
+    done;
+    Array.blit t.entries fold_n t.entries 0 keep;
+    Array.blit t.sums fold_n t.sums 0 keep;
+    Array.fill t.entries keep fold_n no_entry;
     t.base_version <- t.base_version + fold_n;
-    t.rev_entries <-
-      List.rev (List.filteri (fun i _ -> i >= fold_n) all);
-    Hashtbl.iter
-      (fun v _ -> if v < t.base_version then Hashtbl.remove t.sums v)
-      (Hashtbl.copy t.sums)
+    t.count <- keep
   end

@@ -12,7 +12,10 @@
     The canonical serialization of a set (id-ascending {!Leakdetect_core.Signature_io}
     lines) doubles as the integrity witness: {!checksum_at} is the CRC-32
     of the canonical set at a version, and a client that applies a delta
-    must land on the checksum the authority advertises. *)
+    must land on the checksum the authority advertises.  The set is a
+    {!Sigset}, so each change costs O(log n) and the retained history is
+    indexed by version: {!append}, {!checksum_at} and {!wire_checksum}
+    never serialize the whole set, and {!since} costs O(suffix). *)
 
 module Signature = Leakdetect_core.Signature
 
@@ -35,16 +38,8 @@ val apply_change : Signature.t list -> change -> Signature.t list
     [Add] replaces any existing signature with the same id; [Retire] of an
     absent id is a no-op (which makes re-application idempotent). *)
 
-val checksum_set : Signature.t list -> int
-(** CRC-32 of the canonical serialization (id-ascending lines joined with
-    a newline).  Order-insensitive: the input is sorted first. *)
-
-val wire_checksum : version:int -> Signature.t list -> int
-(** The checksum carried in [X-Signature-Checksum]: CRC-32 over the
-    version number followed by the canonical serialization.  Binding the
-    version in means a transit-corrupted version header cannot pair with
-    an otherwise-valid body — the client recomputes this against the
-    version it was told and bails on mismatch. *)
+val apply : Sigset.t -> change -> Sigset.t
+(** {!apply_change} on the tree form, in O(log n). *)
 
 type t
 
@@ -59,7 +54,24 @@ val restore :
   (t, string) result
 (** Rebuild from snapshot parts: the folded base set at [base_version]
     plus the retained entries, whose versions must be consecutive from
-    [base_version + 1].  [Error] on a version gap or negative inputs. *)
+    [base_version + 1].  [Error] on a version gap, negative inputs or two
+    base signatures with one id. *)
+
+val of_set : version:int -> Sigset.t -> t
+(** A changelog whose base is [set] at [version], with no entries; its
+    {!next_id} is one past the largest id in [set].  Shares the tree, so
+    it costs no serialization.
+    @raise Invalid_argument when [version < 0]. *)
+
+val truncate : t -> version:int -> t
+(** A new changelog with [t]'s base and its entries up to [version]
+    (clamped to [\[horizon t, version t\]]), whose {!next_id} counts only
+    that kept history; [t] is unchanged.  Costs O(entries kept · log n). *)
+
+val replay : t -> entry list -> (unit, string) result
+(** Append entries that must continue the history consecutively from
+    [version t + 1]; stops with [Error] at the first gap, leaving the
+    entries before it applied. *)
 
 val version : t -> int
 val horizon : t -> int
@@ -73,7 +85,18 @@ val next_id : t -> int
 val current : t -> Signature.t list
 (** The live set, id-ascending. *)
 
+val current_set : t -> Sigset.t
+(** The live set as a tree. *)
+
 val current_checksum : t -> int
+(** CRC-32 of the canonical serialization of the live set. *)
+
+val wire_checksum : t -> int
+(** The head's [X-Signature-Checksum]: CRC-32 over the version number, a
+    newline and the canonical serialization.  Binding the version in
+    means a transit-corrupted version header cannot pair with an
+    otherwise-valid body — the client recomputes this against the
+    version it was told and bails on mismatch. *)
 
 val checksum_at : t -> int -> int option
 (** Canonical-set CRC at an exact version; [None] below the horizon (or

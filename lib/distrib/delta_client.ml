@@ -17,7 +17,13 @@ type update = [ `Delta of Changelog.entry list | `Snapshot ]
 
 type t = {
   tenant : string;
+  (* Used for its retry / backoff / health machine and version only: the
+     last-known-good set lives in [set], as a tree that verification and
+     delta application read and update without serializing it.  The
+     inner client's own set is always empty on purpose ({!install});
+     read [set], never [Signature_client.signatures inner]. *)
   inner : Signature_client.t;
+  mutable set : Sigset.t;
   mutable delta_updates : int;
   mutable snapshot_updates : int;
   mutable forced_full : int;
@@ -43,6 +49,7 @@ let create ?config ?obs ?seed ~tenant () =
   {
     tenant;
     inner = Signature_client.create ?config ?obs ?seed ();
+    set = Sigset.empty;
     delta_updates = 0;
     snapshot_updates = 0;
     forced_full = 0;
@@ -56,8 +63,9 @@ let create ?config ?obs ?seed ~tenant () =
 
 let tenant t = t.tenant
 let version t = Signature_client.version t.inner
-let signatures t = Signature_client.signatures t.inner
-let checksum t = Changelog.checksum_set (signatures t)
+let signatures t = Sigset.to_list t.set
+let set t = t.set
+let checksum t = Sigset.checksum t.set
 let health t = Signature_client.health t.inner
 let staleness t = Signature_client.staleness t.inner
 let last_error t = Signature_client.last_error t.inner
@@ -147,14 +155,33 @@ let refuse_regression t ~server ~held =
 let verified t ~(mode : update) ~version ~advertised set =
   match advertised with
   | None -> Error "missing checksum header"
-  | Some sum when Changelog.wire_checksum ~version set <> sum ->
+  | Some sum when Sigset.wire_checksum ~version set <> sum ->
     t.verify_failed <- true;
     Error
       (Printf.sprintf "checksum mismatch at version %d (%s)" version
          (match mode with `Delta _ -> "delta" | `Snapshot -> "snapshot"))
-  | Some _ ->
-    t.last_update <- Some mode;
-    Ok (Signature_client.Set { version; signatures = set })
+  | Some _ -> Ok (version, set)
+
+(* The inner client installs every [Set] its fetch returns, so the tree
+   is swapped in at the same moment; the inner client is handed no list,
+   as nothing reads one back from it. *)
+let install t ~(mode : update) (version, set) =
+  t.last_update <- Some mode;
+  t.set <- set;
+  Signature_client.Set { version; signatures = [] }
+
+(* A snapshot holding two signatures with one id cannot come from any
+   committed set, whatever checksum it carries: a verification failure,
+   never an install. *)
+let verified_snapshot t ~version ~advertised body =
+  match parse_sig_lines body with
+  | Error _ as e -> e
+  | Ok sigs -> (
+    match Sigset.of_list sigs with
+    | Error (`Duplicate_id id) ->
+      t.verify_failed <- true;
+      Error (Printf.sprintf "snapshot repeats signature id %d" id)
+    | Ok set -> verified t ~mode:`Snapshot ~version ~advertised set)
 
 let apply_delta t ~since ~version ~advertised entries =
   (* The suffix must be exactly [since+1 .. version], consecutive; any
@@ -169,9 +196,8 @@ let apply_delta t ~since ~version ~advertised entries =
   else
     let set =
       List.fold_left
-        (fun set (e : Changelog.entry) ->
-          Changelog.apply_change set e.Changelog.change)
-        (signatures t) entries
+        (fun set (e : Changelog.entry) -> Changelog.apply set e.Changelog.change)
+        t.set entries
     in
     Ok (verified t ~mode:(`Delta entries) ~version ~advertised set)
 
@@ -192,22 +218,18 @@ let fetch t ~transport ~full_transport ~since =
         | Some version when version < since ->
           refuse_regression t ~server:version ~held:since
         | Some version -> (
-          match parse_sig_lines response.Http.Response.body with
+          match
+            verified_snapshot t ~version
+              ~advertised:(checksum_header response)
+              response.Http.Response.body
+          with
           | Error _ as e -> e
-          | Ok set -> (
-            match
-              verified t ~mode:`Snapshot ~version
-                ~advertised:(checksum_header response) set
-            with
-            | Ok (Signature_client.Set { version = v; signatures })
-              when v = since && Changelog.checksum_set signatures = checksum t
-              ->
-              (* The resync confirmed the set we already hold: the smell
-                 was the answering node's (or the wire's), not ours —
-                 nothing new was installed. *)
-              t.last_update <- None;
-              Ok (Signature_client.Up_to_date { observed = Some v })
-            | r -> r)))
+          | Ok (v, set) when v = since && Sigset.checksum set = checksum t ->
+            (* The resync confirmed the set we already hold: the smell
+               was the answering node's (or the wire's), not ours —
+               nothing new was installed. *)
+            Ok (Signature_client.Up_to_date { observed = Some v })
+          | Ok verified -> Ok (install t ~mode:`Snapshot verified)))
       | status ->
         Error (Printf.sprintf "unexpected status %d on full sync" status))
   in
@@ -226,9 +248,7 @@ let fetch t ~transport ~full_transport ~since =
            our version, and accepting the 304 would silently pin us to
            whichever side answered.  Refuse and resync in full from the
            authoritative transport instead. *)
-        let ours =
-          Changelog.wire_checksum ~version:since (signatures t)
-        in
+        let ours = Sigset.wire_checksum ~version:since t.set in
         (match checksum_header response with
         | Some sum when sum = ours -> Ok (Signature_client.Up_to_date { observed })
         | Some _ | None ->
@@ -249,15 +269,17 @@ let fetch t ~transport ~full_transport ~since =
           | Error _ as e -> e
           | Ok entries -> (
             match apply_delta t ~since ~version ~advertised entries with
-            | Ok (Ok _ as ok) -> ok
+            | Ok (Ok verified) ->
+              Ok (install t ~mode:(`Delta entries) verified)
             | Ok (Error _) | Error `Gap ->
               (* Either we cannot reconstruct the committed set (gap) or
                  what we reconstructed is not it (checksum): same cure. *)
               full_resync ()))
-        | Some "snapshot" | None -> (
-          match parse_sig_lines response.Http.Response.body with
-          | Error _ as e -> e
-          | Ok set -> verified t ~mode:`Snapshot ~version ~advertised set)
+        | Some "snapshot" | None ->
+          Result.map
+            (install t ~mode:`Snapshot)
+            (verified_snapshot t ~version ~advertised
+               response.Http.Response.body)
         | Some other -> Error (Printf.sprintf "unknown transfer mode %S" other)))
     | status -> Error (Printf.sprintf "unexpected status %d" status))
 

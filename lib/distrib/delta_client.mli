@@ -49,10 +49,16 @@ val create :
 val tenant : t -> string
 val version : t -> int
 val signatures : t -> Signature.t list
-(** Last-known-good set, id-ascending. *)
+(** Last-known-good set, id-ascending (listed from the tree on each
+    call). *)
+
+val set : t -> Sigset.t
+(** {!signatures} as the tree the client verifies against. *)
 
 val checksum : t -> int
-(** {!Changelog.checksum_set} of {!signatures}. *)
+(** CRC-32 of the canonical serialization of {!signatures}.  The set is
+    held as a {!Sigset}, so this is O(1) and each applied change
+    O(log n). *)
 
 val health : t -> Signature_client.health
 val staleness : t -> Signature_client.staleness

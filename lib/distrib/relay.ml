@@ -95,7 +95,7 @@ let create ?(obs = Obs.noop) ?(config = default_config) ?client_config
           mirror = Changelog.create ();
           synced = false;
           last_sync_tick = 0;
-          verified_sum = Changelog.checksum_set [];
+          verified_sum = Sigset.checksum Sigset.empty;
         })
     tenants;
   t
@@ -123,7 +123,7 @@ let synced t ~tenant =
 let checksum t ~tenant =
   match Hashtbl.find_opt t.tenant_tbl tenant with
   | Some st -> Changelog.current_checksum st.mirror
-  | None -> Changelog.checksum_set []
+  | None -> Sigset.checksum Sigset.empty
 
 let staleness t ~tenant =
   match Hashtbl.find_opt t.tenant_tbl tenant with
@@ -186,17 +186,9 @@ let resnapshot t st =
      mirror regrows entries.  The canonical body length is recorded as
      the wire cost a full resync would have paid, so repair savings are
      directly comparable. *)
-  let set = Delta_client.signatures st.dc in
-  t.resnapshot_bytes <-
-    t.resnapshot_bytes
-    + String.length (String.concat "\n" (List.map Signature_io.to_line set));
-  (match
-     Changelog.restore
-       ~base_version:(Delta_client.version st.dc)
-       ~base:set ~next_id:0 ~entries:[]
-   with
-  | Ok log -> st.mirror <- log
-  | Error e -> invalid_arg ("Relay: resnapshot failed: " ^ e));
+  let set = Delta_client.set st.dc in
+  t.resnapshot_bytes <- t.resnapshot_bytes + Sigset.canonical_length set;
+  st.mirror <- Changelog.of_set ~version:(Delta_client.version st.dc) set;
   t.resnapshots <- t.resnapshots + 1
 
 (* Ranged anti-entropy repair.  Fetch the checkpoint digest from
@@ -241,21 +233,10 @@ let try_repair t st ~transport =
                 (fun (e : Changelog.entry) -> e.Changelog.version <= held)
                 fetched
             in
-            let prefix =
-              List.filter
-                (fun (e : Changelog.entry) ->
-                  e.Changelog.version <= split && e.Changelog.version <= held)
-                (Changelog.entries st.mirror)
-            in
-            match
-              Changelog.restore
-                ~base_version:(Changelog.horizon st.mirror)
-                ~base:(Changelog.base st.mirror)
-                ~next_id:0
-                ~entries:(prefix @ fetched)
-            with
+            let log = Changelog.truncate st.mirror ~version:(min split held) in
+            match Changelog.replay log fetched with
             | Error _ -> false
-            | Ok log ->
+            | Ok () ->
               if
                 Changelog.version log = held
                 && Changelog.current_checksum log = st.verified_sum
@@ -444,18 +425,8 @@ let inject_fork t ~tenant =
      verified state with a diverged tail, while the prefix up to
      head - 1 still agrees — exactly the shape ranged repair exists
      for.  The serving guard trips on the very next request. *)
-  let entries = Changelog.entries st.mirror in
-  let kept =
-    match List.rev entries with [] -> [] | _ :: rest -> List.rev rest
-  in
-  (match
-     Changelog.restore
-       ~base_version:(Changelog.horizon st.mirror)
-       ~base:(Changelog.base st.mirror)
-       ~next_id:0 ~entries:kept
-   with
-  | Ok log -> st.mirror <- log
-  | Error e -> invalid_arg ("Relay: inject_fork failed: " ^ e));
+  st.mirror <-
+    Changelog.truncate st.mirror ~version:(Changelog.version st.mirror - 1);
   let bogus i =
     Signature.make
       ~id:(Changelog.next_id st.mirror + 9973 + i)
@@ -518,11 +489,9 @@ let relay_headers t st =
       string_of_int (max 0 (t.clock - st.last_sync_tick)) ) ]
 
 let version_headers st =
-  let version = Changelog.version st.mirror in
-  [ ("X-Signature-Version", string_of_int version);
+  [ ("X-Signature-Version", string_of_int (Changelog.version st.mirror));
     ( "X-Signature-Checksum",
-      Crc32.to_hex
-        (Changelog.wire_checksum ~version (Changelog.current st.mirror)) ) ]
+      Crc32.to_hex (Changelog.wire_checksum st.mirror) ) ]
 
 let unready (t : t) st ~counter =
   (match counter with

@@ -174,7 +174,7 @@ let post_candidates ~transport ~tenant ~reporter sigs =
           let get k = Option.value ~default:0 (Hashtbl.find_opt tally k) in
           Ok (get "accepted", get "duplicate", get "promoted", get "capped")))
 
-let run ?(obs = Obs.noop) ~dir config =
+let run ?(obs = Obs.noop) ?(on_sync = fun _ -> ()) ~dir config =
   validate config;
   let master_rng = Prng.create config.seed in
   let seed_of () = Prng.bits30 master_rng in
@@ -478,6 +478,7 @@ let run ?(obs = Obs.noop) ~dir config =
   let check_sync c (acc : phase_acc) =
     let before = Delta_client.counters c.dc in
     let sync_report = Delta_client.sync c.dc ~transport:(transport_of c) in
+    on_sync c.dc;
     let after = Delta_client.counters c.dc in
     (match sync_report.Leakdetect_monitor.Signature_client.outcome with
     | Leakdetect_monitor.Signature_client.Updated v ->

@@ -103,10 +103,14 @@ type report = {
 val ok : report -> bool
 (** All five invariant counters are zero. *)
 
-val run : ?obs:Obs.t -> dir:string -> config -> report
+val run :
+  ?obs:Obs.t -> ?on_sync:(Delta_client.t -> unit) -> dir:string -> config -> report
 (** Run one soak; [dir] holds the authority's journal and snapshot (the
-    crash/reopen cycle needs real files).  @raise Invalid_argument on a
-    nonsensical config (no clients, no ticks, [k < 1]...). *)
+    crash/reopen cycle needs real files).  [on_sync] sees each client
+    right after each of its sync rounds — where a test checks the
+    client's state against an independent witness.
+    @raise Invalid_argument on a nonsensical config (no clients, no
+    ticks, [k < 1]...). *)
 
 val report_to_json : report -> Json.t
 val summary : report -> string

@@ -26,5 +26,11 @@ val string : string -> int
 val bytes : ?pos:int -> ?len:int -> Bytes.t -> int
 (** One-shot over a [Bytes.t] slice (avoids copying buffers to strings). *)
 
+val combine : int -> int -> int -> int
+(** [combine (string a) (string b) (String.length b) = string (a ^ b)]:
+    the checksum of a concatenation from the checksums of its parts, in
+    O(log [len2]) word operations and without the bytes (zlib's
+    [crc32_combine]).  @raise Invalid_argument on a negative length. *)
+
 val to_hex : int -> string
 (** Fixed-width lowercase hex, e.g. [to_hex 0xCBF43926 = "cbf43926"]. *)

@@ -11,6 +11,7 @@ module Signature = Leakdetect_core.Signature
 module Signature_io = Leakdetect_core.Signature_io
 module Signature_client = Leakdetect_monitor.Signature_client
 module Changelog = Leakdetect_distrib.Changelog
+module Sigset = Leakdetect_distrib.Sigset
 module Authority = Leakdetect_distrib.Authority
 module Delta_client = Leakdetect_distrib.Delta_client
 module Shard_map = Leakdetect_distrib.Shard_map
@@ -77,7 +78,7 @@ let test_changelog_ops () =
   (match Changelog.checksum_at log 2 with
   | Some sum ->
     Alcotest.(check int) "checksum_at matches replay" sum
-      (Changelog.checksum_set [ s1; s3 ])
+      (Changelog_oracle.checksum_set [ s1; s3 ])
   | None -> Alcotest.fail "checksum_at must answer above the horizon");
   Alcotest.(check (option int)) "checksum beyond head" None
     (Changelog.checksum_at log 7)
@@ -247,7 +248,7 @@ let test_authority_http_statuses () =
   Alcotest.(check (option string)) "304 version header" (Some "2")
     (header r "X-Signature-Version");
   Alcotest.(check (option string)) "304 checksum header"
-    (Some (Crc32.to_hex (Changelog.wire_checksum ~version:2 [ s1; s2 ])))
+    (Some (Crc32.to_hex (Changelog_oracle.wire_checksum ~version:2 [ s1; s2 ])))
     (header r "X-Signature-Checksum");
   (* Delta mode for a servable suffix. *)
   let r = Authority.handle auth (get "/signatures?tenant=t0&since=1") in
@@ -610,6 +611,42 @@ let test_delta_client_refuses_regression () =
   Alcotest.(check bool) "refusals counted" true
     (k.Delta_client.regressions_refused > 0)
 
+(* A forged snapshot repeating an id under a self-consistent checksum:
+   installing it would leave a stale twin that a later [Add] of that id
+   replaces only once.  It must fail verification, and [sync_via] must
+   escalate past it to the origin. *)
+let test_delta_client_refuses_duplicate_ids () =
+  let auth = Authority.create () in
+  ignore (Authority.publish auth ~tenant:"t0" [ s1; s2 ]);
+  let forged = [ s1; sig_ 1 [ "stale"; "twin" ]; s2 ] in
+  let hostile _request =
+    Ok
+      (Http.Response.print
+         (Http.Response.make
+            ~headers:
+              (Http.Headers.of_list
+                 [ ("X-Signature-Version", "2");
+                   ( "X-Signature-Checksum",
+                     Crc32.to_hex (Changelog_oracle.wire_checksum ~version:2 forged) );
+                   ("X-Signature-Mode", "snapshot") ])
+            ~body:(lines forged) 200))
+  in
+  let c = new_client "t0" in
+  (match (Delta_client.sync c ~transport:hostile).Signature_client.outcome with
+  | Signature_client.Failed _ -> ()
+  | _ -> Alcotest.fail "a snapshot repeating an id must not install");
+  Alcotest.(check int) "version untouched" 0 (Delta_client.version c);
+  check_set "set untouched" [] (Delta_client.signatures c);
+  (match
+     (Delta_client.sync_via c ~relays:[ hostile ] ~origin:(loss_free auth))
+       .Signature_client.outcome
+   with
+  | Signature_client.Updated 2 -> ()
+  | _ -> Alcotest.fail "must escalate to the origin and install its head");
+  check_set "origin's set installed" [ s1; s2 ] (Delta_client.signatures c);
+  Alcotest.(check bool) "escalation counted" true
+    ((Delta_client.counters c).Delta_client.escalations > 0)
+
 (* --- mini soak: end-to-end, faults and crash points on --- *)
 
 let test_mini_soak () =
@@ -628,7 +665,19 @@ let test_mini_soak () =
           seed = 5;
         }
       in
-      let report = Soak.run ~dir config in
+      (* Independent witness: every synced client's checksum equals the
+         serialise-then-CRC oracle over the set it holds. *)
+      let syncs = ref 0 and mismatches = ref 0 in
+      let on_sync dc =
+        incr syncs;
+        if
+          Delta_client.checksum dc
+          <> Changelog_oracle.checksum_set (Delta_client.signatures dc)
+        then incr mismatches
+      in
+      let report = Soak.run ~on_sync ~dir config in
+      Alcotest.(check bool) "syncs witnessed" true (!syncs > 0);
+      Alcotest.(check int) "client checksums match the oracle" 0 !mismatches;
       let inv = report.Soak.invariants in
       Alcotest.(check int) "no divergence" 0 inv.Soak.divergences;
       Alcotest.(check int) "no regressions" 0 inv.Soak.regressions;
@@ -658,7 +707,7 @@ let test_changelog_compact_keep_zero () =
   | Some _ -> Alcotest.fail "one version behind keep:0 must fall back to snapshot");
   check_set "set survives keep:0" [ s1; s2 ] (Changelog.current log);
   Alcotest.(check (option int)) "checksum still answers at the horizon"
-    (Some (Changelog.checksum_set [ s1; s2 ]))
+    (Some (Changelog_oracle.checksum_set [ s1; s2 ]))
     (Changelog.checksum_at log 2)
 
 let test_changelog_digest () =
@@ -737,6 +786,171 @@ let prop_compact_since_boundary =
           else if List.length entries <> head - since then ok := false
       done;
       !ok)
+
+(* --- changelog: tree-backed checksums against the serialise-then-CRC
+   oracle --- *)
+
+type log_op =
+  | Op_add of int * int  (* id, token variant *)
+  | Op_retire of int
+  | Op_compact of int  (* keep *)
+  | Op_restore
+  | Op_truncate of int  (* versions dropped *)
+  | Op_of_set  (* rebase on the live tree, as a relay resnapshot does *)
+
+let tokens_of variant =
+  (* Escapes in every shape the line codec knows, and repeats across ids. *)
+  let pool = [| "a"; "b\tc"; "d\ne"; "\\x"; "imei=355"; "\r" |] in
+  List.init (1 + (variant mod 3)) (fun i -> pool.((variant + (i * 5)) mod Array.length pool))
+
+let log_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (6, map2 (fun id v -> Op_add (id, v)) (int_range 0 11) (int_range 0 17));
+        (3, map (fun id -> Op_retire id) (int_range 0 11));
+        (1, map (fun k -> Op_compact k) (int_range 0 6));
+        (1, return Op_restore);
+        (1, map (fun k -> Op_truncate k) (int_range 0 4));
+        (1, return Op_of_set) ])
+
+let show_log_op = function
+  | Op_add (id, v) -> Printf.sprintf "add %d/%d" id v
+  | Op_retire id -> Printf.sprintf "retire %d" id
+  | Op_compact k -> Printf.sprintf "compact %d" k
+  | Op_restore -> "restore"
+  | Op_truncate k -> Printf.sprintf "truncate -%d" k
+  | Op_of_set -> "of_set"
+
+(* The model keeps the list set at every version since 0 and every entry;
+   the horizon only hides what the changelog may no longer answer. *)
+let prop_changelog_matches_oracle =
+  QCheck.Test.make ~name:"changelog checksums equal serialise-then-CRC"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_log_op ops))
+       QCheck.Gen.(list_size (1 -- 40) log_op_gen))
+    (fun ops ->
+      let log = ref (Changelog.create ()) in
+      let sets = ref [ (0, []) ] and entries = ref [] and horizon = ref 0 in
+      let head () = fst (List.hd !sets) in
+      let set_at v = List.assoc v !sets in
+      let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_report m) fmt in
+      let check () =
+        let log = !log and head = head () in
+        let cur = set_at head in
+        if Changelog.version log <> head then fail "version";
+        if Changelog.horizon log <> !horizon then fail "horizon";
+        if lines (Changelog.current log) <> Changelog_oracle.canonical cur then
+          fail "current";
+        if Changelog.current_checksum log <> Changelog_oracle.checksum_set cur then
+          fail "current_checksum";
+        if
+          Sigset.canonical_length (Changelog.current_set log)
+          <> String.length (Changelog_oracle.canonical cur)
+        then fail "canonical_length";
+        if Changelog.wire_checksum log <> Changelog_oracle.wire_checksum ~version:head cur
+        then fail "wire_checksum";
+        List.iter
+          (fun version ->
+            if
+              Sigset.wire_checksum ~version (Changelog.current_set log)
+              <> Changelog_oracle.wire_checksum ~version cur
+            then fail "wire_checksum ~version:%d" version)
+          [ 0; 7; 123_456 ];
+        for v = !horizon - 1 to head + 1 do
+          let retained = v >= !horizon && v <= head in
+          let want = if retained then Some (Changelog_oracle.checksum_set (set_at v)) else None in
+          if Changelog.checksum_at log v <> want then fail "checksum_at %d" v;
+          let want =
+            if retained then
+              Some
+                (List.filter_map
+                   (fun (e : Changelog.entry) ->
+                     if e.Changelog.version > v then Some (Changelog.entry_to_line e)
+                     else None)
+                   (List.rev !entries))
+            else None
+          in
+          if Option.map (List.map Changelog.entry_to_line) (Changelog.since log v) <> want
+          then fail "since %d" v
+        done;
+        List.iter
+          (fun (since, interval) ->
+            let start = max since !horizon in
+            let points =
+              List.filter
+                (fun v -> v >= start && v < head && (v - start) mod interval = 0)
+                (List.init (head + 1) Fun.id)
+              @ [ head ]
+            in
+            let want =
+              List.map
+                (fun v -> (v, Changelog_oracle.checksum_set (set_at v)))
+                points
+            in
+            if
+              Changelog.digest_to_body (Changelog.digest log ~since ~interval)
+              <> Changelog.digest_to_body want
+            then fail "digest since %d interval %d" since interval)
+          [ (0, 1); (0, 3); (!horizon + 1, 2); (max_int, 1); (1, max_int) ]
+      in
+      let append change =
+        let v = head () + 1 in
+        ignore (Changelog.append !log change);
+        entries := { Changelog.version = v; change } :: !entries;
+        sets := (v, Changelog.apply_change (set_at (v - 1)) change) :: !sets
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Op_add (id, v) -> append (Changelog.Add (sig_ id (tokens_of v)))
+          | Op_retire id -> append (Changelog.Retire id)
+          | Op_compact keep ->
+            Changelog.compact !log ~keep;
+            horizon := max !horizon (head () - keep)
+          | Op_restore -> (
+            match
+              Changelog.restore ~base_version:(Changelog.horizon !log)
+                ~base:(Changelog.base !log) ~next_id:(Changelog.next_id !log)
+                ~entries:(Changelog.entries !log)
+            with
+            | Ok restored -> log := restored
+            | Error e -> fail "restore: %s" e)
+          | Op_truncate k ->
+            let v = max !horizon (head () - k) in
+            log := Changelog.truncate !log ~version:v;
+            sets := List.filter (fun (w, _) -> w <= v) !sets;
+            entries := List.filter (fun (e : Changelog.entry) -> e.Changelog.version <= v) !entries
+          | Op_of_set ->
+            let next_id = Changelog.next_id !log in
+            log := Changelog.of_set ~version:(head ()) (Changelog.current_set !log);
+            horizon := head ();
+            if Changelog.next_id !log > next_id then fail "of_set next_id");
+          check ())
+        ops;
+      true)
+
+(* diff_changes compares signatures structurally instead of by their
+   lines: exact only because the line codec is injective on them. *)
+let prop_signature_equality_is_line_equality =
+  let sig_gen =
+    QCheck.Gen.(
+      map3
+        (fun id mode (size, variant) ->
+          sig_ id ~mode:(if mode then Signature.Conjunction else Signature.Ordered)
+            ~cluster_size:size (tokens_of variant))
+        (int_range 0 2) bool
+        (pair (int_range 1 2) (int_range 0 8)))
+  in
+  QCheck.Test.make ~name:"signature equality is line equality" ~count:1000
+    (QCheck.make QCheck.Gen.(pair sig_gen sig_gen))
+    (fun (a, b) -> (a = b) = (Signature_io.to_line a = Signature_io.to_line b))
+
+let test_restore_rejects_duplicate_ids () =
+  let s1' = sig_ 1 [ "other" ] in
+  match Changelog.restore ~base_version:0 ~base:[ s1; s2; s1' ] ~next_id:0 ~entries:[] with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a base holding two signatures with one id must be refused"
 
 (* --- shard map --- *)
 
@@ -1095,6 +1309,105 @@ let test_shard_state_replays () =
         (Authority.version auth ~tenant:"mig");
       Authority.close auth)
 
+(* --- authority: the published-key index against a list scan --- *)
+
+type pub_op =
+  | Pub_publish of (int * int) list  (* (id, key variant) *)
+  | Pub_report of int * int  (* key variant, reporter *)
+  | Pub_reopen of bool  (* compact (snapshot) first *)
+  | Pub_migrate
+
+let pub_key_tokens variant =
+  [| [ "imei=355" ]; [ "loc=35.6"; "lon=139" ]; [ "mac=00:11" ]; [ "a\tb" ] |].(variant)
+
+let pub_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ ( 4,
+          map
+            (fun l -> Pub_publish l)
+            (list_size (0 -- 6) (pair (int_range 1 6) (int_range 0 3))) );
+        (5, map2 (fun v r -> Pub_report (v, r)) (int_range 0 3) (int_range 0 5));
+        (1, map (fun c -> Pub_reopen c) bool);
+        (1, return Pub_migrate) ])
+
+let show_pub_op = function
+  | Pub_publish l ->
+    Printf.sprintf "publish [%s]"
+      (String.concat ";" (List.map (fun (id, v) -> Printf.sprintf "%d/%d" id v) l))
+  | Pub_report (v, r) -> Printf.sprintf "report %d by r%d" v r
+  | Pub_reopen c -> if c then "compact+reopen" else "reopen"
+  | Pub_migrate -> "migrate"
+
+let prop_published_index_matches_scan =
+  QCheck.Test.make ~name:"published-key index equals a scan of the live set"
+    ~count:60
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_pub_op ops))
+       QCheck.Gen.(list_size (1 -- 25) pub_op_gen))
+    (fun ops ->
+      with_dir (fun root ->
+          let dirs = ref 0 in
+          let open_dir () =
+            incr dirs;
+            let dir = Filename.concat root (string_of_int !dirs) in
+            match Authority.open_ ~dir () with
+            | Ok (a, _) -> (dir, a)
+            | Error e -> failwith e
+          in
+          let reopen dir =
+            match Authority.open_ ~dir () with Ok (a, _) -> a | Error e -> failwith e
+          in
+          let dir, a = open_dir () in
+          let cur = ref (dir, a) in
+          let agrees () =
+            let a = snd !cur in
+            let live = Authority.signatures a ~tenant:"t0" in
+            List.for_all
+              (fun mode ->
+                List.for_all
+                  (fun v ->
+                    let c = sig_ 0 ~mode (pub_key_tokens v) in
+                    Authority.is_published a ~tenant:"t0" c
+                    = List.exists
+                        (fun (s : Signature.t) ->
+                          s.Signature.mode = mode && s.Signature.tokens = c.Signature.tokens)
+                        live)
+                  [ 0; 1; 2; 3 ])
+              [ Signature.Conjunction; Signature.Ordered ]
+          in
+          let step op =
+            let dir, a = !cur in
+            (match op with
+            | Pub_publish l ->
+              ignore
+                (Authority.publish a ~tenant:"t0"
+                   (List.map (fun (id, v) -> sig_ id (pub_key_tokens v)) l))
+            | Pub_report (v, r) ->
+              ignore
+                (Authority.report_candidate a ~tenant:"t0"
+                   ~reporter:(Printf.sprintf "r%d" r)
+                   (sig_ 0 (pub_key_tokens v)))
+            | Pub_reopen compact ->
+              if compact then Authority.compact a;
+              Authority.close a;
+              cur := (dir, reopen dir)
+            | Pub_migrate -> (
+              match Authority.export_tenant a ~tenant:"t0" with
+              | Error _ -> () (* nothing published or reported yet *)
+              | Ok payload ->
+                Authority.close a;
+                let dir', b = open_dir () in
+                (match Authority.adopt_tenant b payload with
+                | Ok _ -> ()
+                | Error e -> failwith e);
+                cur := (dir', b)));
+            agrees ()
+          in
+          let ok = List.for_all step ops in
+          Authority.close (snd !cur);
+          ok))
+
 (* --- relay: fail-static serving, staleness, forwarding --- *)
 
 let test_relay_serves_and_fail_static () =
@@ -1169,6 +1482,31 @@ let test_relay_forwards_candidates () =
   let k = Relay.counters relay in
   Alcotest.(check int) "forward counted" 1 k.Relay.forwarded;
   Alcotest.(check int) "failure counted" 1 k.Relay.forward_failures
+
+(* A checkpoint interval from the query string may be as large as
+   [max_int]: stepping past the head must not overflow into a version
+   the log cannot answer for.  Both origin and relay must answer 200
+   with a well-formed digest: the first checkpoint, then the head. *)
+let test_digest_huge_interval () =
+  let auth = Authority.create () in
+  ignore (Authority.publish auth ~tenant:"t0" [ s1 ]);
+  ignore (Authority.publish auth ~tenant:"t0" [ s1; s2 ]);
+  ignore (Authority.publish auth ~tenant:"t0" [ s1; s2; s3 ]);
+  let relay = Relay.create ~id:"r0" ~tenants:[ "t0" ] () in
+  ignore (Relay.sync_tenant relay ~tenant:"t0" ~transport:(loss_free auth));
+  let target = Printf.sprintf "/digest?tenant=t0&since=1&interval=%d" max_int in
+  let want =
+    [ (1, Option.get (Authority.checksum_at auth ~tenant:"t0" ~version:1));
+      (3, Authority.checksum auth ~tenant:"t0") ]
+  in
+  List.iter
+    (fun (who, r) ->
+      Alcotest.(check int) (who ^ " answers") 200 r.Http.Response.status;
+      match Changelog.digest_of_body r.Http.Response.body with
+      | Ok d -> Alcotest.(check (list (pair int int))) (who ^ " digest") want d
+      | Error e -> Alcotest.failf "%s digest body: %s" who e)
+    [ ("origin", Authority.handle auth (get target));
+      ("relay", Relay.handle relay (get target)) ]
 
 let test_relay_fork_repair () =
   let auth = Authority.create () in
@@ -1463,7 +1801,11 @@ let suite =
           test_changelog_compact_keep_zero;
         Alcotest.test_case "ranged digest" `Quick test_changelog_digest;
         qtest prop_delta_equals_snapshot;
-        qtest prop_compact_since_boundary ] );
+        qtest prop_compact_since_boundary;
+        qtest prop_changelog_matches_oracle;
+        qtest prop_signature_equality_is_line_equality;
+        Alcotest.test_case "restore rejects duplicate ids" `Quick
+          test_restore_rejects_duplicate_ids ] );
     ( "distrib.shard_map",
       [ Alcotest.test_case "validation + stability" `Quick test_shard_map_basics;
         Alcotest.test_case "line codec" `Quick test_shard_map_codec;
@@ -1477,7 +1819,8 @@ let suite =
         Alcotest.test_case "promotion at k" `Quick test_promotion_at_k;
         Alcotest.test_case "reporter cap" `Quick test_reporter_cap;
         Alcotest.test_case "candidates tally" `Quick
-          test_candidates_endpoint_tally ] );
+          test_candidates_endpoint_tally;
+        qtest prop_published_index_matches_scan ] );
     ( "distrib.durability",
       [ Alcotest.test_case "reopen replays" `Quick test_authority_reopen;
         Alcotest.test_case "publish crash-point sweep" `Quick
@@ -1500,7 +1843,9 @@ let suite =
         Alcotest.test_case "escalates past byzantine relays" `Quick
           test_sync_via_escalates_past_byzantine_relay;
         Alcotest.test_case "rotates past a dead relay" `Quick
-          test_sync_via_rotates_past_dead_relay ] );
+          test_sync_via_rotates_past_dead_relay;
+        Alcotest.test_case "duplicate ids refused" `Quick
+          test_delta_client_refuses_duplicate_ids ] );
     ( "distrib.sharding",
       [ Alcotest.test_case "shard gate" `Quick test_authority_shard_gate;
         Alcotest.test_case "export / adopt / release" `Quick
@@ -1512,6 +1857,8 @@ let suite =
           test_relay_serves_and_fail_static;
         Alcotest.test_case "forwards candidates" `Quick
           test_relay_forwards_candidates;
+        Alcotest.test_case "digest with a huge interval" `Quick
+          test_digest_huge_interval;
         Alcotest.test_case "fork heals by ranged repair" `Quick
           test_relay_fork_repair;
         Alcotest.test_case "gossip catch-up from a sibling" `Quick

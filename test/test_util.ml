@@ -380,6 +380,36 @@ let prop_crc32_append_homomorphism =
     (fun (a, b) ->
       Crc32.string (a ^ b) = Crc32.value (Crc32.update (Crc32.update Crc32.init a) b))
 
+(* The CRC catalogue's check value, 0xCBF43926 for "123456789" (zlib's
+   crc32 agrees), pinned through combine at every split point. *)
+let test_crc32_combine_known_answer () =
+  let check = "123456789" in
+  for i = 0 to String.length check do
+    let a = String.sub check 0 i and b = String.sub check i (9 - i) in
+    Alcotest.(check string)
+      (Printf.sprintf "split at %d" i)
+      "cbf43926"
+      (Crc32.to_hex (Crc32.combine (Crc32.string a) (Crc32.string b) (9 - i)))
+  done;
+  Alcotest.(check bool) "negative length rejected" true
+    (match Crc32.combine 0 0 (-1) with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
+(* Suffixes beyond 64 KiB exercise every byte of the length's shift
+   table, not only the low two. *)
+let prop_crc32_combine =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (string_size (0 -- 300))
+        (string_size (frequency [ (8, 0 -- 300); (1, 65_536 -- 70_000) ])))
+  in
+  QCheck.Test.make ~name:"crc32 combine = crc of the concatenation" ~count:200
+    (QCheck.make gen) (fun (a, b) ->
+      Crc32.combine (Crc32.string a) (Crc32.string b) (String.length b)
+      = Crc32.string (a ^ b))
+
 let suite =
   [
     ( "util.crc32",
@@ -387,7 +417,10 @@ let suite =
         Alcotest.test_case "known answers" `Quick test_crc32_known_answers;
         Alcotest.test_case "incremental" `Quick test_crc32_incremental;
         Alcotest.test_case "slice bounds" `Quick test_crc32_slice_bounds;
+        Alcotest.test_case "combine known answer" `Quick
+          test_crc32_combine_known_answer;
         qtest prop_crc32_append_homomorphism;
+        qtest prop_crc32_combine;
       ] );
     ( "util.json",
       [
