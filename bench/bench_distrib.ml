@@ -1,7 +1,8 @@
 (* Distribution-tier benchmark: changelog append throughput as history
    grows, journaled publish throughput on the authority, delta-vs-snapshot
    sync cost as the fleet lags further behind, and recovery time as the
-   journal grows.
+   journal grows — replaying the whole journal, and opening from the
+   compaction snapshot alone.
 
    Appends cost O(log n) each, so their rate must stay flat as history
    grows: the run exits non-zero if appends at the largest size run at
@@ -121,18 +122,30 @@ let bench_publish n =
       assert (Authority.version auth' ~tenant:"bench" = n);
       let (), compact_s = time (fun () -> Authority.compact auth') in
       Authority.close auth';
+      (* Recovery from the snapshot alone (reset journal). *)
+      let (auth'', rep''), snapshot_open_s =
+        time (fun () ->
+            match Authority.open_ ~dir () with
+            | Ok v -> v
+            | Error e -> failwith e)
+      in
+      assert (rep''.Authority.snapshot = Authority.Loaded);
+      assert (Authority.version auth'' ~tenant:"bench" = n);
+      Authority.close auth'';
       Printf.printf
-        "%6d publishes: journal %7.1f ms (%8.0f chg/s), replay %7.1f ms, compact %5.1f ms, wal %8d B\n%!"
+        "%6d publishes: journal %7.1f ms (%8.0f chg/s), replay %7.1f ms, compact %5.1f ms, snapshot-open %5.1f ms, wal %8d B\n%!"
         n (1000. *. publish_s)
         (float_of_int n /. publish_s)
-        (1000. *. replay_s) (1000. *. compact_s) wal_bytes;
+        (1000. *. replay_s) (1000. *. compact_s) (1000. *. snapshot_open_s)
+        wal_bytes;
       Json.Obj
         [ ("publishes", Json.Int n);
           ("wal_bytes", Json.Int wal_bytes);
           ("publish_s", Json.Float publish_s);
           ("publish_changes_per_s", Json.Float (float_of_int n /. publish_s));
           ("replay_s", Json.Float replay_s);
-          ("compact_s", Json.Float compact_s) ])
+          ("compact_s", Json.Float compact_s);
+          ("snapshot_open_s", Json.Float snapshot_open_s) ])
 
 (* One authority at head [versions]; clients parked [lag] versions behind
    sync [rounds] times each.  Compares wire bytes and time for delta sync

@@ -8,8 +8,9 @@
      evaluate   full pipeline with the paper's TP/FN/FP metrics
      monitor    replay a trace through the on-device flow-control app
      chaos      fault-injection soak over the ingest/distribute/enforce path,
-                including crash/recover trials against the durable store
-     store      recover and inspect a durable signature-state directory
+                including crash/recover trials against the authority's journal
+     store      recover and inspect a signature-authority journal directory
+     trace      instrumented end-to-end run: span tree and a /metrics scrape
      evade      adversarial mutation replay: per-mutator recall with and
                 without the canonicalization lattice
      soak       multi-client delta-sync soak against the journaled signature
@@ -40,8 +41,6 @@ module Sample = Leakdetect_util.Sample
 module Fault = Leakdetect_fault.Fault
 module Flow_control = Leakdetect_monitor.Flow_control
 module Signature_client = Leakdetect_monitor.Signature_client
-module Signature_server = Leakdetect_monitor.Signature_server
-module Store = Leakdetect_store.Store
 module Wal = Leakdetect_store.Wal
 module Pool = Leakdetect_parallel.Pool
 module Payload_check = Leakdetect_core.Payload_check
@@ -54,6 +53,8 @@ module Harness = Leakdetect_adversary.Harness
 module Json = Leakdetect_util.Json
 module Soak = Leakdetect_distrib.Soak
 module Topology = Leakdetect_distrib.Topology
+module Authority = Leakdetect_distrib.Authority
+module Delta_client = Leakdetect_distrib.Delta_client
 
 let exit_err fmt = Printf.ksprintf (fun m -> prerr_endline ("leakdetect: " ^ m); exit 1) fmt
 
@@ -635,6 +636,9 @@ let monitor_cmd =
 
 (* --- chaos --- *)
 
+(* The one tenant the chaos and trace loops publish to and sync. *)
+let handset_tenant = "handset"
+
 let rec rm_rf path =
   if Sys.is_directory path then begin
     Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
@@ -722,32 +726,21 @@ let chaos_cmd =
       if n_recovered < n_delivered - damaged then
         exit_err "recovered %d < intact lower bound %d" n_recovered (n_delivered - damaged);
 
-      (* Signature-sync soak: the server publishes growing signature sets
-         while the resilient client syncs over a faulty transport. *)
-      let server = Signature_server.create () in
-      let client = Signature_client.create ~seed:(seed + 2) () in
+      (* Signature-sync soak: a one-tenant authority publishes growing
+         signature sets while the handset syncs over a faulty transport. *)
+      let authority = Authority.create () in
+      let client = Delta_client.create ~seed:(seed + 2) ~tenant:handset_tenant () in
       let sync_plan = Fault.create ~seed:(seed + 3) fault_config in
-      let delayed_ticks = ref 0 in
-      let transport raw =
-        let through raw =
-          match
-            Signature_server.wire_transport server (Fault.corrupt_string sync_plan raw)
-          with
-          | Ok response -> Ok (Fault.corrupt_string sync_plan response)
-          | Error _ as e -> e
-        in
-        match Fault.server_fate sync_plan with
-        | Fault.Fail status -> Error (Printf.sprintf "transient server error %d" status)
-        | Fault.Respond_delayed t ->
-          delayed_ticks := !delayed_ticks + t;
-          through raw
-        | Fault.Respond -> through raw
-      in
-      let fetch = Signature_server.fetch_via ~transport in
+      let transport = Fault.transport sync_plan (Authority.wire_transport authority) in
+      let head () = Authority.version authority ~tenant:handset_tenant in
       let all_signatures = Array.of_list baseline.Pipeline.signatures in
       let n_sigs = Array.length all_signatures in
+      let chunk round =
+        Array.to_list (Array.sub all_signatures 0 (max 1 (n_sigs * round / syncs)))
+      in
       let total_attempts = ref 0 and total_waited = ref 0 and failed_syncs = ref 0 in
-      let record_report (r : Signature_client.sync_report) =
+      let sync () =
+        let r = Delta_client.sync client ~transport in
         total_attempts := !total_attempts + r.Signature_client.attempts;
         total_waited := !total_waited + r.Signature_client.waited;
         match r.Signature_client.outcome with
@@ -756,41 +749,39 @@ let chaos_cmd =
       in
       Printf.printf "\nsync: %d rounds against %d signatures\n" syncs n_sigs;
       for round = 1 to syncs do
-        let upto = max 1 (n_sigs * round / syncs) in
-        let chunk = Array.to_list (Array.sub all_signatures 0 upto) in
-        ignore (Signature_server.publish server chunk);
-        record_report (Signature_client.sync client ~fetch)
+        ignore (Authority.publish authority ~tenant:handset_tenant (chunk round));
+        sync ()
       done;
       (* Catch-up: keep syncing until the client holds the latest version. *)
       let extra = ref 0 in
-      while
-        Signature_client.version client < Signature_server.current_version server
-        && !extra < 50
-      do
+      while Delta_client.version client < head () && !extra < 50 do
         incr extra;
-        record_report (Signature_client.sync client ~fetch)
+        sync ()
       done;
-      let st = Signature_client.staleness client in
+      let st = Delta_client.staleness client in
       Printf.printf
-        "sync done: client v%d / server v%d after %d extra syncs; %d attempts, %d failed syncs, %d backoff + %d delay ticks, health %s\n"
-        (Signature_client.version client)
-        (Signature_server.current_version server)
-        !extra !total_attempts !failed_syncs !total_waited !delayed_ticks
-        (Signature_client.health_to_string (Signature_client.health client));
+        "sync done: client v%d / authority v%d after %d extra syncs; %d attempts, %d failed syncs, %d backoff ticks, %d delayed responses, health %s\n"
+        (Delta_client.version client) (head ()) !extra !total_attempts !failed_syncs
+        !total_waited
+        (Fault.count sync_plan Fault.Delay)
+        (Signature_client.health_to_string (Delta_client.health client));
       Printf.printf "staleness: %d failed syncs, %d failed attempts, version gap %d\n"
         st.Signature_client.failed_syncs st.Signature_client.failed_attempts
         st.Signature_client.version_gap;
-      if Signature_client.version client <> Signature_server.current_version server then
-        exit_err "client failed to converge to the latest signature version";
+      if
+        Delta_client.version client <> head ()
+        || Delta_client.checksum client
+           <> Authority.checksum authority ~tenant:handset_tenant
+      then exit_err "client failed to converge to the latest signature version";
 
       (* Enforcement under the synced set: replay recovered packets through
          the monitor with the client's health driving the fail mode. *)
       let monitor =
         Flow_control.create
           ~fail_mode:(if fail_closed then Flow_control.Fail_closed else Flow_control.Fail_open)
-          (Signature_client.signatures client)
+          (Delta_client.signatures client)
       in
-      Flow_control.set_health monitor (Signature_client.health client);
+      Flow_control.set_health monitor (Delta_client.health client);
       let replay = List.filteri (fun i _ -> i < limit) recovered in
       List.iter
         (fun (r : Trace.record) ->
@@ -805,7 +796,7 @@ let chaos_cmd =
 
       (* Detection delta: the synced signatures over the recovered records
          against the fault-free detection rate. *)
-      let detector = Detector.create (Signature_client.signatures client) in
+      let detector = Detector.create (Delta_client.signatures client) in
       let chaos_detected =
         Detector.count_detected detector
           (Array.of_list (List.map (fun r -> r.Trace.packet) recovered))
@@ -820,10 +811,11 @@ let chaos_cmd =
         base_detected total base_rate chaos_detected n_recovered chaos_rate
         (chaos_rate -. base_rate);
 
-      (* Durability soak: replay the publish/sync history through the WAL,
-         then crash the log at plan-chosen byte offsets (with torn-write
-         damage on the committed image), recover each time, and check the
-         recovered state against the committed history. *)
+      (* Durability soak: journal the publish history through a durable
+         authority, then crash the journal at plan-chosen byte offsets
+         (with torn-write damage on the committed image), recover each
+         time, and check the recovered state against the committed
+         history. *)
       let state_root, cleanup_root =
         match state_dir with
         | Some d ->
@@ -836,62 +828,66 @@ let chaos_cmd =
           (d, true)
       in
       let dur_plan = Fault.create ~seed:(seed + 4) fault_config in
+      let open_journal what dir =
+        match Authority.open_ ~dir () with
+        | Ok x -> x
+        | Error e -> exit_err "%s %s: %s" what dir e
+      in
+      (* The state a journal recovers to: head version and set checksum. *)
+      let state_of auth =
+        ( Authority.version auth ~tenant:handset_tenant,
+          Authority.checksum auth ~tenant:handset_tenant )
+      in
       Fun.protect
         ~finally:(fun () -> if cleanup_root then rm_rf state_root)
         (fun () ->
           let history_dir = Filename.concat state_root "history" in
           if Sys.file_exists history_dir then rm_rf history_dir;
-          let store, _report =
-            match Store.open_ ~dir:history_dir () with
-            | Ok x -> x
-            | Error e -> exit_err "cannot open store %s: %s" history_dir e
-          in
-          (* Committed history: state after every logged entry, keyed by the
-             WAL size at which it became durable.  Offset 0 covers crash
+          let journal, _ = open_journal "cannot open journal" history_dir in
+          (* Committed history: one checkpoint per journal record, i.e. per
+             changelog version, keyed by the journal size at which it
+             became durable.  [publish] calls [inject] before each append,
+             when the previous change is committed; offset 0 covers crash
              points inside the log header itself. *)
-          let dur_server = Signature_server.create () in
-          let dur_client = Signature_client.create ~seed:(seed + 5) () in
-          let history = ref [ (0, Store.state store) ] in
+          let history = ref [ (0, state_of journal) ] in
           let checkpoint () =
-            if fst (List.hd !history) <> Store.wal_size store then
-              history := (Store.wal_size store, Store.state store) :: !history
+            let v = Authority.version journal ~tenant:handset_tenant in
+            match !history with
+            | (_, (v', _)) :: _ when v' = v -> ()
+            | _ ->
+              let sum =
+                Option.get
+                  (Authority.checksum_at journal ~tenant:handset_tenant ~version:v)
+              in
+              history := (Authority.wal_size journal, (v, sum)) :: !history
           in
           for round = 1 to syncs do
-            let upto = max 1 (n_sigs * round / syncs) in
             ignore
-              (Signature_server.publish dur_server
-                 (Array.to_list (Array.sub all_signatures 0 upto)));
-            Store.record_publish store dur_server;
-            checkpoint ();
-            ignore
-              (Signature_client.sync dur_client
-                 ~fetch:(Signature_server.fetch dur_server));
-            Store.record_sync store dur_client;
+              (Authority.publish journal
+                 ~inject:(fun _ -> checkpoint ())
+                 ~tenant:handset_tenant (chunk round));
             checkpoint ()
           done;
-          let final_state = Store.state store in
-          let boundaries = List.rev_map fst !history in
-          Store.close store;
-          let wal_image = slurp (Store.wal_path ~dir:history_dir) in
+          let final_state = state_of journal in
+          Authority.close journal;
+          let wal_image = slurp (Authority.wal_path ~dir:history_dir) in
 
           (* Uninterrupted recovery must restore the exact final state and
-             a byte-identical signature set. *)
+             the set the handset converged to, byte for byte. *)
           let recovered_sigs =
-            match Store.open_ ~dir:history_dir () with
-            | Error e -> exit_err "clean recovery failed: %s" e
-            | Ok (store', report) ->
-              if report.Store.tail <> Wal.Clean then
-                exit_err "clean log reported a torn tail: %s"
-                  (Store.report_to_string report);
-              if not (Store.state_equal (Store.state store') final_state) then
-                exit_err "clean recovery diverged from the pre-restart state";
-              let sigs = Signature_client.signatures (Store.restore_client store') in
-              Store.close store';
-              sigs
+            let auth, report = open_journal "clean recovery failed" history_dir in
+            if report.Authority.tail <> Wal.Clean then
+              exit_err "clean log reported a torn tail: %s"
+                (Authority.report_to_string report);
+            if state_of auth <> final_state then
+              exit_err "clean recovery diverged from the pre-restart state";
+            let sigs = Authority.signatures auth ~tenant:handset_tenant in
+            Authority.close auth;
+            sigs
           in
           let serialize sigs = String.concat "\n" (List.map Signature_io.to_line sigs) in
-          if serialize recovered_sigs <> serialize (Signature_client.signatures dur_client)
-          then exit_err "recovered signature set is not byte-identical";
+          if serialize recovered_sigs <> serialize (Delta_client.signatures client) then
+            exit_err "recovered signature set is not byte-identical";
           let recovered_detected =
             Detector.count_detected (Detector.create recovered_sigs) (Workload.packets ds)
           in
@@ -906,12 +902,9 @@ let chaos_cmd =
              state — the exact pre-crash one unless torn-write damage
              forced an earlier truncation. *)
           let last_record_start =
-            match boundaries with
-            | _ :: _ ->
-              List.fold_left
-                (fun acc b -> if b < String.length wal_image then max acc b else acc)
-                0 boundaries
-            | [] -> 0
+            List.fold_left
+              (fun acc (b, _) -> if b < String.length wal_image then max acc b else acc)
+              0 !history
           in
           let exact = ref 0 and earlier = ref 0 in
           for trial = 1 to crash_points do
@@ -930,32 +923,24 @@ let chaos_cmd =
             let crash_dir = Filename.concat state_root (Printf.sprintf "crash%d" trial) in
             if Sys.file_exists crash_dir then rm_rf crash_dir;
             Sys.mkdir crash_dir 0o755;
-            spit (Store.wal_path ~dir:crash_dir) damaged;
-            (match Store.open_ ~dir:crash_dir () with
-            | Error e -> exit_err "trial %d: recovery failed: %s" trial e
-            | Ok (store', _report) ->
-              let recovered = Store.state store' in
-              Store.close store';
-              let expected =
-                List.fold_left
-                  (fun acc (off, st) ->
-                    match acc with
-                    | Some (best, _) when best >= off -> acc
-                    | _ when off <= cut -> Some (off, st)
-                    | _ -> acc)
-                  None !history
-                |> Option.map snd
-                |> Option.value ~default:Store.empty_state
-              in
-              if (not torn_fired) && not (Store.state_equal recovered expected) then
-                exit_err "trial %d: crash at byte %d did not restore the committed state"
-                  trial cut;
-              if Store.state_equal recovered expected then incr exact
-              else if List.exists (fun (_, st) -> Store.state_equal recovered st) !history
-              then incr earlier
-              else
-                exit_err "trial %d: recovery produced a state that was never committed"
-                  trial);
+            spit (Authority.wal_path ~dir:crash_dir) damaged;
+            let auth, _ =
+              open_journal (Printf.sprintf "trial %d: recovery failed in" trial) crash_dir
+            in
+            let recovered = state_of auth in
+            Authority.close auth;
+            (* The newest checkpoint whose record lies wholly before the cut. *)
+            let expected =
+              snd (List.find (fun (off, _) -> off <= cut) !history)
+            in
+            if (not torn_fired) && recovered <> expected then
+              exit_err "trial %d: crash at byte %d did not restore the committed state"
+                trial cut;
+            if recovered = expected then incr exact
+            else if List.exists (fun (_, st) -> st = recovered) !history then incr earlier
+            else
+              exit_err "trial %d: recovery produced a state that was never committed"
+                trial;
             rm_rf crash_dir
           done;
           Printf.printf
@@ -963,29 +948,25 @@ let chaos_cmd =
             crash_points !exact !earlier;
 
           (* Compaction: snapshot + log reset must preserve the state. *)
-          match Store.open_ ~dir:history_dir () with
-          | Error e -> exit_err "reopen for compaction failed: %s" e
-          | Ok (store', _) ->
-            Store.compact store';
-            Store.close store';
-            (match Store.open_ ~dir:history_dir () with
-            | Error e -> exit_err "post-compaction recovery failed: %s" e
-            | Ok (store'', report) ->
-              if not (Store.state_equal (Store.state store'') final_state) then
-                exit_err "compaction changed the recovered state";
-              Printf.printf "durability: compaction ok (%s)\n"
-                (Store.report_to_string report);
-              Store.close store''));
+          let auth, _ = open_journal "reopen for compaction failed" history_dir in
+          Authority.compact auth;
+          Authority.close auth;
+          let auth, report = open_journal "post-compaction recovery failed" history_dir in
+          if state_of auth <> final_state then
+            exit_err "compaction changed the recovered state";
+          Printf.printf "durability: compaction ok (%s)\n"
+            (Authority.report_to_string report);
+          Authority.close auth);
 
       Printf.printf "\nfaults injected:\n";
       List.iter
         (fun (plan_name, plan) ->
-          Printf.printf "  %-7s" (plan_name ^ ":");
+          Printf.printf "  %-8s" (plan_name ^ ":");
           List.iter
             (fun (k, c) -> Printf.printf " %s=%d" (Fault.kind_name k) c)
             (Fault.summary plan);
           print_newline ())
-        [ ("ingest", ingest_plan); ("sync", sync_plan); ("store", dur_plan) ]
+        [ ("ingest", ingest_plan); ("sync", sync_plan); ("journal", dur_plan) ]
     in
     match soak () with
     | () -> Printf.printf "uncaught exceptions: 0\n"
@@ -1041,15 +1022,17 @@ let chaos_cmd =
         & opt (some string) None
         & info [ "state-dir" ] ~docv:"DIR"
             ~doc:
-              "Durable state directory for the soak (kept afterwards; inspect with \
-               $(b,leakdetect store)).  Default: a temporary directory, removed at exit.")
+              "Durable state directory for the soak (kept afterwards; inspect its \
+               $(b,history) journal with $(b,leakdetect store)).  Default: a temporary \
+               directory, removed at exit.")
   in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
          "End-to-end fault-injection soak: generate a workload, ship it through a \
-          faulty wire, sync signatures through the resilient client, crash and \
-          recover the durable signature store, and report recovery.")
+          faulty wire, sync signatures from a one-tenant authority through the \
+          delta client, crash and recover the authority's journal, and report \
+          recovery.")
     Term.(const run $ setup_log_t $ seed_t $ scale_small $ n_small $ corrupt $ truncate
           $ drop $ duplicate $ delay $ server_error $ syncs $ fail_closed $ limit
           $ crash_points $ crash_rate $ torn_write_rate $ state_dir)
@@ -1058,29 +1041,30 @@ let chaos_cmd =
 
 let store_cmd =
   let run () dir compact =
-    match Store.open_ ~dir () with
-    | Error e -> exit_err "cannot open store %s: %s" dir e
-    | Ok (store, report) ->
-      Printf.printf "state dir: %s\nrecovery:  %s\n" dir (Store.report_to_string report);
-      let st = Store.state store in
-      Printf.printf "server:    v%d, %d signature(s)\n" st.Store.server_version
-        (List.length st.Store.server_signatures);
-      Printf.printf "client:    v%d, %d signature(s), health %s\n" st.Store.client_version
-        (List.length st.Store.client_signatures)
-        (Signature_client.health_to_string st.Store.client_health);
-      Printf.printf "wal:       %d byte(s) at %s\n" (Store.wal_size store)
-        (Store.wal_path ~dir);
+    match Authority.open_ ~dir () with
+    | Error e -> exit_err "cannot open journal %s: %s" dir e
+    | Ok (auth, report) ->
+      Printf.printf "state dir: %s\nrecovery:  %s\n" dir (Authority.report_to_string report);
+      List.iter
+        (fun tenant ->
+          Printf.printf "tenant %s: v%d, %d signature(s), horizon %d\n" tenant
+            (Authority.version auth ~tenant)
+            (List.length (Authority.signatures auth ~tenant))
+            (Authority.horizon auth ~tenant))
+        (Authority.tenants auth);
+      Printf.printf "wal:       %d byte(s) at %s\n" (Authority.wal_size auth)
+        (Authority.wal_path ~dir);
       if compact then begin
-        Store.compact store;
+        Authority.compact auth;
         Printf.printf "compacted: snapshot written, log reset to %d byte(s)\n"
-          (Store.wal_size store)
+          (Authority.wal_size auth)
       end;
-      Store.close store
+      Authority.close auth
   in
   let dir =
     Arg.(required
         & opt (some string) None
-        & info [ "state-dir" ] ~docv:"DIR" ~doc:"Durable state directory.")
+        & info [ "state-dir" ] ~docv:"DIR" ~doc:"Signature-authority journal directory.")
   in
   let compact =
     Arg.(value & flag
@@ -1090,8 +1074,9 @@ let store_cmd =
   Cmd.v
     (Cmd.info "store"
        ~doc:
-         "Recover a durable signature-state directory and report what was salvaged; \
-          optionally compact the write-ahead log into a snapshot.")
+         "Recover a signature-authority journal directory and report what was \
+          salvaged and each tenant's state; optionally compact the journal into a \
+          snapshot.")
     Term.(const run $ setup_log_t $ dir $ compact)
 
 (* --- trace --- *)
@@ -1185,45 +1170,50 @@ let trace_cmd =
     Printf.printf "pipeline: %d suspicious / %d normal packets -> %d signatures\n"
       (Array.length suspicious) (Array.length normal) (List.length signatures);
 
-    (* Distribution: publish the set in growing chunks while an instrumented
-       client follows, journaling every step through an instrumented store so
-       the server/client/store families move too. *)
-    let server = Signature_server.create ~obs () in
-    let client = Signature_client.create ~obs ~seed:(seed + 1) () in
+    (* Distribution: publish the set in growing chunks to a journaled
+       one-tenant authority while an instrumented handset follows, so the
+       authority, journal and client families move too. *)
+    let client = Delta_client.create ~obs ~seed:(seed + 1) ~tenant:handset_tenant () in
     let state_dir = Filename.temp_file "leakdetect_trace" "" in
     Sys.remove state_dir;
     Sys.mkdir state_dir 0o755;
-    Fun.protect
-      ~finally:(fun () -> rm_rf state_dir)
-      (fun () ->
-        let store, _report =
-          match Store.open_ ~obs ~dir:state_dir () with
-          | Ok x -> x
-          | Error e -> exit_err "cannot open store %s: %s" state_dir e
-        in
-        let all = Array.of_list signatures in
-        let n_sigs = Array.length all in
-        for round = 1 to syncs do
-          let upto = if n_sigs = 0 then 0 else max 1 (n_sigs * round / syncs) in
-          ignore
-            (Signature_server.publish server (Array.to_list (Array.sub all 0 upto)));
-          Store.record_publish store server;
-          ignore (Signature_client.sync client ~fetch:(Signature_server.fetch server));
-          Store.record_sync store client
-        done;
-        (* One sync against an unchanged server, for the `unchanged` outcome. *)
-        ignore (Signature_client.sync client ~fetch:(Signature_server.fetch server));
-        Store.compact store;
-        Store.close store);
-    Printf.printf "distribution: server v%d, client v%d (%d publish/sync rounds)\n"
-      (Signature_server.current_version server)
-      (Signature_client.version client)
+    let authority =
+      Fun.protect
+        ~finally:(fun () -> rm_rf state_dir)
+        (fun () ->
+          let authority, _report =
+            match Authority.open_ ~obs ~dir:state_dir () with
+            | Ok x -> x
+            | Error e -> exit_err "cannot open journal %s: %s" state_dir e
+          in
+          let transport = Authority.wire_transport authority in
+          let all = Array.of_list signatures in
+          let n_sigs = Array.length all in
+          for round = 1 to syncs do
+            let upto = if n_sigs = 0 then 0 else max 1 (n_sigs * round / syncs) in
+            ignore
+              (Authority.publish authority ~tenant:handset_tenant
+                 (Array.to_list (Array.sub all 0 upto)));
+            ignore (Delta_client.sync client ~transport)
+          done;
+          (* One sync against an unchanged authority, for the `unchanged`
+             outcome. *)
+          ignore (Delta_client.sync client ~transport);
+          Authority.compact authority;
+          (* Closing detaches the journal; the in-memory state and the
+             registry keep serving /metrics below. *)
+          Authority.close authority;
+          authority)
+    in
+    Printf.printf "distribution: authority v%d, client v%d (%d publish/sync rounds)\n"
+      (Authority.version authority ~tenant:handset_tenant)
+      (Delta_client.version client)
       syncs;
 
     (* Enforcement: replay through the monitor, then cross-check the O(1)
        stats against the event log and the obs counters. *)
     let monitor =
-      Flow_control.create ~obs ?normalize (Signature_client.signatures client)
+      Flow_control.create ~obs ?normalize (Delta_client.signatures client)
     in
     let replayed = min limit (Array.length records) in
     for i = 0 to replayed - 1 do
@@ -1238,13 +1228,13 @@ let trace_cmd =
       "enforcement: %d replayed, %d allowed, %d blocked, %d prompted (stats reconciled)\n"
       replayed allowed blocked prompted;
 
-    (* Scrape through the server's real /metrics endpoint. *)
+    (* Scrape through the authority's real /metrics endpoint. *)
     let response =
-      Signature_server.handle server
-        (Request.make Request.GET Signature_server.metrics_endpoint)
+      Authority.handle authority
+        (Request.make Request.GET Authority.metrics_endpoint)
     in
     if response.Response.status <> 200 then
-      exit_err "GET %s answered %d" Signature_server.metrics_endpoint
+      exit_err "GET %s answered %d" Authority.metrics_endpoint
         response.Response.status;
     let scrape = response.Response.body in
     (match metrics_out with
@@ -1279,7 +1269,7 @@ let trace_cmd =
   in
   let syncs =
     Arg.(value & opt int 3
-        & info [ "syncs" ] ~docv:"N" ~doc:"Publish/sync rounds against the signature server.")
+        & info [ "syncs" ] ~docv:"N" ~doc:"Publish/sync rounds against the signature authority.")
   in
   let metrics_out =
     Arg.(value
@@ -1298,8 +1288,8 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Run the full pipeline (generation, distribution, enforcement, durable \
-          store) with an active metrics registry, print the span tree, and scrape \
+         "Run the full pipeline (generation, distribution, enforcement, authority \
+          journal) with an active metrics registry, print the span tree, and scrape \
           the /metrics endpoint.")
     Term.(const run $ setup_log_t $ seed_t $ scale_small $ trace_t $ n_small
           $ compressor_t $ linkage_t $ cut_t $ jobs_t $ limit $ syncs $ metrics_out

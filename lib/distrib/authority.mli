@@ -1,6 +1,6 @@
-(** The multi-tenant signature authority: the distribution tier grown out
-    of {!Leakdetect_monitor.Signature_server} (Fig. 3's generation server)
-    for fleet-scale operation.
+(** The multi-tenant signature authority: Fig. 3's generation server,
+    the one distribution tier from a single-tenant handset loop up to
+    fleet-scale operation.
 
     Per tenant it keeps a {!Changelog} — a monotonically versioned log of
     [Add]/[Retire] entries — and a crowdsourced candidate table.  Three
@@ -17,10 +17,11 @@
       submitted it, and a per-reporter cap on pending candidates keeps a
       hostile client from flooding the table.
     - {b Crash-recoverable versions.}  Every accepted mutation (changelog
-      entry, candidate report) is journaled through the {!Leakdetect_store}
-      WAL before it is applied, so recovery replays to the exact committed
-      changelog; compaction snapshots atomically with the same idempotent
-      crash window as {!Leakdetect_store.Store.compact}.
+      entry, candidate report) is journaled through the
+      {!Leakdetect_store.Wal} before it is applied, so recovery replays to
+      the exact committed changelog; compaction writes an atomic
+      {!Leakdetect_store.Snapshot} and resets the journal, and replay is
+      version-idempotent across the crash window between the two.
 
     Tenant and reporter ids are restricted to [A-Za-z0-9._:-] (max 64
     chars) so they embed safely in journal lines and query strings. *)
@@ -78,6 +79,12 @@ val open_ :
     their k-th report and the promotion entry. *)
 
 val close : t -> unit
+
+val wal_path : dir:string -> string
+(** The journal file of a state directory. *)
+
+val snapshot_path : dir:string -> string
+(** The compaction snapshot of a state directory. *)
 
 exception Crashed of string
 (** Raised by the [?inject] hooks below to simulate the process dying at
@@ -150,9 +157,9 @@ val compact : ?inject:(string -> unit) -> t -> unit
 (** Fold every tenant's changelog down to [compact_keep] live entries,
     snapshot the state atomically, and reset the journal.  [?inject] is
     called at ["pre_snapshot"] and ["post_snapshot"] — the second is the
-    Store-style crash window (new snapshot, old log) that idempotent
-    replay must absorb.  A shard assignment is re-journaled into the
-    fresh log (the snapshot codec carries tenants only). *)
+    crash window (new snapshot, old journal) that idempotent replay must
+    absorb.  A shard assignment is re-journaled into the fresh log (the
+    snapshot codec carries tenants only). *)
 
 (** {1 Sharding and rebalance}
 

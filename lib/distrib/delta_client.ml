@@ -19,9 +19,7 @@ type t = {
   tenant : string;
   (* Used for its retry / backoff / health machine and version only: the
      last-known-good set lives in [set], as a tree that verification and
-     delta application read and update without serializing it.  The
-     inner client's own set is always empty on purpose ({!install});
-     read [set], never [Signature_client.signatures inner]. *)
+     delta application read and update without serializing it. *)
   inner : Signature_client.t;
   mutable set : Sigset.t;
   mutable delta_updates : int;
@@ -30,9 +28,9 @@ type t = {
   mutable regressions_refused : int;
   mutable fork_smells : int;
   mutable escalations : int;
-  (* Which transfer produced the Set the inner client is about to
-     install; read back after sync to attribute the update (and, by a
-     relay, to mirror the applied entry suffix). *)
+  (* Which transfer produced the set whose version the inner client is
+     about to take; read back after sync to attribute the update (and,
+     by a relay, to mirror the applied entry suffix). *)
   mutable last_update : update option;
   (* Set when an attempt failed *verification* (checksum fork, version
      regression) as opposed to transport loss — the tiered sync
@@ -162,13 +160,12 @@ let verified t ~(mode : update) ~version ~advertised set =
          (match mode with `Delta _ -> "delta" | `Snapshot -> "snapshot"))
   | Some _ -> Ok (version, set)
 
-(* The inner client installs every [Set] its fetch returns, so the tree
-   is swapped in at the same moment; the inner client is handed no list,
-   as nothing reads one back from it. *)
+(* The inner client takes the version of every [Installed] its fetch
+   returns, so the tree is swapped in at the same moment. *)
 let install t ~(mode : update) (version, set) =
   t.last_update <- Some mode;
   t.set <- set;
-  Signature_client.Set { version; signatures = [] }
+  Signature_client.Installed version
 
 (* A snapshot holding two signatures with one id cannot come from any
    committed set, whatever checksum it carries: a verification failure,

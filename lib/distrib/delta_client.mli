@@ -2,8 +2,9 @@
     {!Relay}s in front of it.
 
     Wraps {!Leakdetect_monitor.Signature_client} — the retry / backoff /
-    health machine is reused unchanged — and supplies it a fetch function
-    that speaks the delta protocol:
+    health machine, which holds no set — keeps the last-known-good set
+    itself, and supplies the machine a fetch function that speaks the
+    delta protocol:
 
     - ask for [?tenant=T&since=V]; a [delta]-mode answer is a changelog
       suffix applied entry-by-entry on top of the local set (idempotent:

@@ -249,7 +249,7 @@ let run ?(obs = Obs.noop) ?(on_sync = fun _ -> ()) ~dir config =
     Authority.close !auth;
     if Prng.chance server_rng 0.5 then begin
       incr torn_tails;
-      let path = Filename.concat dir "journal.log" in
+      let path = Authority.wal_path ~dir in
       let frame = Leakdetect_store.Wal.frame "torn garbage payload" in
       let partial = String.sub frame 0 (String.length frame - 3) in
       let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
@@ -453,24 +453,8 @@ let run ?(obs = Obs.noop) ?(on_sync = fun _ -> ()) ~dir config =
           next_sync = i mod config.sync_period;
         })
   in
-  (* One faulty hop: the payload can be dropped outright, duplicated (the
-     spare is discarded — HTTP is request/response), corrupted, or pass. *)
-  let hop plan payload =
-    match Fault.apply_stream plan [ payload ] with
-    | [] -> Error "payload dropped in transit"
-    | payload :: _ -> Ok (Fault.corrupt_string plan payload)
-  in
-  let faulty_transport plan raw =
-    match Fault.server_fate plan with
-    | Fault.Fail status ->
-      Error (Printf.sprintf "transient server error %d" status)
-    | Fault.Respond_delayed _ | Fault.Respond -> (
-      match hop plan raw with
-      | Error _ as e -> e
-      | Ok raw -> (
-        match Authority.wire_transport !auth raw with
-        | Error _ as e -> e
-        | Ok response -> hop plan response))
+  let faulty_transport plan =
+    Fault.transport plan (fun raw -> Authority.wire_transport !auth raw)
   in
   let transport_of c raw = faulty_transport c.plan raw in
   let reporter_transport raw = faulty_transport reporter_plan raw in

@@ -423,7 +423,7 @@ let run ?(obs = Obs.noop) ~dir config =
     Authority.close !auth_ref;
     if Prng.chance server_rng 0.5 then begin
       incr torn_tails;
-      let path = Filename.concat odir "journal.log" in
+      let path = Authority.wal_path ~dir:odir in
       let frame = Leakdetect_store.Wal.frame "torn garbage payload" in
       let partial = String.sub frame 0 (String.length frame - 3) in
       let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
@@ -548,28 +548,11 @@ let run ?(obs = Obs.noop) ~dir config =
   in
 
   (* --- transports --- *)
-  let hop plan payload =
-    match Fault.apply_stream plan [ payload ] with
-    | [] -> Error "payload dropped in transit"
-    | payload :: _ -> Ok (Fault.corrupt_string plan payload)
-  in
-  let faulty_call plan server raw =
-    match Fault.server_fate plan with
-    | Fault.Fail status ->
-      Error (Printf.sprintf "transient server error %d" status)
-    | Fault.Respond_delayed _ | Fault.Respond -> (
-      match hop plan raw with
-      | Error _ as e -> e
-      | Ok raw -> (
-        match server raw with
-        | Error _ as e -> e
-        | Ok response -> hop plan response))
-  in
   (* Send to the owner as [known] remembers it, following one 421
      redirect: stale routing self-heals through the misdirection answer
      itself, never through out-of-band knowledge. *)
   let route_421 plan known raw =
-    let send name = faulty_call plan (Authority.wire_transport !(origin name)) raw in
+    let send name = Fault.transport plan (Authority.wire_transport !(origin name)) raw in
     match send !known with
     | Error _ as e -> e
     | Ok resp_raw -> (
@@ -801,7 +784,7 @@ let run ?(obs = Obs.noop) ~dir config =
         let ix = (c.index + j) mod config.relays in
         fun raw ->
           incr relay_requests;
-          faulty_call c.plan (relay_server ix) raw)
+          Fault.transport c.plan (relay_server ix) raw)
   in
   let client_origin_transport c raw =
     incr origin_requests;
@@ -869,7 +852,7 @@ let run ?(obs = Obs.noop) ~dir config =
           (* Reports enter through the relay tier and are forwarded. *)
           let rix = Prng.int server_rng config.relays in
           let transport raw =
-            faulty_call reporter_plan (relay_server rix) raw
+            Fault.transport reporter_plan (relay_server rix) raw
           in
           match post_candidates ~transport ~tenant ~reporter sigs with
           | Ok (a, d, p, cap) ->

@@ -196,3 +196,21 @@ let server_fate t =
     Respond_delayed ticks
   end
   else Respond
+
+(* One faulty hop: the payload can be dropped outright, duplicated (the
+   spare is discarded — HTTP is request/response), corrupted, or pass. *)
+let hop t payload =
+  match apply_stream t [ payload ] with
+  | [] -> Error "payload dropped in transit"
+  | payload :: _ -> Ok (corrupt_string t payload)
+
+let transport t server raw =
+  match server_fate t with
+  | Fail status -> Error (Printf.sprintf "transient server error %d" status)
+  | Respond_delayed _ | Respond -> (
+    match hop t raw with
+    | Error _ as e -> e
+    | Ok raw -> (
+      match server raw with
+      | Error _ as e -> e
+      | Ok response -> hop t response))

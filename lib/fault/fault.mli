@@ -106,3 +106,12 @@ val server_fate : plan -> server_fate
 (** Fate of one server interaction: a transient error (HTTP status to fail
     with), a delayed-but-successful response (ticks in [1, max_delay]), or
     a normal response. *)
+
+val transport :
+  plan -> (string -> (string, string) result) -> string -> (string, string) result
+(** [transport plan server] is [server] (printed request bytes in,
+    printed response bytes out) behind a faulty link.  Each call draws,
+    in order: the {!server_fate} ([Fail] answers [Error]; a delay is
+    recorded as a {!Delay} event and otherwise passes), then for the
+    request and again for the response a {!apply_stream} drop/duplicate
+    draw (a drop answers [Error]) and a {!corrupt_string} pass. *)

@@ -1,5 +1,4 @@
 module Prng = Leakdetect_util.Prng
-module Signature = Leakdetect_core.Signature
 module Obs = Leakdetect_obs.Obs
 
 type health = Healthy | Degraded | Stale
@@ -8,12 +7,6 @@ let health_to_string = function
   | Healthy -> "healthy"
   | Degraded -> "degraded"
   | Stale -> "stale"
-
-let health_of_string = function
-  | "healthy" -> Some Healthy
-  | "degraded" -> Some Degraded
-  | "stale" -> Some Stale
-  | _ -> None
 
 type jitter_mode = Equal | Decorrelated
 
@@ -37,7 +30,6 @@ type t = {
   rng : Prng.t;
   obs : Obs.t;
   mutable version : int;
-  mutable signatures : Signature.t list;
   mutable health : health;
   mutable failed_syncs : int;
   mutable failed_attempts : int;
@@ -54,7 +46,6 @@ let create ?(config = default_config) ?(obs = Obs.noop) ?(seed = 0) () =
     rng = Prng.create seed;
     obs;
     version = 0;
-    signatures = [];
     health = Healthy;
     failed_syncs = 0;
     failed_attempts = 0;
@@ -63,22 +54,7 @@ let create ?(config = default_config) ?(obs = Obs.noop) ?(seed = 0) () =
     prev_backoff = config.base_backoff;
   }
 
-let restore ?config ?obs ?seed ~version ~signatures ~health () =
-  if version < 0 then invalid_arg "Signature_client.restore: version < 0";
-  let t = create ?config ?obs ?seed () in
-  t.version <- version;
-  t.signatures <- signatures;
-  t.health <- health;
-  (* A restart wipes the failure counters: the restored set is
-     last-known-good, and staleness is re-established by live syncs. *)
-  (match health with
-  | Healthy -> ()
-  | Degraded -> t.failed_syncs <- 1
-  | Stale -> t.failed_syncs <- t.config.stale_after);
-  t
-
 let version t = t.version
-let signatures t = t.signatures
 let health t = t.health
 
 let staleness t =
@@ -92,7 +68,7 @@ let last_error t = t.last_error
 
 type fetched =
   | Up_to_date of { observed : int option }
-  | Set of { version : int; signatures : Signature.t list }
+  | Installed of int
 
 type outcome = Updated of int | Unchanged | Failed of string
 
@@ -167,10 +143,9 @@ let sync t ~fetch =
           | Some v -> t.version_gap <- max 0 (v - t.version)
           | None -> ());
           Unchanged
-        | Set { version; signatures } ->
+        | Installed version ->
           t.version_gap <- max 0 (version - t.version - 1);
           t.version <- version;
-          t.signatures <- signatures;
           Updated version
       in
       t.failed_syncs <- 0;

@@ -1,12 +1,11 @@
-(** Resilient device-side signature synchronisation.
+(** The retry / backoff / health machine of device-side signature sync.
 
     The paper's deployment (Sec. V) keeps on-device detectors supplied with
     fresh signatures from the generation server; in practice that link
     sees corrupt bytes, transient server errors and delays.  This client
-    wraps a fetch function (typically {!Signature_server.fetch} or a
-    fault-injected transport via {!Signature_server.fetch_via}) in a retry
-    loop with exponential backoff and deterministic jitter, keeps a bounded
-    per-sync attempt budget, and tracks a health state machine:
+    wraps a fetch function in a retry loop with exponential backoff and
+    deterministic jitter, keeps a bounded per-sync attempt budget, and
+    tracks a health state machine:
 
     - [Healthy]: the last sync succeeded;
     - [Degraded]: recent syncs failed but fewer than [stale_after] in a
@@ -14,10 +13,12 @@
     - [Stale]: at least [stale_after] consecutive syncs failed; the
       signature set may be arbitrarily far behind the server.
 
-    On persistent failure the client never drops its last-known-good
-    signatures; staleness (consecutive failed syncs, total failed attempts
-    and the version gap observed at the last recovery) is recorded so
-    enforcement can react — see {!Flow_control} fail modes.
+    It holds no signature set: the fetch function installs what it
+    downloads wherever its caller keeps the set
+    ([Leakdetect_distrib.Delta_client] keeps a verified tree) and reports
+    only the version.  Staleness (consecutive failed syncs, total failed
+    attempts and the version gap observed at the last recovery) is
+    recorded so enforcement can react — see {!Flow_control} fail modes.
 
     Time is simulated: backoff is counted in abstract ticks and reported
     per sync, never slept. *)
@@ -25,10 +26,6 @@
 type health = Healthy | Degraded | Stale
 
 val health_to_string : health -> string
-
-val health_of_string : string -> health option
-(** Inverse of {!health_to_string}; [None] on anything else.  Used by the
-    durable store to decode persisted health transitions. *)
 
 type jitter_mode =
   | Equal
@@ -58,33 +55,14 @@ val default_config : config
 type t
 
 val create : ?config:config -> ?obs:Leakdetect_obs.Obs.t -> ?seed:int -> unit -> t
-(** [create ()] starts at version 0 with no signatures and [Healthy]
-    health.  [seed] (default 0) drives the backoff jitter only.  [?obs]
-    (default noop) records per-sync counters
+(** [create ()] starts at version 0 with [Healthy] health.  [seed]
+    (default 0) drives the backoff jitter only.  [?obs] (default noop)
+    records per-sync counters
     ([leakdetect_client_syncs_total{outcome}], attempt and backoff-tick
     totals) and the version / health gauges, plus a [client.sync] span. *)
 
-val restore :
-  ?config:config ->
-  ?obs:Leakdetect_obs.Obs.t ->
-  ?seed:int ->
-  version:int ->
-  signatures:Leakdetect_core.Signature.t list ->
-  health:health ->
-  unit ->
-  t
-(** Rebuild a client from recovered durable state ({!Leakdetect_store})
-    after a restart: the given set becomes last-known-good and the next
-    sync fetches with [since:version].  Failure counters restart at the
-    floor implied by [health] ([Degraded] → one failed sync, [Stale] →
-    [stale_after]); per-attempt history does not survive the crash.
-    @raise Invalid_argument on a negative version. *)
-
 val version : t -> int
 (** Last-known-good signature version (0 before the first update). *)
-
-val signatures : t -> Leakdetect_core.Signature.t list
-(** Last-known-good signature set — served even while [Stale]. *)
 
 val health : t -> health
 
@@ -105,10 +83,9 @@ type fetched =
       (** The server answered 304; [observed] is the version it advertised
           in [X-Signature-Version], letting a lagging client record its
           gap without a body fetch. *)
-  | Set of {
-      version : int;
-      signatures : Leakdetect_core.Signature.t list;
-    }  (** A newer set was downloaded (or assembled from a delta). *)
+  | Installed of int
+      (** The fetch installed a newer set (downloaded, or assembled from a
+          delta) at this version. *)
 
 type outcome =
   | Updated of int  (** New signature version installed. *)

@@ -9,7 +9,8 @@
 
     A snapshot that fails its checksum is reported as [Error], not
     silently ignored: the caller decides whether to fall back to WAL-only
-    recovery ({!Store} does, and says so in its recovery report). *)
+    recovery ([Leakdetect_distrib.Authority] does, and says so in its
+    recovery report). *)
 
 val magic : string
 (** ["LDSNAP01"], 8 bytes. *)

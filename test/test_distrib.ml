@@ -236,6 +236,13 @@ let test_authority_http_statuses () =
   check_status "unknown path" 404 (get "/nope");
   check_status "POST on /signatures" 405 (post "/signatures?tenant=t0" "");
   check_status "GET on /candidates" 405 (get "/candidates?tenant=t0&reporter=r");
+  (* A 405 names the method the endpoint does take. *)
+  Alcotest.(check (option string)) "405 on /signatures allows GET" (Some "GET")
+    (header (Authority.handle auth (post "/signatures?tenant=t0" "")) "Allow");
+  Alcotest.(check (option string)) "405 on /candidates allows POST" (Some "POST")
+    (header (Authority.handle auth (get "/candidates?tenant=t0&reporter=r")) "Allow");
+  Alcotest.(check (option string)) "405 on /metrics allows GET" (Some "GET")
+    (header (Authority.handle auth (post "/metrics" "")) "Allow");
   check_status "missing tenant" 400 (get "/signatures");
   check_status "bad tenant id" 400 (get "/signatures?tenant=bad%20id");
   check_status "unparseable since" 400 (get "/signatures?tenant=t0&since=banana");
@@ -289,6 +296,21 @@ let test_authority_snapshot_below_horizon () =
     (header r "X-Signature-Mode")
 
 (* --- authority: k-anonymous promotion --- *)
+
+(* A byte-identical publish appends nothing, so a client already at the
+   head is not told to re-download; a real change still bumps. *)
+let test_identical_publish_is_noop () =
+  let auth = Authority.create () in
+  Alcotest.(check int) "first publish" 2 (Authority.publish auth ~tenant:"t0" [ s1; s2 ]);
+  Alcotest.(check int) "identical publish keeps the version" 2
+    (Authority.publish auth ~tenant:"t0" [ s1; s2 ]);
+  Alcotest.(check int) "304 after a no-op publish" 304
+    (Authority.handle auth (get "/signatures?tenant=t0&since=2")).Http.Response.status;
+  Alcotest.(check int) "a real change still bumps" 3
+    (Authority.publish auth ~tenant:"t0" [ s1; s2; s3 ]);
+  (* A fresh tenant holds the empty set at v0: publishing it is a no-op. *)
+  Alcotest.(check int) "empty publish on a fresh tenant" 0
+    (Authority.publish auth ~tenant:"fresh" [])
 
 let candidate tokens = sig_ 0 ~cluster_size:1 tokens
 
@@ -407,6 +429,91 @@ let test_authority_reopen () =
         (Authority.pending_candidates auth' ~tenant:"t0");
       Authority.close auth')
 
+(* Compaction resets the journal; the snapshot alone recovers the whole
+   state — versions, sets, horizon, pending candidates and the id counter,
+   so an id retired before the snapshot is never reissued after it. *)
+let test_authority_compact_reopen () =
+  with_dir (fun dir ->
+      let config = { Authority.default_config with compact_keep = 0 } in
+      let auth =
+        match Authority.open_ ~config ~dir () with
+        | Ok (t, _) -> t
+        | Error e -> Alcotest.fail e
+      in
+      publish_sets auth;
+      ignore (Authority.publish auth ~tenant:"t0" [ s1; s2; s3 ]);
+      ignore (Authority.publish auth ~tenant:"t0" [ s1; s2 ]);
+      let c = candidate [ "cand"; "after-compaction" ] in
+      ignore (Authority.report_candidate auth ~tenant:"t0" ~reporter:"r0" c);
+      ignore (Authority.report_candidate auth ~tenant:"t0" ~reporter:"r1" c);
+      let v0 = Authority.version auth ~tenant:"t0" in
+      let set0 = Authority.signatures auth ~tenant:"t0" in
+      Authority.compact auth;
+      Alcotest.(check int) "compaction resets the journal"
+        (String.length Wal.magic) (Authority.wal_size auth);
+      Alcotest.(check int) "keep 0 folds to the head" v0
+        (Authority.horizon auth ~tenant:"t0");
+      Authority.close auth;
+      let auth', rep =
+        match Authority.open_ ~config ~dir () with
+        | Ok v -> v
+        | Error e -> Alcotest.fail e
+      in
+      Alcotest.(check bool) "snapshot loaded" true
+        (rep.Authority.snapshot = Authority.Loaded);
+      Alcotest.(check int) "no journal left to replay" 0 rep.Authority.replayed;
+      Alcotest.(check (list string)) "tenants survive compaction" [ "t0"; "t1" ]
+        (Authority.tenants auth');
+      Alcotest.(check int) "version survives compaction" v0
+        (Authority.version auth' ~tenant:"t0");
+      Alcotest.(check int) "horizon survives compaction" v0
+        (Authority.horizon auth' ~tenant:"t0");
+      check_set "set survives compaction" set0
+        (Authority.signatures auth' ~tenant:"t0");
+      check_set "other tenant survives compaction" [ s3 ]
+        (Authority.signatures auth' ~tenant:"t1");
+      Alcotest.(check int) "pending candidate survives compaction" 1
+        (Authority.pending_candidates auth' ~tenant:"t0");
+      (* The third reporter completes the tally begun before the snapshot. *)
+      (match Authority.report_candidate auth' ~tenant:"t0" ~reporter:"r2" c with
+      | Authority.Promoted v -> Alcotest.(check int) "promoted at head + 1" (v0 + 1) v
+      | o -> Alcotest.failf "k-th report: %s" (Authority.candidate_outcome_to_string o));
+      let promoted =
+        List.find
+          (fun s -> not (List.mem s.Signature.id [ 1; 2 ]))
+          (Authority.signatures auth' ~tenant:"t0")
+      in
+      Alcotest.(check bool) "retired id 3 is not reissued" true
+        (promoted.Signature.id > s3.Signature.id);
+      Authority.close auth')
+
+(* The journal and the snapshot are the two files of a state directory:
+   the journal exists (header only) from the first open, the snapshot only
+   once a compaction has run. *)
+let file_size path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> in_channel_length ic)
+
+let test_state_files () =
+  with_dir (fun dir ->
+      let wal = Authority.wal_path ~dir and snap = Authority.snapshot_path ~dir in
+      Alcotest.(check bool) "distinct files" true (wal <> snap);
+      Alcotest.(check string) "journal inside the dir" dir (Filename.dirname wal);
+      Alcotest.(check string) "snapshot inside the dir" dir (Filename.dirname snap);
+      let auth, _ = reopen ~dir in
+      Alcotest.(check bool) "journal created on open" true (Sys.file_exists wal);
+      Alcotest.(check bool) "no snapshot before compaction" false
+        (Sys.file_exists snap);
+      Alcotest.(check int) "fresh journal is the header" (String.length Wal.magic)
+        (file_size wal);
+      ignore (Authority.publish auth ~tenant:"t0" [ s1 ]);
+      Alcotest.(check int) "wal_size is the file size"
+        (file_size wal) (Authority.wal_size auth);
+      Authority.compact auth;
+      Alcotest.(check bool) "snapshot written by compaction" true
+        (Sys.file_exists snap);
+      Authority.close auth)
+
 (* Crash before each journal append of a multi-change publish: recovery
    must land on exactly the committed prefix, and re-issuing the publish
    must finish the job. *)
@@ -503,7 +610,7 @@ let test_torn_journal_tail () =
       publish_sets auth;
       let v0 = Authority.version auth ~tenant:"t0" in
       Authority.close auth;
-      let path = Filename.concat dir "journal.log" in
+      let path = Authority.wal_path ~dir in
       let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
       output_string oc "torn garbage that is not a frame";
       close_out oc;
@@ -514,6 +621,239 @@ let test_torn_journal_tail () =
       Alcotest.(check int) "committed versions survive the tear" v0
         (Authority.version auth' ~tenant:"t0");
       Authority.close auth')
+
+(* The repair rewrites the journal in place: the next open is clean, and
+   an append made after the repair survives it. *)
+let test_torn_tail_repair_then_append () =
+  with_dir (fun dir ->
+      let auth, _ = reopen ~dir in
+      ignore (Authority.publish auth ~tenant:"t0" [ s1 ]);
+      let committed = Authority.wal_size auth in
+      Authority.close auth;
+      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 (Authority.wal_path ~dir) in
+      output_string oc "half a record";
+      close_out oc;
+      let auth', rep = reopen ~dir in
+      (match rep.Authority.tail with
+      | Wal.Torn _ -> ()
+      | Wal.Clean -> Alcotest.fail "garbage tail must be reported torn");
+      Alcotest.(check int) "journal cut back to the last whole record" committed
+        (Authority.wal_size auth');
+      ignore (Authority.publish auth' ~tenant:"t0" [ s1; s2 ]);
+      Authority.close auth';
+      let auth'', rep'' = reopen ~dir in
+      Alcotest.(check bool) "clean after repair" true (rep''.Authority.tail = Wal.Clean);
+      Alcotest.(check int) "post-repair append replayed" 2 rep''.Authority.replayed;
+      check_set "post-repair append survives" [ s1; s2 ]
+        (Authority.signatures auth'' ~tenant:"t0");
+      Authority.close auth'')
+
+(* A tail record replayed by a half-applied rewrite is a stale no-op. *)
+let test_duplicated_tail_replays_stale () =
+  with_dir (fun dir ->
+      let auth, _ = reopen ~dir in
+      ignore (Authority.publish auth ~tenant:"t0" [ s1 ]);
+      let last_start = Authority.wal_size auth in
+      ignore (Authority.publish auth ~tenant:"t0" [ s1; s2 ]);
+      let last_end = Authority.wal_size auth in
+      Authority.close auth;
+      let path = Authority.wal_path ~dir in
+      let ic = open_in_bin path in
+      let image = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+      output_string oc (String.sub image last_start (last_end - last_start));
+      close_out oc;
+      let auth', rep = reopen ~dir in
+      Alcotest.(check bool) "duplicate is a whole record" true
+        (rep.Authority.tail = Wal.Clean);
+      Alcotest.(check int) "duplicate replays stale" 1 rep.Authority.stale;
+      Alcotest.(check int) "not double-applied" 2
+        (Authority.version auth' ~tenant:"t0");
+      check_set "set unchanged" [ s1; s2 ] (Authority.signatures auth' ~tenant:"t0");
+      Authority.close auth')
+
+(* A damaged snapshot is reported, never trusted: recovery falls back to
+   journal-only replay.  From the compaction crash window (new snapshot,
+   old journal) the journal alone rebuilds the state; after the journal
+   was reset it holds only entries past the snapshot, which replay as
+   stale rather than being applied onto a missing base. *)
+let test_corrupt_snapshot_falls_back () =
+  let damage_snapshot dir =
+    let oc = open_out_bin (Authority.snapshot_path ~dir) in
+    output_string oc "garbage, not a snapshot";
+    close_out oc
+  in
+  let expect_corrupt msg rep =
+    match rep.Authority.snapshot with
+    | Authority.Corrupt _ -> ()
+    | _ -> Alcotest.failf "%s: a damaged snapshot must be reported corrupt" msg
+  in
+  with_dir (fun dir ->
+      let auth, _ = reopen ~dir in
+      publish_sets auth;
+      let v0 = Authority.version auth ~tenant:"t0" in
+      let set0 = Authority.signatures auth ~tenant:"t0" in
+      (try
+         Authority.compact
+           ~inject:(fun p ->
+             if p = "post_snapshot" then raise (Authority.Crashed p))
+           auth
+       with Authority.Crashed _ -> ());
+      Authority.close auth;
+      damage_snapshot dir;
+      let auth', rep = reopen ~dir in
+      expect_corrupt "crash window" rep;
+      Alcotest.(check int) "whole journal replayed" 3 rep.Authority.replayed;
+      Alcotest.(check int) "nothing stale" 0 rep.Authority.stale;
+      Alcotest.(check int) "version from the journal alone" v0
+        (Authority.version auth' ~tenant:"t0");
+      check_set "set from the journal alone" set0
+        (Authority.signatures auth' ~tenant:"t0");
+      Authority.close auth');
+  with_dir (fun dir ->
+      let auth, _ = reopen ~dir in
+      publish_sets auth;
+      Authority.compact auth;
+      ignore (Authority.publish auth ~tenant:"t0" [ s1; s2; s3 ]);
+      Authority.close auth;
+      damage_snapshot dir;
+      let auth', rep = reopen ~dir in
+      expect_corrupt "after reset" rep;
+      Alcotest.(check int) "post-compaction entry replayed" 1 rep.Authority.replayed;
+      Alcotest.(check int) "and found stale" 1 rep.Authority.stale;
+      Alcotest.(check int) "no suffix applied without its base" 0
+        (Authority.version auth' ~tenant:"t0");
+      Authority.close auth')
+
+(* --- authority: committed checkpoints under crash damage --- *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+      really_input_string ic (in_channel_length ic))
+
+let write_file path s =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
+
+let state_of auth = (Authority.version auth ~tenant:"t0", Authority.checksum auth ~tenant:"t0")
+
+(* Journal a publish history and record, newest first, one committed
+   checkpoint [(journal size, (version, checksum))] per journal record.
+   [publish] calls [inject] before each append, when the previous change
+   is committed; offset 0 stands for a log cut inside its header. *)
+let journaled_history dir =
+  let auth, _ = reopen ~dir in
+  let history = ref [ (0, state_of auth) ] in
+  let checkpoint () =
+    let v = Authority.version auth ~tenant:"t0" in
+    match !history with
+    | (_, (v', _)) :: _ when v' = v -> ()
+    | _ ->
+      let sum = Option.get (Authority.checksum_at auth ~tenant:"t0" ~version:v) in
+      history := (Authority.wal_size auth, (v, sum)) :: !history
+  in
+  List.iter
+    (fun set ->
+      ignore (Authority.publish auth ~inject:(fun _ -> checkpoint ()) ~tenant:"t0" set);
+      checkpoint ())
+    [ [ s1 ]; [ s1; s2; s3 ]; [ s2; s3 ]; [ s2; sig_ 3 [ "mac=66:77:88:99:aa:bb" ] ] ];
+  let final = state_of auth in
+  Authority.close auth;
+  (!history, final, read_file (Authority.wal_path ~dir))
+
+(* Recover a damaged journal image in a directory of its own. *)
+let recover_image image =
+  with_dir (fun dir ->
+      write_file (Authority.wal_path ~dir) image;
+      let auth, rep = reopen ~dir in
+      let st = state_of auth in
+      Authority.close auth;
+      (st, rep))
+
+(* One checkpoint per changelog version, each at a record boundary: cutting
+   the journal exactly there recovers exactly that committed state. *)
+let test_checkpoint_per_record () =
+  with_dir (fun dir ->
+      let history, final, image = journaled_history dir in
+      let final_version = fst final in
+      Alcotest.(check int) "one checkpoint per version, plus the empty log"
+        (final_version + 1) (List.length history);
+      Alcotest.(check (list int)) "every version checkpointed"
+        (List.init (final_version + 1) (fun v -> final_version - v))
+        (List.map (fun (_, (v, _)) -> v) history);
+      (match history with
+      | (off, st) :: _ ->
+        Alcotest.(check int) "newest checkpoint is the whole log" (String.length image) off;
+        Alcotest.(check bool) "newest checkpoint is the final state" true (st = final)
+      | [] -> Alcotest.fail "no checkpoints");
+      List.iter
+        (fun (off, expected) ->
+          let st, rep = recover_image (String.sub image 0 off) in
+          Alcotest.(check bool)
+            (Printf.sprintf "cut at record boundary %d is clean" off)
+            true
+            (off = 0 || rep.Authority.tail = Wal.Clean);
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "cut at %d recovers its checkpoint" off)
+            expected st)
+        history)
+
+(* A crash at any byte offset recovers the newest checkpoint whose record
+   lies wholly before the cut: never a half-applied record, never a
+   state that was not committed. *)
+let test_every_cut_lands_on_a_checkpoint () =
+  with_dir (fun dir ->
+      let history, _, image = journaled_history dir in
+      for cut = 0 to String.length image do
+        let expected = snd (List.find (fun (off, _) -> off <= cut) history) in
+        let st, _ = recover_image (String.sub image 0 cut) in
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "cut at byte %d" cut)
+          expected st
+      done)
+
+(* Torn writes on committed bytes — a flipped bit past the header, or the
+   tail record written twice — then a crash anywhere: recovery is exact
+   when no tear fired, and otherwise lands on some committed state. *)
+let test_torn_writes_recover_committed () =
+  with_dir (fun dir ->
+      let history, _, image = journaled_history dir in
+      let last_record_start =
+        List.fold_left
+          (fun acc (off, _) -> if off < String.length image then max acc off else acc)
+          0 history
+      in
+      let plan =
+        Fault.create ~seed:11
+          { Fault.none with Fault.torn_write_rate = 0.5; crash_rate = 0.5 }
+      in
+      let exact = ref 0 and earlier = ref 0 in
+      for trial = 1 to 40 do
+        let torn_before = Fault.count plan Fault.Torn_write in
+        let damaged =
+          Fault.torn_write plan ~protect:(String.length Wal.magic)
+            ~tail_start:last_record_start image
+        in
+        let torn_fired = Fault.count plan Fault.Torn_write > torn_before in
+        let cut =
+          match Fault.crash_point plan ~len:(String.length damaged) with
+          | Some off -> off
+          | None -> String.length damaged
+        in
+        let st, _ = recover_image (String.sub damaged 0 cut) in
+        let expected = snd (List.find (fun (off, _) -> off <= cut) history) in
+        if not torn_fired then
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "trial %d: undamaged cut at %d is exact" trial cut)
+            expected st;
+        if st = expected then incr exact
+        else if List.exists (fun (_, c) -> c = st) history then incr earlier
+        else Alcotest.failf "trial %d: recovered a state never committed" trial
+      done;
+      Alcotest.(check bool) "some trials exact" true (!exact > 0);
+      Alcotest.(check bool) "some tears truncated to an earlier state" true (!earlier > 0))
 
 (* --- delta client --- *)
 
@@ -646,6 +986,143 @@ let test_delta_client_refuses_duplicate_ids () =
   check_set "origin's set installed" [ s1; s2 ] (Delta_client.signatures c);
   Alcotest.(check bool) "escalation counted" true
     ((Delta_client.counters c).Delta_client.escalations > 0)
+
+let test_delta_client_content_length_check () =
+  let transport _raw =
+    Ok "HTTP/1.1 200 OK\r\nX-Signature-Version: 1\r\nContent-Length: 999\r\n\r\nabc"
+  in
+  let c = new_client "t0" in
+  (match (Delta_client.sync c ~transport).Signature_client.outcome with
+  | Signature_client.Failed _ -> ()
+  | _ -> Alcotest.fail "a body shorter than its Content-Length must not install");
+  match Delta_client.last_error c with
+  | Some e ->
+    Alcotest.(check bool) "mentions the mismatch" true
+      (Leakdetect_text.Search.contains ~needle:"content-length mismatch" e)
+  | None -> Alcotest.fail "expected a recorded error"
+
+(* Bytes past the declared Content-Length (a response glued to trailing
+   garbage) fail the attempt like a short body does; nothing installs, and
+   the next clean sync lands on the head. *)
+let test_delta_client_content_length_overrun () =
+  let auth = Authority.create () in
+  ignore (Authority.publish auth ~tenant:"t0" [ s1; s2 ]);
+  let c = new_client "t0" in
+  let overrun raw =
+    Result.map (fun response -> response ^ "\nextra") (Authority.wire_transport auth raw)
+  in
+  (match (Delta_client.sync c ~transport:overrun).Signature_client.outcome with
+  | Signature_client.Failed e ->
+    Alcotest.(check bool) "mentions the mismatch" true
+      (Leakdetect_text.Search.contains ~needle:"content-length mismatch" e)
+  | _ -> Alcotest.fail "a body longer than its Content-Length must not install");
+  Alcotest.(check int) "version untouched" 0 (Delta_client.version c);
+  check_set "set untouched" [] (Delta_client.signatures c);
+  Alcotest.(check int) "clean sync installs the head" 2
+    (sync_updated "clean" c (loss_free auth));
+  check_set "head installed" [ s1; s2 ] (Delta_client.signatures c)
+
+(* The Figure 3 loop: publish, the handset syncs, its monitor starts
+   catching the leak the new signature describes. *)
+let test_delta_client_drives_monitor () =
+  let module Flow_control = Leakdetect_monitor.Flow_control in
+  let leak =
+    Leakdetect_http.Packet.v
+      ~ip:(Leakdetect_net.Ipv4.of_int 1000)
+      ~port:80 ~host:"h.jp"
+      ~request_line:"GET /ad?imei=355021930123456&loc=35.6 HTTP/1.1" ~cookie:""
+      ~body:""
+  in
+  let decide monitor =
+    Flow_control.decision_to_string (Flow_control.process monitor ~app_id:1 leak)
+  in
+  let auth = Authority.create () in
+  let c = new_client "t0" in
+  let monitor = Flow_control.create [] in
+  Alcotest.(check string) "before sync, the leak passes" "allowed" (decide monitor);
+  ignore (Authority.publish auth ~tenant:"t0" [ s1 ]);
+  ignore (sync_updated "sync" c (loss_free auth));
+  Flow_control.update_signatures monitor (Delta_client.signatures c);
+  Alcotest.(check string) "after sync, the leak prompts" "prompted:stopped"
+    (decide monitor)
+
+(* The library-level chaos sync: 10% corruption and 20% transient errors
+   on the wire; the handset must still converge on the authority's head,
+   version and set. *)
+let test_chaos_sync_converges () =
+  let auth = Authority.create () in
+  let plan =
+    Fault.create ~seed:42
+      { Fault.none with Fault.corrupt_rate = 0.1; corrupt_bytes = 3; server_error_rate = 0.2 }
+  in
+  let transport = Fault.transport plan (Authority.wire_transport auth) in
+  let c = Delta_client.create ~seed:1 ~tenant:"t0" () in
+  for round = 1 to 5 do
+    let set =
+      s1 :: List.init round (fun i -> sig_ (10 + i) [ Printf.sprintf "imsi=24008%09d" i ])
+    in
+    ignore (Authority.publish auth ~tenant:"t0" set);
+    ignore (Delta_client.sync c ~transport)
+  done;
+  let extra = ref 0 in
+  while Delta_client.version c < Authority.version auth ~tenant:"t0" && !extra < 50 do
+    incr extra;
+    ignore (Delta_client.sync c ~transport)
+  done;
+  Alcotest.(check int) "converged to the latest version"
+    (Authority.version auth ~tenant:"t0")
+    (Delta_client.version c);
+  check_set "converged to the latest set"
+    (Authority.signatures auth ~tenant:"t0")
+    (Delta_client.signatures c);
+  Alcotest.(check bool) "faults actually fired" true (Fault.total plan > 0)
+
+(* The chaos link in full: drops and duplicates on both hops, delays and
+   corruption on top of transient errors.  Every fault kind fires, and the
+   handset still converges on the head's version, set and checksum. *)
+let test_chaos_sync_converges_lossy () =
+  let auth = Authority.create () in
+  let plan =
+    Fault.create ~seed:9
+      { Fault.none with
+        Fault.corrupt_rate = 0.1;
+        corrupt_bytes = 2;
+        drop_rate = 0.15;
+        duplicate_rate = 0.15;
+        delay_rate = 0.2;
+        max_delay = 3;
+        server_error_rate = 0.15 }
+  in
+  let transport = Fault.transport plan (Authority.wire_transport auth) in
+  let c = Delta_client.create ~seed:3 ~tenant:"t0" () in
+  for round = 1 to 12 do
+    let set =
+      s1 :: List.init round (fun i -> sig_ (20 + i) [ Printf.sprintf "imsi=24009%09d" i ])
+    in
+    ignore (Authority.publish auth ~tenant:"t0" set);
+    ignore (Delta_client.sync c ~transport)
+  done;
+  let extra = ref 0 in
+  while Delta_client.version c < Authority.version auth ~tenant:"t0" && !extra < 50 do
+    incr extra;
+    ignore (Delta_client.sync c ~transport)
+  done;
+  Alcotest.(check int) "converged to the latest version"
+    (Authority.version auth ~tenant:"t0")
+    (Delta_client.version c);
+  Alcotest.(check int) "converged to the latest checksum"
+    (Authority.checksum auth ~tenant:"t0")
+    (Delta_client.checksum c);
+  check_set "converged to the latest set"
+    (Authority.signatures auth ~tenant:"t0")
+    (Delta_client.signatures c);
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool)
+        (Fault.kind_name kind ^ " fired")
+        true
+        (Fault.count plan kind > 0))
+    [ Fault.Corrupt; Fault.Drop; Fault.Duplicate; Fault.Delay; Fault.Server_error ]
 
 (* --- mini soak: end-to-end, faults and crash points on --- *)
 
@@ -1816,6 +2293,8 @@ let suite =
       [ Alcotest.test_case "http statuses" `Quick test_authority_http_statuses;
         Alcotest.test_case "snapshot below horizon" `Quick
           test_authority_snapshot_below_horizon;
+        Alcotest.test_case "identical publish is a no-op" `Quick
+          test_identical_publish_is_noop;
         Alcotest.test_case "promotion at k" `Quick test_promotion_at_k;
         Alcotest.test_case "reporter cap" `Quick test_reporter_cap;
         Alcotest.test_case "candidates tally" `Quick
@@ -1823,13 +2302,27 @@ let suite =
         qtest prop_published_index_matches_scan ] );
     ( "distrib.durability",
       [ Alcotest.test_case "reopen replays" `Quick test_authority_reopen;
+        Alcotest.test_case "compact + reopen" `Quick test_authority_compact_reopen;
+        Alcotest.test_case "state files" `Quick test_state_files;
         Alcotest.test_case "publish crash-point sweep" `Quick
           test_publish_crash_point_sweep;
         Alcotest.test_case "compaction crash windows" `Quick
           test_compaction_crash_windows;
         Alcotest.test_case "promotion crash recovers" `Quick
           test_promotion_crash_recovers;
-        Alcotest.test_case "torn journal tail" `Quick test_torn_journal_tail ] );
+        Alcotest.test_case "torn journal tail" `Quick test_torn_journal_tail;
+        Alcotest.test_case "torn tail repair then append" `Quick
+          test_torn_tail_repair_then_append;
+        Alcotest.test_case "duplicated tail replays stale" `Quick
+          test_duplicated_tail_replays_stale;
+        Alcotest.test_case "checkpoint per journal record" `Quick
+          test_checkpoint_per_record;
+        Alcotest.test_case "every cut lands on a checkpoint" `Quick
+          test_every_cut_lands_on_a_checkpoint;
+        Alcotest.test_case "torn writes recover committed" `Quick
+          test_torn_writes_recover_committed;
+        Alcotest.test_case "corrupt snapshot falls back" `Quick
+          test_corrupt_snapshot_falls_back ] );
     ( "distrib.delta_client",
       [ Alcotest.test_case "happy path" `Quick test_delta_client_happy_path;
         Alcotest.test_case "horizon gap falls back" `Quick
@@ -1845,7 +2338,13 @@ let suite =
         Alcotest.test_case "rotates past a dead relay" `Quick
           test_sync_via_rotates_past_dead_relay;
         Alcotest.test_case "duplicate ids refused" `Quick
-          test_delta_client_refuses_duplicate_ids ] );
+          test_delta_client_refuses_duplicate_ids;
+        Alcotest.test_case "content-length check" `Quick
+          test_delta_client_content_length_check;
+        Alcotest.test_case "content-length overrun" `Quick
+          test_delta_client_content_length_overrun;
+        Alcotest.test_case "drives the monitor" `Quick
+          test_delta_client_drives_monitor ] );
     ( "distrib.sharding",
       [ Alcotest.test_case "shard gate" `Quick test_authority_shard_gate;
         Alcotest.test_case "export / adopt / release" `Quick
@@ -1866,5 +2365,8 @@ let suite =
         Alcotest.test_case "version age + metrics" `Quick
           test_relay_version_age_and_metrics ] );
     ( "distrib.soak",
-      [ Alcotest.test_case "mini soak" `Quick test_mini_soak;
+      [ Alcotest.test_case "chaos sync converges" `Quick test_chaos_sync_converges;
+        Alcotest.test_case "chaos sync over a lossy link" `Quick
+          test_chaos_sync_converges_lossy;
+        Alcotest.test_case "mini soak" `Quick test_mini_soak;
         Alcotest.test_case "mini topology" `Quick test_mini_topology ] ) ]

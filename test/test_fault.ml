@@ -1,5 +1,5 @@
 (* Tests for the fault-injection subsystem (Leakdetect_fault), the
-   resilient signature client, the flow-control fail modes and the
+   signature client's retry machine, the flow-control fail modes and the
    hardened parsers they exercise. *)
 
 open Leakdetect_monitor
@@ -91,6 +91,35 @@ let test_fault_server_fate () =
   let summary = Fault.summary fail_all in
   Alcotest.(check int) "summary covers all kinds" (List.length Fault.all_kinds)
     (List.length summary)
+
+(* The faulty transport: identity at rate 0, a transient error before the
+   server is reached, a drop on either hop, and corruption in transit. *)
+let test_fault_transport () =
+  let calls = ref 0 in
+  let echo raw =
+    incr calls;
+    Ok ("re:" ^ raw)
+  in
+  let via config raw = Fault.transport (Fault.create ~seed:3 config) echo raw in
+  Alcotest.(check (result string string)) "rate 0 passes through" (Ok "re:ping")
+    (via Fault.none "ping");
+  Alcotest.(check (result string string)) "server error never reaches the server"
+    (Error "transient server error 503")
+    (via { Fault.none with Fault.server_error_rate = 1.0 } "ping");
+  Alcotest.(check int) "one server call so far" 1 !calls;
+  Alcotest.(check (result string string)) "dropped request"
+    (Error "payload dropped in transit")
+    (via { Fault.none with Fault.drop_rate = 1.0 } "ping");
+  Alcotest.(check int) "dropped request never reaches the server" 1 !calls;
+  let delayed =
+    Fault.create ~seed:3 { Fault.none with Fault.delay_rate = 1.0; max_delay = 4 }
+  in
+  Alcotest.(check (result string string)) "a delay still answers" (Ok "re:ping")
+    (Fault.transport delayed echo "ping");
+  Alcotest.(check int) "the delay is counted" 1 (Fault.count delayed Fault.Delay);
+  match via { Fault.none with Fault.corrupt_rate = 1.0 } "ping" with
+  | Ok r -> Alcotest.(check bool) "corrupted in transit" true (r <> "re:ping")
+  | Error e -> Alcotest.failf "corruption must not fail the call: %s" e
 
 (* --- Storage faults: crash points and torn writes --- *)
 
@@ -299,32 +328,41 @@ let test_compressed_corruption_no_raise () =
 
 (* --- Signature client --- *)
 
+(* A scripted fetch: answers each call with the next element of
+   [script], as a real fetch would after installing (or failing to
+   install) a set at that version. *)
+let scripted script =
+  let rest = ref script in
+  fun ~since:_ ->
+    match !rest with
+    | r :: more ->
+      rest := more;
+      r
+    | [] -> Alcotest.fail "fetch called beyond its script"
+
+let installed v = Ok (Signature_client.Installed v)
+let up_to_date = Ok (Signature_client.Up_to_date { observed = None })
+
 let test_client_happy_path () =
-  let server = Signature_server.create () in
-  ignore (Signature_server.publish server signatures);
   let client = Signature_client.create () in
-  let report = Signature_client.sync client ~fetch:(Signature_server.fetch server) in
+  let fetch = scripted [ installed 1; up_to_date ] in
+  let report = Signature_client.sync client ~fetch in
   (match report.Signature_client.outcome with
   | Signature_client.Updated 1 -> ()
   | _ -> Alcotest.fail "expected Updated 1");
   Alcotest.(check int) "one attempt" 1 report.Signature_client.attempts;
   Alcotest.(check int) "no backoff" 0 report.Signature_client.waited;
   Alcotest.(check int) "version" 1 (Signature_client.version client);
-  Alcotest.(check int) "signatures installed" 1
-    (List.length (Signature_client.signatures client));
-  let again = Signature_client.sync client ~fetch:(Signature_server.fetch server) in
+  let again = Signature_client.sync client ~fetch in
   match again.Signature_client.outcome with
   | Signature_client.Unchanged -> ()
   | _ -> Alcotest.fail "expected Unchanged"
 
 let test_client_retries_with_backoff () =
-  let server = Signature_server.create () in
-  ignore (Signature_server.publish server signatures);
-  let calls = ref 0 in
-  let fetch ~since =
-    incr calls;
-    if !calls <= 2 then Error "transient server error 503"
-    else Signature_server.fetch server ~since
+  let fetch =
+    scripted
+      [ Error "transient server error 503"; Error "transient server error 503";
+        installed 1 ]
   in
   let config =
     { Signature_client.default_config with
@@ -356,10 +394,8 @@ let test_client_health_state_machine () =
   in
   let client = Signature_client.create ~config () in
   let broken ~since:_ = Error "no route to server" in
-  (* Seed a last-known-good set first. *)
-  let server = Signature_server.create () in
-  ignore (Signature_server.publish server signatures);
-  ignore (Signature_client.sync client ~fetch:(Signature_server.fetch server));
+  (* Reach a last-known-good version first. *)
+  ignore (Signature_client.sync client ~fetch:(scripted [ installed 1 ]));
   Alcotest.(check string) "healthy" "healthy"
     (Signature_client.health_to_string (Signature_client.health client));
   let r1 = Signature_client.sync client ~fetch:broken in
@@ -372,40 +408,18 @@ let test_client_health_state_machine () =
   ignore (Signature_client.sync client ~fetch:broken);
   Alcotest.(check string) "stale after two" "stale"
     (Signature_client.health_to_string (Signature_client.health client));
-  Alcotest.(check int) "last-known-good kept" 1
-    (List.length (Signature_client.signatures client));
   Alcotest.(check int) "still at v1" 1 (Signature_client.version client);
   Alcotest.(check bool) "last error kept" true
     (Signature_client.last_error client = Some "no route to server");
-  (* Recovery: the next good sync returns to Healthy and records the gap.
-     (The sets must actually differ — identical publishes no longer bump
-     the version.) *)
-  let grown n =
-    signatures
-    @ List.init n (fun i ->
-          Signature.make ~id:(10 + i) ~mode:Signature.Conjunction
-            ~cluster_size:1
-            [ Printf.sprintf "imsi=24008%09d" i ])
-  in
-  ignore (Signature_server.publish server (grown 1));
-  ignore (Signature_server.publish server (grown 2));
-  ignore (Signature_client.sync client ~fetch:(Signature_server.fetch server));
+  (* Recovery: the next good sync returns to Healthy and records the gap
+     (the server moved on to v3 while we were failing). *)
+  ignore (Signature_client.sync client ~fetch:(scripted [ installed 3 ]));
   Alcotest.(check string) "healthy again" "healthy"
     (Signature_client.health_to_string (Signature_client.health client));
   let st = Signature_client.staleness client in
   Alcotest.(check int) "failed syncs reset" 0 st.Signature_client.failed_syncs;
   Alcotest.(check int) "version gap recorded" 1 st.Signature_client.version_gap;
   Alcotest.(check int) "caught up" 3 (Signature_client.version client)
-
-let test_fetch_content_length_check () =
-  let transport _raw =
-    Ok "HTTP/1.1 200 OK\r\nX-Signature-Version: 1\r\nContent-Length: 999\r\n\r\nabc"
-  in
-  match Signature_server.fetch_via ~transport ~since:0 with
-  | Error e ->
-    Alcotest.(check bool) "mentions mismatch" true
-      (Leakdetect_text.Search.contains ~needle:"content-length mismatch" e)
-  | Ok _ -> Alcotest.fail "expected content-length error"
 
 (* --- backoff jitter bounds, both modes --- *)
 
@@ -504,49 +518,7 @@ let test_flow_fail_open_when_stale () =
         Flow_control.set_health m' Signature_client.Degraded;
         Flow_control.process m' ~app_id:1 (mk ())))
 
-(* --- End-to-end mini-soak (library-level chaos) --- *)
-
-let test_chaos_sync_converges () =
-  (* 10% corruption + 20% transient errors on the wire; the client must
-     still converge to the server's latest version. *)
-  let server = Signature_server.create () in
-  let plan =
-    Fault.create ~seed:42
-      { Fault.none with Fault.corrupt_rate = 0.1; corrupt_bytes = 3; server_error_rate = 0.2 }
-  in
-  let transport raw =
-    match Fault.server_fate plan with
-    | Fault.Fail status -> Error (Printf.sprintf "transient server error %d" status)
-    | Fault.Respond | Fault.Respond_delayed _ -> (
-      match Signature_server.wire_transport server (Fault.corrupt_string plan raw) with
-      | Ok response -> Ok (Fault.corrupt_string plan response)
-      | Error _ as e -> e)
-  in
-  let fetch = Signature_server.fetch_via ~transport in
-  let client = Signature_client.create ~seed:1 () in
-  for round = 1 to 5 do
-    let set =
-      signatures
-      @ List.init round (fun i ->
-            Signature.make ~id:(10 + i) ~mode:Signature.Conjunction
-              ~cluster_size:1
-              [ Printf.sprintf "imsi=24008%09d" i ])
-    in
-    ignore (Signature_server.publish server set);
-    ignore (Signature_client.sync client ~fetch)
-  done;
-  let extra = ref 0 in
-  while
-    Signature_client.version client < Signature_server.current_version server
-    && !extra < 50
-  do
-    incr extra;
-    ignore (Signature_client.sync client ~fetch)
-  done;
-  Alcotest.(check int) "converged to latest version"
-    (Signature_server.current_version server)
-    (Signature_client.version client);
-  Alcotest.(check bool) "faults actually fired" true (Fault.total plan > 0)
+(* --- End-to-end chaos: ingest --- *)
 
 let test_chaos_ingest_recovers () =
   let records =
@@ -580,6 +552,7 @@ let suite =
         Alcotest.test_case "truncation" `Quick test_fault_truncate;
         Alcotest.test_case "drop/duplicate" `Quick test_fault_stream_drop_duplicate;
         Alcotest.test_case "server fate" `Quick test_fault_server_fate;
+        Alcotest.test_case "faulty transport" `Quick test_fault_transport;
         Alcotest.test_case "crash points" `Quick test_fault_crash_point;
         Alcotest.test_case "torn writes" `Quick test_fault_torn_write;
       ] );
@@ -597,7 +570,6 @@ let suite =
         Alcotest.test_case "happy path" `Quick test_client_happy_path;
         Alcotest.test_case "retry with backoff" `Quick test_client_retries_with_backoff;
         Alcotest.test_case "health state machine" `Quick test_client_health_state_machine;
-        Alcotest.test_case "content-length check" `Quick test_fetch_content_length_check;
         qtest prop_equal_jitter_bounds;
         qtest prop_decorrelated_jitter_bounds;
       ] );
@@ -608,7 +580,6 @@ let suite =
       ] );
     ( "fault.chaos",
       [
-        Alcotest.test_case "sync converges under faults" `Quick test_chaos_sync_converges;
         Alcotest.test_case "ingest recovers intact fraction" `Quick test_chaos_ingest_recovers;
       ] );
   ]

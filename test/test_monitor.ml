@@ -247,62 +247,13 @@ let test_report_limit () =
   done;
   Alcotest.(check int) "limit respected" 4 (List.length (Report.most_suspicious ~limit:4 m))
 
-(* --- Signature_server --- *)
-
-let test_server_fetch_cycle () =
-  let server = Signature_server.create () in
-  Alcotest.(check int) "initial version" 0 (Signature_server.current_version server);
-  (* Device checks before anything is published: up to date. *)
-  (match Signature_server.fetch server ~since:0 with
-  | Ok (Signature_client.Up_to_date _) -> ()
-  | _ -> Alcotest.fail "expected up-to-date");
-  let v1 = Signature_server.publish server signatures in
-  Alcotest.(check int) "published v1" 1 v1;
-  (match Signature_server.fetch server ~since:0 with
-  | Ok (Signature_client.Set { version = v; signatures = sigs }) ->
-    Alcotest.(check int) "fetched version" 1 v;
-    Alcotest.(check int) "signature count" (List.length signatures) (List.length sigs);
-    Alcotest.(check (list string)) "tokens preserved"
-      (List.concat_map (fun s -> s.Signature.tokens) signatures)
-      (List.concat_map (fun s -> s.Signature.tokens) sigs)
-  | Ok (Signature_client.Up_to_date _) -> Alcotest.fail "expected update"
-  | Error e -> Alcotest.failf "fetch: %s" e);
-  (match Signature_server.fetch server ~since:1 with
-  | Ok (Signature_client.Up_to_date { observed }) ->
-    Alcotest.(check (option int)) "304 carries the version" (Some 1) observed
-  | _ -> Alcotest.fail "expected 304 path")
-
-(* Satellite regressions: identical publishes must not bump the version,
-   and the 304 version header must let a lagging client measure its gap. *)
-let test_publish_identical_is_noop () =
-  let server = Signature_server.create () in
-  let v1 = Signature_server.publish server signatures in
-  Alcotest.(check int) "first publish" 1 v1;
-  let v_same = Signature_server.publish server signatures in
-  Alcotest.(check int) "identical publish keeps version" 1 v_same;
-  (* A client already at v1 must not be told to re-download. *)
-  (match Signature_server.fetch server ~since:1 with
-  | Ok (Signature_client.Up_to_date _) -> ()
-  | _ -> Alcotest.fail "expected 304 after no-op publish");
-  let changed =
-    signatures
-    @ [ Signature.make ~id:7 ~mode:Signature.Conjunction ~cluster_size:1
-          [ "imsi=240080000000017" ] ]
-  in
-  Alcotest.(check int) "real change still bumps" 2
-    (Signature_server.publish server changed);
-  (* Empty is a real state too: first publish of [] moves 0 -> 1. *)
-  let empty_server = Signature_server.create () in
-  Alcotest.(check int) "first empty publish bumps" 1
-    (Signature_server.publish empty_server []);
-  Alcotest.(check int) "repeated empty publish is a no-op" 1
-    (Signature_server.publish empty_server [])
+(* --- Signature_client --- *)
 
 let test_client_records_gap_from_304 () =
-  let server = Signature_server.create () in
-  ignore (Signature_server.publish server signatures);
   let client = Signature_client.create () in
-  ignore (Signature_client.sync client ~fetch:(Signature_server.fetch server));
+  ignore
+    (Signature_client.sync client ~fetch:(fun ~since:_ ->
+         Ok (Signature_client.Installed 1)));
   Alcotest.(check int) "client at v1" 1 (Signature_client.version client);
   (* A 304 whose header shows a version ahead of ours records the gap
      without a body fetch.  (A real server would 200 here; the point is
@@ -315,42 +266,56 @@ let test_client_records_gap_from_304 () =
   | _ -> Alcotest.fail "expected Unchanged");
   Alcotest.(check int) "gap recorded from 304 header" 3
     (Signature_client.staleness client).Signature_client.version_gap;
-  Alcotest.(check int) "set untouched" 1
-    (List.length (Signature_client.signatures client))
+  Alcotest.(check int) "version untouched" 1 (Signature_client.version client)
 
-let test_server_http_statuses () =
-  let server = Signature_server.create () in
-  ignore (Signature_server.publish server signatures);
-  let get target =
-    (Signature_server.handle server
-       (Leakdetect_http.Request.make Leakdetect_http.Request.GET target))
-      .Leakdetect_http.Response.status
+(* An install reports the versions it jumped over: none when updates
+   arrive one by one, the skipped ones after an outage. *)
+let test_client_install_records_gap () =
+  let client = Signature_client.create () in
+  let install v =
+    (Signature_client.sync client ~fetch:(fun ~since:_ ->
+         Ok (Signature_client.Installed v)))
+      .Signature_client.outcome
   in
-  Alcotest.(check int) "fresh fetch" 200 (get "/signatures?since=0");
-  Alcotest.(check int) "up to date" 304 (get "/signatures?since=1");
-  Alcotest.(check int) "bad since" 400 (get "/signatures?since=abc");
-  Alcotest.(check int) "unknown path" 404 (get "/other");
-  let post =
-    Signature_server.handle server
-      (Leakdetect_http.Request.make Leakdetect_http.Request.POST "/signatures")
-  in
-  Alcotest.(check int) "wrong method" 405 post.Leakdetect_http.Response.status;
-  Alcotest.(check (option string)) "allow header" (Some "GET")
-    (Leakdetect_http.Headers.get post.Leakdetect_http.Response.headers "Allow")
+  (match install 1 with
+  | Signature_client.Updated 1 -> ()
+  | _ -> Alcotest.fail "expected Updated 1");
+  Alcotest.(check int) "no gap one by one" 0
+    (Signature_client.staleness client).Signature_client.version_gap;
+  (match install 5 with
+  | Signature_client.Updated 5 -> ()
+  | _ -> Alcotest.fail "expected Updated 5");
+  Alcotest.(check int) "three versions skipped" 3
+    (Signature_client.staleness client).Signature_client.version_gap;
+  Alcotest.(check int) "client at v5" 5 (Signature_client.version client);
+  Alcotest.(check string) "healthy" "healthy"
+    (Signature_client.health_to_string (Signature_client.health client))
 
-let test_server_drives_monitor () =
-  (* Full loop: publish, device fetches, monitor starts catching leaks. *)
-  let server = Signature_server.create () in
-  let monitor = Flow_control.create [] in
-  Alcotest.(check string) "before fetch, leak passes" "allowed"
-    (Flow_control.decision_to_string (Flow_control.process monitor ~app_id:1 (leak_packet ())));
-  ignore (Signature_server.publish server signatures);
-  (match Signature_server.fetch server ~since:0 with
-  | Ok (Signature_client.Set { signatures = sigs; _ }) ->
-    Flow_control.update_signatures monitor sigs
-  | _ -> Alcotest.fail "fetch failed");
-  Alcotest.(check string) "after fetch, leak prompts" "prompted:stopped"
-    (Flow_control.decision_to_string (Flow_control.process monitor ~app_id:1 (leak_packet ())))
+(* A 304 without a version header leaves the gap of the last install
+   alone; one advertising a version behind ours clears it, never below 0.
+   Neither moves the version. *)
+let test_client_304_without_news () =
+  let client = Signature_client.create () in
+  ignore
+    (Signature_client.sync client ~fetch:(fun ~since:_ ->
+         Ok (Signature_client.Installed 3)));
+  let up_to_date observed ~since:_ =
+    Ok (Signature_client.Up_to_date { observed })
+  in
+  List.iter
+    (fun (observed, gap) ->
+      (match
+         (Signature_client.sync client ~fetch:(up_to_date observed))
+           .Signature_client.outcome
+       with
+      | Signature_client.Unchanged -> ()
+      | _ -> Alcotest.fail "expected Unchanged");
+      Alcotest.(check int) "version untouched" 3 (Signature_client.version client);
+      Alcotest.(check int) "gap" gap
+        (Signature_client.staleness client).Signature_client.version_gap)
+    [ (None, 2); (Some 1, 0); (None, 0) ];
+  Alcotest.(check (option string)) "no error recorded" None
+    (Signature_client.last_error client)
 
 let suite =
   [
@@ -372,15 +337,11 @@ let suite =
         Alcotest.test_case "render" `Quick test_report_render;
         Alcotest.test_case "limit" `Quick test_report_limit;
       ] );
-    ( "monitor.signature_server",
-      [
-        Alcotest.test_case "fetch cycle" `Quick test_server_fetch_cycle;
-        Alcotest.test_case "identical publish is a no-op" `Quick
-          test_publish_identical_is_noop;
-        Alcotest.test_case "304 version gap" `Quick test_client_records_gap_from_304;
-        Alcotest.test_case "http statuses" `Quick test_server_http_statuses;
-        Alcotest.test_case "drives the monitor" `Quick test_server_drives_monitor;
-      ] );
+    ( "monitor.signature_client",
+      [ Alcotest.test_case "304 version gap" `Quick test_client_records_gap_from_304;
+        Alcotest.test_case "install records the gap" `Quick
+          test_client_install_records_gap;
+        Alcotest.test_case "304 without news" `Quick test_client_304_without_news ] );
     ( "monitor.flow_control",
       [
         Alcotest.test_case "benign allowed" `Quick test_flow_benign_allowed;

@@ -1,15 +1,12 @@
-(* Tests for the durable store (Leakdetect_store): WAL framing and
-   salvage, snapshot atomicity, recovery replay, crash-point sweeps and
-   the qcheck never-an-unwritten-record property. *)
+(* Tests for the durable-storage primitives (Leakdetect_store): WAL
+   framing and salvage, snapshot atomicity, crash-point sweeps and the
+   qcheck never-an-unwritten-record property.  Recovery of journaled state
+   built on them is tested with the authority, in test_distrib. *)
 
 module Crc32 = Leakdetect_util.Crc32
 module Fault = Leakdetect_fault.Fault
 module Wal = Leakdetect_store.Wal
 module Snapshot = Leakdetect_store.Snapshot
-module Store = Leakdetect_store.Store
-module Signature = Leakdetect_core.Signature
-module Signature_client = Leakdetect_monitor.Signature_client
-module Signature_server = Leakdetect_monitor.Signature_server
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -42,16 +39,6 @@ let spit path s =
   let oc = open_out_bin path in
   output_string oc s;
   close_out oc
-
-let sigs_a =
-  [ Signature.make ~id:0 ~mode:Signature.Conjunction ~cluster_size:3
-      [ "imei=355021930123456"; "loc=35.6" ];
-    Signature.make ~id:1 ~mode:Signature.Ordered ~cluster_size:2
-      [ "GET"; "/track"; "android_id=9774d56d682e549c" ] ]
-
-let sigs_b =
-  [ Signature.make ~id:2 ~mode:Signature.Conjunction ~cluster_size:5
-      [ "mac=00:11:22:33:44:55" ] ]
 
 (* --- WAL --- *)
 
@@ -233,227 +220,6 @@ let test_snapshot_corruption_detected () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "bad header must be an error")
 
-(* --- store: codec and apply --- *)
-
-let roundtrip_entry e =
-  match Store.entry_of_payload (Store.entry_to_payload e) with
-  | Ok e' ->
-    Alcotest.(check string) "payload-stable roundtrip"
-      (Store.entry_to_payload e) (Store.entry_to_payload e')
-  | Error err -> Alcotest.fail err
-
-let test_entry_codec () =
-  roundtrip_entry (Store.Publish { version = 3; signatures = sigs_a });
-  roundtrip_entry (Store.Sync { version = 7; signatures = sigs_b });
-  roundtrip_entry (Store.Publish { version = 1; signatures = [] });
-  roundtrip_entry (Store.Health Signature_client.Degraded);
-  (match Store.entry_of_payload "health\nconfused" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown health must not decode");
-  (match Store.entry_of_payload "publish\n-2" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "negative version must not decode");
-  match Store.entry_of_payload "mystery\n1" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown tag must not decode"
-
-let test_state_codec () =
-  let s =
-    List.fold_left Store.apply Store.empty_state
-      [ Store.Publish { version = 4; signatures = sigs_a };
-        Store.Sync { version = 4; signatures = sigs_a };
-        Store.Health Signature_client.Stale ]
-  in
-  match Store.state_of_string (Store.state_to_string s) with
-  | Ok s' -> Alcotest.(check bool) "state roundtrip" true (Store.state_equal s s')
-  | Error e -> Alcotest.fail e
-
-let test_apply_idempotent () =
-  let e = Store.Publish { version = 2; signatures = sigs_a } in
-  let s1 = Store.apply Store.empty_state e in
-  (* A duplicated tail record (torn rewrite) replays the same entry. *)
-  Alcotest.(check bool) "duplicate replay is a no-op" true
-    (Store.apply s1 e == s1);
-  (* An older version can never move the state backwards. *)
-  let old = Store.Publish { version = 1; signatures = sigs_b } in
-  Alcotest.(check bool) "stale version is a no-op" true
-    (Store.apply s1 old == s1);
-  let h = Store.Health Signature_client.Degraded in
-  let s2 = Store.apply s1 h in
-  Alcotest.(check bool) "health transition applies" true (s2 != s1);
-  Alcotest.(check bool) "re-entering the same health is a no-op" true
-    (Store.apply s2 h == s2)
-
-(* --- store: open / log / recover --- *)
-
-let log_some store =
-  Store.log store (Store.Publish { version = 1; signatures = sigs_a });
-  Store.log store (Store.Sync { version = 1; signatures = sigs_a });
-  Store.log store (Store.Health Signature_client.Degraded);
-  Store.log store (Store.Publish { version = 2; signatures = sigs_b })
-
-let test_store_reopen () =
-  with_dir (fun dir ->
-      let store, report =
-        match Store.open_ ~dir () with Ok v -> v | Error e -> Alcotest.fail e
-      in
-      Alcotest.(check bool) "fresh dir has no snapshot" true
-        (report.Store.snapshot = Store.Absent);
-      log_some store;
-      let live = Store.state store in
-      Store.close store;
-      let store', report' =
-        match Store.open_ ~dir () with Ok v -> v | Error e -> Alcotest.fail e
-      in
-      Alcotest.(check int) "all entries replayed" 4 report'.Store.replayed;
-      Alcotest.(check int) "nothing undecodable" 0 report'.Store.undecodable;
-      Alcotest.(check bool) "tail clean" true (report'.Store.tail = Wal.Clean);
-      Alcotest.(check bool) "state survives the restart" true
-        (Store.state_equal live (Store.state store'));
-      Store.close store')
-
-let test_store_compact_reopen () =
-  with_dir (fun dir ->
-      let store, _ =
-        match Store.open_ ~dir () with Ok v -> v | Error e -> Alcotest.fail e
-      in
-      log_some store;
-      let live = Store.state store in
-      Store.compact store;
-      Alcotest.(check int) "compaction resets the log"
-        (String.length Wal.magic) (Store.wal_size store);
-      Store.close store;
-      let store', report =
-        match Store.open_ ~dir () with Ok v -> v | Error e -> Alcotest.fail e
-      in
-      Alcotest.(check bool) "snapshot loaded" true
-        (report.Store.snapshot = Store.Loaded);
-      Alcotest.(check int) "no log left to replay" 0 report.Store.replayed;
-      Alcotest.(check bool) "state preserved across compaction" true
-        (Store.state_equal live (Store.state store'));
-      Store.close store')
-
-(* The crash window inside [compact]: the snapshot has been renamed into
-   place but the old log was not yet reset.  Replaying the stale log over
-   the newer snapshot must be a pile of no-ops. *)
-let test_store_compact_crash_window () =
-  with_dir (fun dir ->
-      let store, _ =
-        match Store.open_ ~dir () with Ok v -> v | Error e -> Alcotest.fail e
-      in
-      log_some store;
-      let live = Store.state store in
-      Snapshot.write (Store.snapshot_path ~dir) (Store.state_to_string live);
-      Store.close store;
-      (* Old wal.log still holds all four entries. *)
-      let store', report =
-        match Store.open_ ~dir () with Ok v -> v | Error e -> Alcotest.fail e
-      in
-      Alcotest.(check bool) "snapshot loaded" true
-        (report.Store.snapshot = Store.Loaded);
-      Alcotest.(check int) "stale replays are no-ops" report.Store.replayed
-        report.Store.stale;
-      Alcotest.(check bool) "state not double-applied" true
-        (Store.state_equal live (Store.state store'));
-      Store.close store')
-
-let test_store_corrupt_snapshot_falls_back () =
-  with_dir (fun dir ->
-      let store, _ =
-        match Store.open_ ~dir () with Ok v -> v | Error e -> Alcotest.fail e
-      in
-      log_some store;
-      Store.compact store;
-      (* Log one more entry after compaction, then damage the snapshot. *)
-      Store.log store (Store.Publish { version = 3; signatures = sigs_a });
-      Store.close store;
-      spit (Store.snapshot_path ~dir) "garbage, not a snapshot";
-      let store', report =
-        match Store.open_ ~dir () with Ok v -> v | Error e -> Alcotest.fail e
-      in
-      (match report.Store.snapshot with
-      | Store.Corrupt _ -> ()
-      | _ -> Alcotest.fail "damaged snapshot must be reported as corrupt");
-      (* Only the post-compaction entry is in the log, so the recovered
-         state is the best the WAL alone can offer: version 3 server set. *)
-      Alcotest.(check int) "post-compaction entry replayed" 1
-        report.Store.replayed;
-      Alcotest.(check int) "server version from WAL" 3
-        (Store.state store').Store.server_version;
-      Store.close store')
-
-let test_store_torn_tail_truncated () =
-  with_dir (fun dir ->
-      let store, _ =
-        match Store.open_ ~dir () with Ok v -> v | Error e -> Alcotest.fail e
-      in
-      log_some store;
-      let live = Store.state store in
-      Store.close store;
-      let wal = Store.wal_path ~dir in
-      let image = slurp wal in
-      spit wal (image ^ "torn garbage that is not a full frame");
-      let store', report =
-        match Store.open_ ~dir () with Ok v -> v | Error e -> Alcotest.fail e
-      in
-      (match report.Store.tail with
-      | Wal.Torn _ -> ()
-      | Wal.Clean -> Alcotest.fail "garbage tail must be reported torn");
-      Alcotest.(check bool) "committed entries survive" true
-        (Store.state_equal live (Store.state store'));
-      (* The repair rewrote the log: reopening is clean and appends work. *)
-      Store.log store' (Store.Health Signature_client.Healthy);
-      Store.close store';
-      let store'', report'' =
-        match Store.open_ ~dir () with Ok v -> v | Error e -> Alcotest.fail e
-      in
-      Alcotest.(check bool) "clean after repair" true
-        (report''.Store.tail = Wal.Clean);
-      Alcotest.(check string) "post-repair append survives" "healthy"
-        (Signature_client.health_to_string
-           (Store.state store'').Store.client_health);
-      Store.close store'')
-
-let test_store_restore_endpoints () =
-  with_dir (fun dir ->
-      let store, _ =
-        match Store.open_ ~dir () with Ok v -> v | Error e -> Alcotest.fail e
-      in
-      let server = Signature_server.create () in
-      let (_ : int) = Signature_server.publish server sigs_a in
-      Store.record_publish store server;
-      let client = Signature_client.create () in
-      (match
-         (Signature_client.sync client ~fetch:(Signature_server.fetch server))
-           .Signature_client.outcome
-       with
-      | Signature_client.Updated _ -> ()
-      | _ -> Alcotest.fail "loss-free sync must update");
-      Store.record_sync store client;
-      Store.close store;
-      let store', _ =
-        match Store.open_ ~dir () with Ok v -> v | Error e -> Alcotest.fail e
-      in
-      let server' = Store.restore_server store' in
-      Alcotest.(check int) "server version restored"
-        (Signature_server.current_version server)
-        (Signature_server.current_version server');
-      let client' = Store.restore_client store' in
-      Alcotest.(check int) "client version restored"
-        (Signature_client.version client)
-        (Signature_client.version client');
-      Alcotest.(check string) "client signatures byte-identical"
-        (String.concat "\n"
-           (List.map Leakdetect_core.Signature_io.to_line
-              (Signature_client.signatures client)))
-        (String.concat "\n"
-           (List.map Leakdetect_core.Signature_io.to_line
-              (Signature_client.signatures client')));
-      Alcotest.(check string) "health restored"
-        (Signature_client.health_to_string (Signature_client.health client))
-        (Signature_client.health_to_string (Signature_client.health client'));
-      Store.close store')
-
 (* --- properties --- *)
 
 (* Crash at any offset never yields a record that was not written, and
@@ -505,23 +271,9 @@ let suite =
         Alcotest.test_case "truncated header" `Quick test_wal_truncated_header;
         Alcotest.test_case "repair then append" `Quick
           test_wal_repair_then_append;
-        qtest prop_crash_salvages_prefix ] );
+        qtest prop_crash_salvages_prefix;
+        qtest prop_rate0_log_identity ] );
     ( "store.snapshot",
       [ Alcotest.test_case "roundtrip" `Quick test_snapshot_roundtrip;
         Alcotest.test_case "corruption detected" `Quick
-          test_snapshot_corruption_detected ] );
-    ( "store.store",
-      [ Alcotest.test_case "entry codec" `Quick test_entry_codec;
-        Alcotest.test_case "state codec" `Quick test_state_codec;
-        Alcotest.test_case "apply idempotent" `Quick test_apply_idempotent;
-        Alcotest.test_case "reopen replays" `Quick test_store_reopen;
-        Alcotest.test_case "compact + reopen" `Quick test_store_compact_reopen;
-        Alcotest.test_case "compact crash window" `Quick
-          test_store_compact_crash_window;
-        Alcotest.test_case "corrupt snapshot falls back" `Quick
-          test_store_corrupt_snapshot_falls_back;
-        Alcotest.test_case "torn tail truncated" `Quick
-          test_store_torn_tail_truncated;
-        Alcotest.test_case "restore endpoints" `Quick
-          test_store_restore_endpoints;
-        qtest prop_rate0_log_identity ] ) ]
+          test_snapshot_corruption_detected ] ) ]
