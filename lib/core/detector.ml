@@ -25,6 +25,7 @@ type entry = {
 type t = {
   signatures : Signature.t list;
   entries : entry array;
+  leads : int array;  (* entry i's first token id, -1 for a token-less entry *)
   automaton : Aho_corasick.t option;  (* None when there are no signatures *)
 }
 
@@ -59,7 +60,10 @@ let create signatures =
     if !n_patterns = 0 then None
     else Some (Aho_corasick.build (List.rev !patterns))
   in
-  { signatures; entries; automaton }
+  let leads =
+    Array.map (fun e -> if e.token_ids = [||] then -1 else e.token_ids.(0)) entries
+  in
+  { signatures; entries; leads; automaton }
 
 let signatures t = t.signatures
 let signature_count t = Array.length t.entries
@@ -81,11 +85,17 @@ let entry_matches entry matched content =
    test entries against the matched set; [matched] may be a reused
    per-domain scratch buffer. *)
 let first_entry t matched content =
-  let n = Array.length t.entries in
+  let leads = t.leads in
+  let n = Array.length leads in
   let rec loop i =
     if i = n then None
-    else if entry_matches t.entries.(i) matched content then Some t.entries.(i).signature
-    else loop (i + 1)
+    else
+      (* Most entries fail on their first token; testing it from the flat
+         [leads] array keeps those rejections to two loads. *)
+      let lead = Array.unsafe_get leads i in
+      if lead >= 0 && not (Array.unsafe_get matched lead) then loop (i + 1)
+      else if entry_matches t.entries.(i) matched content then Some t.entries.(i).signature
+      else loop (i + 1)
   in
   loop 0
 

@@ -10,10 +10,16 @@
 
     Digest-shaped needles (32/40 hex characters) match case-insensitively —
     ad modules emit digests in either case — while raw identifiers stay
-    byte-exact.  An optional {!Leakdetect_normalize.Normalize.t} extends
-    the scan over the bounded lattice of decoded views, so re-encoded
-    (percent/base64/hex/chunked) leaks are still classified as sensitive;
-    without it, behavior is the legacy raw-byte scan. *)
+    byte-exact.  Every needle is compiled into the
+    {!Leakdetect_text.Aho_corasick} kernel once, in {!create}, as two lanes:
+    an exact lane (all needles, digests lower-cased) and a caseless lane
+    (the digests).  A packet is one pass of both lanes together over its
+    request line, cookie and body, read in place: the flattened content and
+    its lower-cased copy are never built.  An optional
+    {!Leakdetect_normalize.Normalize.t} extends the scan over the bounded
+    lattice of decoded views, so re-encoded (percent/base64/hex/chunked)
+    leaks are still classified as sensitive; without it, behavior is the
+    legacy raw-byte scan. *)
 
 type t
 
@@ -41,8 +47,10 @@ val scan_verdicts :
   verdict list
 (** Like {!scan} but each kind carries the view that matched it, so an
     evasion report can attribute detections to decode chains.  For a kind
-    matched by several views, the earliest (raw first, then shallower
-    decode chains) wins. *)
+    matched by several views, the earliest (raw, then folded, then the
+    derived views in lattice order, shallower decode chains first) wins,
+    whichever of the kind's needles matched there and whatever order the
+    needles were given in. *)
 
 val scan :
   ?normalize:Leakdetect_normalize.Normalize.t ->

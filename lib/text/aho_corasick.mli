@@ -1,16 +1,27 @@
-(** Aho-Corasick multi-pattern matching.
+(** Aho-Corasick multi-pattern matching — the one needle kernel.
 
-    The detector checks every packet against every token of every signature;
-    scanning each token separately makes whole-trace detection quadratic in
-    practice.  This automaton finds all occurrences of all patterns in one
-    pass over the packet, after which conjunction signatures reduce to set
-    membership. *)
+    The detector checks every packet against every token of every signature,
+    and the payload check against every identifier and digest; scanning each
+    needle separately makes whole-trace work quadratic in practice.  This
+    automaton finds all occurrences of all patterns in one pass, after which
+    conjunction signatures reduce to set membership.
+
+    The goto function is one flat [int array] over byte classes: bytes that
+    occur in no pattern share class 0, so a row has as many entries as the
+    patterns have distinct bytes (plus one) rather than 256, and the scan is
+    one class load and one table load per byte.  A {e caseless} automaton
+    folds ['A'..'Z'] onto the classes of ['a'..'z'] in that map, matching
+    case-insensitively without lower-casing the text. *)
 
 type t
 
-val build : string list -> t
+val build : ?caseless:bool -> string list -> t
 (** [build patterns] compiles the automaton.  Pattern ids are positions in
     the list.  Duplicate patterns are allowed (each id reports separately).
+    With [~caseless:true] every scan of a text [s] reports exactly the
+    matches, positions and order the exact automaton reports on
+    [String.lowercase_ascii s] — so a pattern containing an upper-case
+    letter never matches.  The lower-cased text is never built.
     @raise Invalid_argument on an empty pattern. *)
 
 val pattern_count : t -> int
@@ -75,4 +86,15 @@ module Stream : sig
       [seen] (length {!pattern_count}) {e without clearing it} — the
       per-flow matched set accumulates across fragments; clear it between
       flows.  @raise Invalid_argument on a buffer of the wrong length. *)
+
+  val feed_pair_into :
+    t -> state -> bool array -> t -> state -> bool array -> ?off:int -> ?len:int ->
+    string -> unit
+  (** [feed_pair_into a sa seen_a b sb seen_b text] is
+      [feed_into a sa seen_a text] followed by [feed_into b sb seen_b text],
+      done in one pass: the two walks are independent, so interleaving them
+      overlaps their table lookups.  This is how an exact and a caseless
+      automaton scan one packet together.
+      @raise Invalid_argument on a buffer of the wrong length or an
+      out-of-bounds slice. *)
 end

@@ -208,6 +208,76 @@ let test_payload_normalize_recovers () =
            (Payload_check.via_to_string (Payload_check.View steps)))
   | _ -> Alcotest.fail "expected one View verdict"
 
+let test_payload_verdict_needle_order () =
+  (* Two IMEI needles: the literal marker sits in the raw request line, the
+     identifier only inside a base64 run.  The kind is attributed to the
+     earliest view whatever order the needles were given in. *)
+  let imei = "355021930123456" in
+  let p =
+    mk
+      ~rline:
+        ("GET /t?m=IMEIMARK&d=" ^ Leakdetect_util.Base64.encode ("id=" ^ imei)
+       ^ " HTTP/1.1")
+      ()
+  in
+  let normalize = Leakdetect_normalize.Normalize.create () in
+  List.iter
+    (fun needles ->
+      match Payload_check.scan_verdicts ~normalize (Payload_check.create needles) p with
+      | [ { Payload_check.kind = Sensitive.Imei; via = Payload_check.Raw } ] -> ()
+      | vs ->
+        Alcotest.failf "expected one raw IMEI verdict, got [%s]"
+          (String.concat "; "
+             (List.map (fun v -> Payload_check.via_to_string v.Payload_check.via) vs)))
+    [
+      [ (Sensitive.Imei, imei); (Sensitive.Imei, "IMEIMARK") ];
+      [ (Sensitive.Imei, "IMEIMARK"); (Sensitive.Imei, imei) ];
+    ]
+
+(* Needles drawn from a small pool — raw identifiers, a mixed-case carrier
+   name and digest-shaped values — so kinds share needles and carry
+   several; packet fields splice needles in raw, upper-cased,
+   percent-encoded, base64'd or truncated between short fillers. *)
+let needle_pool =
+  [| "355021930123456"; "9774d56d682e549c"; "NTTdocomo"; "IMEIMARK";
+     "9b74c9897bac770ffc029102a200c5de";
+     "9B74C9897BAC770FFC029102A200C5DE00C0FFEE";
+     "a94a8fe5ccb19ba61c4c0873d391e987982fbbd3" |]
+
+let gen_payload_case =
+  let open QCheck.Gen in
+  let needle = oneofa needle_pool in
+  let fragment =
+    oneof
+      [
+        oneofl [ "a"; "&"; "="; "x"; "%"; "3"; "id="; "\n" ];
+        needle;
+        map String.uppercase_ascii needle;
+        map String.lowercase_ascii needle;
+        map percent_encode needle;
+        map (fun n -> Leakdetect_util.Base64.encode ("id=" ^ n)) needle;
+        map2 (fun n k -> String.sub n 0 (min k (String.length n))) needle (1 -- 20);
+      ]
+  in
+  let field = map (String.concat "") (list_size (0 -- 4) fragment) in
+  let needles = list_size (1 -- 5) (pair (oneofl Sensitive.all) needle) in
+  quad needles field field field
+
+let prop_payload_check_equals_oracle =
+  QCheck.Test.make ~name:"payload check equals the per-needle oracle" ~count:300
+    (QCheck.make gen_payload_case) (fun (needles, rline, cookie, body) ->
+      let check = Payload_check.create needles in
+      let p = mk ~rline ~cookie ~body () in
+      List.for_all
+        (fun normalize ->
+          Payload_check.scan ?normalize check p
+          = Payload_check_oracle.scan ?normalize needles p
+          && Payload_check.scan_verdicts ?normalize check p
+             = Payload_check_oracle.scan_verdicts ?normalize needles p
+          && Payload_check.is_sensitive ?normalize check p
+             = Payload_check_oracle.is_sensitive ?normalize needles p)
+        [ None; Some (Leakdetect_normalize.Normalize.create ()) ])
+
 (* --- Signature --- *)
 
 let test_signature_make_validation () =
@@ -750,6 +820,9 @@ let suite =
         Alcotest.test_case "digest case folding" `Quick test_payload_digest_case;
         Alcotest.test_case "normalize recovers re-encoded leak" `Quick
           test_payload_normalize_recovers;
+        Alcotest.test_case "verdicts independent of needle order" `Quick
+          test_payload_verdict_needle_order;
+        qtest prop_payload_check_equals_oracle;
       ] );
     ( "core.signature",
       [

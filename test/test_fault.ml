@@ -10,7 +10,6 @@ module Request = Leakdetect_http.Request
 module Response = Leakdetect_http.Response
 module Trace = Leakdetect_http.Trace
 module Trace_binary = Leakdetect_http.Trace_binary
-module Trace_compressed = Leakdetect_http.Trace_compressed
 module Wire = Leakdetect_http.Wire
 module Signature = Leakdetect_core.Signature
 
@@ -310,22 +309,6 @@ let test_binary_skip_salvages_prefix () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "fail mode must error on truncation"
 
-let test_compressed_corruption_no_raise () =
-  let encoded = Trace_compressed.encode (sample_records ()) in
-  let no_raise s =
-    match Trace_compressed.decode ~on_error:`Skip s with Ok _ | Error _ -> ()
-  in
-  no_raise "NOPE";
-  no_raise "";
-  no_raise (String.sub encoded 0 (String.length encoded - 5));
-  let flipped = Bytes.of_string encoded in
-  Bytes.set flipped (Bytes.length flipped / 2)
-    (Char.chr (Char.code (Bytes.get flipped (Bytes.length flipped / 2)) lxor 0x55));
-  no_raise (Bytes.to_string flipped);
-  match Trace_compressed.decode (String.sub encoded 0 2) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "short input must error"
-
 (* --- Signature client --- *)
 
 (* A scripted fetch: answers each call with the next element of
@@ -563,7 +546,6 @@ let suite =
         qtest prop_wire_roundtrip_survives_rate0;
         Alcotest.test_case "trace skip mode" `Quick test_trace_skip_mode;
         Alcotest.test_case "binary skip salvages prefix" `Quick test_binary_skip_salvages_prefix;
-        Alcotest.test_case "compressed corruption" `Quick test_compressed_corruption_no_raise;
       ] );
     ( "fault.signature_client",
       [

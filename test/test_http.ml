@@ -408,59 +408,6 @@ let test_response_parse_errors () =
   Alcotest.(check bool) "bad code" true (is_err "HTTP/1.1 abc OK\r\n\r\n");
   Alcotest.(check bool) "bad header" true (is_err "HTTP/1.1 200 OK\r\nnocolon\r\n\r\n")
 
-(* --- Trace_compressed --- *)
-
-let test_compressed_roundtrip () =
-  let records = sample_records () in
-  match Trace_compressed.decode (Trace_compressed.encode records) with
-  | Error e -> Alcotest.failf "decode: %s" e
-  | Ok (loaded, _) ->
-    Alcotest.(check int) "count" (List.length records) (List.length loaded);
-    List.iter2
-      (fun a b ->
-        Alcotest.(check string) "content"
-          (Packet.content_string a.Trace.packet)
-          (Packet.content_string b.Trace.packet))
-      records loaded
-
-let test_compressed_file_and_size () =
-  (* Repetitive records compress well under the in-repo LZ77. *)
-  let records =
-    List.init 300 (fun i ->
-        {
-          Trace.packet =
-            Packet.v ~ip:(Leakdetect_net.Ipv4.of_int 1234) ~port:80
-              ~host:"r.ad-maker.info"
-              ~request_line:
-                (Printf.sprintf
-                   "GET /ad/sdk/img?aid=jp.co.app%d&imei=355021930123456&size=320x50 HTTP/1.1"
-                   i)
-              ~cookie:"" ~body:"";
-          app_id = i;
-          labels = [ "imei" ];
-        })
-  in
-  let plain = Trace_binary.encode records in
-  let packed = Trace_compressed.encode records in
-  Alcotest.(check bool) "compresses at least 3x" true
-    (String.length packed * 3 < String.length plain);
-  let path = Filename.temp_file "leakdetect_z" ".ldtz" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Trace_compressed.save path records;
-      match Trace_compressed.load path with
-      | Ok (loaded, _) -> Alcotest.(check int) "file roundtrip" 300 (List.length loaded)
-      | Error e -> Alcotest.failf "load: %s" e)
-
-let test_compressed_corruption () =
-  let is_err s = match Trace_compressed.decode s with Error _ -> true | Ok _ -> false in
-  Alcotest.(check bool) "bad magic" true (is_err "NOPE1234");
-  Alcotest.(check bool) "empty" true (is_err "");
-  let ok = Trace_compressed.encode (sample_records ()) in
-  Alcotest.(check bool) "truncated payload" true
-    (is_err (String.sub ok 0 (String.length ok - 5)))
-
 let suite =
   [
     ( "http.headers",
@@ -510,12 +457,6 @@ let suite =
         Alcotest.test_case "print/parse" `Quick test_response_print_parse;
         Alcotest.test_case "reasons" `Quick test_response_reasons;
         Alcotest.test_case "parse errors" `Quick test_response_parse_errors;
-      ] );
-    ( "http.trace_compressed",
-      [
-        Alcotest.test_case "roundtrip" `Quick test_compressed_roundtrip;
-        Alcotest.test_case "file + compression ratio" `Quick test_compressed_file_and_size;
-        Alcotest.test_case "corruption" `Quick test_compressed_corruption;
       ] );
     ( "http.trace_binary",
       [

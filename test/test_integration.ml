@@ -22,6 +22,43 @@ let test_payload_check_agrees_with_labels () =
   let by_label, _ = Workload.split ds in
   Alcotest.(check int) "same suspicious count" (Array.length by_label) (Array.length by_check)
 
+(* The payload check decides which packets the rest of the pipeline sees,
+   so its output is pinned byte for byte: the saved seed-42 trace (whose
+   labels come from [Payload_check.scan]) and the [split] partitions of the
+   seed-42 and seed-43 traces, each as a CRC32 taken from the per-needle
+   KMP implementation the automaton replaced. *)
+let crc_packets crc packets =
+  Array.fold_left
+    (fun c p ->
+      Leakdetect_util.Crc32.update
+        (Leakdetect_util.Crc32.update c (Leakdetect_http.Packet.content_string p))
+        "\x00")
+    crc packets
+
+let split_crc ds =
+  let suspicious, normal =
+    Payload_check.split ds.Workload.payload_check (Workload.packets ds)
+  in
+  Leakdetect_util.Crc32.(
+    value (crc_packets (update (crc_packets init suspicious) "|") normal))
+
+let test_payload_check_pinned () =
+  let ds = Workload.generate ~seed:42 ~scale:0.05 () in
+  let path = Filename.temp_file "leakdetect_pin" ".tsv" in
+  let saved =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Leakdetect_http.Trace.save path (Array.to_list ds.Workload.records);
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  let hex = Leakdetect_util.Crc32.to_hex in
+  Alcotest.(check string) "seed-42 trace bytes" "77a041bd"
+    (hex (Leakdetect_util.Crc32.string saved));
+  Alcotest.(check string) "seed-42 split" "c8954f3a" (hex (split_crc ds));
+  Alcotest.(check string) "seed-43 split" "7cce35a2"
+    (hex (split_crc (Workload.generate ~seed:43 ~scale:0.05 ())))
+
 let test_figure4_shape () =
   (* The headline claim: TP rises with N while FN falls; FP stays small.
      Run the paper's sweep on a 5% workload. *)
@@ -150,6 +187,7 @@ let suite =
       [
         Alcotest.test_case "payload check = ground truth" `Quick
           test_payload_check_agrees_with_labels;
+        Alcotest.test_case "payload check output pinned" `Quick test_payload_check_pinned;
         Alcotest.test_case "figure 4 shape" `Slow test_figure4_shape;
         Alcotest.test_case "signature soundness on sample" `Slow test_signatures_sound_on_sample;
         Alcotest.test_case "distance ablation ordering" `Slow test_ablation_ordering;

@@ -314,17 +314,111 @@ let test_ac_empty_pattern () =
     (Invalid_argument "Aho_corasick.build: empty pattern") (fun () ->
       ignore (Aho_corasick.build [ "a"; "" ]))
 
+(* Every occurrence of every pattern as [(id, end_pos)], found one pattern
+   at a time with KMP and listed in the automaton's report order: by end
+   position, then longest pattern first, then (for duplicates) highest id
+   first. *)
+let kmp_occurrences patterns text =
+  let occ = ref [] in
+  List.iteri
+    (fun id needle ->
+      let rec from i =
+        match Search.index ~from:i ~needle text with
+        | Some j ->
+          occ := (id, j + String.length needle) :: !occ;
+          from (j + 1)
+        | None -> ()
+      in
+      from 0)
+    patterns;
+  let len id = String.length (List.nth patterns id) in
+  List.sort
+    (fun (i1, e1) (i2, e2) ->
+      compare (e1, - len i1, - i1) (e2, - len i2, - i2))
+    !occ
+
+let ac_occurrences ac text =
+  let hits = ref [] in
+  Aho_corasick.iter_matches ac text (fun id pos -> hits := (id, pos) :: !hits);
+  List.rev !hits
+
+(* Patterns over a tiny alphabet, seeded with duplicates and prefixes of
+   one another so shared trie paths, failure chains and repeated ids all
+   occur. *)
+let gen_patterns alphabet =
+  let open QCheck.Gen in
+  let pat = string_size ~gen:(oneofl alphabet) (1 -- 5) in
+  list_size (1 -- 6) pat >>= fun base ->
+  let derived p =
+    oneof
+      [ return p; map (fun k -> String.sub p 0 (1 + (k mod String.length p))) nat ]
+  in
+  map (fun extra -> base @ extra) (list_size (0 -- 4) (oneofl base >>= derived))
+
 let prop_ac_agrees_with_kmp =
-  let pat_gen = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (1 -- 5)) in
-  let text_gen = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (0 -- 60)) in
+  let alphabet = [ 'a'; 'b'; 'c' ] in
   QCheck.Test.make ~name:"aho-corasick agrees with per-pattern KMP" ~count:500
-    (QCheck.make QCheck.Gen.(pair (list_size (1 -- 8) pat_gen) text_gen))
+    (QCheck.make
+       QCheck.Gen.(pair (gen_patterns alphabet) (string_size ~gen:(oneofl alphabet) (0 -- 60))))
     (fun (patterns, text) ->
       let ac = Aho_corasick.build patterns in
-      let m = Aho_corasick.matched_set ac text in
-      List.for_all2
-        (fun pattern found -> Search.contains ~needle:pattern text = found)
-        patterns (Array.to_list m))
+      let want = kmp_occurrences patterns text in
+      let seen = Array.make (List.length patterns) false in
+      Aho_corasick.matched_set_into ac seen text;
+      ac_occurrences ac text = want
+      && Aho_corasick.matched_set ac text = seen
+      && Array.to_list seen
+         = List.map (fun needle -> Search.contains ~needle text) patterns
+      && Aho_corasick.matches_any ac text = (want <> []))
+
+let prop_ac_feed_pair_into =
+  (* An exact and a caseless automaton walked together over random slices
+     give each one's own whole-string matched set. *)
+  let alphabet = [ 'a'; 'b'; 'A'; 'B'; '1' ] in
+  let gen =
+    QCheck.Gen.(
+      quad (gen_patterns alphabet) (gen_patterns alphabet)
+        (string_size ~gen:(oneofl alphabet) (0 -- 60))
+        (list_size (0 -- 8) nat))
+  in
+  QCheck.Test.make ~name:"feed_pair_into = two separate scans" ~count:500
+    (QCheck.make gen) (fun (pa, pb, text, cuts) ->
+      let a = Aho_corasick.build pa and b = Aho_corasick.build ~caseless:true pb in
+      let n = String.length text in
+      let cuts =
+        List.sort_uniq compare (0 :: n :: List.map (fun c -> if n = 0 then 0 else c mod n) cuts)
+      in
+      let seen_a = Array.make (List.length pa) false
+      and seen_b = Array.make (List.length pb) false in
+      let sa = Aho_corasick.Stream.create () and sb = Aho_corasick.Stream.create () in
+      let rec feed = function
+        | x :: (y :: _ as rest) ->
+          Aho_corasick.Stream.feed_pair_into a sa seen_a b sb seen_b ~off:x ~len:(y - x) text;
+          feed rest
+        | _ -> ()
+      in
+      feed cuts;
+      seen_a = Aho_corasick.matched_set a text
+      && seen_b = Aho_corasick.matched_set b text
+      && Aho_corasick.Stream.consumed sa = n
+      && Aho_corasick.Stream.consumed sb = n)
+
+let prop_ac_caseless_is_lowercased_scan =
+  let alphabet = [ 'a'; 'b'; 'A'; 'B'; '1' ] in
+  QCheck.Test.make ~name:"caseless scan of s = exact scan of lowercase s" ~count:500
+    (QCheck.make
+       QCheck.Gen.(pair (gen_patterns alphabet) (string_size ~gen:(oneofl alphabet) (0 -- 60))))
+    (fun (patterns, text) ->
+      let exact = Aho_corasick.build patterns
+      and caseless = Aho_corasick.build ~caseless:true patterns in
+      let lower = String.lowercase_ascii text in
+      ac_occurrences caseless text = ac_occurrences exact lower
+      && Aho_corasick.matched_set caseless text = Aho_corasick.matched_set exact lower)
+
+let test_ac_caseless () =
+  let ac = Aho_corasick.build ~caseless:true [ "9b74c9"; "NTT" ] in
+  Alcotest.(check (array bool)) "lower-case pattern matches any case; upper-case never"
+    [| true; false |] (Aho_corasick.matched_set ac "x9B74c9-NTT")
 
 (* --- resumable streaming scan --- *)
 
@@ -385,8 +479,20 @@ let prop_ac_stream_equals_whole =
           Aho_corasick.Stream.feed ac st frag (fun id pos ->
               streamed := (id, pos) :: !streamed))
         fragments;
+      (* The same split as slices of the whole text, fed in place. *)
+      let seen = Array.make (List.length patterns) false in
+      let sliced = Aho_corasick.Stream.create () in
+      ignore
+        (List.fold_left
+           (fun off frag ->
+             let len = String.length frag in
+             Aho_corasick.Stream.feed_into ac sliced seen ~off ~len text;
+             off + len)
+           0 fragments);
       List.sort compare !whole = List.sort compare !streamed
-      && Aho_corasick.Stream.consumed st = String.length text)
+      && Aho_corasick.Stream.consumed st = String.length text
+      && seen = Aho_corasick.matched_set ac text
+      && Aho_corasick.Stream.consumed sliced = String.length text)
 
 let test_matches_ordered_vs_all () =
   (* "ab" then "cd" in order in "abcd" but not in "cdab". *)
@@ -454,9 +560,12 @@ let suite =
         Alcotest.test_case "duplicates" `Quick test_ac_duplicates_and_overlap;
         Alcotest.test_case "empty pattern" `Quick test_ac_empty_pattern;
         qtest prop_ac_agrees_with_kmp;
+        Alcotest.test_case "caseless" `Quick test_ac_caseless;
+        qtest prop_ac_caseless_is_lowercased_scan;
         Alcotest.test_case "stream: boundary-spanning matches" `Quick
           test_ac_stream_boundary_spanning;
         Alcotest.test_case "stream: slice feeding" `Quick test_ac_stream_slices;
         qtest prop_ac_stream_equals_whole;
+        qtest prop_ac_feed_pair_into;
       ] );
   ]

@@ -282,7 +282,7 @@ let test_stats_cdf () =
 let test_stats_fraction_le () =
   Alcotest.(check (float 1e-9)) "half" 0.5 (Stats.fraction_le [| 1; 2; 3; 4 |] 2)
 
-(* --- Table / Csv --- *)
+(* --- Table --- *)
 
 let test_table_render () =
   let out =
@@ -302,13 +302,6 @@ let test_table_ragged_rows () =
   Alcotest.(check bool) "renders" true (String.length out > 0);
   Alcotest.(check bool) "extra cell dropped" false
     (Leakdetect_text.Search.contains ~needle:"z" out)
-
-let test_csv () =
-  Alcotest.(check string) "plain" "a,b" (Csv.line [ "a"; "b" ]);
-  Alcotest.(check string) "quoted comma" "\"a,b\",c" (Csv.line [ "a,b"; "c" ]);
-  Alcotest.(check string) "quote doubling" "\"a\"\"b\"" (Csv.line [ "a\"b" ]);
-  let doc = Csv.render ~header:[ "h1"; "h2" ] [ [ "1"; "2" ] ] in
-  Alcotest.(check string) "document" "h1,h2\n1,2\n" doc
 
 (* --- Json --- *)
 
@@ -485,6 +478,5 @@ let suite =
       [
         Alcotest.test_case "render" `Quick test_table_render;
         Alcotest.test_case "ragged rows" `Quick test_table_ragged_rows;
-        Alcotest.test_case "csv" `Quick test_csv;
       ] );
   ]
