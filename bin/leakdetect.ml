@@ -13,8 +13,9 @@
      trace      instrumented end-to-end run: span tree and a /metrics scrape
      evade      adversarial mutation replay: per-mutator recall with and
                 without the canonicalization lattice
-     soak       multi-client delta-sync soak against the journaled signature
-                authority, with crash points and convergence invariants *)
+     soak       multi-client delta-sync soak against journaled, sharded
+                signature origins, optionally behind a relay tier, with crash
+                points and convergence invariants *)
 
 open Cmdliner
 
@@ -51,7 +52,6 @@ module Normalize = Leakdetect_normalize.Normalize
 module Mutator = Leakdetect_adversary.Mutator
 module Harness = Leakdetect_adversary.Harness
 module Json = Leakdetect_util.Json
-module Soak = Leakdetect_distrib.Soak
 module Topology = Leakdetect_distrib.Topology
 module Authority = Leakdetect_distrib.Authority
 module Delta_client = Leakdetect_distrib.Delta_client
@@ -78,6 +78,11 @@ let scale_t =
       & opt float 1.0
       & info [ "scale" ] ~docv:"SCALE"
           ~doc:"Traffic scale factor; 1.0 reproduces the paper-sized trace.")
+
+(* The soak-style commands (chaos, trace, evade) default to a small trace. *)
+let scale_small_t =
+  Arg.(value & opt float 0.05
+      & info [ "scale" ] ~docv:"SCALE" ~doc:"Traffic scale factor (default 0.05).")
 
 let trace_t =
   Arg.(value
@@ -272,9 +277,15 @@ let stats_cmd =
 
 (* --- shared pipeline configuration flags --- *)
 
-let n_t =
-  Arg.(value & opt int 500
-      & info [ "n"; "sample" ] ~docv:"N" ~doc:"Suspicious packets sampled for signature generation.")
+let sample_t ?(names = [ "n"; "sample" ]) default =
+  Arg.(value & opt int default
+      & info names ~docv:"N" ~doc:"Suspicious packets sampled for signature generation.")
+
+let n_t = sample_t 500
+
+let limit_t default =
+  Arg.(value & opt int default
+      & info [ "limit" ] ~docv:"N" ~doc:"Packets to replay through the monitor.")
 
 let compressor_t =
   let parse s =
@@ -625,14 +636,11 @@ let monitor_cmd =
         & opt (some string) None
         & info [ "signatures" ] ~docv:"FILE" ~doc:"Signature file from `sign`.")
   in
-  let limit =
-    Arg.(value & opt int 10_000
-        & info [ "limit" ] ~docv:"N" ~doc:"Packets to replay through the monitor.")
-  in
   Cmd.v
     (Cmd.info "monitor"
        ~doc:"Replay a trace through the on-device information-flow-control application.")
-    Term.(const run $ seed_t $ scale_t $ trace_t $ sig_file $ limit $ normalize_t)
+    Term.(const run $ seed_t $ scale_t $ trace_t $ sig_file $ limit_t 10_000
+          $ normalize_t)
 
 (* --- chaos --- *)
 
@@ -656,6 +664,55 @@ let spit path contents =
   let oc = open_out_bin path in
   output_string oc contents;
   close_out oc
+
+(* --- plumbing and terms shared by chaos, store, trace, evade and soak --- *)
+
+(* [Some "-"] prints [contents] to stdout (ending it with a newline);
+   [Some path] writes it to [path] as is and says so. *)
+let write_out dest contents =
+  match dest with
+  | None -> ()
+  | Some "-" ->
+    print_string contents;
+    if not (String.ends_with ~suffix:"\n" contents) then print_newline ()
+  | Some path ->
+    spit path contents;
+    Printf.printf "wrote %s\n" path
+
+(* Run [f] in [dir] (created if missing, kept afterwards), or without a
+   [dir] in a fresh temporary directory removed when [f] returns. *)
+let with_state_root ~prefix dir f =
+  match dir with
+  | Some d ->
+    if not (Sys.file_exists d) then Sys.mkdir d 0o755;
+    f d
+  | None ->
+    let d = Filename.temp_file prefix "" in
+    Sys.remove d;
+    Sys.mkdir d 0o755;
+    Fun.protect ~finally:(fun () -> rm_rf d) (fun () -> f d)
+
+let syncs_t default =
+  Arg.(value & opt int default
+      & info [ "syncs" ] ~docv:"N"
+          ~doc:"Publish/sync rounds against the signature authority.")
+
+let metrics_out_t =
+  Arg.(value
+      & opt (some string) None
+      & info [ "metrics-out" ] ~docv:"FILE"
+          ~doc:
+            "Run with an active metrics registry and write its Prometheus text \
+             scrape to FILE; $(b,-) prints it to stdout.")
+
+let json_out_t =
+  Arg.(value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:"Write the full report as JSON to FILE; $(b,-) prints to stdout.")
+
+let state_dir_arg doc =
+  Arg.(opt (some string) None & info [ "state-dir" ] ~docv:"DIR" ~doc)
 
 let chaos_cmd =
   let run () seed scale n corrupt truncate drop duplicate delay server_error syncs
@@ -816,17 +873,6 @@ let chaos_cmd =
          (with torn-write damage on the committed image), recover each
          time, and check the recovered state against the committed
          history. *)
-      let state_root, cleanup_root =
-        match state_dir with
-        | Some d ->
-          if not (Sys.file_exists d) then Sys.mkdir d 0o755;
-          (d, false)
-        | None ->
-          let d = Filename.temp_file "leakdetect_state" "" in
-          Sys.remove d;
-          Sys.mkdir d 0o755;
-          (d, true)
-      in
       let dur_plan = Fault.create ~seed:(seed + 4) fault_config in
       let open_journal what dir =
         match Authority.open_ ~dir () with
@@ -838,9 +884,7 @@ let chaos_cmd =
         ( Authority.version auth ~tenant:handset_tenant,
           Authority.checksum auth ~tenant:handset_tenant )
       in
-      Fun.protect
-        ~finally:(fun () -> if cleanup_root then rm_rf state_root)
-        (fun () ->
+      with_state_root ~prefix:"leakdetect_state" state_dir (fun state_root ->
           let history_dir = Filename.concat state_root "history" in
           if Sys.file_exists history_dir then rm_rf history_dir;
           let journal, _ = open_journal "cannot open journal" history_dir in
@@ -983,26 +1027,10 @@ let chaos_cmd =
   let server_error =
     rate ~names:[ "server-error-rate" ] ~doc:"Transient server error rate." ~default:0.2
   in
-  let syncs =
-    Arg.(value & opt int 5
-        & info [ "syncs" ] ~docv:"N" ~doc:"Publish/sync rounds in the signature soak.")
-  in
   let fail_closed =
     Arg.(value & flag
         & info [ "fail-closed" ]
             ~doc:"Block everything while the signature feed is stale (default: fail-open).")
-  in
-  let limit =
-    Arg.(value & opt int 5_000
-        & info [ "limit" ] ~docv:"N" ~doc:"Recovered packets to replay through the monitor.")
-  in
-  let scale_small =
-    Arg.(value & opt float 0.05
-        & info [ "scale" ] ~docv:"SCALE" ~doc:"Traffic scale factor (soak default 0.05).")
-  in
-  let n_small =
-    Arg.(value & opt int 150
-        & info [ "n"; "sample" ] ~docv:"N" ~doc:"Suspicious packets sampled for signatures.")
   in
   let crash_points =
     Arg.(value & opt int 8
@@ -1018,13 +1046,11 @@ let chaos_cmd =
       ~doc:"Probability a durability trial damages committed log bytes." ~default:0.25
   in
   let state_dir =
-    Arg.(value
-        & opt (some string) None
-        & info [ "state-dir" ] ~docv:"DIR"
-            ~doc:
-              "Durable state directory for the soak (kept afterwards; inspect its \
-               $(b,history) journal with $(b,leakdetect store)).  Default: a temporary \
-               directory, removed at exit.")
+    Arg.value
+      (state_dir_arg
+         "Durable state directory for the soak (kept afterwards; inspect its \
+          $(b,history) journal with $(b,leakdetect store)).  Default: a temporary \
+          directory, removed at exit.")
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -1033,9 +1059,9 @@ let chaos_cmd =
           faulty wire, sync signatures from a one-tenant authority through the \
           delta client, crash and recover the authority's journal, and report \
           recovery.")
-    Term.(const run $ setup_log_t $ seed_t $ scale_small $ n_small $ corrupt $ truncate
-          $ drop $ duplicate $ delay $ server_error $ syncs $ fail_closed $ limit
-          $ crash_points $ crash_rate $ torn_write_rate $ state_dir)
+    Term.(const run $ setup_log_t $ seed_t $ scale_small_t $ sample_t 150 $ corrupt
+          $ truncate $ drop $ duplicate $ delay $ server_error $ syncs_t 5 $ fail_closed
+          $ limit_t 5_000 $ crash_points $ crash_rate $ torn_write_rate $ state_dir)
 
 (* --- store --- *)
 
@@ -1061,11 +1087,7 @@ let store_cmd =
       end;
       Authority.close auth
   in
-  let dir =
-    Arg.(required
-        & opt (some string) None
-        & info [ "state-dir" ] ~docv:"DIR" ~doc:"Signature-authority journal directory.")
-  in
+  let dir = Arg.required (state_dir_arg "Signature-authority journal directory.") in
   let compact =
     Arg.(value & flag
         & info [ "compact" ]
@@ -1081,62 +1103,52 @@ let store_cmd =
 
 (* --- trace --- *)
 
-(* Hand-rolled JSON writers for the --stats-json dump (no JSON dependency;
-   the shapes are fixed, only strings need escaping). *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* The --stats-json dump: the span forest and every metric sample. *)
 
 let rec span_json span =
-  Printf.sprintf "{\"name\":\"%s\",\"start_ns\":%d,\"duration_ns\":%d,\"children\":[%s]}"
-    (json_escape (Obs.Span.name span))
-    (Obs.Span.start_ns span) (Obs.Span.duration_ns span)
-    (String.concat "," (List.map span_json (Obs.Span.children span)))
+  Json.Obj
+    [
+      ("name", Json.String (Obs.Span.name span));
+      ("start_ns", Json.Int (Obs.Span.start_ns span));
+      ("duration_ns", Json.Int (Obs.Span.duration_ns span));
+      ("children", Json.List (List.map span_json (Obs.Span.children span)));
+    ]
 
 let sample_json (s : Obs.sample) =
-  let labels =
-    String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-         s.Obs.labels)
-  in
   let value =
     match s.Obs.value with
-    | Obs.Counter_value v -> Printf.sprintf "\"type\":\"counter\",\"value\":%d" v
-    | Obs.Gauge_value v -> Printf.sprintf "\"type\":\"gauge\",\"value\":%d" v
+    | Obs.Counter_value v -> [ ("type", Json.String "counter"); ("value", Json.Int v) ]
+    | Obs.Gauge_value v -> [ ("type", Json.String "gauge"); ("value", Json.Int v) ]
     | Obs.Histogram_value { buckets; sum; count } ->
-      Printf.sprintf "\"type\":\"histogram\",\"sum\":%.17g,\"count\":%d,\"buckets\":[%s]"
-        sum count
-        (String.concat ","
-           (List.map
-              (fun (le, c) -> Printf.sprintf "{\"le\":%.17g,\"count\":%d}" le c)
-              buckets))
+      [
+        ("type", Json.String "histogram");
+        ("sum", Json.Float sum);
+        ("count", Json.Int count);
+        ( "buckets",
+          Json.List
+            (List.map
+               (fun (le, c) -> Json.Obj [ ("le", Json.Float le); ("count", Json.Int c) ])
+               buckets) );
+      ]
   in
-  Printf.sprintf "{\"family\":\"%s\",\"help\":\"%s\",\"labels\":{%s},%s}"
-    (json_escape s.Obs.family) (json_escape s.Obs.help) labels value
+  Json.Obj
+    ([
+       ("family", Json.String s.Obs.family);
+       ("help", Json.String s.Obs.help);
+       ("labels", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) s.Obs.labels));
+     ]
+    @ value)
 
-let stats_json_string obs =
-  Printf.sprintf "{\"spans\":[%s],\"metrics\":[%s]}\n"
-    (String.concat "," (List.map span_json (Obs.root_spans obs)))
-    (String.concat "," (List.map sample_json (Obs.samples obs)))
+let stats_json obs =
+  Json.Obj
+    [
+      ("spans", Json.List (List.map span_json (Obs.root_spans obs)));
+      ("metrics", Json.List (List.map sample_json (Obs.samples obs)));
+    ]
 
 let trace_cmd =
   let run () seed scale trace n compressor linkage cut jobs limit syncs metrics_out
-      stats_json normalize =
+      stats_json_out normalize =
     let obs = Obs.create () in
     let normalize = normalize_of ~obs normalize in
     (* When generating the workload we also hold the ground-truth payload
@@ -1174,13 +1186,8 @@ let trace_cmd =
        one-tenant authority while an instrumented handset follows, so the
        authority, journal and client families move too. *)
     let client = Delta_client.create ~obs ~seed:(seed + 1) ~tenant:handset_tenant () in
-    let state_dir = Filename.temp_file "leakdetect_trace" "" in
-    Sys.remove state_dir;
-    Sys.mkdir state_dir 0o755;
     let authority =
-      Fun.protect
-        ~finally:(fun () -> rm_rf state_dir)
-        (fun () ->
+      with_state_root ~prefix:"leakdetect_trace" None (fun state_dir ->
           let authority, _report =
             match Authority.open_ ~obs ~dir:state_dir () with
             | Ok x -> x
@@ -1237,17 +1244,8 @@ let trace_cmd =
       exit_err "GET %s answered %d" Authority.metrics_endpoint
         response.Response.status;
     let scrape = response.Response.body in
-    (match metrics_out with
-    | Some "-" -> print_string scrape
-    | Some path ->
-      spit path scrape;
-      Printf.printf "wrote %s (%d bytes)\n" path (String.length scrape)
-    | None -> ());
-    (match stats_json with
-    | Some path ->
-      spit path (stats_json_string obs);
-      Printf.printf "wrote %s\n" path
-    | None -> ());
+    write_out metrics_out scrape;
+    write_out stats_json_out (Json.to_string (stats_json obs) ^ "\n");
     let families =
       List.length
         (List.sort_uniq compare (List.map (fun s -> s.Obs.family) (Obs.samples obs)))
@@ -1255,31 +1253,7 @@ let trace_cmd =
     Printf.printf "\nscrape: %d metric families\n\nspans:\n" families;
     List.iter (fun span -> print_string (Obs.Span.render span)) (Obs.root_spans obs)
   in
-  let scale_small =
-    Arg.(value & opt float 0.05
-        & info [ "scale" ] ~docv:"SCALE" ~doc:"Traffic scale factor (trace default 0.05).")
-  in
-  let n_small =
-    Arg.(value & opt int 150
-        & info [ "n"; "sample" ] ~docv:"N" ~doc:"Suspicious packets sampled for signatures.")
-  in
-  let limit =
-    Arg.(value & opt int 5_000
-        & info [ "limit" ] ~docv:"N" ~doc:"Packets to replay through the monitor.")
-  in
-  let syncs =
-    Arg.(value & opt int 3
-        & info [ "syncs" ] ~docv:"N" ~doc:"Publish/sync rounds against the signature authority.")
-  in
-  let metrics_out =
-    Arg.(value
-        & opt (some string) None
-        & info [ "metrics-out" ] ~docv:"FILE"
-            ~doc:
-              "Write the Prometheus text scrape (served by the in-process \
-               $(b,GET /metrics) endpoint) to FILE; $(b,-) prints it to stdout.")
-  in
-  let stats_json =
+  let stats_json_t =
     Arg.(value
         & opt (some string) None
         & info [ "stats-json" ] ~docv:"FILE"
@@ -1291,9 +1265,9 @@ let trace_cmd =
          "Run the full pipeline (generation, distribution, enforcement, authority \
           journal) with an active metrics registry, print the span tree, and scrape \
           the /metrics endpoint.")
-    Term.(const run $ setup_log_t $ seed_t $ scale_small $ trace_t $ n_small
-          $ compressor_t $ linkage_t $ cut_t $ jobs_t $ limit $ syncs $ metrics_out
-          $ stats_json $ normalize_t)
+    Term.(const run $ setup_log_t $ seed_t $ scale_small_t $ trace_t $ sample_t 150
+          $ compressor_t $ linkage_t $ cut_t $ jobs_t $ limit_t 5_000 $ syncs_t 3
+          $ metrics_out_t $ stats_json_t $ normalize_t)
 
 (* --- evade --- *)
 
@@ -1321,27 +1295,13 @@ let evade_cmd =
     let budgets = { Normalize.default_budgets with Normalize.max_depth = depth } in
     let report = Harness.run ~obs ~budgets ~mutators ~rates ~seed ~scale ~sample_n () in
     print_string (Harness.render report);
-    (match json_out with
-    | Some "-" -> print_endline (Json.to_string_pretty (Harness.to_json report))
-    | Some path ->
-      spit path (Json.to_string_pretty (Harness.to_json report));
-      Printf.printf "wrote %s\n" path
-    | None -> ());
-    (match metrics_out with
-    | Some "-" -> print_string (Obs.to_prometheus obs)
-    | Some path ->
-      spit path (Obs.to_prometheus obs);
-      Printf.printf "wrote %s\n" path
-    | None -> ());
+    write_out json_out (Json.to_string_pretty (Harness.to_json report));
+    write_out metrics_out (Obs.to_prometheus obs);
     match recall_floor with
     | Some floor when Harness.floor_recall report < floor ->
       exit_err "recall floor violated: %.3f < %.3f over decodable mutations"
         (Harness.floor_recall report) floor
     | _ -> ()
-  in
-  let scale_small =
-    Arg.(value & opt float 0.05
-        & info [ "scale" ] ~docv:"SCALE" ~doc:"Traffic scale factor (evade default 0.05).")
   in
   let rates =
     Arg.(value
@@ -1359,17 +1319,6 @@ let evade_cmd =
     Arg.(value & opt int Normalize.default_budgets.Normalize.max_depth
         & info [ "depth" ] ~docv:"N" ~doc:"Lattice decode-depth budget.")
   in
-  let sample_n =
-    Arg.(value & opt int 300
-        & info [ "sample" ] ~docv:"N"
-            ~doc:"Suspicious packets sampled for signature generation.")
-  in
-  let json_out =
-    Arg.(value
-        & opt (some string) None
-        & info [ "json" ] ~docv:"FILE"
-            ~doc:"Write the full report as JSON to FILE; $(b,-) prints to stdout.")
-  in
   let recall_floor =
     Arg.(value
         & opt (some float) None
@@ -1378,37 +1327,35 @@ let evade_cmd =
               "Exit non-zero unless every single-layer decodable mutation keeps \
                normalized recall >= R.")
   in
-  let metrics_out =
-    Arg.(value
-        & opt (some string) None
-        & info [ "metrics-out" ] ~docv:"FILE"
-            ~doc:
-              "Run with an active metrics registry and write the Prometheus scrape \
-               to FILE; $(b,-) prints to stdout.")
-  in
   Cmd.v
     (Cmd.info "evade"
        ~doc:
          "Replay ground-truth leaks through the evasion-mutator catalogue and \
           report per-mutator recall with and without canonicalization.")
-    Term.(const run $ setup_log_t $ seed_t $ scale_small $ rates $ mutators $ depth
-          $ sample_n $ json_out $ recall_floor $ metrics_out)
+    Term.(const run $ setup_log_t $ seed_t $ scale_small_t $ rates $ mutators $ depth
+          $ sample_t ~names:[ "sample" ] 300 $ json_out_t $ recall_floor $ metrics_out_t)
 
 let soak_cmd =
   let run () seed clients tenants ticks sync_period publishes compact_every k
       reporter_cap candidates byzantine drop corrupt server_error
       server_crash_rate client_restart_rate drain_rounds min_delta_ratio
-      topology origins standby_origins relays byzantine_relays
-      byzantine_corrupt relay_sync_period partitions partition_ticks
-      relay_crashes epoch_flips gossip_period fork_injections origin_weight
-      min_offload state_dir json_out metrics_out =
+      origins standby_origins relays byzantine_relays byzantine_corrupt
+      relay_sync_period partitions partition_ticks relay_crashes epoch_flips
+      gossip_period fork_injections origin_weight min_offload state_dir json_out
+      metrics_out =
     let config =
       {
-        Soak.default_config with
-        Soak.clients;
+        Topology.default_config with
+        Topology.origins;
+        standby_origins;
+        relays;
+        byzantine_relays;
+        byzantine_corrupt_rate = byzantine_corrupt;
+        clients;
         tenants;
         ticks;
         sync_period;
+        relay_sync_period;
         publishes;
         compact_every;
         k;
@@ -1422,112 +1369,36 @@ let soak_cmd =
             corrupt_rate = corrupt;
             server_error_rate = server_error;
           };
-        server_crash_rate;
+        partitions;
+        partition_ticks;
+        relay_crashes;
+        epoch_flips;
+        origin_crash_rate = server_crash_rate;
         client_restart_rate;
+        min_offload;
         drain_rounds;
+        gossip_period;
+        fork_injections;
+        origin_weight;
         seed;
       }
     in
     let obs = if metrics_out <> None then Obs.create () else Obs.noop in
-    let state_root, cleanup_root =
-      match state_dir with
-      | Some d ->
-        if not (Sys.file_exists d) then Sys.mkdir d 0o755;
-        (d, false)
-      | None ->
-        let d = Filename.temp_file "leakdetect_soak" "" in
-        Sys.remove d;
-        Sys.mkdir d 0o755;
-        (d, true)
+    let report =
+      with_state_root ~prefix:"leakdetect_soak" state_dir (fun root ->
+          let dir = Filename.concat root "topology" in
+          if Sys.file_exists dir then rm_rf dir;
+          try Topology.run ~obs ~dir config
+          with Invalid_argument m -> exit_err "%s" m)
     in
-    let emit_metrics () =
-      match metrics_out with
-      | None -> ()
-      | Some "-" -> print_string (Obs.to_prometheus obs)
-      | Some path ->
-        spit path (Obs.to_prometheus obs);
-        Printf.printf "metrics written to %s\n" path
-    in
-    if topology then begin
-      let tconfig =
-        {
-          Topology.default_config with
-          Topology.origins;
-          standby_origins;
-          relays;
-          byzantine_relays;
-          byzantine_corrupt_rate = byzantine_corrupt;
-          clients;
-          tenants;
-          ticks;
-          sync_period;
-          relay_sync_period;
-          publishes;
-          compact_every;
-          k;
-          reporter_cap;
-          candidates;
-          byzantine;
-          fault = config.Soak.fault;
-          partitions;
-          partition_ticks;
-          relay_crashes;
-          epoch_flips;
-          origin_crash_rate = server_crash_rate;
-          client_restart_rate;
-          min_offload;
-          drain_rounds;
-          gossip_period;
-          fork_injections;
-          origin_weight;
-          seed;
-        }
-      in
-      let report =
-        Fun.protect
-          ~finally:(fun () -> if cleanup_root then rm_rf state_root)
-          (fun () ->
-            let dir = Filename.concat state_root "topology" in
-            if Sys.file_exists dir then rm_rf dir;
-            try Topology.run ~obs ~dir tconfig
-            with Invalid_argument m -> exit_err "%s" m)
-      in
-      print_endline (Topology.summary report);
-      (match json_out with
-      | None -> ()
-      | Some "-" ->
-        print_endline (Json.to_string_pretty (Topology.report_to_json report))
-      | Some path ->
-        spit path (Json.to_string_pretty (Topology.report_to_json report));
-        Printf.printf "topology report written to %s\n" path);
-      emit_metrics ();
-      if not (Topology.ok report) then
-        exit_err "topology soak failed: invariant violation or offload floor"
-    end
-    else begin
-      let report =
-        Fun.protect
-          ~finally:(fun () -> if cleanup_root then rm_rf state_root)
-          (fun () ->
-            let dir = Filename.concat state_root "authority" in
-            if Sys.file_exists dir then rm_rf dir;
-            try Soak.run ~obs ~dir config
-            with Invalid_argument m -> exit_err "%s" m)
-      in
-      print_endline (Soak.summary report);
-      (match json_out with
-      | None -> ()
-      | Some "-" ->
-        print_endline (Json.to_string_pretty (Soak.report_to_json report))
-      | Some path ->
-        spit path (Json.to_string_pretty (Soak.report_to_json report));
-        Printf.printf "soak report written to %s\n" path);
-      emit_metrics ();
-      if not (Soak.ok report) then exit_err "soak invariants violated";
-      if report.Soak.steady_delta_ratio < min_delta_ratio then
-        exit_err "steady-state delta ratio %.1f below floor %.1f"
-          report.Soak.steady_delta_ratio min_delta_ratio
-    end
+    print_endline (Topology.summary report);
+    write_out json_out (Json.to_string_pretty (Topology.report_to_json report));
+    write_out metrics_out (Obs.to_prometheus obs);
+    if not (Topology.ok report) then
+      exit_err "soak failed: invariant violation or offload floor";
+    let ratio = Topology.steady_delta_ratio report in
+    if ratio < min_delta_ratio then
+      exit_err "steady-state delta ratio %.1f below floor %.1f" ratio min_delta_ratio
   in
   let flag_int name v doc =
     Arg.(value & opt int v & info [ name ] ~docv:"N" ~doc)
@@ -1537,9 +1408,11 @@ let soak_cmd =
   in
   let clients = flag_int "clients" 500 "Simulated delta-sync clients." in
   let tenants = flag_int "tenants" 2 "Tenants (clients assigned round-robin)." in
-  let ticks = flag_int "ticks" 2000 "Scheduler ticks (ramp is the first 2/3)." in
+  let ticks = flag_int "ticks" 2000 "Scheduler ticks (ramp is the first third)." in
   let sync_period = flag_int "sync-period" 20 "Ticks between one client's syncs." in
-  let publishes = flag_int "publishes" 40 "Signature-set publishes over the ramp." in
+  let publishes =
+    flag_int "publishes" 40 "Signature-set publishes over the first 9/10 of the run."
+  in
   let compact_every =
     flag_int "compact-every" 5 "Compact the changelog every N publishes (0 = never)."
   in
@@ -1554,7 +1427,7 @@ let soak_cmd =
   let server_error = flag_rate "server-error" 0.2 "Transient server-error rate." in
   let server_crash_rate =
     flag_rate "server-crash-rate" 0.25
-      "Crash-point probability per publish / compaction."
+      "Origin crash-point probability per publish / compaction."
   in
   let client_restart_rate =
     flag_rate "client-restart-rate" 0.01 "Per-sync client state-loss probability."
@@ -1570,98 +1443,74 @@ let soak_cmd =
               "Exit non-zero unless steady-state delta syncs outnumber full \
                downloads by at least R.")
   in
-  let topology =
-    Arg.(value
-        & flag
-        & info [ "topology" ]
-            ~doc:
-              "Run the multi-node topology soak instead: sharded origins, a \
-               relay tier with partitions, crashes and a byzantine member, \
-               and mid-soak epoch flips migrating tenants.")
-  in
-  let origins = flag_int "origins" 2 "Origins in the initial shard map (topology)." in
+  let origins = flag_int "origins" 1 "Origins in the initial shard map." in
   let standby_origins =
-    flag_int "standby-origins" 1
-      "Standby origins joining the map at odd epoch flips (topology)."
+    flag_int "standby-origins" 0 "Standby origins joining the map at odd epoch flips."
   in
-  let relays = flag_int "relays" 3 "Relay nodes between clients and origins (topology)." in
+  let relays =
+    flag_int "relays" 0
+      "Relay nodes between clients and origins; 0 has clients sync straight \
+       from their origin."
+  in
   let byzantine_relays =
-    flag_int "byzantine-relays" 1 "Relays serving corrupted bytes (topology)."
+    flag_int "byzantine-relays" 0 "Relays serving corrupted bytes (needs relays)."
   in
   let byzantine_corrupt =
-    flag_rate "byzantine-corrupt" 0.5
-      "Per-response corruption rate of a byzantine relay (topology)."
+    flag_rate "byzantine-corrupt" 0.5 "Per-response corruption rate of a byzantine relay."
   in
   let relay_sync_period =
-    flag_int "relay-sync-period" 4 "Ticks between relay upstream syncs (topology)."
+    flag_int "relay-sync-period" 4 "Ticks between relay upstream syncs."
   in
   let partitions =
-    flag_int "partitions" 3 "Relay-from-origin partitions scheduled (topology)."
+    flag_int "partitions" 0 "Relay-from-origin partitions scheduled (needs relays)."
   in
-  let partition_ticks =
-    flag_int "partition-ticks" 150 "Duration of each partition (topology)."
-  in
+  let partition_ticks = flag_int "partition-ticks" 150 "Duration of each partition." in
   let relay_crashes =
-    flag_int "relay-crashes" 2 "Relay crashes (total state loss) scheduled (topology)."
+    flag_int "relay-crashes" 0
+      "Relay crashes (total state loss) scheduled (needs relays)."
   in
   let epoch_flips =
-    flag_int "epoch-flips" 1 "Mid-soak shard-map advances migrating tenants (topology)."
+    flag_int "epoch-flips" 0
+      "Mid-soak shard-map advances migrating tenants (needs a standby origin)."
   in
   let gossip_period =
-    flag_int "gossip-period" 8
-      "Ticks between relay gossip rounds, 0 to disable (topology)."
+    flag_int "gossip-period" 8 "Ticks between relay gossip rounds, 0 to disable."
   in
   let fork_injections =
-    flag_int "fork-injections" 2
-      "Adversarial relay-mirror forks injected mid-soak (topology)."
+    flag_int "fork-injections" 0
+      "Adversarial relay-mirror forks injected mid-soak (needs relays)."
   in
   let origin_weight =
     flag_int "origin-weight" 1
-      "Shard-map capacity weight of origin 0; 1 keeps the map unweighted \
-       (topology)."
+      "Shard-map capacity weight of origin 0; 1 keeps the map unweighted."
   in
   let min_offload =
     flag_rate "min-offload" 0.8
-      "Exit non-zero unless relays absorb at least this share of client sync \
-       requests (topology)."
+      "With relays, exit non-zero unless they absorb at least this share of \
+       client sync requests."
   in
   let state_dir =
-    Arg.(value
-        & opt (some string) None
-        & info [ "state-dir" ] ~docv:"DIR"
-            ~doc:
-              "Directory for the authority journal/snapshot (default: a \
-               temporary directory, removed afterwards).")
-  in
-  let json_out =
-    Arg.(value
-        & opt (some string) None
-        & info [ "json" ] ~docv:"FILE"
-            ~doc:"Write the soak report as JSON to FILE; $(b,-) prints to stdout.")
-  in
-  let metrics_out =
-    Arg.(value
-        & opt (some string) None
-        & info [ "metrics-out" ] ~docv:"FILE"
-            ~doc:
-              "Run with an active metrics registry and write the Prometheus \
-               scrape to FILE; $(b,-) prints to stdout.")
+    Arg.value
+      (state_dir_arg
+         "Directory for the origins' journals and snapshots (default: a \
+          temporary directory, removed afterwards).")
   in
   Cmd.v
     (Cmd.info "soak"
        ~doc:
-         "Drive hundreds of simulated clients against the journaled multi-tenant \
-          signature authority through faulty transports, with server crash \
-          points, and check the convergence invariants.")
+         "Drive hundreds of simulated delta-sync clients against journaled, \
+          sharded signature origins (optionally behind a relay tier) through \
+          faulty transports, with crash points, and check the convergence \
+          invariants.")
     Term.(const run $ setup_log_t $ seed_t $ clients $ tenants $ ticks
           $ sync_period $ publishes $ compact_every $ k $ reporter_cap
           $ candidates $ byzantine $ drop $ corrupt $ server_error
           $ server_crash_rate $ client_restart_rate $ drain_rounds
-          $ min_delta_ratio $ topology $ origins $ standby_origins $ relays
+          $ min_delta_ratio $ origins $ standby_origins $ relays
           $ byzantine_relays $ byzantine_corrupt $ relay_sync_period
           $ partitions $ partition_ticks $ relay_crashes $ epoch_flips
           $ gossip_period $ fork_injections $ origin_weight
-          $ min_offload $ state_dir $ json_out $ metrics_out)
+          $ min_offload $ state_dir $ json_out_t $ metrics_out_t)
 
 let main_cmd =
   let doc = "signature generation for sensitive information leakage (ICDE 2013 reproduction)" in

@@ -7,19 +7,17 @@ module Prng = Leakdetect_util.Prng
 
 type algorithm =
   | Agglomerative of Agglomerative.linkage
-  | Nn_chain of Agglomerative.linkage
   | Kmedoids of { k : int; seed : int }
   | Dbscan of { eps : float; min_points : int }
 
 let default = Agglomerative Agglomerative.Group_average
 
 let is_hierarchical = function
-  | Agglomerative _ | Nn_chain _ -> true
+  | Agglomerative _ -> true
   | Kmedoids _ | Dbscan _ -> false
 
 let name = function
   | Agglomerative l -> "agglomerative-" ^ Agglomerative.linkage_name l
-  | Nn_chain l -> "nn-chain-" ^ Agglomerative.linkage_name l
   | Kmedoids { k; _ } -> Printf.sprintf "kmedoids-%d" k
   | Dbscan { eps; min_points } -> Printf.sprintf "dbscan-%g-%d" eps min_points
 
@@ -33,10 +31,6 @@ let run algorithm matrix =
   match algorithm with
   | Agglomerative linkage -> (
       match Agglomerative.cluster ~linkage matrix with
-      | None -> Empty
-      | Some d -> Hierarchy d)
-  | Nn_chain linkage -> (
-      match Nn_chain.cluster ~linkage matrix with
       | None -> Empty
       | Some d -> Hierarchy d)
   | Kmedoids { k; seed } ->

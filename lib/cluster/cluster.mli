@@ -1,7 +1,7 @@
 (** Unified clustering entry point.
 
-    The library's four algorithms ({!Agglomerative}, {!Nn_chain},
-    {!Kmedoids}, {!Dbscan}) historically each exposed their own [cluster]
+    The library's three algorithms ({!Agglomerative}, {!Kmedoids},
+    {!Dbscan}) historically each exposed their own [cluster]
     signature, forcing callers to bind to modules.  This module selects an
     algorithm {e by value} and returns one result shape, which is what the
     sketch-bucketed driver and the pipeline configuration need: an
@@ -12,14 +12,6 @@ type algorithm =
   | Agglomerative of Agglomerative.linkage
       (** Naive Lance-Williams agglomeration — the paper's Sec. IV-D
           procedure.  O(n^3). *)
-  | Nn_chain of Agglomerative.linkage
-      (** Nearest-neighbour-chain agglomeration, O(n^2): the same
-          hierarchy as [Agglomerative] for the reducible linkages when no
-          two candidate merges tie.  On ties the two break them
-          differently: the topology may differ, and under group-average
-          or complete linkage so may the merge heights (single linkage's
-          stay equal).  NCD matrices tie heavily — most fields are empty —
-          so swapping it in for {!default} changes signatures. *)
   | Kmedoids of { k : int; seed : int }
       (** PAM with [k] clusters; [seed] feeds a private
           {!Leakdetect_util.Prng} so the result is deterministic data. *)

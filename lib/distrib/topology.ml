@@ -144,7 +144,7 @@ type report = {
   invariants : invariants;
 }
 
-let ok r =
+let invariants_hold r =
   r.invariants.divergences = 0
   && r.invariants.regressions = 0
   && r.invariants.sub_k_promotions = 0
@@ -152,7 +152,13 @@ let ok r =
   && r.invariants.unconverged = 0
   && r.invariants.relay_divergences = 0
   && r.invariants.staleness_lapses = 0
-  && r.offload >= r.config.min_offload
+
+let ok r =
+  invariants_hold r && (r.config.relays = 0 || r.offload >= r.config.min_offload)
+
+let steady_delta_ratio r =
+  float_of_int (r.steady.delta + r.drain.delta)
+  /. float_of_int (max 1 (r.steady.snapshot + r.drain.snapshot))
 
 (* --- accumulators --- *)
 
@@ -190,7 +196,15 @@ let validate config =
   if config.standby_origins < 0 then bad "Topology: standby_origins < 0";
   if config.epoch_flips > 0 && config.standby_origins < 1 then
     bad "Topology: epoch flips need at least one standby origin";
-  if config.relays < 1 then bad "Topology: relays < 1";
+  if config.relays < 0 then bad "Topology: relays < 0";
+  if
+    config.relays = 0
+    && (config.byzantine_relays > 0 || config.partitions > 0
+       || config.relay_crashes > 0 || config.fork_injections > 0)
+  then
+    bad
+      "Topology: byzantine relays, partitions, relay crashes and fork \
+       injections need at least one relay";
   if config.byzantine_relays < 0 || config.byzantine_relays > config.relays then
     bad "Topology: byzantine_relays out of range";
   if config.clients < 1 then bad "Topology: clients < 1";
@@ -248,7 +262,7 @@ let post_candidates ~transport ~tenant ~reporter sigs =
           let get k = Option.value ~default:0 (Hashtbl.find_opt tally k) in
           Ok (get "accepted", get "duplicate", get "promoted", get "capped"))
 
-let run ?(obs = Obs.noop) ~dir config =
+let run ?(obs = Obs.noop) ?(on_sync = fun _ -> ()) ~dir config =
   validate config;
   let master_rng = Prng.create config.seed in
   let seed_of () = Prng.bits30 master_rng in
@@ -509,7 +523,7 @@ let run ?(obs = Obs.noop) ~dir config =
     record_all ()
   in
 
-  (* --- published-set evolution (as in Soak) --- *)
+  (* --- published-set evolution --- *)
   let fresh_token () = Printf.sprintf "x%06x" (Prng.int mutate_rng 0xFFFFFF) in
   let next_pub_id = Hashtbl.create 8 in
   let fresh_id tenant =
@@ -793,9 +807,12 @@ let run ?(obs = Obs.noop) ~dir config =
   let check_sync c (acc : phase_acc) =
     let before = Delta_client.counters c.dc in
     let sync_report =
-      Delta_client.sync_via c.dc
-        ~relays:(client_relay_transports c)
-        ~origin:(client_origin_transport c)
+      if config.relays = 0 then
+        Delta_client.sync c.dc ~transport:(client_origin_transport c)
+      else
+        Delta_client.sync_via c.dc
+          ~relays:(client_relay_transports c)
+          ~origin:(client_origin_transport c)
     in
     let after = Delta_client.counters c.dc in
     (match sync_report.Signature_client.outcome with
@@ -810,6 +827,7 @@ let run ?(obs = Obs.noop) ~dir config =
       c.prev_version <- v
     | Signature_client.Unchanged -> acc.a_unchanged <- acc.a_unchanged + 1
     | Signature_client.Failed _ -> acc.a_failed <- acc.a_failed + 1);
+    on_sync c.dc;
     if Prng.chance c.rng config.client_restart_rate then begin
       incr client_restarts;
       harvest_client c.dc;
@@ -849,11 +867,14 @@ let run ?(obs = Obs.noop) ~dir config =
                 Relay.inject_fork relays.(i) ~tenant)
             tenants
         | `Report (tenant, reporter, sigs, attempts) -> (
-          (* Reports enter through the relay tier and are forwarded. *)
-          let rix = Prng.int server_rng config.relays in
-          let transport raw =
-            Fault.transport reporter_plan (relay_server rix) raw
+          (* Reports enter through the relay tier and are forwarded;
+             without relays they go straight to the owner origin. *)
+          let server =
+            if config.relays = 0 then
+              Authority.wire_transport !(origin (owner_of tenant))
+            else relay_server (Prng.int server_rng config.relays)
           in
+          let transport raw = Fault.transport reporter_plan server raw in
           match post_candidates ~transport ~tenant ~reporter sigs with
           | Ok (a, d, p, cap) ->
             accepted_reports := !accepted_reports + a;
@@ -1195,58 +1216,61 @@ let summary r =
     Printf.sprintf "%s: %d delta / %d snapshot / %d unchanged / %d failed" name
       c.delta c.snapshot c.unchanged c.failed
   in
+  let relay_lines =
+    if r.config.relays = 0 then
+      [ Printf.sprintf "  origins served all %d client sync requests" r.origin_requests ]
+    else
+      [
+        Printf.sprintf
+          "  relays: %d sync rounds (%d failed), %d resnapshots (%d B), %d served, %d unready / %d inconsistent 503s"
+          r.relay_sync_rounds r.relay_sync_failures r.relay_resnapshots
+          r.resnapshot_bytes r.relay_served r.relay_unready r.relay_inconsistent;
+        Printf.sprintf
+          "  gossip: %d rounds, %d sibling catch-ups; %d forks injected, %d ranged repairs (%d B vs %d B resnapshot)"
+          r.gossip_rounds r.gossip_catchups r.forks_done r.repairs r.repair_bytes
+          r.resnapshot_bytes;
+        Printf.sprintf "  offload: %.1f%% of %d client sync requests via relays"
+          (r.offload *. 100.)
+          (r.relay_requests + r.origin_requests);
+      ]
+  in
   String.concat "\n"
-    [
-      Printf.sprintf
-        "topology: %d+%d origins, %d relays (%d byzantine), %d clients, %d tenants, %d ticks (seed %d)"
-        r.config.origins r.config.standby_origins r.config.relays
-        r.config.byzantine_relays r.config.clients r.config.tenants
-        r.config.ticks r.config.seed;
-      p "  ramp  " r.ramp;
-      p "  steady" r.steady;
-      p "  drain " r.drain;
-      Printf.sprintf
-        "  topology: %d partitions, %d relay crashes, %d epoch flips (%d tenants migrated, final epoch %d)"
-        r.partitions_done r.relay_crashes_done r.epoch_flips_done r.migrations
-        r.final_epoch;
-      Printf.sprintf
-        "  origins: %d crashes (%d torn tails), %d recoveries, %d compactions"
-        r.origin_crashes r.torn_tails r.recoveries r.compactions;
-      Printf.sprintf
-        "  relays: %d sync rounds (%d failed), %d resnapshots (%d B), %d served, %d unready / %d inconsistent 503s"
-        r.relay_sync_rounds r.relay_sync_failures r.relay_resnapshots
-        r.resnapshot_bytes r.relay_served r.relay_unready r.relay_inconsistent;
-      Printf.sprintf
-        "  gossip: %d rounds, %d sibling catch-ups; %d forks injected, %d ranged repairs (%d B vs %d B resnapshot)"
-        r.gossip_rounds r.gossip_catchups r.forks_done r.repairs r.repair_bytes
-        r.resnapshot_bytes;
-      Printf.sprintf
-        "  crowd: %d promotions (%d on recovery), %d accepted / %d duplicate / %d capped / %d lost (%d forwarded, %d forward failures)"
-        r.promotions r.promoted_on_recovery r.accepted_reports
-        r.duplicate_reports r.capped_reports r.lost_reports r.forwarded_reports
-        r.forward_failures;
-      Printf.sprintf
-        "  clients: %d restarts, %d forced-full, %d refused regressions, %d fork smells, %d escalations, %d 421-follows"
-        r.client_restarts r.forced_full r.regressions_refused r.fork_smells
-        r.escalations r.misdirected_follows;
-      Printf.sprintf "  offload: %.1f%% of %d client sync requests via relays"
-        (r.offload *. 100.)
-        (r.relay_requests + r.origin_requests);
-      Printf.sprintf
-        "  invariants: %d divergences, %d regressions, %d sub-k promotions, %d recovery mismatches, %d unconverged, %d relay divergences, %d staleness lapses"
-        r.invariants.divergences r.invariants.regressions
-        r.invariants.sub_k_promotions r.invariants.recovery_mismatches
-        r.invariants.unconverged r.invariants.relay_divergences
-        r.invariants.staleness_lapses;
-      (if ok r then "  OK"
-       else if
-         r.invariants.divergences = 0
-         && r.invariants.regressions = 0
-         && r.invariants.sub_k_promotions = 0
-         && r.invariants.recovery_mismatches = 0
-         && r.invariants.unconverged = 0
-         && r.invariants.relay_divergences = 0
-         && r.invariants.staleness_lapses = 0
-       then "  OFFLOAD BELOW FLOOR"
-       else "  INVARIANT VIOLATION");
-    ]
+    ([
+       Printf.sprintf
+         "topology: %d+%d origins, %d relays (%d byzantine), %d clients, %d tenants, %d ticks (seed %d)"
+         r.config.origins r.config.standby_origins r.config.relays
+         r.config.byzantine_relays r.config.clients r.config.tenants
+         r.config.ticks r.config.seed;
+       p "  ramp  " r.ramp;
+       p "  steady" r.steady;
+       p "  drain " r.drain;
+       Printf.sprintf
+         "  topology: %d partitions, %d relay crashes, %d epoch flips (%d tenants migrated, final epoch %d)"
+         r.partitions_done r.relay_crashes_done r.epoch_flips_done r.migrations
+         r.final_epoch;
+       Printf.sprintf
+         "  origins: %d crashes (%d torn tails), %d recoveries, %d compactions"
+         r.origin_crashes r.torn_tails r.recoveries r.compactions;
+     ]
+    @ relay_lines
+    @ [
+        Printf.sprintf
+          "  crowd: %d promotions (%d on recovery), %d accepted / %d duplicate / %d capped / %d lost (%d forwarded, %d forward failures)"
+          r.promotions r.promoted_on_recovery r.accepted_reports
+          r.duplicate_reports r.capped_reports r.lost_reports r.forwarded_reports
+          r.forward_failures;
+        Printf.sprintf
+          "  clients: %d restarts, %d forced-full, %d refused regressions, %d fork smells, %d escalations, %d 421-follows"
+          r.client_restarts r.forced_full r.regressions_refused r.fork_smells
+          r.escalations r.misdirected_follows;
+        Printf.sprintf "  steady delta:snapshot ratio %.1f" (steady_delta_ratio r);
+        Printf.sprintf
+          "  invariants: %d divergences, %d regressions, %d sub-k promotions, %d recovery mismatches, %d unconverged, %d relay divergences, %d staleness lapses"
+          r.invariants.divergences r.invariants.regressions
+          r.invariants.sub_k_promotions r.invariants.recovery_mismatches
+          r.invariants.unconverged r.invariants.relay_divergences
+          r.invariants.staleness_lapses;
+        (if ok r then "  OK"
+         else if invariants_hold r then "  OFFLOAD BELOW FLOOR"
+         else "  INVARIANT VIOLATION");
+      ])

@@ -5,8 +5,7 @@
 
     - origins partition tenants by a {!Shard_map} (rendezvous hashing at
       an explicit epoch); every origin journals to its own directory and
-      crashes/recovers mid-publish and mid-compaction like the
-      single-origin {!Soak};
+      crashes/recovers mid-publish and mid-compaction;
     - relays ({!Relay}) sync each tenant from its owning origin through a
       faulty transport and re-serve the fleet, fail-static across
       partitions;
@@ -35,14 +34,21 @@
     committed state; and after a bounded drain every client converges to
     its tenant's post-rebalance owner's head.  The origin-offload ratio
     (client sync requests absorbed by relays) is reported and gated at
-    [min_offload]. *)
+    [min_offload].
+
+    With [relays = 0] the same engine is the single-origin soak: clients
+    {!Delta_client.sync} straight against their owner origin (still
+    through the 421 redirect), candidate reports are POSTed to that
+    origin, and the offload floor does not apply.  The relay-only
+    hostilities (byzantine relays, partitions, relay crashes, fork
+    injections) must then be zero. *)
 
 type config = {
   origins : int;  (** Origins in the initial shard map. *)
   standby_origins : int;
       (** Extra origins that join the map at odd epoch flips (and leave
           again at even ones) — the migration driver. *)
-  relays : int;
+  relays : int;  (** 0 runs the relay-free single-origin soak. *)
   byzantine_relays : int;
       (** Of the relays, how many serve corrupted bytes (rate below). *)
   byzantine_corrupt_rate : float;
@@ -164,12 +170,26 @@ type report = {
 }
 
 val ok : report -> bool
-(** All invariants zero {e and} [offload >= min_offload]. *)
+(** All invariants zero {e and}, when there are relays,
+    [offload >= min_offload]. *)
 
-val run : ?obs:Leakdetect_obs.Obs.t -> dir:string -> config -> report
+val steady_delta_ratio : report -> float
+(** Steady+drain delta updates per snapshot update (the delta count
+    itself when no snapshot was needed) — the share of warm-fleet syncs
+    the changelog served. *)
+
+val run :
+  ?obs:Leakdetect_obs.Obs.t ->
+  ?on_sync:(Delta_client.t -> unit) ->
+  dir:string ->
+  config ->
+  report
 (** Run the topology soak; [dir] gets one journal directory per origin.
-    Deterministic in [config.seed].
-    @raise Invalid_argument on a nonsensical config. *)
+    Deterministic in [config.seed].  [on_sync] sees each client right
+    after each of its sync rounds — where a test checks the client's
+    state against an independent witness.
+    @raise Invalid_argument on a nonsensical config, including relay-only
+    hostilities with [relays = 0]. *)
 
 val report_to_json : report -> Leakdetect_util.Json.t
 (** Self-contained artifact: the full config (every rate and the seed)

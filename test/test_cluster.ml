@@ -127,6 +127,60 @@ let test_cluster_edge_cases () =
 let random_matrix rng n =
   Dist_matrix.build n (fun _ _ -> Leakdetect_util.Prng.float rng)
 
+(* Items 0 and 1 are 1 apart, every other pair 0.5.  The scan takes the
+   lowest-index pair among ties: it merges {0,2}, then adds 3 (a 0.5
+   tie), then 1 at 2/3.  Pairing {0,2} and {1,3} and joining them at 5/8
+   is an equally valid group-average hierarchy, so the tie-break is part
+   of what fixes the signatures (DESIGN.md §9). *)
+let test_tie_order_pinned () =
+  let m = Dist_matrix.build 4 (fun i j -> if i + j = 1 then 1. else 0.5) in
+  let tree = Option.get (Agglomerative.cluster m) in
+  Alcotest.(check (float 1e-9)) "root" (2. /. 3.) (Dendrogram.height tree);
+  Alcotest.(check (list (float 1e-9))) "merge heights" [ 2. /. 3.; 0.5; 0.5 ]
+    (Dendrogram.heights tree);
+  Alcotest.(check (list (list int))) "clusters below the root"
+    [ [ 0; 2; 3 ]; [ 1 ] ]
+    (List.map Dendrogram.members (Dendrogram.cut ~threshold:0.6 tree))
+
+(* Distances drawn from at most four values, like NCD matrices full of
+   empty fields: most candidate merges tie. *)
+let tied_matrix rng n =
+  let values = [| 0.; 0.5; 0.75; 1. |] in
+  let k = 1 + Leakdetect_util.Prng.int rng (Array.length values) in
+  Dist_matrix.build n (fun _ _ -> values.(Leakdetect_util.Prng.int rng k))
+
+(* Every merge sits at the linkage distance between its two children's
+   leaves in the original matrix, and no merge sits below a child merge. *)
+let consistent_hierarchy linkage m tree =
+  let link a b =
+    let ds = List.concat_map (fun i -> List.map (fun j -> Dist_matrix.get m i j) b) a in
+    match linkage with
+    | Agglomerative.Single -> List.fold_left Float.min infinity ds
+    | Agglomerative.Complete -> List.fold_left Float.max neg_infinity ds
+    | Agglomerative.Group_average ->
+      List.fold_left ( +. ) 0. ds /. float_of_int (List.length ds)
+  in
+  let rec ok = function
+    | Dendrogram.Leaf _ -> true
+    | Dendrogram.Node { left; right; height; _ } ->
+      Float.abs (height -. link (Dendrogram.members left) (Dendrogram.members right)) < 1e-9
+      && Dendrogram.height left <= height +. 1e-9
+      && Dendrogram.height right <= height +. 1e-9
+      && ok left && ok right
+  in
+  ok tree
+
+(* Ties everywhere: the hierarchy still covers every leaf once and each
+   merge height is the linkage distance of its children. *)
+let prop_tied linkage name =
+  QCheck.Test.make ~count:200
+    ~name:(Printf.sprintf "agglomerative on tied distances (%s)" name)
+    QCheck.(pair (int_range 2 22) small_nat)
+    (fun (n, seed) ->
+      let m = tied_matrix (Leakdetect_util.Prng.create ((n * 97) + seed)) n in
+      let tree = Option.get (Agglomerative.cluster ~linkage m) in
+      Dendrogram.members tree = List.init n Fun.id && consistent_hierarchy linkage m tree)
+
 let prop_leaves_preserved =
   QCheck.Test.make ~name:"clustering preserves all leaves" ~count:100
     QCheck.(int_range 1 25)
@@ -165,113 +219,6 @@ let prop_single_below_complete =
       let m = random_matrix rng n in
       let h linkage = Dendrogram.height (Option.get (Agglomerative.cluster ~linkage m)) in
       h Agglomerative.Single <= h Agglomerative.Complete +. 1e-9)
-
-(* --- Nn_chain --- *)
-
-let sorted_heights tree =
-  List.sort compare (Dendrogram.heights tree)
-
-let test_nn_chain_hand_case () =
-  let points = [| 0.; 1.; 5. |] in
-  let m = Dist_matrix.build 3 (fun i j -> Float.abs (points.(i) -. points.(j))) in
-  match Nn_chain.cluster m with
-  | None -> Alcotest.fail "no tree"
-  | Some tree ->
-    Alcotest.(check (float 1e-9)) "root height" 4.5 (Dendrogram.height tree);
-    Alcotest.(check (list int)) "leaves" [ 0; 1; 2 ] (Dendrogram.members tree)
-
-let test_nn_chain_edge_cases () =
-  Alcotest.(check bool) "empty" true (Nn_chain.cluster (Dist_matrix.create 0) = None);
-  (match Nn_chain.cluster (Dist_matrix.create 1) with
-  | Some (Dendrogram.Leaf 0) -> ()
-  | _ -> Alcotest.fail "singleton");
-  match Nn_chain.cluster (Dist_matrix.create 2) with
-  | Some t -> Alcotest.(check int) "pair" 2 (Dendrogram.size t)
-  | None -> Alcotest.fail "pair"
-
-let prop_nn_chain_matches_naive linkage name =
-  QCheck.Test.make ~name ~count:80
-    QCheck.(int_range 2 22)
-    (fun n ->
-      let rng = Leakdetect_util.Prng.create (n * 97) in
-      let m = random_matrix rng n in
-      let naive = Option.get (Agglomerative.cluster ~linkage m) in
-      let chain = Option.get (Nn_chain.cluster ~linkage m) in
-      Dendrogram.members chain = List.init n Fun.id
-      && List.for_all2
-           (fun a b -> Float.abs (a -. b) < 1e-6)
-           (sorted_heights naive) (sorted_heights chain))
-
-let prop_nn_chain_average =
-  prop_nn_chain_matches_naive Agglomerative.Group_average
-    "nn-chain = naive merge heights (group-average)"
-
-let prop_nn_chain_single =
-  prop_nn_chain_matches_naive Agglomerative.Single
-    "nn-chain = naive merge heights (single)"
-
-let prop_nn_chain_complete =
-  prop_nn_chain_matches_naive Agglomerative.Complete
-    "nn-chain = naive merge heights (complete)"
-
-(* Distances drawn from at most four values, like NCD matrices full of
-   empty fields: most candidate merges tie. *)
-let tied_matrix rng n =
-  let values = [| 0.; 0.5; 0.75; 1. |] in
-  let k = 1 + Leakdetect_util.Prng.int rng (Array.length values) in
-  Dist_matrix.build n (fun _ _ -> values.(Leakdetect_util.Prng.int rng k))
-
-(* Every merge sits at the linkage distance between its two children's
-   leaves in the original matrix, and no merge sits below a child merge. *)
-let consistent_hierarchy linkage m tree =
-  let link a b =
-    let ds = List.concat_map (fun i -> List.map (fun j -> Dist_matrix.get m i j) b) a in
-    match linkage with
-    | Agglomerative.Single -> List.fold_left Float.min infinity ds
-    | Agglomerative.Complete -> List.fold_left Float.max neg_infinity ds
-    | Agglomerative.Group_average ->
-      List.fold_left ( +. ) 0. ds /. float_of_int (List.length ds)
-  in
-  let rec ok = function
-    | Dendrogram.Leaf _ -> true
-    | Dendrogram.Node { left; right; height; _ } ->
-      Float.abs (height -. link (Dendrogram.members left) (Dendrogram.members right)) < 1e-9
-      && Dendrogram.height left <= height +. 1e-9
-      && Dendrogram.height right <= height +. 1e-9
-      && ok left && ok right
-  in
-  ok tree
-
-(* On ties the two algorithms break ties differently.  Both must still
-   build a consistent hierarchy over every leaf; single linkage's heights
-   (the minimum spanning tree's edges) must also agree. *)
-let prop_nn_chain_tied =
-  List.map
-    (fun (linkage, name) ->
-      QCheck.Test.make ~count:200
-        ~name:(Printf.sprintf "nn-chain on tied distances (%s)" name)
-        QCheck.(pair (int_range 2 22) small_nat)
-        (fun (n, seed) ->
-          let m = tied_matrix (Leakdetect_util.Prng.create ((n * 97) + seed)) n in
-          let naive = Option.get (Agglomerative.cluster ~linkage m) in
-          let chain = Option.get (Nn_chain.cluster ~linkage m) in
-          Dendrogram.members chain = List.init n Fun.id
-          && consistent_hierarchy linkage m naive
-          && consistent_hierarchy linkage m chain
-          && (linkage <> Agglomerative.Single || sorted_heights naive = sorted_heights chain)))
-    [ (Agglomerative.Group_average, "group-average"); (Agglomerative.Single, "single");
-      (Agglomerative.Complete, "complete") ]
-
-let test_nn_chain_tie_changes_heights () =
-  (* Items 0 and 1 are 1 apart, every other pair 0.5.  The naive scan
-     merges {0,2}, then adds 3 (a 0.5 tie), then 1 at 2/3; the chain pairs
-     {0,2} and {1,3} and joins them at 5/8.  Both are valid group-average
-     hierarchies, which is why Nn_chain cannot replace the default without
-     changing signatures. *)
-  let m = Dist_matrix.build 4 (fun i j -> if i + j = 1 then 1. else 0.5) in
-  let root algo = Dendrogram.height (Option.get (algo m)) in
-  Alcotest.(check (float 1e-9)) "naive root" (2. /. 3.) (root (Agglomerative.cluster ?linkage:None));
-  Alcotest.(check (float 1e-9)) "nn-chain root" 0.625 (root (Nn_chain.cluster ?linkage:None))
 
 (* --- Kmedoids --- *)
 
@@ -416,7 +363,7 @@ let prop_run_flat_clusters_partition =
         List.sort compare (List.concat flat) = List.init n Fun.id
       in
       covers (Cluster.Agglomerative Agglomerative.Group_average) 0.4
-      && covers (Cluster.Nn_chain Agglomerative.Complete) infinity
+      && covers (Cluster.Agglomerative Agglomerative.Complete) infinity
       && covers (Cluster.Kmedoids { k = 1 + (seed mod 4); seed }) infinity
       && covers (Cluster.Dbscan { eps = 0.3; min_points = 2 }) infinity)
 
@@ -437,7 +384,7 @@ let test_run_empty_and_names () =
   Alcotest.(check string) "default name" "agglomerative-group-average"
     (Cluster.name Cluster.default);
   Alcotest.(check bool) "hierarchical split" true
-    (Cluster.is_hierarchical (Cluster.Nn_chain Agglomerative.Single)
+    (Cluster.is_hierarchical (Cluster.Agglomerative Agglomerative.Single)
     && not (Cluster.is_hierarchical (Cluster.Dbscan { eps = 1.; min_points = 2 })))
 
 let test_run_dbscan_noise_singletons () =
@@ -475,21 +422,15 @@ let suite =
         Alcotest.test_case "linkages differ as expected" `Quick test_linkage_differs;
         Alcotest.test_case "edge cases" `Quick test_cluster_edge_cases;
         Alcotest.test_case "linkage names" `Quick test_linkage_names;
+        Alcotest.test_case "tie order pinned" `Quick test_tie_order_pinned;
         qtest prop_leaves_preserved;
         qtest prop_merge_count;
         qtest prop_group_average_monotone;
         qtest prop_single_below_complete;
+        qtest (prop_tied Agglomerative.Group_average "group-average");
+        qtest (prop_tied Agglomerative.Single "single");
+        qtest (prop_tied Agglomerative.Complete "complete");
       ] );
-    ( "cluster.nn_chain",
-      [
-        Alcotest.test_case "hand case" `Quick test_nn_chain_hand_case;
-        Alcotest.test_case "edge cases" `Quick test_nn_chain_edge_cases;
-        Alcotest.test_case "ties change heights" `Quick test_nn_chain_tie_changes_heights;
-        qtest prop_nn_chain_average;
-        qtest prop_nn_chain_single;
-        qtest prop_nn_chain_complete;
-      ]
-      @ List.map qtest prop_nn_chain_tied );
     ( "cluster.kmedoids",
       [
         Alcotest.test_case "two blobs" `Quick test_kmedoids_two_blobs;

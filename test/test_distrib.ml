@@ -4,6 +4,7 @@
    miniature end-to-end fault soak. *)
 
 module Crc32 = Leakdetect_util.Crc32
+module Json = Leakdetect_util.Json
 module Fault = Leakdetect_fault.Fault
 module Wal = Leakdetect_store.Wal
 module Http = Leakdetect_http
@@ -16,7 +17,6 @@ module Authority = Leakdetect_distrib.Authority
 module Delta_client = Leakdetect_distrib.Delta_client
 module Shard_map = Leakdetect_distrib.Shard_map
 module Relay = Leakdetect_distrib.Relay
-module Soak = Leakdetect_distrib.Soak
 module Topology = Leakdetect_distrib.Topology
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -885,6 +885,27 @@ let test_delta_client_happy_path () =
   | Signature_client.Unchanged -> ()
   | _ -> Alcotest.fail "up-to-date sync must be Unchanged"
 
+(* An Add of an id the client already holds travels as a delta and
+   replaces that signature in place. *)
+let test_delta_client_replace_by_id () =
+  let auth = Authority.create () in
+  let c = new_client "t0" in
+  ignore (Authority.publish auth ~tenant:"t0" [ s1; s2 ]);
+  ignore (sync_updated "bootstrap" c (loss_free auth));
+  let s1' = sig_ 1 [ "imei=355021930123456"; "loc=51.5" ] in
+  ignore (Authority.publish auth ~tenant:"t0" [ s1'; s2 ]);
+  ignore (sync_updated "replace" c (loss_free auth));
+  (match Delta_client.last_update c with
+  | Some (`Delta [ { Changelog.change = Changelog.Add s; _ } ]) ->
+    check_set "the change is an Add of id 1" [ s1' ] [ s ]
+  | _ -> Alcotest.fail "expected a one-entry delta");
+  check_set "replaced by id" [ s1'; s2 ] (Delta_client.signatures c);
+  Alcotest.(check int) "checksum matches the authority"
+    (Authority.checksum auth ~tenant:"t0")
+    (Delta_client.checksum c);
+  Alcotest.(check int) "no snapshot needed" 0
+    (Delta_client.counters c).Delta_client.snapshot_updates
+
 let test_delta_client_gap_forces_full () =
   let auth =
     Authority.create ~config:{ Authority.default_config with compact_keep = 1 } ()
@@ -1126,18 +1147,35 @@ let test_chaos_sync_converges_lossy () =
 
 (* --- mini soak: end-to-end, faults and crash points on --- *)
 
+(* The single-origin soak: the topology engine with no relay tier. *)
+let relay_free =
+  {
+    Topology.default_config with
+    Topology.origins = 1;
+    standby_origins = 0;
+    relays = 0;
+    byzantine_relays = 0;
+    partitions = 0;
+    relay_crashes = 0;
+    epoch_flips = 0;
+    fork_injections = 0;
+  }
+
 let test_mini_soak () =
   with_dir (fun dir ->
       let config =
         {
-          Soak.default_config with
-          Soak.clients = 24;
+          relay_free with
+          Topology.clients = 24;
+          tenants = 2;
           ticks = 240;
           sync_period = 12;
           publishes = 10;
           compact_every = 4;
           candidates = 3;
           byzantine = 1;
+          origin_crash_rate = 0.25;
+          client_restart_rate = 0.01;
           drain_rounds = 30;
           seed = 5;
         }
@@ -1152,20 +1190,116 @@ let test_mini_soak () =
           <> Changelog_oracle.checksum_set (Delta_client.signatures dc)
         then incr mismatches
       in
-      let report = Soak.run ~on_sync ~dir config in
+      let report = Topology.run ~on_sync ~dir config in
       Alcotest.(check bool) "syncs witnessed" true (!syncs > 0);
       Alcotest.(check int) "client checksums match the oracle" 0 !mismatches;
-      let inv = report.Soak.invariants in
-      Alcotest.(check int) "no divergence" 0 inv.Soak.divergences;
-      Alcotest.(check int) "no regressions" 0 inv.Soak.regressions;
-      Alcotest.(check int) "no sub-k promotions" 0 inv.Soak.sub_k_promotions;
-      Alcotest.(check int) "no recovery mismatches" 0 inv.Soak.recovery_mismatches;
-      Alcotest.(check int) "everyone converged" 0 inv.Soak.unconverged;
-      Alcotest.(check bool) "ok" true (Soak.ok report);
+      let inv = report.Topology.invariants in
+      Alcotest.(check int) "no divergence" 0 inv.Topology.divergences;
+      Alcotest.(check int) "no regressions" 0 inv.Topology.regressions;
+      Alcotest.(check int) "no sub-k promotions" 0 inv.Topology.sub_k_promotions;
+      Alcotest.(check int) "no recovery mismatches" 0
+        inv.Topology.recovery_mismatches;
+      Alcotest.(check int) "everyone converged" 0 inv.Topology.unconverged;
+      Alcotest.(check bool) "ok" true (Topology.ok report);
+      Alcotest.(check int) "no relay traffic" 0 report.Topology.relay_requests;
       Alcotest.(check bool) "faults actually fired" true
-        (List.exists (fun (_, n) -> n > 0) report.Soak.fault_events);
+        (List.exists (fun (_, n) -> n > 0) report.Topology.fault_events);
       Alcotest.(check bool) "deltas dominate snapshots" true
-        (report.Soak.steady_delta_ratio >= 1.0))
+        (Topology.steady_delta_ratio report >= 1.0))
+
+let test_relay_free_refuses_relay_hostilities () =
+  List.iter
+    (fun (what, config) ->
+      with_dir (fun dir ->
+          match Topology.run ~dir config with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "%s without relays must be refused" what))
+    [
+      ("a byzantine relay", { relay_free with Topology.byzantine_relays = 1 });
+      ("a partition", { relay_free with Topology.partitions = 1 });
+      ("a relay crash", { relay_free with Topology.relay_crashes = 1 });
+      ("a fork injection", { relay_free with Topology.fork_injections = 1 });
+    ]
+
+(* A small relay-free run: every client request goes to the origin. *)
+let small_relay_free =
+  {
+    relay_free with
+    Topology.clients = 12;
+    tenants = 2;
+    ticks = 120;
+    sync_period = 8;
+    publishes = 6;
+    candidates = 2;
+    drain_rounds = 20;
+    seed = 3;
+  }
+
+(* The offload floor gates relayed runs only: with no relays the offload
+   is 0 by construction and [ok] rests on the invariants alone. *)
+let test_relay_free_ignores_offload_floor () =
+  with_dir (fun dir ->
+      let report =
+        Topology.run ~dir { small_relay_free with Topology.min_offload = 0.99 }
+      in
+      Alcotest.(check (float 0.)) "no offload" 0. report.Topology.offload;
+      Alcotest.(check bool) "origins served every request" true
+        (report.Topology.origin_requests > 0);
+      Alcotest.(check bool) "ok without the floor" true (Topology.ok report);
+      let relayed =
+        { report with
+          Topology.config = { report.Topology.config with Topology.relays = 1 } }
+      in
+      Alcotest.(check bool) "the floor gates a relayed report" false
+        (Topology.ok relayed))
+
+(* Candidate reports go straight to the owner origin and promote there. *)
+let test_relay_free_candidates_promote () =
+  with_dir (fun dir ->
+      let report = Topology.run ~dir small_relay_free in
+      Alcotest.(check bool) "reports accepted" true
+        (report.Topology.accepted_reports > 0);
+      Alcotest.(check bool) "candidates promoted" true
+        (report.Topology.promotions > 0);
+      Alcotest.(check int) "nothing forwarded" 0 report.Topology.forwarded_reports;
+      Alcotest.(check int) "no sub-k promotions" 0
+        report.Topology.invariants.Topology.sub_k_promotions)
+
+(* Without relays an epoch flip still migrates tenants: clients find the
+   new owner by following the origin's 421 redirect. *)
+let test_relay_free_epoch_flip () =
+  with_dir (fun dir ->
+      let report =
+        Topology.run ~dir
+          { small_relay_free with
+            Topology.standby_origins = 1;
+            epoch_flips = 1;
+            tenants = 6;
+            ticks = 240 }
+      in
+      Alcotest.(check int) "the epoch flipped" 1 report.Topology.epoch_flips_done;
+      Alcotest.(check bool) "tenants moved" true (report.Topology.migrations > 0);
+      Alcotest.(check bool) "clients followed redirects" true
+        (report.Topology.misdirected_follows > 0);
+      Alcotest.(check int) "no relay traffic" 0 report.Topology.relay_requests;
+      Alcotest.(check bool) "ok" true (Topology.ok report))
+
+let test_steady_delta_ratio () =
+  with_dir (fun dir ->
+      let report = Topology.run ~dir small_relay_free in
+      let phases steady drain =
+        let c delta snapshot =
+          { Topology.delta; snapshot; unchanged = 0; failed = 0 }
+        in
+        Topology.steady_delta_ratio
+          { report with Topology.steady = c (fst steady) (snd steady);
+                        drain = c (fst drain) (snd drain) }
+      in
+      Alcotest.(check (float 1e-9)) "steady + drain deltas per snapshot" 3.
+        (phases (10, 3) (2, 1));
+      Alcotest.(check (float 1e-9)) "no snapshot: the delta count" 7.
+        (phases (5, 0) (2, 0));
+      Alcotest.(check (float 1e-9)) "ramp is not counted" 0. (phases (0, 2) (0, 0)))
 
 (* --- changelog: the compaction boundary, keep = 0 included --- *)
 
@@ -2229,27 +2363,27 @@ let test_sync_via_rotates_past_dead_relay () =
 
 (* --- mini topology soak: the full tier end to end --- *)
 
+let mini_topology =
+  {
+    Topology.default_config with
+    Topology.clients = 40;
+    tenants = 3;
+    ticks = 400;
+    sync_period = 16;
+    publishes = 12;
+    candidates = 2;
+    partitions = 2;
+    partition_ticks = 50;
+    relay_crashes = 1;
+    epoch_flips = 1;
+    min_offload = 0.5;
+    drain_rounds = 40;
+    seed = 11;
+  }
+
 let test_mini_topology () =
   with_dir (fun dir ->
-      let config =
-        {
-          Topology.default_config with
-          Topology.clients = 40;
-          tenants = 3;
-          ticks = 400;
-          sync_period = 16;
-          publishes = 12;
-          candidates = 2;
-          partitions = 2;
-          partition_ticks = 50;
-          relay_crashes = 1;
-          epoch_flips = 1;
-          min_offload = 0.5;
-          drain_rounds = 40;
-          seed = 11;
-        }
-      in
-      let report = Topology.run ~dir config in
+      let report = Topology.run ~dir mini_topology in
       let inv = report.Topology.invariants in
       Alcotest.(check int) "no divergence" 0 inv.Topology.divergences;
       Alcotest.(check int) "no regressions" 0 inv.Topology.regressions;
@@ -2265,6 +2399,15 @@ let test_mini_topology () =
         (report.Topology.offload > 0.5);
       Alcotest.(check bool) "faults actually fired" true
         (List.exists (fun (_, n) -> n > 0) report.Topology.fault_events))
+
+(* Pinned: the relayed engine's whole report, byte for byte.  A change to
+   the tick schedule, the PRNG stream or any counter moves this CRC. *)
+let test_mini_topology_pinned () =
+  with_dir (fun dir ->
+      let report = Topology.run ~dir mini_topology in
+      Alcotest.(check string) "report CRC32" "0f86f467"
+        (Crc32.to_hex
+           (Crc32.string (Json.to_string (Topology.report_to_json report)))))
 
 let suite =
   [ ( "distrib.changelog",
@@ -2325,6 +2468,8 @@ let suite =
           test_corrupt_snapshot_falls_back ] );
     ( "distrib.delta_client",
       [ Alcotest.test_case "happy path" `Quick test_delta_client_happy_path;
+        Alcotest.test_case "Add of a held id replaces" `Quick
+          test_delta_client_replace_by_id;
         Alcotest.test_case "horizon gap falls back" `Quick
           test_delta_client_gap_forces_full;
         Alcotest.test_case "corrupt body falls back" `Quick
@@ -2369,4 +2514,15 @@ let suite =
         Alcotest.test_case "chaos sync over a lossy link" `Quick
           test_chaos_sync_converges_lossy;
         Alcotest.test_case "mini soak" `Quick test_mini_soak;
-        Alcotest.test_case "mini topology" `Quick test_mini_topology ] ) ]
+        Alcotest.test_case "relay-free refuses relay hostilities" `Quick
+          test_relay_free_refuses_relay_hostilities;
+        Alcotest.test_case "relay-free ignores the offload floor" `Quick
+          test_relay_free_ignores_offload_floor;
+        Alcotest.test_case "relay-free candidates promote" `Quick
+          test_relay_free_candidates_promote;
+        Alcotest.test_case "relay-free epoch flip" `Quick
+          test_relay_free_epoch_flip;
+        Alcotest.test_case "steady delta ratio" `Quick test_steady_delta_ratio;
+        Alcotest.test_case "mini topology" `Quick test_mini_topology;
+        Alcotest.test_case "mini topology report pinned" `Quick
+          test_mini_topology_pinned ] ) ]
