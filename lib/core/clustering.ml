@@ -108,19 +108,21 @@ let run_sketch ?pool ~obs algorithm params dist sample =
       let total_pairs = pairs n in
       bucket_obs obs ~buckets:nb ~sizes ~exact_pairs ~total_pairs;
       let outputs = Array.make nb Cluster.Empty in
-      (* Fan whole buckets out across domains: caches are frozen once over
-         the full sample, each domain works through its buckets with a
-         private shadow overlay, and every bucket's matrix build stays
-         sequential (pools must not nest).  Slot [bi] is owned by bucket
-         [bi], so the result is identical at any pool size. *)
-      Distance.with_frozen ?pool dist sample (fun ~init ->
-          Pool.parallel_for_with ~pool ~init nb (fun local bi ->
-              let members = groups.(bi) in
-              let m =
-                Dist_matrix.build (Array.length members) (fun i j ->
-                    Distance.d_pkt local sample.(members.(i)) sample.(members.(j)))
-              in
-              outputs.(bi) <- Cluster.run algorithm m));
+      (* Fan whole buckets out across domains: the sample is interned once
+         for all buckets, each domain works through its buckets with its
+         own memo tables, and every bucket's matrix build stays sequential
+         (pools must not nest).  Slot [bi] is owned by bucket [bi], so the
+         result is identical at any pool size. *)
+      let (), _ =
+        Distance.with_view ?pool ~obs dist sample (fun ~init ->
+            Pool.parallel_for_with ~pool ~init nb (fun local bi ->
+                let members = groups.(bi) in
+                let m =
+                  Dist_matrix.build (Array.length members) (fun i j ->
+                      Distance.pair local members.(i) members.(j))
+                in
+                outputs.(bi) <- Cluster.run algorithm m))
+      in
       let output =
         if Cluster.is_hierarchical algorithm then begin
           let trees =

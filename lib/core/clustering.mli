@@ -46,9 +46,10 @@ val run :
 (** [run ~backend ~algorithm dist sample] clusters the sample.  With
     [?pool], [Exact] parallelizes the matrix pair loop and [Sketch]
     parallelizes signature computation and fans whole buckets across
-    domains inside one {!Distance.with_frozen} window.  [?obs] (default
-    noop) records the sketch bucket counters
+    domains over one interned view of the sample ({!Distance.with_view}).
+    [?obs] (default noop) records the sketch bucket counters
     ([leakdetect_cluster_buckets_total], [leakdetect_cluster_bucket_size],
     [leakdetect_cluster_exact_pairs_total],
-    [leakdetect_cluster_pairs_avoided_total]) plus whatever
-    {!Distance.matrix} records on the exact path. *)
+    [leakdetect_cluster_pairs_avoided_total]) and the view's host-distance
+    and [C(xy)] counters, plus whatever {!Distance.matrix} records on the
+    exact path. *)

@@ -41,9 +41,8 @@ type content_metric = Ncd | Trigram
     the traffic-clustering literature, kept for the ablation. *)
 
 type t
-(** Distance context: component configuration plus the NCD compressor
-    cache.  Reuse one context across a whole clustering run so singleton
-    compressed lengths are computed once. *)
+(** Distance context: component configuration plus the string-keyed
+    compressor and trigram caches behind {!d_pkt}. *)
 
 val create :
   ?components:components ->
@@ -80,43 +79,68 @@ val matrix :
   ?pool:Leakdetect_parallel.Pool.t ->
   ?obs:Leakdetect_obs.Obs.t ->
   t -> Leakdetect_http.Packet.t array -> Leakdetect_cluster.Dist_matrix.t
-(** Pairwise [d_pkt] over the sample — the input to clustering.
+(** Pairwise [d_pkt] over the sample — the input to clustering.  Every cell
+    is bit-identical to [d_pkt t packets.(i) packets.(j)].
+
+    The build runs over an interned view of the sample (see {!with_view}),
+    not through the context's string-keyed caches, which it leaves
+    untouched.
 
     [?obs] (default noop) records a [distance.matrix] span, the
-    [leakdetect_distance_pairs_total] counter and the
+    [leakdetect_distance_pairs_total], [leakdetect_distance_host_distances_total]
+    and [leakdetect_distance_concat_total] counters and the
     [leakdetect_distance_matrix_seconds] histogram — once per build, so the
     pair loop itself carries no instrumentation.
 
-    With [?pool] (size > 1) the O(N^2) pair loop fans out across domains.
-    Domain safety follows a two-phase protocol: every per-string compressed
-    length (or trigram profile) is computed in a sealed read-only prewarm
-    pass, both caches are frozen, the pair loop runs with lookups only,
-    and the caches are thawed afterwards.  Pair-concatenation lengths are
-    pair-specific work and are computed inside the loop either way.  The
-    resulting matrix is bit-identical to the sequential build. *)
+    With [?pool] (size > 1) the O(N^2) pair loop fans out across domains,
+    each with its own memo tables; the result is identical to the
+    sequential build. *)
 
-val with_frozen :
+type view_stats = {
+  strings : int;  (** distinct content strings interned *)
+  hosts : int;  (** distinct (lowercased) hosts interned *)
+  host_distances : int;  (** host edit distances computed, over all domains *)
+  concats : int;  (** [C(xy)] computed, over all domains (0 under [Trigram]) *)
+}
+
+val matrix_with_stats :
   ?pool:Leakdetect_parallel.Pool.t ->
+  ?obs:Leakdetect_obs.Obs.t ->
+  t -> Leakdetect_http.Packet.t array -> Leakdetect_cluster.Dist_matrix.t * view_stats
+(** {!matrix} together with the interned view's counts. *)
+
+type scratch
+(** One domain's handle on an interned sample: the shared read-only view
+    plus that domain's private memo tables. *)
+
+val with_view :
+  ?pool:Leakdetect_parallel.Pool.t ->
+  ?obs:Leakdetect_obs.Obs.t ->
   t ->
   Leakdetect_http.Packet.t array ->
-  (init:(unit -> t) -> 'a) ->
-  'a
-(** [with_frozen ?pool t packets f] runs [f] inside the two-phase freeze
-    window that makes this context safe to share across domains: every
-    per-string compressed length (or trigram profile) over [packets] is
-    computed in a sealed prewarm pass, both caches are frozen, and [f]
-    receives an [init] factory producing per-domain contexts (shadow
-    overlays over the frozen tables, or [t] itself when the caches were
-    already frozen by an enclosing call).  Caches are thawed when [f]
-    returns or raises.  [Distance.matrix] uses this internally; the
-    sketch-bucketed clustering driver uses it to fan whole buckets out
-    across domains while building each bucket's matrix sequentially. *)
+  (init:(unit -> scratch) -> 'a) ->
+  'a * view_stats
+(** [with_view ?pool t packets f] interns [packets] once and runs [f] with
+    a factory of per-domain scratches over it.
 
-val ncd_cache : t -> Leakdetect_compress.Compressor.Cache.t
-(** The NCD cache backing this context — exposed for cache statistics in
-    benchmarks and for tests of the freezing protocol. *)
+    The view gives each packet int ids for its host and for each enabled
+    content field, and computes every per-string quantity once per id
+    ([C(s)] through [?pool], or a trigram profile).  Ids follow
+    [String.compare] order, so id order is the canonical pair order of the
+    string-level NCD.  A scratch memoizes [d_host] per host-id pair and
+    [C(xy)] per content-id pair, each table bounded; scratches are never
+    shared, so nothing shared is written in the pair loop.
 
-val trigram_cache : t -> Leakdetect_text.Trigram.Cache.t
+    After [f] returns, the scratches' counts are summed into the returned
+    stats and, with [?obs], added to the
+    [leakdetect_distance_host_distances_total] and
+    [leakdetect_distance_concat_total] counters.  {!matrix} uses this; the
+    sketch-bucketed clustering uses it to fan whole buckets out
+    across domains. *)
+
+val pair : scratch -> int -> int -> float
+(** [pair s i j] is [d_pkt t packets.(i) packets.(j)] for the context and
+    sample [s] was made from, bit for bit. *)
 
 val max_possible : t -> float
 (** Upper bound of [d_pkt] under the enabled components (each enabled

@@ -38,59 +38,25 @@ let cosine_similarity a b =
     dot /. (a.norm *. b.norm)
   end
 
-let cosine_distance x y =
-  let px = profile x and py = profile y in
+let profile_distance px py =
   if px.norm = 0. && py.norm = 0. then 0.
   else if px.norm = 0. || py.norm = 0. then 1.
   else Float.max 0. (Float.min 1. (1. -. cosine_similarity px py))
 
+let cosine_distance x y = profile_distance (profile x) (profile y)
+
 module Cache = struct
-  type t = {
-    table : (string, profile) Hashtbl.t;
-    parent : t option;  (* frozen cache consulted read-only on misses *)
-    mutable frozen : bool;
-    frozen_misses : int Atomic.t;
-  }
+  type t = (string, profile) Hashtbl.t
 
-  let create () =
-    { table = Hashtbl.create 256; parent = None; frozen = false;
-      frozen_misses = Atomic.make 0 }
-
-  let freeze t = t.frozen <- true
-  let thaw t = t.frozen <- false
-  let frozen t = t.frozen
-  let frozen_misses t = Atomic.get t.frozen_misses
-
-  let shadow parent =
-    if not parent.frozen then invalid_arg "Trigram.Cache.shadow: parent must be frozen";
-    { table = Hashtbl.create 64; parent = Some parent; frozen = false;
-      frozen_misses = Atomic.make 0 }
+  let create () : t = Hashtbl.create 256
 
   let get t s =
-    match Hashtbl.find_opt t.table s with
+    match Hashtbl.find_opt t s with
     | Some p -> p
-    | None -> (
-      match t.parent with
-      | Some p when Hashtbl.mem p.table s -> Hashtbl.find p.table s
-      | _ when t.frozen ->
-        (* Read-only mode for cross-domain sharing: compute without
-           inserting. *)
-        Atomic.incr t.frozen_misses;
-        profile s
-      | _ ->
-        let p = profile s in
-        Hashtbl.add t.table s p;
-        p)
+    | None ->
+      let p = profile s in
+      Hashtbl.add t s p;
+      p
 
-  let preload t s =
-    if t.frozen then invalid_arg "Trigram.Cache.preload: cache is frozen";
-    if not (Hashtbl.mem t.table s) then Hashtbl.add t.table s (profile s)
-
-  let size t = Hashtbl.length t.table
-
-  let distance t x y =
-    let px = get t x and py = get t y in
-    if px.norm = 0. && py.norm = 0. then 0.
-    else if px.norm = 0. || py.norm = 0. then 1.
-    else Float.max 0. (Float.min 1. (1. -. cosine_similarity px py))
+  let distance t x y = profile_distance (get t x) (get t y)
 end

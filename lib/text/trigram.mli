@@ -19,38 +19,22 @@ val cardinality : profile -> int
 val cosine_similarity : profile -> profile -> float
 (** In [\[0, 1\]]; 0 when either profile is empty. *)
 
+val profile_distance : profile -> profile -> float
+(** [1 - cosine_similarity], clamped to [\[0, 1\]]; 0 when both profiles
+    are empty, 1 when exactly one is.  Argument order is part of the
+    contract: on equal cardinalities the dot product folds over the first
+    profile, so swapping the arguments may change the last bit. *)
+
 val cosine_distance : string -> string -> float
-(** [1 - cosine_similarity] over fresh profiles, in [\[0, 1\]].  By
-    convention 0 when both strings are shorter than 3 bytes, 1 when exactly
-    one is. *)
+(** [profile_distance] over fresh profiles.  Empty profiles come from
+    strings shorter than 3 bytes. *)
 
 module Cache : sig
-  (** Memoizes profiles per string, mirroring the NCD cache's role during
-      matrix construction.  Shares the compressor cache's freezing
-      protocol: {!preload} or warm sequentially, {!freeze}, then read from
-      any number of domains; frozen misses compute a throwaway profile and
-      are counted. *)
+  (** Memoizes profiles per string for string-level queries.  A plain
+      [Hashtbl] underneath: use one cache per domain. *)
 
   type t
 
   val create : unit -> t
   val distance : t -> string -> string -> float
-
-  val shadow : t -> t
-  (** Fresh unfrozen cache reading through to a frozen parent on misses;
-      one per domain in a parallel loop.  Never writes to the parent.
-      @raise Invalid_argument if the parent is not frozen. *)
-
-  val preload : t -> string -> unit
-  (** Compute and store the profile now (sequential warm phase).
-      @raise Invalid_argument when the cache is frozen. *)
-
-  val freeze : t -> unit
-  val thaw : t -> unit
-  val frozen : t -> bool
-
-  val frozen_misses : t -> int
-  (** Lookups that missed while frozen (each recomputed its profile). *)
-
-  val size : t -> int
 end

@@ -1,10 +1,8 @@
-(* Tests for Leakdetect_parallel: the domain pool itself, the cache
-   freezing/shadow protocol it relies on, and qcheck properties asserting
-   the parallel pipeline phases are bit-identical to sequential. *)
+(* Tests for Leakdetect_parallel: the domain pool itself, and qcheck
+   properties asserting the parallel pipeline phases are bit-identical to
+   sequential. *)
 
 module Pool = Leakdetect_parallel.Pool
-module Compressor = Leakdetect_compress.Compressor
-module Trigram = Leakdetect_text.Trigram
 module Distance = Leakdetect_core.Distance
 module Detector = Leakdetect_core.Detector
 module Siggen = Leakdetect_core.Siggen
@@ -143,75 +141,6 @@ let test_shutdown_idempotent () =
      Alcotest.fail "expected Invalid_argument after shutdown"
    with Invalid_argument _ -> ())
 
-(* --- cache freezing and shadows --- *)
-
-let test_frozen_compressor_cache_degrades () =
-  let c = Compressor.Cache.create Compressor.Lz77 in
-  ignore (Compressor.Cache.length_bits c "warm");
-  Compressor.Cache.freeze c;
-  let before = Compressor.Cache.size c in
-  let direct = Compressor.length_bits Compressor.Lz77 "cold-string" in
-  Alcotest.(check int) "frozen miss computes the same value" direct
-    (Compressor.Cache.length_bits c "cold-string");
-  Alcotest.(check int) "frozen miss does not grow the table" before
-    (Compressor.Cache.size c);
-  let st = Compressor.Cache.stats c in
-  Alcotest.(check bool) "frozen miss counted" true
-    (st.Compressor.Cache.frozen_misses >= 1);
-  (try
-     Compressor.Cache.preload c "x" 5;
-     Alcotest.fail "preload on frozen cache must raise"
-   with Invalid_argument _ -> ());
-  Compressor.Cache.thaw c;
-  ignore (Compressor.Cache.length_bits c "cold-string");
-  Alcotest.(check int) "thawed cache caches again" (before + 1)
-    (Compressor.Cache.size c)
-
-let test_frozen_trigram_cache_degrades () =
-  let c = Trigram.Cache.create () in
-  ignore (Trigram.Cache.distance c "abcabc" "abcxyz");
-  Trigram.Cache.freeze c;
-  let before = Trigram.Cache.size c in
-  let d = Trigram.Cache.distance c "fresh-string-one" "fresh-string-two" in
-  Alcotest.(check (float 1e-9)) "frozen distance equals direct" d
-    (Trigram.cosine_distance "fresh-string-one" "fresh-string-two");
-  Alcotest.(check int) "no growth while frozen" before (Trigram.Cache.size c);
-  Alcotest.(check bool) "frozen misses counted" true (Trigram.Cache.frozen_misses c >= 2);
-  (try
-     Trigram.Cache.preload c "x";
-     Alcotest.fail "preload on frozen trigram cache must raise"
-   with Invalid_argument _ -> ())
-
-let test_shadow_cache () =
-  let parent = Compressor.Cache.create Compressor.Lz77 in
-  (try
-     ignore (Compressor.Cache.shadow parent);
-     Alcotest.fail "shadow of unfrozen parent must raise"
-   with Invalid_argument _ -> ());
-  ignore (Compressor.Cache.length_bits parent "shared-string");
-  ignore (Compressor.Cache.ncd parent "aaaa" "aaab");
-  Compressor.Cache.freeze parent;
-  let parent_size = Compressor.Cache.size parent in
-  let parent_pairs = Compressor.Cache.pair_size parent in
-  let sh = Compressor.Cache.shadow parent in
-  (* Reads through to the frozen parent... *)
-  Alcotest.(check int) "shadow reads parent singleton"
-    (Compressor.length_bits Compressor.Lz77 "shared-string")
-    (Compressor.Cache.length_bits sh "shared-string");
-  Alcotest.(check (float 1e-9)) "shadow ncd equals parent ncd"
-    (Compressor.Cache.ncd parent "aaaa" "aaab")
-    (Compressor.Cache.ncd sh "aaaa" "aaab");
-  (* ...caches private misses locally, never touching the parent. *)
-  ignore (Compressor.Cache.ncd sh "private-x" "private-y");
-  Alcotest.(check bool) "shadow caches its own misses" true
-    (Compressor.Cache.size sh > 0 && Compressor.Cache.pair_size sh > 0);
-  Alcotest.(check int) "parent singleton table untouched" parent_size
-    (Compressor.Cache.size parent);
-  Alcotest.(check int) "parent pair table untouched" parent_pairs
-    (Compressor.Cache.pair_size parent);
-  Alcotest.(check int) "no frozen misses via shadow on warm keys" 0
-    (Compressor.Cache.stats parent).Compressor.Cache.frozen_misses
-
 (* --- parallel/sequential equivalence properties --- *)
 
 let packet_gen =
@@ -297,11 +226,6 @@ let suite =
         Alcotest.test_case "warm pool reused across calls" `Quick
           test_warm_pool_reused;
         Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
-        Alcotest.test_case "frozen compressor cache degrades" `Quick
-          test_frozen_compressor_cache_degrades;
-        Alcotest.test_case "frozen trigram cache degrades" `Quick
-          test_frozen_trigram_cache_degrades;
-        Alcotest.test_case "shadow cache" `Quick test_shadow_cache;
         qtest prop_matrix_jobs_equivalence;
         qtest prop_detect_bitmap_jobs_equivalence;
       ] );
