@@ -6,7 +6,7 @@ let of_list l = l
 let to_list t = t
 let add t name value = t @ [ (name, value) ]
 
-let same a b = String.lowercase_ascii a = String.lowercase_ascii b
+let same = Leakdetect_util.Strutil.equal_caseless
 
 let remove t name = List.filter (fun (n, _) -> not (same n name)) t
 

@@ -43,24 +43,31 @@ let print t =
   Buffer.add_string buf t.body;
   Buffer.contents buf
 
+module Strutil = Leakdetect_util.Strutil
+
 let parse ?(limits = Wire.default_limits) raw =
-  match Leakdetect_util.Strutil.split_on_string ~sep:"\r\n\r\n" raw with
-  | [] -> Error (Wire.Syntax "empty input")
-  | head :: rest -> (
-    let body = String.concat "\r\n\r\n" rest in
-    if String.length body > limits.Wire.max_body then
-      Error (Wire.Body_too_large (String.length body))
-    else
-      match Leakdetect_util.Strutil.split_on_string ~sep:"\r\n" head with
-      | [] | [ "" ] -> Error (Wire.Syntax "missing status line")
-      | status_line :: header_lines -> (
-        match String.split_on_char ' ' status_line with
-        | version :: code :: reason_parts -> (
-          match int_of_string_opt code with
-          | None -> Error (Wire.Syntax (Printf.sprintf "bad status code %S" code))
-          | Some status -> (
-            match Wire.parse_header_lines ~limits header_lines with
-            | Error _ as e -> e
-            | Ok headers ->
-              Ok { version; status; reason = String.concat " " reason_parts; headers; body }))
-        | _ -> Error (Wire.Syntax (Printf.sprintf "malformed status line %S" status_line))))
+  let h = Wire.split_head raw in
+  if Wire.body_length h > limits.Wire.max_body then
+    Error (Wire.Body_too_large (Wire.body_length h))
+  else if h.Wire.head_end = 0 then Error (Wire.Syntax "missing status line")
+  else
+    (* "version code reason...": the reason is everything after the second
+       space, and may itself hold spaces or be absent. *)
+    let stop = h.Wire.line_end in
+    match Strutil.index_in raw ~pos:0 ~stop ' ' with
+    | -1 -> Error (Wire.Syntax (Printf.sprintf "malformed status line %S" (Wire.start_line h)))
+    | i -> (
+      let code_end =
+        match Strutil.index_in raw ~pos:(i + 1) ~stop ' ' with -1 -> stop | j -> j
+      in
+      let code = String.sub raw (i + 1) (code_end - i - 1) in
+      match int_of_string_opt code with
+      | None -> Error (Wire.Syntax (Printf.sprintf "bad status code %S" code))
+      | Some status -> (
+        match Wire.header_fields ~limits h with
+        | Error _ as e -> e
+        | Ok headers ->
+          let reason =
+            if code_end = stop then "" else String.sub raw (code_end + 1) (stop - code_end - 1)
+          in
+          Ok { version = String.sub raw 0 i; status; reason; headers; body = Wire.body h }))

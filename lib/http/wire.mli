@@ -39,12 +39,43 @@ val parse : ?limits:limits -> string -> (Request.t, error) result
     line; when the last [Transfer-Encoding] coding is [chunked] the chunks
     are reassembled (under [max_body], trailers ignored) and the returned
     request carries the decoded body with [Transfer-Encoding] removed and
-    [Content-Length] rewritten.  A malformed chunk-size line or truncated
-    chunk is a [Syntax] error.  Errors describe the first offending line
+    [Content-Length] rewritten.  A malformed chunk-size line (a size too
+    large for an [int] included) or a truncated chunk is a [Syntax] error,
+    a chunk size above what is left of [max_body] a [Body_too_large].  Errors describe the first offending line
     or the first limit exceeded. *)
 
-val parse_header_lines : limits:limits -> string list -> (Headers.t, error) result
-(** Shared header-block parser (also used by {!Response.parse}). *)
+(** {2 The shared head splitter}
+
+    {!parse} and {!Response.parse} frame a message the same way: one pass
+    finds the first blank line (["\r\n\r\n"]), and the start line, the
+    header lines and the body are then read by offset into the raw bytes.
+    Nothing is copied until a field is taken, and the body is taken with
+    one [String.sub]. *)
+
+type head = private {
+  raw : string;  (** The whole message. *)
+  line_end : int;  (** End of the start line: its first CRLF, or [head_end]. *)
+  head_end : int;  (** Offset of the first blank line, or [String.length raw]. *)
+  body_start : int;  (** [head_end + 4], or [String.length raw] without a blank line. *)
+}
+
+val split_head : string -> head
+
+val start_line : head -> string
+(** [raw.\[0 .. line_end-1\]]; [""] when [head_end = 0], which both parsers
+    report as a missing start line. *)
+
+val body_length : head -> int
+
+val body : head -> string
+(** Everything after the blank line ([""] without one), copied once. *)
+
+val header_fields : limits:limits -> head -> (Headers.t, error) result
+(** The header lines between the start line and the blank line, in wire
+    order.  The line count is checked against [max_headers] first; then,
+    line by line, its length against [max_header_line] and its [':']
+    (a [Syntax] error naming the line).  Values are trimmed of spaces and
+    tabs. *)
 
 val chunked_fragments :
   ?limits:limits ->
@@ -58,6 +89,7 @@ val chunked_fragments :
     detection: a resumable matcher can consume each fragment as it is
     framed instead of waiting for reassembly and rescanning.  Returns the
     total decoded length on success, cumulatively bounded by [max_body];
+    every [len] is positive and inside [raw];
     errors are those of {!parse}'s chunked path and no further fragments
     are delivered after one.  {!parse} itself decodes chunked bodies by
     folding these fragments into a buffer, so both paths agree

@@ -11,12 +11,8 @@ let percent_encode s =
     s;
   Buffer.contents buf
 
-let hex_val c =
-  match c with
-  | '0' .. '9' -> Some (Char.code c - Char.code '0')
-  | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-  | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
-  | _ -> None
+(* Digit value or -1, from a table: an escape allocates nothing. *)
+let hex_val = Leakdetect_util.Hex.value
 
 let percent_decode s =
   let n = String.length s in
@@ -29,7 +25,7 @@ let percent_decode s =
         if i + 2 >= n then None
         else (
           match (hex_val s.[i + 1], hex_val s.[i + 2]) with
-          | Some hi, Some lo ->
+          | hi, lo when hi >= 0 && lo >= 0 ->
             Buffer.add_char buf (Char.chr ((hi lsl 4) lor lo));
             loop (i + 3)
           | _ -> None)
@@ -53,7 +49,7 @@ let percent_decode_strict s =
         if i + 2 >= n then None
         else (
           match (hex_val s.[i + 1], hex_val s.[i + 2]) with
-          | Some hi, Some lo ->
+          | hi, lo when hi >= 0 && lo >= 0 ->
             Buffer.add_char buf (Char.chr ((hi lsl 4) lor lo));
             loop (i + 3)
           | _ -> None)
@@ -73,7 +69,7 @@ let percent_decode_lenient s =
       match s.[i] with
       | '%' when i + 2 < n -> (
         match (hex_val s.[i + 1], hex_val s.[i + 2]) with
-        | Some hi, Some lo ->
+        | hi, lo when hi >= 0 && lo >= 0 ->
           Buffer.add_char buf (Char.chr ((hi lsl 4) lor lo));
           incr decoded;
           loop (i + 3)

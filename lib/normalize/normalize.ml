@@ -1,6 +1,7 @@
 module Url = Leakdetect_net.Url
 module Base64 = Leakdetect_util.Base64
 module Hex = Leakdetect_util.Hex
+module Strutil = Leakdetect_util.Strutil
 module Obs = Leakdetect_obs.Obs
 
 type step =
@@ -89,36 +90,61 @@ let form_decode s =
     | Some _ -> Inapplicable
     | None -> Malformed
 
+(* Byte classes for the run-based decoders, one table load per byte: hex
+   digits, the two base64 alphabets as runs see them (padding included),
+   and the uppercase hex digits case folding looks for. *)
+let hex_class = 1
+let b64_std_class = 2
+let b64_url_class = 4
+let upper_hex_class = 8
+
+let classes =
+  String.init 256 (fun i ->
+      let c = Char.chr i in
+      let alnum = (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') in
+      let bit cond cls = if cond then cls else 0 in
+      Char.chr
+        (bit (Hex.is_digit c) hex_class
+        lor bit (alnum || c = '+' || c = '/' || c = '=') b64_std_class
+        lor bit (alnum || c = '-' || c = '_' || c = '=') b64_url_class
+        lor bit (c >= 'A' && c <= 'F') upper_hex_class))
+
+let in_class cls c = Char.code (String.unsafe_get classes (Char.code c)) land cls <> 0
+
+(* End of the run of [cls] bytes that starts at [i]. *)
+let run_end cls s i =
+  let j = ref i in
+  while !j < String.length s && in_class cls (String.unsafe_get s !j) do incr j done;
+  !j
+
 (* Lowercase only hex runs long enough to be digest material: folding the
    whole string would also fold uppercase boilerplate ("GET", "HTTP/1.1")
-   and break the very conjunction tokens the views exist to preserve. *)
+   and break the very conjunction tokens the views exist to preserve.  The
+   text is copied only once a run actually folds. *)
 let hex_fold_min = 16
 
 let case_fold s =
   let n = String.length s in
-  let is_hex c = Option.is_some (Hex.nibble c) in
-  let folded = ref false in
-  let b = Bytes.of_string s in
+  let folded = ref Bytes.empty in
   let i = ref 0 in
   while !i < n do
-    if is_hex s.[!i] then begin
-      let j = ref !i in
+    if in_class hex_class (String.unsafe_get s !i) then begin
+      let j = run_end hex_class s !i in
       let upper = ref false in
-      while !j < n && is_hex s.[!j] do
-        if s.[!j] >= 'A' && s.[!j] <= 'F' then upper := true;
-        incr j
+      for k = !i to j - 1 do
+        if in_class upper_hex_class (String.unsafe_get s k) then upper := true
       done;
-      if !j - !i >= hex_fold_min && !upper then begin
-        folded := true;
-        for k = !i to !j - 1 do
-          Bytes.set b k (Char.lowercase_ascii s.[k])
+      if j - !i >= hex_fold_min && !upper then begin
+        if Bytes.length !folded = 0 then folded := Bytes.of_string s;
+        for k = !i to j - 1 do
+          Bytes.unsafe_set !folded k (Char.lowercase_ascii (String.unsafe_get s k))
         done
       end;
-      i := !j
+      i := j
     end
     else incr i
   done;
-  if !folded then Derived (Bytes.to_string b) else Inapplicable
+  if Bytes.length !folded = 0 then Inapplicable else Derived (Bytes.unsafe_to_string !folded)
 
 (* Base64 and hex material arrives embedded in query strings and bodies,
    so the decoders work on maximal alphabet runs and splice the decoded
@@ -127,136 +153,117 @@ let case_fold s =
 
 let min_run = 16
 
-let is_b64_std c =
-  (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')
-  || c = '+' || c = '/' || c = '='
+(* Start of the first run of at least [min_run] [cls] bytes at or after
+   [i], or [-1]. *)
+let rec next_long_run cls s i =
+  if i >= String.length s then -1
+  else if not (in_class cls (String.unsafe_get s i)) then next_long_run cls s (i + 1)
+  else
+    let j = run_end cls s i in
+    if j - i >= min_run then i else next_long_run cls s j
 
-let is_b64_url c =
-  (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')
-  || c = '-' || c = '_' || c = '='
+(* Each run decoder appends the replacement of the run [s.[i .. j-1]] to
+   [out] and returns [true], or returns [false] with [out] untouched.
 
-(* A run may glue a parameter name to its value ("d=MTIz..."): padding is
+   A run may glue a parameter name to its value ("d=MTIz..."): padding is
    only legal at the end, so everything up to the last interior '=' is kept
    literally and the decode starts after it. *)
-let decode_b64_run run =
-  let n = String.length run in
+let decode_b64_run out s i j =
   let trailing = ref 0 in
-  while !trailing < n && run.[n - 1 - !trailing] = '=' do incr trailing done;
-  let last_interior =
-    let rec find i = if i < 0 then None else if run.[i] = '=' then Some i else find (i - 1) in
-    find (n - !trailing - 1)
-  in
-  let start = match last_interior with Some i -> i + 1 | None -> 0 in
-  let candidate = String.sub run start (n - start) in
-  if String.length candidate < min_run then None
-  else
-    let attempt c = Base64.decode c in
-    let decoded =
-      match attempt candidate with
-      | Some d -> Some d
-      | None ->
-        (* Unpadded runs may carry one stray trailing character. *)
-        let m = String.length candidate in
-        if m mod 4 = 1 then attempt (String.sub candidate 0 (m - 1)) else None
-    in
-    Option.map (fun d -> String.sub run 0 start ^ d) decoded
+  while !trailing < j - i && s.[j - 1 - !trailing] = '=' do incr trailing done;
+  let k = ref (j - !trailing - 1) in
+  while !k >= i && s.[!k] <> '=' do decr k done;
+  let start = !k + 1 in
+  let m = j - start in
+  m >= min_run
+  &&
+  let mark = Buffer.length out in
+  Buffer.add_substring out s i (start - i);
+  Base64.decode_into out s ~pos:start ~len:m
+  (* Unpadded runs may carry one stray trailing character. *)
+  || (m mod 4 = 1 && Base64.decode_into out s ~pos:start ~len:(m - 1))
+  || (Buffer.truncate out mark; false)
 
-let decode_hex_run run =
-  let n = String.length run in
-  let n = if n mod 2 = 0 then n else n - 1 in
-  if n < min_run then None
-  else
-    match Hex.decode (String.sub run 0 n) with
-    | Some d -> Some (d ^ String.sub run n (String.length run - n))
-    | None -> None
+let decode_hex_run out s i j =
+  let m = (j - i) land lnot 1 in
+  m >= min_run
+  && Hex.decode_into out s ~pos:i ~len:m
+  && (Buffer.add_substring out s (i + m) (j - i - m); true)
 
-let replace_runs ~is_run_char ~decode_run s =
-  let n = String.length s in
-  let out = Buffer.create n in
-  let any_run = ref false and any_decoded = ref false in
-  let i = ref 0 in
-  while !i < n do
-    if is_run_char s.[!i] then begin
-      let j = ref !i in
-      while !j < n && is_run_char s.[!j] do incr j done;
-      let run = String.sub s !i (!j - !i) in
-      if String.length run >= min_run then begin
-        any_run := true;
-        match decode_run run with
-        | Some d ->
-          any_decoded := true;
-          Buffer.add_string out d
-        | None -> Buffer.add_string out run
-      end
-      else Buffer.add_string out run;
-      i := !j
-    end
+(* The text outside decoded runs is appended straight from [s]; nothing is
+   copied at all unless some run is long enough to try. *)
+let replace_runs ~cls ~decode_run s =
+  match next_long_run cls s 0 with
+  | -1 -> Inapplicable
+  | first ->
+    let n = String.length s in
+    let out = Buffer.create n in
+    let copied = ref 0 and any_decoded = ref false and i = ref first in
+    while !i >= 0 do
+      let j = run_end cls s !i in
+      Buffer.add_substring out s !copied (!i - !copied);
+      copied := !i;
+      if decode_run out s !i j then begin
+        any_decoded := true;
+        copied := j
+      end;
+      i := next_long_run cls s j
+    done;
+    if not !any_decoded then Malformed
     else begin
-      Buffer.add_char out s.[!i];
-      incr i
+      Buffer.add_substring out s !copied (n - !copied);
+      let d = Buffer.contents out in
+      if d = s then Inapplicable else Derived d
     end
-  done;
-  if !any_decoded then
-    let d = Buffer.contents out in
-    if d = s then Inapplicable else Derived d
-  else if !any_run then Malformed
-  else Inapplicable
 
-let base64_std s = replace_runs ~is_run_char:is_b64_std ~decode_run:decode_b64_run s
-let base64_url s = replace_runs ~is_run_char:is_b64_url ~decode_run:decode_b64_run s
-let hex_decode s = replace_runs ~is_run_char:(fun c -> Option.is_some (Hex.nibble c)) ~decode_run:decode_hex_run s
+let base64_std s = replace_runs ~cls:b64_std_class ~decode_run:decode_b64_run s
+let base64_url s = replace_runs ~cls:b64_url_class ~decode_run:decode_b64_run s
+let hex_decode s = replace_runs ~cls:hex_class ~decode_run:decode_hex_run s
 
 (* Chunked framing: "<hex-size>[;ext]\r\n<data>\r\n ... 0\r\n[trailers]".
-   Tried against the whole text and, failing that, against the body part of
-   a packet content triple (everything after the second '\n'), since that
-   is where chunk framing lives on the wire. *)
-let parse_chunked s =
+   [chunks_into out s pos false] appends the payload of the framing that
+   starts at [s.[pos]] to [out]; [true] when at least one chunk and the
+   last-chunk line frame it.  A size that overflows an [int] or runs past
+   the text is no framing, rejected before it enters any arithmetic. *)
+let rec chunks_into out s pos seen_one =
   let n = String.length s in
-  let body = Buffer.create n in
-  let rec chunk pos seen_one =
-    match String.index_from_opt s pos '\r' with
-    | Some eol when eol + 1 < n && s.[eol + 1] = '\n' ->
-      let line = String.sub s pos (eol - pos) in
-      let size_part =
-        match String.index_opt line ';' with
-        | Some i -> String.sub line 0 i
-        | None -> line
-      in
-      if size_part = "" || not (String.for_all (fun c -> Option.is_some (Hex.nibble c)) size_part)
-      then None
-      else (
-        match int_of_string_opt ("0x" ^ size_part) with
-        | None -> None
-        | Some 0 -> if seen_one then Some (Buffer.contents body) else None
-        | Some size ->
-          let data_start = eol + 2 in
-          if data_start + size + 2 > n then None
-          else if s.[data_start + size] <> '\r' || s.[data_start + size + 1] <> '\n' then
-            None
-          else begin
-            Buffer.add_string body (String.sub s data_start size);
-            chunk (data_start + size + 2) true
-          end)
-    | _ -> None
-  in
-  chunk 0 false
+  match String.index_from_opt s pos '\r' with
+  | Some eol when eol + 1 < n && s.[eol + 1] = '\n' -> (
+    let size_end = match Strutil.index_in s ~pos ~stop:eol ';' with -1 -> eol | i -> i in
+    match Hex.int_of_sub s ~pos ~len:(size_end - pos) with
+    | -1 -> false
+    | 0 -> seen_one
+    | size ->
+      let data_start = eol + 2 in
+      size <= n - data_start - 2
+      && s.[data_start + size] = '\r'
+      && s.[data_start + size + 1] = '\n'
+      && begin
+        Buffer.add_substring out s data_start size;
+        chunks_into out s (data_start + size + 2) true
+      end)
+  | _ -> false
 
+(* Tried against the whole text and, failing that, against the body part of
+   a packet content triple (everything after the second '\n'), since that
+   is where chunk framing lives on the wire.  Both need a '\r'. *)
 let chunked s =
-  match parse_chunked s with
-  | Some d -> Derived d
-  | None -> (
-    (* The content triple is request-line '\n' cookie '\n' body. *)
-    match String.index_opt s '\n' with
-    | None -> Inapplicable
-    | Some first -> (
-      match String.index_from_opt s (first + 1) '\n' with
+  if not (String.contains s '\r') then Inapplicable
+  else
+    let out = Buffer.create (String.length s) in
+    if chunks_into out s 0 false then Derived (Buffer.contents out)
+    else
+      (* The content triple is request-line '\n' cookie '\n' body. *)
+      match String.index_opt s '\n' with
       | None -> Inapplicable
-      | Some second ->
-        let bpos = second + 1 in
-        let body = String.sub s bpos (String.length s - bpos) in
-        (match parse_chunked body with
-        | Some d -> Derived (String.sub s 0 bpos ^ d)
-        | None -> Inapplicable)))
+      | Some first -> (
+        match String.index_from_opt s (first + 1) '\n' with
+        | None -> Inapplicable
+        | Some second ->
+          let bpos = second + 1 in
+          Buffer.clear out;
+          Buffer.add_substring out s 0 bpos;
+          if chunks_into out s bpos false then Derived (Buffer.contents out) else Inapplicable)
 
 let apply step s =
   match step with

@@ -27,60 +27,73 @@ let encode_with ~alphabet ~pad s =
 let encode s = encode_with ~alphabet ~pad:true s
 let encode_url s = encode_with ~alphabet:alphabet_url ~pad:false s
 
-let value c =
-  match c with
-  | 'A' .. 'Z' -> Some (Char.code c - Char.code 'A')
-  | 'a' .. 'z' -> Some (Char.code c - Char.code 'a' + 26)
-  | '0' .. '9' -> Some (Char.code c - Char.code '0' + 52)
-  | '+' | '-' -> Some 62
-  | '/' | '_' -> Some 63
-  | _ -> None
+(* Digit values by byte, over both alphabets ('+'/'-' are 62, '/'/'_' 63),
+   0xff for any other byte: one load per character, no [option] to
+   allocate. *)
+let values =
+  String.init 256 (fun i ->
+      match Char.chr i with
+      | 'A' .. 'Z' as c -> Char.chr (Char.code c - Char.code 'A')
+      | 'a' .. 'z' as c -> Char.chr (Char.code c - Char.code 'a' + 26)
+      | '0' .. '9' as c -> Char.chr (Char.code c - Char.code '0' + 52)
+      | '+' | '-' -> '\062'
+      | '/' | '_' -> '\063'
+      | _ -> '\xff')
+
+let value s i = Char.code (String.unsafe_get values (Char.code (String.unsafe_get s i)))
 
 (* Both alphabets share the first 62 digits; the last two decide which one
    an input is written in.  Mixing them is rejected: no real encoder emits
-   both, so a mixed string is noise, not data. *)
-let decode s =
-  let n = String.length s in
-  let pad = if n >= 1 && s.[n - 1] = '=' then if n >= 2 && s.[n - 2] = '=' then 2 else 1 else 0 in
-  let core = n - pad in
+   both, so a mixed string is noise, not data.  The whole input is
+   validated before the first byte is appended. *)
+let decode_into buf s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Base64.decode_into";
+  let stop = pos + len in
+  let pad =
+    if len >= 1 && s.[stop - 1] = '=' then if len >= 2 && s.[stop - 2] = '=' then 2 else 1
+    else 0
+  in
+  let core = len - pad in
   let valid_length =
     (pad = 0 && core mod 4 <> 1) || (pad > 0 && (core + pad) mod 4 = 0 && core mod 4 >= 2)
   in
-  if not valid_length then None
-  else if core = 0 then if pad = 0 then Some "" else None
+  if not valid_length then false
+  else if core = 0 then pad = 0
   else begin
-    let std = ref false and url = ref false in
-    let ok = ref true in
-    String.iteri
-      (fun i c ->
-        if i < core then (
-          (match c with
-          | '+' | '/' -> std := true
-          | '-' | '_' -> url := true
-          | _ -> ());
-          if Option.is_none (value c) then ok := false))
-      s;
-    if (not !ok) || (!std && !url) then None
-    else begin
-      let out = Buffer.create (core / 4 * 3 + 2) in
-      let i = ref 0 in
-      while !i + 4 <= core do
-        let d k = Option.get (value s.[!i + k]) in
-        let triple = (d 0 lsl 18) lor (d 1 lsl 12) lor (d 2 lsl 6) lor d 3 in
-        Buffer.add_char out (Char.chr ((triple lsr 16) land 0xff));
-        Buffer.add_char out (Char.chr ((triple lsr 8) land 0xff));
-        Buffer.add_char out (Char.chr (triple land 0xff));
+    let std = ref false and url = ref false and ok = ref true in
+    for i = pos to pos + core - 1 do
+      match String.unsafe_get s i with
+      | '+' | '/' -> std := true
+      | '-' | '_' -> url := true
+      | _ -> if value s i = 0xff then ok := false
+    done;
+    !ok && not (!std && !url)
+    && begin
+      let i = ref pos and last = pos + core in
+      while !i + 4 <= last do
+        let triple =
+          (value s !i lsl 18) lor (value s (!i + 1) lsl 12) lor (value s (!i + 2) lsl 6)
+          lor value s (!i + 3)
+        in
+        Buffer.add_char buf (Char.unsafe_chr ((triple lsr 16) land 0xff));
+        Buffer.add_char buf (Char.unsafe_chr ((triple lsr 8) land 0xff));
+        Buffer.add_char buf (Char.unsafe_chr (triple land 0xff));
         i := !i + 4
       done;
-      (match core - !i with
+      (match last - !i with
       | 2 ->
-        let d k = Option.get (value s.[!i + k]) in
-        Buffer.add_char out (Char.chr (((d 0 lsl 2) lor (d 1 lsr 4)) land 0xff))
+        Buffer.add_char buf
+          (Char.unsafe_chr (((value s !i lsl 2) lor (value s (!i + 1) lsr 4)) land 0xff))
       | 3 ->
-        let d k = Option.get (value s.[!i + k]) in
-        Buffer.add_char out (Char.chr (((d 0 lsl 2) lor (d 1 lsr 4)) land 0xff));
-        Buffer.add_char out (Char.chr (((d 1 lsl 4) lor (d 2 lsr 2)) land 0xff))
+        Buffer.add_char buf
+          (Char.unsafe_chr (((value s !i lsl 2) lor (value s (!i + 1) lsr 4)) land 0xff));
+        Buffer.add_char buf
+          (Char.unsafe_chr (((value s (!i + 1) lsl 4) lor (value s (!i + 2) lsr 2)) land 0xff))
       | _ -> ());
-      Some (Buffer.contents out)
+      true
     end
   end
+
+let decode s =
+  let buf = Buffer.create (String.length s / 4 * 3 + 2) in
+  if decode_into buf s ~pos:0 ~len:(String.length s) then Some (Buffer.contents buf) else None

@@ -17,3 +17,11 @@ val decode : string -> string option
 (** Decodes either alphabet, padded or unpadded.  [None] on bad characters,
     a mixed alphabet ([+]/[/] together with [-]/[_]), misplaced padding or
     an impossible length (length 1 mod 4 after stripping padding). *)
+
+val decode_into : Buffer.t -> string -> pos:int -> len:int -> bool
+(** [decode_into buf s ~pos ~len] is {!decode} on [s.\[pos .. pos+len-1\]],
+    appending the decoded bytes to [buf] instead of returning them: [true]
+    on success; [false], with [buf] untouched, wherever {!decode} is [None].
+    It reads the input through a 256-entry value table and takes no
+    substring.  {!decode} is a wrapper over it.
+    @raise Invalid_argument if the range is not inside [s]. *)

@@ -1,22 +1,34 @@
-let find_from s pos sub =
-  (* Naive scan is fine here: separators are short and strings small. *)
-  let n = String.length s and m = String.length sub in
+let find_from s ~pos ~stop sub =
+  let m = String.length sub in
   if m = 0 then invalid_arg "Strutil: empty separator";
-  let rec loop i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else loop (i + 1)
-  in
-  loop pos
+  if pos < 0 || stop > String.length s then invalid_arg "Strutil.find_from";
+  (* Bytes are compared in place: no substring is ever taken, and the
+     loops allocate nothing. *)
+  let c0 = sub.[0] and last = stop - m in
+  let i = ref pos and found = ref (-1) in
+  while !found < 0 && !i <= last do
+    if String.unsafe_get s !i = c0 then begin
+      let k = ref 1 in
+      while !k < m && String.unsafe_get s (!i + !k) = String.unsafe_get sub !k do incr k done;
+      if !k = m then found := !i
+    end;
+    incr i
+  done;
+  !found
 
-let split_on_string ~sep s =
-  let m = String.length sep in
-  let rec loop pos acc =
-    match find_from s pos sep with
-    | None -> List.rev (String.sub s pos (String.length s - pos) :: acc)
-    | Some i -> loop (i + m) (String.sub s pos (i - pos) :: acc)
-  in
-  loop 0 []
+let index_in s ~pos ~stop c =
+  if pos < 0 || stop > String.length s then invalid_arg "Strutil.index_in";
+  let i = ref pos in
+  while !i < stop && String.unsafe_get s !i <> c do incr i done;
+  if !i < stop then !i else -1
+
+let equal_caseless a b =
+  let n = String.length a in
+  n = String.length b
+  &&
+  let i = ref 0 in
+  while !i < n && Char.lowercase_ascii a.[!i] = Char.lowercase_ascii b.[!i] do incr i done;
+  !i = n
 
 let chop_prefix ~prefix s =
   let lp = String.length prefix in

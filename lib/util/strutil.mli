@@ -1,8 +1,18 @@
 (** Small string helpers shared across the codebase. *)
 
-val split_on_string : sep:string -> string -> string list
-(** [split_on_string ~sep s] splits [s] on every non-overlapping occurrence of
-    the non-empty separator [sep].  [split_on_string ~sep ""] is [[""]]. *)
+val find_from : string -> pos:int -> stop:int -> string -> int
+(** [find_from s ~pos ~stop sub] is the offset of the first occurrence of the
+    non-empty [sub] lying wholly inside [s.\[pos .. stop-1\]], or [-1].
+    Bytes are compared in place, so a search allocates nothing.
+    @raise Invalid_argument on an empty [sub] or a range outside [s]. *)
+
+val index_in : string -> pos:int -> stop:int -> char -> int
+(** [index_in s ~pos ~stop c] is the offset of the first [c] in
+    [s.\[pos .. stop-1\]], or [-1].
+    @raise Invalid_argument on a range outside [s]. *)
+
+val equal_caseless : string -> string -> bool
+(** ASCII case-insensitive equality, without lower-cased copies. *)
 
 val chop_prefix : prefix:string -> string -> string option
 (** [chop_prefix ~prefix s] removes a leading [prefix], if present. *)

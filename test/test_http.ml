@@ -408,6 +408,225 @@ let test_response_parse_errors () =
   Alcotest.(check bool) "bad code" true (is_err "HTTP/1.1 abc OK\r\n\r\n");
   Alcotest.(check bool) "bad header" true (is_err "HTTP/1.1 200 OK\r\nnocolon\r\n\r\n")
 
+(* --- Chunk sizes that overflow an int --- *)
+
+(* 0x7FFFFFFFFFFFFFFE is 2^63 - 2: [int_of_string "0x..."] wraps it to -2,
+   which once reached the chunk arithmetic and crashed or misframed. *)
+let overflow_size = "7FFFFFFFFFFFFFFE"
+
+let test_wire_chunked_overflow () =
+  let expect_syntax what raw =
+    match Wire.parse raw with
+    | Error (Wire.Syntax m) ->
+      Alcotest.(check string) what
+        (Printf.sprintf "chunked: bad chunk-size line %S" overflow_size) m
+    | Ok _ -> Alcotest.failf "%s: parsed" what
+    | Error e -> Alcotest.failf "%s: %s" what (Wire.error_to_string e)
+  in
+  expect_syntax "first chunk" (chunked_raw (overflow_size ^ "\r\nab\r\n0\r\n\r\n"));
+  expect_syntax "after a chunk"
+    (chunked_raw ("3\r\nabc\r\n" ^ overflow_size ^ "\r\nab\r\n0\r\n\r\n"));
+  (* [max_int] itself fits, and is far above any budget. *)
+  match Wire.parse (chunked_raw "3\r\nabc\r\n3FFFFFFFFFFFFFFF\r\nab\r\n0\r\n\r\n") with
+  | Error (Wire.Body_too_large n) -> Alcotest.(check int) "saturated size" max_int n
+  | Ok _ | Error _ -> Alcotest.fail "expected Body_too_large for a max_int chunk"
+
+let test_chunked_fragments_overflow () =
+  let lens = ref [] in
+  let result =
+    Wire.chunked_fragments ("2\r\nok\r\n" ^ overflow_size ^ "\r\nxx\r\n0\r\n\r\n")
+      (fun _ ~pos:_ ~len -> lens := len :: !lens)
+  in
+  (match result with
+  | Error (Wire.Syntax _) -> ()
+  | Ok n -> Alcotest.failf "framed %d bytes" n
+  | Error e -> Alcotest.failf "unexpected %s" (Wire.error_to_string e));
+  Alcotest.(check (list int)) "only the valid chunk was delivered" [ 2 ] !lens
+
+(* --- Differential fuzz of the framing ------------------------------------ *)
+
+(* Printed workload traffic, as the handset intercepts it: each packet's
+   request line, Host and Cookie, and body. *)
+let workload_requests =
+  lazy
+    (let ds = Leakdetect_android.Workload.generate ~seed:19 ~scale:0.005 () in
+     Array.of_list
+       (List.filter_map
+          (fun (r : Trace.record) ->
+            let c = r.Trace.packet.Packet.content in
+            match String.split_on_char ' ' c.Packet.request_line with
+            | [ meth; target; version ] ->
+              Some (meth, target, version, r.Trace.packet.Packet.dst.Packet.host, c.Packet.cookie,
+                    c.Packet.body)
+            | _ -> None)
+          (Array.to_list ds.Leakdetect_android.Workload.records)))
+
+let random_case st s =
+  String.map
+    (fun c -> if Random.State.bool st then Char.uppercase_ascii c else Char.lowercase_ascii c)
+    s
+
+let hex_size st n =
+  let digits = Printf.sprintf (if Random.State.bool st then "%x" else "%X") n in
+  let zeros = if Random.State.int st 6 = 0 then String.make (1 + Random.State.int st 3) '0' else "" in
+  let ext = if Random.State.int st 5 = 0 then ";ext=1" else "" in
+  let pad = if Random.State.int st 8 = 0 then " " else "" in
+  pad ^ zeros ^ digits ^ pad ^ ext
+
+(* A chunk-framed body: random chunk sizes, and now and then a size line
+   that lies, is too long for an int, or is not hex at all. *)
+let chunk_frame st body =
+  let buf = Buffer.create (String.length body + 64) in
+  let n = String.length body in
+  let pos = ref 0 in
+  while !pos < n do
+    let len = 1 + Random.State.int st (n - !pos) in
+    (match Random.State.int st 24 with
+    | 0 -> Buffer.add_string buf (hex_size st (len + 1 + Random.State.int st 3))
+    | 1 -> Buffer.add_string buf "fffffff"
+    | 2 -> Buffer.add_string buf "10000000000000000"
+    | 3 -> Buffer.add_string buf "zz"
+    | _ -> Buffer.add_string buf (hex_size st len));
+    Buffer.add_string buf "\r\n";
+    Buffer.add_string buf (String.sub body !pos len);
+    Buffer.add_string buf "\r\n";
+    pos := !pos + len
+  done;
+  Buffer.add_string buf "0\r\n";
+  if Random.State.int st 4 = 0 then Buffer.add_string buf "X-Trailer: 1\r\n";
+  Buffer.add_string buf "\r\n";
+  Buffer.contents buf
+
+let flip_bytes st raw =
+  let b = Bytes.of_string raw in
+  let n = Bytes.length b in
+  if n > 0 then
+    for _ = 1 to 1 + Random.State.int st 4 do
+      let specials = "\r\n: ;=\t0aF" in
+      let c =
+        if Random.State.bool st then specials.[Random.State.int st (String.length specials)]
+        else Char.chr (Random.State.int st 256)
+      in
+      Bytes.set b (Random.State.int st n) c
+    done;
+  Bytes.to_string b
+
+(* Truncations, byte flips, or the message as it is. *)
+let damage st raw =
+  match Random.State.int st 6 with
+  | 0 -> String.sub raw 0 (Random.State.int st (String.length raw + 1))
+  | 1 | 2 -> flip_bytes st raw
+  | _ -> raw
+
+(* Default limits, or small ones that some messages exceed. *)
+let random_limits st =
+  if Random.State.int st 3 > 0 then Wire.default_limits
+  else
+    { Wire.max_headers = Random.State.int st 5; max_header_line = Random.State.int st 80;
+      max_body = Random.State.int st 300 }
+
+let random_headers st fields =
+  let extras =
+    List.filter
+      (fun _ -> Random.State.int st 3 = 0)
+      [ ("User-Agent", "t/1.0"); ("X-Pad", " \t spaced value \t"); ("Accept", "*/*") ]
+  in
+  let line (name, value) =
+    random_case st name ^ ":" ^ (if Random.State.bool st then " " else "") ^ value ^ "\r\n"
+  in
+  String.concat "" (List.map line (fields @ extras))
+
+let gen_request st =
+  let reqs = Lazy.force workload_requests in
+  let meth, target, version, host, cookie, body = reqs.(Random.State.int st (Array.length reqs)) in
+  (* Most workload requests are GETs; borrow a body for half of those. *)
+  let body = if body = "" && Random.State.bool st then target else body in
+  let body =
+    if Random.State.int st 4 = 0 then
+      let i = Random.State.int st (String.length body + 1) in
+      String.sub body 0 i ^ "\r\n\r\n" ^ String.sub body i (String.length body - i)
+    else body
+  in
+  let fields = ("Host", host) :: (if cookie = "" then [] else [ ("Cookie", cookie) ]) in
+  let fields, body =
+    if body <> "" && Random.State.bool st then
+      let te = [| "chunked"; "CHUNKED"; "gzip, chunked"; " Chunked "; "chunked, gzip" |] in
+      (fields @ [ ("Transfer-Encoding", te.(Random.State.int st (Array.length te))) ],
+       chunk_frame st body)
+    else (fields @ [ ("Content-Length", string_of_int (String.length body)) ], body)
+  in
+  let raw =
+    String.concat " " [ meth; target; version ] ^ "\r\n" ^ random_headers st fields ^ "\r\n" ^ body
+  in
+  (random_limits st, damage st raw)
+
+let gen_response st =
+  let codes = [| "200"; "404"; "abc"; ""; "0x1F"; "-5" |] in
+  let reasons = [| ""; " OK"; " Not Found"; " Bad  Gateway "; " " |] in
+  let status =
+    "HTTP/1.1 " ^ codes.(Random.State.int st (Array.length codes))
+    ^ reasons.(Random.State.int st (Array.length reasons))
+  in
+  let body = String.init (Random.State.int st 40) (fun _ -> "ab\r\n:".[Random.State.int st 5]) in
+  let raw =
+    status ^ "\r\n"
+    ^ random_headers st
+        [ ("X-Signature-Version", "3"); ("Content-Length", string_of_int (String.length body)) ]
+    ^ "\r\n" ^ body
+  in
+  (random_limits st, damage st raw)
+
+let same_outcome a b =
+  match (a, b) with
+  | Ok x, Ok y -> x = y
+  | Error e, Error e' -> e = e' && Wire.error_to_string e = Wire.error_to_string e'
+  | _ -> false
+
+let framing_case gen = QCheck.make ~print:(fun (_, raw) -> Printf.sprintf "%S" raw) gen
+
+let prop_wire_matches_oracle =
+  QCheck.Test.make ~name:"Wire.parse = split-and-concat oracle" ~count:2000
+    (framing_case gen_request) (fun (limits, raw) ->
+      QCheck.assume (not (Wire_oracle.overflowing_chunk_size raw));
+      same_outcome (Wire.parse ~limits raw) (Wire_oracle.parse ~limits raw))
+
+let prop_response_matches_oracle =
+  QCheck.Test.make ~name:"Response.parse = split-and-concat oracle" ~count:1000
+    (framing_case gen_response) (fun (limits, raw) ->
+      same_outcome (Response.parse ~limits raw) (Wire_oracle.parse_response ~limits raw))
+
+(* --- Allocation: no per-byte garbage in the framing ---------------------- *)
+
+let allocated_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let test_find_from_allocation () =
+  let s = String.make (64 * 1024) 'a' ^ "\r\n\r\n" in
+  let find () = Leakdetect_util.Strutil.find_from s ~pos:0 ~stop:(String.length s) "\r\n\r\n" in
+  Alcotest.(check int) "found last" (64 * 1024) (find ());
+  let words = allocated_words find in
+  if words > 16. then Alcotest.failf "find_from over 64 KiB allocated %.0f words" words
+
+let test_wire_parse_allocation () =
+  (* The body is copied once (straight to the major heap at this size, so
+     it is counted in bytes, not minor words); everything else is a small
+     constant, whatever the body's length. *)
+  let body = String.make (64 * 1024) 'x' in
+  let headers = Headers.of_list [ ("Host", "x.jp") ] in
+  let raw = Wire.print (Request.make ~headers ~body Request.POST "/up") in
+  ignore (Wire.parse raw);
+  let before = Gc.allocated_bytes () in
+  let parsed = Sys.opaque_identity (Wire.parse raw) in
+  let bytes = Gc.allocated_bytes () -. before in
+  (match parsed with
+  | Ok r -> Alcotest.(check int) "body" (String.length body) (String.length r.Request.body)
+  | Error e -> Alcotest.failf "parse: %s" (Wire.error_to_string e));
+  let overhead = bytes -. float_of_int (String.length body) in
+  if overhead > 2048. then
+    Alcotest.failf "Wire.parse of a 64 KiB body allocated %.0f bytes beyond the body copy" overhead
+
 let suite =
   [
     ( "http.headers",
@@ -436,6 +655,13 @@ let suite =
           test_wire_chunked_last_coding_only;
         Alcotest.test_case "chunked malformed" `Quick test_wire_chunked_malformed;
         Alcotest.test_case "chunked max_body" `Quick test_wire_chunked_max_body;
+        Alcotest.test_case "chunk size overflowing int" `Quick test_wire_chunked_overflow;
+        Alcotest.test_case "fragments: chunk size overflowing int" `Quick
+          test_chunked_fragments_overflow;
+        Alcotest.test_case "find_from allocates O(1)" `Quick test_find_from_allocation;
+        Alcotest.test_case "parse allocates body + O(1)" `Quick test_wire_parse_allocation;
+        qtest prop_wire_matches_oracle;
+        qtest prop_response_matches_oracle;
       ] );
     ( "http.packet",
       [

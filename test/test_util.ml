@@ -226,15 +226,26 @@ let prop_base64url_roundtrip =
 
 (* --- Strutil --- *)
 
-let test_split_on_string () =
-  Alcotest.(check (list string)) "basic" [ "a"; "b"; "c" ]
-    (Strutil.split_on_string ~sep:"--" "a--b--c");
-  Alcotest.(check (list string)) "edges" [ ""; "x"; "" ]
-    (Strutil.split_on_string ~sep:"," ",x,");
-  Alcotest.(check (list string)) "no sep" [ "abc" ]
-    (Strutil.split_on_string ~sep:"|" "abc");
-  Alcotest.(check (list string)) "empty input" [ "" ]
-    (Strutil.split_on_string ~sep:"|" "")
+let test_find_from_range () =
+  let find ?(pos = 0) ?stop sub s =
+    Strutil.find_from s ~pos ~stop:(Option.value stop ~default:(String.length s)) sub
+  in
+  Alcotest.(check int) "first" 1 (find "--" "a--b--c");
+  Alcotest.(check int) "from pos" 4 (find ~pos:2 "--" "a--b--c");
+  Alcotest.(check int) "absent" (-1) (find "|" "abc");
+  Alcotest.(check int) "at the end" 3 (find "cd" "abccd");
+  (* A match must lie wholly inside [pos, stop): "\r\n" straddling stop is
+     not one. *)
+  Alcotest.(check int) "straddles stop" (-1) (find ~stop:3 "\r\n" "ab\r\n");
+  Alcotest.(check int) "empty range" (-1) (find ~pos:2 ~stop:2 "a" "aaa");
+  Alcotest.check_raises "empty separator" (Invalid_argument "Strutil: empty separator")
+    (fun () -> ignore (find "" "abc"));
+  Alcotest.(check int) "index_in" 2 (Strutil.index_in "ab:c:" ~pos:0 ~stop:5 ':');
+  Alcotest.(check int) "index_in bounded" (-1) (Strutil.index_in "ab:c:" ~pos:0 ~stop:2 ':');
+  Alcotest.(check bool) "caseless" true
+    (Strutil.equal_caseless "Transfer-ENCODING" "transfer-encoding");
+  Alcotest.(check bool) "caseless length" false (Strutil.equal_caseless "Host" "Hos");
+  Alcotest.(check bool) "caseless differs" false (Strutil.equal_caseless "Host" "Hist")
 
 let test_chop () =
   Alcotest.(check (option string)) "prefix" (Some "bar") (Strutil.chop_prefix ~prefix:"foo" "foobar");
@@ -461,7 +472,7 @@ let suite =
       ] );
     ( "util.strutil",
       [
-        Alcotest.test_case "split_on_string" `Quick test_split_on_string;
+        Alcotest.test_case "find_from/index_in/equal_caseless" `Quick test_find_from_range;
         Alcotest.test_case "chop prefix/suffix" `Quick test_chop;
         Alcotest.test_case "trim/take/repeat" `Quick test_trim_take_repeat;
         Alcotest.test_case "common_prefix_len" `Quick test_common_prefix_len;
