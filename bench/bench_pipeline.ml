@@ -374,7 +374,9 @@ let bench_end_to_end () =
             let pool = Pool.warm jobs in
             let outcome, seconds =
               time (fun () ->
-                  Pipeline.run ?pool ~rng:(Prng.create (7 + n)) ~n ~suspicious ~normal ())
+                  Pipeline.run
+                    ~config:(Pipeline.Config.with_pool pool Pipeline.default_config)
+                    ~rng:(Prng.create (7 + n)) ~n ~suspicious ~normal ())
             in
             let sigs = serialize_signatures outcome.Pipeline.signatures in
             (match !reference with

@@ -21,7 +21,6 @@ module Detector = Leakdetect_core.Detector
 module Sensitive = Leakdetect_core.Sensitive
 module Baseline = Leakdetect_baseline.Baseline
 module Agglomerative = Leakdetect_cluster.Agglomerative
-module Cluster = Leakdetect_cluster.Cluster
 module Compressor = Leakdetect_compress.Compressor
 module Table = Leakdetect_util.Table
 module Prng = Leakdetect_util.Prng
@@ -326,7 +325,7 @@ let ablation_linkage () =
     let config =
       { Pipeline.default_config with
         Pipeline.siggen =
-          { Siggen.default with Siggen.algorithm = Cluster.Agglomerative linkage } }
+          { Siggen.default with Siggen.linkage } }
     in
     let o = Pipeline.run ~config ~rng:(Prng.create 7) ~n:ablation_n ~suspicious ~normal () in
     let coph =

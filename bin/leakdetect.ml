@@ -33,7 +33,6 @@ module Detector = Leakdetect_core.Detector
 module Sensitive = Leakdetect_core.Sensitive
 module Compressor = Leakdetect_compress.Compressor
 module Agglomerative = Leakdetect_cluster.Agglomerative
-module Cluster = Leakdetect_cluster.Cluster
 module Clustering = Leakdetect_core.Clustering
 module Sketch = Leakdetect_sketch.Sketch
 module Table = Leakdetect_util.Table
@@ -109,13 +108,13 @@ let normalize_t =
 
 let normalize_of ?obs flag = if flag then Some (Normalize.create ?obs ()) else None
 
+(* A file that cannot be read is not binary: the text loader then reports
+   why it cannot be read. *)
 let sniff_binary path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      try really_input_string ic 4 = Leakdetect_http.Trace_binary.magic
-      with End_of_file -> false)
+  Trace.read_file ~open_:open_in_bin path (fun ic ->
+      Ok (try really_input_string ic 4 = Leakdetect_http.Trace_binary.magic
+          with End_of_file -> false))
+  = Ok true
 
 let load_records ~trace ~seed ~scale =
   match trace with
@@ -130,7 +129,7 @@ let load_records ~trace ~seed ~scale =
   | None -> (Workload.generate ~seed ~scale ()).Workload.records
 
 let load_signatures path =
-  match Signature_io.load ~on_error:`Skip path with
+  match Signature_io.load ~config:{ Pipeline.default_config with on_error = `Skip } path with
   | Error e -> exit_err "cannot load %s: %s" path e
   | Ok (signatures, skips) ->
     if skips.Trace.skipped > 0 then begin
@@ -277,8 +276,17 @@ let stats_cmd =
 
 (* --- shared pipeline configuration flags --- *)
 
+(* A sample size: cmdliner refuses a negative one (exit 124). *)
+let sample_size =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid sample size %S, expected an integer >= 0" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let sample_t ?(names = [ "n"; "sample" ]) default =
-  Arg.(value & opt int default
+  Arg.(value & opt sample_size default
       & info names ~docv:"N" ~doc:"Suspicious packets sampled for signature generation.")
 
 let n_t = sample_t 500
@@ -364,7 +372,7 @@ let pp_bucket_stats (stats : Clustering.stats) =
 let config_of ?(clustering = Clustering.Exact) ~compressor ~linkage ~cut () =
   let siggen =
     { Siggen.default with
-      Siggen.algorithm = Cluster.Agglomerative linkage;
+      Siggen.linkage;
       cut = (match cut with Some v -> Siggen.Threshold v | None -> Siggen.Auto);
     }
   in
@@ -425,7 +433,6 @@ let cluster_cmd =
         ~compressor:config.Pipeline.compressor ()
     in
     let pool = Pool.warm jobs in
-    let algorithm = Cluster.Agglomerative linkage in
     (* The exact path keeps its own matrix so the cophenetic correlation can
        be reported; sketch mode never materializes the full matrix, so the
        bucket statistics stand in for it. *)
@@ -433,15 +440,15 @@ let cluster_cmd =
       match backend with
       | Clustering.Exact -> (
         let matrix = Distance.matrix ?pool dist sample in
-        match Cluster.run algorithm matrix with
-        | Cluster.Hierarchy tree ->
+        match Agglomerative.cluster ~linkage matrix with
+        | Some tree ->
           (tree, Some (Leakdetect_cluster.Cophenetic.correlation matrix tree), None)
-        | Cluster.Empty | Cluster.Partition _ -> exit_err "empty sample")
+        | None -> exit_err "empty sample")
       | Clustering.Sketch _ -> (
-        let r = Clustering.run ?pool ~backend ~algorithm dist sample in
-        match r.Clustering.output with
-        | Cluster.Hierarchy tree -> (tree, None, Some r.Clustering.stats)
-        | Cluster.Empty | Cluster.Partition _ -> exit_err "empty sample")
+        let r = Clustering.run ?pool ~backend ~linkage dist sample in
+        match r.Clustering.dendrogram with
+        | Some tree -> (tree, None, Some r.Clustering.stats)
+        | None -> exit_err "empty sample")
     in
     begin
       let threshold =
@@ -486,7 +493,7 @@ let cluster_cmd =
     end
   in
   let n_small =
-    Arg.(value & opt int 60
+    Arg.(value & opt sample_size 60
         & info [ "n"; "sample" ] ~docv:"N" ~doc:"Packets to sample and cluster.")
   in
   let newick =
@@ -567,19 +574,19 @@ let evaluate_cmd =
         (config_of ~clustering ~compressor ~linkage ~cut ())
     in
     let rows =
-      let pool = Pool.warm jobs in
+      let config = Pipeline.Config.with_pool (Pool.warm jobs) config in
       List.map
         (fun n ->
           let rng = Prng.create (seed + n) in
           if bayes then begin
             let o =
-              Leakdetect_core.Bayes.run ~config ?pool ~rng ~n ~suspicious ~normal ()
+              Leakdetect_core.Bayes.run ~config ~rng ~n ~suspicious ~normal ()
             in
             Metrics.to_row o.Leakdetect_core.Bayes.metrics
             @ [ string_of_int o.Leakdetect_core.Bayes.n_tokens ^ " tokens" ]
           end
           else begin
-            let o = Pipeline.run ~config ?pool ~rng ~n ~suspicious ~normal () in
+            let o = Pipeline.run ~config ~rng ~n ~suspicious ~normal () in
             Metrics.to_row o.Pipeline.metrics
             @ [ string_of_int (List.length o.Pipeline.signatures) ^ " sigs" ]
           end)

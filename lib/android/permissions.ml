@@ -1,25 +1,11 @@
 module Sensitive = Leakdetect_core.Sensitive
 
-type permission = Internet | Location | Read_phone_state | Read_contacts
-
-let permission_name = function
-  | Internet -> "INTERNET"
-  | Location -> "ACCESS_FINE_LOCATION"
-  | Read_phone_state -> "READ_PHONE_STATE"
-  | Read_contacts -> "READ_CONTACTS"
-
 type combo = {
   internet : bool;
   location : bool;
   phone_state : bool;
   contacts : bool;
 }
-
-let has c = function
-  | Internet -> c.internet
-  | Location -> c.location
-  | Read_phone_state -> c.phone_state
-  | Read_contacts -> c.contacts
 
 let requires_sensitive c = c.location || c.phone_state || c.contacts
 let dangerous c = c.internet && requires_sensitive c

@@ -2,11 +2,6 @@
     III-A): the [INTERNET] permission plus the three sensitive-information
     permissions of Table I, with the full Table I population breakdown. *)
 
-type permission = Internet | Location | Read_phone_state | Read_contacts
-
-val permission_name : permission -> string
-(** The Android manifest constant, e.g. ["READ_PHONE_STATE"]. *)
-
 type combo = {
   internet : bool;
   location : bool;
@@ -14,7 +9,6 @@ type combo = {
   contacts : bool;
 }
 
-val has : combo -> permission -> bool
 val requires_sensitive : combo -> bool
 (** At least one of the three sensitive permissions. *)
 

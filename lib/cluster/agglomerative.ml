@@ -91,4 +91,3 @@ let run linkage m =
   end
 
 let cluster ?(linkage = Group_average) m = fst (run linkage m)
-let merge_sequence ?(linkage = Group_average) m = snd (run linkage m)

@@ -21,8 +21,3 @@ val cluster : ?linkage:linkage -> Dist_matrix.t -> Dendrogram.t option
     performs exactly [n - 1] merges; each merge records its linkage distance
     as the dendrogram height.  O(n^2) memory, O(n^3) time — the paper's
     sample sizes (N <= 500) keep this well under a second. *)
-
-val merge_sequence : ?linkage:linkage -> Dist_matrix.t -> (int * int * float) list
-(** The successive merges as (cluster-a, cluster-b, distance), using the
-    scipy-style convention that original items are [0..n-1] and the cluster
-    created by merge [k] gets index [n + k].  Exposed for tests. *)

@@ -46,13 +46,6 @@ let cut_into k t =
   in
   loop [ t ]
 
-let heights t =
-  let rec loop acc = function
-    | Leaf _ -> acc
-    | Node { height; left; right; _ } -> height :: loop (loop acc right) left
-  in
-  loop [] t
-
 let rec pp ppf = function
   | Leaf i -> Format.fprintf ppf "%d" i
   | Node { left; right; height; _ } ->

@@ -24,9 +24,6 @@ val cut_into : int -> t -> t list
 (** [cut_into k t] splits the highest merges until at least [k] subtrees
     exist (or only leaves remain). *)
 
-val heights : t -> float list
-(** All internal merge heights, root-first (pre-order). *)
-
 val pp : Format.formatter -> t -> unit
 
 val to_newick : ?label:(int -> string) -> t -> string

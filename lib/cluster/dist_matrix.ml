@@ -29,18 +29,3 @@ let build ?pool n f =
         set t i j (f i j)
       done);
   t
-
-let fold f acc t =
-  let acc = ref acc in
-  for i = 0 to t.n - 1 do
-    for j = i + 1 to t.n - 1 do
-      acc := f !acc (get t i j)
-    done
-  done;
-  !acc
-
-let max_value t = fold Float.max 0. t
-
-let mean_value t =
-  let pairs = npairs t.n in
-  if pairs = 0 then 0. else fold ( +. ) 0. t /. float_of_int pairs

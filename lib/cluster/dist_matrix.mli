@@ -20,8 +20,3 @@ val get : t -> int -> int -> float
 
 val set : t -> int -> int -> float -> unit
 (** @raise Invalid_argument when [i = j]. *)
-
-val max_value : t -> float
-(** Largest off-diagonal entry; 0 for matrices with fewer than 2 items. *)
-
-val mean_value : t -> float

@@ -48,6 +48,4 @@ module Reader = struct
       if read_bit t then v := !v lor (1 lsl i)
     done;
     !v
-
-  let bits_remaining t = (String.length t.data * 8) - t.pos
 end

@@ -26,5 +26,4 @@ module Reader : sig
   val of_string : string -> t
   val read_bit : t -> bool
   val read_bits : t -> int -> int
-  val bits_remaining : t -> int
 end

@@ -1,7 +1,5 @@
 type algorithm = Lz77 | Lzw | Huffman
 
-let all = [ Lz77; Lzw; Huffman ]
-
 let name = function Lz77 -> "lz77" | Lzw -> "lzw" | Huffman -> "huffman"
 
 let of_name = function
@@ -38,22 +36,11 @@ let ncd_of_lengths ~cx ~cy ~cxy =
 let algo_length_bits = length_bits
 
 module Cache = struct
-  type stats = {
-    hits : int;
-    misses : int;
-    pair_hits : int;
-    pair_misses : int;
-  }
-
   type t = {
     algo : algorithm;
     table : (string, int) Hashtbl.t;
     pair_table : (string * string, int) Hashtbl.t;
     pair_capacity : int;
-    mutable hits : int;
-    mutable misses : int;
-    mutable pair_hits : int;
-    mutable pair_misses : int;
   }
 
   let create ?(pair_capacity = 16384) algo =
@@ -63,21 +50,14 @@ module Cache = struct
       table = Hashtbl.create 1024;
       pair_table = Hashtbl.create 1024;
       pair_capacity;
-      hits = 0;
-      misses = 0;
-      pair_hits = 0;
-      pair_misses = 0;
     }
 
   let algorithm t = t.algo
 
   let length_bits t s =
     match Hashtbl.find_opt t.table s with
-    | Some v ->
-      t.hits <- t.hits + 1;
-      v
+    | Some v -> v
     | None ->
-      t.misses <- t.misses + 1;
       let v = algo_length_bits t.algo s in
       Hashtbl.add t.table s v;
       v
@@ -87,11 +67,8 @@ module Cache = struct
   let pair_length_bits t x y =
     let key = (x, y) in
     match Hashtbl.find_opt t.pair_table key with
-    | Some v ->
-      t.pair_hits <- t.pair_hits + 1;
-      v
+    | Some v -> v
     | None ->
-      t.pair_misses <- t.pair_misses + 1;
       let v = concat_length_bits t.algo x y in
       if Hashtbl.length t.pair_table < t.pair_capacity then Hashtbl.add t.pair_table key v;
       v
@@ -104,8 +81,4 @@ module Cache = struct
       ncd_of_lengths ~cx ~cy ~cxy:(pair_length_bits t x y)
     end
 
-  let stats t =
-    { hits = t.hits; misses = t.misses; pair_hits = t.pair_hits; pair_misses = t.pair_misses }
-
-  let pair_size t = Hashtbl.length t.pair_table
 end

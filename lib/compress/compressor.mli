@@ -7,7 +7,6 @@
 
 type algorithm = Lz77 | Lzw | Huffman
 
-val all : algorithm list
 val name : algorithm -> string
 val of_name : string -> algorithm option
 
@@ -43,13 +42,6 @@ module Cache : sig
 
   type t
 
-  type stats = {
-    hits : int;  (** singleton-length cache hits *)
-    misses : int;  (** singleton-length computations *)
-    pair_hits : int;  (** pair-length [C(xy)] cache hits *)
-    pair_misses : int;  (** pair-length computations *)
-  }
-
   val create : ?pair_capacity:int -> algorithm -> t
   (** [pair_capacity] bounds the pair-level cache (default 16384 entries);
       once full, further pairs compute without being stored. *)
@@ -63,10 +55,4 @@ module Cache : sig
       in canonical (lexicographic) order so the distance is exactly
       symmetric.  A pair-cache miss computes [C(xy)] with
       {!concat_length_bits}, so under LZ77 it allocates nothing. *)
-
-  val stats : t -> stats
-  (** Counter snapshot — exposed for tests. *)
-
-  val pair_size : t -> int
-  (** Pair entries currently cached (bounded by [pair_capacity]). *)
 end

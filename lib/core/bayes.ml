@@ -36,8 +36,6 @@ let compile sig_ =
       weights = Array.of_list (List.map (fun s -> s.weight) tokens);
     }
 
-let signature c = c.sig_
-
 let score c content =
   match c.automaton with
   | None -> 0.
@@ -103,13 +101,8 @@ let train ?(target_fp = 0.005) ~tokens ~suspicious ~benign () =
 
 type outcome = { signature_ : t; n_tokens : int; metrics : Metrics.t }
 
-let run ?(config = Pipeline_config.default) ?pool ?(target_fp = 0.005)
+let run ?(config = Pipeline_config.default) ?(target_fp = 0.005)
     ?(benign_train = 2000) ~rng ?n ~suspicious ~normal () =
-  let config =
-    match pool with
-    | Some _ -> { config with Pipeline_config.pool }
-    | None -> config
-  in
   let n = Option.value n ~default:config.Pipeline_config.sample_n in
   Leakdetect_obs.Obs.with_span config.Pipeline_config.obs "bayes.run"
   @@ fun () ->

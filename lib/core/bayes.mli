@@ -44,7 +44,6 @@ val train :
 type compiled
 
 val compile : t -> compiled
-val signature : compiled -> t
 
 val score : compiled -> string -> float
 (** Score of a flattened packet content. *)
@@ -60,7 +59,6 @@ type outcome = {
 
 val run :
   ?config:Pipeline_config.t ->
-  ?pool:Leakdetect_parallel.Pool.t ->
   ?target_fp:float ->
   ?benign_train:int ->
   rng:Leakdetect_util.Prng.t ->
@@ -73,5 +71,4 @@ val run :
     packets (default [config.sample_n]), cluster them exactly as the paper
     does, take the per-cluster invariant tokens as candidates, train
     weights against a benign sample of [benign_train] packets (default
-    2000), and evaluate on the whole dataset with the paper's metrics.
-    Like {!Pipeline.run}, the deprecated [?pool] overrides [config.pool]. *)
+    2000), and evaluate on the whole dataset with the paper's metrics. *)

@@ -1,18 +1,18 @@
 (* Clustering backend: the seam between signature generation and the
    cluster library.
 
-   [Exact] is the paper's path — one O(N^2) NCD matrix, one clustering
-   run.  [Sketch] is the sub-quadratic path: minhash/LSH buckets
-   near-duplicate payloads first (lib/sketch), runs the exact matrix and
-   the selected algorithm only inside each bucket, and stitches the
-   per-bucket results back into one output.  Bucket contents never mix
+   [Exact] is the paper's path — one O(N^2) NCD matrix, one agglomerative
+   clustering run.  [Sketch] is the sub-quadratic path: minhash/LSH
+   buckets near-duplicate payloads first (lib/sketch), runs the exact
+   matrix and the linkage only inside each bucket, and stitches the
+   per-bucket dendrograms back into one.  Bucket contents never mix
    below the synthetic join height, so with one bucket the result is
    byte-identical to [Exact]. *)
 
 module Packet = Leakdetect_http.Packet
 module Pool = Leakdetect_parallel.Pool
 module Obs = Leakdetect_obs.Obs
-module Cluster = Leakdetect_cluster.Cluster
+module Agglomerative = Leakdetect_cluster.Agglomerative
 module Dist_matrix = Leakdetect_cluster.Dist_matrix
 module Dendrogram = Leakdetect_cluster.Dendrogram
 module Sketch = Leakdetect_sketch.Sketch
@@ -31,16 +31,16 @@ type stats = {
   total_pairs : int;  (** C(n,2): what [Exact] would compute *)
 }
 
-type result = { output : Cluster.output; stats : stats }
+type result = { dendrogram : Dendrogram.t option; stats : stats }
 
 let pairs n = n * (n - 1) / 2
 
 let exact_stats ~backend n =
   { backend; buckets = 1; largest_bucket = n; exact_pairs = pairs n; total_pairs = pairs n }
 
-let run_exact ?pool ~obs algorithm dist sample =
+let run_exact ?pool ~obs linkage dist sample =
   let matrix = Distance.matrix ?pool ~obs dist sample in
-  { output = Cluster.run algorithm matrix;
+  { dendrogram = Agglomerative.cluster ~linkage matrix;
     stats = exact_stats ~backend:"exact" (Array.length sample) }
 
 (* Rewrite a per-bucket tree's leaf indices (positions within the bucket)
@@ -86,19 +86,19 @@ let bucket_obs obs ~buckets ~sizes ~exact_pairs ~total_pairs =
       (total_pairs - exact_pairs)
   end
 
-let run_sketch ?pool ~obs algorithm params dist sample =
+let run_sketch ?pool ~obs linkage params dist sample =
   let n = Array.length sample in
   let payloads = Array.map Packet.content_string sample in
   let buckets =
     Obs.with_span obs "clustering.sketch" (fun () -> Sketch.bucket ?pool params payloads)
   in
   match buckets with
-  | [] -> { output = Cluster.Empty; stats = { (exact_stats ~backend:"sketch" 0) with buckets = 0; largest_bucket = 0 } }
+  | [] -> { dendrogram = None; stats = { (exact_stats ~backend:"sketch" 0) with buckets = 0; largest_bucket = 0 } }
   | [ _ ] ->
       (* Everything collided into one bucket, whose members are 0..n-1 in
          order: the exact path on the same matrix, byte for byte. *)
       bucket_obs obs ~buckets:1 ~sizes:[| n |] ~exact_pairs:(pairs n) ~total_pairs:(pairs n);
-      { (run_exact ?pool ~obs algorithm dist sample) with
+      { (run_exact ?pool ~obs linkage dist sample) with
         stats = exact_stats ~backend:"sketch" n }
   | buckets ->
       let groups = Array.of_list (List.map Array.of_list buckets) in
@@ -107,7 +107,7 @@ let run_sketch ?pool ~obs algorithm params dist sample =
       let exact_pairs = Array.fold_left (fun acc s -> acc + pairs s) 0 sizes in
       let total_pairs = pairs n in
       bucket_obs obs ~buckets:nb ~sizes ~exact_pairs ~total_pairs;
-      let outputs = Array.make nb Cluster.Empty in
+      let trees = Array.make nb None in
       (* Fan whole buckets out across domains: the sample is interned once
          for all buckets, each domain works through its buckets with its
          own memo tables, and every bucket's matrix build stays sequential
@@ -121,44 +121,13 @@ let run_sketch ?pool ~obs algorithm params dist sample =
                   Dist_matrix.build (Array.length members) (fun i j ->
                       Distance.pair local members.(i) members.(j))
                 in
-                outputs.(bi) <- Cluster.run algorithm m))
+                trees.(bi) <- Agglomerative.cluster ~linkage m))
       in
-      let output =
-        if Cluster.is_hierarchical algorithm then begin
-          let trees =
-            Array.to_list
-              (Array.mapi
-                 (fun bi o ->
-                   match o with
-                   | Cluster.Hierarchy t -> remap groups.(bi) t
-                   | Cluster.Empty | Cluster.Partition _ ->
-                       (* buckets are non-empty and the algorithm is
-                          hierarchical, so per-bucket output is a
-                          hierarchy (a singleton bucket yields Leaf). *)
-                       assert false)
-                 outputs)
-          in
-          let join_height = Distance.max_possible dist +. 1.0 in
-          match join_balanced ~height:join_height trees with
-          | None -> Cluster.Empty
-          | Some t -> Cluster.Hierarchy t
-        end
-        else begin
-          let clusters = ref [] and noise = ref [] in
-          Array.iteri
-            (fun bi o ->
-              match o with
-              | Cluster.Partition { clusters = cs; noise = ns } ->
-                  let members = groups.(bi) in
-                  clusters :=
-                    !clusters @ List.map (List.map (fun i -> members.(i))) cs;
-                  noise := !noise @ List.map (fun i -> members.(i)) ns
-              | Cluster.Empty | Cluster.Hierarchy _ -> assert false)
-            outputs;
-          Cluster.Partition { clusters = !clusters; noise = !noise }
-        end
-      in
-      { output;
+      (* Buckets are non-empty, so each yields a tree (a singleton bucket
+         a [Leaf]). *)
+      let trees = Array.to_list (Array.mapi (fun bi t -> remap groups.(bi) (Option.get t)) trees) in
+      let join_height = Distance.max_possible dist +. 1.0 in
+      { dendrogram = join_balanced ~height:join_height trees;
         stats =
           {
             backend = "sketch";
@@ -169,13 +138,13 @@ let run_sketch ?pool ~obs algorithm params dist sample =
           };
       }
 
-let run ?pool ?(obs = Obs.noop) ~backend ~algorithm dist sample =
+let run ?pool ?(obs = Obs.noop) ~backend ~linkage dist sample =
   if Array.length sample = 0 then
-    { output = Cluster.Empty;
+    { dendrogram = None;
       stats =
         { backend = backend_name backend; buckets = 0; largest_bucket = 0;
           exact_pairs = 0; total_pairs = 0 } }
   else
     match backend with
-    | Exact -> run_exact ?pool ~obs algorithm dist sample
-    | Sketch params -> run_sketch ?pool ~obs algorithm params dist sample
+    | Exact -> run_exact ?pool ~obs linkage dist sample
+    | Sketch params -> run_sketch ?pool ~obs linkage params dist sample

@@ -1,15 +1,14 @@
 (** Clustering backend selection — exact O(N²) or the minhash/LSH sketch
     prefilter.
 
-    [Exact] builds the full pairwise NCD matrix and runs the selected
-    {!Leakdetect_cluster.Cluster.algorithm} over it: the paper's
-    procedure, quadratic in the sample.  [Sketch] first buckets
-    near-duplicate payloads with {!Leakdetect_sketch.Sketch}, runs the
-    exact matrix and algorithm only inside each bucket, and merges the
-    per-bucket results: hierarchies are stitched under balanced synthetic
-    joins one unit above the maximum possible packet distance (so any
-    sensible dendrogram cut keeps buckets apart), partitions are
-    concatenated.  When every payload lands in one bucket the sketch path
+    [Exact] builds the full pairwise NCD matrix and runs
+    {!Leakdetect_cluster.Agglomerative} over it with the given linkage:
+    the paper's procedure, quadratic in the sample.  [Sketch] first
+    buckets near-duplicate payloads with {!Leakdetect_sketch.Sketch}, runs
+    the exact matrix and linkage only inside each bucket, and stitches the
+    per-bucket dendrograms under balanced synthetic joins one unit above
+    the maximum possible packet distance (so any sensible dendrogram cut
+    keeps buckets apart).  When every payload lands in one bucket the sketch path
     degenerates to the exact path, byte for byte.
 
     Both backends are deterministic at any pool size: bucketing is a pure
@@ -33,17 +32,20 @@ type stats = {
   total_pairs : int;  (** C(n,2): what [Exact] would compute *)
 }
 
-type result = { output : Leakdetect_cluster.Cluster.output; stats : stats }
+type result = {
+  dendrogram : Leakdetect_cluster.Dendrogram.t option;  (** [None] only for the empty sample *)
+  stats : stats;
+}
 
 val run :
   ?pool:Leakdetect_parallel.Pool.t ->
   ?obs:Leakdetect_obs.Obs.t ->
   backend:backend ->
-  algorithm:Leakdetect_cluster.Cluster.algorithm ->
+  linkage:Leakdetect_cluster.Agglomerative.linkage ->
   Distance.t ->
   Leakdetect_http.Packet.t array ->
   result
-(** [run ~backend ~algorithm dist sample] clusters the sample.  With
+(** [run ~backend ~linkage dist sample] clusters the sample.  With
     [?pool], [Exact] parallelizes the matrix pair loop and [Sketch]
     parallelizes signature computation and fans whole buckets across
     domains over one interned view of the sample ({!Distance.with_view}).

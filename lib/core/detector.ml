@@ -23,7 +23,6 @@ type entry = {
 }
 
 type t = {
-  signatures : Signature.t list;
   entries : entry array;
   leads : int array;  (* entry i's first token id, -1 for a token-less entry *)
   automaton : Aho_corasick.t option;  (* None when there are no signatures *)
@@ -63,9 +62,8 @@ let create signatures =
   let leads =
     Array.map (fun e -> if e.token_ids = [||] then -1 else e.token_ids.(0)) entries
   in
-  { signatures; entries; leads; automaton }
+  { entries; leads; automaton }
 
-let signatures t = t.signatures
 let signature_count t = Array.length t.entries
 
 (* Closure-free token-set test: this runs once per entry per packet, so a
@@ -98,25 +96,6 @@ let first_entry t matched content =
       else loop (i + 1)
   in
   loop 0
-
-let first_match_content t content =
-  match t.automaton with
-  | None -> None
-  | Some automaton ->
-    first_entry t (Aho_corasick.matched_set automaton content) (Lazy.from_val content)
-
-let all_matches_content t content =
-  match t.automaton with
-  | None -> []
-  | Some automaton ->
-    let matched = Aho_corasick.matched_set automaton content in
-    let content = Lazy.from_val content in
-    let acc = ref [] in
-    for i = Array.length t.entries - 1 downto 0 do
-      let e = t.entries.(i) in
-      if entry_matches e matched content then acc := e.signature :: !acc
-    done;
-    !acc
 
 (* --- reusable scan scratch ----------------------------------------------- *)
 
@@ -180,25 +159,6 @@ let first_match_normalized ?normalize t packet =
 
 let first_match ?normalize t packet =
   Option.map fst (first_match_normalized ?normalize t packet)
-
-let all_matches ?normalize t packet =
-  let content = Packet.content_string packet in
-  match normalize with
-  | None -> all_matches_content t content
-  | Some nz ->
-    let seen = Hashtbl.create 8 in
-    List.concat_map
-      (fun text ->
-        List.filter
-          (fun (s : Signature.t) ->
-            if Hashtbl.mem seen s.Signature.id then false
-            else begin
-              Hashtbl.add seen s.Signature.id ();
-              true
-            end)
-          (all_matches_content t text))
-      (content :: List.map (fun (v : Normalize.view) -> v.Normalize.text)
-                    (Normalize.lattice nz content).Normalize.derived)
 
 let detects ?normalize t packet = Option.is_some (first_match ?normalize t packet)
 

@@ -23,7 +23,6 @@ type detector = t
 (** Alias so {!Stream}'s signature can name the detector unambiguously. *)
 
 val create : Signature.t list -> t
-val signatures : t -> Signature.t list
 val signature_count : t -> int
 
 val first_match :
@@ -39,15 +38,6 @@ val first_match_normalized :
   (Signature.t * Leakdetect_normalize.Normalize.step list) option
 (** Like {!first_match} but also reports the decode chain of the view that
     matched ([[]] for the raw content), for evasion attribution. *)
-
-val all_matches :
-  ?normalize:Leakdetect_normalize.Normalize.t ->
-  t -> Leakdetect_http.Packet.t -> Signature.t list
-
-val first_match_content : t -> string -> Signature.t option
-(** {!first_match} over an already-materialized content string. *)
-
-val all_matches_content : t -> string -> Signature.t list
 
 val detects :
   ?normalize:Leakdetect_normalize.Normalize.t ->

@@ -43,9 +43,6 @@ let create ?(components = all_components) ?(compressor = Compressor.Lz77)
     registry;
   }
 
-let components t = t.comps
-let registry t = t.registry
-
 let d_ip a b = 1. -. Ipv4.similarity a b
 
 let d_ip_registry registry a b =

@@ -55,9 +55,6 @@ val create :
     destinations have a registered owner, [d_ip] becomes 0 (same owner) or
     1 (different owners) instead of the prefix heuristic. *)
 
-val components : t -> components
-val registry : t -> Leakdetect_net.Registry.t option
-
 val d_ip : Leakdetect_net.Ipv4.t -> Leakdetect_net.Ipv4.t -> float
 (** The registry-free prefix heuristic. *)
 

@@ -18,7 +18,6 @@ module Normalize = Leakdetect_normalize.Normalize
 type lane = { ac : Aho_corasick.t; bits : int array }
 
 type t = {
-  needles : (Sensitive.kind * string) list;
   exact : lane;
   caseless : lane;  (* empty when no needle is digest-shaped *)
   all_bits : int;  (* every kind some needle can report *)
@@ -58,13 +57,10 @@ let create needles =
       needles
   in
   {
-    needles;
     exact = lane folded;
     caseless = lane ~caseless:true (List.filter (fun (_, n) -> is_digest_needle n) folded);
     all_bits = List.fold_left (fun acc (k, _) -> acc lor kind_bit k) 0 needles;
   }
-
-let needles t = t.needles
 
 (* Per-call scan state: one matched set and one resumable cursor per lane,
    reused across the packets of a [split]. *)
@@ -130,11 +126,6 @@ let derived_views nz p =
   (Normalize.lattice nz (Packet.content_string p)).Normalize.derived
 
 type via = Raw | Folded | View of Normalize.step list
-
-let via_to_string = function
-  | Raw -> "raw"
-  | Folded -> "folded"
-  | View steps -> String.concat "+" (List.map Normalize.step_name steps)
 
 type verdict = { kind : Sensitive.kind; via : via }
 

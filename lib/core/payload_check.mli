@@ -28,15 +28,9 @@ val create : (Sensitive.kind * string) list -> t
     kind are allowed (e.g. a raw value and its URL-encoded form).  Empty
     needle strings are rejected with [Invalid_argument]. *)
 
-val needles : t -> (Sensitive.kind * string) list
-
 (** How a needle was found: in the raw bytes, in the case-folded content
     (digest needles only), or in a derived view reached by a decode chain. *)
 type via = Raw | Folded | View of Leakdetect_normalize.Normalize.step list
-
-val via_to_string : via -> string
-(** ["raw"], ["folded"], or the decode chain joined with [+]
-    (e.g. ["percent+base64"]). *)
 
 type verdict = { kind : Sensitive.kind; via : via }
 

@@ -1,4 +1,3 @@
-module Prng = Leakdetect_util.Prng
 module Sample = Leakdetect_util.Sample
 module Obs = Leakdetect_obs.Obs
 
@@ -69,10 +68,7 @@ let run_instrumented config ~rng ~n ~suspicious ~normal =
     metrics;
   }
 
-let run ?(config = Config.default) ?pool ?n ~rng ~suspicious ~normal () =
-  let config =
-    match pool with Some _ -> { config with pool } | None -> config
-  in
+let run ?(config = Config.default) ?n ~rng ~suspicious ~normal () =
   let n = Option.value n ~default:config.sample_n in
   let obs = config.obs in
   if Obs.is_noop obs then run_instrumented config ~rng ~n ~suspicious ~normal
@@ -88,8 +84,3 @@ let run ?(config = Config.default) ?pool ?n ~rng ~suspicious ~normal () =
          ~buckets:Obs.duration_buckets "leakdetect_pipeline_run_seconds")
       (float_of_int (Obs.Clock.now_ns () - t0) /. 1e9);
     outcome
-
-let sweep ?(config = Config.default) ?pool ~rng ~ns ~suspicious ~normal () =
-  List.map
-    (fun n -> run ~config ?pool ~rng:(Prng.split rng) ~n ~suspicious ~normal ())
-    ns

@@ -40,7 +40,6 @@ type outcome = {
 
 val run :
   ?config:config ->
-  ?pool:Leakdetect_parallel.Pool.t ->
   ?n:int ->
   rng:Leakdetect_util.Prng.t ->
   suspicious:Leakdetect_http.Packet.t array ->
@@ -53,25 +52,12 @@ val run :
     manually (Sec. V-A); obtain them from {!Payload_check.split} or from
     trace labels.
 
-    [n] defaults to [config.sample_n]; [?pool], kept as a deprecated
-    convenience, overrides [config.pool].  Prefer threading both through
-    the config.  When [config.obs] is active, the run is wrapped in a
+    [n] defaults to [config.sample_n].  When [config.obs] is active, the run is wrapped in a
     [pipeline.run] span and records the [leakdetect_pipeline_*] metric
     families on top of the per-stage instrumentation.
 
-    A pool parallelizes the two hot phases — the NCD distance matrix and
+    [config.pool] parallelizes the two hot phases — the NCD distance matrix and
     whole-trace detection — over its domains.  Sampling, clustering and
     signature extraction are unchanged and the outcome is bit-identical
     for every pool size. *)
 
-val sweep :
-  ?config:config ->
-  ?pool:Leakdetect_parallel.Pool.t ->
-  rng:Leakdetect_util.Prng.t ->
-  ns:int list ->
-  suspicious:Leakdetect_http.Packet.t array ->
-  normal:Leakdetect_http.Packet.t array ->
-  unit ->
-  outcome list
-(** The Figure 4 experiment: one {!run} per N, each on a fresh sample drawn
-    from a split of the given generator.  One pool serves every run. *)

@@ -3,7 +3,7 @@ module Obs = Leakdetect_obs.Obs
 type cut = Auto | Threshold of float | Count of int | Every_merge
 
 type siggen = {
-  algorithm : Leakdetect_cluster.Cluster.algorithm;
+  linkage : Leakdetect_cluster.Agglomerative.linkage;
   cut : cut;
   min_token_len : int;
   min_specificity : int;
@@ -12,7 +12,7 @@ type siggen = {
 
 let default_siggen =
   {
-    algorithm = Leakdetect_cluster.Cluster.default;
+    linkage = Leakdetect_cluster.Agglomerative.Group_average;
     cut = Auto;
     min_token_len = 3;
     min_specificity = 8;
@@ -50,32 +50,12 @@ let default =
     normalize = None;
   }
 
-let with_components components t = { t with components }
-let with_compressor compressor t = { t with compressor }
-let with_content_metric content_metric t = { t with content_metric }
-let with_whois registry t = { t with registry }
-let with_siggen siggen t = { t with siggen }
 let with_clustering clustering t = { t with clustering }
 let with_pool pool t = { t with pool }
 
 let with_jobs ?obs jobs t = { t with pool = Leakdetect_parallel.Pool.warm ?obs jobs }
-let with_on_error on_error t = { t with on_error }
 let with_obs obs t = { t with obs }
 let with_normalize normalize t = { t with normalize }
-
-let with_sample_n sample_n t =
-  if sample_n < 0 then invalid_arg "Pipeline.Config.with_sample_n: negative N";
-  { t with sample_n }
-
-let with_algorithm algorithm t = { t with siggen = { t.siggen with algorithm } }
-
-let with_linkage linkage t =
-  with_algorithm (Leakdetect_cluster.Cluster.Agglomerative linkage) t
-let with_cut cut t = { t with siggen = { t.siggen with cut } }
-let with_min_token_len min_token_len t = { t with siggen = { t.siggen with min_token_len } }
-let with_min_specificity min_specificity t =
-  { t with siggen = { t.siggen with min_specificity } }
-let with_mode mode t = { t with siggen = { t.siggen with mode } }
 
 let distance t =
   Distance.create ~components:t.components ~compressor:t.compressor

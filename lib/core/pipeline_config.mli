@@ -3,11 +3,11 @@
     Every knob the end-to-end pipeline reads lives here: distance
     components and compressor, the signature-generation sub-config, the
     domain pool, the parse-error policy, the default sample size N and the
-    observability registry.  It replaces the loose [?pool] / [?on_error]
-    optional arguments that had crept across [Pipeline], [Siggen], [Bayes]
-    and the CLI; those arguments survive as deprecated thin wrappers.
+    observability registry.  It is the only way to set these knobs:
+    [Pipeline], [Siggen], [Bayes] and the loaders read them from here.
 
-    Build configurations from {!default} with the [with_*] builders:
+    Build configurations from {!default} with record updates or the
+    [with_*] builders:
 
     {[
       Pipeline.Config.(default |> with_pool pool |> with_obs registry)
@@ -17,9 +17,9 @@
 type cut = Auto | Threshold of float | Count of int | Every_merge
 
 type siggen = {
-  algorithm : Leakdetect_cluster.Cluster.algorithm;
-      (** Clustering algorithm, selected by value (default
-          [Agglomerative Group_average], the paper's configuration). *)
+  linkage : Leakdetect_cluster.Agglomerative.linkage;
+      (** Linkage of the agglomerative clustering (default
+          [Group_average], the paper's configuration). *)
   cut : cut;
   min_token_len : int;  (** Tokens shorter than this are dropped (default 3). *)
   min_specificity : int;
@@ -60,12 +60,6 @@ type t = {
 
 val default : t
 
-val with_components : Distance.components -> t -> t
-val with_compressor : Leakdetect_compress.Compressor.algorithm -> t -> t
-val with_content_metric : Distance.content_metric -> t -> t
-val with_whois : Leakdetect_net.Registry.t option -> t -> t
-val with_siggen : siggen -> t -> t
-
 val with_clustering : Clustering.backend -> t -> t
 (** Select the clustering backend: [Clustering.Exact] (the default) or
     [Clustering.Sketch params] for sub-quadratic LSH-bucketed runs. *)
@@ -79,23 +73,8 @@ val with_jobs : ?obs:Leakdetect_obs.Obs.t -> int -> t -> t
     the same width, instead of paying domain spawn/teardown per run.
     [jobs <= 1] selects the sequential path ([pool = None]). *)
 
-val with_on_error : on_error -> t -> t
 val with_obs : Leakdetect_obs.Obs.t -> t -> t
 val with_normalize : Leakdetect_normalize.Normalize.t option -> t -> t
-
-val with_sample_n : int -> t -> t
-(** @raise Invalid_argument when negative. *)
-
-val with_algorithm : Leakdetect_cluster.Cluster.algorithm -> t -> t
-
-val with_linkage : Leakdetect_cluster.Agglomerative.linkage -> t -> t
-(** [with_linkage l] is [with_algorithm (Agglomerative l)] — kept because
-    linkage is the knob the paper's ablation sweeps. *)
-
-val with_cut : cut -> t -> t
-val with_min_token_len : int -> t -> t
-val with_min_specificity : int -> t -> t
-val with_mode : Signature.mode -> t -> t
 
 val distance : t -> Distance.t
 (** A fresh {!Distance.t} built from the distance-related fields. *)

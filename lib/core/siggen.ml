@@ -1,5 +1,5 @@
 module Dendrogram = Leakdetect_cluster.Dendrogram
-module Cluster = Leakdetect_cluster.Cluster
+module Agglomerative = Leakdetect_cluster.Agglomerative
 module Tokens = Leakdetect_text.Tokens
 module Packet = Leakdetect_http.Packet
 module Obs = Leakdetect_obs.Obs
@@ -11,7 +11,7 @@ module Log = (val Logs.src_log log_src)
 type cut = Pipeline_config.cut = Auto | Threshold of float | Count of int | Every_merge
 
 type config = Pipeline_config.siggen = {
-  algorithm : Cluster.algorithm;
+  linkage : Agglomerative.linkage;
   cut : cut;
   min_token_len : int;
   min_specificity : int;
@@ -49,18 +49,14 @@ let generate ?(config = Pipeline_config.default) dist sample =
     let clustered =
       Obs.with_span obs "siggen.cluster" (fun () ->
           Clustering.run ?pool:config.Pipeline_config.pool ~obs
-            ~backend:config.Pipeline_config.clustering ~algorithm:sg.algorithm dist
+            ~backend:config.Pipeline_config.clustering ~linkage:sg.linkage dist
             sample)
     in
-    let dendrogram =
-      match clustered.Clustering.output with
-      | Cluster.Hierarchy tree -> Some tree
-      | Cluster.Empty | Cluster.Partition _ -> None
-    in
+    let dendrogram = clustered.Clustering.dendrogram in
     let clusters =
-      match clustered.Clustering.output with
-      | Cluster.Empty -> []
-      | Cluster.Hierarchy tree ->
+      match dendrogram with
+      | None -> []
+      | Some tree ->
         let forest =
           match sg.cut with
           | Count k -> Dendrogram.cut_into k tree
@@ -69,11 +65,6 @@ let generate ?(config = Pipeline_config.default) dist sample =
             Dendrogram.cut ~threshold:(cut_threshold_value sg dist) tree
         in
         List.map Dendrogram.members forest
-      | Cluster.Partition _ as p ->
-        (* Partitional algorithms fix their cluster structure themselves;
-           the cut policy has nothing to act on.  Noise items become
-           singletons (exact-match signatures at most). *)
-        Cluster.flat_clusters p
     in
     let next_id = ref 0 and rejected = ref 0 in
     let seen_tokens = Hashtbl.create 64 in
@@ -125,11 +116,11 @@ let generate ?(config = Pipeline_config.default) dist sample =
          "leakdetect_siggen_signatures_total")
       !rejected;
     Log.info (fun m ->
-        m "sample of %d -> %d clusters, %d signatures (%d rejected) [%s/%s]"
+        m "sample of %d -> %d clusters, %d signatures (%d rejected) [%s/agglomerative-%s]"
           (Array.length sample) (List.length clusters) (List.length signatures)
           !rejected
           clustered.Clustering.stats.Clustering.backend
-          (Cluster.name sg.algorithm));
+          (Agglomerative.linkage_name sg.linkage));
     List.iter
       (fun s -> Log.debug (fun m -> m "signature: %a" Signature.pp s))
       signatures;

@@ -15,8 +15,9 @@ type cut = Pipeline_config.cut = Auto | Threshold of float | Count of int | Ever
     unified config.) *)
 
 type config = Pipeline_config.siggen = {
-  algorithm : Leakdetect_cluster.Cluster.algorithm;
-      (** Clustering algorithm, selected by value. *)
+  linkage : Leakdetect_cluster.Agglomerative.linkage;
+      (** Linkage of the agglomerative clustering (default group average,
+          the paper's). *)
   cut : cut;
   min_token_len : int;  (** Tokens shorter than this are dropped (default 3). *)
   min_specificity : int;
@@ -32,8 +33,7 @@ val default : config
 type result = {
   signatures : Signature.t list;
   dendrogram : Leakdetect_cluster.Dendrogram.t option;
-      (** The (merged) dendrogram for hierarchical algorithms; [None] for
-          partitional algorithms and empty samples. *)
+      (** The (merged) dendrogram; [None] only for the empty sample. *)
   clusters : int list list;  (** Sample indices per cluster, post-cut. *)
   rejected : int;  (** Clusters whose signature failed the filters. *)
   stats : Clustering.stats option;

@@ -1,6 +1,5 @@
 module Search = Leakdetect_text.Search
 module Tokens = Leakdetect_text.Tokens
-module Packet = Leakdetect_http.Packet
 
 type mode = Conjunction | Ordered
 
@@ -28,8 +27,6 @@ let compile sig_ =
   in
   { sig_; ordered; by_len }
 
-let signature c = c.sig_
-
 let matches_content c content =
   match c.sig_.mode with
   | Conjunction -> List.for_all (fun pat -> Search.matches pat content) c.by_len
@@ -42,8 +39,6 @@ let matches_content c content =
         | Some i -> loop (i + String.length (Search.compiled_needle pat)) rest)
     in
     loop 0 c.ordered
-
-let matches c packet = matches_content c (Packet.content_string packet)
 
 (* Generic HTTP scaffolding: any token that is a substring of one of these
    fragments matches sensitive and benign packets alike. *)

@@ -26,9 +26,7 @@ val make : id:int -> mode:mode -> cluster_size:int -> string list -> t
 type compiled
 
 val compile : t -> compiled
-val signature : compiled -> t
 
-val matches : compiled -> Leakdetect_http.Packet.t -> bool
 val matches_content : compiled -> string -> bool
 (** Match against a pre-flattened {!Leakdetect_http.Packet.content_string}. *)
 

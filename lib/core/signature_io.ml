@@ -79,17 +79,9 @@ let save path signatures =
 
 module Trace = Leakdetect_http.Trace
 
-let load ?config ?on_error path =
-  let on_error =
-    match (on_error, config) with
-    | Some policy, _ -> policy
-    | None, Some config -> config.Pipeline_config.on_error
-    | None, None -> `Fail
-  in
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
+let load ?(config = Pipeline_config.default) path =
+  let on_error = config.Pipeline_config.on_error in
+  Trace.read_file ~open_:open_in path (fun ic ->
       let rec loop lineno acc skips =
         match input_line ic with
         | exception End_of_file -> Ok (List.rev acc, skips)

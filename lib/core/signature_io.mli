@@ -19,14 +19,11 @@ val save : string -> Signature.t list -> unit
 
 val load :
   ?config:Pipeline_config.t ->
-  ?on_error:[ `Fail | `Skip ] ->
   string ->
   (Signature.t list * Leakdetect_http.Trace.skipped, string) result
 (** Reads a signature file.  Like the trace readers, [`Fail] reports the
     first malformed line with its line number; [`Skip] salvages every
     parseable signature and counts the skipped lines, keeping a sample of
-    the offending line numbers and errors.
-
-    The policy comes from [?on_error] when given, else from
-    [?config.on_error], else [`Fail]; the explicit argument survives as a
-    deprecated override for pre-[Pipeline.Config] call sites. *)
+    the offending line numbers and errors.  The policy is
+    [config.on_error] (default [`Fail]).  A file that cannot be opened or
+    read is an [Error] too. *)

@@ -165,8 +165,6 @@ type t = {
   mutable shard : (string * Shard_map.t) option;  (* self id, map *)
 }
 
-let config t = t.config
-
 let wal_path ~dir = Filename.concat dir "journal.log"
 let snapshot_path ~dir = Filename.concat dir "snapshot"
 
@@ -215,16 +213,6 @@ let changelog_entries t ~tenant =
 
 let wal_size t = match t.writer with Some w -> Wal.size w | None -> 0
 let promotions t = List.rev t.rev_promotions
-
-let is_published t ~tenant signature =
-  match Hashtbl.find_opt t.tenants tenant with
-  | Some ts -> Hashtbl.mem ts.published (key_of signature)
-  | None -> false
-
-let pending_candidates t ~tenant =
-  match Hashtbl.find_opt t.tenants tenant with
-  | Some ts -> Hashtbl.length ts.candidates
-  | None -> 0
 
 (* --- obs --- *)
 
@@ -761,12 +749,6 @@ type candidate_outcome =
   | Promoted of int
   | Capped
 
-let candidate_outcome_to_string = function
-  | Accepted n -> Printf.sprintf "accepted(%d)" n
-  | Duplicate -> "duplicate"
-  | Promoted v -> Printf.sprintf "promoted(v%d)" v
-  | Capped -> "capped"
-
 let count_candidate t outcome =
   count t
     ~labels:
@@ -829,8 +811,6 @@ let compact ?(inject = fun _ -> ()) t =
       "Snapshot compactions performed."
 
 (* --- sharding and rebalance --- *)
-
-let shard t = t.shard
 
 let owns t ~tenant =
   match t.shard with

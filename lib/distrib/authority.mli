@@ -93,7 +93,6 @@ exception Crashed of string
 
 (** {1 State} *)
 
-val config : t -> config
 val tenants : t -> string list
 (** Sorted. *)
 
@@ -118,14 +117,6 @@ val promotions : t -> promotion list
 (** Every promotion since this instance opened, oldest first — the soak's
     audit trail for the [>= k] invariant (not persisted). *)
 
-val pending_candidates : t -> tenant:string -> int
-
-val is_published : t -> tenant:string -> Signature.t -> bool
-(** Whether a live signature of the tenant has this one's identity (mode
-    and token list; id and cluster size ignored) — the test that turns a
-    candidate report into a [Duplicate].  O(1) from an index kept in step
-    with every change and rebuilt on recovery and adoption. *)
-
 (** {1 Mutations} *)
 
 val publish :
@@ -143,8 +134,6 @@ type candidate_outcome =
   | Duplicate  (** Same reporter already reported it, or it is already published. *)
   | Promoted of int  (** The k-th reporter arrived: published at this version. *)
   | Capped  (** The reporter is at its pending-candidate cap. *)
-
-val candidate_outcome_to_string : candidate_outcome -> string
 
 val report_candidate :
   t -> tenant:string -> reporter:string -> Signature.t -> candidate_outcome
@@ -181,9 +170,6 @@ val compact : ?inject:(string -> unit) -> t -> unit
     the candidate table, so promotion tallies are not split.  All three
     steps are journaled and replay idempotently (adopt and release are
     version-gated against the compaction crash window). *)
-
-val shard : t -> (string * Shard_map.t) option
-(** [(self, map)] once {!set_shard} has run (possibly via replay). *)
 
 val owns : t -> tenant:string -> bool
 (** True when no map is installed, or the map assigns [tenant] to us. *)

@@ -7,10 +7,6 @@ type change = Add of Signature.t | Retire of int
 
 type entry = { version : int; change : change }
 
-let change_to_string = function
-  | Add s -> Printf.sprintf "add #%d" s.Signature.id
-  | Retire id -> Printf.sprintf "retire #%d" id
-
 let entry_to_line e =
   match e.change with
   | Add s -> Printf.sprintf "a\t%d\t%s" e.version (Signature_io.to_line s)

@@ -25,8 +25,6 @@ type change =
 
 type entry = { version : int; change : change }
 
-val change_to_string : change -> string
-
 val entry_to_line : entry -> string
 val entry_of_line : string -> (entry, string) result
 (** Line codec shared by the WAL journal and the HTTP delta bodies:

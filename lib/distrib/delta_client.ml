@@ -66,7 +66,6 @@ let set t = t.set
 let checksum t = Sigset.checksum t.set
 let health t = Signature_client.health t.inner
 let staleness t = Signature_client.staleness t.inner
-let last_error t = Signature_client.last_error t.inner
 let last_update t = t.last_update
 
 let counters t =

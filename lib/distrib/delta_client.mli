@@ -63,7 +63,6 @@ val checksum : t -> int
 
 val health : t -> Signature_client.health
 val staleness : t -> Signature_client.staleness
-val last_error : t -> string option
 
 type update = [ `Delta of Changelog.entry list | `Snapshot ]
 

@@ -100,8 +100,6 @@ let create ?(obs = Obs.noop) ?(config = default_config) ?client_config
     tenants;
   t
 
-let id t = t.id
-
 let tenants t =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.tenant_tbl [])
 
@@ -125,20 +123,10 @@ let checksum t ~tenant =
   | Some st -> Changelog.current_checksum st.mirror
   | None -> Sigset.checksum Sigset.empty
 
-let staleness t ~tenant =
-  match Hashtbl.find_opt t.tenant_tbl tenant with
-  | Some st -> (Delta_client.staleness st.dc).Signature_client.failed_syncs
-  | None -> 0
-
 let set_upstream t transport = t.upstream <- Some transport
 let set_peers t peers = t.peers <- List.filter (fun (pid, _) -> pid <> t.id) peers
 let set_shard t map = t.shard <- Some map
 let set_clock t now = t.clock <- now
-
-let version_age t ~tenant =
-  match Hashtbl.find_opt t.tenant_tbl tenant with
-  | Some st -> max 0 (t.clock - st.last_sync_tick)
-  | None -> 0
 
 (* The serve-time guard: the mirror head must sit exactly on the
    verified client state — same version, same canonical-set CRC (read
@@ -476,9 +464,6 @@ let counters (t : t) : counters =
     forwarded = t.forwarded;
     forward_failures = t.forward_failures;
   }
-
-let served (t : t) =
-  t.served_delta + t.served_snapshot + t.served_not_modified
 
 let relay_headers t st =
   [ ("X-Relay-Id", t.id);

@@ -85,7 +85,6 @@ val create :
 (** A relay named [id] serving [tenants].  [seed] derives per-tenant sync
     jitter.  @raise Invalid_argument on a bad id, tenant id or config. *)
 
-val id : t -> string
 val tenants : t -> string list
 (** Sorted. *)
 
@@ -99,12 +98,6 @@ val checksum : t -> tenant:string -> int
 (** Canonical-set CRC of the mirror actually being served for the tenant
     (the empty-set CRC when unknown) — what an audit compares against
     the committed checksum at {!version}. *)
-
-val staleness : t -> tenant:string -> int
-(** Consecutive failed upstream syncs for the tenant; 0 when fresh. *)
-
-val version_age : t -> tenant:string -> int
-(** Ticks since the tenant's last verified sync, against {!set_clock}. *)
 
 val consistent : t -> tenant:string -> bool
 (** Whether the tenant is synced {e and} its mirror head sits exactly on
@@ -121,8 +114,8 @@ val set_shard : t -> Shard_map.t -> unit
 (** Install the shard map whose proximity table orders gossip peers. *)
 
 val set_clock : t -> int -> unit
-(** Advance the harness clock used by {!version_age} and the
-    [X-Relay-Version-Age] header. *)
+(** Advance the harness clock the [X-Relay-Version-Age] header is
+    measured against. *)
 
 val sync_tenant :
   t ->
@@ -180,10 +173,6 @@ type counters = {
 }
 
 val counters : t -> counters
-
-val served : t -> int
-(** Total GET /signatures answered from verified state (delta + snapshot
-    + 304) — the numerator of the origin-offload ratio. *)
 
 val handle : t -> Leakdetect_http.Request.t -> Leakdetect_http.Response.t
 (** Origin-shaped [GET /signatures] and [GET /digest] from the mirror

@@ -62,24 +62,11 @@ let create ?(weights = []) ?(proximity = []) ~epoch ~origins () =
     ~epoch ~origins ()
 
 let epoch t = t.epoch
-let origins t = t.origins
 
 let weight t ~origin =
   match List.assoc_opt origin t.weights with Some w -> w | None -> 1
 
-let weights t = List.map (fun o -> (o, weight t ~origin:o)) t.origins
-
 let distance t ~node ~origin = List.assoc_opt (node, origin) t.proximity
-
-let proximity t = List.map (fun ((n, o), d) -> (n, o, d)) t.proximity
-
-let nearest t ~node ~origins =
-  let key o =
-    (* Unknown distances sort after every known one; names break ties so
-       all holders of the same map agree on the order. *)
-    ((match distance t ~node ~origin:o with Some d -> d | None -> max_int), o)
-  in
-  List.sort (fun a b -> compare (key a) (key b)) origins
 
 (* The HRW score of an (origin, tenant) pair.  Two independent CRCs over
    differently-framed inputs give 62 well-mixed bits; the origin name

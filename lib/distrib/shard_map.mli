@@ -28,9 +28,8 @@
 
     {b Proximity.}  The table records abstract distances from reading
     nodes (relays) to origins — and between relay siblings — purely as
-    routing {e preference}: {!nearest} orders candidates by distance, and
-    the relay gossip tier uses it to prefer close siblings among equally
-    fresh ones.  Proximity never affects ownership.
+    routing {e preference}: the relay gossip tier uses it to prefer close
+    siblings among equally fresh ones.  Proximity never affects ownership.
 
     The epoch makes rebalancing a first-class, journaled state transition
     rather than a config edit: {!advance} produces the successor map,
@@ -59,24 +58,12 @@ val create :
     omitted weights default to 1. *)
 
 val epoch : t -> int
-val origins : t -> string list
-(** Sorted, distinct. *)
 
 val weight : t -> origin:string -> int
 (** 1 unless set. *)
 
-val weights : t -> (string * int) list
-(** Every origin with its effective weight, sorted. *)
-
 val distance : t -> node:string -> origin:string -> int option
 (** Proximity-table lookup; [None] when unrecorded. *)
-
-val proximity : t -> (string * string * int) list
-(** The full table as [(node, origin, distance)], sorted. *)
-
-val nearest : t -> node:string -> origins:string list -> string list
-(** [origins] reordered nearest-first for [node]; unrecorded distances
-    sort last and names break ties, so every map holder agrees. *)
 
 val raw_score : origin:string -> tenant:string -> int
 (** The unweighted 62-bit HRW score — exposed so harnesses can check the

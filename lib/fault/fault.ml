@@ -42,21 +42,6 @@ type config = {
   reencode_rate : float;
 }
 
-let none =
-  {
-    corrupt_rate = 0.;
-    corrupt_bytes = 1;
-    truncate_rate = 0.;
-    drop_rate = 0.;
-    duplicate_rate = 0.;
-    delay_rate = 0.;
-    max_delay = 0;
-    server_error_rate = 0.;
-    crash_rate = 0.;
-    torn_write_rate = 0.;
-    reencode_rate = 0.;
-  }
-
 let default =
   {
     corrupt_rate = 0.1;
@@ -69,34 +54,21 @@ let default =
     server_error_rate = 0.2;
     crash_rate = 0.1;
     torn_write_rate = 0.05;
-    (* Off by default: transport re-encoding only matters to runs that
-       exercise the normalize-aware detector, and a nonzero rate here would
-       shift every seeded fault schedule. *)
     reencode_rate = 0.;
   }
-
-type event = { seq : int; kind : kind; detail : string }
 
 type plan = {
   config : config;
   rng : Prng.t;
-  mutable events : event list;  (* newest first *)
-  mutable next_seq : int;
+  mutable fired : kind list;  (* newest first *)
 }
 
-let create ~seed config = { config; rng = Prng.create seed; events = []; next_seq = 0 }
-let config t = t.config
+let create ~seed config = { config; rng = Prng.create seed; fired = [] }
 
-let record t kind detail =
-  t.events <- { seq = t.next_seq; kind; detail } :: t.events;
-  t.next_seq <- t.next_seq + 1
+let record t kind = t.fired <- kind :: t.fired
 
-let events t = List.rev t.events
+let count t kind = List.fold_left (fun acc k -> if k = kind then acc + 1 else acc) 0 t.fired
 
-let count t kind =
-  List.fold_left (fun acc e -> if e.kind = kind then acc + 1 else acc) 0 t.events
-
-let total t = List.length t.events
 let summary t = List.map (fun k -> (k, count t k)) all_kinds
 
 let corrupt_string t s =
@@ -111,14 +83,14 @@ let corrupt_string t s =
         let mask = 1 + Prng.int t.rng 255 in
         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask))
       done;
-      record t Corrupt (Printf.sprintf "%d byte(s) of %d" n (Bytes.length b));
+      record t Corrupt;
       Bytes.to_string b
     end
     else s
   in
   if s <> "" && Prng.chance t.rng c.truncate_rate then begin
     let keep = Prng.int t.rng (String.length s) in
-    record t Truncate (Printf.sprintf "%d -> %d bytes" (String.length s) keep);
+    record t Truncate;
     String.sub s 0 keep
   end
   else s
@@ -128,11 +100,11 @@ let apply_stream t items =
   List.concat_map
     (fun x ->
       if Prng.chance t.rng c.drop_rate then begin
-        record t Drop "record";
+        record t Drop;
         []
       end
       else if Prng.chance t.rng c.duplicate_rate then begin
-        record t Duplicate "record";
+        record t Duplicate;
         [ x; x ]
       end
       else [ x ])
@@ -141,7 +113,7 @@ let apply_stream t items =
 let crash_point t ~len =
   if len > 0 && Prng.chance t.rng t.config.crash_rate then begin
     let off = Prng.int t.rng len in
-    record t Crash (Printf.sprintf "after %d of %d bytes" off len);
+    record t Crash;
     Some off
   end
   else None
@@ -155,7 +127,7 @@ let torn_write t ~protect ~tail_start s =
     (* Bit-flip one committed byte past the protected header. *)
     let i = protect + Prng.int t.rng (len - protect) in
     let bit = Prng.int t.rng 8 in
-    record t Torn_write (Printf.sprintf "bit %d of byte %d flipped" bit i);
+    record t Torn_write;
     let b = Bytes.of_string s in
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
     Bytes.to_string b
@@ -165,34 +137,22 @@ let torn_write t ~protect ~tail_start s =
     let dup = len - tail_start in
     if dup = 0 then s
     else begin
-      record t Torn_write (Printf.sprintf "tail record duplicated (%d bytes)" dup);
+      record t Torn_write;
       s ^ String.sub s tail_start dup
     end
   end
-
-(* Transport-level re-encoding: an intermediary percent-escapes the whole
-   payload.  Lossless (a single percent-decode restores it), so detection
-   with normalization enabled must still fire. *)
-let reencode_string t s =
-  if s <> "" && Prng.chance t.rng t.config.reencode_rate then begin
-    record t Reencode (Printf.sprintf "%d bytes percent-encoded" (String.length s));
-    let buf = Buffer.create (String.length s * 3) in
-    String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c))) s;
-    Buffer.contents buf
-  end
-  else s
 
 type server_fate = Respond | Respond_delayed of int | Fail of int
 
 let server_fate t =
   let c = t.config in
   if Prng.chance t.rng c.server_error_rate then begin
-    record t Server_error "503";
+    record t Server_error;
     Fail 503
   end
   else if c.max_delay > 0 && Prng.chance t.rng c.delay_rate then begin
     let ticks = 1 + Prng.int t.rng c.max_delay in
-    record t Delay (Printf.sprintf "%d tick(s)" ticks);
+    record t Delay;
     Respond_delayed ticks
   end
   else Respond

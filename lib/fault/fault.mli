@@ -6,11 +6,10 @@
     rate.  All randomness comes from {!Leakdetect_util.Prng}, so a plan is
     fully determined by its seed — a test can replay the exact fault
     schedule and assert recovery against it.  Every fault that fires is
-    recorded as an {!event}, in order, with a payload-specific detail
-    string.
+    counted by {!kind}.
 
-    At rate 0 every injector is the identity: no draw can fire, no event is
-    recorded and payloads pass through byte-identical.  This is the anchor
+    At rate 0 every injector is the identity: no draw can fire, nothing is
+    counted and payloads pass through byte-identical.  This is the anchor
     for the "fault-free run reproduces baseline metrics exactly" property
     the chaos soak checks. *)
 
@@ -27,8 +26,8 @@ type kind =
           record, or a tail record replayed (duplicated) by a half-applied
           rewrite. *)
   | Reencode
-      (** A payload is losslessly re-encoded in transit (percent-escaped);
-          the bytes differ but a single decode restores them. *)
+      (** Inert: no injector fires it, so {!summary} always reports 0.  Kept
+          only while the soak reports print its count. *)
 
 val kind_name : kind -> string
 val all_kinds : kind list
@@ -44,29 +43,21 @@ type config = {
   server_error_rate : float;  (** Probability of a transient server error. *)
   crash_rate : float;  (** Probability a storage write is cut short. *)
   torn_write_rate : float;  (** Probability committed bytes get damaged. *)
-  reencode_rate : float;  (** Probability a payload is re-encoded in transit. *)
+  reencode_rate : float;
+      (** Inert: nothing reads it.  Kept only because the topology soak
+          report prints it. *)
 }
-
-val none : config
-(** All rates zero: the identity plan. *)
 
 val default : config
 (** The chaos-soak default: 10% corruption, 20% transient server errors,
     10% crash points, light truncation / drop / duplication / delay /
     torn writes. *)
 
-type event = { seq : int; kind : kind; detail : string }
-
 type plan
 
 val create : seed:int -> config -> plan
-val config : plan -> config
-
-val events : plan -> event list
-(** Every fault fired so far, in firing order. *)
 
 val count : plan -> kind -> int
-val total : plan -> int
 
 val summary : plan -> (kind * int) list
 (** Counts for every kind (including zeroes), in {!all_kinds} order. *)
@@ -85,13 +76,6 @@ val crash_point : plan -> len:int -> int option
     [0 <= n < len] — the process dies after [n] bytes of a [len]-byte
     write reach disk.  [None] (the write completes) otherwise, always at
     rate 0, and always when [len <= 0]. *)
-
-val reencode_string : plan -> string -> string
-(** Transport re-encoding injector: with probability [reencode_rate] the
-    whole payload is percent-escaped (every byte as [%XX]).  Unlike
-    {!corrupt_string} this is lossless — one percent-decode restores the
-    original — so a normalize-aware detector is expected to keep matching.
-    Identity on empty strings and at rate 0. *)
 
 val torn_write : plan -> protect:int -> tail_start:int -> string -> string
 (** Committed-bytes injector for a log image: with probability
@@ -112,6 +96,6 @@ val transport :
 (** [transport plan server] is [server] (printed request bytes in,
     printed response bytes out) behind a faulty link.  Each call draws,
     in order: the {!server_fate} ([Fail] answers [Error]; a delay is
-    recorded as a {!Delay} event and otherwise passes), then for the
+    counted as a {!Delay} and otherwise passes), then for the
     request and again for the response a {!apply_stream} drop/duplicate
     draw (a drop answers [Error]) and a {!corrupt_string} pass. *)

@@ -1,21 +1,4 @@
-let parse s =
-  if s = "" then []
-  else
-    String.split_on_char ';' s
-    |> List.filter_map (fun part ->
-           let part = Leakdetect_util.Strutil.trim_spaces part in
-           if part = "" then None
-           else
-             match String.index_opt part '=' with
-             | None -> Some (part, "")
-             | Some i ->
-               Some
-                 ( String.sub part 0 i,
-                   String.sub part (i + 1) (String.length part - i - 1) ))
 
 let to_string pairs =
   String.concat "; "
     (List.map (fun (k, v) -> if v = "" then k else k ^ "=" ^ v) pairs)
-
-let get cookie_string name =
-  List.find_map (fun (k, v) -> if k = name then Some v else None) (parse cookie_string)

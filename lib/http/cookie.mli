@@ -2,10 +2,4 @@
     distance treats the cookie field as one of the three compared strings
     (Sec. IV-C), and several simulated ad modules carry identifiers there. *)
 
-val parse : string -> (string * string) list
-(** Lenient split on [';']; pairs without [=] become [(name, "")]. *)
-
 val to_string : (string * string) list -> string
-
-val get : string -> string -> string option
-(** [get cookie_string name]. *)

@@ -20,6 +20,4 @@ let replace t name value =
   loop false [] t
 
 let get t name = List.find_map (fun (n, v) -> if same n name then Some v else None) t
-let get_all t name = List.filter_map (fun (n, v) -> if same n name then Some v else None) t
 let mem t name = Option.is_some (get t name)
-let length = List.length

@@ -14,7 +14,5 @@ val replace : t -> string -> string -> t
 val get : t -> string -> string option
 (** First field with that (case-insensitive) name. *)
 
-val get_all : t -> string -> string list
 val remove : t -> string -> t
 val mem : t -> string -> bool
-val length : t -> int

@@ -18,13 +18,3 @@ let v ~ip ~port ~host ~request_line ~cookie ~body =
 
 let content_string t =
   String.concat "\n" [ t.content.request_line; t.content.cookie; t.content.body ]
-
-let compare_dst a b =
-  match Leakdetect_net.Ipv4.compare a.ip b.ip with
-  | 0 -> ( match Int.compare a.port b.port with 0 -> String.compare a.host b.host | c -> c)
-  | c -> c
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%s:%d (%s)@ %s@]"
-    (Leakdetect_net.Ipv4.to_string t.dst.ip)
-    t.dst.port t.dst.host t.content.request_line

@@ -28,6 +28,3 @@ val content_string : t -> string
 (** The canonical flattened content used for token extraction and signature
     matching: request-line, cookie and body joined with ['\n'] (a byte that
     occurs in none of the three fields). *)
-
-val compare_dst : destination -> destination -> int
-val pp : Format.formatter -> t -> unit

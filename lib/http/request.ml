@@ -22,8 +22,3 @@ let request_line t =
   String.concat " " [ meth_to_string t.meth; t.target; t.version ]
 
 let cookie t = Option.value ~default:"" (Headers.get t.headers "Cookie")
-let host t = Headers.get t.headers "Host"
-
-let query_params t =
-  let _, q = Leakdetect_net.Url.split_path_query t.target in
-  Option.value ~default:[] (Leakdetect_net.Url.decode_query q)

@@ -22,9 +22,3 @@ val request_line : t -> string
 
 val cookie : t -> string
 (** The [Cookie] header value, or [""]. *)
-
-val host : t -> string option
-
-val query_params : t -> (string * string) list
-(** Decoded query-string parameters of the target (GET) — does not look at
-    the body. *)

@@ -106,11 +106,23 @@ let save path records =
           output_char oc '\n')
         records)
 
+let read_file ~open_ path k =
+  (* [Sys_error] from [open_in] reads "<path>: <reason>"; the caller knows
+     the path, so only the reason is returned. *)
+  let sys_error e =
+    let prefix = path ^ ": " in
+    let n = String.length prefix in
+    if String.starts_with ~prefix e then Error (String.sub e n (String.length e - n))
+    else Error e
+  in
+  match open_ path with
+  | exception Sys_error e -> sys_error e
+  | ic -> (
+    try Fun.protect ~finally:(fun () -> close_in ic) (fun () -> k ic)
+    with Sys_error e -> sys_error e)
+
 let fold ?(on_error = `Fail) path ~init ~f =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
+  read_file ~open_:open_in path (fun ic ->
       let rec loop lineno acc skips =
         match input_line ic with
         | exception End_of_file -> Ok (acc, skips)
@@ -128,6 +140,3 @@ let load ?on_error path =
   Result.map
     (fun (acc, skips) -> (List.rev acc, skips))
     (fold ?on_error path ~init:[] ~f:(fun acc r -> r :: acc))
-
-let iter ?on_error path ~f =
-  Result.map snd (fold ?on_error path ~init:() ~f:(fun () r -> f r))

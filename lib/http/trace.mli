@@ -46,13 +46,18 @@ val record_of_line : string -> (record, string) result
 val save : string -> record list -> unit
 (** Writes a trace file (overwrites). *)
 
+val read_file :
+  open_:(string -> in_channel) -> string -> (in_channel -> ('a, string) result) -> ('a, string) result
+(** [read_file ~open_ path k] runs [k] on [path] opened with [open_], then
+    closes it.  A file that cannot be opened or read is an [Error] carrying
+    the system's reason, without the [path] the caller already has. *)
+
 val load : ?on_error:on_error -> string -> (record list * skipped, string) result
 (** Reads a trace file.  [`Fail] reports the first malformed line with its
-    number (and {!no_skips}); [`Skip] returns every parseable record. *)
+    number (and {!no_skips}); [`Skip] returns every parseable record.  A
+    file that cannot be opened or read is an [Error]. *)
 
 val fold :
   ?on_error:on_error -> string -> init:'a -> f:('a -> record -> 'a) -> ('a * skipped, string) result
 (** Streaming left fold over a trace file — constant memory, for traces too
     large to materialize. *)
-
-val iter : ?on_error:on_error -> string -> f:(record -> unit) -> (skipped, string) result

@@ -120,10 +120,5 @@ let save path records =
     (fun () -> output_string oc (encode records))
 
 let load ?on_error path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let data = really_input_string ic len in
-      decode ?on_error data)
+  Trace.read_file ~open_:open_in_bin path (fun ic ->
+      decode ?on_error (really_input_string ic (in_channel_length ic)))

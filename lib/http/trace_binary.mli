@@ -24,6 +24,8 @@ val save : string -> Trace.record list -> unit
 
 val load :
   ?on_error:Trace.on_error -> string -> (Trace.record list * Trace.skipped, string) result
+(** Reads and decodes a binary trace file; a file that cannot be opened or
+    read is an [Error]. *)
 
 val encode : Trace.record list -> string
 (** In-memory encoding (what {!save} writes). *)

@@ -87,10 +87,6 @@ let create ?(policy = Policy.create ()) ?prompt_budget ?(fail_mode = Fail_open)
 let prompts_for t ~app_id =
   Option.value ~default:0 (Hashtbl.find_opt t.prompt_counts app_id)
 
-let update_signatures t signatures =
-  t.detector <- Detector.create signatures;
-  t.scratch <- Detector.scratch t.detector
-
 let set_health t health = t.health <- health
 let health t = t.health
 let fail_mode t = t.fail_mode

@@ -68,10 +68,6 @@ val fail_mode : t -> fail_mode
 val prompts_for : t -> app_id:int -> int
 (** How many times the given app has prompted so far. *)
 
-val update_signatures : t -> Leakdetect_core.Signature.t list -> unit
-(** Fetch-and-replace, as the device would periodically do from the
-    server. *)
-
 val process : t -> app_id:int -> Leakdetect_http.Packet.t -> decision
 (** Inspect one outgoing packet, record the event, return the decision. *)
 

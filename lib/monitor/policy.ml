@@ -1,10 +1,5 @@
 type action = Allow | Block | Prompt
 
-let action_to_string = function
-  | Allow -> "allow"
-  | Block -> "block"
-  | Prompt -> "prompt"
-
 type rule = { on_sensitive : action; on_benign : action }
 
 let default_rule = { on_sensitive = Prompt; on_benign = Allow }
@@ -14,65 +9,3 @@ type t = { default : rule; rules : (int, rule) Hashtbl.t }
 let create ?(default = default_rule) () = { default; rules = Hashtbl.create 16 }
 let set_rule t ~app_id rule = Hashtbl.replace t.rules app_id rule
 let rule_for t ~app_id = Option.value ~default:t.default (Hashtbl.find_opt t.rules app_id)
-let remove_rule t ~app_id = Hashtbl.remove t.rules app_id
-
-let app_ids t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.rules [] |> List.sort compare
-
-let action_of_string = function
-  | "allow" -> Some Allow
-  | "block" -> Some Block
-  | "prompt" -> Some Prompt
-  | _ -> None
-
-let rule_fields r = [ action_to_string r.on_sensitive; action_to_string r.on_benign ]
-
-let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (String.concat "\t" ("default" :: rule_fields t.default));
-      output_char oc '\n';
-      List.iter
-        (fun app_id ->
-          let r = rule_for t ~app_id in
-          output_string oc (String.concat "\t" (string_of_int app_id :: rule_fields r));
-          output_char oc '\n')
-        (app_ids t))
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let parse_rule s_act b_act =
-        match (action_of_string s_act, action_of_string b_act) with
-        | Some on_sensitive, Some on_benign -> Ok { on_sensitive; on_benign }
-        | _ -> Error "bad action"
-      in
-      let rec loop lineno policy =
-        match input_line ic with
-        | exception End_of_file -> (
-          match policy with
-          | Some p -> Ok p
-          | None -> Error "missing default rule line")
-        | line -> (
-          match (String.split_on_char '\t' line, policy) with
-          | [ "default"; s_act; b_act ], None -> (
-            match parse_rule s_act b_act with
-            | Ok default -> loop (lineno + 1) (Some (create ~default ()))
-            | Error e -> Error (Printf.sprintf "line %d: %s" lineno e))
-          | [ "default"; _; _ ], Some _ ->
-            Error (Printf.sprintf "line %d: duplicate default" lineno)
-          | [ id_s; s_act; b_act ], Some p -> (
-            match (int_of_string_opt id_s, parse_rule s_act b_act) with
-            | Some app_id, Ok rule ->
-              set_rule p ~app_id rule;
-              loop (lineno + 1) policy
-            | None, _ -> Error (Printf.sprintf "line %d: bad app id" lineno)
-            | _, Error e -> Error (Printf.sprintf "line %d: %s" lineno e))
-          | _, None -> Error (Printf.sprintf "line %d: expected default rule first" lineno)
-          | _ -> Error (Printf.sprintf "line %d: expected 3 fields" lineno))
-      in
-      loop 1 None)

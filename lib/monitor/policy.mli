@@ -5,8 +5,6 @@
 
 type action = Allow | Block | Prompt
 
-val action_to_string : action -> string
-
 type rule = {
   on_sensitive : action;  (** Applied when a signature matches. *)
   on_benign : action;  (** Applied otherwise; normally [Allow]. *)
@@ -21,14 +19,3 @@ type t
 val create : ?default:rule -> unit -> t
 val set_rule : t -> app_id:int -> rule -> unit
 val rule_for : t -> app_id:int -> rule
-val remove_rule : t -> app_id:int -> unit
-val app_ids : t -> int list
-(** Apps with an explicit (non-default) rule. *)
-
-val action_of_string : string -> action option
-
-val save : t -> string -> unit
-(** Persist the default rule and every per-app rule to a file (the device
-    keeps its policy across reboots). *)
-
-val load : string -> (t, string) result

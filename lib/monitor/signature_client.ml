@@ -8,20 +8,17 @@ let health_to_string = function
   | Degraded -> "degraded"
   | Stale -> "stale"
 
-type jitter_mode = Equal | Decorrelated
-
 type config = {
   max_attempts : int;
   base_backoff : int;
   max_backoff : int;
   jitter : int;
-  jitter_mode : jitter_mode;
   stale_after : int;
 }
 
 let default_config =
   { max_attempts = 5; base_backoff = 1; max_backoff = 16; jitter = 1;
-    jitter_mode = Equal; stale_after = 3 }
+    stale_after = 3 }
 
 type staleness = { failed_syncs : int; failed_attempts : int; version_gap : int }
 
@@ -34,8 +31,6 @@ type t = {
   mutable failed_syncs : int;
   mutable failed_attempts : int;
   mutable version_gap : int;
-  mutable last_error : string option;
-  mutable prev_backoff : int;  (* decorrelated jitter carries state *)
 }
 
 let create ?(config = default_config) ?(obs = Obs.noop) ?(seed = 0) () =
@@ -50,8 +45,6 @@ let create ?(config = default_config) ?(obs = Obs.noop) ?(seed = 0) () =
     failed_syncs = 0;
     failed_attempts = 0;
     version_gap = 0;
-    last_error = None;
-    prev_backoff = config.base_backoff;
   }
 
 let version t = t.version
@@ -64,8 +57,6 @@ let staleness t =
     version_gap = t.version_gap;
   }
 
-let last_error t = t.last_error
-
 type fetched =
   | Up_to_date of { observed : int option }
   | Installed of int
@@ -74,24 +65,11 @@ type outcome = Updated of int | Unchanged | Failed of string
 
 type sync_report = { outcome : outcome; attempts : int; waited : int }
 
+(* Attempt k (1-based) failed: wait base * 2^(k-1), capped, plus jitter. *)
 let backoff_ticks t ~attempt =
-  match t.config.jitter_mode with
-  | Equal ->
-    (* attempt k (1-based) failed: wait base * 2^(k-1), capped, plus jitter. *)
-    let exp = min (attempt - 1) 30 in
-    let base = min t.config.max_backoff (t.config.base_backoff lsl exp) in
-    base + if t.config.jitter > 0 then Prng.int t.rng (t.config.jitter + 1) else 0
-  | Decorrelated ->
-    (* Decorrelated ("full") jitter: sleep = uniform(base, 3 * previous
-       sleep), capped.  Each client's wait depends on its own random walk
-       rather than on the shared attempt number, so a relay's whole
-       population does not re-arrive in synchronized exponential waves
-       after a failover. *)
-    let lo = max 1 t.config.base_backoff in
-    let hi = max lo (min t.config.max_backoff (t.prev_backoff * 3)) in
-    let w = Prng.int_in t.rng lo hi in
-    t.prev_backoff <- w;
-    w
+  let exp = min (attempt - 1) 30 in
+  let base = min t.config.max_backoff (t.config.base_backoff lsl exp) in
+  base + if t.config.jitter > 0 then Prng.int t.rng (t.config.jitter + 1) else 0
 
 (* 0 = healthy, 1 = degraded, 2 = stale — the metric encoding of [health]. *)
 let health_rank = function Healthy -> 0 | Degraded -> 1 | Stale -> 2
@@ -130,7 +108,6 @@ let record_sync t report =
 
 let sync t ~fetch =
   Obs.with_span t.obs "client.sync" @@ fun () ->
-  t.prev_backoff <- t.config.base_backoff;
   let rec attempt k waited =
     match fetch ~since:t.version with
     | Ok payload ->
@@ -153,7 +130,6 @@ let sync t ~fetch =
       { outcome; attempts = k; waited }
     | Error e ->
       t.failed_attempts <- t.failed_attempts + 1;
-      t.last_error <- Some e;
       if k >= t.config.max_attempts then begin
         t.failed_syncs <- t.failed_syncs + 1;
         t.health <- (if t.failed_syncs >= t.config.stale_after then Stale else Degraded);

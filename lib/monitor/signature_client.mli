@@ -27,30 +27,20 @@ type health = Healthy | Degraded | Stale
 
 val health_to_string : health -> string
 
-type jitter_mode =
-  | Equal
-      (** [base * 2^(k-1)] capped at [max_backoff], plus a uniform draw in
-          [0, jitter].  With a small [jitter] every client that failed at
-          the same tick retries in near-lockstep — fine against an origin,
-          a thundering herd against a relay that just failed over. *)
-  | Decorrelated
-      (** Decorrelated ("full") jitter: each wait is uniform in
-          [base_backoff, 3 * previous wait], capped at [max_backoff] —
-          the walk decorrelates clients from the shared attempt number.
-          [jitter] is ignored in this mode. *)
-
 type config = {
   max_attempts : int;  (** Fetch attempts per sync (>= 1). *)
   base_backoff : int;  (** Ticks before the first retry. *)
   max_backoff : int;  (** Ceiling for the exponential backoff. *)
-  jitter : int;  (** [Equal] mode: extra random ticks in [0, jitter]. *)
-  jitter_mode : jitter_mode;
+  jitter : int;
+      (** Extra random ticks in [\[0, jitter\]] on top of
+          [base_backoff * 2^(k-1)] (capped at [max_backoff]) after failed
+          attempt [k]. *)
   stale_after : int;  (** Consecutive failed syncs before [Stale]. *)
 }
 
 val default_config : config
-(** 5 attempts, backoff 1 doubling to a ceiling of 16 ticks, [Equal]
-    jitter 1, stale after 3 failed syncs. *)
+(** 5 attempts, backoff 1 doubling to a ceiling of 16 ticks, jitter 1,
+    stale after 3 failed syncs. *)
 
 type t
 
@@ -76,7 +66,6 @@ type staleness = {
 }
 
 val staleness : t -> staleness
-val last_error : t -> string option
 
 type fetched =
   | Up_to_date of { observed : int option }

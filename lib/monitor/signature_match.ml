@@ -12,13 +12,3 @@ let of_signature ?(via = []) (s : Leakdetect_core.Signature.t) =
     cluster_size = s.Leakdetect_core.Signature.cluster_size;
     via;
   }
-
-let via_to_string t =
-  match t.via with [] -> "raw" | steps -> String.concat "+" steps
-
-let pp ppf t =
-  Format.fprintf ppf "signature #%d (%d tokens, cluster of %d%s)" t.signature_id
-    (List.length t.tokens) t.cluster_size
-    (match t.via with
-    | [] -> ""
-    | steps -> ", via " ^ String.concat "+" steps)

@@ -12,8 +12,3 @@ type t = {
 
 val of_signature : ?via:string list -> Leakdetect_core.Signature.t -> t
 (** [via] defaults to [[]] (raw match). *)
-
-val via_to_string : t -> string
-(** ["raw"] or the decode chain joined with [+]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,17 +1,5 @@
 let labels s = String.split_on_char '.' (String.lowercase_ascii s)
 
-let valid_label l =
-  let n = String.length l in
-  n >= 1 && n <= 63
-  && String.for_all (fun c -> (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '-') l
-  && l.[0] <> '-'
-  && l.[n - 1] <> '-'
-
-let is_valid s =
-  match labels s with
-  | [] | [ _ ] -> false
-  | ls -> List.for_all valid_label ls
-
 (* Enough of the public-suffix list for this domain of traffic: generic
    TLDs, [jp], and the Japanese second-level registrations that appear in
    Table II (co.jp, ne.jp, or.jp, ac.jp, go.jp). *)

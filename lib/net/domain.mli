@@ -6,10 +6,6 @@
 val labels : string -> string list
 (** Dot-separated labels, lowercased. *)
 
-val is_valid : string -> bool
-(** Letters, digits and hyphens per label; 1..63 chars; at least two
-    labels; no empty labels. *)
-
 val registrable : string -> string
 (** [registrable "cache1.ads.example.co.jp"] is ["example.co.jp"]; a host
     that is itself a public suffix (or invalid) is returned unchanged.

@@ -33,9 +33,6 @@ let to_string t =
   Printf.sprintf "%d.%d.%d.%d" ((t lsr 24) land 0xff) ((t lsr 16) land 0xff)
     ((t lsr 8) land 0xff) (t land 0xff)
 
-let equal = Int.equal
-let compare = Int.compare
-
 let lmatch a b =
   let diff = a lxor b in
   if diff = 0 then 32
@@ -45,9 +42,3 @@ let lmatch a b =
     scan 31 0
 
 let similarity a b = float_of_int (lmatch a b) /. 32.
-
-let in_block ~base ~prefix k =
-  if prefix < 0 || prefix > 32 then invalid_arg "Ipv4.in_block: bad prefix";
-  let host_bits = 32 - prefix in
-  let mask = if host_bits = 0 then 0 else (1 lsl host_bits) - 1 in
-  (base land lnot mask land max_addr) lor (k land mask)

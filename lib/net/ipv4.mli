@@ -24,16 +24,9 @@ val of_string : string -> t option
 (** Dotted quad. *)
 
 val to_string : t -> string
-val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val lmatch : t -> t -> int
 (** Number of common leading bits, in [\[0, 32\]]; 32 iff equal. *)
 
 val similarity : t -> t -> float
 (** [lmatch a b / 32] in [\[0, 1\]]. *)
-
-val in_block : base:t -> prefix:int -> int -> t
-(** [in_block ~base ~prefix k] is the [k]-th address of the /[prefix] block
-    containing [base] (host bits taken from [k], wrapping).  Used by the
-    workload generator to place an ad service's servers in one allocation. *)

@@ -28,8 +28,6 @@ let step_name = function
   | Case_fold -> "case-fold"
   | Chunked -> "chunked"
 
-let step_of_name name = List.find_opt (fun s -> step_name s = name) all_steps
-
 type budgets = {
   max_depth : int;
   max_views : int;
@@ -45,12 +43,6 @@ type error =
   | Views_exhausted of int
   | Bytes_exhausted of int
   | View_too_large of int
-
-let error_to_string = function
-  | Depth_exhausted n -> Printf.sprintf "decode depth budget exhausted (%d layers)" n
-  | Views_exhausted n -> Printf.sprintf "view budget exhausted (%d views)" n
-  | Bytes_exhausted n -> Printf.sprintf "derived-bytes budget exhausted (%d bytes)" n
-  | View_too_large n -> Printf.sprintf "derived view too large (%d bytes)" n
 
 type view = { text : string; steps : step list }
 
@@ -289,9 +281,6 @@ type t = {
   c_failed : Obs.Counter.t;
 }
 
-let budgets t = t.budgets
-let steps t = t.steps
-
 let create ?(obs = Obs.noop) ?(budgets = default_budgets) ?(steps = all_steps) () =
   if steps = [] then invalid_arg "Normalize.create: empty step list";
   if budgets.max_depth <= 0 || budgets.max_views <= 0 || budgets.max_total_bytes <= 0
@@ -387,5 +376,3 @@ let lattice t root =
   }
 
 let texts t root = root :: List.map (fun v -> v.text) (lattice t root).derived
-
-let is_fixpoint t root = (lattice t root).derived = []

@@ -39,7 +39,6 @@ val all_steps : step list
 (** Every step, in derivation order. *)
 
 val step_name : step -> string
-val step_of_name : string -> step option
 
 type budgets = {
   max_depth : int;  (** Decode layers below the root (default 3). *)
@@ -55,11 +54,8 @@ type error =
   | Views_exhausted of int  (** [max_views] reached with more to derive. *)
   | Bytes_exhausted of int  (** [max_total_bytes] reached. *)
   | View_too_large of int  (** A derived view exceeded [max_view_bytes]. *)
-(** Budget exhaustions, in the {!Leakdetect_util.Leak_error} style: typed,
-    carrying the offending quantity, renderable with {!error_to_string}.
-    An exhausted lattice is still usable — it simply stops deriving. *)
-
-val error_to_string : error -> string
+(** Budget exhaustions, in the {!Leakdetect_util.Leak_error} style: typed
+    and carrying the offending quantity.  An exhausted lattice is still usable — it simply stops deriving. *)
 
 type view = {
   text : string;
@@ -89,15 +85,9 @@ val create :
     bump [leakdetect_normalize_failed_decodes_total].
     @raise Invalid_argument on empty [steps] or non-positive budgets. *)
 
-val budgets : t -> budgets
-val steps : t -> step list
-
 val lattice : t -> string -> lattice
 (** Derive the bounded lattice of decoded views of a text. *)
 
 val texts : t -> string -> string list
 (** The root followed by every derived view text — what the detector scans.
     Always non-empty; equals [[root]] when the root is a fixpoint. *)
-
-val is_fixpoint : t -> string -> bool
-(** No decoder derives anything from this text. *)

@@ -84,7 +84,6 @@ module Gauge = struct
   type t = int Atomic.t option
 
   let set t v = match t with None -> () | Some c -> Atomic.set c v
-  let value = function None -> 0 | Some c -> Atomic.get c
 end
 
 type hist = {
@@ -109,17 +108,10 @@ module Histogram = struct
       bump 0;
       float_add h.hsum v;
       Atomic.incr h.hcount
-
-  let count = function None -> 0 | Some h -> Atomic.get h.hcount
-  let sum = function None -> 0. | Some h -> Atomic.get h.hsum
 end
 
 let duration_buckets =
   [ 0.0001; 0.0005; 0.001; 0.005; 0.01; 0.05; 0.1; 0.5; 1.; 5.; 10. ]
-
-let size_buckets = [ 64.; 256.; 1024.; 4096.; 16384.; 65536.; 262144.; 1048576.; 4194304. ]
-
-let ratio_buckets = [ 0.1; 0.25; 0.5; 0.75; 0.9; 0.95; 0.99; 1.0 ]
 
 (* --- registry --- *)
 

@@ -52,15 +52,12 @@ module Gauge : sig
   type t
 
   val set : t -> int -> unit
-  val value : t -> int
 end
 
 module Histogram : sig
   type t
 
   val observe : t -> float -> unit
-  val count : t -> int
-  val sum : t -> float
 end
 
 val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> Counter.t
@@ -85,12 +82,6 @@ val histogram :
 
 val duration_buckets : float list
 (** Default latency buckets, in seconds: 100us .. 10s. *)
-
-val size_buckets : float list
-(** Default size buckets, in bytes: 64 B .. 4 MiB. *)
-
-val ratio_buckets : float list
-(** Buckets for rates in [0, 1] (recall, hit ratios): 0.1 .. 1.0. *)
 
 (** {1 Spans} *)
 

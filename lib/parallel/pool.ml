@@ -48,7 +48,6 @@ type t = {
   mutable workers : unit Domain.t array;
   busy : bool Atomic.t;  (* a submission is in flight *)
   mutable closed : bool;
-  mutable last_claims : int;  (* claims of the last job (0 for sequential) *)
 }
 
 (* Floor for a single claim.  Below this, the fetch-and-add (and the cache
@@ -156,14 +155,11 @@ let create ?(obs = Obs.noop) jobs =
       workers = [||];
       busy = Atomic.make false;
       closed = false;
-      last_claims = 0;
     }
   in
   t.workers <- Array.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
-let size t = t.jobs
-let last_claims t = t.last_claims
 
 let shutdown t =
   if not t.closed then begin
@@ -205,7 +201,6 @@ let run_job t ~chunk ~init n f =
     match mode with Fixed c -> n > c | Guided -> n >= 2 * chunk_floor
   in
   if (not worth_splitting) || t.jobs = 1 then begin
-    t.last_claims <- 0;
     count_job t ~mode:"sequential" ~claims:0;
     sequential ~init n f
   end
@@ -244,8 +239,7 @@ let run_job t ~chunk ~init n f =
     done;
     t.current <- None;
     Mutex.unlock t.lock;
-    t.last_claims <- Atomic.get job.claims;
-    count_job t ~mode:"parallel" ~claims:t.last_claims;
+    count_job t ~mode:"parallel" ~claims:(Atomic.get job.claims);
     Atomic.set t.busy false;
     match Atomic.get job.exn_slot with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
@@ -273,13 +267,6 @@ let parallel_init ~pool ?chunk n f =
 
 let parallel_map_array ~pool ?chunk f a =
   parallel_init ~pool ?chunk (Array.length a) (fun i -> f a.(i))
-
-let with_pool ?obs jobs f =
-  if jobs <= 1 then f None
-  else begin
-    let t = create ?obs jobs in
-    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f (Some t))
-  end
 
 (* --- warm pool registry -------------------------------------------------- *)
 

@@ -31,17 +31,9 @@ val create : ?obs:Leakdetect_obs.Obs.t -> int -> t
     and claim counters ([leakdetect_pool_*]) — per job, never per index.
     @raise Invalid_argument when [jobs] exceeds 1024. *)
 
-val size : t -> int
-(** Number of participating domains, including the caller. *)
-
 val shutdown : t -> unit
 (** Joins the worker domains.  Idempotent.  Using the pool afterwards
     raises [Invalid_argument]. *)
-
-val with_pool : ?obs:Leakdetect_obs.Obs.t -> int -> (t option -> 'a) -> 'a
-(** [with_pool jobs f] runs [f (Some pool)] with a fresh pool — or
-    [f None] when [jobs <= 1], spawning nothing — and shuts the pool down
-    afterwards, exceptions included. *)
 
 val warm : ?obs:Leakdetect_obs.Obs.t -> int -> t option
 (** [warm jobs] is the process-wide persistent pool of that size — created
@@ -59,11 +51,6 @@ val chunk_floor : int
 (** Minimum indices per claim (16).  Iteration spaces smaller than
     [2 * chunk_floor] run sequentially — claiming single indices costs more
     in atomic traffic than the work it spreads. *)
-
-val last_claims : t -> int
-(** Claim operations performed by the last completed job on this pool — 0
-    when it ran sequentially.  Exposed so tests can assert that claiming is
-    coarse (a handful of fetch-and-adds, not one per index). *)
 
 val parallel_for : pool:t option -> ?chunk:int -> int -> (int -> unit) -> unit
 (** [parallel_for ~pool n f] runs [f i] for every [0 <= i < n], each index

@@ -7,9 +7,6 @@
    exactly one bucket, and bucket order / member order are index-ascending —
    the output is a pure function of the signature array. *)
 
-let collision_probability ~bands ~rows s =
-  1. -. ((1. -. (s ** float_of_int rows)) ** float_of_int bands)
-
 let threshold ~bands ~rows =
   (1. /. float_of_int bands) ** (1. /. float_of_int rows)
 

@@ -15,11 +15,6 @@ val buckets : bands:int -> rows:int -> int64 array array -> int list list
     @raise Invalid_argument when [bands < 1], [rows < 1], or any
     signature is narrower than [bands * rows]. *)
 
-val collision_probability : bands:int -> rows:int -> float -> float
-(** [collision_probability ~bands ~rows s] is [1 - (1 - s^rows)^bands] —
-    the probability two items with Jaccard similarity [s] share at least
-    one band. *)
-
 val threshold : bands:int -> rows:int -> float
 (** [(1/bands)^(1/rows)] — the similarity at which the collision curve
     crosses its steep middle; pairs above it are likely candidates. *)

@@ -9,8 +9,6 @@ module Prng = Leakdetect_util.Prng
 
 type t = { keys : int64 array }
 
-let hashes t = Array.length t.keys
-
 let create ~hashes ~seed =
   if hashes < 1 then invalid_arg "Minhash.create: hashes must be >= 1";
   let rng = Prng.create seed in

@@ -16,9 +16,6 @@ val create : hashes:int -> seed:int -> t
     generator seeded with [seed].
     @raise Invalid_argument when [hashes < 1]. *)
 
-val hashes : t -> int
-(** Signature width. *)
-
 val empty_slot : int64
 (** The slot value assigned to the empty shingle set ([Int64.max_int]);
     two empty payloads agree on every slot. *)

@@ -35,8 +35,6 @@ let check p =
 
 let threshold p = Lsh.threshold ~bands:p.bands ~rows:p.rows
 
-let collision_probability p s = Lsh.collision_probability ~bands:p.bands ~rows:p.rows s
-
 let signatures ?pool p payloads =
   check p;
   let mh = Minhash.create ~hashes:p.hashes ~seed:p.seed in

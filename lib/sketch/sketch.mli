@@ -28,10 +28,6 @@ val threshold : params -> float
 (** Similarity at the collision curve's steep middle — see
     {!Lsh.threshold}. *)
 
-val collision_probability : params -> float -> float
-(** [collision_probability p s] — probability a pair at Jaccard [s] shares
-    a band under [p]. *)
-
 val signatures : ?pool:Leakdetect_parallel.Pool.t -> params -> string array -> int64 array array
 (** [signatures ?pool p payloads] minhashes every payload (fanned over the
     pool; slot [i] is payload [i]'s signature regardless of schedule).

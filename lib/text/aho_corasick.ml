@@ -138,38 +138,18 @@ let check_slice name text off len =
   if off < 0 || len < 0 || off > String.length text - len then
     invalid_arg (name ^ ": slice out of bounds")
 
-let report t row end_pos f =
-  let k = (row - t.first_reporting) / t.n_classes in
-  for i = t.out_start.(k) to t.out_start.(k + 1) - 1 do
-    f (Array.unsafe_get t.out_ids i) end_pos
-  done
-
-(* The scanning loop everything else is built on: runs the automaton from
-   row [row0] over [len] bytes of [text] starting at [off], reporting
-   matches as [f id end_pos] with [end_pos] counted from [pos0], and returns
-   the row reached — exactly the state a later fragment resumes from.  The
-   goto function is total, so there is no failure chasing in here. *)
-let scan_range t row0 ~pos0 ~off ~len text f =
-  let delta = t.delta and classes = t.classes and first = t.first_reporting in
-  let row = ref row0 in
-  for k = off to off + len - 1 do
-    let next =
-      Array.unsafe_get delta
-        (!row + Array.unsafe_get classes (Char.code (String.unsafe_get text k)))
-    in
-    row := next;
-    if next >= first then report t next (pos0 + (k - off) + 1) f
-  done;
-  !row
-
 let mark t row seen =
   let k = (row - t.first_reporting) / t.n_classes in
   for i = t.out_start.(k) to t.out_start.(k + 1) - 1 do
     Array.unsafe_set seen (Array.unsafe_get t.out_ids i) true
   done
 
-(* [scan_range] recording ids into [seen]: the per-packet hot path of the
-   detector and the payload check, kept closure-free. *)
+(* The scanning loop everything else is built on: runs the automaton from
+   row [row0] over [len] bytes of [text] starting at [off], recording the
+   ids of the patterns that occur into [seen], and returns the row reached
+   — exactly the state a later fragment resumes from.  The goto function is
+   total, so there is no failure chasing in here; the loop is the per-packet
+   hot path of the detector and the payload check, kept closure-free. *)
 let scan_seen t row0 ~off ~len text seen =
   let delta = t.delta and classes = t.classes and first = t.first_reporting in
   let row = ref row0 in
@@ -182,13 +162,6 @@ let scan_seen t row0 ~off ~len text seen =
     if next >= first then mark t next seen
   done;
   !row
-
-let iter_matches t text f =
-  ignore (scan_range t 0 ~pos0:0 ~off:0 ~len:(String.length text) text f)
-
-let iter_matches_sub t ~off ~len text f =
-  check_slice "Aho_corasick.iter_matches_sub" text off len;
-  ignore (scan_range t 0 ~pos0:0 ~off ~len text f)
 
 let matched_set_into t seen text =
   if Array.length seen <> t.n_patterns then
@@ -228,13 +201,6 @@ module Stream = struct
 
   (* Defaults resolved inline (not via a slice-returning helper) so the
      per-fragment hot path allocates no tuple. *)
-  let feed t st ?off ?len text f =
-    let off = match off with None -> 0 | Some o -> o in
-    let len = match len with None -> String.length text - off | Some l -> l in
-    check_slice "Aho_corasick.Stream.feed" text off len;
-    st.row <- scan_range t st.row ~pos0:st.consumed ~off ~len text f;
-    st.consumed <- st.consumed + len
-
   let feed_into t st seen ?off ?len text =
     if Array.length seen <> t.n_patterns then
       invalid_arg "Aho_corasick.Stream.feed_into: buffer size mismatch";
@@ -259,11 +225,3 @@ let matched_set t text =
   let seen = Array.make t.n_patterns false in
   ignore (scan_seen t 0 ~off:0 ~len:(String.length text) text seen);
   seen
-
-exception Found
-
-let matches_any t text =
-  try
-    iter_matches t text (fun _ _ -> raise Found);
-    false
-  with Found -> true

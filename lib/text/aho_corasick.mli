@@ -18,10 +18,9 @@ type t
 val build : ?caseless:bool -> string list -> t
 (** [build patterns] compiles the automaton.  Pattern ids are positions in
     the list.  Duplicate patterns are allowed (each id reports separately).
-    With [~caseless:true] every scan of a text [s] reports exactly the
-    matches, positions and order the exact automaton reports on
-    [String.lowercase_ascii s] — so a pattern containing an upper-case
-    letter never matches.  The lower-cased text is never built.
+    With [~caseless:true] every scan of a text [s] finds exactly the
+    patterns the exact automaton finds in [String.lowercase_ascii s] — so a
+    pattern containing an upper-case letter never matches.  The lower-cased text is never built.
     @raise Invalid_argument on an empty pattern. *)
 
 val pattern_count : t -> int
@@ -38,24 +37,12 @@ val matched_set_into : t -> bool array -> string -> unit
     by parallel whole-trace detection.
     @raise Invalid_argument on a buffer of the wrong length. *)
 
-val iter_matches : t -> string -> (int -> int -> unit) -> unit
-(** [iter_matches t text f] calls [f id end_pos] for every occurrence of
-    every pattern, where [end_pos] is the index one past the occurrence. *)
-
-val iter_matches_sub : t -> off:int -> len:int -> string -> (int -> int -> unit) -> unit
-(** [iter_matches_sub t ~off ~len text f] is [iter_matches] over the slice
-    [text.[off .. off+len-1]] without copying it; [end_pos] is counted from
-    [off].  @raise Invalid_argument on an out-of-bounds slice. *)
-
-val matches_any : t -> string -> bool
-(** Early-exit occurrence test. *)
-
 (** Resumable matching for streaming detection.
 
     A {!Stream.state} is the automaton node reached so far plus the number
     of bytes consumed — everything needed to continue a scan across
-    fragment boundaries.  Feeding fragments [f1, f2, ...] reports exactly
-    the matches of scanning [f1 ^ f2 ^ ...] in one pass, including
+    fragment boundaries.  Feeding fragments [f1, f2, ...] finds exactly
+    the patterns of scanning [f1 ^ f2 ^ ...] in one pass, including
     occurrences that span fragment seams, because the carried node encodes
     every live partial match.  No fragment is ever copied or concatenated:
     [?off]/[?len] scan slices of a caller-owned buffer (e.g. chunk payloads
@@ -72,20 +59,16 @@ module Stream : sig
       allocating. *)
 
   val consumed : state -> int
-  (** Total bytes fed so far; match end positions are reported in this
-      coordinate space. *)
-
-  val feed : t -> state -> ?off:int -> ?len:int -> string -> (int -> int -> unit) -> unit
-  (** [feed t st text f] scans the next fragment ([?off]/[?len] delimit a
-      slice, default the whole string) and calls [f id end_pos] for every
-      match that completes inside it, [end_pos] counted from the start of
-      the stream.  @raise Invalid_argument on an out-of-bounds slice. *)
+  (** Total bytes fed so far. *)
 
   val feed_into : t -> state -> bool array -> ?off:int -> ?len:int -> string -> unit
-  (** [feed_into t st seen text] is {!feed} recording pattern ids into
-      [seen] (length {!pattern_count}) {e without clearing it} — the
-      per-flow matched set accumulates across fragments; clear it between
-      flows.  @raise Invalid_argument on a buffer of the wrong length. *)
+  (** [feed_into t st seen text] scans the next fragment ([?off]/[?len]
+      delimit a slice, default the whole string) and records the ids of
+      the patterns that occur so far into [seen] (length {!pattern_count})
+      {e without clearing it} — the per-flow matched set accumulates across
+      fragments; clear it between flows.
+      @raise Invalid_argument on a buffer of the wrong length or an
+      out-of-bounds slice. *)
 
   val feed_pair_into :
     t -> state -> bool array -> t -> state -> bool array -> ?off:int -> ?len:int ->

@@ -6,11 +6,6 @@ val distance : string -> string -> int
 (** Unit-cost insert/delete/substitute Levenshtein distance, O(|a|*|b|) time,
     O(min(|a|,|b|)) space. *)
 
-val distance_bounded : cutoff:int -> string -> string -> int option
-(** [distance_bounded ~cutoff a b] is [Some d] when [d <= cutoff], [None]
-    otherwise; computed with a diagonal band so it costs
-    O(cutoff * min(|a|,|b|)). *)
-
 val normalized : string -> string -> float
 (** [distance a b / max (len a) (len b)], the paper's [d_host].  Defined as 0
     when both strings are empty.  Result lies in [\[0, 1\]]. *)

@@ -1,37 +1,3 @@
-let pair a b =
-  let m = String.length a and n = String.length b in
-  if m = 0 || n = 0 then None
-  else begin
-    let prev = Array.make (n + 1) 0 in
-    let cur = Array.make (n + 1) 0 in
-    let best_len = ref 0 and best_i = ref 0 and best_j = ref 0 in
-    for i = 1 to m do
-      for j = 1 to n do
-        if a.[i - 1] = b.[j - 1] then begin
-          cur.(j) <- prev.(j - 1) + 1;
-          if cur.(j) > !best_len then begin
-            best_len := cur.(j);
-            best_i := i - cur.(j);
-            best_j := j - cur.(j)
-          end
-        end
-        else cur.(j) <- 0
-      done;
-      Array.blit cur 0 prev 0 (n + 1)
-    done;
-    if !best_len = 0 then None else Some (!best_i, !best_j, !best_len)
-  end
-
-let pair_string a b =
-  (* Suffix-automaton fast path: O(|a| + |b|) against the DP's O(|a|*|b|).
-     The DP [pair] remains the oracle in the test suite. *)
-  if a = "" || b = "" then ""
-  else begin
-    let sa = Suffix_automaton.build a in
-    let pos, len = Suffix_automaton.longest_common_substring sa b in
-    String.sub b pos len
-  end
-
 (* Rolling (polynomial) hash of every length-[len] window of [s].  The base
    is odd and the modulus is the native 63-bit int wraparound; collisions are
    possible but harmless because callers verify candidates exactly. *)

@@ -1,16 +1,6 @@
 (** Longest common substrings.  Conjunction-signature generation (Sec. IV-E)
     needs the longest substring shared by {e every} packet in a cluster. *)
 
-val pair : string -> string -> (int * int * int) option
-(** [pair a b] is [Some (pos_a, pos_b, len)] describing a longest common
-    substring of [a] and [b], or [None] when the strings share no character.
-    Dynamic programming, O(|a|*|b|) time. *)
-
-val pair_string : string -> string -> string
-(** The longest common substring itself; [""] when there is none.  Uses a
-    suffix automaton of the first string (O(|a| + |b|)); {!pair} is the
-    quadratic dynamic program kept as the oracle. *)
-
 val of_set : string list -> string
 (** [of_set strings] is a longest substring common to every string in the
     list; [""] when the list is empty, any string is empty, or nothing is

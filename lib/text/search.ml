@@ -42,15 +42,3 @@ let find { needle; fail } ?(from = 0) hay =
 let matches c hay = Option.is_some (find c hay)
 let index ?from ~needle hay = find (compile needle) ?from hay
 let contains ~needle hay = Option.is_some (index ~needle hay)
-
-let count_occurrences ~needle hay =
-  let m = String.length needle in
-  if m = 0 then 0
-  else
-    let c = compile needle in
-    let rec loop from acc =
-      match find c ~from hay with
-      | None -> acc
-      | Some i -> loop (i + m) (acc + 1)
-    in
-    loop 0 0

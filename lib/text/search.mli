@@ -9,9 +9,6 @@ val index : ?from:int -> needle:string -> string -> int option
 
 val contains : needle:string -> string -> bool
 
-val count_occurrences : needle:string -> string -> int
-(** Number of non-overlapping occurrences; 0 for the empty needle. *)
-
 val failure_function : string -> int array
 (** KMP failure function, exposed for testing.  [f.(i)] is the length of the
     longest proper border of [needle\[0..i\]]. *)

@@ -43,8 +43,6 @@ let profile_distance px py =
   else if px.norm = 0. || py.norm = 0. then 1.
   else Float.max 0. (Float.min 1. (1. -. cosine_similarity px py))
 
-let cosine_distance x y = profile_distance (profile x) (profile y)
-
 module Cache = struct
   type t = (string, profile) Hashtbl.t
 

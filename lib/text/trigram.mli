@@ -25,10 +25,6 @@ val profile_distance : profile -> profile -> float
     contract: on equal cardinalities the dot product folds over the first
     profile, so swapping the arguments may change the last bit. *)
 
-val cosine_distance : string -> string -> float
-(** [profile_distance] over fresh profiles.  Empty profiles come from
-    strings shorter than 3 bytes. *)
-
 module Cache : sig
   (** Memoizes profiles per string for string-level queries.  A plain
       [Hashtbl] underneath: use one cache per domain. *)

@@ -36,11 +36,6 @@ let update t ?(pos = 0) ?len s =
 let value t = t lxor 0xFFFFFFFF
 let string s = value (update init s)
 
-let bytes ?(pos = 0) ?len b =
-  let len = match len with Some l -> l | None -> Bytes.length b - pos in
-  check_slice ~what:"bytes" ~length:(Bytes.length b) ~pos ~len;
-  value (update_in (Lazy.force table) init (Bytes.unsafe_get b) pos len)
-
 (* --- combining checksums of adjacent strings ---
 
    zlib >= 1.2.12's method: CRC-32 is affine over GF(2), so

@@ -23,9 +23,6 @@ val value : t -> int
 val string : string -> int
 (** One-shot checksum: [string s = value (update init s)]. *)
 
-val bytes : ?pos:int -> ?len:int -> Bytes.t -> int
-(** One-shot over a [Bytes.t] slice (avoids copying buffers to strings). *)
-
 val combine : int -> int -> int -> int
 (** [combine (string a) (string b) (String.length b) = string (a ^ b)]:
     the checksum of a concatenation from the checksums of its parts, in

@@ -38,10 +38,6 @@ let decode_into buf s ~pos ~len =
   if not !ok then Buffer.truncate buf mark;
   !ok
 
-let decode s =
-  let buf = Buffer.create (String.length s / 2) in
-  if decode_into buf s ~pos:0 ~len:(String.length s) then Some (Buffer.contents buf) else None
-
 let is_hex s = String.length s > 0 && String.for_all is_digit s
 
 (* The guard keeps [v * 16 + d] within [max_int] before each shift, so an

@@ -3,10 +3,6 @@
 val encode : string -> string
 (** [encode s] is the lowercase hex rendering of the bytes of [s]. *)
 
-val decode : string -> string option
-(** [decode s] inverts {!encode}; [None] on odd length or non-hex digits.
-    Accepts both cases.  A wrapper over {!decode_into}. *)
-
 val decode_into : Buffer.t -> string -> pos:int -> len:int -> bool
 (** [decode_into buf s ~pos ~len] appends the bytes that [s.\[pos .. pos+len-1\]]
     encodes to [buf] and returns [true]; on odd [len] or a non-hex digit it

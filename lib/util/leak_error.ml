@@ -15,5 +15,3 @@ let to_string = function
   | Bad_field (field, value) -> Printf.sprintf "bad %s %S" field value
   | Bad_escape token -> Printf.sprintf "bad token escape %S" token
   | Invalid m -> m
-
-let pp ppf e = Format.pp_print_string ppf (to_string e)

@@ -19,6 +19,3 @@ type t =
   | Invalid of string  (** Semantic validation failed after parsing. *)
 
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit
-(** [Format] adapter over {!to_string}. *)

@@ -18,8 +18,6 @@ let create seed =
   let s3 = splitmix64 st in
   { s0; s1; s2; s3 }
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
-
 let rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
@@ -78,8 +76,3 @@ let chance t p = float t < p
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
   arr.(int t (Array.length arr))
-
-let pick_list t l =
-  match l with
-  | [] -> invalid_arg "Prng.pick_list: empty list"
-  | _ -> List.nth l (int t (List.length l))

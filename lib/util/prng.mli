@@ -13,9 +13,6 @@ val create : int -> t
 (** [create seed] builds a generator from an integer seed.  Equal seeds give
     equal streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator starting at [t]'s current state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a fresh generator whose stream is
     statistically independent of [t]'s subsequent output.  Used to give every
@@ -44,6 +41,3 @@ val chance : t -> float -> bool
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val pick_list : t -> 'a list -> 'a
-(** Uniform element of a non-empty list. *)

@@ -7,6 +7,7 @@ let shuffle rng arr =
   done
 
 let without_replacement rng n arr =
+  if n < 0 then invalid_arg "Sample.without_replacement: negative n";
   let len = Array.length arr in
   let n = min n len in
   if n = 0 then [||]
@@ -38,8 +39,6 @@ let weighted_index rng w =
 let zipf_weights ~n ~s =
   if n <= 0 then invalid_arg "Sample.zipf_weights: n must be positive";
   Array.init n (fun i -> 1. /. Float.pow (float_of_int (i + 1)) s)
-
-let zipf rng ~n ~s = 1 + weighted_index rng (zipf_weights ~n ~s)
 
 let gaussian rng =
   (* Box-Muller; guard against log 0. *)

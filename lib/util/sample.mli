@@ -7,19 +7,17 @@ val shuffle : Prng.t -> 'a array -> unit
 
 val without_replacement : Prng.t -> int -> 'a array -> 'a array
 (** [without_replacement rng n arr] draws [min n (Array.length arr)] distinct
-    elements uniformly, preserving no particular order. *)
+    elements uniformly, preserving no particular order.
+    @raise Invalid_argument when [n] is negative. *)
 
 val weighted_index : Prng.t -> float array -> int
 (** [weighted_index rng w] draws index [i] with probability proportional to
     [w.(i)].  @raise Invalid_argument on empty or non-positive total weight. *)
 
-val zipf : Prng.t -> n:int -> s:float -> int
-(** [zipf rng ~n ~s] draws a rank in [\[1, n\]] from a Zipf distribution with
-    exponent [s].  Destination popularity in real app traffic is heavy-tailed
-    (Table II), which this models. *)
-
 val zipf_weights : n:int -> s:float -> float array
-(** The (unnormalized) Zipf pmf over ranks [1..n], as weights. *)
+(** The (unnormalized) Zipf pmf over ranks [1..n], as weights: destination
+    popularity in real app traffic is heavy-tailed (Table II), which this
+    models. *)
 
 val gaussian : Prng.t -> float
 (** Standard normal deviate (Box-Muller). *)

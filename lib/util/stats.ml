@@ -4,20 +4,6 @@ let mean xs =
 
 let mean_int xs = mean (Array.map float_of_int xs)
 
-let percentile xs p =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.percentile: empty input";
-  let sorted = Array.copy xs in
-  Array.sort compare sorted;
-  let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
-  sorted.(max 0 (min (n - 1) (rank - 1)))
-
-let fraction_le xs k =
-  if Array.length xs = 0 then 0.
-  else
-    let c = Array.fold_left (fun acc x -> if x <= k then acc + 1 else acc) 0 xs in
-    float_of_int c /. float_of_int (Array.length xs)
-
 let max_int_arr xs =
   if Array.length xs = 0 then invalid_arg "Stats.max_int_arr: empty input";
   Array.fold_left max xs.(0) xs

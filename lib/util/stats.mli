@@ -6,13 +6,6 @@ val mean : float array -> float
 
 val mean_int : int array -> float
 
-val percentile : float array -> float -> float
-(** [percentile xs p] with [p] in [\[0,100\]], nearest-rank method on a sorted
-    copy.  @raise Invalid_argument on empty input. *)
-
-val fraction_le : int array -> int -> float
-(** [fraction_le xs k] is the fraction of values [<= k]. *)
-
 val max_int_arr : int array -> int
 (** Maximum; @raise Invalid_argument on empty input. *)
 

@@ -30,41 +30,6 @@ let equal_caseless a b =
   while !i < n && Char.lowercase_ascii a.[!i] = Char.lowercase_ascii b.[!i] do incr i done;
   !i = n
 
-let chop_prefix ~prefix s =
-  let lp = String.length prefix in
-  if String.length s >= lp && String.sub s 0 lp = prefix then
-    Some (String.sub s lp (String.length s - lp))
-  else None
-
-let chop_suffix ~suffix s =
-  let ls = String.length suffix and l = String.length s in
-  if l >= ls && String.sub s (l - ls) ls = suffix then
-    Some (String.sub s 0 (l - ls))
-  else None
-
-let trim_spaces s =
-  let n = String.length s in
-  let is_sp c = c = ' ' || c = '\t' in
-  let i = ref 0 and j = ref (n - 1) in
-  while !i < n && is_sp s.[!i] do incr i done;
-  while !j >= !i && is_sp s.[!j] do decr j done;
-  String.sub s !i (!j - !i + 1)
-
-let take n s = if String.length s <= n then s else String.sub s 0 (max n 0)
-
-let repeat s n =
-  let buf = Buffer.create (String.length s * max n 0) in
-  for _ = 1 to n do Buffer.add_string buf s done;
-  Buffer.contents buf
-
-let common_prefix_len a b =
-  let n = min (String.length a) (String.length b) in
-  let rec loop i = if i < n && a.[i] = b.[i] then loop (i + 1) else i in
-  loop 0
-
-let is_printable_ascii s =
-  String.for_all (fun c -> c >= '\x20' && c <= '\x7e') s
-
 let truncate_middle width s =
   if String.length s <= width then s
   else if width <= 3 then String.sub s 0 (max width 0)

@@ -14,26 +14,6 @@ val index_in : string -> pos:int -> stop:int -> char -> int
 val equal_caseless : string -> string -> bool
 (** ASCII case-insensitive equality, without lower-cased copies. *)
 
-val chop_prefix : prefix:string -> string -> string option
-(** [chop_prefix ~prefix s] removes a leading [prefix], if present. *)
-
-val chop_suffix : suffix:string -> string -> string option
-
-val trim_spaces : string -> string
-(** Trim ASCII space and tab from both ends. *)
-
-val take : int -> string -> string
-(** [take n s] is the first [min n (length s)] characters. *)
-
-val repeat : string -> int -> string
-(** [repeat s n] concatenates [n] copies of [s]. *)
-
-val common_prefix_len : string -> string -> int
-(** Length of the longest common prefix. *)
-
-val is_printable_ascii : string -> bool
-(** True when every byte is in [\[0x20, 0x7e\]]. *)
-
 val truncate_middle : int -> string -> string
 (** [truncate_middle width s] shortens [s] to at most [width] characters,
     eliding the middle with ["..."], for display purposes. *)

@@ -49,8 +49,3 @@ let render ?title ~columns rows =
       Buffer.add_char buf '\n')
     rows;
   Buffer.contents buf
-
-let render_kv ?title kvs =
-  render ?title
-    ~columns:[ ("key", Left); ("value", Right) ]
-    (List.map (fun (k, v) -> [ k; v ]) kvs)

@@ -9,6 +9,3 @@ val render :
 (** [render ~title ~columns rows] lays the rows out with padded columns, a
     header rule, and an optional title line.  Rows shorter than the header are
     right-padded with empty cells; longer rows are truncated. *)
-
-val render_kv : ?title:string -> (string * string) list -> string
-(** Two-column key/value table. *)

@@ -47,7 +47,7 @@ let test_mutators_keep_destination () =
       Alcotest.(check bool)
         (m.Mutator.name ^ " keeps destination")
         true
-        (Packet.compare_dst p.Packet.dst leak_packet.Packet.dst = 0))
+        (p.Packet.dst = leak_packet.Packet.dst))
     Mutator.all
 
 let contains ~needle hay =

@@ -8,14 +8,43 @@ module Prng = Leakdetect_util.Prng
 
 let qtest = QCheck_alcotest.to_alcotest
 
+let find_family name = List.find_opt (fun f -> f.Ad_module.name = name) Ad_module.catalog
+
 (* --- Device --- *)
+
+(* Luhn check-digit validation of a digit string (IMEIs carry one). *)
+let luhn_valid s =
+  let n = String.length s in
+  n >= 2
+  && String.for_all (fun c -> c >= '0' && c <= '9') s
+  &&
+  let sum = ref 0 in
+  String.iteri
+    (fun i c ->
+      let d = Char.code c - Char.code '0' in
+      (* Double every second digit counting from the check digit. *)
+      let d = if (n - 1 - i) mod 2 = 1 then (let d2 = 2 * d in if d2 > 9 then d2 - 9 else d2) else d in
+      sum := !sum + d)
+    s;
+  !sum mod 10 = 0
+
+(* Letters, digits and hyphens per label, 1..63 characters, no hyphen at
+   either end; at least two labels. *)
+let valid_fqdn s =
+  let label l =
+    let n = String.length l in
+    n >= 1 && n <= 63
+    && String.for_all (fun c -> (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '-') l
+    && l.[0] <> '-' && l.[n - 1] <> '-'
+  in
+  match String.split_on_char '.' s with [] | [ _ ] -> false | ls -> List.for_all label ls
 
 let test_device_formats () =
   let d = Device.create (Prng.create 1) in
   Alcotest.(check int) "imei 15 digits" 15 (String.length d.Device.imei);
   Alcotest.(check bool) "imei digits" true
     (String.for_all (fun c -> c >= '0' && c <= '9') d.Device.imei);
-  Alcotest.(check bool) "imei luhn valid" true (Device.luhn_valid d.Device.imei);
+  Alcotest.(check bool) "imei luhn valid" true (luhn_valid d.Device.imei);
   Alcotest.(check int) "imsi 15 digits" 15 (String.length d.Device.imsi);
   Alcotest.(check string) "imsi japanese mcc" "440" (String.sub d.Device.imsi 0 3);
   Alcotest.(check int) "sim serial 19 digits" 19 (String.length d.Device.sim_serial);
@@ -24,11 +53,6 @@ let test_device_formats () =
   Alcotest.(check bool) "android id is hex" true (Leakdetect_util.Hex.is_hex d.Device.android_id);
   Alcotest.(check bool) "carrier known" true
     (Array.exists (String.equal d.Device.carrier) Device.carriers)
-
-let test_luhn () =
-  Alcotest.(check bool) "valid number" true (Device.luhn_valid "79927398713");
-  Alcotest.(check bool) "invalid number" false (Device.luhn_valid "79927398714");
-  Alcotest.(check bool) "non-digits" false (Device.luhn_valid "7992739871a")
 
 let test_device_values () =
   let d = Device.create (Prng.create 2) in
@@ -103,7 +127,7 @@ let test_catalog_invariants () =
         (f.Ad_module.sensitive_rate >= 0. && f.Ad_module.sensitive_rate <= 1.);
       Array.iter
         (fun h ->
-          Alcotest.(check bool) (h ^ " valid fqdn") true (Leakdetect_net.Domain.is_valid h))
+          Alcotest.(check bool) (h ^ " valid fqdn") true (valid_fqdn h))
         f.Ad_module.hosts)
     Ad_module.catalog
 
@@ -111,7 +135,7 @@ let test_catalog_covers_table2 () =
   (* Every Table II service the paper names must be in the catalog. *)
   List.iter
     (fun name ->
-      Alcotest.(check bool) name true (Option.is_some (Ad_module.find name)))
+      Alcotest.(check bool) name true (Option.is_some (find_family name)))
     [
       "doubleclick.net"; "admob.com"; "google-analytics.com"; "gstatic.com";
       "google.com"; "yahoo.co.jp"; "ggpht.com"; "googlesyndication.com";
@@ -122,7 +146,7 @@ let test_catalog_covers_table2 () =
     ]
 
 let test_host_ip_in_block () =
-  let f = Option.get (Ad_module.find "admob.com") in
+  let f = Option.get (find_family "admob.com") in
   Array.iter
     (fun host ->
       let ip = Ad_module.host_ip f host in
@@ -132,9 +156,7 @@ let test_host_ip_in_block () =
     f.Ad_module.hosts;
   (* deterministic *)
   Alcotest.(check bool) "stable mapping" true
-    (Leakdetect_net.Ipv4.equal
-       (Ad_module.host_ip f "r.admob.com")
-       (Ad_module.host_ip f "r.admob.com"))
+    (Ad_module.host_ip f "r.admob.com" = Ad_module.host_ip f "r.admob.com")
 
 let full_permissions =
   { Permissions.internet = true; location = true; phone_state = true; contacts = true }
@@ -145,7 +167,7 @@ let render_ctx () =
 let test_render_basic () =
   let rng = Prng.create 5 in
   let device = Device.create rng in
-  let f = Option.get (Ad_module.find "ad-maker.info") in
+  let f = Option.get (find_family "ad-maker.info") in
   let p = Ad_module.render rng device (render_ctx ()) f in
   Alcotest.(check bool) "host from family" true
     (Array.exists (String.equal p.Packet.dst.Packet.host) f.Ad_module.hosts);
@@ -156,7 +178,7 @@ let test_render_basic () =
 let test_render_sticky_host () =
   let rng = Prng.create 6 in
   let device = Device.create rng in
-  let f = Option.get (Ad_module.find "doubleclick.net") in
+  let f = Option.get (find_family "doubleclick.net") in
   for _ = 1 to 20 do
     let p = Ad_module.render ~host:"ad.doubleclick.net" rng device (render_ctx ()) f in
     Alcotest.(check string) "pinned host" "ad.doubleclick.net" p.Packet.dst.Packet.host
@@ -167,7 +189,7 @@ let test_render_respects_permissions () =
   let device = Device.create rng in
   let no_ps = { full_permissions with Permissions.phone_state = false } in
   let ctx = { Ad_module.package = "jp.co.x"; permissions = no_ps; counter = ref 0 } in
-  let f = Option.get (Ad_module.find "ad-maker.info") in
+  let f = Option.get (find_family "ad-maker.info") in
   (* Render many packets: the IMEI must never appear without phone-state. *)
   for _ = 1 to 50 do
     let p = Ad_module.render rng device ctx f in
@@ -179,7 +201,7 @@ let test_render_respects_permissions () =
 let test_render_sensitive_rate_extremes () =
   let rng = Prng.create 8 in
   let device = Device.create rng in
-  let f = Option.get (Ad_module.find "google-analytics.com") in
+  let f = Option.get (find_family "google-analytics.com") in
   (* sensitive_rate is 0: no identifier may ever appear. *)
   for _ = 1 to 30 do
     let p = Ad_module.render rng device (render_ctx ()) f in
@@ -191,7 +213,7 @@ let test_render_sensitive_rate_extremes () =
 let test_render_post_body () =
   let rng = Prng.create 9 in
   let device = Device.create rng in
-  let f = Option.get (Ad_module.find "flurry.com") in
+  let f = Option.get (find_family "flurry.com") in
   let seen_body = ref false in
   for _ = 1 to 20 do
     let p = Ad_module.render rng device (render_ctx ()) f in
@@ -348,7 +370,6 @@ let suite =
     ( "android.device",
       [
         Alcotest.test_case "identifier formats" `Quick test_device_formats;
-        Alcotest.test_case "luhn" `Quick test_luhn;
         Alcotest.test_case "kind values" `Quick test_device_values;
         Alcotest.test_case "needles complete" `Quick test_device_needles_complete;
         Alcotest.test_case "determinism" `Quick test_device_determinism;

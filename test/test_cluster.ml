@@ -17,9 +17,7 @@ let test_matrix_basic () =
 
 let test_matrix_build () =
   let m = Dist_matrix.build 5 (fun i j -> float_of_int (i + j)) in
-  Alcotest.(check (float 1e-9)) "value" 7. (Dist_matrix.get m 3 4);
-  Alcotest.(check (float 1e-9)) "max" 7. (Dist_matrix.max_value m);
-  Alcotest.(check bool) "mean positive" true (Dist_matrix.mean_value m > 0.)
+  Alcotest.(check (float 1e-9)) "value" 7. (Dist_matrix.get m 3 4)
 
 let test_matrix_errors () =
   let m = Dist_matrix.create 3 in
@@ -32,10 +30,38 @@ let test_matrix_errors () =
 
 let test_matrix_empty () =
   let m = Dist_matrix.create 0 in
-  Alcotest.(check (float 1e-9)) "max of empty" 0. (Dist_matrix.max_value m);
-  Alcotest.(check (float 1e-9)) "mean of empty" 0. (Dist_matrix.mean_value m)
+  Alcotest.(check int) "size" 0 (Dist_matrix.size m);
+  let calls = ref 0 in
+  let b = Dist_matrix.build 0 (fun _ _ -> incr calls; 1.) in
+  Alcotest.(check int) "built size" 0 (Dist_matrix.size b);
+  Alcotest.(check int) "no pair evaluated" 0 !calls;
+  Alcotest.check_raises "no cells" (Invalid_argument "Dist_matrix: index out of range")
+    (fun () -> ignore (Dist_matrix.get m 0 1));
+  Alcotest.check_raises "negative size" (Invalid_argument "Dist_matrix.create: negative size")
+    (fun () -> ignore (Dist_matrix.create (-1)))
+
+let prop_matrix_build_pairs =
+  QCheck.Test.make ~name:"build fills each pair once, read both ways" ~count:100
+    QCheck.(int_range 1 30)
+    (fun n ->
+      let calls = ref 0 in
+      let f i j = incr calls; float_of_int ((i * 1000) + j) in
+      let m = Dist_matrix.build n f in
+      let ok = ref (!calls = n * (n - 1) / 2) in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          let v = float_of_int ((i * 1000) + j) in
+          ok := !ok && Dist_matrix.get m i j = v && Dist_matrix.get m j i = v
+        done
+      done;
+      !ok)
 
 (* --- Dendrogram --- *)
+
+(* All internal merge heights, root-first (pre-order). *)
+let rec heights = function
+  | Dendrogram.Leaf _ -> []
+  | Dendrogram.Node { height; left; right; _ } -> (height :: heights left) @ heights right
 
 let sample_tree () =
   (* ((0 1)@1.0 (2 3)@2.0)@4.0 *)
@@ -70,10 +96,6 @@ let test_dendrogram_cut_into () =
   (* over-asking stops at leaves *)
   Alcotest.(check int) "k=10" 4 (List.length (Dendrogram.cut_into 10 t))
 
-let test_dendrogram_heights () =
-  Alcotest.(check (list (float 1e-9))) "pre-order" [ 4.0; 1.0; 2.0 ]
-    (Dendrogram.heights (sample_tree ()))
-
 let test_dendrogram_newick () =
   Alcotest.(check string) "tree"
     "((0:1,1:1):3,(2:2,3:2):2);"
@@ -84,6 +106,33 @@ let test_dendrogram_newick () =
     (Dendrogram.to_newick
        ~label:(fun i -> String.make 1 (Char.chr (Char.code 'a' + i)))
        (sample_tree ()))
+
+(* Random trees over random matrices, and a threshold drawn across their
+   merge heights. *)
+let tree_gen =
+  QCheck.Gen.(
+    triple (int_range 1 20) (int_range 0 1000) (float_bound_inclusive 1.)
+    >|= fun (n, seed, t) ->
+    let rng = Leakdetect_util.Prng.create seed in
+    let m = Dist_matrix.build n (fun _ _ -> Leakdetect_util.Prng.float rng) in
+    (n, Option.get (Agglomerative.cluster m), t))
+
+let prop_cut_partitions =
+  QCheck.Test.make ~name:"cut partitions the leaves below the threshold" ~count:200
+    (QCheck.make tree_gen) (fun (n, tree, threshold) ->
+      let parts = Dendrogram.cut ~threshold tree in
+      List.sort compare (List.concat_map Dendrogram.members parts) = List.init n Fun.id
+      && List.for_all
+           (fun p -> Dendrogram.size p = 1 || Dendrogram.height p <= threshold)
+           parts)
+
+let prop_cut_into_count =
+  QCheck.Test.make ~name:"cut_into k gives min(k, n) parts covering the leaves" ~count:200
+    QCheck.(pair (make tree_gen) (int_range 1 25))
+    (fun ((n, tree, _), k) ->
+      let parts = Dendrogram.cut_into k tree in
+      List.length parts = min k n
+      && List.sort compare (List.concat_map Dendrogram.members parts) = List.init n Fun.id)
 
 (* --- Agglomerative --- *)
 
@@ -137,7 +186,7 @@ let test_tie_order_pinned () =
   let tree = Option.get (Agglomerative.cluster m) in
   Alcotest.(check (float 1e-9)) "root" (2. /. 3.) (Dendrogram.height tree);
   Alcotest.(check (list (float 1e-9))) "merge heights" [ 2. /. 3.; 0.5; 0.5 ]
-    (Dendrogram.heights tree);
+    (heights tree);
   Alcotest.(check (list (list int))) "clusters below the root"
     [ [ 0; 2; 3 ]; [ 1 ] ]
     (List.map Dendrogram.members (Dendrogram.cut ~threshold:0.6 tree))
@@ -195,21 +244,26 @@ let prop_merge_count =
     QCheck.(int_range 2 20)
     (fun n ->
       let rng = Leakdetect_util.Prng.create (n * 7) in
-      List.length (Agglomerative.merge_sequence (random_matrix rng n)) = n - 1)
+      match Agglomerative.cluster (random_matrix rng n) with
+      | Some tree -> List.length (heights tree) = n - 1
+      | None -> false)
 
 let prop_group_average_monotone =
-  (* Group-average linkage is reducible, so merge heights never decrease. *)
+  (* Group-average linkage is reducible, so no merge sits below the merges
+     it joins. *)
   QCheck.Test.make ~name:"group-average merge heights are monotone" ~count:100
     QCheck.(int_range 2 20)
     (fun n ->
       let rng = Leakdetect_util.Prng.create (n * 13) in
-      let merges = Agglomerative.merge_sequence (random_matrix rng n) in
-      let heights = List.map (fun (_, _, h) -> h) merges in
-      let rec nondecreasing = function
-        | a :: (b :: _ as rest) -> a <= b +. 1e-9 && nondecreasing rest
-        | _ -> true
+      let rec monotone = function
+        | Dendrogram.Leaf _ -> true
+        | Dendrogram.Node { height; left; right; _ } as node ->
+          List.for_all (fun h -> h <= height +. 1e-9) (heights node)
+          && monotone left && monotone right
       in
-      nondecreasing heights)
+      match Agglomerative.cluster (random_matrix rng n) with
+      | Some tree -> monotone tree
+      | None -> false)
 
 let prop_single_below_complete =
   QCheck.Test.make ~name:"single-link root <= complete-link root" ~count:100
@@ -250,6 +304,34 @@ let test_kmedoids_errors () =
   Alcotest.check_raises "empty" (Invalid_argument "Kmedoids.cluster: empty matrix")
     (fun () -> ignore (Kmedoids.cluster ~rng ~k:1 (Dist_matrix.create 0)))
 
+let test_kmedoids_deterministic () =
+  let m = random_matrix (Leakdetect_util.Prng.create 5) 12 in
+  let run () = Kmedoids.cluster ~rng:(Leakdetect_util.Prng.create 11) ~k:3 m in
+  let a = run () and b = run () in
+  Alcotest.(check bool) "same seed, same result" true (a = b);
+  Alcotest.(check int) "three clusters" 3 (List.length (Kmedoids.clusters a))
+
+let prop_kmedoids_nearest =
+  QCheck.Test.make ~name:"kmedoids assigns each item its nearest medoid" ~count:100
+    QCheck.(pair (int_range 1 5) (int_range 1 18))
+    (fun (k, n) ->
+      let rng = Leakdetect_util.Prng.create ((k * 17) + n) in
+      let m = random_matrix rng n in
+      let r = Kmedoids.cluster ~rng ~k m in
+      let d i mi = Dist_matrix.get m i r.Kmedoids.medoids.(mi) in
+      let cost = ref 0. in
+      let nearest =
+        List.for_all
+          (fun i ->
+            let own = d i r.Kmedoids.assignment.(i) in
+            cost := !cost +. own;
+            Array.for_all (fun mi -> own <= d i mi) (Array.init (Array.length r.Kmedoids.medoids) Fun.id))
+          (List.init n Fun.id)
+      in
+      nearest
+      && Array.for_all (fun med -> r.Kmedoids.medoids.(r.Kmedoids.assignment.(med)) = med) r.Kmedoids.medoids
+      && Float.abs (!cost -. r.Kmedoids.cost) < 1e-9)
+
 let prop_kmedoids_partition =
   QCheck.Test.make ~name:"kmedoids assignment is a partition" ~count:60
     QCheck.(pair (int_range 1 5) (int_range 1 18))
@@ -289,6 +371,39 @@ let test_dbscan_single_cluster () =
   Alcotest.(check (list (list int))) "one cluster of all" [ [ 0; 1; 2; 3; 4 ] ]
     r.Dbscan.clusters
 
+let test_dbscan_errors () =
+  let m = Dist_matrix.create 3 in
+  Alcotest.check_raises "negative eps" (Invalid_argument "Dbscan.cluster: negative eps")
+    (fun () -> ignore (Dbscan.cluster ~eps:(-0.1) ~min_points:2 m));
+  Alcotest.check_raises "min_points 0" (Invalid_argument "Dbscan.cluster: min_points must be >= 1")
+    (fun () -> ignore (Dbscan.cluster ~eps:1. ~min_points:0 m));
+  Alcotest.(check (list (list int))) "empty matrix" []
+    (Dbscan.cluster ~eps:1. ~min_points:1 (Dist_matrix.create 0)).Dbscan.clusters
+
+(* With min_points 1 every item is a core point, so the clusters are the
+   connected components of the eps-neighbourhood graph. *)
+let prop_dbscan_min1_components =
+  QCheck.Test.make ~name:"dbscan min_points 1 = eps-connected components" ~count:100
+    QCheck.(pair (int_range 1 20) (int_range 0 1000))
+    (fun (n, seed) ->
+      let m = random_matrix (Leakdetect_util.Prng.create seed) n in
+      let eps = 0.2 in
+      let parent = Array.init n Fun.id in
+      let rec find i = if parent.(i) = i then i else find parent.(i) in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          if Dist_matrix.get m i j <= eps then parent.(find i) <- find j
+        done
+      done;
+      let components =
+        List.init n Fun.id
+        |> List.map (fun root -> List.filter (fun i -> find i = root) (List.init n Fun.id))
+        |> List.filter (( <> ) [])
+      in
+      let r = Dbscan.cluster ~eps ~min_points:1 m in
+      r.Dbscan.noise = []
+      && List.sort compare r.Dbscan.clusters = List.sort compare components)
+
 let prop_dbscan_partition =
   QCheck.Test.make ~name:"dbscan clusters + noise partition the items" ~count:80
     QCheck.(int_range 1 20)
@@ -325,6 +440,25 @@ let test_cophenetic_correlation_bounds () =
     if c < -1.0000001 || c > 1.0000001 then Alcotest.failf "correlation out of range: %f" c
   done
 
+(* Merge heights of a group-average tree never decrease towards the root,
+   so its cophenetic distance is an ultrametric. *)
+let prop_cophenetic_ultrametric =
+  QCheck.Test.make ~name:"cophenetic distance is an ultrametric" ~count:100
+    QCheck.(pair (int_range 2 14) (int_range 0 1000))
+    (fun (n, seed) ->
+      let m = random_matrix (Leakdetect_util.Prng.create seed) n in
+      let c = Cophenetic.matrix (Option.get (Agglomerative.cluster m)) in
+      let d = Dist_matrix.get c in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          for k = 0 to n - 1 do
+            ok := !ok && d i k <= Float.max (d i j) (d j k) +. 1e-9
+          done
+        done
+      done;
+      !ok)
+
 let test_cophenetic_bad_leaves () =
   let tree = Dendrogram.node (Dendrogram.Leaf 3) (Dendrogram.Leaf 7) 1. in
   Alcotest.check_raises "non-contiguous leaves"
@@ -341,64 +475,6 @@ let test_linkage_names () =
   Alcotest.(check bool) "upgma alias" true
     (Agglomerative.linkage_of_name "upgma" = Some Agglomerative.Group_average)
 
-(* --- Cluster (unified entry point) --- *)
-
-let prop_run_matches_agglomerative =
-  QCheck.Test.make ~count:40 ~name:"Cluster.run dispatches to Agglomerative verbatim"
-    QCheck.(pair (int_range 1 24) (int_range 0 1000))
-    (fun (n, seed) ->
-      let m = random_matrix (Leakdetect_util.Prng.create seed) n in
-      match (Cluster.run (Cluster.Agglomerative Agglomerative.Single) m,
-             Agglomerative.cluster ~linkage:Agglomerative.Single m) with
-      | Cluster.Hierarchy a, Some b -> a = b
-      | _ -> false)
-
-let prop_run_flat_clusters_partition =
-  QCheck.Test.make ~count:40 ~name:"Cluster.flat_clusters partitions every algorithm"
-    QCheck.(pair (int_range 1 20) (int_range 0 1000))
-    (fun (n, seed) ->
-      let m = random_matrix (Leakdetect_util.Prng.create seed) n in
-      let covers algorithm threshold =
-        let flat = Cluster.flat_clusters ~threshold (Cluster.run algorithm m) in
-        List.sort compare (List.concat flat) = List.init n Fun.id
-      in
-      covers (Cluster.Agglomerative Agglomerative.Group_average) 0.4
-      && covers (Cluster.Agglomerative Agglomerative.Complete) infinity
-      && covers (Cluster.Kmedoids { k = 1 + (seed mod 4); seed }) infinity
-      && covers (Cluster.Dbscan { eps = 0.3; min_points = 2 }) infinity)
-
-let test_run_kmedoids_by_value () =
-  let m = random_matrix (Leakdetect_util.Prng.create 5) 12 in
-  let a = Cluster.run (Cluster.Kmedoids { k = 3; seed = 11 }) m in
-  let b = Cluster.run (Cluster.Kmedoids { k = 3; seed = 11 }) m in
-  Alcotest.(check bool) "same seed, same partition" true (a = b);
-  match a with
-  | Cluster.Partition { clusters; noise } ->
-    Alcotest.(check int) "no noise from kmedoids" 0 (List.length noise);
-    Alcotest.(check int) "three clusters" 3 (List.length clusters)
-  | _ -> Alcotest.fail "expected a partition"
-
-let test_run_empty_and_names () =
-  Alcotest.(check bool) "empty matrix" true
-    (Cluster.run Cluster.default (Dist_matrix.create 0) = Cluster.Empty);
-  Alcotest.(check string) "default name" "agglomerative-group-average"
-    (Cluster.name Cluster.default);
-  Alcotest.(check bool) "hierarchical split" true
-    (Cluster.is_hierarchical (Cluster.Agglomerative Agglomerative.Single)
-    && not (Cluster.is_hierarchical (Cluster.Dbscan { eps = 1.; min_points = 2 })))
-
-let test_run_dbscan_noise_singletons () =
-  (* Two tight pairs plus one far outlier: flat_clusters must keep the
-     outlier as a singleton, not drop it. *)
-  let coords = [| 0.0; 0.05; 1.0; 1.05; 5.0 |] in
-  let m = Dist_matrix.build 5 (fun i j -> Float.abs (coords.(i) -. coords.(j))) in
-  let flat =
-    Cluster.flat_clusters (Cluster.run (Cluster.Dbscan { eps = 0.2; min_points = 2 }) m)
-  in
-  Alcotest.(check (list (list int))) "noise appended as singleton"
-    [ [ 0; 1 ]; [ 2; 3 ]; [ 4 ] ]
-    (List.sort compare flat)
-
 let suite =
   [
     ( "cluster.matrix",
@@ -407,14 +483,16 @@ let suite =
         Alcotest.test_case "build" `Quick test_matrix_build;
         Alcotest.test_case "errors" `Quick test_matrix_errors;
         Alcotest.test_case "empty" `Quick test_matrix_empty;
+        qtest prop_matrix_build_pairs;
       ] );
     ( "cluster.dendrogram",
       [
         Alcotest.test_case "members/size/height" `Quick test_dendrogram_members;
         Alcotest.test_case "cut" `Quick test_dendrogram_cut;
         Alcotest.test_case "cut_into" `Quick test_dendrogram_cut_into;
-        Alcotest.test_case "heights" `Quick test_dendrogram_heights;
         Alcotest.test_case "newick" `Quick test_dendrogram_newick;
+        qtest prop_cut_partitions;
+        qtest prop_cut_into_count;
       ] );
     ( "cluster.agglomerative",
       [
@@ -436,7 +514,9 @@ let suite =
         Alcotest.test_case "two blobs" `Quick test_kmedoids_two_blobs;
         Alcotest.test_case "k clamped" `Quick test_kmedoids_k_clamped;
         Alcotest.test_case "errors" `Quick test_kmedoids_errors;
+        Alcotest.test_case "deterministic" `Quick test_kmedoids_deterministic;
         qtest prop_kmedoids_partition;
+        qtest prop_kmedoids_nearest;
       ] );
     ( "cluster.dbscan",
       [
@@ -444,15 +524,9 @@ let suite =
         Alcotest.test_case "noise" `Quick test_dbscan_noise;
         Alcotest.test_case "all noise" `Quick test_dbscan_all_noise;
         Alcotest.test_case "single cluster" `Quick test_dbscan_single_cluster;
+        Alcotest.test_case "errors" `Quick test_dbscan_errors;
         qtest prop_dbscan_partition;
-      ] );
-    ( "cluster.run",
-      [
-        Alcotest.test_case "kmedoids by value" `Quick test_run_kmedoids_by_value;
-        Alcotest.test_case "empty + names" `Quick test_run_empty_and_names;
-        Alcotest.test_case "dbscan noise singletons" `Quick test_run_dbscan_noise_singletons;
-        qtest prop_run_matches_agglomerative;
-        qtest prop_run_flat_clusters_partition;
+        qtest prop_dbscan_min1_components;
       ] );
     ( "cluster.cophenetic",
       [
@@ -460,5 +534,6 @@ let suite =
         Alcotest.test_case "self correlation" `Quick test_cophenetic_self_correlation;
         Alcotest.test_case "correlation bounds" `Quick test_cophenetic_correlation_bounds;
         Alcotest.test_case "bad leaves" `Quick test_cophenetic_bad_leaves;
+        qtest prop_cophenetic_ultrametric;
       ] );
   ]

@@ -5,6 +5,11 @@ open Leakdetect_compress
 
 let qtest = QCheck_alcotest.to_alcotest
 
+let codecs = [ Compressor.Lz77; Compressor.Lzw; Compressor.Huffman ]
+
+(* [n] copies of [s]. *)
+let repeat s n = String.concat "" (List.init n (fun _ -> s))
+
 (* --- Bitio --- *)
 
 let test_bitio_basic () =
@@ -55,7 +60,7 @@ let test_roundtrip_edge_cases () =
       "a";
       "aa";
       String.make 10_000 'z';
-      Leakdetect_util.Strutil.repeat "abc" 3000;
+      repeat "abc" 3000;
       String.init 2000 (fun i -> Char.chr (i mod 256));
       "GET /ad?imei=355021930123456&carrier=NTTdocomo HTTP/1.1";
     ]
@@ -69,7 +74,7 @@ let test_roundtrip_edge_cases () =
             s
             (Compressor.decompress algo (Compressor.compress algo s)))
         cases)
-    Compressor.all
+    codecs
 
 let test_lz77_window_boundary () =
   (* Repetitions just inside and just outside the 32 KiB window: the first
@@ -97,7 +102,7 @@ let test_lz77_max_match_runs () =
 
 let test_lz77_overlapping_match () =
   (* "abab..." uses a distance-2 match copied forward over itself. *)
-  let s = Leakdetect_util.Strutil.repeat "ab" 500 in
+  let s = repeat "ab" 500 in
   Alcotest.(check string) "overlap copy" s (Lz77.decompress (Lz77.compress s));
   Alcotest.(check bool) "compresses hard" true
     (Lz77.compressed_length_bits s < (8 * String.length s) / 10)
@@ -113,7 +118,7 @@ let test_lzw_dictionary_reset () =
 
 let test_compression_effectiveness () =
   (* Repetitive input must compress well under the dictionary coders. *)
-  let s = Leakdetect_util.Strutil.repeat "banana-phone!" 200 in
+  let s = repeat "banana-phone!" 200 in
   let raw_bits = 8 * String.length s in
   Alcotest.(check bool) "lz77 compresses" true (Lz77.compressed_length_bits s < raw_bits / 5);
   Alcotest.(check bool) "lzw compresses" true (Lzw.compressed_length_bits s < raw_bits / 2);
@@ -129,7 +134,7 @@ let prop_length_bits_consistent =
           let bytes = String.length (Compressor.compress algo s) in
           (* contents pads to the next byte *)
           bytes = (bits + 7) / 8)
-        Compressor.all)
+        codecs)
 
 let test_corrupt_stream () =
   (* Truncation must raise, not loop or return garbage silently. *)
@@ -232,7 +237,7 @@ let prop_lz77_concat_matches_oracle =
 let test_lz77_scratch_reuse () =
   (* A long parse leaves positions in the reused tables; the short parses
      after it must not see them, and vice versa. *)
-  let long = Leakdetect_util.Strutil.repeat "abcdefgh" 6000 in
+  let long = repeat "abcdefgh" 6000 in
   let cases = [ "abcdefgh"; long; ""; "abcabcabc"; long ^ "x"; "a"; "abcdefghabcdefgh" ] in
   List.iter
     (fun s ->
@@ -283,7 +288,7 @@ let test_lz77_parallel_scratch () =
   in
   let sequential = Array.map (Compressor.length_bits Compressor.Lz77) strings in
   let parallel =
-    Leakdetect_parallel.Pool.with_pool 2 (fun pool ->
+    Fixtures.with_pool 2 (fun pool ->
         Leakdetect_parallel.Pool.parallel_map_array ~pool ~chunk:3
           (Compressor.length_bits Compressor.Lz77) strings)
   in
@@ -298,7 +303,7 @@ let test_concat_length_bits_all_algos () =
       Alcotest.(check int) (Compressor.name algo)
         (Compressor.length_bits algo (x ^ y))
         (Compressor.concat_length_bits algo x y))
-    Compressor.all
+    codecs
 
 (* --- NCD --- *)
 
@@ -331,34 +336,12 @@ let test_ncd_discrimination () =
   let across = Compressor.Cache.ncd cache a1 b in
   Alcotest.(check bool) "within < across" true (within < across)
 
-let test_cache_stats () =
-  let cache = Compressor.Cache.create Compressor.Lzw in
-  ignore (Compressor.Cache.length_bits cache "abc");
-  ignore (Compressor.Cache.length_bits cache "abc");
-  ignore (Compressor.Cache.length_bits cache "def");
-  let st = Compressor.Cache.stats cache in
-  Alcotest.(check int) "hits" 1 st.Compressor.Cache.hits;
-  Alcotest.(check int) "misses" 2 st.Compressor.Cache.misses
-
-let test_pair_cache_stats () =
-  let cache = Compressor.Cache.create Compressor.Lz77 in
-  let x = "GET /ad/sdk?imei=355021930123456" and y = "POST /track HTTP/1.1" in
-  ignore (Compressor.Cache.ncd cache x y);
-  ignore (Compressor.Cache.ncd cache y x);
-  (* order-insensitive: same canonical pair *)
-  ignore (Compressor.Cache.ncd cache x y);
-  let st = Compressor.Cache.stats cache in
-  Alcotest.(check int) "pair misses" 1 st.Compressor.Cache.pair_misses;
-  Alcotest.(check int) "pair hits" 2 st.Compressor.Cache.pair_hits;
-  Alcotest.(check int) "pair entries" 1 (Compressor.Cache.pair_size cache)
-
 let test_pair_cache_bounded () =
   let cache = Compressor.Cache.create ~pair_capacity:2 Compressor.Lz77 in
   let s i = Printf.sprintf "payload-%d-%s" i (String.make 10 'x') in
   for i = 0 to 5 do
     ignore (Compressor.Cache.ncd cache (s i) (s (i + 100)))
   done;
-  Alcotest.(check int) "capacity respected" 2 (Compressor.Cache.pair_size cache);
   (* Uncached pairs still produce correct, identical distances. *)
   let d1 = Compressor.Cache.ncd cache (s 5) (s 105) in
   let d2 = Compressor.Cache.ncd cache (s 5) (s 105) in
@@ -370,7 +353,7 @@ let test_compressor_names () =
       Alcotest.(check (option string))
         (Compressor.name algo) (Some (Compressor.name algo))
         (Option.map Compressor.name (Compressor.of_name (Compressor.name algo))))
-    Compressor.all;
+    codecs;
   Alcotest.(check bool) "unknown name" true (Compressor.of_name "zstd" = None)
 
 let suite =
@@ -413,8 +396,6 @@ let suite =
       [
         Alcotest.test_case "range and identity" `Quick test_ncd_range_and_identity;
         Alcotest.test_case "discrimination" `Quick test_ncd_discrimination;
-        Alcotest.test_case "cache stats" `Quick test_cache_stats;
-        Alcotest.test_case "pair cache stats" `Quick test_pair_cache_stats;
         Alcotest.test_case "pair cache bounded" `Quick test_pair_cache_bounded;
         Alcotest.test_case "algorithm names" `Quick test_compressor_names;
         qtest prop_ncd_bounds;

@@ -21,6 +21,29 @@ let mk ?(ip = "74.125.1.2") ?(port = 80) ?(host = "r.admob.com")
 
 (* --- Sensitive --- *)
 
+(* Table III order is the kinds' order: [compare], [Set] and [all] agree. *)
+let test_sensitive_order () =
+  let shuffled = Array.of_list (List.rev Sensitive.all) in
+  Leakdetect_util.Sample.shuffle (Leakdetect_util.Prng.create 3) shuffled;
+  Alcotest.(check (list string)) "sort restores table order"
+    (List.map Sensitive.to_string Sensitive.all)
+    (List.map Sensitive.to_string (List.sort Sensitive.compare (Array.to_list shuffled)));
+  Alcotest.(check (list string)) "set elements in table order"
+    (List.map Sensitive.to_string Sensitive.all)
+    (List.map Sensitive.to_string
+       (Sensitive.Set.elements (Sensitive.Set.of_list (Array.to_list shuffled))));
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          Alcotest.(check bool) "equal iff compare = 0" (Sensitive.compare a b = 0)
+            (Sensitive.equal a b))
+        Sensitive.all)
+    Sensitive.all;
+  let names = List.map Sensitive.paper_name Sensitive.all in
+  Alcotest.(check int) "paper names distinct" (List.length names)
+    (List.length (List.sort_uniq String.compare names))
+
 let test_sensitive_names () =
   List.iter
     (fun k ->
@@ -204,8 +227,11 @@ let test_payload_normalize_recovers () =
   | [ { Payload_check.via = Payload_check.View steps; _ } ] ->
     Alcotest.(check bool) "verdict names the decode chain" true
       (steps <> []
-      && Leakdetect_text.Search.contains ~needle:"percent"
-           (Payload_check.via_to_string (Payload_check.View steps)))
+      && List.exists
+           (fun st ->
+             Leakdetect_text.Search.contains ~needle:"percent"
+               (Leakdetect_normalize.Normalize.step_name st))
+           steps)
   | _ -> Alcotest.fail "expected one View verdict"
 
 let test_payload_verdict_needle_order () =
@@ -228,7 +254,14 @@ let test_payload_verdict_needle_order () =
       | vs ->
         Alcotest.failf "expected one raw IMEI verdict, got [%s]"
           (String.concat "; "
-             (List.map (fun v -> Payload_check.via_to_string v.Payload_check.via) vs)))
+             (List.map
+                (fun v ->
+                  match v.Payload_check.via with
+                  | Payload_check.Raw -> "raw"
+                  | Payload_check.Folded -> "folded"
+                  | Payload_check.View steps ->
+                    String.concat "+" (List.map Leakdetect_normalize.Normalize.step_name steps))
+                vs)))
     [
       [ (Sensitive.Imei, imei); (Sensitive.Imei, "IMEIMARK") ];
       [ (Sensitive.Imei, "IMEIMARK"); (Sensitive.Imei, imei) ];
@@ -295,10 +328,10 @@ let test_signature_matching () =
   in
   let c = Signature.compile s in
   Alcotest.(check bool) "match" true
-    (Signature.matches c (mk ~rline:"GET /x?imei=1&size=320x50 HTTP/1.1" ()));
+    (Signature.matches_content c (Packet.content_string (mk ~rline:"GET /x?imei=1&size=320x50 HTTP/1.1" ())));
   Alcotest.(check bool) "order irrelevant for conjunction" true
-    (Signature.matches c (mk ~rline:"GET /x?a=b&size=320x50&imei=1 HTTP/1.1" ()));
-  Alcotest.(check bool) "miss" false (Signature.matches c (mk ()))
+    (Signature.matches_content c (Packet.content_string (mk ~rline:"GET /x?a=b&size=320x50&imei=1 HTTP/1.1" ())));
+  Alcotest.(check bool) "miss" false (Signature.matches_content c (Packet.content_string (mk ())))
 
 let test_signature_ordered () =
   let s = Signature.make ~id:0 ~mode:Signature.Ordered ~cluster_size:2 [ "aa"; "bb" ] in
@@ -358,7 +391,7 @@ let test_siggen_two_groups () =
       let c = Signature.compile signature in
       List.iter
         (fun i ->
-          Alcotest.(check bool) "matches own cluster" true (Signature.matches c sample.(i)))
+          Alcotest.(check bool) "matches own cluster" true (Signature.matches_content c (Packet.content_string sample.(i))))
         members)
     result.Siggen.signatures
     (List.filteri (fun i _ -> i < List.length result.Siggen.signatures) result.Siggen.clusters)
@@ -369,10 +402,12 @@ let test_siggen_empty_sample () =
   Alcotest.(check int) "no signatures" 0 (List.length r.Siggen.signatures);
   Alcotest.(check bool) "no dendrogram" true (r.Siggen.dendrogram = None)
 
+
+let config_with_cut cut = Pipeline.Config.{ default with siggen = { default.siggen with cut } }
 let test_siggen_cut_count () =
   let sample = Array.init 8 (fun i -> if i < 4 then group_a i else group_b i) in
   let dist = Distance.create () in
-  let config = Pipeline.Config.(default |> with_cut (Count 4)) in
+  let config = config_with_cut (Count 4) in
   let r = Siggen.generate ~config dist sample in
   Alcotest.(check bool) "at least 4 clusters" true (List.length r.Siggen.clusters >= 4)
 
@@ -382,7 +417,7 @@ let test_siggen_every_merge () =
   let auto = Siggen.generate dist sample in
   let every =
     Siggen.generate
-      ~config:Pipeline.Config.(default |> with_cut Every_merge)
+      ~config:(config_with_cut Every_merge)
       dist sample
   in
   (* Every internal node is a candidate: n-1 clusters for n packets. *)
@@ -399,7 +434,7 @@ let test_siggen_rejects_degenerate () =
   let p1 = mk ~host:"a.example.jp" ~rline:"GET /qqqq HTTP/1.1" () in
   let p2 = mk ~host:"a.example.jp" ~rline:"GET /zzzz HTTP/1.1" () in
   let dist = Distance.create () in
-  let config = Pipeline.Config.(default |> with_cut (Threshold 10.)) in
+  let config = config_with_cut (Threshold 10.) in
   let r = Siggen.generate ~config dist [| p1; p2 |] in
   Alcotest.(check (list string)) "no signature survives" []
     (List.concat_map (fun s -> s.Signature.tokens) r.Siggen.signatures);
@@ -408,7 +443,6 @@ let test_siggen_rejects_degenerate () =
 (* --- Siggen clustering backends --- *)
 
 module Clustering = Leakdetect_core.Clustering
-module Cluster = Leakdetect_cluster.Cluster
 module Sketch = Leakdetect_sketch.Sketch
 
 let sketch_config = Pipeline.Config.(default |> with_clustering (Clustering.Sketch Sketch.default))
@@ -455,7 +489,7 @@ let test_siggen_sketch_jobs_equivalence () =
   let sample = Array.init 16 (fun i -> if i mod 2 = 0 then group_a i else group_b i) in
   let sequential = Siggen.generate ~config:sketch_config (Distance.create ()) sample in
   let parallel =
-    Leakdetect_parallel.Pool.with_pool 4 (fun pool ->
+    Fixtures.with_pool 4 (fun pool ->
         Siggen.generate
           ~config:(Pipeline.Config.with_pool pool sketch_config)
           (Distance.create ()) sample)
@@ -467,15 +501,66 @@ let test_siggen_sketch_jobs_equivalence () =
   Alcotest.(check bool) "dendrogram identical at jobs=4" true
     (sequential.Siggen.dendrogram = parallel.Siggen.dendrogram)
 
-let test_siggen_partitional_algorithm () =
-  let sample = Array.init 10 (fun i -> if i < 5 then group_a i else group_b i) in
-  let config =
-    Pipeline.Config.(default |> with_algorithm (Cluster.Kmedoids { k = 2; seed = 3 }))
+(* --- Clustering (exact backend) --- *)
+
+module Agglomerative = Leakdetect_cluster.Agglomerative
+
+let mixed_sample n = Array.init n (fun i -> if i mod 3 = 0 then group_b i else group_a i)
+
+(* The exact backend is the paper's procedure verbatim: the chosen linkage
+   over the full pairwise distance matrix. *)
+let test_clustering_exact_is_agglomerative linkage () =
+  let sample = mixed_sample 10 in
+  let r =
+    Clustering.run ~backend:Clustering.Exact ~linkage (Distance.create ()) sample
   in
-  let r = Siggen.generate ~config (Distance.create ()) sample in
-  Alcotest.(check bool) "no dendrogram for a partition" true (r.Siggen.dendrogram = None);
-  Alcotest.(check int) "k clusters" 2 (List.length r.Siggen.clusters);
-  Alcotest.(check bool) "signatures produced" true (r.Siggen.signatures <> [])
+  let expected = Agglomerative.cluster ~linkage (Distance.matrix (Distance.create ()) sample) in
+  Alcotest.(check bool) "same dendrogram" true (r.Clustering.dendrogram = expected)
+
+let test_clustering_exact_stats () =
+  let r =
+    Clustering.run ~backend:Clustering.Exact ~linkage:Agglomerative.Group_average
+      (Distance.create ()) (mixed_sample 9)
+  in
+  let s = r.Clustering.stats in
+  Alcotest.(check string) "backend" "exact" s.Clustering.backend;
+  Alcotest.(check int) "one bucket" 1 s.Clustering.buckets;
+  Alcotest.(check int) "bucket holds the sample" 9 s.Clustering.largest_bucket;
+  Alcotest.(check int) "every pair computed" 36 s.Clustering.exact_pairs;
+  Alcotest.(check int) "C(9,2)" 36 s.Clustering.total_pairs
+
+let test_clustering_empty_sample () =
+  List.iter
+    (fun backend ->
+      let r =
+        Clustering.run ~backend ~linkage:Agglomerative.Single (Distance.create ()) [||]
+      in
+      let name = Clustering.backend_name backend in
+      Alcotest.(check bool) (name ^ ": no dendrogram") true (r.Clustering.dendrogram = None);
+      Alcotest.(check string) (name ^ ": backend named") name r.Clustering.stats.Clustering.backend;
+      Alcotest.(check int) (name ^ ": no pairs") 0 r.Clustering.stats.Clustering.total_pairs)
+    [ Clustering.Exact; Clustering.Sketch Clustering.default_sketch ];
+  Alcotest.(check (list string)) "flag vocabulary" [ "exact"; "sketch" ]
+    (List.map Clustering.backend_name [ Clustering.Exact; Clustering.Sketch Sketch.default ])
+
+(* The siggen config's linkage reaches the clustering: the result's
+   dendrogram is that linkage's tree over the sample's matrix. *)
+let test_siggen_linkage_threaded () =
+  let sample = mixed_sample 10 in
+  let matrix = Distance.matrix (Distance.create ()) sample in
+  List.iter
+    (fun linkage ->
+      let config =
+        Pipeline.Config.{ default with siggen = { default.siggen with linkage } }
+      in
+      let r = Siggen.generate ~config (Distance.create ()) sample in
+      Alcotest.(check bool)
+        (Agglomerative.linkage_name linkage)
+        true
+        (r.Siggen.dendrogram = Agglomerative.cluster ~linkage matrix))
+    [ Agglomerative.Group_average; Agglomerative.Single; Agglomerative.Complete ];
+  Alcotest.(check bool) "default is group average" true
+    (Siggen.default.Siggen.linkage = Agglomerative.Group_average)
 
 let test_detector_basics () =
   let s1 = Signature.make ~id:0 ~mode:Signature.Conjunction ~cluster_size:1 [ "imei=355" ] in
@@ -491,12 +576,6 @@ let test_detector_basics () =
   Alcotest.(check int) "count detected" 2 (Detector.count_detected d [| pa; pb; pn |]);
   Alcotest.(check (array bool)) "bitmap" [| true; true; false |]
     (Detector.detect_bitmap d [| pa; pb; pn |])
-
-let test_detector_all_matches () =
-  let s1 = Signature.make ~id:0 ~mode:Signature.Conjunction ~cluster_size:1 [ "imei" ] in
-  let s2 = Signature.make ~id:1 ~mode:Signature.Conjunction ~cluster_size:1 [ "320x50" ] in
-  let d = Detector.create [ s1; s2 ] in
-  Alcotest.(check int) "both match" 2 (List.length (Detector.all_matches d (group_a 1)))
 
 let test_detector_normalize_reencoded () =
   let token = "imei=355021930123456" in
@@ -785,18 +864,11 @@ let test_pipeline_normalize_off_identity () =
     (on.Pipeline.metrics.Metrics.true_positive
     >= default.Pipeline.metrics.Metrics.true_positive)
 
-let test_pipeline_sweep () =
-  let suspicious = Array.init 30 (fun i -> if i mod 2 = 0 then group_a i else group_b i) in
-  let normal = Array.init 30 (fun i -> mk ~rline:(Printf.sprintf "GET /b/%d HTTP/1.1" i) ()) in
-  let rng = Leakdetect_util.Prng.create 5 in
-  let outcomes = Pipeline.sweep ~rng ~ns:[ 5; 10; 15 ] ~suspicious ~normal () in
-  Alcotest.(check (list int)) "one outcome per N" [ 5; 10; 15 ]
-    (List.map (fun o -> o.Pipeline.sample_size) outcomes)
-
 let suite =
   [
     ( "core.sensitive",
-      [ Alcotest.test_case "names roundtrip" `Quick test_sensitive_names ] );
+      [ Alcotest.test_case "names roundtrip" `Quick test_sensitive_names;
+        Alcotest.test_case "table order" `Quick test_sensitive_order ] );
     ( "core.distance",
       [
         Alcotest.test_case "d_ip" `Quick test_d_ip;
@@ -846,12 +918,22 @@ let suite =
           test_siggen_sketch_two_groups_parity;
         Alcotest.test_case "sketch jobs equivalence" `Quick
           test_siggen_sketch_jobs_equivalence;
-        Alcotest.test_case "partitional algorithm" `Quick test_siggen_partitional_algorithm;
+        Alcotest.test_case "linkage threaded" `Quick test_siggen_linkage_threaded;
+      ] );
+    ( "core.clustering",
+      [
+        Alcotest.test_case "exact = group-average agglomerative" `Quick
+          (test_clustering_exact_is_agglomerative Agglomerative.Group_average);
+        Alcotest.test_case "exact = single-link agglomerative" `Quick
+          (test_clustering_exact_is_agglomerative Agglomerative.Single);
+        Alcotest.test_case "exact = complete-link agglomerative" `Quick
+          (test_clustering_exact_is_agglomerative Agglomerative.Complete);
+        Alcotest.test_case "exact stats" `Quick test_clustering_exact_stats;
+        Alcotest.test_case "empty sample" `Quick test_clustering_empty_sample;
       ] );
     ( "core.detector",
       [
         Alcotest.test_case "basics" `Quick test_detector_basics;
-        Alcotest.test_case "all matches" `Quick test_detector_all_matches;
         Alcotest.test_case "stream: matches across fragment seams" `Quick
           test_stream_flow_matches_across_seams;
         Alcotest.test_case "stream: chunked body without reassembly" `Quick
@@ -875,7 +957,6 @@ let suite =
         Alcotest.test_case "caps N" `Quick test_pipeline_caps_n;
         Alcotest.test_case "normalize off is byte-identical" `Quick
           test_pipeline_normalize_off_identity;
-        Alcotest.test_case "sweep" `Quick test_pipeline_sweep;
         prop_pipeline_counts_consistent;
       ] );
   ]

@@ -314,6 +314,12 @@ let test_identical_publish_is_noop () =
 
 let candidate tokens = sig_ 0 ~cluster_size:1 tokens
 
+let show_outcome = function
+  | Authority.Accepted n -> Printf.sprintf "accepted(%d)" n
+  | Authority.Duplicate -> "duplicate"
+  | Authority.Promoted v -> Printf.sprintf "promoted(v%d)" v
+  | Authority.Capped -> "capped"
+
 let test_promotion_at_k () =
   let auth = Authority.create () in
   let (_ : int) = Authority.publish auth ~tenant:"t0" [ s1 ] in
@@ -321,19 +327,19 @@ let test_promotion_at_k () =
   let report r = Authority.report_candidate auth ~tenant:"t0" ~reporter:r c in
   (match report "alice" with
   | Authority.Accepted 1 -> ()
-  | o -> Alcotest.failf "first report: %s" (Authority.candidate_outcome_to_string o));
+  | o -> Alcotest.failf "first report: %s" (show_outcome o));
   (* The same reporter again is a duplicate, never double-counted. *)
   (match report "alice" with
   | Authority.Duplicate -> ()
-  | o -> Alcotest.failf "same reporter: %s" (Authority.candidate_outcome_to_string o));
+  | o -> Alcotest.failf "same reporter: %s" (show_outcome o));
   (match report "bob" with
   | Authority.Accepted 2 -> ()
-  | o -> Alcotest.failf "second report: %s" (Authority.candidate_outcome_to_string o));
+  | o -> Alcotest.failf "second report: %s" (show_outcome o));
   Alcotest.(check int) "nothing published below k" 1
     (Authority.version auth ~tenant:"t0");
   (match report "carol" with
   | Authority.Promoted 2 -> ()
-  | o -> Alcotest.failf "k-th report: %s" (Authority.candidate_outcome_to_string o));
+  | o -> Alcotest.failf "k-th report: %s" (show_outcome o));
   (match Authority.signatures auth ~tenant:"t0" with
   | [ _; s ] ->
     Alcotest.(check int) "cluster_size is the reporter count" 3
@@ -349,7 +355,7 @@ let test_promotion_at_k () =
   (* Reporting an already-published signature is a duplicate. *)
   match report "dave" with
   | Authority.Duplicate -> ()
-  | o -> Alcotest.failf "published: %s" (Authority.candidate_outcome_to_string o)
+  | o -> Alcotest.failf "published: %s" (show_outcome o)
 
 let test_reporter_cap () =
   let auth =
@@ -364,20 +370,18 @@ let test_reporter_cap () =
   (match flood 1 with Authority.Accepted 1 -> () | _ -> Alcotest.fail "second");
   (match flood 2 with
   | Authority.Capped -> ()
-  | o -> Alcotest.failf "over cap: %s" (Authority.candidate_outcome_to_string o));
-  Alcotest.(check int) "pending stuck at the cap" 2
-    (Authority.pending_candidates auth ~tenant:"t0");
+  | o -> Alcotest.failf "over cap: %s" (show_outcome o));
   (* Promotion frees cap room: k distinct reporters on one candidate. *)
   let c = candidate [ "flood"; "z0" ] in
   ignore (Authority.report_candidate auth ~tenant:"t0" ~reporter:"r2" c);
   (match Authority.report_candidate auth ~tenant:"t0" ~reporter:"r3" c with
   | Authority.Promoted _ -> ()
-  | o -> Alcotest.failf "promotion: %s" (Authority.candidate_outcome_to_string o));
+  | o -> Alcotest.failf "promotion: %s" (show_outcome o));
   match flood 3 with
   | Authority.Accepted 1 -> ()
   | o ->
     Alcotest.failf "cap must free after promotion: %s"
-      (Authority.candidate_outcome_to_string o)
+      (show_outcome o)
 
 let test_candidates_endpoint_tally () =
   let auth = Authority.create () in
@@ -425,8 +429,13 @@ let test_authority_reopen () =
         (Authority.signatures auth' ~tenant:"t0");
       Alcotest.(check (list string)) "tenants recovered" [ "t0"; "t1" ]
         (Authority.tenants auth');
-      Alcotest.(check int) "pending candidate recovered" 1
-        (Authority.pending_candidates auth' ~tenant:"t0");
+      (* Still pending: its reporter's second report is a duplicate. *)
+      (match
+         Authority.report_candidate auth' ~tenant:"t0" ~reporter:"r0"
+           (candidate [ "pending"; "one" ])
+       with
+      | Authority.Duplicate -> ()
+      | o -> Alcotest.failf "pending candidate recovered: %s" (show_outcome o));
       Authority.close auth')
 
 (* Compaction resets the journal; the snapshot alone recovers the whole
@@ -472,12 +481,10 @@ let test_authority_compact_reopen () =
         (Authority.signatures auth' ~tenant:"t0");
       check_set "other tenant survives compaction" [ s3 ]
         (Authority.signatures auth' ~tenant:"t1");
-      Alcotest.(check int) "pending candidate survives compaction" 1
-        (Authority.pending_candidates auth' ~tenant:"t0");
       (* The third reporter completes the tally begun before the snapshot. *)
       (match Authority.report_candidate auth' ~tenant:"t0" ~reporter:"r2" c with
       | Authority.Promoted v -> Alcotest.(check int) "promoted at head + 1" (v0 + 1) v
-      | o -> Alcotest.failf "k-th report: %s" (Authority.candidate_outcome_to_string o));
+      | o -> Alcotest.failf "k-th report: %s" (show_outcome o));
       let promoted =
         List.find
           (fun s -> not (List.mem s.Signature.id [ 1; 2 ]))
@@ -587,6 +594,17 @@ let test_compaction_crash_windows () =
 
 let test_promotion_crash_recovers () =
   with_dir (fun dir ->
+      (* A cap of one pending candidate per reporter makes a resurrected
+         candidate visible: it would hold every reporter's only slot. *)
+      let reopen ~dir =
+        match
+          Authority.open_
+            ~config:{ Authority.default_config with reporter_cap = 1 }
+            ~dir ()
+        with
+        | Ok (t, rep) -> (t, rep)
+        | Error e -> Alcotest.fail e
+      in
       let auth, _ = reopen ~dir in
       let c = candidate [ "cand"; "crashy" ] in
       ignore (Authority.report_candidate auth ~tenant:"t0" ~reporter:"a" c);
@@ -597,8 +615,15 @@ let test_promotion_crash_recovers () =
       (* Replay sees three reports and the promotion's Add: the candidate
          must not resurrect (it is already in the published set). *)
       let auth', rep = reopen ~dir in
-      Alcotest.(check int) "no ghost candidate" 0
-        (Authority.pending_candidates auth' ~tenant:"t0");
+      List.iter
+        (fun r ->
+          match
+            Authority.report_candidate auth' ~tenant:"t0" ~reporter:r
+              (candidate [ "after"; r ])
+          with
+          | Authority.Accepted 1 -> ()
+          | o -> Alcotest.failf "no ghost candidate holds %s's slot: %s" r (show_outcome o))
+        [ "a"; "b"; "c" ];
       Alcotest.(check int) "no re-promotion" 0 rep.Authority.promoted_on_recovery;
       Alcotest.(check int) "version stable" 1
         (Authority.version auth' ~tenant:"t0");
@@ -827,7 +852,7 @@ let test_torn_writes_recover_committed () =
       in
       let plan =
         Fault.create ~seed:11
-          { Fault.none with Fault.torn_write_rate = 0.5; crash_rate = 0.5 }
+          { Fixtures.no_faults with Fault.torn_write_rate = 0.5; crash_rate = 0.5 }
       in
       let exact = ref 0 and earlier = ref 0 in
       for trial = 1 to 40 do
@@ -1013,14 +1038,11 @@ let test_delta_client_content_length_check () =
     Ok "HTTP/1.1 200 OK\r\nX-Signature-Version: 1\r\nContent-Length: 999\r\n\r\nabc"
   in
   let c = new_client "t0" in
-  (match (Delta_client.sync c ~transport).Signature_client.outcome with
-  | Signature_client.Failed _ -> ()
-  | _ -> Alcotest.fail "a body shorter than its Content-Length must not install");
-  match Delta_client.last_error c with
-  | Some e ->
+  match (Delta_client.sync c ~transport).Signature_client.outcome with
+  | Signature_client.Failed e ->
     Alcotest.(check bool) "mentions the mismatch" true
       (Leakdetect_text.Search.contains ~needle:"content-length mismatch" e)
-  | None -> Alcotest.fail "expected a recorded error"
+  | _ -> Alcotest.fail "a body shorter than its Content-Length must not install"
 
 (* Bytes past the declared Content-Length (a response glued to trailing
    garbage) fail the attempt like a short body does; nothing installs, and
@@ -1063,7 +1085,7 @@ let test_delta_client_drives_monitor () =
   Alcotest.(check string) "before sync, the leak passes" "allowed" (decide monitor);
   ignore (Authority.publish auth ~tenant:"t0" [ s1 ]);
   ignore (sync_updated "sync" c (loss_free auth));
-  Flow_control.update_signatures monitor (Delta_client.signatures c);
+  let monitor = Flow_control.create (Delta_client.signatures c) in
   Alcotest.(check string) "after sync, the leak prompts" "prompted:stopped"
     (decide monitor)
 
@@ -1074,7 +1096,7 @@ let test_chaos_sync_converges () =
   let auth = Authority.create () in
   let plan =
     Fault.create ~seed:42
-      { Fault.none with Fault.corrupt_rate = 0.1; corrupt_bytes = 3; server_error_rate = 0.2 }
+      { Fixtures.no_faults with Fault.corrupt_rate = 0.1; corrupt_bytes = 3; server_error_rate = 0.2 }
   in
   let transport = Fault.transport plan (Authority.wire_transport auth) in
   let c = Delta_client.create ~seed:1 ~tenant:"t0" () in
@@ -1096,7 +1118,7 @@ let test_chaos_sync_converges () =
   check_set "converged to the latest set"
     (Authority.signatures auth ~tenant:"t0")
     (Delta_client.signatures c);
-  Alcotest.(check bool) "faults actually fired" true (Fault.total plan > 0)
+  Alcotest.(check bool) "faults actually fired" true (Fixtures.fault_total plan > 0)
 
 (* The chaos link in full: drops and duplicates on both hops, delays and
    corruption on top of transient errors.  Every fault kind fires, and the
@@ -1105,7 +1127,7 @@ let test_chaos_sync_converges_lossy () =
   let auth = Authority.create () in
   let plan =
     Fault.create ~seed:9
-      { Fault.none with
+      { Fixtures.no_faults with
         Fault.corrupt_rate = 0.1;
         corrupt_bytes = 2;
         drop_rate = 0.15;
@@ -1585,8 +1607,6 @@ let test_shard_map_basics () =
   | Ok _ -> Alcotest.fail "bad origin id must be rejected");
   let m = mk_map ~epoch:3 [ "b"; "a" ] in
   Alcotest.(check int) "epoch" 3 (Shard_map.epoch m);
-  Alcotest.(check (list string)) "origins sorted" [ "a"; "b" ]
-    (Shard_map.origins m);
   let tenants = List.init 50 (fun i -> Printf.sprintf "t%d" i) in
   List.iter
     (fun t ->
@@ -1611,8 +1631,8 @@ let test_shard_map_codec () =
   (match Shard_map.of_line (Shard_map.to_line m) with
   | Ok m' ->
     Alcotest.(check int) "epoch survives" 7 (Shard_map.epoch m');
-    Alcotest.(check (list string)) "origins survive" (Shard_map.origins m)
-      (Shard_map.origins m');
+    Alcotest.(check string) "origins survive" (Shard_map.to_line m)
+      (Shard_map.to_line m');
     List.iter
       (fun i ->
         let t = Printf.sprintf "t%d" i in
@@ -1839,10 +1859,10 @@ let test_export_adopt_release () =
   let c = candidate [ "cand"; "imsi=240080000000002" ] in
   (match Authority.report_candidate a ~tenant:"t0" ~reporter:"r1" c with
   | Authority.Accepted 1 -> ()
-  | o -> Alcotest.failf "report: %s" (Authority.candidate_outcome_to_string o));
+  | o -> Alcotest.failf "report: %s" (show_outcome o));
   (match Authority.report_candidate a ~tenant:"t0" ~reporter:"r2" c with
   | Authority.Accepted 2 -> ()
-  | o -> Alcotest.failf "report: %s" (Authority.candidate_outcome_to_string o));
+  | o -> Alcotest.failf "report: %s" (show_outcome o));
   let payload =
     match Authority.export_tenant a ~tenant:"t0" with
     | Ok p -> p
@@ -1866,7 +1886,7 @@ let test_export_adopt_release () =
   | Authority.Promoted _ -> ()
   | o ->
     Alcotest.failf "k-th reporter on the new owner: %s"
-      (Authority.candidate_outcome_to_string o));
+      (show_outcome o));
   (match Authority.release_tenant a ~tenant:"t0" with
   | Ok v -> Alcotest.(check int) "released at its head" 2 v
   | Error e -> Alcotest.failf "release: %s" e);
@@ -1898,11 +1918,15 @@ let test_shard_state_replays () =
       Authority.close auth;
       (* Both the shard assignment and the adopted tenant ride the WAL. *)
       let auth, _ = reopen ~dir in
-      (match Authority.shard auth with
-      | Some (self, m) ->
-        Alcotest.(check string) "self replayed" "me" self;
-        Alcotest.(check int) "epoch replayed" 5 (Shard_map.epoch m)
-      | None -> Alcotest.fail "shard map must survive reopen");
+      (* With no map every tenant is owned; with the replayed one, only
+         those the map gives to "me". *)
+      List.iter
+        (fun i ->
+          let t = Printf.sprintf "t%d" i in
+          Alcotest.(check bool) ("shard map replayed for " ^ t)
+            (Shard_map.owner map ~tenant:t = "me")
+            (Authority.owns auth ~tenant:t))
+        (List.init 20 Fun.id);
       Alcotest.(check int) "adopted version replayed" 2
         (Authority.version auth ~tenant:"mig");
       check_set "adopted set replayed" [ s1; s2 ]
@@ -1911,16 +1935,23 @@ let test_shard_state_replays () =
       Authority.compact auth;
       Authority.close auth;
       let auth, _ = reopen ~dir in
-      (match Authority.shard auth with
-      | Some (self, m) ->
-        Alcotest.(check string) "self survives compaction" "me" self;
-        Alcotest.(check int) "epoch survives compaction" 5 (Shard_map.epoch m)
-      | None -> Alcotest.fail "shard map must survive compaction");
+      List.iter
+        (fun i ->
+          let t = Printf.sprintf "t%d" i in
+          Alcotest.(check bool) ("shard map survives compaction for " ^ t)
+            (Shard_map.owner map ~tenant:t = "me")
+            (Authority.owns auth ~tenant:t))
+        (List.init 20 Fun.id);
       Alcotest.(check int) "tenant survives compaction" 2
         (Authority.version auth ~tenant:"mig");
       Authority.close auth)
 
 (* --- authority: the published-key index against a list scan --- *)
+
+(* The index answers [report_candidate]'s "already published" test, so it
+   is probed, after every step of a random history, with one report per
+   key by a reporter that never reported before: [Duplicate] iff
+   published. *)
 
 type pub_op =
   | Pub_publish of (int * int) list  (* (id, key variant) *)
@@ -1971,7 +2002,11 @@ let prop_published_index_matches_scan =
           in
           let dir, a = open_dir () in
           let cur = ref (dir, a) in
+          (* Each check probes with reporters fresh to it, so an earlier
+             probe's pending report cannot answer [Duplicate]. *)
+          let checks = ref 0 in
           let agrees () =
+            incr checks;
             let a = snd !cur in
             let live = Authority.signatures a ~tenant:"t0" in
             List.for_all
@@ -1979,7 +2014,11 @@ let prop_published_index_matches_scan =
                 List.for_all
                   (fun v ->
                     let c = sig_ 0 ~mode (pub_key_tokens v) in
-                    Authority.is_published a ~tenant:"t0" c
+                    let probe =
+                      Printf.sprintf "probe-%d-%d-%b" !checks v (mode = Signature.Ordered)
+                    in
+                    (Authority.report_candidate a ~tenant:"t0" ~reporter:probe c
+                     = Authority.Duplicate)
                     = List.exists
                         (fun (s : Signature.t) ->
                           s.Signature.mode = mode && s.Signature.tokens = c.Signature.tokens)
@@ -2054,7 +2093,6 @@ let test_relay_serves_and_fail_static () =
    with
   | Signature_client.Failed _ -> ()
   | _ -> Alcotest.fail "partitioned sync must fail");
-  Alcotest.(check int) "staleness counted" 1 (Relay.staleness relay ~tenant:"t0");
   let r = Relay.handle relay (get "/signatures?tenant=t0&since=0") in
   Alcotest.(check int) "fail-static still serves" 200 r.Http.Response.status;
   Alcotest.(check (option string)) "staleness advertised" (Some "1")
@@ -2070,7 +2108,8 @@ let test_relay_serves_and_fail_static () =
    with
   | Signature_client.Updated 2 -> ()
   | _ -> Alcotest.fail "healed sync must land on v2");
-  Alcotest.(check int) "staleness reset" 0 (Relay.staleness relay ~tenant:"t0");
+  Alcotest.(check (option string)) "staleness reset" (Some "0")
+    (header (Relay.handle relay (get "/signatures?tenant=t0&since=2")) "X-Relay-Staleness");
   ignore (sync_updated "client catches up via relay" c (Relay.wire_transport relay));
   check_set "delta through the mirror" [ s1; s2 ] (Delta_client.signatures c);
   let k = Delta_client.counters c in
@@ -2088,8 +2127,12 @@ let test_relay_forwards_candidates () =
   Relay.set_upstream relay (loss_free auth);
   let r = Relay.handle relay (post "/candidates?tenant=t0&reporter=r1" body) in
   Alcotest.(check int) "forwarded upstream" 200 r.Http.Response.status;
-  Alcotest.(check int) "candidate landed on the origin" 1
-    (Authority.pending_candidates auth ~tenant:"t0");
+  (match
+     Authority.report_candidate auth ~tenant:"t0" ~reporter:"r1"
+       (candidate [ "cand"; "imsi=240080000000003" ])
+   with
+  | Authority.Duplicate -> ()
+  | o -> Alcotest.failf "candidate landed on the origin: %s" (show_outcome o));
   let k = Relay.counters relay in
   Alcotest.(check int) "forward counted" 1 k.Relay.forwarded;
   Alcotest.(check int) "failure counted" 1 k.Relay.forward_failures
@@ -2246,8 +2289,6 @@ let test_relay_version_age_and_metrics () =
   | Signature_client.Updated 1 -> ()
   | _ -> Alcotest.fail "sync must land");
   Relay.set_clock relay 10;
-  Alcotest.(check int) "version age tracks the clock" 7
-    (Relay.version_age relay ~tenant:"t0");
   let r = Relay.handle relay (get "/signatures?tenant=t0&since=1") in
   Alcotest.(check int) "up to date" 304 r.Http.Response.status;
   Alcotest.(check (option string)) "age advertised" (Some "7")

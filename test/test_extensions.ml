@@ -98,7 +98,7 @@ let test_ad_module_registry () =
   let r = Leakdetect_android.Ad_module.registry () in
   Alcotest.(check bool) "covers the catalog" true
     (Registry.size r >= 20);
-  let f = Option.get (Leakdetect_android.Ad_module.find "ad-maker.info") in
+  let f = Option.get (List.find_opt (fun f -> f.Leakdetect_android.Ad_module.name = "ad-maker.info") Leakdetect_android.Ad_module.catalog) in
   let host = f.Leakdetect_android.Ad_module.hosts.(0) in
   Alcotest.(check (option string)) "family hosts resolve to family org"
     (Some "ad-maker.info")
@@ -118,6 +118,12 @@ let test_signature_io_roundtrip () =
     Alcotest.(check int) "id" s.Signature.id s'.Signature.id;
     Alcotest.(check int) "cluster" s.Signature.cluster_size s'.Signature.cluster_size;
     Alcotest.(check (list string)) "tokens" s.Signature.tokens s'.Signature.tokens
+
+let test_signature_io_missing_file () =
+  let path = Filename.temp_file "leakdetect_missing" ".sig" in
+  Sys.remove path;
+  Alcotest.(check bool) "missing file is an Error" true
+    (Result.is_error (Signature_io.load path))
 
 let test_signature_io_file () =
   let sigs =
@@ -169,7 +175,7 @@ let test_signature_io_skip_mode () =
         Alcotest.(check bool) "fail mode reports line 2" true
           (Leakdetect_text.Search.contains ~needle:"line 2" e)
       | Ok _ -> Alcotest.fail "fail mode must error");
-      match Signature_io.load ~on_error:`Skip path with
+      match Signature_io.load ~config:{ Leakdetect_core.Pipeline_config.default with on_error = `Skip } path with
       | Error e -> Alcotest.failf "skip mode failed: %s" e
       | Ok (loaded, skips) ->
         Alcotest.(check int) "salvaged good signatures" 3 (List.length loaded);
@@ -196,7 +202,9 @@ let test_obfuscation_hides_identifiers () =
         (Leakdetect_core.Sensitive.to_string kind ^ " hidden")
         false
         (Leakdetect_text.Search.contains ~needle content))
-    Obfuscation.leaked_kinds;
+    (* What [leak_packet] carries. *)
+    [ Leakdetect_core.Sensitive.Android_id; Leakdetect_core.Sensitive.Imei;
+      Leakdetect_core.Sensitive.Sim_serial ];
   (* but the payload is recoverable with the module's key *)
   match Obfuscation.decode_leak p with
   | None -> Alcotest.fail "decode failed"
@@ -211,7 +219,11 @@ let test_obfuscation_invariant_prefix () =
   let p1 = Obfuscation.leak_packet rng device ~package:"jp.co.a" in
   let p2 = Obfuscation.leak_packet rng device ~package:"jp.co.b" in
   let b1 = p1.Packet.content.Packet.body and b2 = p2.Packet.content.Packet.body in
-  let common = Leakdetect_util.Strutil.common_prefix_len b1 b2 in
+  let common =
+    let n = min (String.length b1) (String.length b2) in
+    let rec loop i = if i < n && b1.[i] = b2.[i] then loop (i + 1) else i in
+    loop 0
+  in
   Alcotest.(check bool) "long shared ciphertext prefix" true (common > 60);
   Alcotest.(check bool) "but not identical packets" true (b1 <> b2)
 
@@ -335,6 +347,7 @@ let suite =
     ( "ext.signature_io",
       [
         Alcotest.test_case "line roundtrip" `Quick test_signature_io_roundtrip;
+        Alcotest.test_case "missing file" `Quick test_signature_io_missing_file;
         Alcotest.test_case "file roundtrip" `Quick test_signature_io_file;
         Alcotest.test_case "errors" `Quick test_signature_io_errors;
         Alcotest.test_case "skip mode salvages" `Quick test_signature_io_skip_mode;

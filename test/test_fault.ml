@@ -29,7 +29,7 @@ let leak_packet () = mk ~rline:"GET /ad?imei=355021930123456 HTTP/1.1" ()
 (* --- Fault plans --- *)
 
 let test_fault_rate0_identity () =
-  let plan = Fault.create ~seed:7 Fault.none in
+  let plan = Fault.create ~seed:7 Fixtures.no_faults in
   let payload = "GET /ad?imei=1234 HTTP/1.1\r\n\r\n" in
   Alcotest.(check string) "corrupt_string identity" payload
     (Fault.corrupt_string plan payload);
@@ -38,21 +38,21 @@ let test_fault_rate0_identity () =
   (match Fault.server_fate plan with
   | Fault.Respond -> ()
   | _ -> Alcotest.fail "rate 0 must respond normally");
-  Alcotest.(check int) "no events" 0 (Fault.total plan)
+  Alcotest.(check int) "no events" 0 (Fixtures.fault_total plan)
 
 let test_fault_determinism () =
   let run () =
     let plan = Fault.create ~seed:99 Fault.default in
     let outputs = List.init 50 (fun i -> Fault.corrupt_string plan (String.make 40 (Char.chr (65 + (i mod 26))))) in
     let stream = Fault.apply_stream plan (List.init 50 Fun.id) in
-    (outputs, stream, List.map (fun (e : Fault.event) -> (e.Fault.kind, e.Fault.detail)) (Fault.events plan))
+    (outputs, stream, Fault.summary plan)
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "same fault schedule" true (a = b)
 
 let test_fault_corrupt_always_changes () =
   let plan =
-    Fault.create ~seed:3 { Fault.none with Fault.corrupt_rate = 1.0; corrupt_bytes = 2 }
+    Fault.create ~seed:3 { Fixtures.no_faults with Fault.corrupt_rate = 1.0; corrupt_bytes = 2 }
   in
   let payload = String.make 64 'a' in
   for _ = 1 to 20 do
@@ -62,27 +62,27 @@ let test_fault_corrupt_always_changes () =
   Alcotest.(check int) "every hit recorded" 20 (Fault.count plan Fault.Corrupt)
 
 let test_fault_truncate () =
-  let plan = Fault.create ~seed:5 { Fault.none with Fault.truncate_rate = 1.0 } in
+  let plan = Fault.create ~seed:5 { Fixtures.no_faults with Fault.truncate_rate = 1.0 } in
   let payload = String.make 32 'x' in
   let out = Fault.corrupt_string plan payload in
   Alcotest.(check bool) "shorter" true (String.length out < 32);
   Alcotest.(check int) "recorded" 1 (Fault.count plan Fault.Truncate)
 
 let test_fault_stream_drop_duplicate () =
-  let drop_all = Fault.create ~seed:1 { Fault.none with Fault.drop_rate = 1.0 } in
+  let drop_all = Fault.create ~seed:1 { Fixtures.no_faults with Fault.drop_rate = 1.0 } in
   Alcotest.(check (list int)) "all dropped" [] (Fault.apply_stream drop_all [ 1; 2; 3 ]);
   Alcotest.(check int) "drops recorded" 3 (Fault.count drop_all Fault.Drop);
-  let dup_all = Fault.create ~seed:1 { Fault.none with Fault.duplicate_rate = 1.0 } in
+  let dup_all = Fault.create ~seed:1 { Fixtures.no_faults with Fault.duplicate_rate = 1.0 } in
   Alcotest.(check (list int)) "all doubled" [ 1; 1; 2; 2 ]
     (Fault.apply_stream dup_all [ 1; 2 ])
 
 let test_fault_server_fate () =
-  let fail_all = Fault.create ~seed:2 { Fault.none with Fault.server_error_rate = 1.0 } in
+  let fail_all = Fault.create ~seed:2 { Fixtures.no_faults with Fault.server_error_rate = 1.0 } in
   (match Fault.server_fate fail_all with
   | Fault.Fail 503 -> ()
   | _ -> Alcotest.fail "expected transient 503");
   let delay_all =
-    Fault.create ~seed:2 { Fault.none with Fault.delay_rate = 1.0; max_delay = 4 }
+    Fault.create ~seed:2 { Fixtures.no_faults with Fault.delay_rate = 1.0; max_delay = 4 }
   in
   (match Fault.server_fate delay_all with
   | Fault.Respond_delayed t -> Alcotest.(check bool) "1..4 ticks" true (t >= 1 && t <= 4)
@@ -101,29 +101,29 @@ let test_fault_transport () =
   in
   let via config raw = Fault.transport (Fault.create ~seed:3 config) echo raw in
   Alcotest.(check (result string string)) "rate 0 passes through" (Ok "re:ping")
-    (via Fault.none "ping");
+    (via Fixtures.no_faults "ping");
   Alcotest.(check (result string string)) "server error never reaches the server"
     (Error "transient server error 503")
-    (via { Fault.none with Fault.server_error_rate = 1.0 } "ping");
+    (via { Fixtures.no_faults with Fault.server_error_rate = 1.0 } "ping");
   Alcotest.(check int) "one server call so far" 1 !calls;
   Alcotest.(check (result string string)) "dropped request"
     (Error "payload dropped in transit")
-    (via { Fault.none with Fault.drop_rate = 1.0 } "ping");
+    (via { Fixtures.no_faults with Fault.drop_rate = 1.0 } "ping");
   Alcotest.(check int) "dropped request never reaches the server" 1 !calls;
   let delayed =
-    Fault.create ~seed:3 { Fault.none with Fault.delay_rate = 1.0; max_delay = 4 }
+    Fault.create ~seed:3 { Fixtures.no_faults with Fault.delay_rate = 1.0; max_delay = 4 }
   in
   Alcotest.(check (result string string)) "a delay still answers" (Ok "re:ping")
     (Fault.transport delayed echo "ping");
   Alcotest.(check int) "the delay is counted" 1 (Fault.count delayed Fault.Delay);
-  match via { Fault.none with Fault.corrupt_rate = 1.0 } "ping" with
+  match via { Fixtures.no_faults with Fault.corrupt_rate = 1.0 } "ping" with
   | Ok r -> Alcotest.(check bool) "corrupted in transit" true (r <> "re:ping")
   | Error e -> Alcotest.failf "corruption must not fail the call: %s" e
 
 (* --- Storage faults: crash points and torn writes --- *)
 
 let test_fault_crash_point () =
-  let plan = Fault.create ~seed:4 { Fault.none with Fault.crash_rate = 1.0 } in
+  let plan = Fault.create ~seed:4 { Fixtures.no_faults with Fault.crash_rate = 1.0 } in
   for _ = 1 to 50 do
     match Fault.crash_point plan ~len:64 with
     | Some n -> Alcotest.(check bool) "0 <= n < len" true (n >= 0 && n < 64)
@@ -132,20 +132,20 @@ let test_fault_crash_point () =
   Alcotest.(check int) "every crash recorded" 50 (Fault.count plan Fault.Crash);
   Alcotest.(check bool) "len 0 never crashes" true
     (Fault.crash_point plan ~len:0 = None);
-  let quiet = Fault.create ~seed:4 Fault.none in
+  let quiet = Fault.create ~seed:4 Fixtures.no_faults in
   for _ = 1 to 50 do
     Alcotest.(check bool) "rate 0 completes every write" true
       (Fault.crash_point quiet ~len:64 = None)
   done;
-  Alcotest.(check int) "rate 0 records nothing" 0 (Fault.total quiet);
+  Alcotest.(check int) "rate 0 records nothing" 0 (Fixtures.fault_total quiet);
   (* Same seed, same crash schedule. *)
-  let a = Fault.create ~seed:77 { Fault.none with Fault.crash_rate = 0.5 } in
-  let b = Fault.create ~seed:77 { Fault.none with Fault.crash_rate = 0.5 } in
+  let a = Fault.create ~seed:77 { Fixtures.no_faults with Fault.crash_rate = 0.5 } in
+  let b = Fault.create ~seed:77 { Fixtures.no_faults with Fault.crash_rate = 0.5 } in
   let run p = List.init 40 (fun _ -> Fault.crash_point p ~len:100) in
   Alcotest.(check bool) "deterministic" true (run a = run b)
 
 let test_fault_torn_write () =
-  let plan = Fault.create ~seed:9 { Fault.none with Fault.torn_write_rate = 1.0 } in
+  let plan = Fault.create ~seed:9 { Fixtures.no_faults with Fault.torn_write_rate = 1.0 } in
   let header = "LDWAL001" in
   let image = header ^ String.make 40 'r' ^ String.make 12 't' in
   let protect = String.length header in
@@ -178,10 +178,10 @@ let test_fault_torn_write () =
   (* Identity cases: nothing past the protected header, and rate 0. *)
   Alcotest.(check string) "header-only image untouched" header
     (Fault.torn_write plan ~protect ~tail_start:protect header);
-  let quiet = Fault.create ~seed:9 Fault.none in
+  let quiet = Fault.create ~seed:9 Fixtures.no_faults in
   Alcotest.(check string) "rate 0 is identity" image
     (Fault.torn_write quiet ~protect ~tail_start image);
-  Alcotest.(check int) "rate 0 records nothing" 0 (Fault.total quiet)
+  Alcotest.(check int) "rate 0 records nothing" 0 (Fixtures.fault_total quiet)
 
 (* --- Hardened wire parsers --- *)
 
@@ -202,7 +202,7 @@ let test_wire_limits () =
   | Error (Wire.Body_too_large 5) -> ()
   | _ -> Alcotest.fail "expected Body_too_large");
   match Wire.parse (mk_raw "Host: h.jp\r\n") with
-  | Ok r -> Alcotest.(check (option string)) "normal request passes" (Some "h.jp") (Request.host r)
+  | Ok r -> Alcotest.(check (option string)) "normal request passes" (Some "h.jp") (Headers.get r.Request.headers "Host")
   | Error e -> Alcotest.failf "default limits rejected normal request: %s" (Wire.error_to_string e)
 
 let test_response_limits () =
@@ -226,7 +226,7 @@ let prop_wire_roundtrip_survives_rate0 =
     ~count:200
     (QCheck.make (QCheck.Gen.pair path_gen body_gen))
     (fun (path, body) ->
-      let plan = Fault.create ~seed:11 Fault.none in
+      let plan = Fault.create ~seed:11 Fixtures.no_faults in
       let r =
         Request.make
           ~headers:(Headers.of_list [ ("Host", "h.jp") ])
@@ -367,6 +367,26 @@ let test_client_retries_with_backoff () =
   Alcotest.(check int) "failed attempts tracked" 2
     (Signature_client.staleness client).Signature_client.failed_attempts
 
+let test_client_backoff_capped () =
+  let config =
+    { Signature_client.default_config with
+      Signature_client.max_attempts = 6;
+      base_backoff = 1;
+      max_backoff = 4;
+      jitter = 0;
+    }
+  in
+  let client = Signature_client.create ~config () in
+  let report =
+    Signature_client.sync client ~fetch:(fun ~since:_ -> Error "transient server error 503")
+  in
+  (match report.Signature_client.outcome with
+  | Signature_client.Failed _ -> ()
+  | _ -> Alcotest.fail "expected failure");
+  Alcotest.(check int) "every attempt used" 6 report.Signature_client.attempts;
+  (* Waits after failures 1..5: 1, 2, 4, then the 4-tick ceiling twice. *)
+  Alcotest.(check int) "doubling up to the ceiling" 15 report.Signature_client.waited
+
 let test_client_health_state_machine () =
   let config =
     { Signature_client.default_config with
@@ -383,7 +403,7 @@ let test_client_health_state_machine () =
     (Signature_client.health_to_string (Signature_client.health client));
   let r1 = Signature_client.sync client ~fetch:broken in
   (match r1.Signature_client.outcome with
-  | Signature_client.Failed _ -> ()
+  | Signature_client.Failed e -> Alcotest.(check string) "error reported" "no route to server" e
   | _ -> Alcotest.fail "expected Failed");
   Alcotest.(check int) "budget respected" 2 r1.Signature_client.attempts;
   Alcotest.(check string) "degraded after one failed sync" "degraded"
@@ -392,8 +412,6 @@ let test_client_health_state_machine () =
   Alcotest.(check string) "stale after two" "stale"
     (Signature_client.health_to_string (Signature_client.health client));
   Alcotest.(check int) "still at v1" 1 (Signature_client.version client);
-  Alcotest.(check bool) "last error kept" true
-    (Signature_client.last_error client = Some "no route to server");
   (* Recovery: the next good sync returns to Healthy and records the gap
      (the server moved on to v3 while we were failing). *)
   ignore (Signature_client.sync client ~fetch:(scripted [ installed 3 ]));
@@ -404,19 +422,18 @@ let test_client_health_state_machine () =
   Alcotest.(check int) "version gap recorded" 1 st.Signature_client.version_gap;
   Alcotest.(check int) "caught up" 3 (Signature_client.version client)
 
-(* --- backoff jitter bounds, both modes --- *)
+(* --- backoff jitter bounds --- *)
 
 (* Run one sync against a dead server and return the total waited ticks:
    with [max_attempts = n] the client sleeps after failed attempts
    1..n-1, so [waited] is the sum of n-1 backoff draws. *)
-let waited_of ~mode ~seed ~attempts ~base ~max_b ~jitter =
+let waited_of ~seed ~attempts ~base ~max_b ~jitter =
   let config =
     { Signature_client.default_config with
       Signature_client.max_attempts = attempts;
       base_backoff = base;
       max_backoff = max_b;
       jitter;
-      jitter_mode = mode;
     }
   in
   let client = Signature_client.create ~config ~seed () in
@@ -441,8 +458,7 @@ let prop_equal_jitter_bounds =
     jitter_gen
     (fun (seed, (attempts, (base, (max_b, jitter)))) ->
       let waited =
-        waited_of ~mode:Signature_client.Equal ~seed ~attempts ~base ~max_b
-          ~jitter
+        waited_of ~seed ~attempts ~base ~max_b ~jitter
       in
       (* Wait k is min(max_b, base * 2^(k-1)) plus uniform(0, jitter). *)
       let floor_sum = ref 0 in
@@ -450,25 +466,6 @@ let prop_equal_jitter_bounds =
         floor_sum := !floor_sum + min max_b (base lsl (k - 1))
       done;
       waited >= !floor_sum && waited <= !floor_sum + ((attempts - 1) * jitter))
-
-let prop_decorrelated_jitter_bounds =
-  QCheck.Test.make
-    ~name:"decorrelated jitter stays within its widening envelope" ~count:300
-    jitter_gen
-    (fun (seed, (attempts, (base, (max_b, jitter)))) ->
-      let waited =
-        waited_of ~mode:Signature_client.Decorrelated ~seed ~attempts ~base
-          ~max_b ~jitter
-      in
-      (* Wait k is uniform(base, min(max_b, 3 * wait_{k-1})), so the walk's
-         upper envelope triples from base and the floor is flat. *)
-      let lo = max 1 base in
-      let ub_sum = ref 0 and ub = ref base in
-      for _ = 1 to attempts - 1 do
-        ub := max lo (min max_b (!ub * 3));
-        ub_sum := !ub_sum + !ub
-      done;
-      waited >= (attempts - 1) * lo && waited <= !ub_sum)
 
 (* --- Flow control fail modes --- *)
 
@@ -552,8 +549,8 @@ let suite =
         Alcotest.test_case "happy path" `Quick test_client_happy_path;
         Alcotest.test_case "retry with backoff" `Quick test_client_retries_with_backoff;
         Alcotest.test_case "health state machine" `Quick test_client_health_state_machine;
+        Alcotest.test_case "backoff capped" `Quick test_client_backoff_capped;
         qtest prop_equal_jitter_bounds;
-        qtest prop_decorrelated_jitter_bounds;
       ] );
     ( "fault.flow_control",
       [

@@ -65,7 +65,11 @@ let test_figure4_shape () =
   let ds = Lazy.force dataset in
   let suspicious, normal = Workload.split ds in
   let rng = Prng.create 4 in
-  let outcomes = Pipeline.sweep ~rng ~ns:[ 50; 300 ] ~suspicious ~normal () in
+  let outcomes =
+    List.map
+      (fun n -> Pipeline.run ~rng:(Prng.split rng) ~n ~suspicious ~normal ())
+      [ 50; 300 ]
+  in
   match outcomes with
   | [ small; large ] ->
     Alcotest.(check bool) "TP improves with N" true
@@ -96,7 +100,7 @@ let test_signatures_sound_on_sample () =
         if s.Signature.cluster_size = List.length members then begin
           let c = Signature.compile s in
           let all_match =
-            List.for_all (fun i -> Signature.matches c sample.(i)) members
+            List.for_all (fun i -> Signature.matches_content c (Leakdetect_http.Packet.content_string sample.(i))) members
           in
           if all_match then incr sig_idx
         end

@@ -38,18 +38,22 @@ let prop_lmatch_symmetry =
     (fun (a, b) ->
       let x = Ipv4.of_int a and y = Ipv4.of_int b in
       let m = Ipv4.lmatch x y in
-      m = Ipv4.lmatch y x && m >= 0 && m <= 32 && (m = 32) = Ipv4.equal x y)
+      m = Ipv4.lmatch y x && m >= 0 && m <= 32 && (m = 32) = (x = y))
+
+let test_ipv4_octets () =
+  let ip = Ipv4.of_octets 192 168 1 20 in
+  Alcotest.(check int) "big-endian packing" 0xC0A80114 (Ipv4.to_int ip);
+  Alcotest.(check string) "dotted quad" "192.168.1.20" (Ipv4.to_string ip);
+  Alcotest.(check bool) "same as of_string" true (Ipv4.of_string "192.168.1.20" = Some ip);
+  Alcotest.check_raises "octet above 255" (Invalid_argument "Ipv4.of_octets: bad octet")
+    (fun () -> ignore (Ipv4.of_octets 1 2 256 4));
+  Alcotest.check_raises "negative octet" (Invalid_argument "Ipv4.of_octets: bad octet")
+    (fun () -> ignore (Ipv4.of_octets (-1) 2 3 4))
 
 let test_similarity () =
   let ip = Ipv4.of_octets in
   Alcotest.(check (float 1e-9)) "identical" 1. (Ipv4.similarity (ip 1 1 1 1) (ip 1 1 1 1));
   Alcotest.(check (float 1e-9)) "same /16" 0.5 (Ipv4.similarity (ip 10 1 0 0) (ip 10 1 255 0))
-
-let test_in_block () =
-  let base = Ipv4.of_octets 74 125 0 0 in
-  let a = Ipv4.in_block ~base ~prefix:16 5 in
-  Alcotest.(check bool) "stays in block" true (Ipv4.lmatch base a >= 16);
-  Alcotest.(check string) "host bits" "74.125.0.5" (Ipv4.to_string a)
 
 (* --- Domain --- *)
 
@@ -61,11 +65,28 @@ let test_registrable () =
   Alcotest.(check string) "already registrable" "nend.net" (Domain.registrable "nend.net");
   Alcotest.(check string) "single label unchanged" "localhost" (Domain.registrable "localhost")
 
-let test_domain_validity () =
-  Alcotest.(check bool) "valid" true (Domain.is_valid "r.ad-maker.info");
-  Alcotest.(check bool) "single label" false (Domain.is_valid "localhost");
-  Alcotest.(check bool) "empty label" false (Domain.is_valid "a..b");
-  Alcotest.(check bool) "leading hyphen" false (Domain.is_valid "-x.com")
+let test_domain_labels () =
+  Alcotest.(check (list string)) "lowercased labels" [ "ads"; "example"; "co"; "jp" ]
+    (Domain.labels "Ads.Example.CO.jp");
+  Alcotest.(check (list string)) "single label" [ "localhost" ] (Domain.labels "localhost");
+  Alcotest.(check (list string)) "empty labels kept" [ "a"; ""; "b" ] (Domain.labels "a..b")
+
+let prop_registrable_suffix =
+  let label = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (1 -- 4)) in
+  let suffix = QCheck.Gen.oneofl [ [ "com" ]; [ "jp" ]; [ "co"; "jp" ]; [ "ne"; "jp" ]; [ "net" ] ] in
+  let gen =
+    QCheck.Gen.(
+      pair (list_size (1 -- 4) label) suffix >|= fun (front, tail) ->
+      String.concat "." (front @ tail))
+  in
+  QCheck.Test.make ~name:"registrable is an idempotent label suffix" ~count:500
+    (QCheck.make ~print:Fun.id gen) (fun host ->
+      let r = Domain.registrable host in
+      let hl = Domain.labels host and rl = Domain.labels r in
+      let n = List.length hl - List.length rl in
+      n >= 0
+      && List.filteri (fun i _ -> i >= n) hl = rl
+      && Domain.registrable r = r)
 
 let test_domain_distance () =
   Alcotest.(check (float 1e-9)) "same host, case folded" 0.
@@ -124,15 +145,16 @@ let suite =
         Alcotest.test_case "of_int bounds" `Quick test_ipv4_of_int_bounds;
         Alcotest.test_case "lmatch known" `Quick test_lmatch_known;
         Alcotest.test_case "similarity" `Quick test_similarity;
-        Alcotest.test_case "in_block" `Quick test_in_block;
+        Alcotest.test_case "octets" `Quick test_ipv4_octets;
         qtest prop_ipv4_roundtrip;
         qtest prop_lmatch_symmetry;
       ] );
     ( "net.domain",
       [
         Alcotest.test_case "registrable" `Quick test_registrable;
-        Alcotest.test_case "validity" `Quick test_domain_validity;
         Alcotest.test_case "distance" `Quick test_domain_distance;
+        Alcotest.test_case "labels" `Quick test_domain_labels;
+        qtest prop_registrable_suffix;
       ] );
     ( "net.url",
       [

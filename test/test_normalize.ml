@@ -150,13 +150,11 @@ let test_invalid_budgets_rejected () =
     (Invalid_argument "Normalize.create: empty step list") (fun () ->
       ignore (Normalize.create ~steps:[] ()))
 
-let test_step_names_roundtrip () =
-  List.iter
-    (fun step ->
-      match Normalize.step_of_name (Normalize.step_name step) with
-      | Some s -> Alcotest.(check bool) "roundtrip" true (s = step)
-      | None -> Alcotest.failf "step name %s does not parse" (Normalize.step_name step))
-    Normalize.all_steps
+let test_step_names_distinct () =
+  (* Decode chains are reported by step name, so no two steps share one. *)
+  let names = List.map Normalize.step_name Normalize.all_steps in
+  Alcotest.(check int) "distinct" (List.length names)
+    (List.length (List.sort_uniq compare names))
 
 (* --- properties ---------------------------------------------------------- *)
 
@@ -180,19 +178,6 @@ let prop_views_distinct =
       let l = lattice_of s in
       let texts = l.Normalize.root :: List.map (fun (v : Normalize.view) -> v.Normalize.text) l.Normalize.derived in
       List.length texts = List.length (List.sort_uniq compare texts))
-
-let prop_fixpoint_idempotent =
-  (* Expanding any derived view again yields nothing not already reachable:
-     a view that is a fixpoint has no derived children of its own. *)
-  QCheck.Test.make ~name:"fixpoint views expand to nothing" ~count:100 printable
-    (fun s ->
-      let t = Normalize.create () in
-      let l = Normalize.lattice t s in
-      List.for_all
-        (fun (v : Normalize.view) ->
-          (not (Normalize.is_fixpoint t v.Normalize.text))
-          || (Normalize.lattice t v.Normalize.text).Normalize.derived = [])
-        l.Normalize.derived)
 
 let prop_percent_roundtrip =
   QCheck.Test.make ~name:"percent_decode_strict inverts full escaping" ~count:300
@@ -398,15 +383,14 @@ let prop_base64_matches_oracle =
       && decode_into_agrees Base64.decode_into Normalize_oracle.Base64.decode s)
 
 let prop_hex_matches_oracle =
-  QCheck.Test.make ~name:"Hex.decode/decode_into/int_of_sub = per-character oracle" ~count:2000
+  QCheck.Test.make ~name:"Hex.decode_into/int_of_sub = per-character oracle" ~count:2000
     (text_case gen_hex_text) (fun s ->
       let fits =
         match int_of_string_opt ("0x" ^ s) with
         | Some v when v >= 0 && s <> "" && String.for_all Hex.is_digit s -> v
         | _ -> -1
       in
-      Hex.decode s = Normalize_oracle.Hex.decode s
-      && decode_into_agrees Hex.decode_into Normalize_oracle.Hex.decode s
+      decode_into_agrees Hex.decode_into Normalize_oracle.Hex.decode s
       && Hex.int_of_sub s ~pos:0 ~len:(String.length s) = fits)
 
 let suite =
@@ -421,7 +405,7 @@ let suite =
         Alcotest.test_case "case fold digests only" `Quick test_case_fold_digest_only;
         Alcotest.test_case "chunked reassembly" `Quick test_chunked_view;
         Alcotest.test_case "percent+base64 layering" `Quick test_layered_percent_base64;
-        Alcotest.test_case "step names roundtrip" `Quick test_step_names_roundtrip;
+        Alcotest.test_case "step names distinct" `Quick test_step_names_distinct;
       ] );
     ( "normalize.budgets",
       [
@@ -432,7 +416,6 @@ let suite =
         Alcotest.test_case "invalid budgets rejected" `Quick test_invalid_budgets_rejected;
         qtest prop_lattice_bounded;
         qtest prop_views_distinct;
-        qtest prop_fixpoint_idempotent;
         qtest prop_percent_roundtrip;
         qtest prop_lenient_passthrough;
       ] );

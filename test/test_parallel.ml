@@ -3,6 +3,7 @@
    sequential. *)
 
 module Pool = Leakdetect_parallel.Pool
+module Obs = Leakdetect_obs.Obs
 module Distance = Leakdetect_core.Distance
 module Detector = Leakdetect_core.Detector
 module Siggen = Leakdetect_core.Siggen
@@ -20,7 +21,7 @@ let mk ?(ip = "74.125.1.2") ?(port = 80) ?(host = "r.admob.com")
 (* --- pool primitives --- *)
 
 let test_parallel_for_covers_all () =
-  Pool.with_pool 4 (fun pool ->
+  Fixtures.with_pool 4 (fun pool ->
       let n = 1000 in
       let hits = Array.make n 0 in
       Pool.parallel_for ~pool ~chunk:7 n (fun i -> hits.(i) <- hits.(i) + 1);
@@ -34,16 +35,28 @@ let test_parallel_for_sequential_fallback () =
   Alcotest.(check bool) "pool:None covers all indices" true
     (Array.for_all (fun c -> c = 1) hits)
 
+(* The domain count a pool reports through its [leakdetect_pool_size]
+   gauge. *)
+let pool_size obs =
+  match
+    List.find_opt
+      (fun (s : Obs.sample) -> s.Obs.family = "leakdetect_pool_size")
+      (Obs.samples obs)
+  with
+  | Some { Obs.value = Obs.Gauge_value v; _ } -> v
+  | _ -> Alcotest.fail "no leakdetect_pool_size gauge"
+
 let test_with_pool_sizes () =
-  Pool.with_pool 1 (fun pool ->
+  Fixtures.with_pool 1 (fun pool ->
       Alcotest.(check bool) "jobs=1 gives no pool" true (pool = None));
-  Pool.with_pool 3 (fun pool ->
+  let obs = Obs.create () in
+  Fixtures.with_pool ~obs 3 (fun pool ->
       match pool with
       | None -> Alcotest.fail "jobs=3 should give a pool"
-      | Some p -> Alcotest.(check int) "pool size" 3 (Pool.size p))
+      | Some _ -> Alcotest.(check int) "pool size" 3 (pool_size obs))
 
 let test_parallel_map_array_matches_sequential () =
-  Pool.with_pool 4 (fun pool ->
+  Fixtures.with_pool 4 (fun pool ->
       let a = Array.init 513 (fun i -> i * 3) in
       let expect = Array.map (fun x -> (x * x) + 1) a in
       let got = Pool.parallel_map_array ~pool (fun x -> (x * x) + 1) a in
@@ -53,7 +66,7 @@ let test_parallel_map_array_matches_sequential () =
         (Array.init 513 (fun i -> (i * 2) - 5) = got_init))
 
 let test_parallel_for_with_scratch () =
-  Pool.with_pool 4 (fun pool ->
+  Fixtures.with_pool 4 (fun pool ->
       let inits = Atomic.make 0 in
       let n = 400 in
       let out = Array.make n 0 in
@@ -72,7 +85,7 @@ let test_parallel_for_with_scratch () =
       Alcotest.(check bool) "at most one init per domain" true (k >= 1 && k <= 4))
 
 let test_exception_propagates_and_pool_survives () =
-  Pool.with_pool 4 (fun pool ->
+  Fixtures.with_pool 4 (fun pool ->
       (try
          Pool.parallel_for ~pool 100 (fun i -> if i = 41 then failwith "boom");
          Alcotest.fail "expected exception"
@@ -83,14 +96,20 @@ let test_exception_propagates_and_pool_survives () =
       Alcotest.(check int) "pool alive after failure" 4950 (Atomic.get total))
 
 let test_guided_claims_are_coarse () =
-  Pool.with_pool 4 (fun pool ->
-      let p = Option.get pool in
+  (* A job's claim operations, read off the pool's claim counter. *)
+  let obs = Obs.create () in
+  let claims = Obs.counter obs "leakdetect_pool_chunks_total" in
+  let claims_of job =
+    let before = Obs.Counter.value claims in
+    job ();
+    Obs.Counter.value claims - before
+  in
+  Fixtures.with_pool ~obs 4 (fun pool ->
       let n = 1000 in
       let hits = Array.make n 0 in
-      Pool.parallel_for ~pool n (fun i -> hits.(i) <- hits.(i) + 1);
+      let guided = claims_of (fun () -> Pool.parallel_for ~pool n (fun i -> hits.(i) <- hits.(i) + 1)) in
       Alcotest.(check bool) "guided covers all indices" true
         (Array.for_all (fun c -> c = 1) hits);
-      let guided = Pool.last_claims p in
       (* Every guided claim takes at least [chunk_floor] indices, so the
          claim count is bounded by n/floor plus CAS-race slack — versus one
          claim per index with the old fine-grained counter. *)
@@ -100,21 +119,18 @@ let test_guided_claims_are_coarse () =
         (guided >= 1 && guided <= (n / Pool.chunk_floor) + 4);
       (* An explicit chunk:1 is the old per-index behavior the guided mode
          replaces: ~n claim operations for the same loop. *)
-      Pool.parallel_for ~pool ~chunk:1 n ignore;
       Alcotest.(check bool) "chunk:1 claims per index" true
-        (Pool.last_claims p >= n / 2);
+        (claims_of (fun () -> Pool.parallel_for ~pool ~chunk:1 n ignore) >= n / 2);
       Alcotest.(check bool) "guided is at least 4x coarser" true
         (guided * 4 <= n);
       (* Below two floors there is nothing to overlap: the job runs on the
          caller with zero claim traffic. *)
-      Pool.parallel_for ~pool ((2 * Pool.chunk_floor) - 1) ignore;
       Alcotest.(check int) "tiny n runs sequentially, no claims" 0
-        (Pool.last_claims p))
+        (claims_of (fun () -> Pool.parallel_for ~pool ((2 * Pool.chunk_floor) - 1) ignore)))
 
 let test_warm_pool_reused () =
   Alcotest.(check bool) "warm jobs=1 is sequential" true (Pool.warm 1 = None);
   let a = Option.get (Pool.warm 3) in
-  Alcotest.(check int) "warm pool size" 3 (Pool.size a);
   let b = Option.get (Pool.warm 3) in
   Alcotest.(check bool) "same physical pool across calls" true (a == b);
   let c = Option.get (Pool.warm 2) in
@@ -126,8 +142,10 @@ let test_warm_pool_reused () =
   (* After an explicit registry shutdown, warm must hand out a fresh pool
      rather than the closed one. *)
   Pool.shutdown_warm ();
-  let d = Option.get (Pool.warm 3) in
+  let obs = Obs.create () in
+  let d = Option.get (Pool.warm ~obs 3) in
   Alcotest.(check bool) "fresh pool after shutdown_warm" true (a != d);
+  Alcotest.(check int) "warm pool size" 3 (pool_size obs);
   Atomic.set total 0;
   Pool.parallel_for ~pool:(Some d) 100 (fun i -> ignore (Atomic.fetch_and_add total i));
   Alcotest.(check int) "fresh warm pool executes" 4950 (Atomic.get total)
@@ -180,7 +198,7 @@ let prop_matrix_jobs_equivalence =
     (QCheck.make (packets_gen 2 12)) (fun packets ->
       let seq = Distance.matrix (Distance.create ()) packets in
       let par =
-        Pool.with_pool 4 (fun pool -> Distance.matrix ?pool (Distance.create ()) packets)
+        Fixtures.with_pool 4 (fun pool -> Distance.matrix ?pool (Distance.create ()) packets)
       in
       matrices_equal seq par)
 
@@ -202,10 +220,10 @@ let prop_detect_bitmap_jobs_equivalence =
       let gen = Siggen.generate (Distance.create ()) sample in
       let det = Detector.create gen.Siggen.signatures in
       let seq = Detector.detect_bitmap det packets in
-      let par = Pool.with_pool 4 (fun pool -> Detector.detect_bitmap ?pool det packets) in
+      let par = Fixtures.with_pool 4 (fun pool -> Detector.detect_bitmap ?pool det packets) in
       seq = par
       && Detector.count_detected det packets
-         = Pool.with_pool 4 (fun pool -> Detector.count_detected ?pool det packets))
+         = Fixtures.with_pool 4 (fun pool -> Detector.count_detected ?pool det packets))
 
 let suite =
   [

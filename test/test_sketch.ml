@@ -21,6 +21,23 @@ let test_shingle_basic () =
   Alcotest.check_raises "n = 0 rejected" (Invalid_argument "Shingle.set: n must be >= 1")
     (fun () -> ignore (Shingle.set ~n:0 "abc"))
 
+(* A window of exactly [n] bytes is one shingle, so a string's set is the
+   union of its windows' sets. *)
+let prop_shingle_union_of_windows =
+  QCheck.Test.make ~name:"shingle set = union of its windows" ~count:300
+    QCheck.(pair (int_range 1 6) (string_gen_of_size Gen.(0 -- 40) (Gen.oneofl [ 'a'; 'b'; 'c' ])))
+    (fun (n, s) ->
+      let set = Shingle.set ~n s in
+      let len = String.length s in
+      if len < n then Array.length set = (if len = 0 then 0 else 1)
+      else
+        let windows =
+          List.init (len - n + 1) (fun i -> Shingle.set ~n (String.sub s i n))
+        in
+        List.for_all (fun w -> Array.length w = 1) windows
+        && Array.to_list set
+           = List.sort_uniq compare (List.concat_map Array.to_list windows))
+
 let test_shingle_jaccard () =
   let a = Shingle.set "the quick brown fox jumps over the lazy dog" in
   Alcotest.(check (float 1e-9)) "self similarity" 1. (Shingle.jaccard a a);
@@ -110,17 +127,11 @@ let test_lsh_identical_collide () =
   Alcotest.(check (list (list int))) "identical items in one bucket, first-member order"
     [ [ 0; 2; 3 ]; [ 1 ] ] buckets
 
-let test_lsh_probability () =
-  Alcotest.(check (float 1e-9)) "certain at s=1" 1.
-    (Lsh.collision_probability ~bands:32 ~rows:4 1.);
-  Alcotest.(check (float 1e-9)) "impossible at s=0" 0.
-    (Lsh.collision_probability ~bands:32 ~rows:4 0.);
-  Alcotest.(check bool) "monotone in s" true
-    (Lsh.collision_probability ~bands:32 ~rows:4 0.3
-    < Lsh.collision_probability ~bands:32 ~rows:4 0.7);
+let test_lsh_threshold () =
   let t = Lsh.threshold ~bands:32 ~rows:4 in
   Alcotest.(check bool) "threshold in (0,1)" true (t > 0. && t < 1.);
-  let p = Lsh.collision_probability ~bands:32 ~rows:4 t in
+  (* The chance two items at Jaccard [t] share a band: 1 - (1 - t^rows)^bands. *)
+  let p = 1. -. ((1. -. (t ** 4.)) ** 32.) in
   Alcotest.(check bool) "threshold sits mid-curve" true (p > 0.2 && p < 0.9)
 
 (* --- Sketch --- *)
@@ -175,7 +186,7 @@ let prop_sketch_jobs_equivalence =
             | _ -> Printf.sprintf "unique-%d-%d" (Prng.bits30 rng) i)
       in
       let sequential = Sketch.bucket Sketch.default payloads in
-      Pool.with_pool 4 (fun pool ->
+      Fixtures.with_pool 4 (fun pool ->
           let parallel = Sketch.bucket ?pool Sketch.default payloads in
           sequential = parallel))
 
@@ -185,6 +196,7 @@ let suite =
       [
         Alcotest.test_case "basics" `Quick test_shingle_basic;
         Alcotest.test_case "jaccard" `Quick test_shingle_jaccard;
+        qtest prop_shingle_union_of_windows;
       ] );
     ( "sketch.minhash",
       [
@@ -195,7 +207,7 @@ let suite =
     ( "sketch.lsh",
       [
         Alcotest.test_case "identical collide" `Quick test_lsh_identical_collide;
-        Alcotest.test_case "collision probability" `Quick test_lsh_probability;
+        Alcotest.test_case "threshold" `Quick test_lsh_threshold;
         qtest prop_lsh_partition;
       ] );
     ( "sketch.params",

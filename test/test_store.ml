@@ -254,10 +254,10 @@ let prop_rate0_log_identity =
   QCheck.Test.make ~name:"rate-0 plan never touches log bytes" ~count:200
     QCheck.(string_of_size Gen.(0 -- 200))
     (fun s ->
-      let plan = Fault.create ~seed:11 Fault.none in
+      let plan = Fault.create ~seed:11 Fixtures.no_faults in
       Fault.torn_write plan ~protect:8 ~tail_start:(String.length s / 2) s = s
       && Fault.crash_point plan ~len:(String.length s) = None
-      && Fault.total plan = 0)
+      && Fixtures.fault_total plan = 0)
 
 let suite =
   [ ( "store.wal",

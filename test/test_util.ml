@@ -20,18 +20,6 @@ let test_prng_seed_sensitivity () =
   done;
   Alcotest.(check bool) "different seeds differ" true !differs
 
-let test_prng_copy_independent () =
-  let a = Prng.create 9 in
-  let b = Prng.copy a in
-  let va = Prng.int64 a in
-  let vb = Prng.int64 b in
-  Alcotest.(check int64) "copy continues from same state" va vb;
-  (* advancing one does not affect the other *)
-  let _ = Prng.int64 a in
-  let _ = Prng.int64 a in
-  let v1 = Prng.int64 b and v2 = Prng.int64 b in
-  Alcotest.(check bool) "independent streams" false (Int64.equal v1 v2 && false)
-
 let test_prng_split () =
   let a = Prng.create 5 in
   let b = Prng.split a in
@@ -90,6 +78,35 @@ let test_prng_pick () =
   Alcotest.check_raises "empty array" (Invalid_argument "Prng.pick: empty array")
     (fun () -> ignore (Prng.pick rng [||]))
 
+let test_prng_bool_chance () =
+  let rng = Prng.create 21 in
+  let n = 20_000 in
+  let heads = ref 0 in
+  for _ = 1 to n do
+    if Prng.bool rng then incr heads;
+    if Prng.chance rng 0. then Alcotest.fail "chance 0 fired";
+    if not (Prng.chance rng 1.) then Alcotest.fail "chance 1 missed"
+  done;
+  let frac = float_of_int !heads /. float_of_int n in
+  Alcotest.(check bool) "bool near one half" true (frac > 0.48 && frac < 0.52);
+  let hits = ref 0 in
+  for _ = 1 to n do
+    if Prng.chance rng 0.2 then incr hits
+  done;
+  let frac = float_of_int !hits /. float_of_int n in
+  Alcotest.(check bool) "chance 0.2 near 0.2" true (frac > 0.18 && frac < 0.22)
+
+let test_prng_split_reproducible () =
+  (* Splitting is part of the stream: the same seed split at the same point
+     yields the same child and leaves the same parent. *)
+  let run () =
+    let parent = Prng.create 9 in
+    ignore (Prng.int64 parent);
+    let child = Prng.split parent in
+    (List.init 10 (fun _ -> Prng.int64 child), List.init 10 (fun _ -> Prng.int64 parent))
+  in
+  Alcotest.(check bool) "same child and parent streams" true (run () = run ())
+
 (* --- Sample --- *)
 
 let test_shuffle_permutation () =
@@ -119,6 +136,11 @@ let test_without_replacement_overdraw () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "whole set" [| 1; 2; 3 |] sorted
 
+let test_without_replacement_negative () =
+  Alcotest.check_raises "negative n"
+    (Invalid_argument "Sample.without_replacement: negative n") (fun () ->
+      ignore (Sample.without_replacement (Prng.create 1) (-5) [| 1; 2; 3 |]))
+
 let test_weighted_index () =
   let rng = Prng.create 14 in
   let counts = Array.make 3 0 in
@@ -129,13 +151,6 @@ let test_weighted_index () =
   Alcotest.(check bool) "heaviest wins" true (counts.(2) > counts.(1) && counts.(1) > counts.(0));
   let frac2 = float_of_int counts.(2) /. 30_000. in
   Alcotest.(check bool) "rough proportion" true (frac2 > 0.6 && frac2 < 0.8)
-
-let test_zipf_range () =
-  let rng = Prng.create 15 in
-  for _ = 1 to 1000 do
-    let r = Sample.zipf rng ~n:20 ~s:1.1 in
-    if r < 1 || r > 20 then Alcotest.fail "zipf out of range"
-  done
 
 let test_poisson_mean () =
   let rng = Prng.create 16 in
@@ -161,24 +176,79 @@ let test_gaussian_moments () =
   Alcotest.(check bool) "mean near 0" true (Float.abs mean < 0.03);
   Alcotest.(check bool) "variance near 1" true (Float.abs (var -. 1.) < 0.05)
 
+let test_poisson_large_mean () =
+  (* Means of 30 and above take the rounded-normal branch. *)
+  let rng = Prng.create 18 in
+  let n = 20_000 in
+  let total = ref 0 in
+  for _ = 1 to n do
+    let k = Sample.poisson rng 60.0 in
+    if k < 0 then Alcotest.fail "negative deviate";
+    total := !total + k
+  done;
+  let mean = float_of_int !total /. float_of_int n in
+  Alcotest.(check bool) "mean near 60" true (mean > 59.5 && mean < 60.5);
+  Alcotest.check_raises "non-positive mean"
+    (Invalid_argument "Sample.poisson: mean must be positive") (fun () ->
+      ignore (Sample.poisson rng 0.))
+
+let test_zipf_weights () =
+  Alcotest.(check (array (float 1e-12))) "s = 1 is 1/rank"
+    [| 1.; 0.5; 1. /. 3.; 0.25; 0.2 |]
+    (Sample.zipf_weights ~n:5 ~s:1.);
+  Alcotest.(check (array (float 1e-12))) "s = 0 is uniform" [| 1.; 1.; 1. |]
+    (Sample.zipf_weights ~n:3 ~s:0.);
+  let w = Sample.zipf_weights ~n:50 ~s:1.2 in
+  Alcotest.(check bool) "strictly decreasing in rank" true
+    (Array.for_all Fun.id (Array.init 49 (fun i -> w.(i) > w.(i + 1))));
+  Alcotest.check_raises "no ranks" (Invalid_argument "Sample.zipf_weights: n must be positive")
+    (fun () -> ignore (Sample.zipf_weights ~n:0 ~s:1.))
+
+let test_lognormal_median () =
+  (* The median of exp (mu + sigma * N(0,1)) is exp mu. *)
+  let rng = Prng.create 19 in
+  let xs = Array.init 20_001 (fun _ -> Sample.lognormal rng ~mu:1.0 ~sigma:0.5) in
+  Alcotest.(check bool) "positive" true (Array.for_all (fun x -> x > 0.) xs);
+  Array.sort compare xs;
+  let median = xs.(10_000) in
+  Alcotest.(check bool) "median near e" true (Float.abs (median -. exp 1.0) < 0.05)
+
 (* --- Hex --- *)
+
+(* [Hex.decode_into] as a string function. *)
+let hex_decode s =
+  let buf = Buffer.create (String.length s / 2) in
+  if Hex.decode_into buf s ~pos:0 ~len:(String.length s) then Some (Buffer.contents buf)
+  else None
 
 let test_hex_known () =
   Alcotest.(check string) "encode" "68656c6c6f" (Hex.encode "hello");
-  Alcotest.(check (option string)) "decode" (Some "hello") (Hex.decode "68656c6c6f");
-  Alcotest.(check (option string)) "decode upper" (Some "hello") (Hex.decode "68656C6C6F")
+  Alcotest.(check (option string)) "decode" (Some "hello") (hex_decode "68656c6c6f");
+  Alcotest.(check (option string)) "decode upper" (Some "hello") (hex_decode "68656C6C6F")
 
 let test_hex_invalid () =
-  Alcotest.(check (option string)) "odd length" None (Hex.decode "abc");
-  Alcotest.(check (option string)) "bad digit" None (Hex.decode "zz");
+  Alcotest.(check (option string)) "odd length" None (hex_decode "abc");
+  Alcotest.(check (option string)) "bad digit" None (hex_decode "zz");
   Alcotest.(check bool) "is_hex no" false (Hex.is_hex "xyz");
   Alcotest.(check bool) "is_hex empty" false (Hex.is_hex "");
   Alcotest.(check bool) "is_hex yes" true (Hex.is_hex "0aF9")
 
+let test_hex_digit_values () =
+  String.iteri
+    (fun i c ->
+      Alcotest.(check int) (String.make 1 c) (i mod 16) (Hex.value c);
+      Alcotest.(check bool) "is_digit" true (Hex.is_digit c))
+    "0123456789abcdef0123456789ABCDEF";
+  List.iter
+    (fun c ->
+      Alcotest.(check int) "not a digit" (-1) (Hex.value c);
+      Alcotest.(check bool) "is_digit no" false (Hex.is_digit c))
+    [ 'g'; 'G'; ' '; '/'; ':'; '@'; '`'; '\x00'; '\xff' ]
+
 let prop_hex_roundtrip =
   QCheck.Test.make ~name:"hex roundtrip" ~count:500
     QCheck.(string_of_size Gen.(0 -- 64))
-    (fun s -> Hex.decode (Hex.encode s) = Some s)
+    (fun s -> hex_decode (Hex.encode s) = Some s)
 
 (* --- Base64 --- *)
 
@@ -247,24 +317,6 @@ let test_find_from_range () =
   Alcotest.(check bool) "caseless length" false (Strutil.equal_caseless "Host" "Hos");
   Alcotest.(check bool) "caseless differs" false (Strutil.equal_caseless "Host" "Hist")
 
-let test_chop () =
-  Alcotest.(check (option string)) "prefix" (Some "bar") (Strutil.chop_prefix ~prefix:"foo" "foobar");
-  Alcotest.(check (option string)) "no prefix" None (Strutil.chop_prefix ~prefix:"x" "foobar");
-  Alcotest.(check (option string)) "suffix" (Some "foo") (Strutil.chop_suffix ~suffix:"bar" "foobar");
-  Alcotest.(check (option string)) "no suffix" None (Strutil.chop_suffix ~suffix:"x" "foobar")
-
-let test_trim_take_repeat () =
-  Alcotest.(check string) "trim" "x y" (Strutil.trim_spaces "  \tx y \t ");
-  Alcotest.(check string) "take" "ab" (Strutil.take 2 "abcd");
-  Alcotest.(check string) "take over" "ab" (Strutil.take 9 "ab");
-  Alcotest.(check string) "repeat" "ababab" (Strutil.repeat "ab" 3);
-  Alcotest.(check string) "repeat zero" "" (Strutil.repeat "ab" 0)
-
-let test_common_prefix_len () =
-  Alcotest.(check int) "shared" 3 (Strutil.common_prefix_len "abcX" "abcY");
-  Alcotest.(check int) "none" 0 (Strutil.common_prefix_len "a" "b");
-  Alcotest.(check int) "one empty" 0 (Strutil.common_prefix_len "" "b")
-
 let test_truncate_middle () =
   Alcotest.(check string) "short unchanged" "abc" (Strutil.truncate_middle 10 "abc");
   let t = Strutil.truncate_middle 9 "abcdefghijklmnop" in
@@ -272,16 +324,63 @@ let test_truncate_middle () =
   Alcotest.(check bool) "has ellipsis" true
     (Leakdetect_text.Search.contains ~needle:"..." t)
 
+(* [Strutil.find_from] against a literal scan of [s] for [sub] starting
+   in [pos, stop - |sub|]. *)
+let prop_find_from_naive =
+  let gen =
+    QCheck.Gen.(
+      let str n = string_size ~gen:(oneofl [ 'a'; 'b'; '\r'; '\n' ]) n in
+      str (0 -- 24) >>= fun s ->
+      str (1 -- 3) >>= fun sub ->
+      int_range 0 (String.length s) >>= fun pos ->
+      int_range pos (String.length s) >|= fun stop -> (s, sub, pos, stop))
+  in
+  QCheck.Test.make ~name:"find_from agrees with a literal scan" ~count:1000
+    (QCheck.make gen) (fun (s, sub, pos, stop) ->
+      let m = String.length sub in
+      let rec naive i =
+        if i + m > stop then -1 else if String.sub s i m = sub then i else naive (i + 1)
+      in
+      Strutil.find_from s ~pos ~stop sub = naive pos)
+
 (* --- Stats --- *)
 
 let test_stats_mean () =
   Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.mean [| 1.; 2.; 3.; 4. |]);
   Alcotest.(check (float 1e-9)) "empty" 0. (Stats.mean [||])
 
-let test_stats_percentile () =
-  let xs = [| 5.; 1.; 3.; 2.; 4. |] in
-  Alcotest.(check (float 1e-9)) "median" 3. (Stats.percentile xs 50.);
-  Alcotest.(check (float 1e-9)) "p100" 5. (Stats.percentile xs 100.)
+let test_stats_int_summaries () =
+  Alcotest.(check (float 1e-9)) "mean_int" 2.5 (Stats.mean_int [| 1; 2; 3; 4 |]);
+  Alcotest.(check (float 1e-9)) "mean_int empty" 0. (Stats.mean_int [||]);
+  Alcotest.(check int) "max" 9 (Stats.max_int_arr [| 3; 9; -2; 9 |]);
+  Alcotest.(check int) "max of negatives" (-2) (Stats.max_int_arr [| -5; -2; -7 |]);
+  Alcotest.check_raises "max of empty" (Invalid_argument "Stats.max_int_arr: empty input")
+    (fun () -> ignore (Stats.max_int_arr [||]))
+
+let test_stats_histogram () =
+  Alcotest.(check (list (pair int int))) "sorted (value, count)"
+    [ (-1, 1); (2, 3); (7, 1) ]
+    (Stats.histogram [| 7; 2; -1; 2; 2 |]);
+  Alcotest.(check (list (pair int int))) "empty" [] (Stats.histogram [||])
+
+let prop_cdf_monotone =
+  QCheck.Test.make ~name:"cdf ascends to the sample size" ~count:300
+    QCheck.(array_of_size Gen.(1 -- 40) (int_range 0 10))
+    (fun xs ->
+      let pts = Stats.cdf xs in
+      let rec ascending = function
+        | a :: (b :: _ as rest) ->
+          a.Stats.value < b.Stats.value
+          && b.Stats.cumulative = a.Stats.cumulative + b.Stats.count
+          && a.Stats.fraction < b.Stats.fraction
+          && ascending rest
+        | _ -> true
+      in
+      let last = List.nth pts (List.length pts - 1) in
+      ascending pts
+      && (List.hd pts).Stats.cumulative = (List.hd pts).Stats.count
+      && last.Stats.cumulative = Array.length xs
+      && last.Stats.fraction = 1.)
 
 let test_stats_cdf () =
   let pts = Stats.cdf [| 1; 1; 2; 5 |] in
@@ -289,9 +388,6 @@ let test_stats_cdf () =
   Alcotest.(check int) "distinct values" 3 (List.length pts);
   Alcotest.(check int) "cumulative total" 4 last.Stats.cumulative;
   Alcotest.(check (float 1e-9)) "final fraction" 1. last.Stats.fraction
-
-let test_stats_fraction_le () =
-  Alcotest.(check (float 1e-9)) "half" 0.5 (Stats.fraction_le [| 1; 2; 3; 4 |] 2)
 
 (* --- Table --- *)
 
@@ -313,6 +409,18 @@ let test_table_ragged_rows () =
   Alcotest.(check bool) "renders" true (String.length out > 0);
   Alcotest.(check bool) "extra cell dropped" false
     (Leakdetect_text.Search.contains ~needle:"z" out)
+
+let test_table_columns_line_up () =
+  let out =
+    Table.render
+      ~columns:[ ("app", Table.Left); ("packets", Table.Right) ]
+      [ [ "jp.co.example"; "7" ]; [ "a"; "12345" ] ]
+  in
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' out) in
+  Alcotest.(check (list string)) "padded layout"
+    [ "app            packets"; "-------------  -------"; "jp.co.example        7";
+      "a                12345" ]
+    lines
 
 (* --- Json --- *)
 
@@ -340,6 +448,40 @@ let test_json_structures () =
   let pretty = to_string_pretty (Obj [ ("a", Int 1); ("b", List [ Int 2 ]) ]) in
   Alcotest.(check bool) "pretty has newlines" true (String.contains pretty '\n')
 
+let test_json_pretty_layout () =
+  let open Json in
+  Alcotest.(check string) "two-space indent"
+    "{\n  \"a\": 1,\n  \"b\": [\n    2,\n    []\n  ],\n  \"c\": {}\n}"
+    (to_string_pretty (Obj [ ("a", Int 1); ("b", List [ Int 2; List [] ]); ("c", Obj []) ]));
+  Alcotest.(check string) "scalar" "null" (to_string_pretty Null)
+
+(* Strings here carry no blank or newline, so removing the layout of the
+   pretty form must give the compact form back. *)
+let prop_json_pretty_is_compact_plus_layout =
+  let open QCheck.Gen in
+  let word = string_size ~gen:(oneofl [ 'a'; 'z'; '"'; '\\'; '\x01' ]) (0 -- 4) in
+  let scalar =
+    oneof
+      [ return Json.Null; map (fun b -> Json.Bool b) bool; map (fun i -> Json.Int i) small_signed_int;
+        map (fun f -> Json.Float f) float; map (fun s -> Json.String s) word ]
+  in
+  let json =
+    sized
+    @@ fix (fun self n ->
+           if n <= 0 then scalar
+           else
+             frequency
+               [ (2, scalar);
+                 (1, map (fun l -> Json.List l) (list_size (0 -- 3) (self (n / 3))));
+                 (1, map (fun l -> Json.Obj l) (list_size (0 -- 3) (pair word (self (n / 3))))) ])
+  in
+  QCheck.Test.make ~name:"pretty minus layout = compact" ~count:300 (QCheck.make json)
+    (fun t ->
+      let pretty = Json.to_string_pretty t in
+      let stripped = String.concat "" (String.split_on_char '\n' pretty) in
+      let stripped = String.concat "" (String.split_on_char ' ' stripped) in
+      stripped = Json.to_string t)
+
 (* --- Crc32 --- *)
 
 (* Known-answer vectors for CRC-32/IEEE (the "check" value of the catalog
@@ -360,11 +502,6 @@ let test_crc32_incremental () =
          ~pos:30 ~len:(String.length s - 30) s)
   in
   Alcotest.(check int) "chunked = one-shot" (Crc32.string s) chunked;
-  Alcotest.(check int) "bytes = string" (Crc32.string s)
-    (Crc32.bytes (Bytes.of_string s));
-  Alcotest.(check int) "bytes slice"
-    (Crc32.string (String.sub s 4 9))
-    (Crc32.bytes ~pos:4 ~len:9 (Bytes.of_string s));
   Alcotest.(check int) "value init = 0" 0 (Crc32.value Crc32.init)
 
 let test_crc32_slice_bounds () =
@@ -431,12 +568,13 @@ let suite =
         Alcotest.test_case "scalars" `Quick test_json_scalars;
         Alcotest.test_case "escaping" `Quick test_json_escaping;
         Alcotest.test_case "structures" `Quick test_json_structures;
+        Alcotest.test_case "pretty layout" `Quick test_json_pretty_layout;
+        qtest prop_json_pretty_is_compact_plus_layout;
       ] );
     ( "util.prng",
       [
         Alcotest.test_case "determinism" `Quick test_prng_determinism;
         Alcotest.test_case "seed sensitivity" `Quick test_prng_seed_sensitivity;
-        Alcotest.test_case "copy" `Quick test_prng_copy_independent;
         Alcotest.test_case "split" `Quick test_prng_split;
         Alcotest.test_case "int bounds" `Quick test_prng_int_bounds;
         Alcotest.test_case "int invalid" `Quick test_prng_int_invalid;
@@ -444,21 +582,28 @@ let suite =
         Alcotest.test_case "float unit interval" `Quick test_prng_float_unit;
         Alcotest.test_case "uniformity" `Quick test_prng_uniformity;
         Alcotest.test_case "pick" `Quick test_prng_pick;
+        Alcotest.test_case "bool/chance" `Quick test_prng_bool_chance;
+        Alcotest.test_case "split reproducible" `Quick test_prng_split_reproducible;
       ] );
     ( "util.sample",
       [
         Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
         Alcotest.test_case "without_replacement distinct" `Quick test_without_replacement_distinct;
         Alcotest.test_case "without_replacement overdraw" `Quick test_without_replacement_overdraw;
+        Alcotest.test_case "without_replacement negative" `Quick
+          test_without_replacement_negative;
         Alcotest.test_case "weighted_index proportions" `Quick test_weighted_index;
-        Alcotest.test_case "zipf range" `Quick test_zipf_range;
         Alcotest.test_case "poisson mean" `Quick test_poisson_mean;
         Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;
+        Alcotest.test_case "poisson large mean" `Quick test_poisson_large_mean;
+        Alcotest.test_case "zipf weights" `Quick test_zipf_weights;
+        Alcotest.test_case "lognormal median" `Quick test_lognormal_median;
       ] );
     ( "util.hex",
       [
         Alcotest.test_case "known vectors" `Quick test_hex_known;
         Alcotest.test_case "invalid inputs" `Quick test_hex_invalid;
+        Alcotest.test_case "digit values" `Quick test_hex_digit_values;
         qtest prop_hex_roundtrip;
       ] );
     ( "util.base64",
@@ -473,21 +618,21 @@ let suite =
     ( "util.strutil",
       [
         Alcotest.test_case "find_from/index_in/equal_caseless" `Quick test_find_from_range;
-        Alcotest.test_case "chop prefix/suffix" `Quick test_chop;
-        Alcotest.test_case "trim/take/repeat" `Quick test_trim_take_repeat;
-        Alcotest.test_case "common_prefix_len" `Quick test_common_prefix_len;
         Alcotest.test_case "truncate_middle" `Quick test_truncate_middle;
+        qtest prop_find_from_naive;
       ] );
     ( "util.stats",
       [
         Alcotest.test_case "mean" `Quick test_stats_mean;
-        Alcotest.test_case "percentile" `Quick test_stats_percentile;
         Alcotest.test_case "cdf" `Quick test_stats_cdf;
-        Alcotest.test_case "fraction_le" `Quick test_stats_fraction_le;
+        Alcotest.test_case "int summaries" `Quick test_stats_int_summaries;
+        Alcotest.test_case "histogram" `Quick test_stats_histogram;
+        qtest prop_cdf_monotone;
       ] );
     ( "util.table",
       [
         Alcotest.test_case "render" `Quick test_table_render;
         Alcotest.test_case "ragged rows" `Quick test_table_ragged_rows;
+        Alcotest.test_case "columns line up" `Quick test_table_columns_line_up;
       ] );
   ]

@@ -16,6 +16,15 @@ module Wire = Leakdetect_http.Wire
 module Strutil = Leakdetect_util.Strutil
 module Hex = Leakdetect_util.Hex
 
+(* Trim ASCII space and tab from both ends. *)
+let trim_spaces s =
+  let n = String.length s in
+  let is_sp c = c = ' ' || c = '\t' in
+  let i = ref 0 and j = ref (n - 1) in
+  while !i < n && is_sp s.[!i] do incr i done;
+  while !j >= !i && is_sp s.[!j] do decr j done;
+  String.sub s !i (!j - !i + 1)
+
 let find_from s pos sub =
   let n = String.length s and m = String.length sub in
   let rec loop i =
@@ -49,7 +58,7 @@ let parse_header_lines ~(limits : Wire.limits) lines =
             | Some i ->
               let name = String.sub line 0 i in
               let value =
-                Strutil.trim_spaces (String.sub line (i + 1) (String.length line - i - 1))
+                trim_spaces (String.sub line (i + 1) (String.length line - i - 1))
               in
               Ok (Headers.add headers name value)))
       (Ok Headers.empty) lines
@@ -64,7 +73,7 @@ let chunked_fragments ~(limits : Wire.limits) body f =
     | Some nl -> (
       let line = String.sub body pos (nl - 1 - pos) in
       let size_part =
-        Strutil.trim_spaces
+        trim_spaces
           (match String.index_opt line ';' with None -> line | Some i -> String.sub line 0 i)
       in
       let size =
@@ -101,7 +110,7 @@ let is_chunked headers =
   | Some v ->
     let last =
       match List.rev (String.split_on_char ',' v) with
-      | last :: _ -> Strutil.trim_spaces last
+      | last :: _ -> trim_spaces last
       | [] -> ""
     in
     String.lowercase_ascii last = "chunked"
