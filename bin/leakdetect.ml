@@ -53,6 +53,7 @@ module Harness = Leakdetect_adversary.Harness
 module Json = Leakdetect_util.Json
 module Topology = Leakdetect_distrib.Topology
 module Authority = Leakdetect_distrib.Authority
+module Protocol = Leakdetect_distrib.Protocol
 module Delta_client = Leakdetect_distrib.Delta_client
 
 let exit_err fmt = Printf.ksprintf (fun m -> prerr_endline ("leakdetect: " ^ m); exit 1) fmt
@@ -1245,10 +1246,10 @@ let trace_cmd =
     (* Scrape through the authority's real /metrics endpoint. *)
     let response =
       Authority.handle authority
-        (Request.make Request.GET Authority.metrics_endpoint)
+        (Request.make Request.GET Protocol.metrics_endpoint)
     in
     if response.Response.status <> 200 then
-      exit_err "GET %s answered %d" Authority.metrics_endpoint
+      exit_err "GET %s answered %d" Protocol.metrics_endpoint
         response.Response.status;
     let scrape = response.Response.body in
     write_out metrics_out scrape;

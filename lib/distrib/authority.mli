@@ -6,11 +6,8 @@
     [Add]/[Retire] entries — and a crowdsourced candidate table.  Three
     design rules, in PrivacyProxy's robustness shape:
 
-    - {b Delta sync.}  [GET /signatures?tenant=T&since=V] answers with
-      just the changelog suffix newer than [V] (plus version and
-      canonical-set checksum headers), falling back to a full snapshot
-      when [V] is below the compaction horizon or [full=1] is asked for.
-      Up-to-date clients get [304] with the version still in the header.
+    - {b Delta sync.}  Clients fetch the changelog suffix past their
+      version, or a snapshot below the horizon ({!Protocol}).
     - {b k-anonymous promotion.}  [POST /candidates?tenant=T&reporter=R]
       records locally observed candidate signatures; a candidate joins
       the published set only once [>= k] {e distinct} reporter ids have
@@ -23,13 +20,9 @@
       {!Leakdetect_store.Snapshot} and resets the journal, and replay is
       version-idempotent across the crash window between the two.
 
-    Tenant and reporter ids are restricted to [A-Za-z0-9._:-] (max 64
-    chars) so they embed safely in journal lines and query strings. *)
+    Tenant and reporter ids must pass {!Protocol.id_ok}. *)
 
 module Signature = Leakdetect_core.Signature
-
-val id_ok : string -> bool
-(** Valid tenant/reporter id. *)
 
 type config = {
   k : int;  (** Distinct reporters required to promote a candidate. *)
@@ -196,44 +189,13 @@ val release_tenant : t -> tenant:string -> (int, string) result
 
 (** {1 HTTP} *)
 
-val signatures_endpoint : string
-(** ["/signatures"] *)
-
-val candidates_endpoint : string
-(** ["/candidates"] *)
-
-val metrics_endpoint : string
-(** ["/metrics"] *)
-
-val digest_endpoint : string
-(** ["/digest"] *)
-
 val handle : t -> Leakdetect_http.Request.t -> Leakdetect_http.Response.t
-(** [GET /signatures?tenant=T&since=V[&full=1]]:
-    - [200] with [X-Signature-Mode: delta], the entry suffix as body and
-      [X-Signature-Since] echoing [V], when the suffix is servable;
-    - [200] with [X-Signature-Mode: snapshot] and the full set as body
-      when [V] predates the horizon (or [full=1]);
-    - [304] when up to date — [X-Signature-Version] and
-      [X-Signature-Checksum] are carried on every one of these;
-    - [421] / [503] under a shard map, as described above;
-    - [400] on a missing/bad tenant or [since], [404]/[405] as usual.
-
-    [POST /candidates?tenant=T&reporter=R] with signature lines as body:
-    [200] with a tally body ([accepted/duplicate/promoted/capped] TAB
-    counts), [400] on bad ids or a malformed line.
-
-    [GET /digest?tenant=T[&since=V][&interval=K]]: the ranged
-    anti-entropy digest — [version TAB crc-hex] checkpoint lines (see
-    {!Changelog.digest}; [since] defaults to 0, [interval] to 8), with
-    the usual version headers.  A diverged mirror compares the
-    checkpoints against its own history, takes the newest agreeing
-    version as the splice point, and repairs just that suffix.  Gated by
-    the shard map like the other tenant endpoints; [400] on a bad
-    [since] or [interval].
-
-    [GET /metrics]: Prometheus exposition of the registry. *)
+(** The {!Protocol} endpoints served from the tenants' changelogs:
+    [/signatures] and [/digest] read a tenant (one nobody has published
+    to reads as empty at version 0, and is not created by the read),
+    [/candidates] feeds {!report_candidate}, [/metrics] exposes the
+    registry.  Under a shard map every tenant request is gated as
+    described above ([421] / [503]) after its query is parsed. *)
 
 val wire_transport : t -> string -> (string, string) result
-(** Parse printed request bytes, {!handle}, print the response — the
-    loss-free transport that fault plans wrap. *)
+(** {!Protocol.wire_transport} over {!handle}. *)

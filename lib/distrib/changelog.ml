@@ -1,7 +1,6 @@
 module Signature = Leakdetect_core.Signature
 module Signature_io = Leakdetect_core.Signature_io
 module Leak_error = Leakdetect_util.Leak_error
-module Crc32 = Leakdetect_util.Crc32
 
 type change = Add of Signature.t | Retire of int
 
@@ -190,31 +189,6 @@ let digest t ~since ~interval =
       if interval >= head - v then acc else collect (v + interval) acc
   in
   List.rev_append (collect (max since t.base_version) []) [ (head, sum head) ]
-
-let digest_to_body d =
-  String.concat "\n"
-    (List.map (fun (v, sum) -> Printf.sprintf "%d\t%s" v (Crc32.to_hex sum)) d)
-
-let digest_of_body body =
-  let lines = if body = "" then [] else String.split_on_char '\n' body in
-  let rec loop prev acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      match String.index_opt line '\t' with
-      | None -> Error (Printf.sprintf "bad digest line %S" line)
-      | Some i -> (
-        let version = String.sub line 0 i in
-        let sum = String.sub line (i + 1) (String.length line - i - 1) in
-        match
-          (int_of_string_opt version, int_of_string_opt ("0x" ^ sum))
-        with
-        | Some v, Some sum when v >= 0 && v > prev ->
-          loop v ((v, sum) :: acc) rest
-        | Some v, Some _ when v <= prev ->
-          Error (Printf.sprintf "digest versions not ascending at %d" v)
-        | _ -> Error (Printf.sprintf "bad digest line %S" line)))
-  in
-  loop (-1) [] lines
 
 let compact t ~keep =
   let keep = max 0 (min keep t.count) in

@@ -118,12 +118,6 @@ val digest : t -> since:int -> interval:int -> (int * int) list
     below the horizon (no agreeing checkpoint survives compaction).
     @raise Invalid_argument when [interval < 1]. *)
 
-val digest_to_body : (int * int) list -> string
-val digest_of_body : string -> ((int * int) list, string) result
-(** Wire codec for [GET /digest] bodies: one [version TAB crc-hex] line
-    per checkpoint.  [digest_of_body] rejects non-ascending versions and
-    malformed lines. *)
-
 val entries : t -> entry list
 (** All retained entries, oldest first. *)
 

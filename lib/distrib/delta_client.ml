@@ -1,7 +1,4 @@
 module Http = Leakdetect_http
-module Signature = Leakdetect_core.Signature
-module Signature_io = Leakdetect_core.Signature_io
-module Leak_error = Leakdetect_util.Leak_error
 module Signature_client = Leakdetect_monitor.Signature_client
 
 type counters = {
@@ -42,7 +39,7 @@ type t = {
 }
 
 let create ?config ?obs ?seed ~tenant () =
-  if not (Authority.id_ok tenant) then
+  if not (Protocol.id_ok tenant) then
     invalid_arg (Printf.sprintf "Delta_client: bad tenant id %S" tenant);
   {
     tenant;
@@ -78,67 +75,10 @@ let counters t =
     escalations = t.escalations;
   }
 
-(* --- response plumbing --- *)
-
-let header response name = Http.Headers.get response.Http.Response.headers name
-
-let int_header response name = Option.bind (header response name) int_of_string_opt
-
-let checksum_header response =
-  Option.bind
-    (header response "X-Signature-Checksum")
-    (fun hex -> int_of_string_opt ("0x" ^ hex))
-
-let parse_response raw =
-  match Http.Response.parse raw with
-  | Error e -> Error ("response corrupt: " ^ Http.Wire.error_to_string e)
-  | Ok response -> (
-    let body = response.Http.Response.body in
-    match
-      Option.bind (header response "Content-Length") int_of_string_opt
-    with
-    | Some n when n <> String.length body ->
-      Error
-        (Printf.sprintf "content-length mismatch: declared %d, got %d" n
-           (String.length body))
-    | _ -> Ok response)
-
 let request t ~transport ~since ~full =
-  let target =
-    Printf.sprintf "%s?tenant=%s&since=%d%s" Authority.signatures_endpoint
-      t.tenant since
-      (if full then "&full=1" else "")
-  in
-  let request =
-    Http.Request.make
-      ~headers:(Http.Headers.of_list [ ("Host", "sigauthority.local") ])
-      Http.Request.GET target
-  in
-  match transport (Http.Wire.print request) with
-  | Error _ as e -> e
-  | Ok raw -> parse_response raw
-
-let parse_sig_lines body =
-  let lines = if body = "" then [] else String.split_on_char '\n' body in
-  let rec loop acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      match Signature_io.of_line line with
-      | Ok s -> loop (s :: acc) rest
-      | Error e -> Error ("bad signature line: " ^ Leak_error.to_string e))
-  in
-  loop [] lines
-
-let parse_entry_lines body =
-  let lines = if body = "" then [] else String.split_on_char '\n' body in
-  let rec loop acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      match Changelog.entry_of_line line with
-      | Ok e -> loop (e :: acc) rest
-      | Error e -> Error ("bad delta line: " ^ e))
-  in
-  loop [] lines
+  Result.map snd
+    (Protocol.get ~host:`Authority transport
+       (Protocol.signatures_target ~tenant:t.tenant ~since ~full))
 
 let refuse_regression t ~server ~held =
   t.regressions_refused <- t.regressions_refused + 1;
@@ -170,7 +110,7 @@ let install t ~(mode : update) (version, set) =
    committed set, whatever checksum it carries: a verification failure,
    never an install. *)
 let verified_snapshot t ~version ~advertised body =
-  match parse_sig_lines body with
+  match Protocol.sigs_of_lines (Protocol.lines body) with
   | Error _ as e -> e
   | Ok sigs -> (
     match Sigset.of_list sigs with
@@ -209,14 +149,14 @@ let fetch t ~transport ~full_transport ~since =
     | Ok response -> (
       match response.Http.Response.status with
       | 200 -> (
-        match int_header response "X-Signature-Version" with
+        match Protocol.version response with
         | None -> Error "missing version header"
         | Some version when version < since ->
           refuse_regression t ~server:version ~held:since
         | Some version -> (
           match
             verified_snapshot t ~version
-              ~advertised:(checksum_header response)
+              ~advertised:(Protocol.checksum response)
               response.Http.Response.body
           with
           | Error _ as e -> e
@@ -232,7 +172,7 @@ let fetch t ~transport ~full_transport ~since =
   match request t ~transport ~since ~full:false with
   | Error _ as e -> e
   | Ok response -> (
-    let observed = int_header response "X-Signature-Version" in
+    let observed = Protocol.version response in
     match response.Http.Response.status with
     | 304 -> (
       match observed with
@@ -245,7 +185,7 @@ let fetch t ~transport ~full_transport ~since =
            whichever side answered.  Refuse and resync in full from the
            authoritative transport instead. *)
         let ours = Sigset.wire_checksum ~version:since t.set in
-        (match checksum_header response with
+        (match Protocol.checksum response with
         | Some sum when sum = ours -> Ok (Signature_client.Up_to_date { observed })
         | Some _ | None ->
           t.fork_smells <- t.fork_smells + 1;
@@ -258,10 +198,12 @@ let fetch t ~transport ~full_transport ~since =
       | Some version when version < since ->
         refuse_regression t ~server:version ~held:since
       | Some version -> (
-        let advertised = checksum_header response in
-        match header response "X-Signature-Mode" with
-        | Some "delta" -> (
-          match parse_entry_lines response.Http.Response.body with
+        let advertised = Protocol.checksum response in
+        match Protocol.mode response with
+        | Some `Delta -> (
+          match
+            Protocol.entries_of_lines (Protocol.lines response.Http.Response.body)
+          with
           | Error _ as e -> e
           | Ok entries -> (
             match apply_delta t ~since ~version ~advertised entries with
@@ -271,12 +213,13 @@ let fetch t ~transport ~full_transport ~since =
               (* Either we cannot reconstruct the committed set (gap) or
                  what we reconstructed is not it (checksum): same cure. *)
               full_resync ()))
-        | Some "snapshot" | None ->
+        | Some `Snapshot | None ->
           Result.map
             (install t ~mode:`Snapshot)
             (verified_snapshot t ~version ~advertised
                response.Http.Response.body)
-        | Some other -> Error (Printf.sprintf "unknown transfer mode %S" other)))
+        | Some (`Other other) ->
+          Error (Printf.sprintf "unknown transfer mode %S" other)))
     | status -> Error (Printf.sprintf "unexpected status %d" status))
 
 let attribute t report =

@@ -32,7 +32,6 @@
 
     All waiting is in abstract backoff ticks, as in the wrapped client. *)
 
-module Signature = Leakdetect_core.Signature
 module Signature_client = Leakdetect_monitor.Signature_client
 
 type t
@@ -49,7 +48,7 @@ val create :
 
 val tenant : t -> string
 val version : t -> int
-val signatures : t -> Signature.t list
+val signatures : t -> Leakdetect_core.Signature.t list
 (** Last-known-good set, id-ascending (listed from the tree on each
     call). *)
 

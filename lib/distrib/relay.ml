@@ -1,13 +1,13 @@
 module Http = Leakdetect_http
 module Crc32 = Leakdetect_util.Crc32
 module Signature = Leakdetect_core.Signature
-module Signature_io = Leakdetect_core.Signature_io
 module Signature_client = Leakdetect_monitor.Signature_client
 module Obs = Leakdetect_obs.Obs
 
 type config = { compact_keep : int; digest_interval : int }
 
-let default_config = { compact_keep = 64; digest_interval = 8 }
+let default_config =
+  { compact_keep = 64; digest_interval = Protocol.default_digest_interval }
 
 type tenant_state = {
   dc : Delta_client.t;
@@ -48,7 +48,7 @@ type t = {
 
 let create ?(obs = Obs.noop) ?(config = default_config) ?client_config
     ?(seed = 0) ~id ~tenants () =
-  if not (Authority.id_ok id) then
+  if not (Protocol.id_ok id) then
     invalid_arg (Printf.sprintf "Relay: bad id %S" id);
   if config.digest_interval < 1 then
     invalid_arg "Relay: digest_interval < 1";
@@ -143,28 +143,9 @@ let consistent t ~tenant =
   | Some st -> st.synced && consistent_st st
   | None -> false
 
-(* --- raw sub-requests (digest probes, repair fetches) --- *)
-
+(* Digest probes and repair fetches; any failure reads as no answer. *)
 let raw_get ~transport target =
-  let request =
-    Http.Request.make
-      ~headers:(Http.Headers.of_list [ ("Host", "sigrelay.local") ])
-      Http.Request.GET target
-  in
-  match transport (Http.Wire.print request) with
-  | Error _ -> None
-  | Ok raw -> (
-    match Http.Response.parse raw with
-    | Error _ -> None
-    | Ok response -> (
-      let body = response.Http.Response.body in
-      match
-        Option.bind
-          (Http.Headers.get response.Http.Response.headers "Content-Length")
-          int_of_string_opt
-      with
-      | Some n when n <> String.length body -> None
-      | _ -> Some (raw, response)))
+  Result.to_option (Protocol.get ~host:`Relay transport target)
 
 (* --- mirror maintenance: resnapshot, ranged repair, absorb --- *)
 
@@ -190,15 +171,15 @@ let try_repair t st ~transport =
   let tenant = Delta_client.tenant st.dc in
   let horizon = Changelog.horizon st.mirror in
   let dtarget =
-    Printf.sprintf "%s?tenant=%s&since=%d&interval=%d"
-      Authority.digest_endpoint tenant horizon t.config.digest_interval
+    Protocol.digest_target ~tenant ~since:horizon
+      ~interval:t.config.digest_interval
   in
   match raw_get ~transport dtarget with
   | None -> false
   | Some (draw, dresp) -> (
     if dresp.Http.Response.status <> 200 then false
     else
-      match Changelog.digest_of_body dresp.Http.Response.body with
+      match Protocol.digest_of_body dresp.Http.Response.body with
       | Error _ -> false
       | Ok checkpoints -> (
         let agree =
@@ -246,33 +227,22 @@ let try_repair t st ~transport =
             splice "" []
           else
             let starget =
-              Printf.sprintf "%s?tenant=%s&since=%d"
-                Authority.signatures_endpoint tenant split
+              Protocol.signatures_target ~tenant ~since:split ~full:false
             in
             match raw_get ~transport starget with
             | None -> false
             | Some (sraw, sresp) -> (
               if
                 sresp.Http.Response.status <> 200
-                || Http.Headers.get sresp.Http.Response.headers
-                     "X-Signature-Mode"
-                   <> Some "delta"
+                || Protocol.mode sresp <> Some `Delta
               then false
               else
-                let lines =
-                  let body = sresp.Http.Response.body in
-                  if body = "" then [] else String.split_on_char '\n' body
-                in
-                let rec parse acc = function
-                  | [] -> Some (List.rev acc)
-                  | line :: rest -> (
-                    match Changelog.entry_of_line line with
-                    | Ok e -> parse (e :: acc) rest
-                    | Error _ -> None)
-                in
-                match parse [] lines with
-                | None -> false
-                | Some fetched -> splice sraw fetched)))
+                match
+                  Protocol.entries_of_lines
+                    (Protocol.lines sresp.Http.Response.body)
+                with
+                | Error _ -> false
+                | Ok fetched -> splice sraw fetched)))
 
 (* Repair first, rebuild as the last resort: either way the mirror ends
    exactly on the verified client state. *)
@@ -358,13 +328,10 @@ let gossip t ~upstream =
       let st = state t ~tenant in
       let held = Delta_client.version st.dc in
       let probe (pid, ptransport) =
-        let target =
-          Printf.sprintf "%s?tenant=%s&since=%d&interval=1"
-            Authority.digest_endpoint tenant max_int
-        in
+        let target = Protocol.digest_target ~tenant ~since:max_int ~interval:1 in
         match raw_get ~transport:ptransport target with
         | Some (_, resp) when resp.Http.Response.status = 200 -> (
-          match Changelog.digest_of_body resp.Http.Response.body with
+          match Protocol.digest_of_body resp.Http.Response.body with
           | Ok ((_ :: _) as checkpoints) ->
             let v, _ = List.nth checkpoints (List.length checkpoints - 1) in
             if v > held then Some (v, pid, ptransport) else None
@@ -473,11 +440,6 @@ let relay_headers t st =
     ( "X-Relay-Version-Age",
       string_of_int (max 0 (t.clock - st.last_sync_tick)) ) ]
 
-let version_headers st =
-  [ ("X-Signature-Version", string_of_int (Changelog.version st.mirror));
-    ( "X-Signature-Checksum",
-      Crc32.to_hex (Changelog.wire_checksum st.mirror) ) ]
-
 let unready (t : t) st ~counter =
   (match counter with
   | `Unready -> t.served_unready <- t.served_unready + 1
@@ -486,148 +448,22 @@ let unready (t : t) st ~counter =
     ~headers:(Http.Headers.of_list (("Retry-After", "1") :: relay_headers t st))
     503
 
-let handle_signatures t (request : Http.Request.t) params =
-  if request.Http.Request.meth <> Http.Request.GET then
-    Http.Response.make ~headers:(Http.Headers.of_list [ ("Allow", "GET") ]) 405
-  else
-    match List.assoc_opt "tenant" params with
-    | Some tenant when Authority.id_ok tenant -> (
-      match Hashtbl.find_opt t.tenant_tbl tenant with
-      | None -> Http.Response.make 404
-      | Some st -> (
-        let since =
-          match List.assoc_opt "since" params with
-          | Some v -> int_of_string_opt v
-          | None -> Some 0
-        in
-        let full = List.assoc_opt "full" params = Some "1" in
-        match since with
-        | None -> Http.Response.make 400
-        | Some since when since < 0 -> Http.Response.make 400
-        | Some since ->
-          if not st.synced then
-            (* Nothing verified yet: refuse rather than serve an empty
-               set a synced client would refuse as a regression. *)
-            unready t st ~counter:`Unready
-          else if not (consistent_st st) then
-            (* The mirror diverged from the verified state (fork, bit
-               rot): never serve it — repair will converge it. *)
-            unready t st ~counter:`Inconsistent
-          else
-            let head = Changelog.version st.mirror in
-            let headers extra =
-              Http.Headers.of_list
-                (version_headers st @ relay_headers t st @ extra)
-            in
-            if since >= head && not full then begin
-              t.served_not_modified <- t.served_not_modified + 1;
-              Http.Response.make ~headers:(headers []) 304
-            end
-            else
-              let snapshot () =
-                t.served_snapshot <- t.served_snapshot + 1;
-                let body =
-                  String.concat "\n"
-                    (List.map Signature_io.to_line
-                       (Changelog.current st.mirror))
-                in
-                Http.Response.make
-                  ~headers:
-                    (headers
-                       [ ("X-Signature-Mode", "snapshot");
-                         ("Content-Type", "text/tab-separated-values") ])
-                  ~body 200
-              in
-              if full then snapshot ()
-              else
-                match Changelog.since st.mirror since with
-                | None -> snapshot ()
-                | Some entries ->
-                  t.served_delta <- t.served_delta + 1;
-                  let body =
-                    String.concat "\n"
-                      (List.map Changelog.entry_to_line entries)
-                  in
-                  Http.Response.make
-                    ~headers:
-                      (headers
-                         [ ("X-Signature-Mode", "delta");
-                           ("X-Signature-Since", string_of_int since);
-                           ("Content-Type", "text/tab-separated-values") ])
-                    ~body 200))
-    | _ -> Http.Response.make 400
-
-(* Sibling-facing: the ranged digest of the mirror, with the same
-   refusal rules as /signatures — an unsynced or inconsistent mirror
-   must not advertise a head other relays could try to catch up to. *)
-let handle_digest t (request : Http.Request.t) params =
-  if request.Http.Request.meth <> Http.Request.GET then
-    Http.Response.make ~headers:(Http.Headers.of_list [ ("Allow", "GET") ]) 405
-  else
-    match List.assoc_opt "tenant" params with
-    | Some tenant when Authority.id_ok tenant -> (
-      match Hashtbl.find_opt t.tenant_tbl tenant with
-      | None -> Http.Response.make 404
-      | Some st -> (
-        let since =
-          match List.assoc_opt "since" params with
-          | Some v -> int_of_string_opt v
-          | None -> Some 0
-        in
-        let interval =
-          match List.assoc_opt "interval" params with
-          | Some v -> int_of_string_opt v
-          | None -> Some t.config.digest_interval
-        in
-        match (since, interval) with
-        | Some since, Some interval when since >= 0 && interval >= 1 ->
-          if not st.synced then unready t st ~counter:`Unready
-          else if not (consistent_st st) then
-            unready t st ~counter:`Inconsistent
-          else begin
-            t.served_digest <- t.served_digest + 1;
-            let body =
-              Changelog.digest_to_body
-                (Changelog.digest st.mirror ~since ~interval)
-            in
-            Http.Response.make
-              ~headers:
-                (Http.Headers.of_list
-                   (version_headers st @ relay_headers t st
-                   @ [ ("X-Signature-Mode", "digest");
-                       ("Content-Type", "text/tab-separated-values") ]))
-              ~body 200
-          end
-        | _ -> Http.Response.make 400))
-    | _ -> Http.Response.make 400
-
-let handle_candidates t (request : Http.Request.t) =
-  if request.Http.Request.meth <> Http.Request.POST then
-    Http.Response.make ~headers:(Http.Headers.of_list [ ("Allow", "POST") ]) 405
-  else
-    match t.upstream with
-    | None ->
-      t.forward_failures <- t.forward_failures + 1;
-      Http.Response.make
-        ~headers:(Http.Headers.of_list [ ("Retry-After", "1") ])
-        503
-    | Some upstream -> (
-      match upstream (Http.Wire.print request) with
-      | Error _ ->
-        t.forward_failures <- t.forward_failures + 1;
-        Http.Response.make
-          ~headers:(Http.Headers.of_list [ ("Retry-After", "1") ])
-          503
-      | Ok raw -> (
-        match Http.Response.parse raw with
-        | Error _ ->
-          t.forward_failures <- t.forward_failures + 1;
-          Http.Response.make
-            ~headers:(Http.Headers.of_list [ ("Retry-After", "1") ])
-            503
-        | Ok response ->
-          t.forwarded <- t.forwarded + 1;
-          response))
+let forward (t : t) (request : Http.Request.t) =
+  let failed () =
+    t.forward_failures <- t.forward_failures + 1;
+    Http.Response.make ~headers:(Http.Headers.of_list [ ("Retry-After", "1") ]) 503
+  in
+  match t.upstream with
+  | None -> failed ()
+  | Some upstream -> (
+    match upstream (Http.Wire.print request) with
+    | Error _ -> failed ()
+    | Ok raw -> (
+      match Http.Response.parse raw with
+      | Error _ -> failed ()
+      | Ok response ->
+        t.forwarded <- t.forwarded + 1;
+        response))
 
 (* Scrape-time export: the counter totals as gauges plus the per-tenant
    freshness gauges, refreshed so a scrape between events still sees
@@ -677,33 +513,39 @@ let refresh_metrics t =
     Hashtbl.iter (fun tenant st -> staleness_gauge t tenant st) t.tenant_tbl
   end
 
-let handle_metrics t (request : Http.Request.t) =
-  if request.Http.Request.meth <> Http.Request.GET then
-    Http.Response.make ~headers:(Http.Headers.of_list [ ("Allow", "GET") ]) 405
-  else begin
-    refresh_metrics t;
-    Http.Response.make
-      ~headers:
-        (Http.Headers.of_list
-           [ ("Content-Type", "text/plain; version=0.0.4; charset=utf-8") ])
-      ~body:(Obs.to_prometheus t.obs) 200
-  end
+(* The mirror is served with the origin's semantics, behind two gates:
+   nothing before the first verified sync (an empty set would read as a
+   rollback), and nothing while the mirror has diverged from the verified
+   state (fork, bit rot) — repair will converge it.  A [/digest] is gated
+   the same way, so an unready mirror never advertises a head siblings
+   could try to catch up to. *)
+let server t =
+  {
+    Protocol.resolve =
+      (fun tenant ->
+        match Hashtbl.find_opt t.tenant_tbl tenant with
+        | Some st -> Ok st
+        | None -> Error (Http.Response.make 404));
+    gate =
+      (fun st ->
+        if not st.synced then Error (unready t st ~counter:`Unready)
+        else if not (consistent_st st) then
+          Error (unready t st ~counter:`Inconsistent)
+        else Ok st.mirror);
+    headers = relay_headers t;
+    served =
+      (function
+      | `Not_modified -> t.served_not_modified <- t.served_not_modified + 1
+      | `Delta -> t.served_delta <- t.served_delta + 1
+      | `Snapshot -> t.served_snapshot <- t.served_snapshot + 1
+      | `Digest -> t.served_digest <- t.served_digest + 1);
+    digest_interval = t.config.digest_interval;
+    candidates = (fun request _ -> forward t request);
+    metrics =
+      (fun () ->
+        refresh_metrics t;
+        Obs.to_prometheus t.obs);
+  }
 
-let handle t (request : Http.Request.t) =
-  let path, query =
-    Leakdetect_net.Url.split_path_query request.Http.Request.target
-  in
-  let params =
-    Option.value ~default:[] (Leakdetect_net.Url.decode_query query)
-  in
-  if path = Authority.signatures_endpoint then
-    handle_signatures t request params
-  else if path = Authority.digest_endpoint then handle_digest t request params
-  else if path = Authority.metrics_endpoint then handle_metrics t request
-  else if path = Authority.candidates_endpoint then handle_candidates t request
-  else Http.Response.make 404
-
-let wire_transport t raw =
-  match Http.Wire.parse raw with
-  | Error e -> Error ("request corrupt: " ^ Http.Wire.error_to_string e)
-  | Ok request -> Ok (Http.Response.print (handle t request))
+let handle t request = Protocol.handle (server t) request
+let wire_transport t = Protocol.wire_transport (handle t)

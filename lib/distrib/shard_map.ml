@@ -7,21 +7,10 @@ type t = {
   proximity : ((string * string) * int) list; (* (node, origin) -> distance *)
 }
 
-let id_ok s =
-  let n = String.length s in
-  n > 0 && n <= 64
-  && String.for_all
-       (fun c ->
-         (c >= 'a' && c <= 'z')
-         || (c >= 'A' && c <= 'Z')
-         || (c >= '0' && c <= '9')
-         || c = '.' || c = '_' || c = ':' || c = '-')
-       s
-
 let validate ?(weights = []) ?(proximity = []) ~epoch ~origins () =
   if epoch < 0 then Error "Shard_map: negative epoch"
   else if origins = [] then Error "Shard_map: no origins"
-  else if List.exists (fun o -> not (id_ok o)) origins then
+  else if List.exists (fun o -> not (Protocol.id_ok o)) origins then
     Error "Shard_map: invalid origin id"
   else
     let sorted = List.sort_uniq compare origins in
@@ -40,7 +29,7 @@ let validate ?(weights = []) ?(proximity = []) ~epoch ~origins () =
          relay-to-relay distances for gossip peer preference. *)
       List.exists
         (fun ((node, target), d) ->
-          d < 0 || (not (id_ok node)) || not (id_ok target))
+          d < 0 || (not (Protocol.id_ok node)) || not (Protocol.id_ok target))
         proximity
     then Error "Shard_map: bad proximity entry"
     else if

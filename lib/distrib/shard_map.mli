@@ -41,10 +41,6 @@
 
 type t
 
-val id_ok : string -> bool
-(** Valid origin id: [A-Za-z0-9._:-], 1–64 chars (the {!Authority} id
-    alphabet; comma-free so ids embed in the line codec). *)
-
 val create :
   ?weights:(string * int) list ->
   ?proximity:(string * string * int) list ->

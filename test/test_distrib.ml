@@ -14,6 +14,7 @@ module Signature_client = Leakdetect_monitor.Signature_client
 module Changelog = Leakdetect_distrib.Changelog
 module Sigset = Leakdetect_distrib.Sigset
 module Authority = Leakdetect_distrib.Authority
+module Protocol = Leakdetect_distrib.Protocol
 module Delta_client = Leakdetect_distrib.Delta_client
 module Shard_map = Leakdetect_distrib.Shard_map
 module Relay = Leakdetect_distrib.Relay
@@ -396,6 +397,39 @@ let test_candidates_endpoint_tally () =
   Alcotest.(check int) "tally is 200" 200 r.Http.Response.status;
   Alcotest.(check string) "tally body"
     "accepted\t2\nduplicate\t0\npromoted\t0\ncapped\t0" r.Http.Response.body
+
+(* --- authority: reads create nothing --- *)
+
+(* A GET names any well-formed tenant; answering it must not grow the
+   authority's tenant table, in memory or (after a compaction) on disk. *)
+let test_reads_create_no_tenant () =
+  with_dir (fun dir ->
+      let auth =
+        match Authority.open_ ~dir () with
+        | Ok (a, _) -> a
+        | Error e -> Alcotest.fail e
+      in
+      ignore (Authority.publish auth ~tenant:"t0" [ s1 ]);
+      List.iter
+        (fun target ->
+          let r = Authority.handle auth (get target) in
+          Alcotest.(check (option string)) (target ^ " reads version 0")
+            (Some "0") (header r "X-Signature-Version"))
+        [ "/signatures?tenant=probe1&since=0";
+          "/signatures?tenant=probe2&full=1";
+          "/digest?tenant=probe3" ];
+      Alcotest.(check (list string)) "no tenant created by reads" [ "t0" ]
+        (Authority.tenants auth);
+      Authority.compact auth;
+      Authority.close auth;
+      let auth =
+        match Authority.open_ ~dir () with
+        | Ok (a, _) -> a
+        | Error e -> Alcotest.fail e
+      in
+      Alcotest.(check (list string)) "none after compact + reopen" [ "t0" ]
+        (Authority.tenants auth);
+      Authority.close auth)
 
 (* --- authority: durability and crash points --- *)
 
@@ -1369,15 +1403,19 @@ let test_changelog_digest () =
     [ (10, Changelog.current_checksum log) ]
     (Changelog.digest log ~since:max_int ~interval:1);
   (* Codec roundtrip, and the empty digest. *)
-  (match Changelog.digest_of_body (Changelog.digest_to_body d) with
+  let body =
+    String.concat "\n"
+      (List.map (fun (v, sum) -> Printf.sprintf "%d\t%s" v (Crc32.to_hex sum)) d)
+  in
+  (match Protocol.digest_of_body body with
   | Ok d' -> Alcotest.(check (list (pair int int))) "codec roundtrip" d d'
   | Error e -> Alcotest.failf "digest roundtrip: %s" e);
-  (match Changelog.digest_of_body "" with
+  (match Protocol.digest_of_body "" with
   | Ok [] -> ()
   | _ -> Alcotest.fail "empty body is the empty digest");
   List.iter
     (fun body ->
-      match Changelog.digest_of_body body with
+      match Protocol.digest_of_body body with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "must reject %S" body)
     [ "garbage"; "5\tnothex"; "5\t00ff00ff\n3\t00ff00ff" ];
@@ -1521,10 +1559,7 @@ let prop_changelog_matches_oracle =
                 (fun v -> (v, Changelog_oracle.checksum_set (set_at v)))
                 points
             in
-            if
-              Changelog.digest_to_body (Changelog.digest log ~since ~interval)
-              <> Changelog.digest_to_body want
-            then fail "digest since %d interval %d" since interval)
+            if Changelog.digest log ~since ~interval <> want then fail "digest since %d interval %d" since interval)
           [ (0, 1); (0, 3); (!horizon + 1, 2); (max_int, 1); (1, max_int) ]
       in
       let append change =
@@ -2156,7 +2191,7 @@ let test_digest_huge_interval () =
   List.iter
     (fun (who, r) ->
       Alcotest.(check int) (who ^ " answers") 200 r.Http.Response.status;
-      match Changelog.digest_of_body r.Http.Response.body with
+      match Protocol.digest_of_body r.Http.Response.body with
       | Ok d -> Alcotest.(check (list (pair int int))) (who ^ " digest") want d
       | Error e -> Alcotest.failf "%s digest body: %s" who e)
     [ ("origin", Authority.handle auth (get target));
@@ -2483,6 +2518,8 @@ let suite =
         Alcotest.test_case "reporter cap" `Quick test_reporter_cap;
         Alcotest.test_case "candidates tally" `Quick
           test_candidates_endpoint_tally;
+        Alcotest.test_case "reads create no tenant" `Quick
+          test_reads_create_no_tenant;
         qtest prop_published_index_matches_scan ] );
     ( "distrib.durability",
       [ Alcotest.test_case "reopen replays" `Quick test_authority_reopen;
