@@ -16,7 +16,6 @@ module Pipeline = Leakdetect_core.Pipeline
 module Metrics = Leakdetect_core.Metrics
 module Distance = Leakdetect_core.Distance
 module Siggen = Leakdetect_core.Siggen
-module Signature = Leakdetect_core.Signature
 module Detector = Leakdetect_core.Detector
 module Sensitive = Leakdetect_core.Sensitive
 module Baseline = Leakdetect_baseline.Baseline

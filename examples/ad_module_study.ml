@@ -9,7 +9,6 @@
 
 module Workload = Leakdetect_android.Workload
 module Trace_stats = Leakdetect_android.Trace_stats
-module Ad_module = Leakdetect_android.Ad_module
 module Device = Leakdetect_android.Device
 module Sensitive = Leakdetect_core.Sensitive
 module Payload_check = Leakdetect_core.Payload_check

@@ -1,7 +1,6 @@
 module Packet = Leakdetect_http.Packet
 module Tokens = Leakdetect_text.Tokens
 module Aho_corasick = Leakdetect_text.Aho_corasick
-module Prng = Leakdetect_util.Prng
 module Sample = Leakdetect_util.Sample
 
 type scored_token = { token : string; weight : float }

@@ -1,5 +1,4 @@
 module Search = Leakdetect_text.Search
-module Tokens = Leakdetect_text.Tokens
 
 type mode = Conjunction | Ordered
 
