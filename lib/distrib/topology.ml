@@ -1086,7 +1086,6 @@ let report_to_json r =
             ("max_delay", Json.Int r.config.fault.Fault.max_delay);
             ("crash_rate", Json.Float r.config.fault.Fault.crash_rate);
             ("torn_write_rate", Json.Float r.config.fault.Fault.torn_write_rate);
-            ("reencode_rate", Json.Float r.config.fault.Fault.reencode_rate);
             ("partitions", Json.Int r.config.partitions);
             ("partition_ticks", Json.Int r.config.partition_ticks);
             ("relay_crashes", Json.Int r.config.relay_crashes);

@@ -9,7 +9,6 @@ type kind =
   | Server_error
   | Crash
   | Torn_write
-  | Reencode
 
 let kind_name = function
   | Corrupt -> "corrupt"
@@ -20,13 +19,9 @@ let kind_name = function
   | Server_error -> "server-error"
   | Crash -> "crash"
   | Torn_write -> "torn-write"
-  | Reencode -> "reencode"
 
 let all_kinds =
-  [
-    Corrupt; Truncate; Drop; Duplicate; Delay; Server_error; Crash; Torn_write;
-    Reencode;
-  ]
+  [ Corrupt; Truncate; Drop; Duplicate; Delay; Server_error; Crash; Torn_write ]
 
 type config = {
   corrupt_rate : float;
@@ -39,7 +34,6 @@ type config = {
   server_error_rate : float;
   crash_rate : float;
   torn_write_rate : float;
-  reencode_rate : float;
 }
 
 let default =
@@ -54,7 +48,6 @@ let default =
     server_error_rate = 0.2;
     crash_rate = 0.1;
     torn_write_rate = 0.05;
-    reencode_rate = 0.;
   }
 
 type plan = {

@@ -25,9 +25,6 @@ type kind =
       (** Committed storage bytes are damaged: a bit flip inside a committed
           record, or a tail record replayed (duplicated) by a half-applied
           rewrite. *)
-  | Reencode
-      (** Inert: no injector fires it, so {!summary} always reports 0.  Kept
-          only while the soak reports print its count. *)
 
 val kind_name : kind -> string
 val all_kinds : kind list
@@ -43,9 +40,6 @@ type config = {
   server_error_rate : float;  (** Probability of a transient server error. *)
   crash_rate : float;  (** Probability a storage write is cut short. *)
   torn_write_rate : float;  (** Probability committed bytes get damaged. *)
-  reencode_rate : float;
-      (** Inert: nothing reads it.  Kept only because the topology soak
-          report prints it. *)
 }
 
 val default : config

@@ -23,7 +23,6 @@ let no_faults =
     server_error_rate = 0.;
     crash_rate = 0.;
     torn_write_rate = 0.;
-    reencode_rate = 0.;
   }
 
 (* Faults fired so far by [plan], over every kind. *)
