@@ -235,9 +235,12 @@ let accept_candidates ~gate ~report ~version (request : Http.Request.t) params =
           ~body:(tally_body tally) 200))
   | _ -> bad_request ()
 
-let handle server (request : Http.Request.t) =
+let path_params (request : Http.Request.t) =
   let path, query = Url.split_path_query request.Http.Request.target in
-  let params = Option.value ~default:[] (Url.decode_query query) in
+  (path, Option.value ~default:[] (Url.decode_query query))
+
+let handle server request =
+  let path, params = path_params request in
   if path = signatures_endpoint then serve_signatures server request params
   else if path = digest_endpoint then serve_digest server request params
   else if path = candidates_endpoint then
@@ -254,9 +257,7 @@ let parse_request raw =
     (fun e -> "request corrupt: " ^ Http.Wire.error_to_string e)
     (Http.Wire.parse raw)
 
-let tenant_of (request : Http.Request.t) =
-  let _, query = Url.split_path_query request.Http.Request.target in
-  Option.bind (Url.decode_query query) (List.assoc_opt "tenant")
+let tenant_of request = List.assoc_opt "tenant" (snd (path_params request))
 
 let wire_transport handle raw =
   Result.map (fun request -> Http.Response.print (handle request)) (parse_request raw)

@@ -143,10 +143,6 @@ let consistent t ~tenant =
   | Some st -> st.synced && consistent_st st
   | None -> false
 
-(* Digest probes and repair fetches; any failure reads as no answer. *)
-let raw_get ~transport target =
-  Result.to_option (Protocol.get ~host:`Relay transport target)
-
 (* --- mirror maintenance: resnapshot, ranged repair, absorb --- *)
 
 let resnapshot t st =
@@ -174,9 +170,9 @@ let try_repair t st ~transport =
     Protocol.digest_target ~tenant ~since:horizon
       ~interval:t.config.digest_interval
   in
-  match raw_get ~transport dtarget with
-  | None -> false
-  | Some (draw, dresp) -> (
+  match Protocol.get ~host:`Relay transport dtarget with
+  | Error _ -> false
+  | Ok (draw, dresp) -> (
     if dresp.Http.Response.status <> 200 then false
     else
       match Protocol.digest_of_body dresp.Http.Response.body with
@@ -229,9 +225,9 @@ let try_repair t st ~transport =
             let starget =
               Protocol.signatures_target ~tenant ~since:split ~full:false
             in
-            match raw_get ~transport starget with
-            | None -> false
-            | Some (sraw, sresp) -> (
+            match Protocol.get ~host:`Relay transport starget with
+            | Error _ -> false
+            | Ok (sraw, sresp) -> (
               if
                 sresp.Http.Response.status <> 200
                 || Protocol.mode sresp <> Some `Delta
@@ -329,8 +325,8 @@ let gossip t ~upstream =
       let held = Delta_client.version st.dc in
       let probe (pid, ptransport) =
         let target = Protocol.digest_target ~tenant ~since:max_int ~interval:1 in
-        match raw_get ~transport:ptransport target with
-        | Some (_, resp) when resp.Http.Response.status = 200 -> (
+        match Protocol.get ~host:`Relay ptransport target with
+        | Ok (_, resp) when resp.Http.Response.status = 200 -> (
           match Protocol.digest_of_body resp.Http.Response.body with
           | Ok ((_ :: _) as checkpoints) ->
             let v, _ = List.nth checkpoints (List.length checkpoints - 1) in
