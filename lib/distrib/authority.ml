@@ -116,7 +116,8 @@ let jentry_of_payload payload =
     | _ -> Error "report entry: bad tenant")
   | Some ("adopt", rest) -> (
     match split1 rest with
-    | Some (tenant, payload) when Protocol.id_ok tenant -> Ok (Adopt { tenant; payload })
+    | Some (tenant, payload) when Protocol.id_ok tenant ->
+      Ok (Adopt { tenant; payload })
     | _ -> Error "adopt entry: bad tenant")
   | Some ("release", rest) -> (
     match split1 rest with

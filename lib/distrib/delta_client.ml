@@ -201,9 +201,8 @@ let fetch t ~transport ~full_transport ~since =
         let advertised = Protocol.checksum response in
         match Protocol.mode response with
         | Some `Delta -> (
-          match
-            Protocol.entries_of_lines (Protocol.lines response.Http.Response.body)
-          with
+          let body = response.Http.Response.body in
+          match Protocol.entries_of_lines (Protocol.lines body) with
           | Error _ as e -> e
           | Ok entries -> (
             match apply_delta t ~since ~version ~advertised entries with

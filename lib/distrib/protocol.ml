@@ -260,7 +260,9 @@ let parse_request raw =
 let tenant_of request = List.assoc_opt "tenant" (snd (path_params request))
 
 let wire_transport handle raw =
-  Result.map (fun request -> Http.Response.print (handle request)) (parse_request raw)
+  Result.map
+    (fun request -> Http.Response.print (handle request))
+    (parse_request raw)
 
 (* --- asking --- *)
 
@@ -282,8 +284,9 @@ let exchange ~host transport ?body meth target =
     | `Relay -> "sigrelay.local"
   in
   let request =
-    Http.Request.make ~headers:(Http.Headers.of_list [ ("Host", host) ]) ?body meth
-      target
+    Http.Request.make
+      ~headers:(Http.Headers.of_list [ ("Host", host) ])
+      ?body meth target
   in
   match transport (Http.Wire.print request) with
   | Error _ as e -> e
@@ -326,7 +329,8 @@ let post_candidates transport ~tenant ~reporter sigs =
     Printf.sprintf "%s?tenant=%s&reporter=%s" candidates_endpoint tenant reporter
   in
   match
-    exchange ~host:`Relay transport ~body:(sig_body sigs) Http.Request.POST target
+    exchange ~host:`Relay transport ~body:(sig_body sigs) Http.Request.POST
+      target
   with
   | Error _ as e -> e
   | Ok (_, response) ->

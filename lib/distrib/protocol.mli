@@ -38,7 +38,8 @@ val id_ok : string -> bool
 val lines : string -> string list
 (** A body's lines; the empty body has none. *)
 
-val sigs_of_lines : string list -> (Leakdetect_core.Signature.t list, string) result
+val sigs_of_lines :
+  string list -> (Leakdetect_core.Signature.t list, string) result
 (** Snapshot and candidate bodies (one {!Leakdetect_core.Signature_io}
     line each); [Error] names the first bad line. *)
 

@@ -447,7 +447,9 @@ let unready (t : t) st ~counter =
 let forward (t : t) (request : Http.Request.t) =
   let failed () =
     t.forward_failures <- t.forward_failures + 1;
-    Http.Response.make ~headers:(Http.Headers.of_list [ ("Retry-After", "1") ]) 503
+    Http.Response.make
+      ~headers:(Http.Headers.of_list [ ("Retry-After", "1") ])
+      503
   in
   match t.upstream with
   | None -> failed ()
