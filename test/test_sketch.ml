@@ -190,6 +190,131 @@ let prop_sketch_jobs_equivalence =
           let parallel = Sketch.bucket ?pool Sketch.default payloads in
           sequential = parallel))
 
+(* --- Differential properties against the boxed-Int64 kernels --- *)
+
+(* Strings shaped for the shingle kernel's edges: empty, no longer than
+   one window, a run of one byte (every window hashes alike, so the set
+   dedups to one element), and random bytes over the full byte range. *)
+let shingle_input_gen n =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return "");
+        (3, string_size ~gen:char (0 -- n));
+        (2, map2 (fun c len -> String.make len c) char (1 -- 200));
+        (6, string_size ~gen:char (0 -- 400));
+      ])
+
+let prop_shingle_matches_oracle =
+  QCheck.Test.make ~count:500 ~name:"shingle set = boxed-Int64 oracle"
+    QCheck.(
+      make ~print:(fun (n, s) -> Printf.sprintf "n=%d %S" n s)
+        Gen.(int_range 1 8 >>= fun n -> map (fun s -> (n, s)) (shingle_input_gen n)))
+    (fun (n, s) -> Shingle.set ~n s = Sketch_oracle.shingle_set ~n s)
+
+(* Shingle sets as [Shingle.set] makes them (sorted, distinct, in
+   [0, 2^62)), sized to hit the minhash kernel's edges: the empty set,
+   one shingle (each slot is then one hash, so about half the slots hold
+   a value with the top bit set, which an unsigned minimum started at
+   [Int64.max_int] must keep as [Int64.max_int]), two shingles, and
+   random sets of up to 600. *)
+let shingle_set_gen =
+  QCheck.Gen.(
+    let elt = map (fun x -> x land 0x3fffffffffffffff) int in
+    frequency
+      [
+        (1, return [||]);
+        (2, map (fun x -> [| x |]) elt);
+        (2, map2 (fun a b -> [| a; b |]) elt elt);
+        (5, array_size (0 -- 600) elt);
+      ]
+    >|= fun a -> Array.of_list (List.sort_uniq compare (Array.to_list a)))
+
+let prop_minhash_matches_oracle =
+  QCheck.Test.make ~count:300 ~name:"minhash signature = boxed-Int64 oracle"
+    QCheck.(
+      make
+        ~print:(fun (h, seed, set) ->
+          Printf.sprintf "hashes=%d seed=%d |set|=%d" h seed (Array.length set))
+        Gen.(triple (int_range 1 128) (int_range 0 10_000) shingle_set_gen))
+    (fun (hashes, seed, set) ->
+      let sig_ = Minhash.signature (Minhash.create ~hashes ~seed) set in
+      sig_ = Sketch_oracle.signature (Sketch_oracle.minhash_create ~hashes ~seed) set)
+
+(* Payload families with near-duplicates, so the banding has components
+   to find: [prefix] variants of a few templates plus unrelated noise. *)
+let family_payloads rng n =
+  Array.init n (fun i ->
+      match Prng.int rng 4 with
+      | 0 -> payload `A (Prng.int rng 7)
+      | 1 -> payload `B (Prng.int rng 7)
+      | 2 -> Printf.sprintf "GET /c/%d?id=%d&k=v" (Prng.int rng 3) (Prng.int rng 5)
+      | _ -> Printf.sprintf "unique-%d-%d" (Prng.bits30 rng) i)
+
+let prop_lsh_matches_oracle =
+  QCheck.Test.make ~count:100 ~name:"lsh buckets = boxed-Int64 oracle"
+    QCheck.(triple (int_range 0 80) (int_range 1 8) (int_range 0 1000))
+    (fun (n, rows, seed) ->
+      let rng = Prng.create seed in
+      let p = { Sketch.default with Sketch.hashes = 32; bands = 32 / rows; rows } in
+      let sigs = Sketch.signatures p (family_payloads rng n) in
+      Lsh.buckets ~bands:p.Sketch.bands ~rows sigs
+      = Sketch_oracle.lsh_buckets ~bands:p.Sketch.bands ~rows sigs)
+
+(* Caps of 2..8 against families of up to a dozen near-duplicates: most
+   components exceed the cap, so refinement (down to the all-identical
+   slice) runs, and the singletons it strands exercise rescue. *)
+let prop_sketch_bucket_matches_oracle =
+  QCheck.Test.make ~count:100 ~name:"sketch bucket = boxed-Int64 oracle at max_bucket 2..8"
+    QCheck.(triple (int_range 0 80) (int_range 2 8) (int_range 0 1000))
+    (fun (n, max_bucket, seed) ->
+      let payloads = family_payloads (Prng.create seed) n in
+      let p = { Sketch.default with Sketch.max_bucket } in
+      Sketch.signatures p payloads = Sketch_oracle.signatures p payloads
+      && Sketch.bucket p payloads = Sketch_oracle.bucket p payloads)
+
+(* Known answers: the minhash signatures and the bucket lists of a fixed
+   sample — 100 suspicious packets of the scale-0.02 seed-42 trace, drawn
+   as [leakdetect sign --seed 42 --sample 100] draws them — each as a
+   CRC32, pinned from the boxed-Int64 kernels that [Sketch_oracle] keeps.
+   Every slot and every bucket member feeds the checksum, so a kernel
+   change that moves one bit of one signature, or one member of one
+   bucket, fails here.  [max_bucket = 8] forces refinement and rescue,
+   which the default cap of 256 never reaches on this sample. *)
+let pinned_payloads =
+  lazy
+    (let ds = Leakdetect_android.Workload.generate ~seed:42 ~scale:0.02 () in
+     let suspicious, _ = Leakdetect_android.Workload.split ds in
+     let sample =
+       Leakdetect_util.Sample.without_replacement (Prng.create 42) 100 suspicious
+     in
+     Array.map Leakdetect_http.Packet.content_string sample)
+
+let crc_of_lines lines =
+  let module Crc32 = Leakdetect_util.Crc32 in
+  Crc32.to_hex (Crc32.string (String.concat "\n" lines))
+
+let signatures_crc sigs =
+  crc_of_lines
+    (Array.to_list
+       (Array.map
+          (fun s -> String.concat " " (Array.to_list (Array.map (Printf.sprintf "%016Lx") s)))
+          sigs))
+
+let buckets_crc buckets =
+  crc_of_lines (List.map (fun b -> String.concat "," (List.map string_of_int b)) buckets)
+
+let test_sketch_known_answers () =
+  let payloads = Lazy.force pinned_payloads in
+  Alcotest.(check int) "sample size" 100 (Array.length payloads);
+  let sigs = Sketch.signatures Sketch.default payloads in
+  Alcotest.(check string) "signatures CRC32" "bb800b0e" (signatures_crc sigs);
+  let buckets = Sketch.bucket Sketch.default payloads in
+  Alcotest.(check int) "default buckets" 15 (List.length buckets);
+  Alcotest.(check string) "default buckets CRC32" "57f28e0d" (buckets_crc buckets);
+  let capped = Sketch.bucket { Sketch.default with Sketch.max_bucket = 8 } payloads in
+  Alcotest.(check string) "max_bucket 8 buckets CRC32" "debf59b5" (buckets_crc capped)
+
 let suite =
   [
     ( "sketch.shingle",
@@ -197,18 +322,21 @@ let suite =
         Alcotest.test_case "basics" `Quick test_shingle_basic;
         Alcotest.test_case "jaccard" `Quick test_shingle_jaccard;
         qtest prop_shingle_union_of_windows;
+        qtest prop_shingle_matches_oracle;
       ] );
     ( "sketch.minhash",
       [
         Alcotest.test_case "identical and empty" `Quick test_minhash_identical_and_empty;
         Alcotest.test_case "deterministic" `Quick test_minhash_deterministic;
         qtest prop_minhash_close_to_jaccard;
+        qtest prop_minhash_matches_oracle;
       ] );
     ( "sketch.lsh",
       [
         Alcotest.test_case "identical collide" `Quick test_lsh_identical_collide;
         Alcotest.test_case "threshold" `Quick test_lsh_threshold;
         qtest prop_lsh_partition;
+        qtest prop_lsh_matches_oracle;
       ] );
     ( "sketch.params",
       [
@@ -216,5 +344,7 @@ let suite =
         Alcotest.test_case "buckets near-duplicate families" `Quick test_sketch_buckets_groups;
         Alcotest.test_case "max_bucket splits" `Quick test_sketch_max_bucket_split;
         qtest prop_sketch_jobs_equivalence;
+        qtest prop_sketch_bucket_matches_oracle;
+        Alcotest.test_case "known answers" `Quick test_sketch_known_answers;
       ] );
   ]
