@@ -25,12 +25,12 @@ let union parent a b =
   if ra < rb then parent.(rb) <- ra else if rb < ra then parent.(ra) <- rb
 
 (* FNV-1a over the band's slots, seeded per band so equal slot values in
-   different bands never alias into the same table key. *)
+   different bands never alias into the same table key.  The running hash
+   is a local ref in a plain loop, so it stays unboxed. *)
 let band_key ~band sig_ ~off ~rows =
   let h = ref (Int64.add 0xcbf29ce484222325L (Int64.of_int band)) in
-  let step v = h := Int64.mul (Int64.logxor !h v) 0x100000001b3L in
   for r = off to off + rows - 1 do
-    step sig_.(r)
+    h := Int64.mul (Int64.logxor !h sig_.(r)) 0x100000001b3L
   done;
   Int64.to_int (Int64.logand !h 0x3fffffffffffffffL)
 

@@ -17,8 +17,9 @@ let create ~hashes ~seed =
   { keys = Array.init hashes (fun _ -> Prng.int64 rng) }
 
 (* SplitMix64 finalizer — a strong 64-bit mixer, bijective, so distinct
-   shingles never collide within a slot. *)
-let mix64 z =
+   shingles never collide within a slot.  Inlined into the signature loop
+   so its argument and result stay unboxed. *)
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -28,19 +29,26 @@ let mix64 z =
    every slot (Jaccard 1 by convention, matching Shingle.jaccard). *)
 let empty_slot = Int64.max_int
 
+(* Each slot is the unsigned minimum of the keyed hashes, found in a plain
+   loop over a local ref, which ocamlopt keeps unboxed (a closure over the
+   ref would box every candidate).  Flipping the top bit turns unsigned
+   order into signed order, so the comparison is one signed [<].  The
+   running minimum starts at [empty_slot], flipped: a slot whose every hash
+   has its top bit set (unsigned above [Int64.max_int]) keeps
+   [Int64.max_int], as an unsigned minimum started there must. *)
 let signature t shingles =
   let k = Array.length t.keys in
   let sig_ = Array.make k empty_slot in
-  if Array.length shingles > 0 then
+  let m = Array.length shingles in
+  if m > 0 then
     for slot = 0 to k - 1 do
       let key = t.keys.(slot) in
-      let best = ref Int64.max_int in
-      Array.iter
-        (fun sh ->
-          let h = mix64 (Int64.logxor (Int64.of_int sh) key) in
-          if Int64.unsigned_compare h !best < 0 then best := h)
-        shingles;
-      sig_.(slot) <- !best
+      let best = ref (Int64.logxor empty_slot Int64.min_int) in
+      for j = 0 to m - 1 do
+        let h = Int64.logxor (mix64 (Int64.logxor (Int64.of_int shingles.(j)) key)) Int64.min_int in
+        if h < !best then best := h
+      done;
+      sig_.(slot) <- Int64.logxor !best Int64.min_int
     done;
   sig_
 

@@ -1,42 +1,119 @@
 (* Byte n-gram shingling.  A payload becomes the set of hashes of its
    overlapping n-byte windows; Jaccard similarity over those sets is the
-   resemblance measure minhash estimates.  Hashes are FNV-1a 64-bit folded
-   into OCaml's 63-bit positive int range — a collision only merges two
-   shingles, which perturbs the estimated similarity by O(1/|set|). *)
+   resemblance measure minhash estimates.  Hashes are FNV-1a 64-bit
+   masked to their low 62 bits, a non-negative OCaml int — a collision
+   only merges two shingles, which perturbs the estimated similarity by
+   O(1/|set|).
 
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
+   The hash runs in native int, not [Int64]: xor and multiplication carry
+   nothing from high bits down to low bits, so the low 62 bits of the
+   63-bit native computation are the low 62 bits of the 64-bit one, and
+   nothing is boxed.  The offset basis is the 64-bit one cut to those low
+   62 bits. *)
 
-let fnv1a64 s ~off ~len =
+let fnv_offset = 0x0bf29ce484222325
+let fnv_prime = 0x100000001b3
+let mask62 = 0x3fffffffffffffff
+
+let fnv1a s ~off ~len =
   let h = ref fnv_offset in
   for i = off to off + len - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) fnv_prime
+    h := (!h lxor Char.code (String.unsafe_get s i)) * fnv_prime
   done;
-  !h
+  !h land mask62
 
-let to_positive_int h = Int64.to_int (Int64.logand h 0x3fffffffffffffffL)
+let swap (a : int array) i j =
+  let t = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- t
+
+let insertion_sort (a : int array) lo hi =
+  for i = lo + 1 to hi do
+    let v = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && a.(!j) > v do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- v
+  done
+
+let heap_sort (a : int array) lo hi =
+  let n = hi - lo + 1 in
+  let rec sift root len =
+    let child = (2 * root) + 1 in
+    if child < len then begin
+      let child =
+        if child + 1 < len && a.(lo + child) < a.(lo + child + 1) then child + 1 else child
+      in
+      if a.(lo + root) < a.(lo + child) then begin
+        swap a (lo + root) (lo + child);
+        sift child len
+      end
+    end
+  in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for last = n - 1 downto 1 do
+    swap a lo (lo + last);
+    sift 0 last
+  done
+
+(* In-place ascending sort of [a.(lo..hi)], specialised to int so that a
+   comparison is one instruction and not a closure call: median-of-three
+   quicksort over Hoare partitions (balanced on runs of equal keys),
+   insertion sort below 16 elements, and heapsort once [depth] levels are
+   spent, so no payload can drive it quadratic. *)
+let rec intro_sort (a : int array) lo hi depth =
+  if hi - lo < 16 then insertion_sort a lo hi
+  else if depth = 0 then heap_sort a lo hi
+  else begin
+    let mid = lo + ((hi - lo) / 2) in
+    if a.(mid) < a.(lo) then swap a mid lo;
+    if a.(hi) < a.(mid) then begin
+      swap a hi mid;
+      if a.(mid) < a.(lo) then swap a mid lo
+    end;
+    let pivot = a.(mid) in
+    let i = ref lo and j = ref hi in
+    while !i <= !j do
+      while a.(!i) < pivot do incr i done;
+      while pivot < a.(!j) do decr j done;
+      if !i <= !j then begin
+        swap a !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    intro_sort a lo !j (depth - 1);
+    intro_sort a !i hi (depth - 1)
+  end
+
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
 
 let set ?(n = 4) s =
   if n < 1 then invalid_arg "Shingle.set: n must be >= 1";
   let len = String.length s in
   if len = 0 then [||]
-  else if len <= n then [| to_positive_int (fnv1a64 s ~off:0 ~len) |]
+  else if len <= n then [| fnv1a s ~off:0 ~len |]
   else begin
+    (* Every window's hash, sorted in place, then uniqued in place: the
+       sorted distinct prefix is the set. *)
     let windows = len - n + 1 in
-    let seen = Hashtbl.create (min windows 1024) in
+    let a = Array.make windows 0 in
     for i = 0 to windows - 1 do
-      let h = to_positive_int (fnv1a64 s ~off:i ~len:n) in
-      if not (Hashtbl.mem seen h) then Hashtbl.add seen h ()
+      a.(i) <- fnv1a s ~off:i ~len:n
     done;
-    let out = Array.make (Hashtbl.length seen) 0 in
-    let i = ref 0 in
-    Hashtbl.iter
-      (fun h () ->
-        out.(!i) <- h;
-        incr i)
-      seen;
-    Array.sort compare out;
-    out
+    intro_sort a 0 (windows - 1) (2 * log2 windows);
+    let distinct = ref 1 in
+    for i = 1 to windows - 1 do
+      if a.(i) <> a.(!distinct - 1) then begin
+        a.(!distinct) <- a.(i);
+        incr distinct
+      end
+    done;
+    if !distinct = windows then a else Array.sub a 0 !distinct
   end
 
 (* Exact Jaccard over two sorted shingle sets, by merge. *)

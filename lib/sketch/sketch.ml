@@ -66,9 +66,17 @@ let slice ~max_bucket members len =
   done;
   List.rev !slices
 
+let same_signature a b =
+  let k = Array.length a in
+  k = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < k && Int64.equal a.(!i) b.(!i) do incr i done;
+  !i = k
+
 let all_identical sigs idx =
   let first = sigs.(idx.(0)) in
-  Array.for_all (fun i -> sigs.(i) = first) idx
+  Array.for_all (fun i -> same_signature sigs.(i) first) idx
 
 let rec refine ~hashes ~max_bucket ~rows sigs members =
   let len = List.length members in
