@@ -276,6 +276,23 @@ let digest_target ~tenant ~since ~interval =
   Printf.sprintf "%s?tenant=%s&since=%d&interval=%d" digest_endpoint tenant since
     interval
 
+let header response name = Http.Headers.get response.Http.Response.headers name
+
+(* A body shorter or longer than its [Content-Length] was cut or padded on
+   the way, so it is refused like bytes that do not parse: a truncated
+   tally or signature body would otherwise read as a smaller one. *)
+let parse_response raw =
+  match Http.Response.parse raw with
+  | Error e -> Error ("response corrupt: " ^ Http.Wire.error_to_string e)
+  | Ok response -> (
+    let body = response.Http.Response.body in
+    match Option.bind (header response "Content-Length") int_of_string_opt with
+    | Some n when n <> String.length body ->
+      Error
+        (Printf.sprintf "content-length mismatch: declared %d, got %d" n
+           (String.length body))
+    | _ -> Ok response)
+
 (* Handsets name the origin, relays and reporters the relay tier. *)
 let exchange ~host transport ?body meth target =
   let host =
@@ -290,24 +307,9 @@ let exchange ~host transport ?body meth target =
   in
   match transport (Http.Wire.print request) with
   | Error _ as e -> e
-  | Ok raw -> (
-    match Http.Response.parse raw with
-    | Error e -> Error ("response corrupt: " ^ Http.Wire.error_to_string e)
-    | Ok response -> Ok (raw, response))
+  | Ok raw -> Result.map (fun response -> (raw, response)) (parse_response raw)
 
-let header response name = Http.Headers.get response.Http.Response.headers name
-
-let get ~host transport target =
-  match exchange ~host transport Http.Request.GET target with
-  | Error _ as e -> e
-  | Ok (_, response) as ok -> (
-    let body = response.Http.Response.body in
-    match Option.bind (header response "Content-Length") int_of_string_opt with
-    | Some n when n <> String.length body ->
-      Error
-        (Printf.sprintf "content-length mismatch: declared %d, got %d" n
-           (String.length body))
-    | _ -> ok)
+let get ~host transport target = exchange ~host transport Http.Request.GET target
 
 let version response =
   Option.bind (header response "X-Signature-Version") int_of_string_opt

@@ -110,14 +110,19 @@ type transport = string -> (string, string) result
 val signatures_target : tenant:string -> since:int -> full:bool -> string
 val digest_target : tenant:string -> since:int -> interval:int -> string
 
+val parse_response : string -> (Http.Response.t, string) result
+(** Parse an answer's bytes.  An answer whose body disagrees with its
+    [Content-Length] (cut or padded on the way) is an [Error], like one
+    that does not parse.  Every answer a client, reporter or relay takes
+    from a transport goes through this check. *)
+
 val get :
   host:[ `Authority | `Relay ] ->
   transport ->
   string ->
   (string * Http.Response.t, string) result
 (** [GET target] with [Host: sigauthority.local] or [sigrelay.local]:
-    the raw answer and its parse.  An answer whose body disagrees with
-    its [Content-Length] is an [Error], like one that does not parse. *)
+    the raw answer and its {!parse_response}. *)
 
 val version : Http.Response.t -> int option
 (** [X-Signature-Version]. *)
@@ -135,5 +140,5 @@ val post_candidates :
   Leakdetect_core.Signature.t list ->
   (tally, string) result
 (** Report candidate signatures ([Host: sigrelay.local]); [Error] on a
-    lost or unparseable answer, a status other than [200] or a malformed
-    tally. *)
+    lost answer, one {!parse_response} refuses, a status other than
+    [200] or a malformed tally. *)

@@ -457,7 +457,7 @@ let forward (t : t) (request : Http.Request.t) =
     match upstream (Http.Wire.print request) with
     | Error _ -> failed ()
     | Ok raw -> (
-      match Http.Response.parse raw with
+      match Protocol.parse_response raw with
       | Error _ -> failed ()
       | Ok response ->
         t.forwarded <- t.forwarded + 1;

@@ -55,8 +55,9 @@
       failing"; version-age says "how old what I serve might be".
 
     [POST /candidates] is not served locally: it is forwarded verbatim to
-    the upstream transport ({!set_upstream}), [503] when none is set or
-    the forward fails. *)
+    the upstream transport ({!set_upstream}), [503] with [Retry-After]
+    when none is set or the forward fails: the upstream answer is lost,
+    does not parse, or disagrees with its [Content-Length]. *)
 
 type config = {
   compact_keep : int;

@@ -2172,6 +2172,48 @@ let test_relay_forwards_candidates () =
   Alcotest.(check int) "forward counted" 1 k.Relay.forwarded;
   Alcotest.(check int) "failure counted" 1 k.Relay.forward_failures
 
+(* A candidate tally cut by its last byte on the way: [capped\t12]
+   arrives as [capped\t1] under the [Content-Length: 43] of the whole
+   body.  The reporter must refuse it (and retry) instead of counting one
+   capped candidate, and a relay forwarding it must answer its retryable
+   503 instead of passing the short tally on. *)
+let test_candidate_answer_length_checked () =
+  let whole =
+    Http.Response.print
+      (Http.Response.make
+         ~body:"accepted\t0\nduplicate\t0\npromoted\t0\ncapped\t12" 200)
+  in
+  let cut = String.sub whole 0 (String.length whole - 1) in
+  (match Http.Response.parse whole with
+  | Ok r ->
+    Alcotest.(check (option string)) "declares the whole body" (Some "43")
+      (header r "Content-Length")
+  | Error _ -> Alcotest.fail "intact answer does not parse");
+  let report raw =
+    Protocol.post_candidates (fun _ -> Ok raw) ~tenant:"t0" ~reporter:"r1"
+      [ candidate [ "cand" ] ]
+  in
+  (match report whole with
+  | Ok t -> Alcotest.(check int) "intact tally counted" 12 t.Protocol.capped
+  | Error e -> Alcotest.failf "intact tally refused: %s" e);
+  (match report cut with
+  | Error _ -> ()
+  | Ok t -> Alcotest.failf "cut tally accepted as capped = %d" t.Protocol.capped);
+  let relay = Relay.create ~id:"r0" ~tenants:[ "t0" ] () in
+  let body = lines [ candidate [ "cand"; "imsi=240080000000003" ] ] in
+  let forward raw =
+    Relay.set_upstream relay (fun _ -> Ok raw);
+    Relay.handle relay (post "/candidates?tenant=t0&reporter=r1" body)
+  in
+  let r = forward whole in
+  Alcotest.(check int) "intact answer passed on" 200 r.Http.Response.status;
+  let r = forward cut in
+  Alcotest.(check int) "cut answer is 503" 503 r.Http.Response.status;
+  Alcotest.(check (option string)) "retry hinted" (Some "1") (header r "Retry-After");
+  let k = Relay.counters relay in
+  Alcotest.(check int) "one forwarded" 1 k.Relay.forwarded;
+  Alcotest.(check int) "one failed" 1 k.Relay.forward_failures
+
 (* A checkpoint interval from the query string may be as large as
    [max_int]: stepping past the head must not overflow into a version
    the log cannot answer for.  Both origin and relay must answer 200
@@ -2579,6 +2621,8 @@ let suite =
           test_relay_serves_and_fail_static;
         Alcotest.test_case "forwards candidates" `Quick
           test_relay_forwards_candidates;
+        Alcotest.test_case "candidate answers length-checked" `Quick
+          test_candidate_answer_length_checked;
         Alcotest.test_case "digest with a huge interval" `Quick
           test_digest_huge_interval;
         Alcotest.test_case "fork heals by ranged repair" `Quick
