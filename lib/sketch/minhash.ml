@@ -45,8 +45,9 @@ let signature t shingles =
       let key = t.keys.(slot) in
       let best = ref (Int64.logxor empty_slot Int64.min_int) in
       for j = 0 to m - 1 do
-        let h = Int64.logxor (mix64 (Int64.logxor (Int64.of_int shingles.(j)) key)) Int64.min_int in
-        if h < !best then best := h
+        let h = mix64 (Int64.logxor (Int64.of_int shingles.(j)) key) in
+        let flipped = Int64.logxor h Int64.min_int in
+        if flipped < !best then best := flipped
       done;
       sig_.(slot) <- Int64.logxor !best Int64.min_int
     done;

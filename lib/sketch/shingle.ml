@@ -18,7 +18,7 @@ let mask62 = 0x3fffffffffffffff
 let fnv1a s ~off ~len =
   let h = ref fnv_offset in
   for i = off to off + len - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s i)) * fnv_prime
+    h := (!h lxor Char.code s.[i]) * fnv_prime
   done;
   !h land mask62
 
