@@ -307,7 +307,10 @@ let exchange ~host transport ?body meth target =
   in
   match transport (Http.Wire.print request) with
   | Error _ as e -> e
-  | Ok raw -> Result.map (fun response -> (raw, response)) (parse_response raw)
+  | Ok raw -> (
+    match parse_response raw with
+    | Ok response -> Ok (raw, response)
+    | Error e -> Error e)
 
 let get ~host transport target = exchange ~host transport Http.Request.GET target
 
