@@ -5,7 +5,8 @@
    over a captured [Int64] ref; [Lsh.band_key] steps a closure over
    another; [all_identical] compares boxed arrays with polymorphic [=].
    [bucket] is the whole driver (banding, refinement, rescue) over these
-   kernels, sequential.  Only its output matters here, not its speed. *)
+   kernels, sequential; rescue scores with the library's unchanged
+   [Minhash.estimate].  Only its output matters here, not its speed. *)
 
 module Prng = Leakdetect_util.Prng
 module Sketch = Leakdetect_sketch.Sketch
@@ -78,18 +79,6 @@ let signature t shingles =
       sig_.(slot) <- !best
     done;
   sig_
-
-let estimate a b =
-  let k = Array.length a in
-  if k <> Array.length b then invalid_arg "Minhash.estimate: signature widths differ";
-  if k = 0 then 0.
-  else begin
-    let agree = ref 0 in
-    for i = 0 to k - 1 do
-      if Int64.equal a.(i) b.(i) then incr agree
-    done;
-    float_of_int !agree /. float_of_int k
-  end
 
 (* --- Lsh.buckets --- *)
 
@@ -227,7 +216,7 @@ let rescue ~hashes ~max_bucket ~rows sigs buckets =
                 List.iter
                   (fun (b, rep) ->
                     if sizes.(b) < max_bucket then begin
-                      let e = estimate sigs.(s) sigs.(rep) in
+                      let e = Leakdetect_sketch.Minhash.estimate sigs.(s) sigs.(rep) in
                       match !best with
                       | Some (_, be) when be >= e -> ()
                       | _ -> best := Some (b, e)
