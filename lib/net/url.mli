@@ -6,19 +6,17 @@ val percent_encode : string -> string
 (** Encode everything outside the RFC 3986 unreserved set.  Space becomes
     [%20] (not [+]). *)
 
-val percent_decode : string -> string option
-(** Inverse of {!percent_encode}; also accepts [+] for space.  [None] on a
-    malformed escape. *)
+type percent_mode =
+  | Strict  (** Decode [%XX] escapes; [+] is literal (path components). *)
+  | Lenient
+      (** Decode every valid [%XX] escape and pass malformed ones through
+          literally, for the canonicalization lattice; never [None]. *)
+  | Form  (** [application/x-www-form-urlencoded]: [Strict] plus [+] as space. *)
 
-val percent_decode_strict : string -> string option
-(** Like {!percent_decode} but leaves [+] untouched (path components, where
-    [+] is literal).  [None] on a malformed escape. *)
-
-val percent_decode_lenient : string -> string * int
-(** Best-effort decoding for the canonicalization lattice: every valid
-    [%XX] escape is decoded, malformed ones pass through literally, [+] is
-    left alone.  Returns the decoded string and the number of escapes
-    decoded (0 means the input came back unchanged). *)
+val percent_decode : percent_mode -> string -> string option
+(** [percent_decode Form] inverts {!percent_encode}.  [None] on a malformed
+    escape, except in [Lenient] mode.  An input that nothing rewrote comes
+    back physically equal. *)
 
 val encode_query : (string * string) list -> string
 (** [k1=v1&k2=v2...] with percent-encoded keys and values. *)

@@ -61,34 +61,35 @@ type lattice = {
 type attempt = Derived of string | Inapplicable | Malformed
 
 let percent_strict s =
-  if not (String.contains s '%') then Inapplicable
-  else
-    match Url.percent_decode_strict s with
-    | Some d when d <> s -> Derived d
-    | Some _ -> Inapplicable
-    | None -> Malformed
+  match Url.percent_decode Url.Strict s with
+  | Some d when d <> s -> Derived d
+  | Some _ -> Inapplicable
+  | None -> Malformed
 
 let percent_lenient s =
-  if not (String.contains s '%') then Inapplicable
-  else
-    let d, decoded = Url.percent_decode_lenient s in
-    if decoded = 0 || d = s then Inapplicable else Derived d
+  match Url.percent_decode Url.Lenient s with
+  | Some d when d <> s -> Derived d
+  | _ -> Inapplicable
 
 let form_decode s =
-  if not (String.contains s '+' || String.contains s '%') then Inapplicable
-  else
-    match Url.percent_decode s with
-    | Some d when d <> s -> Derived d
-    | Some _ -> Inapplicable
-    | None -> Malformed
+  match Url.percent_decode Url.Form s with
+  | Some d when d <> s -> Derived d
+  | Some _ -> Inapplicable
+  | None -> Malformed
 
-(* Byte classes for the run-based decoders, one table load per byte: hex
-   digits, the two base64 alphabets as runs see them (padding included),
-   and the uppercase hex digits case folding looks for. *)
+(* Byte classes, one table load per byte: hex digits, the two base64
+   alphabets as runs see them (padding included), the uppercase hex digits
+   case folding looks for, and the bytes that make a step applicable at
+   all: '%', '+', '\r' and the alphabet-62/63 digits that tell the two
+   base64 alphabets apart. *)
 let hex_class = 1
 let b64_std_class = 2
 let b64_url_class = 4
 let upper_hex_class = 8
+let percent_class = 16
+let plus_class = 32
+let cr_class = 64
+let b64_62_63_class = 128
 
 let classes =
   String.init 256 (fun i ->
@@ -99,9 +100,14 @@ let classes =
         (bit (Hex.is_digit c) hex_class
         lor bit (alnum || c = '+' || c = '/' || c = '=') b64_std_class
         lor bit (alnum || c = '-' || c = '_' || c = '=') b64_url_class
-        lor bit (c >= 'A' && c <= 'F') upper_hex_class))
+        lor bit (c >= 'A' && c <= 'F') upper_hex_class
+        lor bit (c = '%') percent_class
+        lor bit (c = '+') plus_class
+        lor bit (c = '\r') cr_class
+        lor bit (c = '+' || c = '/' || c = '-' || c = '_') b64_62_63_class))
 
-let in_class cls c = Char.code (String.unsafe_get classes (Char.code c)) land cls <> 0
+let class_of c = Char.code (String.unsafe_get classes (Char.code c))
+let in_class cls c = class_of c land cls <> 0
 
 (* End of the run of [cls] bytes that starts at [i]. *)
 let run_end cls s i =
@@ -182,35 +188,33 @@ let decode_hex_run out s i j =
   && Hex.decode_into out s ~pos:i ~len:m
   && (Buffer.add_substring out s (i + m) (j - i - m); true)
 
-(* The text outside decoded runs is appended straight from [s]; nothing is
-   copied at all unless some run is long enough to try. *)
-let replace_runs ~cls ~decode_run s =
-  match next_long_run cls s 0 with
-  | -1 -> Inapplicable
-  | first ->
-    let n = String.length s in
-    let out = Buffer.create n in
-    let copied = ref 0 and any_decoded = ref false and i = ref first in
-    while !i >= 0 do
-      let j = run_end cls s !i in
-      Buffer.add_substring out s !copied (!i - !copied);
-      copied := !i;
-      if decode_run out s !i j then begin
-        any_decoded := true;
-        copied := j
-      end;
-      i := next_long_run cls s j
-    done;
-    if not !any_decoded then Malformed
-    else begin
-      Buffer.add_substring out s !copied (n - !copied);
-      let d = Buffer.contents out in
-      if d = s then Inapplicable else Derived d
-    end
+(* [first] is the start of the first run of at least [min_run] [cls]
+   bytes in [s], which the lattice's classification pass has found.  The
+   text outside decoded runs is appended straight from [s]. *)
+let replace_runs ~cls ~decode_run s first =
+  let n = String.length s in
+  let out = Buffer.create n in
+  let copied = ref 0 and any_decoded = ref false and i = ref first in
+  while !i >= 0 do
+    let j = run_end cls s !i in
+    Buffer.add_substring out s !copied (!i - !copied);
+    copied := !i;
+    if decode_run out s !i j then begin
+      any_decoded := true;
+      copied := j
+    end;
+    i := next_long_run cls s j
+  done;
+  if not !any_decoded then Malformed
+  else begin
+    Buffer.add_substring out s !copied (n - !copied);
+    let d = Buffer.contents out in
+    if d = s then Inapplicable else Derived d
+  end
 
-let base64_std s = replace_runs ~cls:b64_std_class ~decode_run:decode_b64_run s
-let base64_url s = replace_runs ~cls:b64_url_class ~decode_run:decode_b64_run s
-let hex_decode s = replace_runs ~cls:hex_class ~decode_run:decode_hex_run s
+let base64_std = replace_runs ~cls:b64_std_class ~decode_run:decode_b64_run
+let base64_url = replace_runs ~cls:b64_url_class ~decode_run:decode_b64_run
+let hex_decode = replace_runs ~cls:hex_class ~decode_run:decode_hex_run
 
 (* Chunked framing: "<hex-size>[;ext]\r\n<data>\r\n ... 0\r\n[trailers]".
    [chunks_into out s pos false] appends the payload of the framing that
@@ -238,35 +242,23 @@ let rec chunks_into out s pos seen_one =
 
 (* Tried against the whole text and, failing that, against the body part of
    a packet content triple (everything after the second '\n'), since that
-   is where chunk framing lives on the wire.  Both need a '\r'. *)
+   is where chunk framing lives on the wire.  Both need a '\r', which the
+   lattice checks before calling. *)
 let chunked s =
-  if not (String.contains s '\r') then Inapplicable
+  let out = Buffer.create (String.length s) in
+  if chunks_into out s 0 false then Derived (Buffer.contents out)
   else
-    let out = Buffer.create (String.length s) in
-    if chunks_into out s 0 false then Derived (Buffer.contents out)
-    else
-      (* The content triple is request-line '\n' cookie '\n' body. *)
-      match String.index_opt s '\n' with
+    (* The content triple is request-line '\n' cookie '\n' body. *)
+    match String.index_opt s '\n' with
+    | None -> Inapplicable
+    | Some first -> (
+      match String.index_from_opt s (first + 1) '\n' with
       | None -> Inapplicable
-      | Some first -> (
-        match String.index_from_opt s (first + 1) '\n' with
-        | None -> Inapplicable
-        | Some second ->
-          let bpos = second + 1 in
-          Buffer.clear out;
-          Buffer.add_substring out s 0 bpos;
-          if chunks_into out s bpos false then Derived (Buffer.contents out) else Inapplicable)
-
-let apply step s =
-  match step with
-  | Percent_strict -> percent_strict s
-  | Percent_lenient -> percent_lenient s
-  | Form_decode -> form_decode s
-  | Base64_std -> base64_std s
-  | Base64_url -> base64_url s
-  | Hex_decode -> hex_decode s
-  | Case_fold -> case_fold s
-  | Chunked -> chunked s
+      | Some second ->
+        let bpos = second + 1 in
+        Buffer.clear out;
+        Buffer.add_substring out s 0 bpos;
+        if chunks_into out s bpos false then Derived (Buffer.contents out) else Inapplicable)
 
 (* --- the lattice -------------------------------------------------------- *)
 
@@ -317,62 +309,188 @@ let record_error t = function
   | Bytes_exhausted _ -> Obs.Counter.inc t.c_errors_bytes
   | View_too_large _ -> Obs.Counter.inc t.c_errors_view_bytes
 
-let lattice t root =
-  let b = t.budgets in
-  let seen = Hashtbl.create 16 in
-  Hashtbl.add seen root ();
-  let derived = ref [] and n_views = ref 0 and total_bytes = ref 0 in
-  let errors = ref [] and failed = ref 0 in
-  let push_error e =
-    if not (List.mem e !errors) then begin
-      errors := e :: !errors;
-      record_error t e
+(* One derivation: the budgets and the views derived so far, plus what is
+   known about the text being expanded.  The dedup table is created with
+   the first derived view; until then the root is the only text seen. *)
+type run = {
+  nz : t;
+  root : string;
+  mutable seen : (string, unit) Hashtbl.t option;
+  mutable derived : view list;  (** newest first *)
+  mutable next : view list;  (** the next level to expand, newest first *)
+  mutable n_views : int;
+  mutable total_bytes : int;
+  mutable errors : error list;  (** newest first *)
+  mutable failed : int;
+  mutable stop : bool;
+  (* The text being expanded, as [classify] found it. *)
+  mutable facts : int;  (** the byte classes present, and [foldable] *)
+  mutable std_run : int;
+  mutable url_run : int;
+  mutable hex_run : int;
+      (** start of the first run of at least [min_run] bytes of each run
+          class, or [-1] *)
+  mutable strict : attempt option;  (** the [Percent_strict] outcome, once known *)
+  mutable b64 : attempt option;
+      (** the base64 outcome, once known, when both alphabets agree on it *)
+}
+
+(* A fact beside the byte classes: some hex run case folding would fold. *)
+let foldable = 0x100
+
+(* One pass over the text about to be expanded; it also forgets the
+   outcomes kept for the previous text. *)
+let classify r s =
+  let facts = ref 0 and std = ref 0 and url = ref 0 and hex = ref 0 and upper = ref false in
+  let std_run = ref (-1) and url_run = ref (-1) and hex_run = ref (-1) in
+  for i = 0 to String.length s - 1 do
+    let k = class_of (String.unsafe_get s i) in
+    facts := !facts lor k;
+    std := if k land b64_std_class = 0 then 0 else !std + 1;
+    url := if k land b64_url_class = 0 then 0 else !url + 1;
+    if k land hex_class = 0 then begin
+      hex := 0;
+      upper := false
     end
-  in
-  let queue = Queue.create () in
-  Queue.add (root, [], 0) queue;
-  let stop = ref false in
-  while (not !stop) && not (Queue.is_empty queue) do
-    let text, steps_so_far, depth = Queue.pop queue in
-    List.iter
-      (fun step ->
-        if not !stop then
-          match apply step text with
-          | Inapplicable -> ()
-          | Malformed ->
-            incr failed;
-            Obs.Counter.inc t.c_failed
-          | Derived text' ->
-            if Hashtbl.mem seen text' then ()
-            else if depth >= b.max_depth then push_error (Depth_exhausted b.max_depth)
-            else if String.length text' > b.max_view_bytes then
-              push_error (View_too_large (String.length text'))
-            else if !n_views >= b.max_views then begin
-              push_error (Views_exhausted b.max_views);
-              stop := true
-            end
-            else if !total_bytes + String.length text' > b.max_total_bytes then begin
-              push_error (Bytes_exhausted b.max_total_bytes);
-              stop := true
-            end
-            else begin
-              Hashtbl.add seen text' ();
-              incr n_views;
-              total_bytes := !total_bytes + String.length text';
-              let steps = steps_so_far @ [ step ] in
-              derived := { text = text'; steps } :: !derived;
-              (match List.assq_opt step t.c_views with
-              | Some c -> Obs.Counter.inc c
-              | None -> ());
-              Queue.add (text', steps, depth + 1) queue
-            end)
-      t.steps
+    else begin
+      incr hex;
+      if k land upper_hex_class <> 0 then upper := true;
+      if !upper && !hex >= hex_fold_min then facts := !facts lor foldable;
+      if !hex >= min_run && !hex_run < 0 then hex_run := i + 1 - min_run
+    end;
+    if !std >= min_run && !std_run < 0 then std_run := i + 1 - min_run;
+    if !url >= min_run && !url_run < 0 then url_run := i + 1 - min_run
   done;
-  {
-    root;
-    derived = List.rev !derived;
-    errors = List.rev !errors;
-    failed_decodes = !failed;
-  }
+  r.facts <- !facts;
+  r.std_run <- !std_run;
+  r.url_run <- !url_run;
+  r.hex_run <- !hex_run;
+  r.strict <- None;
+  r.b64 <- None
+
+let has r cls = r.facts land cls <> 0
+
+let strict_of r s =
+  match r.strict with
+  | Some a -> a
+  | None ->
+    let a = percent_strict s in
+    r.strict <- Some a;
+    a
+
+let b64_of r s =
+  match r.b64 with
+  | Some a -> a
+  | None ->
+    let a = base64_std s r.std_run in
+    r.b64 <- Some a;
+    a
+
+(* A step that cannot apply to the text is [Inapplicable] without a scan,
+   and three decodes are shared where they are provably equal, whatever
+   the step order:
+   - lenient = strict once strict derives: every escape was valid;
+   - form = strict on a text without '+';
+   - base64url = base64 on a text without any of "+/-_": both classes then
+     cut the same runs, and [Base64.decode_into] reads either alphabet. *)
+let attempt r s = function
+  | Percent_strict -> if has r percent_class then strict_of r s else Inapplicable
+  | Percent_lenient -> (
+    if not (has r percent_class) then Inapplicable
+    else match r.strict with Some (Derived _ as d) -> d | _ -> percent_lenient s)
+  | Form_decode ->
+    if has r plus_class then form_decode s
+    else if has r percent_class then strict_of r s
+    else Inapplicable
+  | Base64_std ->
+    if r.std_run < 0 then Inapplicable
+    else if has r b64_62_63_class then base64_std s r.std_run
+    else b64_of r s
+  | Base64_url ->
+    if r.url_run < 0 then Inapplicable
+    else if has r b64_62_63_class then base64_url s r.url_run
+    else b64_of r s
+  | Hex_decode -> if r.hex_run < 0 then Inapplicable else hex_decode s r.hex_run
+  | Case_fold -> if has r foldable then case_fold s else Inapplicable
+  | Chunked -> if has r cr_class then chunked s else Inapplicable
+
+let push_error r e =
+  if not (List.mem e r.errors) then begin
+    r.errors <- e :: r.errors;
+    record_error r.nz e
+  end
+
+let is_seen r text =
+  match r.seen with Some tbl -> Hashtbl.mem tbl text | None -> String.equal text r.root
+
+let add_view r text steps =
+  (match r.seen with
+  | Some tbl -> Hashtbl.add tbl text ()
+  | None ->
+    let tbl = Hashtbl.create 16 in
+    Hashtbl.add tbl r.root ();
+    Hashtbl.add tbl text ();
+    r.seen <- Some tbl);
+  r.n_views <- r.n_views + 1;
+  r.total_bytes <- r.total_bytes + String.length text;
+  let v = { text; steps } in
+  r.derived <- v :: r.derived;
+  r.next <- v :: r.next
+
+let offer r ~chain ~depth step = function
+  | Inapplicable -> ()
+  | Malformed ->
+    r.failed <- r.failed + 1;
+    Obs.Counter.inc r.nz.c_failed
+  | Derived text ->
+    let b = r.nz.budgets in
+    if is_seen r text then ()
+    else if depth >= b.max_depth then push_error r (Depth_exhausted b.max_depth)
+    else if String.length text > b.max_view_bytes then
+      push_error r (View_too_large (String.length text))
+    else if r.n_views >= b.max_views then begin
+      push_error r (Views_exhausted b.max_views);
+      r.stop <- true
+    end
+    else if r.total_bytes + String.length text > b.max_total_bytes then begin
+      push_error r (Bytes_exhausted b.max_total_bytes);
+      r.stop <- true
+    end
+    else begin
+      add_view r text (chain @ [ step ]);
+      match List.assq_opt step r.nz.c_views with Some c -> Obs.Counter.inc c | None -> ()
+    end
+
+let rec apply_steps r s ~chain ~depth = function
+  | [] -> ()
+  | step :: rest ->
+    if not r.stop then begin
+      offer r ~chain ~depth step (attempt r s step);
+      apply_steps r s ~chain ~depth rest
+    end
+
+let expand r s ~chain ~depth =
+  classify r s;
+  apply_steps r s ~chain ~depth r.nz.steps
+
+(* Breadth first, one level at a time: the views of level [depth] are
+   expanded in derivation order, which is the order a FIFO queue pops them. *)
+let rec expand_levels r depth =
+  if (not r.stop) && r.next <> [] then begin
+    let level = List.rev r.next in
+    r.next <- [];
+    List.iter (fun v -> if not r.stop then expand r v.text ~chain:v.steps ~depth) level;
+    expand_levels r (depth + 1)
+  end
+
+let lattice t root =
+  let r =
+    { nz = t; root; seen = None; derived = []; next = []; n_views = 0; total_bytes = 0;
+      errors = []; failed = 0; stop = false; facts = 0; std_run = -1; url_run = -1;
+      hex_run = -1; strict = None; b64 = None }
+  in
+  expand r root ~chain:[] ~depth:0;
+  expand_levels r 1;
+  { root; derived = List.rev r.derived; errors = List.rev r.errors; failed_decodes = r.failed }
 
 let texts t root = root :: List.map (fun v -> v.text) (lattice t root).derived

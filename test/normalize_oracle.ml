@@ -1,5 +1,6 @@
 (* Reference decoders and lattice: the original per-character
-   implementation of [Leakdetect_normalize.Normalize] and of
+   implementation of [Leakdetect_normalize.Normalize], of the percent
+   decoders of [Leakdetect_net.Url] and of
    [Leakdetect_util.Base64.decode] / [Leakdetect_util.Hex.decode], kept as
    the differential-test oracle for the table-driven, offset-based code.
    Its character functions return an [option] per byte, its run splicer
@@ -14,7 +15,80 @@
 
 module Normalize = Leakdetect_normalize.Normalize
 open Normalize
-module Url = Leakdetect_net.Url
+
+(* The three percent decoders [Leakdetect_net.Url] had before they became
+   one mode-taking loop: one [Buffer.add_char] per byte. *)
+module Url = struct
+  let hex_val = Leakdetect_util.Hex.value
+
+  let percent_decode s =
+    let n = String.length s in
+    let buf = Buffer.create n in
+    let rec loop i =
+      if i = n then Some (Buffer.contents buf)
+      else
+        match s.[i] with
+        | '%' ->
+          if i + 2 >= n then None
+          else (
+            match (hex_val s.[i + 1], hex_val s.[i + 2]) with
+            | hi, lo when hi >= 0 && lo >= 0 ->
+              Buffer.add_char buf (Char.chr ((hi lsl 4) lor lo));
+              loop (i + 3)
+            | _ -> None)
+        | '+' ->
+          Buffer.add_char buf ' ';
+          loop (i + 1)
+        | c ->
+          Buffer.add_char buf c;
+          loop (i + 1)
+    in
+    loop 0
+
+  let percent_decode_strict s =
+    let n = String.length s in
+    let buf = Buffer.create n in
+    let rec loop i =
+      if i = n then Some (Buffer.contents buf)
+      else
+        match s.[i] with
+        | '%' ->
+          if i + 2 >= n then None
+          else (
+            match (hex_val s.[i + 1], hex_val s.[i + 2]) with
+            | hi, lo when hi >= 0 && lo >= 0 ->
+              Buffer.add_char buf (Char.chr ((hi lsl 4) lor lo));
+              loop (i + 3)
+            | _ -> None)
+        | c ->
+          Buffer.add_char buf c;
+          loop (i + 1)
+    in
+    loop 0
+
+  let percent_decode_lenient s =
+    let n = String.length s in
+    let buf = Buffer.create n in
+    let decoded = ref 0 in
+    let rec loop i =
+      if i = n then (Buffer.contents buf, !decoded)
+      else
+        match s.[i] with
+        | '%' when i + 2 < n -> (
+          match (hex_val s.[i + 1], hex_val s.[i + 2]) with
+          | hi, lo when hi >= 0 && lo >= 0 ->
+            Buffer.add_char buf (Char.chr ((hi lsl 4) lor lo));
+            incr decoded;
+            loop (i + 3)
+          | _ ->
+            Buffer.add_char buf '%';
+            loop (i + 1))
+        | c ->
+          Buffer.add_char buf c;
+          loop (i + 1)
+    in
+    loop 0
+end
 
 module Base64 = struct
   let value c =

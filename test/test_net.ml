@@ -103,14 +103,14 @@ let test_percent_encode () =
   Alcotest.(check string) "reserved" "a%2Fb%3Dc%26d" (Url.percent_encode "a/b=c&d")
 
 let test_percent_decode () =
-  Alcotest.(check (option string)) "plus" (Some "a b") (Url.percent_decode "a+b");
-  Alcotest.(check (option string)) "truncated escape" None (Url.percent_decode "abc%2");
-  Alcotest.(check (option string)) "bad hex" None (Url.percent_decode "%zz")
+  Alcotest.(check (option string)) "plus" (Some "a b") (Url.percent_decode Url.Form "a+b");
+  Alcotest.(check (option string)) "truncated escape" None (Url.percent_decode Url.Form "abc%2");
+  Alcotest.(check (option string)) "bad hex" None (Url.percent_decode Url.Form "%zz")
 
 let prop_url_roundtrip =
   QCheck.Test.make ~name:"percent encode/decode roundtrip" ~count:500
     QCheck.(string_of_size Gen.(0 -- 60))
-    (fun s -> Url.percent_decode (Url.percent_encode s) = Some s)
+    (fun s -> Url.percent_decode Url.Form (Url.percent_encode s) = Some s)
 
 let prop_query_roundtrip =
   let key_gen = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'k' ]) (1 -- 5)) in

@@ -180,17 +180,18 @@ let prop_views_distinct =
       List.length texts = List.length (List.sort_uniq compare texts))
 
 let prop_percent_roundtrip =
-  QCheck.Test.make ~name:"percent_decode_strict inverts full escaping" ~count:300
+  QCheck.Test.make ~name:"strict percent decoding inverts full escaping" ~count:300
     printable (fun s ->
       let buf = Buffer.create (String.length s * 3) in
       String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c))) s;
-      Url.percent_decode_strict (Buffer.contents buf) = Some s)
+      Url.percent_decode Url.Strict (Buffer.contents buf) = Some s)
 
 let prop_lenient_passthrough =
-  QCheck.Test.make ~name:"percent_decode_lenient never fails" ~count:300 printable
+  QCheck.Test.make ~name:"lenient percent decoding never fails" ~count:300 printable
     (fun s ->
-      let decoded, _n = Url.percent_decode_lenient s in
-      String.length decoded <= String.length s)
+      match Url.percent_decode Url.Lenient s with
+      | Some decoded -> String.length decoded <= String.length s
+      | None -> false)
 
 (* --- chunk sizes that overflow an int ------------------------------------ *)
 
@@ -304,10 +305,22 @@ let random_budgets st =
       max_total_bytes = 16 + Random.State.int st 2048;
       max_view_bytes = 16 + Random.State.int st 1024 }
 
+(* A subset in [all_steps] order, the same subset shuffled, or a shuffled
+   list with one step repeated: a decode shared between steps must not
+   depend on which of them runs first, nor on running once. *)
 let random_steps st =
-  match List.filter (fun _ -> Random.State.int st 4 > 0) Normalize.all_steps with
-  | [] -> Normalize.all_steps
-  | steps -> steps
+  let subset =
+    match List.filter (fun _ -> Random.State.int st 4 > 0) Normalize.all_steps with
+    | [] -> Normalize.all_steps
+    | steps -> steps
+  in
+  let shuffle l =
+    List.map snd (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) l))
+  in
+  match Random.State.int st 3 with
+  | 0 -> subset
+  | 1 -> shuffle subset
+  | _ -> shuffle (List.nth subset (Random.State.int st (List.length subset)) :: subset)
 
 let gen_lattice_case st =
   let contents = Lazy.force mutated_contents in
@@ -393,6 +406,139 @@ let prop_hex_matches_oracle =
       decode_into_agrees Hex.decode_into Normalize_oracle.Hex.decode s
       && Hex.int_of_sub s ~pos:0 ~len:(String.length s) = fits)
 
+(* Random bytes, or text thick with escapes: valid ones in either case,
+   truncated and non-hex ones, '+', and '%' at the very end. *)
+let gen_percent_text st =
+  match Random.State.int st 3 with
+  | 0 -> String.init (Random.State.int st 40) (fun _ -> Char.chr (Random.State.int st 256))
+  | _ ->
+    let piece _ =
+      match Random.State.int st 7 with
+      | 0 -> Printf.sprintf "%%%02X" (Random.State.int st 256)
+      | 1 -> Printf.sprintf "%%%02x" (Random.State.int st 256)
+      | 2 -> "%"
+      | 3 -> "%" ^ String.make 1 "0aFgz%+ ".[Random.State.int st 8]
+      | 4 -> "+"
+      | 5 -> "%2"
+      | _ -> String.make (1 + Random.State.int st 4) "ab=&%+0F".[Random.State.int st 8]
+    in
+    String.concat "" (List.init (Random.State.int st 12) piece)
+
+let prop_percent_matches_oracle =
+  QCheck.Test.make ~name:"Url.percent_decode = the three per-character decoders" ~count:2000
+    (text_case gen_percent_text) (fun s ->
+      let module O = Normalize_oracle.Url in
+      Url.percent_decode Url.Strict s = O.percent_decode_strict s
+      && Url.percent_decode Url.Form s = O.percent_decode s
+      && Url.percent_decode Url.Lenient s = Some (fst (O.percent_decode_lenient s)))
+
+(* --- counters against the lattices they count ----------------------------- *)
+
+(* An error as its [budget] counter label and the quantity it carries. *)
+let error_parts = function
+  | Normalize.Depth_exhausted n -> ("depth", n)
+  | Normalize.Views_exhausted n -> ("views", n)
+  | Normalize.Bytes_exhausted n -> ("bytes", n)
+  | Normalize.View_too_large n -> ("view_bytes", n)
+
+let counters_case st =
+  let budgets, steps, _ = gen_lattice_case st in
+  let root _ =
+    let _, _, r = gen_lattice_case st in
+    r
+  in
+  let roots = List.init (1 + Random.State.int st 3) root in
+  (budgets, steps, roots)
+
+let prop_counters_match_lattices =
+  QCheck.Test.make ~name:"obs counters = what the returned lattices imply" ~count:500
+    (QCheck.make
+       ~print:(fun (_, _, roots) -> String.concat " | " (List.map (Printf.sprintf "%S") roots))
+       counters_case)
+    (fun (budgets, steps, roots) ->
+      let obs = Leakdetect_obs.Obs.create () in
+      let t = Normalize.create ~obs ~budgets ~steps () in
+      let lattices = List.map (Normalize.lattice t) roots in
+      let value ?labels name =
+        Leakdetect_obs.Obs.Counter.value (Leakdetect_obs.Obs.counter obs ?labels name)
+      in
+      let sum f = List.fold_left (fun acc l -> acc + f l) 0 lattices in
+      let count p xs = List.length (List.filter p xs) in
+      let last_step (v : Normalize.view) =
+        List.nth v.Normalize.steps (List.length v.Normalize.steps - 1)
+      in
+      List.for_all
+        (fun step ->
+          value ~labels:[ ("step", Normalize.step_name step) ] "leakdetect_normalize_views_total"
+          = sum (fun l -> count (fun v -> last_step v = step) l.Normalize.derived))
+        (List.sort_uniq compare steps)
+      && value "leakdetect_normalize_failed_decodes_total"
+         = sum (fun l -> l.Normalize.failed_decodes)
+      && List.for_all
+           (fun budget ->
+             value ~labels:[ ("budget", budget) ] "leakdetect_normalize_errors_total"
+             = sum (fun l -> count (fun e -> fst (error_parts e) = budget) l.Normalize.errors))
+           [ "depth"; "views"; "bytes"; "view_bytes" ])
+
+(* --- known answer on generated traffic ------------------------------------ *)
+
+(* Every packet content of the seed-42, scale-0.02 trace, then one copy of
+   every leak per decodable mutator, the mutators in catalogue order drawing
+   from one PRNG. *)
+let trace_contents =
+  lazy
+    (let module Mutator = Leakdetect_adversary.Mutator in
+     let module Packet = Leakdetect_http.Packet in
+     let module Workload = Leakdetect_android.Workload in
+     let ds = Workload.generate ~seed:42 ~scale:0.02 () in
+     let leaks, _ = Workload.split ds in
+     let rng = Leakdetect_util.Prng.create 42 in
+     let copies (m : Mutator.t) =
+       if m.Mutator.class_ = Mutator.Decodable then
+         Array.map (fun p -> Packet.content_string (m.Mutator.apply rng p)) leaks
+       else [||]
+     in
+     Array.concat
+       (Array.map
+          (fun (r : Leakdetect_http.Trace.record) ->
+            Packet.content_string r.Leakdetect_http.Trace.packet)
+          ds.Workload.records
+       :: List.map copies Mutator.all))
+
+(* CRC-32 over each lattice's root, view texts, decode chains, errors and
+   failed-decode count, every text length-prefixed. *)
+let lattice_crc contents =
+  let module Crc32 = Leakdetect_util.Crc32 in
+  let t = Normalize.create () in
+  let buf = Buffer.create 4096 in
+  let add_text s = Printf.bprintf buf "%d:%s" (String.length s) s in
+  Array.fold_left
+    (fun crc root ->
+      let l = Normalize.lattice t root in
+      Buffer.clear buf;
+      add_text root;
+      List.iter
+        (fun (v : Normalize.view) ->
+          add_text v.Normalize.text;
+          List.iter (fun s -> Printf.bprintf buf ">%s" (Normalize.step_name s)) v.Normalize.steps)
+        l.Normalize.derived;
+      List.iter
+        (fun e ->
+          let budget, n = error_parts e in
+          Printf.bprintf buf "!%s=%d" budget n)
+        l.Normalize.errors;
+      Printf.bprintf buf "#%d\n" l.Normalize.failed_decodes;
+      Crc32.update crc (Buffer.contents buf))
+    Crc32.init contents
+  |> Crc32.value
+
+(* Pinned from the per-step lattice that preceded step sharing. *)
+let test_lattice_known_answer () =
+  let contents = Lazy.force trace_contents in
+  Alcotest.(check int) "contents" 28695 (Array.length contents);
+  Alcotest.(check string) "lattice CRC-32" "d0c6ec87"
+    (Leakdetect_util.Crc32.to_hex (lattice_crc contents))
+
 let suite =
   [
     ( "normalize.steps",
@@ -428,5 +574,9 @@ let suite =
         qtest prop_lattice_matches_oracle;
         qtest prop_base64_matches_oracle;
         qtest prop_hex_matches_oracle;
+        qtest prop_percent_matches_oracle;
+        qtest prop_counters_match_lattices;
+        Alcotest.test_case "lattice known answer on seed-42 traffic" `Quick
+          test_lattice_known_answer;
       ] );
   ]
