@@ -14,7 +14,6 @@ let class_name = function
 type t = {
   name : string;
   class_ : class_;
-  describe : string;
   apply : Prng.t -> Packet.t -> Packet.t;
 }
 
@@ -148,62 +147,62 @@ let all =
     {
       name = "percent";
       class_ = Decodable;
-      describe = "percent-escape the alphanumerics of every payload value";
+      (* percent-escape the alphanumerics of every payload value *)
       apply = pure percent_of;
     };
     {
       name = "percent-all";
       class_ = Decodable;
-      describe = "percent-escape every byte of every payload value";
+      (* percent-escape every byte of every payload value *)
       apply = pure percent_all_of;
     };
     {
       name = "base64";
       class_ = Decodable;
-      describe = "base64 (unpadded) payload values of >= 12 bytes";
+      (* base64 (unpadded) payload values of >= 12 bytes *)
       apply = pure base64_of;
     };
     {
       name = "base64url";
       class_ = Decodable;
-      describe = "URL-safe unpadded base64 payload values of >= 12 bytes";
+      (* URL-safe unpadded base64 payload values of >= 12 bytes *)
       apply = pure base64url_of;
     };
     {
       name = "hex";
       class_ = Decodable;
-      describe = "hex-encode payload values of >= 8 bytes";
+      (* hex-encode payload values of >= 8 bytes *)
       apply = pure hex_of;
     };
     {
       name = "case";
       class_ = Decodable;
-      describe = "uppercase hex-digest payload values";
+      (* uppercase hex-digest payload values *)
       apply = pure case_of;
     };
     {
       name = "chunked";
       class_ = Decodable;
-      describe = "re-frame the body with HTTP chunked framing";
+      (* re-frame the body with HTTP chunked framing *)
       apply = (fun _rng p -> map_body chunked_of p);
     };
     {
       name = "double";
       class_ = Layered;
-      describe = "base64 then percent-escape: two stacked decodable layers";
+      (* base64 then percent-escape: two stacked decodable layers *)
       apply = pure (fun v -> if String.length v < min_value then v
                              else percent_all_of (base64_of v));
     };
     {
       name = "split";
       class_ = Structural;
-      describe = "split long values across two parameters";
+      (* split long values across two parameters *)
       apply = (fun rng p -> map_values (split_of rng) p);
     };
     {
       name = "noise";
       class_ = Control;
-      describe = "append a junk parameter; hides nothing";
+      (* append a junk parameter; hides nothing *)
       apply = (fun rng p -> map_body (noise_of rng) p);
     };
   ]

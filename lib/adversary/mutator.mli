@@ -30,7 +30,6 @@ val class_name : class_ -> string
 type t = {
   name : string;
   class_ : class_;
-  describe : string;
   apply : Leakdetect_util.Prng.t -> Leakdetect_http.Packet.t -> Leakdetect_http.Packet.t;
       (** Rewrites one packet.  Deterministic given the PRNG state; the
           PRNG is only drawn from for mutators that need randomness (noise

@@ -4,8 +4,6 @@ module Ipv4 = Leakdetect_net.Ipv4
 module Url = Leakdetect_net.Url
 module Http = Leakdetect_http
 
-type category = Ad | Analytics | Content
-
 type value_spec =
   | Sens of Sensitive.kind
   | Opt_sens of Sensitive.kind * float
@@ -22,7 +20,6 @@ type meth = Get | Post
 
 type family = {
   name : string;
-  category : category;
   hosts : string array;
   ip_octets : int * int;
   port : int;
@@ -40,11 +37,10 @@ type family = {
 
 let ad ?(hosts = [||]) ?(port = 80) ?(paths = [| "/ad" |]) ?(meth = Get)
     ?(ad_params = []) ?(ad_variants = []) ?(beacon_params = []) ?(cookie_params = [])
-    ?(sensitive_rate = 0.8) ?(needs_phone_state = false) ~category ~ip ~apps
+    ?(sensitive_rate = 0.8) ?(needs_phone_state = false) ~ip ~apps
     ~ppa name =
   {
     name;
-    category;
     hosts = (if Array.length hosts = 0 then [| "www." ^ name |] else hosts);
     ip_octets = ip;
     port;
@@ -67,7 +63,7 @@ let ad ?(hosts = [||]) ?(port = 80) ?(paths = [| "/ad" |]) ?(meth = Get)
 let catalog =
   [
     (* --- Google ad stack: MD5 of the Android ID. --- *)
-    ad "doubleclick.net" ~category:Ad ~ip:(173, 194) ~apps:407 ~ppa:14.2
+    ad "doubleclick.net" ~ip:(173, 194) ~apps:407 ~ppa:14.2
       ~hosts:
         [| "ad.doubleclick.net"; "googleads.g.doubleclick.net";
            "googleads2.g.doubleclick.net"; "ad-apac.doubleclick.net" |]
@@ -88,7 +84,7 @@ let catalog =
           ("output", Fixed "html"); ("region", Fixed "mobile_app");
           ("slotname", Random_hex 10); ("u_w", Fixed "320"); ("u_h", Fixed "480");
         ];
-    ad "admob.com" ~category:Ad ~ip:(74, 125) ~apps:401 ~ppa:3.2
+    ad "admob.com" ~ip:(74, 125) ~apps:401 ~ppa:3.2
       ~hosts:[| "r.admob.com"; "mm.admob.com"; "analytics.admob.com" |]
       ~paths:[| "/ad_source.php"; "/imp" |]
       ~sensitive_rate:0.95
@@ -102,7 +98,7 @@ let catalog =
       ~beacon_params:
         [ ("rt", Fixed "2"); ("z", Random_digits 10); ("f", Fixed "jsonp");
           ("v", Fixed "20110915-ANDROID-53e372"); ("evt", Fixed "imp") ];
-    ad "googlesyndication.com" ~category:Ad ~ip:(74, 125) ~apps:244 ~ppa:3.8
+    ad "googlesyndication.com" ~ip:(74, 125) ~apps:244 ~ppa:3.8
       ~hosts:[| "pagead2.googlesyndication.com"; "pagead1.googlesyndication.com" |]
       ~paths:[| "/pagead/ads"; "/simgad" |]
       ~sensitive_rate:0.9
@@ -116,7 +112,7 @@ let catalog =
         [ ("client", Fixed "ca-mb-app-pub"); ("format", Fixed "320x50_mb");
           ("simid", Random_digits 12) ];
     (* --- Japanese ad networks: raw identifiers (Sec. III-B pairings). --- *)
-    ad "ad-maker.info" ~category:Ad ~ip:(203, 104) ~apps:195 ~ppa:17.4
+    ad "ad-maker.info" ~ip:(203, 104) ~apps:195 ~ppa:17.4
       ~hosts:[| "r.ad-maker.info"; "img.ad-maker.info"; "cnt.ad-maker.info" |]
       ~paths:[| "/ad/sdk/img"; "/ad/sdk/click" |]
       ~sensitive_rate:0.95 ~needs_phone_state:true
@@ -130,7 +126,7 @@ let catalog =
       ~beacon_params:
         [ ("aid", App_package); ("size", Fixed "320x50"); ("os", Fixed "android");
           ("creative", Random_hex 12) ];
-    ad "mydas.mobi" ~category:Ad ~ip:(216, 157) ~apps:164 ~ppa:2.0
+    ad "mydas.mobi" ~ip:(216, 157) ~apps:164 ~ppa:2.0
       ~hosts:[| "androidsdk.ads.mydas.mobi" |]
       ~paths:[| "/getAd.php5" |]
       ~sensitive_rate:0.95 ~needs_phone_state:true
@@ -142,7 +138,7 @@ let catalog =
           ("hsht", Fixed "480"); ("hswd", Fixed "320");
         ]
       ~beacon_params:[ ("apid", Random_digits 5); ("evt", Fixed "fetch") ];
-    ad "medibaad.com" ~category:Ad ~ip:(125, 6) ~apps:49 ~ppa:23.7
+    ad "medibaad.com" ~ip:(125, 6) ~apps:49 ~ppa:23.7
       ~hosts:[| "sh.medibaad.com" |]
       ~paths:[| "/sh/ad" |]
       ~sensitive_rate:0.95 ~needs_phone_state:true
@@ -153,7 +149,7 @@ let catalog =
           ("ver", Fixed "1.2.0"); ("rnd", Random_digits 10);
         ]
       ~beacon_params:[ ("sid", Random_digits 6); ("c", Fixed "sp"); ("evt", Fixed "view") ];
-    ad "adlantis.jp" ~category:Ad ~ip:(219, 94) ~apps:98 ~ppa:2.4
+    ad "adlantis.jp" ~ip:(219, 94) ~apps:98 ~ppa:2.4
       ~hosts:[| "sp.ad.adlantis.jp" |]
       ~paths:[| "/sp/load_app_ads" |]
       ~sensitive_rate:0.95 ~needs_phone_state:true
@@ -164,7 +160,7 @@ let catalog =
           ("sdk", Fixed "2.2.1");
         ]
       ~beacon_params:[ ("publisher", Random_hex 16); ("format", Fixed "json") ];
-    ad "adimg.net" ~category:Ad ~ip:(210, 140) ~apps:72 ~ppa:4.4
+    ad "adimg.net" ~ip:(210, 140) ~apps:72 ~ppa:4.4
       ~hosts:[| "img.adimg.net"; "ad.adimg.net" |]
       ~paths:[| "/adp/img"; "/adp/req" |]
       ~sensitive_rate:0.9
@@ -175,7 +171,7 @@ let catalog =
         ]
       ~beacon_params:[ ("zone", Random_digits 4); ("fmt", Fixed "banner") ];
     (* --- Hash-transmitting networks (Table III MD5/SHA1 rows). --- *)
-    ad "flurry.com" ~category:Analytics ~ip:(74, 6) ~apps:119 ~ppa:2.8
+    ad "flurry.com" ~ip:(74, 6) ~apps:119 ~ppa:2.8
       ~hosts:[| "data.flurry.com"; "ads.flurry.com" |]
       ~paths:[| "/aap.do" |] ~meth:Post ~sensitive_rate:0.9
       ~ad_params:
@@ -185,7 +181,7 @@ let catalog =
           ("st", Random_digits 13); ("seq", Seq);
         ]
       ~beacon_params:[ ("ak", Random_hex 20); ("v", Fixed "FL_2.2"); ("hb", Fixed "1") ];
-    ad "mobclix.com" ~category:Ad ~ip:(204, 93) ~apps:48 ~ppa:5.4
+    ad "mobclix.com" ~ip:(204, 93) ~apps:48 ~ppa:5.4
       ~hosts:[| "ads.mobclix.com" |]
       ~paths:[| "/1/vc/20" |] ~sensitive_rate:0.8 ~needs_phone_state:true
       ~ad_params:
@@ -195,7 +191,7 @@ let catalog =
           ("sz", Fixed "320x50");
         ]
       ~beacon_params:[ ("p", Fixed "android"); ("sz", Fixed "320x50"); ("ev", Fixed "cc") ];
-    ad "adwhirl.com" ~category:Ad ~ip:(184, 73) ~apps:102 ~ppa:5.4
+    ad "adwhirl.com" ~ip:(184, 73) ~apps:102 ~ppa:5.4
       ~hosts:[| "met.adwhirl.com"; "mob.adwhirl.com" |]
       ~paths:[| "/exmet.php"; "/getInfo.php" |]
       ~sensitive_rate:0.95 ~needs_phone_state:true
@@ -206,7 +202,7 @@ let catalog =
           ("client", Fixed "2");
         ]
       ~beacon_params:[ ("appid", Random_hex 32); ("type", Fixed "16") ];
-    ad "amoad.com" ~category:Ad ~ip:(54, 248) ~apps:116 ~ppa:5.0
+    ad "amoad.com" ~ip:(54, 248) ~apps:116 ~ppa:5.0
       ~hosts:[| "d.amoad.com" |]
       ~paths:[| "/ad/json" |] ~sensitive_rate:0.8 ~needs_phone_state:true
       ~ad_params:
@@ -215,7 +211,7 @@ let catalog =
           ("lang", Locale); ("rot", Fixed "1"); ("n", Random_digits 8);
         ]
       ~beacon_params:[ ("sid", Random_hex 24); ("rot", Fixed "1"); ("imp", Fixed "1") ];
-    ad "mediba.jp" ~category:Ad ~ip:(125, 6) ~apps:48 ~ppa:8.9
+    ad "mediba.jp" ~ip:(125, 6) ~apps:48 ~ppa:8.9
       ~hosts:[| "adm.mediba.jp" |]
       ~paths:[| "/admp/load" |] ~sensitive_rate:0.6 ~needs_phone_state:true
       ~ad_params:
@@ -226,7 +222,7 @@ let catalog =
       ~beacon_params:[ ("auid", Random_hex 12); ("w", Fixed "320"); ("h", Fixed "50") ];
     (* --- Carrier-reporting networks; mixed optional identifiers make the
        false-positive-prone clusters the paper discusses (Sec. VI). --- *)
-    ad "nend.net" ~category:Ad ~ip:(175, 41) ~apps:192 ~ppa:7.1
+    ad "nend.net" ~ip:(175, 41) ~apps:192 ~ppa:7.1
       ~hosts:[| "output.nend.net"; "img.nend.net" |]
       ~paths:[| "/na.php" |] ~sensitive_rate:0.6
       ~ad_variants:
@@ -247,7 +243,7 @@ let catalog =
       ~beacon_params:
         [ ("apikey", Random_hex 32); ("spot", Random_digits 6); ("model", Model);
           ("os", Fixed "android"); ("sdkver", Fixed "nend300") ];
-    ad "i-mobile.co.jp" ~category:Ad ~ip:(210, 129) ~apps:100 ~ppa:37.3
+    ad "i-mobile.co.jp" ~ip:(210, 129) ~apps:100 ~ppa:37.3
       ~hosts:[| "spad.i-mobile.co.jp"; "spimg.i-mobile.co.jp"; "spv.i-mobile.co.jp" |]
       ~paths:[| "/ad/spot"; "/img/creative" |]
       ~sensitive_rate:0.45 ~needs_phone_state:true
@@ -270,7 +266,7 @@ let catalog =
       ~beacon_params:
         [ ("pid", Random_digits 5); ("asid", Random_digits 6); ("w", Fixed "320");
           ("h", Fixed "50"); ("sdk", Fixed "im120"); ("cb", Random_digits 12) ];
-    ad "microad.jp" ~category:Ad ~ip:(27, 110) ~apps:103 ~ppa:8.4
+    ad "microad.jp" ~ip:(27, 110) ~apps:103 ~ppa:8.4
       ~hosts:[| "sender.microad.jp" |]
       ~paths:[| "/spotreq" |] ~sensitive_rate:0.5
       ~ad_params:
@@ -282,7 +278,7 @@ let catalog =
       ~beacon_params:
         [ ("spot", Random_hex 24); ("vsn", Fixed "1.3.2"); ("url", App_package) ];
     (* --- Services named only in the running text. --- *)
-    ad "zqapk.com" ~category:Ad ~ip:(61, 145) ~apps:13 ~ppa:23.0
+    ad "zqapk.com" ~ip:(61, 145) ~apps:13 ~ppa:23.0
       ~hosts:[| "stat.zqapk.com" |]
       ~paths:[| "/s/collect" |] ~meth:Post ~sensitive_rate:0.9
       ~needs_phone_state:true
@@ -293,7 +289,7 @@ let catalog =
           ("sv", Fixed "3.1");
         ]
       ~beacon_params:[ ("chan", Random_digits 4); ("sv", Fixed "3.1") ];
-    ad "cnsdk.net" ~category:Analytics ~ip:(114, 80) ~apps:16 ~ppa:41.0
+    ad "cnsdk.net" ~ip:(114, 80) ~apps:16 ~ppa:41.0
       ~hosts:[| "c.cnsdk.net" |]
       ~paths:[| "/t/u.gif" |] ~sensitive_rate:0.9 ~needs_phone_state:true
       ~ad_params:
@@ -303,7 +299,7 @@ let catalog =
         ]
       ~beacon_params:[ ("av", Fixed "1.0.7"); ("hb", Fixed "1") ];
     (* --- Analytics without device identifiers. --- *)
-    ad "google-analytics.com" ~category:Analytics ~ip:(74, 125) ~apps:353 ~ppa:8.8
+    ad "google-analytics.com" ~ip:(74, 125) ~apps:353 ~ppa:8.8
       ~hosts:[| "www.google-analytics.com"; "ssl.google-analytics.com" |]
       ~paths:[| "/__utm.gif" |] ~sensitive_rate:0.
       ~beacon_params:
@@ -314,27 +310,27 @@ let catalog =
           ("utmcc", Random_digits 12);
         ];
     (* --- Content / platform / CDN traffic (benign). --- *)
-    ad "gstatic.com" ~category:Content ~ip:(74, 125) ~apps:333 ~ppa:4.2
+    ad "gstatic.com" ~ip:(74, 125) ~apps:333 ~ppa:4.2
       ~hosts:[| "t0.gstatic.com"; "csi.gstatic.com" |]
       ~paths:[| "/images"; "/csi" |] ~sensitive_rate:0.
       ~beacon_params:[ ("q", Random_hex 14); ("s", Fixed "static") ];
-    ad "google.com" ~category:Content ~ip:(74, 125) ~apps:308 ~ppa:11.7
+    ad "google.com" ~ip:(74, 125) ~apps:308 ~ppa:11.7
       ~hosts:[| "www.google.com"; "clients3.google.com" |]
       ~paths:[| "/m/search"; "/complete/search" |] ~sensitive_rate:0.
       ~beacon_params:[ ("q", Random_hex 9); ("hl", Locale); ("client", Fixed "ms-android") ];
-    ad "yahoo.co.jp" ~category:Content ~ip:(183, 79) ~apps:287 ~ppa:6.1
+    ad "yahoo.co.jp" ~ip:(183, 79) ~apps:287 ~ppa:6.1
       ~hosts:[| "search.yahoo.co.jp"; "image.search.yahoo.co.jp" |]
       ~paths:[| "/search"; "/images/top" |] ~sensitive_rate:0.
       ~beacon_params:[ ("p", Random_hex 8); ("ei", Fixed "UTF-8"); ("fr", Fixed "applp2") ];
-    ad "ggpht.com" ~category:Content ~ip:(74, 125) ~apps:281 ~ppa:3.3
+    ad "ggpht.com" ~ip:(74, 125) ~apps:281 ~ppa:3.3
       ~hosts:[| "lh3.ggpht.com"; "lh5.ggpht.com" |]
       ~paths:[| "/photos" |] ~sensitive_rate:0.
       ~beacon_params:[ ("img", Random_hex 20); ("sz", Fixed "w124") ];
-    ad "naver.jp" ~category:Content ~ip:(125, 209) ~apps:82 ~ppa:41.3
+    ad "naver.jp" ~ip:(125, 209) ~apps:82 ~ppa:41.3
       ~hosts:[| "api.naver.jp"; "cache.naver.jp" |]
       ~paths:[| "/api/json"; "/cache/body" |] ~sensitive_rate:0.
       ~beacon_params:[ ("q", Random_hex 10); ("st", Fixed "100"); ("r_format", Fixed "json") ];
-    ad "mbga.jp" ~category:Content ~ip:(202, 238) ~apps:63 ~ppa:16.6
+    ad "mbga.jp" ~ip:(202, 238) ~apps:63 ~ppa:16.6
       ~hosts:[| "sp.mbga.jp" |]
       ~paths:[| "/_grp_view"; "/_game_top" |] ~sensitive_rate:0.8
       ~cookie_params:[ ("sess", Random_hex 26) ]
@@ -342,15 +338,15 @@ let catalog =
         [ ("gid", Random_digits 8); ("did", Sens Sensitive.Android_id_sha1);
           ("v", Fixed "sp1") ]
       ~beacon_params:[ ("gid", Random_digits 8); ("v", Fixed "sp1") ];
-    ad "rakuten.co.jp" ~category:Content ~ip:(133, 237) ~apps:56 ~ppa:9.0
+    ad "rakuten.co.jp" ~ip:(133, 237) ~apps:56 ~ppa:9.0
       ~hosts:[| "app.rakuten.co.jp"; "image.rakuten.co.jp" |]
       ~paths:[| "/api/item/search"; "/img" |] ~sensitive_rate:0.
       ~beacon_params:[ ("keyword", Random_hex 7); ("format", Fixed "json"); ("page", Random_digits 2) ];
-    ad "fc2.com" ~category:Content ~ip:(208, 71) ~apps:52 ~ppa:3.1
+    ad "fc2.com" ~ip:(208, 71) ~apps:52 ~ppa:3.1
       ~hosts:[| "blog.fc2.com" |]
       ~paths:[| "/feed" |] ~sensitive_rate:0.
       ~beacon_params:[ ("uid", Random_hex 6); ("mode", Fixed "rss") ];
-    ad "gree.jp" ~category:Content ~ip:(210, 172) ~apps:45 ~ppa:5.1
+    ad "gree.jp" ~ip:(210, 172) ~apps:45 ~ppa:5.1
       ~hosts:[| "os-sp.gree.jp" |]
       ~paths:[| "/api/rest" |] ~sensitive_rate:0.7
       ~cookie_params:[ ("grid", Random_hex 22) ]

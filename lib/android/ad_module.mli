@@ -13,8 +13,6 @@
     - the {e beacon} (creative fetch / impression ping) that carries none.
     [sensitive_rate] is the probability a packet is an ad request. *)
 
-type category = Ad | Analytics | Content
-
 type value_spec =
   | Sens of Leakdetect_core.Sensitive.kind
   | Opt_sens of Leakdetect_core.Sensitive.kind * float
@@ -33,7 +31,6 @@ type meth = Get | Post
 
 type family = {
   name : string;  (** Registrable domain, e.g. ["admob.com"]. *)
-  category : category;
   hosts : string array;  (** FQDNs under the domain. *)
   ip_octets : int * int;  (** First two octets of the service's /16. *)
   port : int;
@@ -64,14 +61,11 @@ val host_ip : family -> string -> Leakdetect_net.Ipv4.t
 (** Deterministic address of one of the family's hosts, inside the family's
     /16 block. *)
 
-val organization : family -> string
-(** The family's registrant organization (Google and mediba properties are
-    grouped under their real owners). *)
-
 val registry : unit -> Leakdetect_net.Registry.t
 (** A WHOIS-like registry of every catalog family's /16 allocation, keyed
-    by {!organization}, for the Sec. VI registry-verified destination
-    distance. *)
+    by the family's registrant organization (Google and mediba properties
+    are grouped under their real owners), for the Sec. VI
+    registry-verified destination distance. *)
 
 type app_context = {
   package : string;

@@ -10,7 +10,6 @@ type t = {
   permissions : Permissions.combo;
   modules : (Ad_module.family * string) list;
   backends : backend list;
-  target_destinations : int;
   leaks_android_id : bool;
   leaks_imei : bool;
 }

@@ -16,9 +16,8 @@ type t = {
       (** Embedded module families, each with the sticky host this app's
           copy of the SDK talks to. *)
   backends : backend list;
-  target_destinations : int;
-      (** Destination-count draw from the Figure 2 fit; modules plus
-          backends realize it. *)
+      (** With [modules], these realize the app's destination-count draw
+          from the Figure 2 fit. *)
   leaks_android_id : bool;
       (** The app reports the Android ID to its own backends (first-party
           leak), spreading sensitive traffic over long-tail destinations as

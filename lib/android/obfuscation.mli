@@ -12,15 +12,10 @@
     check cannot see the raw identifiers in these packets — the experiment
     measures how much of the leak the signature pipeline still catches. *)
 
-val host : string
-val service_ip : Leakdetect_net.Ipv4.t
-
-val keystream : int -> string
-(** [keystream n] is the first [n] bytes of the service's fixed keystream
-    (derived deterministically from the module's embedded key). *)
-
 val xor_crypt : string -> string
-(** XOR with {!keystream}; an involution ([xor_crypt (xor_crypt s) = s]). *)
+(** XOR with the service's fixed keystream (derived deterministically from
+    the module's embedded key); an involution
+    ([xor_crypt (xor_crypt s) = s]). *)
 
 val leak_packet :
   Leakdetect_util.Prng.t -> Device.t -> package:string -> Leakdetect_http.Packet.t

@@ -9,9 +9,6 @@ type combo = {
   contacts : bool;
 }
 
-val requires_sensitive : combo -> bool
-(** At least one of the three sensitive permissions. *)
-
 val dangerous : combo -> bool
 (** The paper's "dangerous combination": [INTERNET] together with at least
     one sensitive permission. *)

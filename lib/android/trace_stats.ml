@@ -56,22 +56,18 @@ let table3 (ds : Workload.dataset) =
       })
     Sensitive.all
 
-type permission_row = { pattern : string; count : int; dangerous : bool }
+type permission_row = { pattern : string; count : int }
 
 let table1 (ds : Workload.dataset) =
   let acc =
     Array.fold_left
       (fun acc (app : App.t) ->
         let key = Permissions.pattern app.permissions in
-        Str_map.update key
-          (function
-            | None -> Some (1, Permissions.dangerous app.permissions)
-            | Some (c, d) -> Some (c + 1, d))
-          acc)
+        Str_map.update key (fun c -> Some (1 + Option.value ~default:0 c)) acc)
       Str_map.empty ds.apps
   in
   Str_map.bindings acc
-  |> List.map (fun (pattern, (count, dangerous)) -> { pattern; count; dangerous })
+  |> List.map (fun (pattern, count) -> { pattern; count })
   |> List.sort (fun a b -> compare b.count a.count)
 
 let destinations_per_app (ds : Workload.dataset) =

@@ -20,7 +20,7 @@ val table3 : Workload.dataset -> kind_row list
 (** Per sensitive-information kind: packets carrying it, applications
     sending it, distinct destination hosts receiving it (Table III). *)
 
-type permission_row = { pattern : string; count : int; dangerous : bool }
+type permission_row = { pattern : string; count : int }
 
 val table1 : Workload.dataset -> permission_row list
 (** Application counts per permission combination, descending. *)

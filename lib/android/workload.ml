@@ -10,8 +10,6 @@ let log_src = Logs.Src.create "leakdetect.workload" ~doc:"Synthetic trace genera
 module Log = (val Logs.src_log log_src)
 
 type dataset = {
-  seed : int;
-  scale : float;
   device : Device.t;
   apps : App.t array;
   records : Http.Trace.record array;
@@ -117,7 +115,6 @@ let build_apps rng ~n_apps =
         permissions = combos.(i);
         modules;
         backends = make_backends rng ~package:packages.(i) ~count:backend_count ~cdn_pool;
-        target_destinations = targets.(i);
         leaks_android_id = Prng.chance rng 0.06;
         leaks_imei = combos.(i).Permissions.phone_state && Prng.chance rng 0.03;
       })
@@ -174,7 +171,7 @@ let generate ?(seed = 42) ?(scale = 1.0) ?(n_apps = 1188) () =
         (Array.length records)
         (Array.fold_left (fun acc r -> if r.Http.Trace.labels = [] then acc else acc + 1) 0 records)
         (Array.length apps) seed scale);
-  { seed; scale; device; apps; records; payload_check = check }
+  { device; apps; records; payload_check = check }
 
 let packets dataset = Array.map (fun r -> r.Http.Trace.packet) dataset.records
 

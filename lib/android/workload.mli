@@ -18,8 +18,6 @@
     in principle observe on the wire. *)
 
 type dataset = {
-  seed : int;
-  scale : float;
   device : Device.t;
   apps : App.t array;
   records : Leakdetect_http.Trace.record array;

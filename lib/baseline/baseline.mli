@@ -25,15 +25,6 @@ val sample_substring :
   normal:Leakdetect_http.Packet.t array ->
   Leakdetect_core.Metrics.t
 
-val signatures_of_partition :
-  ?config:Leakdetect_core.Siggen.config ->
-  Leakdetect_http.Packet.t list list ->
-  Leakdetect_core.Signature.t list
-(** Token extraction + degeneracy filtering over an {e arbitrary} partition
-    of packets — the signature half of the paper's pipeline without its
-    clustering half.  Used to plug alternative clusterers (k-medoids,
-    DBSCAN, random) into the same evaluation. *)
-
 val partition_metrics :
   ?config:Leakdetect_core.Siggen.config ->
   n:int ->
@@ -42,7 +33,11 @@ val partition_metrics :
   normal:Leakdetect_http.Packet.t array ->
   unit ->
   Leakdetect_core.Metrics.t
-(** Evaluate {!signatures_of_partition} with the paper's metrics. *)
+(** Token extraction + degeneracy filtering over an {e arbitrary} partition
+    of packets — the signature half of the paper's pipeline without its
+    clustering half — evaluated with the paper's metrics.  Used to plug
+    alternative clusterers (k-medoids, DBSCAN, random) into the same
+    evaluation. *)
 
 val random_cluster :
   rng:Leakdetect_util.Prng.t ->

@@ -22,8 +22,6 @@ type config = {
   min_coverage : int;  (** Stop when a signature covers fewer packets. *)
 }
 
-val default : config
-
 val generate :
   ?config:config ->
   tokens:string list ->

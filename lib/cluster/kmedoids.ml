@@ -1,4 +1,4 @@
-type result = { medoids : int array; assignment : int array; cost : float }
+type result = { medoids : int array; assignment : int array }
 
 let assignment_cost m medoids =
   let n = Dist_matrix.size m in
@@ -91,8 +91,8 @@ let cluster ~rng ~k ?(max_iterations = 30) m =
   done;
   let medoids = Array.copy !medoids in
   Array.sort compare medoids;
-  let assignment, cost = assignment_cost m medoids in
-  { medoids; assignment; cost }
+  let assignment, _ = assignment_cost m medoids in
+  { medoids; assignment }
 
 let clusters r =
   let buckets = Array.make (Array.length r.medoids) [] in

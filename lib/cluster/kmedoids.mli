@@ -8,7 +8,6 @@
 type result = {
   medoids : int array;  (** Item indices, one per cluster, sorted. *)
   assignment : int array;  (** For each item, the index into [medoids]. *)
-  cost : float;  (** Sum of distances to assigned medoids. *)
 }
 
 val cluster :

@@ -47,7 +47,6 @@ module Cache : sig
       once full, further pairs compute without being stored. *)
 
   val algorithm : t -> algorithm
-  val length_bits : t -> string -> int
 
   val ncd : t -> string -> string -> float
   (** [ncd t x y] is {!ncd_of_lengths} over [C(x)], [C(y)] and [C(xy)]; by

@@ -45,10 +45,6 @@ type compiled
 
 val compile : t -> compiled
 
-val score : compiled -> string -> float
-(** Score of a flattened packet content. *)
-
-val matches : compiled -> Leakdetect_http.Packet.t -> bool
 val count_detected : compiled -> Leakdetect_http.Packet.t array -> int
 
 type outcome = {

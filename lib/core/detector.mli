@@ -64,10 +64,6 @@ val first_match_with :
 (** {!first_match_normalized} scanning through a caller-owned scratch:
     no per-packet allocation on the conjunction fast path. *)
 
-val detects_with :
-  ?normalize:Leakdetect_normalize.Normalize.t ->
-  t -> scratch -> Leakdetect_http.Packet.t -> bool
-
 val count_detected :
   ?pool:Leakdetect_parallel.Pool.t ->
   ?obs:Leakdetect_obs.Obs.t ->

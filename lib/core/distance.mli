@@ -68,7 +68,6 @@ val d_port : int -> int -> float
 val d_host : string -> string -> float
 
 val d_dst : t -> Leakdetect_http.Packet.t -> Leakdetect_http.Packet.t -> float
-val ncd : t -> string -> string -> float
 val d_header : t -> Leakdetect_http.Packet.t -> Leakdetect_http.Packet.t -> float
 val d_pkt : t -> Leakdetect_http.Packet.t -> Leakdetect_http.Packet.t -> float
 

@@ -24,11 +24,9 @@ type config = Pipeline_config.t = {
 let default_config = Config.default
 
 type outcome = {
-  config : config;
   sample_size : int;
   signatures : Signature.t list;
   n_clusters : int;
-  rejected_clusters : int;
   metrics : Metrics.t;
 }
 
@@ -60,11 +58,9 @@ let run_instrumented config ~rng ~n ~suspicious ~normal =
   in
   Log.info (fun m -> m "%a" Metrics.pp metrics);
   {
-    config;
     sample_size = n;
     signatures = gen.Siggen.signatures;
     n_clusters = List.length gen.Siggen.clusters;
-    rejected_clusters = gen.Siggen.rejected;
     metrics;
   }
 

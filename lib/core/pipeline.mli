@@ -30,11 +30,11 @@ val default_config : config
 (** Alias of {!Config.default}. *)
 
 type outcome = {
-  config : config;
   sample_size : int;  (** Actual N drawn (capped by the suspicious count). *)
   signatures : Signature.t list;
   n_clusters : int;
-  rejected_clusters : int;
+      (** Clusters cut from the dendrogram; each yields one signature or is
+          rejected by the degenerate-signature filter. *)
   metrics : Metrics.t;
 }
 

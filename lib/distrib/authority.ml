@@ -135,13 +135,6 @@ let jentry_of_payload payload =
 
 (* --- the authority --- *)
 
-type promotion = {
-  tenant : string;
-  signature : Signature.t;
-  reporters : int;
-  at_version : int;
-}
-
 exception Crashed of string
 
 type t = {
@@ -150,7 +143,7 @@ type t = {
   tenants : (string, tenant_state) Hashtbl.t;
   dir : string option;
   mutable writer : Wal.writer option;
-  mutable rev_promotions : promotion list;
+  mutable rev_promotions : int list;  (* distinct reporters of each *)
   mutable shard : (string * Shard_map.t) option;  (* self id, map *)
 }
 
@@ -285,14 +278,7 @@ let promote t ts (cand : candidate) =
       ~cluster_size:n_reporters s.Signature.tokens
   in
   let entry = commit_change t ts (Changelog.Add promoted) in
-  t.rev_promotions <-
-    {
-      tenant = ts.name;
-      signature = promoted;
-      reporters = n_reporters;
-      at_version = entry.Changelog.version;
-    }
-    :: t.rev_promotions;
+  t.rev_promotions <- n_reporters :: t.rev_promotions;
   count t "leakdetect_authority_promotions_total"
     "Candidates promoted to a published set.";
   entry.Changelog.version
@@ -841,32 +827,16 @@ let respond t (response : Http.Response.t) =
   response
 
 (* When a shard map is installed, requests for tenants this origin does
-   not own are misdirected — answer 421 naming the owner and epoch so the
-   client can tell stale routing from a partitioned minority.  A tenant we
-   own but have not adopted yet (the rebalance is mid-flight) is a 503:
-   retryable, never a fresh empty tenant that would read as a version
-   regression. *)
+   not own are misdirected (421 naming the owner).  A tenant we own but
+   have not adopted yet (the rebalance is mid-flight) is a 503: retryable,
+   never a fresh empty tenant that would read as a version regression. *)
 let shard_gate t ~tenant =
   match t.shard with
   | None -> Ok ()
   | Some (self, map) ->
-    let owner = Shard_map.owner map ~tenant in
-    if owner <> self then
-      Error
-        (Http.Response.make
-           ~headers:
-             (Http.Headers.of_list
-                [ ("X-Shard-Epoch", string_of_int (Shard_map.epoch map));
-                  ("X-Shard-Owner", owner) ])
-           421)
-    else if not (Hashtbl.mem t.tenants tenant) then
-      Error
-        (Http.Response.make
-           ~headers:
-             (Http.Headers.of_list
-                [ ("X-Shard-Epoch", string_of_int (Shard_map.epoch map));
-                  ("Retry-After", "1") ])
-           503)
+    let owner = Shard_map.owner map ~tenant and epoch = Shard_map.epoch map in
+    if owner <> self then Error (Protocol.misdirected ~epoch ~owner)
+    else if not (Hashtbl.mem t.tenants tenant) then Error (Protocol.not_adopted ~epoch)
     else Ok ()
 
 (* A tenant nobody has published to reads as empty at version 0; reading

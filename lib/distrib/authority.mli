@@ -99,16 +99,10 @@ val horizon : t -> tenant:string -> int
 val changelog_entries : t -> tenant:string -> Changelog.entry list
 val wal_size : t -> int  (** 0 for an in-memory authority. *)
 
-type promotion = {
-  tenant : string;
-  signature : Signature.t;
-  reporters : int;  (** Distinct reporters at promotion time. *)
-  at_version : int;
-}
-
-val promotions : t -> promotion list
-(** Every promotion since this instance opened, oldest first — the soak's
-    audit trail for the [>= k] invariant (not persisted). *)
+val promotions : t -> int list
+(** The distinct reporters behind every promotion since this instance
+    opened, oldest first — the soak's audit trail for the [>= k]
+    invariant (not persisted). *)
 
 (** {1 Mutations} *)
 

@@ -293,6 +293,19 @@ let parse_response raw =
            (String.length body))
     | _ -> Ok response)
 
+let shard_answer ~epoch extra status =
+  Http.Response.make
+    ~headers:(Http.Headers.of_list (("X-Shard-Epoch", string_of_int epoch) :: extra))
+    status
+
+let misdirected ~epoch ~owner = shard_answer ~epoch [ ("X-Shard-Owner", owner) ] 421
+let not_adopted ~epoch = shard_answer ~epoch [ ("Retry-After", "1") ] 503
+
+let misdirected_to raw =
+  match Http.Response.parse raw with
+  | Ok r when r.Http.Response.status = 421 -> header r "X-Shard-Owner"
+  | _ -> None
+
 (* Handsets name the origin, relays and reporters the relay tier. *)
 let exchange ~host transport ?body meth target =
   let host =

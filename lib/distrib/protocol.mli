@@ -102,6 +102,25 @@ val wire_transport :
 (** Parse printed request bytes, answer them, print the response — the
     loss-free transport that fault plans wrap. *)
 
+(** {1 Shard routing}
+
+    Under a shard map, an origin answers a request for a tenant it does
+    not own with [421 Misdirected Request] naming the owner, and one for
+    a tenant it owns but has not adopted yet with a retryable [503].  Both
+    carry the map's [X-Shard-Epoch], so a client can tell stale routing
+    from a partitioned minority. *)
+
+val misdirected : epoch:int -> owner:string -> Http.Response.t
+(** The [421], with [X-Shard-Epoch] and [X-Shard-Owner]. *)
+
+val not_adopted : epoch:int -> Http.Response.t
+(** The [503], with [X-Shard-Epoch] and [Retry-After: 1]. *)
+
+val misdirected_to : string -> string option
+(** The owner a printed {!misdirected} answer names; [None] for bytes that
+    do not parse as a [421] with an [X-Shard-Owner].  The [Content-Length]
+    is not checked. *)
+
 (** {1 Asking} *)
 
 type transport = string -> (string, string) result

@@ -86,9 +86,6 @@ val create :
 (** A relay named [id] serving [tenants].  [seed] derives per-tenant sync
     jitter.  @raise Invalid_argument on a bad id, tenant id or config. *)
 
-val tenants : t -> string list
-(** Sorted. *)
-
 val version : t -> tenant:string -> int
 (** Verified version held for the tenant (0 when unknown or unsynced). *)
 

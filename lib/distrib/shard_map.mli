@@ -23,8 +23,8 @@
     changing only a weight moves only tenants into or out of that origin.
     When every weight is 1 the integer raw-score argmax is used directly,
     bit-identical to the unweighted maps journaled before weights
-    existed (the float formula is monotone in the raw score, so both
-    paths agree; see {!weighted_score}).
+    existed (the float formula is strictly monotone in the raw score at
+    fixed weight, so both paths agree).
 
     {b Proximity.}  The table records abstract distances from reading
     nodes (relays) to origins — and between relay siblings — purely as
@@ -60,14 +60,6 @@ val weight : t -> origin:string -> int
 
 val distance : t -> node:string -> origin:string -> int option
 (** Proximity-table lookup; [None] when unrecorded. *)
-
-val raw_score : origin:string -> tenant:string -> int
-(** The unweighted 62-bit HRW score — exposed so harnesses can check the
-    weighted formula reduces to its argmax at weight 1. *)
-
-val weighted_score : weight:int -> origin:string -> tenant:string -> float
-(** [-w / ln h] with [h = (raw_score + 1) / 2^62] — strictly monotone in
-    the raw score at fixed weight. *)
 
 val owner : t -> tenant:string -> string
 (** The (weighted) HRW winner for this tenant at this epoch.

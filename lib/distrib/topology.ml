@@ -1,4 +1,3 @@
-module Http = Leakdetect_http
 module Signature = Leakdetect_core.Signature
 module Prng = Leakdetect_util.Prng
 module Json = Leakdetect_util.Json
@@ -530,15 +529,11 @@ let run ?(obs = Obs.noop) ?(on_sync = fun _ -> ()) ~dir config =
     match send !known with
     | Error _ as e -> e
     | Ok resp_raw -> (
-      match Http.Response.parse resp_raw with
-      | Ok r when r.Http.Response.status = 421 -> (
-        match Http.Headers.get r.Http.Response.headers "X-Shard-Owner" with
-        | Some next
-          when next <> !known && Hashtbl.mem origin_tbl next ->
-          incr misdirected_follows;
-          known := next;
-          send next
-        | _ -> Ok resp_raw)
+      match Protocol.misdirected_to resp_raw with
+      | Some next when next <> !known && Hashtbl.mem origin_tbl next ->
+        incr misdirected_follows;
+        known := next;
+        send next
       | _ -> Ok resp_raw)
   in
 
@@ -934,9 +929,7 @@ let run ?(obs = Obs.noop) ?(on_sync = fun _ -> ()) ~dir config =
   let promotions = List.length !all_promotions in
   let sub_k_promotions =
     List.length
-      (List.filter
-         (fun (p : Authority.promotion) -> p.Authority.reporters < config.k)
-         !all_promotions)
+      (List.filter (fun reporters -> reporters < config.k) !all_promotions)
   in
   Array.iter (fun c -> harvest_client c.dc) clients;
   Array.iter harvest_relay relays;

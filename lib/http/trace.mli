@@ -25,16 +25,14 @@ type on_error = [ `Fail | `Skip ]
 type skipped = {
   skipped : int;  (** Malformed records passed over in [`Skip] mode. *)
   sample : (int * string) list;
-      (** Up to {!sample_limit} [(line or record number, error)] pairs, in
-          file order. *)
+      (** Up to 5 [(line or record number, error)] pairs, in file order. *)
 }
 
 val no_skips : skipped
-val sample_limit : int
 
 val add_skip : skipped -> int -> string -> skipped
 (** [add_skip s lineno err] counts one more skipped record, retaining the
-    error in the sample while under {!sample_limit}.  Shared with the
+    error in the sample while it holds fewer than 5.  Shared with the
     binary/compressed readers. *)
 
 val escape_field : string -> string

@@ -18,7 +18,6 @@
     skipped rather than resynced. *)
 
 val magic : string
-val version : int
 
 val save : string -> Trace.record list -> unit
 

@@ -11,7 +11,6 @@ let decision_to_string = function
   | Prompted false -> "prompted:stopped"
 
 type event = {
-  seq : int;
   app_id : int;
   packet : Leakdetect_http.Packet.t;
   matched : Signature_match.t option;
@@ -40,7 +39,6 @@ type t = {
   normalize : Normalize.t option;
   mutable health : Signature_client.health;
   mutable events : event list;  (* newest first *)
-  mutable next_seq : int;
   (* Incremental decision counters, so stats is O(1). *)
   mutable n_allowed : int;
   mutable n_blocked : int;
@@ -74,7 +72,6 @@ let create ?(policy = Policy.create ()) ?prompt_budget ?(fail_mode = Fail_open)
     normalize;
     health = Signature_client.Healthy;
     events = [];
-    next_seq = 0;
     n_allowed = 0;
     n_blocked = 0;
     n_prompted = 0;
@@ -94,8 +91,7 @@ let fail_mode t = t.fail_mode
 let process t ~app_id packet =
   let matched =
     Option.map
-      (fun (s, steps) ->
-        Signature_match.of_signature ~via:(List.map Normalize.step_name steps) s)
+      (fun (s, _) -> Signature_match.of_signature s)
       (Detector.first_match_with ?normalize:t.normalize t.detector t.scratch packet)
   in
   let rule = Policy.rule_for t.policy ~app_id in
@@ -135,8 +131,7 @@ let process t ~app_id packet =
          treat as allow. *)
       Allowed
   in
-  t.events <- { seq = t.next_seq; app_id; packet; matched; decision } :: t.events;
-  t.next_seq <- t.next_seq + 1;
+  t.events <- { app_id; packet; matched; decision } :: t.events;
   (match decision with
   | Allowed ->
     t.n_allowed <- t.n_allowed + 1;

@@ -14,7 +14,6 @@ type decision = Allowed | Blocked | Prompted of bool  (** [Prompted true] = user
 val decision_to_string : decision -> string
 
 type event = {
-  seq : int;
   app_id : int;
   packet : Leakdetect_http.Packet.t;
   matched : Signature_match.t option;
@@ -54,9 +53,8 @@ val create :
     it only takes effect when {!set_health} reports [Stale].
 
     [normalize] extends matching over the canonicalization lattice, so
-    re-encoded leaks are still flagged; matched events then carry the
-    decode chain in {!Signature_match.t.via}.  Omitted, matching is the
-    legacy raw-byte scan. *)
+    re-encoded leaks are still flagged.  Omitted, matching is the legacy
+    raw-byte scan. *)
 
 val set_health : t -> Signature_client.health -> unit
 (** Feed the monitor the signature client's health after each sync; while

@@ -4,30 +4,24 @@ type app_summary = {
   app_id : int;
   packets : int;
   flagged : int;
-  allowed : int;
   blocked : int;
   prompted : int;
   destinations : string list;
-  signature_ids : int list;
 }
 
 module Int_map = Map.Make (Int)
 module Str_set = Set.Make (String)
-module Int_set = Set.Make (Int)
 
 type acc = {
   a_packets : int;
   a_flagged : int;
-  a_allowed : int;
   a_blocked : int;
   a_prompted : int;
   a_dests : Str_set.t;
-  a_sigs : Int_set.t;
 }
 
 let empty_acc =
-  { a_packets = 0; a_flagged = 0; a_allowed = 0; a_blocked = 0; a_prompted = 0;
-    a_dests = Str_set.empty; a_sigs = Int_set.empty }
+  { a_packets = 0; a_flagged = 0; a_blocked = 0; a_prompted = 0; a_dests = Str_set.empty }
 
 let per_app monitor =
   let table =
@@ -37,20 +31,19 @@ let per_app monitor =
         let current = { current with a_packets = current.a_packets + 1 } in
         let current =
           match e.Flow_control.decision with
-          | Flow_control.Allowed -> { current with a_allowed = current.a_allowed + 1 }
+          | Flow_control.Allowed -> current
           | Flow_control.Blocked -> { current with a_blocked = current.a_blocked + 1 }
           | Flow_control.Prompted _ -> { current with a_prompted = current.a_prompted + 1 }
         in
         let current =
           match e.Flow_control.matched with
           | None -> current
-          | Some m ->
+          | Some _ ->
             {
               current with
               a_flagged = current.a_flagged + 1;
               a_dests =
                 Str_set.add e.Flow_control.packet.Packet.dst.Packet.host current.a_dests;
-              a_sigs = Int_set.add m.Signature_match.signature_id current.a_sigs;
             }
         in
         Int_map.add e.Flow_control.app_id current acc)
@@ -62,11 +55,9 @@ let per_app monitor =
            app_id;
            packets = a.a_packets;
            flagged = a.a_flagged;
-           allowed = a.a_allowed;
            blocked = a.a_blocked;
            prompted = a.a_prompted;
            destinations = Str_set.elements a.a_dests;
-           signature_ids = Int_set.elements a.a_sigs;
          })
   |> List.sort (fun x y ->
          match compare y.flagged x.flagged with

@@ -6,11 +6,9 @@ type app_summary = {
   app_id : int;
   packets : int;  (** Packets inspected for this app. *)
   flagged : int;  (** Packets that matched a signature. *)
-  allowed : int;
   blocked : int;
   prompted : int;
   destinations : string list;  (** Distinct hosts of flagged packets. *)
-  signature_ids : int list;  (** Distinct matching signatures. *)
 }
 
 val per_app : Flow_control.t -> app_summary list

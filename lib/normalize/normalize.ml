@@ -47,7 +47,6 @@ type error =
 type view = { text : string; steps : step list }
 
 type lattice = {
-  root : string;
   derived : view list;
   errors : error list;
   failed_decodes : int;
@@ -491,6 +490,6 @@ let lattice t root =
   in
   expand r root ~chain:[] ~depth:0;
   expand_levels r 1;
-  { root; derived = List.rev r.derived; errors = List.rev r.errors; failed_decodes = r.failed }
+  { derived = List.rev r.derived; errors = List.rev r.errors; failed_decodes = r.failed }
 
 let texts t root = root :: List.map (fun v -> v.text) (lattice t root).derived

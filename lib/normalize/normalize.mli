@@ -63,7 +63,6 @@ type view = {
 }
 
 type lattice = {
-  root : string;
   derived : view list;  (** Breadth-first derivation order, root excluded. *)
   errors : error list;  (** Distinct budget exhaustions, oldest first. *)
   failed_decodes : int;

@@ -1,6 +1,6 @@
 (** Atomic point-in-time snapshots.
 
-    A snapshot is one checksummed payload: an 8-byte magic ({!magic})
+    A snapshot is one checksummed payload: an 8-byte magic (["LDSNAP01"])
     followed by the same [u32le length | u32le CRC-32 | payload] framing
     the WAL uses for records.  {!write} goes through a temp file in the
     same directory and [Sys.rename], so at every instant the snapshot
@@ -11,9 +11,6 @@
     silently ignored: the caller decides whether to fall back to WAL-only
     recovery ([Leakdetect_distrib.Authority] does, and says so in its
     recovery report). *)
-
-val magic : string
-(** ["LDSNAP01"], 8 bytes. *)
 
 val write : string -> string -> unit
 (** [write path payload]: atomically replace [path] with a snapshot of

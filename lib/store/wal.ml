@@ -2,6 +2,9 @@ module Crc32 = Leakdetect_util.Crc32
 
 let magic = "LDWAL001"
 let header_len = String.length magic
+(* Upper bound on a payload length.  Longer lengths in a frame are
+   treated as corruption, bounding how far a flipped length byte can send
+   the scanner. *)
 let max_record = 16 * 1024 * 1024
 
 let put_u32le buf v =

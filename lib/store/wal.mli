@@ -19,11 +19,6 @@
 val magic : string
 (** ["LDWAL001"], 8 bytes. *)
 
-val max_record : int
-(** Upper bound on a payload length (16 MiB).  Longer lengths in a frame
-    are treated as corruption, bounding how far a flipped length byte can
-    send the scanner. *)
-
 val frame : string -> string
 (** [frame payload] is the on-disk framing of one record (no header). *)
 

@@ -16,11 +16,8 @@ val profile : string -> profile
 val cardinality : profile -> int
 (** Number of distinct trigrams. *)
 
-val cosine_similarity : profile -> profile -> float
-(** In [\[0, 1\]]; 0 when either profile is empty. *)
-
 val profile_distance : profile -> profile -> float
-(** [1 - cosine_similarity], clamped to [\[0, 1\]]; 0 when both profiles
+(** One minus the profiles' cosine similarity, clamped to [\[0, 1\]]; 0 when both profiles
     are empty, 1 when exactly one is.  Argument order is part of the
     contract: on equal cardinalities the dot product folds over the first
     profile, so swapping the arguments may change the last bit. *)

@@ -16,7 +16,7 @@ let histogram xs =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-type cdf_point = { value : int; count : int; cumulative : int; fraction : float }
+type cdf_point = { value : int; fraction : float }
 
 let cdf xs =
   let total = Array.length xs in
@@ -27,7 +27,7 @@ let cdf xs =
         let fraction =
           if total = 0 then 0. else float_of_int cumulative /. float_of_int total
         in
-        (cumulative, { value; count; cumulative; fraction } :: acc))
+        (cumulative, { value; fraction } :: acc))
       (0, []) (histogram xs)
   in
   List.rev points

@@ -12,7 +12,8 @@ val max_int_arr : int array -> int
 val histogram : int array -> (int * int) list
 (** [histogram xs] is the sorted association list (value, count). *)
 
-type cdf_point = { value : int; count : int; cumulative : int; fraction : float }
+type cdf_point = { value : int; fraction : float }
 
 val cdf : int array -> cdf_point list
-(** Cumulative frequency distribution over distinct values, ascending. *)
+(** Cumulative frequency distribution over distinct values, ascending:
+    [fraction] is the share of the sample at or below [value]. *)

@@ -422,7 +422,6 @@ let lattice ~budgets:b ~steps root =
       steps
   done;
   {
-    root;
     derived = List.rev !derived;
     errors = List.rev !errors;
     failed_decodes = !failed;

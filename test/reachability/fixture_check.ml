@@ -1,5 +1,5 @@
 (* The check run on [fixture/]: its output must equal fixture.expected.
-   The test directory is not a root. *)
+   The test directory is not a root, but names exports. *)
 
 let allow =
   [
@@ -8,4 +8,10 @@ let allow =
     ("Used.removed", "stale: names nothing");
   ]
 
-let () = exit (Reach.run ~allow [ "test/reachability/fixture/lib"; "test/reachability/fixture/bin" ])
+let fields = [ ("Record.t.by_pattern", "stale: read through a record pattern") ]
+
+let () =
+  exit
+    (Reach.run ~allow ~fields
+       ~tests:[ "test/reachability/fixture/test" ]
+       [ "test/reachability/fixture/lib"; "test/reachability/fixture/bin" ])

@@ -41,10 +41,14 @@ type use =
   | Exn of string * string (* module, exception *)
   | Type of string * string (* module, type *)
   | Whole of string (* every definition under a module *)
+  | Field of string * string * string (* module, record type, field *)
 
 type node = { mutable uses : use list; mutable reached : bool }
 
-type kind = Val | Con
+type kind = Val | Con | Fld
+
+(* Library units define, executables are roots, tests only name things. *)
+type role = Lib | Exe | Test
 
 type def = { kind : kind; key : string; node : node; modkey : string; file : string; line : int }
 
@@ -55,11 +59,15 @@ type t = {
   type_eqs : (string, string * string) Hashtbl.t; (* type key -> re-exported (module, type) *)
   values : (string, def) Hashtbl.t;
   ctors : (string, def) Hashtbl.t; (* "type#Ctor" for variants, "module#Exn" *)
+  fields : (string, def) Hashtbl.t; (* "type#field" *)
   types : (string, node) Hashtbl.t;
   inits : (string, node) Hashtbl.t; (* unit -> its top-level effects *)
   mutable roots : node list;
   lib_units : (string, string) Hashtbl.t; (* library unit -> source file *)
   mutable defs : def list;
+  mutable field_defs : def list;
+  mutable refs : (string * use) list; (* unit naming it, value or whole module *)
+  mutable exports : (string * string * string * int) list; (* module, val, file, line *)
 }
 
 let create () =
@@ -69,11 +77,15 @@ let create () =
     type_eqs = Hashtbl.create 16;
     values = Hashtbl.create 2048;
     ctors = Hashtbl.create 512;
+    fields = Hashtbl.create 1024;
     types = Hashtbl.create 1024;
     inits = Hashtbl.create 256;
     roots = [];
     lib_units = Hashtbl.create 256;
     defs = [];
+    field_defs = [];
+    refs = [];
+    exports = [];
   }
 
 let new_node () = { uses = []; reached = false }
@@ -85,7 +97,7 @@ type env = {
   st : t;
   unit_name : string;
   file : string;
-  is_root : bool;
+  role : role;
   mods : (string, string) Hashtbl.t;
   vals : (string, string * string) Hashtbl.t;
   typs : (string, string * string) Hashtbl.t;
@@ -135,6 +147,18 @@ let head_type_use env ty =
 let add node uses = node.uses <- uses @ node.uses
 let add_opt node = Option.iter (fun u -> node.uses <- u :: node.uses)
 
+(* A name another unit may export: noted for the export report as well. *)
+let add_ref env node u =
+  env.st.refs <- (env.unit_name, u) :: env.st.refs;
+  add_opt node (Some u)
+
+(* Reading [ld]; fields of inline records are not tracked. *)
+let field_use env (ld : Types.label_description) =
+  match Types.get_desc ld.lbl_res with
+  | Types.Tconstr (p, _, _) ->
+    Option.map (fun (m, t) -> Field (m, t, ld.lbl_name)) (member_key env env.typs (type_path p))
+  | _ -> None
+
 let rec strip_constraint me =
   match me.mod_desc with Tmod_constraint (me, _, _, _) -> strip_constraint me | _ -> me
 
@@ -146,7 +170,15 @@ let collector env node =
     add_opt node (head_type_use env e.exp_type);
     match e.exp_desc with
     | Texp_ident (p, _, _) ->
-      add_opt node (Option.map (fun (m, v) -> Value (m, v)) (member_key env env.vals p))
+      Option.iter (fun (m, v) -> add_ref env node (Value (m, v))) (member_key env env.vals p)
+    | Texp_field (_, _, ld) ->
+      add_opt node (field_use env ld);
+      default_iterator.expr it e
+    | Texp_record { fields; extended_expression = Some _; _ } ->
+      Array.iter
+        (function ld, Kept _ -> add_opt node (field_use env ld) | _, Overridden _ -> ())
+        fields;
+      default_iterator.expr it e
     | Texp_construct (_, cd, args) ->
       (match cd.cstr_tag with
        | Types.Cstr_extension (p, _) ->
@@ -169,8 +201,15 @@ let collector env node =
   in
   let module_expr it me =
     match me.mod_desc with
-    | Tmod_ident (p, _) -> add_opt node (Option.map (fun m -> Whole m) (module_key env p))
+    | Tmod_ident (p, _) -> Option.iter (fun m -> add_ref env node (Whole m)) (module_key env p)
     | _ -> default_iterator.module_expr it me
+  in
+  let pat : type k. iterator -> k general_pattern -> unit =
+   fun it p ->
+    (match p.pat_desc with
+     | Tpat_record (fields, _) -> List.iter (fun (_, ld, _) -> add_opt node (field_use env ld)) fields
+     | _ -> ());
+    default_iterator.pat it p
   in
   let open_declaration it od =
     match (strip_constraint od.open_expr).mod_desc with
@@ -183,7 +222,7 @@ let collector env node =
      | _ -> ());
     default_iterator.typ it ct
   in
-  { default_iterator with expr; module_expr; open_declaration; typ }
+  { default_iterator with expr; module_expr; open_declaration; pat; typ }
 
 let unit_init env =
   match Hashtbl.find_opt env.st.inits env.unit_name with
@@ -195,9 +234,14 @@ let unit_init env =
 
 let define env kind table ~modkey key node (loc : Location.t) =
   let d = { kind; key; node; modkey; file = env.file; line = loc.loc_start.pos_lnum } in
-  Hashtbl.replace table key d;
-  if env.is_root then env.st.roots <- node :: env.st.roots
-  else env.st.defs <- d :: env.st.defs
+  match env.role with
+  | Exe ->
+    Hashtbl.replace table key d;
+    env.st.roots <- node :: env.st.roots
+  | Lib ->
+    Hashtbl.replace table key d;
+    if kind = Fld then env.st.field_defs <- d :: env.st.field_defs else env.st.defs <- d :: env.st.defs
+  | Test -> ()
 
 let define_type env ~modkey (td : type_declaration) =
   let key = modkey ^ "." ^ td.typ_name.txt in
@@ -205,17 +249,18 @@ let define_type env ~modkey (td : type_declaration) =
   Hashtbl.replace env.st.types key node;
   let it = collector env node in
   it.type_declaration it td;
+  let member kind table name loc =
+    let n = new_node () in
+    n.uses <- [ Type (modkey, td.typ_name.txt) ];
+    define env kind table ~modkey (key ^ "#" ^ name) n loc
+  in
   match (td.typ_kind, td.typ_manifest) with
-  | Ttype_variant _, Some { ctyp_desc = Ttyp_constr (p, _, _); _ } ->
-    (* [type t = M.t = A | B] re-exports M's constructors. *)
+  | (Ttype_variant _ | Ttype_record _), Some { ctyp_desc = Ttyp_constr (p, _, _); _ } ->
+    (* [type t = M.t = A | B] and [type t = M.t = { ... }] re-export M's
+       constructors and fields. *)
     Option.iter (Hashtbl.replace env.st.type_eqs key) (member_key env env.typs p)
-  | Ttype_variant cds, _ ->
-    List.iter
-      (fun cd ->
-        let c = new_node () in
-        c.uses <- [ Type (modkey, td.typ_name.txt) ];
-        define env Con env.st.ctors ~modkey (key ^ "#" ^ cd.cd_name.txt) c cd.cd_loc)
-      cds
+  | Ttype_variant cds, _ -> List.iter (fun cd -> member Con env.st.ctors cd.cd_name.txt cd.cd_loc) cds
+  | Ttype_record lds, _ -> List.iter (fun ld -> member Fld env.st.fields ld.ld_name.txt ld.ld_loc) lds
   | _ -> ()
 
 let define_ext env ~modkey (ext : extension_constructor) =
@@ -271,7 +316,7 @@ and structure_item env ~modkey item =
   | Tstr_include incl -> (
     match (strip_constraint incl.incl_mod).mod_desc with
     | Tmod_structure s -> structure env ~modkey s
-    | Tmod_ident (p, _) when not env.is_root ->
+    | Tmod_ident (p, _) when env.role = Lib ->
       Option.iter
         (fun m ->
           let prev = Option.value ~default:[] (Hashtbl.find_opt env.st.includes modkey) in
@@ -313,17 +358,29 @@ and module_binding env ~modkey mb =
       let it = collector env (unit_init env) in
       it.module_expr it me)
 
-let add_unit st ~is_root path =
+(* The [val]s of a library interface, nested module signatures included. *)
+let rec exports st ~file ~modkey (sg : signature) =
+  List.iter
+    (fun item ->
+      match item.sig_desc with
+      | Tsig_value vd ->
+        st.exports <- (modkey, vd.val_name.txt, file, vd.val_loc.loc_start.pos_lnum) :: st.exports
+      | Tsig_module { md_name = { txt = Some name; _ }; md_type = { mty_desc = Tmty_signature s; _ }; _ } ->
+        exports st ~file ~modkey:(modkey ^ "." ^ name) s
+      | _ -> ())
+    sg.sig_items
+
+let add_unit st ~role path =
   let cmt = Cmt_format.read_cmt path in
+  let file = Option.value ~default:path cmt.cmt_sourcefile in
   match cmt.cmt_annots with
-  | Cmt_format.Implementation str ->
-    let file = Option.value ~default:path cmt.cmt_sourcefile in
+  | Cmt_format.Implementation str -> (
     let env =
       {
         st;
         unit_name = cmt.cmt_modname;
         file;
-        is_root;
+        role;
         mods = Hashtbl.create 64;
         vals = Hashtbl.create 256;
         typs = Hashtbl.create 64;
@@ -331,8 +388,11 @@ let add_unit st ~is_root path =
       }
     in
     structure env ~modkey:cmt.cmt_modname str;
-    if is_root then st.roots <- unit_init env :: st.roots
-    else Hashtbl.replace st.lib_units cmt.cmt_modname file
+    match role with
+    | Exe -> st.roots <- unit_init env :: st.roots
+    | Lib -> Hashtbl.replace st.lib_units cmt.cmt_modname file
+    | Test -> ())
+  | Cmt_format.Interface sg when role = Lib -> exports st ~file ~modkey:cmt.cmt_modname sg
   | _ -> ()
 
 (* ---- resolution and reachability ----------------------------------- *)
@@ -384,6 +444,7 @@ let is_under ~prefix key =
 let targets st use =
   let value k = Option.map (fun d -> d.node) (Hashtbl.find_opt st.values k) in
   let ctor k = Option.map (fun d -> d.node) (Hashtbl.find_opt st.ctors k) in
+  let field k = Option.map (fun d -> d.node) (Hashtbl.find_opt st.fields k) in
   let typ k = Hashtbl.find_opt st.types k in
   let hits =
     match use with
@@ -394,6 +455,10 @@ let targets st use =
     | Ctor (m, t, c) -> (
       match type_key st m t with
       | Some k -> Option.to_list (Option.map (fun n -> (k, n)) (ctor (k ^ "#" ^ c)))
+      | None -> [])
+    | Field (m, t, f) -> (
+      match type_key st m t with
+      | Some k -> Option.to_list (Option.map (fun n -> (k, n)) (field (k ^ "#" ^ f)))
       | None -> [])
     | Type (m, t) -> (
       match type_key st m t with
@@ -491,7 +556,7 @@ let findings st =
       (fun m live acc ->
         let parent_live = match parent m with Some p -> is_live p | None -> true in
         if live || not parent_live then acc
-        else { name = display m; what = "module"; where = where_module m } :: acc)
+        else { name = display m; what = "unreachable module"; where = where_module m } :: acc)
       live []
   in
   let dead_members =
@@ -502,12 +567,69 @@ let findings st =
           Some
             {
               name = display d.key;
-              what = (match d.kind with Val -> "value" | Con -> "constructor");
+              what =
+                (match d.kind with
+                 | Val -> "unreachable value"
+                 | Con -> "unreachable constructor"
+                 | Fld -> "unread field");
               where = Printf.sprintf "%s:%d" d.file d.line;
             })
       st.defs
   in
   List.sort_uniq compare (dead_modules @ dead_members)
+
+(* [M.t#field] -> [M.t.field]. *)
+let display_field key =
+  let i = String.rindex key '#' in
+  display (String.sub key 0 i) ^ "." ^ String.sub key (i + 1) (String.length key - i - 1)
+
+(* Fields of live modules that no reached code reads. *)
+let unread_fields st ~allowed =
+  let live = modules st in
+  List.filter_map
+    (fun d ->
+      let name = display_field d.key in
+      if d.node.reached || List.mem_assoc name allowed
+         || not (Option.value ~default:true (Hashtbl.find_opt live d.modkey))
+      then None
+      else Some { name; what = "unread field"; where = Printf.sprintf "%s:%d" d.file d.line })
+    st.field_defs
+  |> List.sort_uniq compare
+
+(* The definition a value path names, or the path itself when the check
+   does not track it (a functor's output, say). *)
+let value_key st m v =
+  match lookup st (fun k -> if Hashtbl.mem st.values k then Some k else None) m v with
+  | Some k -> k
+  | None -> canon st m ^ "." ^ v
+
+(* Each exported [val] by display name, with where it is declared and
+   whether a unit other than its own names it, or passes its whole module
+   on. *)
+let export_status st =
+  let named = Hashtbl.create 4096 in
+  let wholes = ref [] in
+  List.iter
+    (fun (u, use) ->
+      match use with
+      | Value (m, v) -> Hashtbl.add named (value_key st m v) u
+      | Whole m -> wholes := (u, canon st m) :: !wholes
+      | _ -> ())
+    st.refs;
+  List.map
+    (fun (m, v, file, line) ->
+      let owner = unit_of m in
+      let key = value_key st m v in
+      let path = canon st m ^ "." ^ v in
+      let other u = u <> owner && u <> unit_of key in
+      let used =
+        List.exists other (Hashtbl.find_all named key)
+        || List.exists
+             (fun (u, prefix) -> other u && (is_under ~prefix path || is_under ~prefix key))
+             !wholes
+      in
+      (display (m ^ "." ^ v), (Printf.sprintf "%s:%d" file line, used)))
+    st.exports
 
 (* ---- driver -------------------------------------------------------- *)
 
@@ -517,13 +639,19 @@ let rec files_under dir =
          let path = Filename.concat dir entry in
          if Sys.is_directory path then files_under path else [ path ])
 
-(* Library units sit in [.objs/byte], executable units in [.eobjs/byte]. *)
-let units dir =
+(* Units sit in [byte] directories: library units under [.objs], whose
+   interfaces ([.cmti]) list the exports, and executable units under
+   [.eobjs], which are roots unless they are tests. *)
+let units ~skip ~tests dir =
   files_under dir
   |> List.filter (fun f ->
-         Filename.check_suffix f ".cmt" && Filename.basename (Filename.dirname f) = "byte")
-  |> List.map (fun f ->
-         (f, Filename.check_suffix (Filename.dirname (Filename.dirname f)) ".eobjs"))
+         Filename.basename (Filename.dirname f) = "byte"
+         && not (List.exists (fun prefix -> String.starts_with ~prefix f) skip))
+  |> List.filter_map (fun f ->
+         let exe = Filename.check_suffix (Filename.dirname (Filename.dirname f)) ".eobjs" in
+         if Filename.check_suffix f ".cmt" then Some (f, if not exe then Lib else if tests then Test else Exe)
+         else if Filename.check_suffix f ".cmti" && not exe then Some (f, Lib)
+         else None)
 
 (* Whether each name the check could report is reached. *)
 let status st =
@@ -541,33 +669,67 @@ let nodes_named st name =
       else None)
     st.defs
 
-(* Check the units under [dirs] against [allow], a list of (name, reason)
-   pairs; print what fails and return the exit code.  An allowlisted
-   entry must be unreachable from the executables; what it uses is then
-   reached from it. *)
-let run ~allow dirs =
+(* The allowlist entries that fail: with no one-line reason, or naming
+   nothing, or naming something [ok] says needs no entry. *)
+let stale_entries allow ~lookup ~needless =
+  List.filter_map
+    (fun (name, reason) ->
+      if reason = "" || String.contains reason '\n' then Some (name, "needs a one-line reason")
+      else
+        match lookup name with
+        | None -> Some (name, "names nothing")
+        | Some true -> Some (name, needless)
+        | Some false -> None)
+    allow
+
+(* Check the units under [dirs], and the test units under [tests] (minus
+   any file under a [skip] prefix), against three allowlists of (name,
+   reason) pairs; print what fails and return the exit code.
+   - [allow]: values, constructors and modules no executable reaches.  An
+     entry must be unreachable from the executables; what it uses is then
+     reached from it.
+   - [fields]: record fields that code reached from the executables or
+     from [allow] never reads.  Tests do not count as readers.
+   - [exports]: [val]s of library interfaces that no other unit, tests
+     included, names. *)
+let run ?(fields = []) ?(exports = []) ?(tests = []) ?(skip = []) ~allow dirs =
   let st = create () in
-  List.iter (fun d -> List.iter (fun (f, is_root) -> add_unit st ~is_root f) (units d)) dirs;
+  let load ~tests d = List.iter (fun (f, role) -> add_unit st ~role f) (units ~skip ~tests d) in
+  List.iter (load ~tests:false) dirs;
+  List.iter (load ~tests:true) tests;
   reach st st.roots;
   let reached = status st in
-  let bad_entries =
-    List.filter_map
-      (fun (name, reason) ->
-        if reason = "" || String.contains reason '\n' then Some (name, "needs a one-line reason")
-        else
-          match Hashtbl.find_opt reached name with
-          | None -> Some (name, "names nothing")
-          | Some true -> Some (name, "names something reachable")
-          | Some false -> None)
-      allow
+  let stale_values =
+    stale_entries allow ~lookup:(Hashtbl.find_opt reached) ~needless:"names something reachable"
   in
   reach st (List.concat_map (fun (name, _) -> nodes_named st name) allow);
-  let found = findings st in
-  List.iter (fun f -> Printf.printf "unreachable %s %s (%s)\n" f.what f.name f.where) found;
-  List.iter (fun (name, why) -> Printf.printf "stale allowlist entry %s: %s\n" name why) bad_entries;
-  if found = [] && bad_entries = [] then begin
+  let read = Hashtbl.create 1024 in
+  List.iter (fun d -> Hashtbl.replace read (display_field d.key) d.node.reached) st.field_defs;
+  let stale_fields = stale_entries fields ~lookup:(Hashtbl.find_opt read) ~needless:"names a field that is read" in
+  let exported = export_status st in
+  let stale_exports =
+    stale_entries exports
+      ~lookup:(fun name -> Option.map snd (List.assoc_opt name exported))
+      ~needless:"names an export another unit uses"
+  in
+  let unused_exports =
+    List.filter_map
+      (fun (name, (where, used)) ->
+        if used || List.mem_assoc name exports then None else Some { name; what = "unused export"; where })
+      exported
+    |> List.sort_uniq compare
+  in
+  let found = findings st @ unread_fields st ~allowed:fields @ unused_exports in
+  let stale = stale_values @ stale_fields @ stale_exports in
+  List.iter (fun f -> Printf.printf "%s %s (%s)\n" f.what f.name f.where) found;
+  List.iter (fun (name, why) -> Printf.printf "stale allowlist entry %s: %s\n" name why) stale;
+  if found = [] && stale = [] then begin
     Printf.printf "reachability: %d library values and constructors, all reached from %s or allowlisted (%d)\n"
       (List.length st.defs) (String.concat ", " dirs) (List.length allow);
+    Printf.printf "reachability: %d record fields, each read by reached code or allowlisted (%d)\n"
+      (List.length st.field_defs) (List.length fields);
+    Printf.printf "reachability: %d exported vals, each named by another unit of %s or allowlisted (%d)\n"
+      (List.length exported) (String.concat ", " (dirs @ tests)) (List.length exports);
     0
   end
   else 1

@@ -26,4 +26,22 @@ let allow =
     ("Shingle.jaccard", "exact Jaccard, the oracle test_sketch holds the minhash estimate to");
   ]
 
-let () = exit (Reach.run ~allow (List.tl (Array.to_list Sys.argv)))
+(* Fields only tests read, each with the test that reads it. *)
+let fields =
+  [
+    ( "Siggen.result.dendrogram",
+      "test_core's siggen tests check the linkage, backend and pool reach the dendrogram Siggen built" );
+    ( "Payload_check.verdict.via",
+      "test_core's payload tests and the per-needle oracle property check how each kind was found" );
+    ( "Normalize.lattice.errors",
+      "test_normalize's budget, oracle, obs-counter and known-answer tests compare budget exhaustions" );
+    ( "Normalize.lattice.failed_decodes",
+      "test_normalize's oracle, obs-counter and known-answer tests compare failed-decode counts" );
+  ]
+
+(* The test units count as users of an export, but not as roots or
+   readers; the check's own units and fixture are not users at all. *)
+let () =
+  exit
+    (Reach.run ~allow ~fields ~tests:[ "test" ] ~skip:[ "test/reachability" ]
+       (List.tl (Array.to_list Sys.argv)))

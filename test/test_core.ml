@@ -828,8 +828,7 @@ let prop_pipeline_counts_consistent =
          c.Metrics.n = o.Pipeline.sample_size
          && c.Metrics.sensitive_detected <= c.Metrics.sensitive_total
          && c.Metrics.normal_detected <= c.Metrics.normal_total
-         && List.length o.Pipeline.signatures <= List.length o.Pipeline.signatures
-            + o.Pipeline.rejected_clusters))
+         && List.length o.Pipeline.signatures <= o.Pipeline.n_clusters))
 
 let test_pipeline_normalize_off_identity () =
   (* The [normalize] knob defaults to off, and off must be byte-identical

@@ -349,9 +349,8 @@ let test_promotion_at_k () =
       (s.Signature.id > s1.Signature.id)
   | _ -> Alcotest.fail "published set plus the promotion");
   (match Authority.promotions auth with
-  | [ p ] ->
-    Alcotest.(check int) "audit trail records k reporters" 3
-      p.Authority.reporters
+  | [ reporters ] ->
+    Alcotest.(check int) "audit trail records k reporters" 3 reporters
   | _ -> Alcotest.fail "exactly one promotion audited");
   (* Reporting an already-published signature is a duplicate. *)
   match report "dave" with

@@ -231,7 +231,8 @@ let packets_gen n_min n_max =
 let outcome_fingerprint (o : Pipeline.outcome) =
   String.concat "|"
     (Printf.sprintf "n=%d clusters=%d rejected=%d tp=%.9f fn=%.9f fp=%.9f"
-       o.Pipeline.sample_size o.Pipeline.n_clusters o.Pipeline.rejected_clusters
+       o.Pipeline.sample_size o.Pipeline.n_clusters
+       (o.Pipeline.n_clusters - List.length o.Pipeline.signatures)
        o.Pipeline.metrics.Metrics.true_positive
        o.Pipeline.metrics.Metrics.false_negative
        o.Pipeline.metrics.Metrics.false_positive

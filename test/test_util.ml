@@ -368,25 +368,33 @@ let prop_cdf_monotone =
     QCheck.(array_of_size Gen.(1 -- 40) (int_range 0 10))
     (fun xs ->
       let pts = Stats.cdf xs in
+      (* The running sum of the histogram's counts, over the sample size. *)
+      let running =
+        snd
+          (List.fold_left_map
+             (fun cum (value, count) ->
+               let cum = cum + count in
+               (cum, (value, float_of_int cum /. float_of_int (Array.length xs))))
+             0 (Stats.histogram xs))
+      in
       let rec ascending = function
         | a :: (b :: _ as rest) ->
           a.Stats.value < b.Stats.value
-          && b.Stats.cumulative = a.Stats.cumulative + b.Stats.count
           && a.Stats.fraction < b.Stats.fraction
           && ascending rest
         | _ -> true
       in
       let last = List.nth pts (List.length pts - 1) in
       ascending pts
-      && (List.hd pts).Stats.cumulative = (List.hd pts).Stats.count
-      && last.Stats.cumulative = Array.length xs
+      && List.map (fun p -> (p.Stats.value, p.Stats.fraction)) pts = running
       && last.Stats.fraction = 1.)
 
 let test_stats_cdf () =
   let pts = Stats.cdf [| 1; 1; 2; 5 |] in
   let last = List.nth pts (List.length pts - 1) in
   Alcotest.(check int) "distinct values" 3 (List.length pts);
-  Alcotest.(check int) "cumulative total" 4 last.Stats.cumulative;
+  Alcotest.(check (list (float 1e-9))) "cumulative fractions" [ 0.5; 0.75; 1. ]
+    (List.map (fun p -> p.Stats.fraction) pts);
   Alcotest.(check (float 1e-9)) "final fraction" 1. last.Stats.fraction
 
 (* --- Table --- *)
