@@ -14,6 +14,7 @@ let reason_for = function
   | 403 -> "Forbidden"
   | 404 -> "Not Found"
   | 405 -> "Method Not Allowed"
+  | 421 -> "Misdirected Request"
   | 500 -> "Internal Server Error"
   | 503 -> "Service Unavailable"
   | _ -> "Unknown"

@@ -1866,6 +1866,11 @@ let test_authority_shard_gate () =
     (header r "X-Shard-Owner");
   Alcotest.(check (option string)) "epoch advertised" (Some "2")
     (header r "X-Shard-Epoch");
+  let printed = Http.Response.print r in
+  Alcotest.(check bool) "RFC 9110 reason phrase" true
+    (String.starts_with ~prefix:"HTTP/1.1 421 Misdirected Request\r\n" printed);
+  Alcotest.(check (option string)) "a router reads the owner back" (Some "other")
+    (Protocol.misdirected_to printed);
   let r =
     Authority.handle auth (post ("/candidates?tenant=" ^ foreign ^ "&reporter=r") "x")
   in
@@ -1883,7 +1888,9 @@ let test_authority_shard_gate () =
   Alcotest.(check int) "owned but not adopted is retryable" 503
     r.Http.Response.status;
   Alcotest.(check (option string)) "retry hinted" (Some "1")
-    (header r "Retry-After")
+    (header r "Retry-After");
+  Alcotest.(check (option string)) "a 503 redirects nowhere" None
+    (Protocol.misdirected_to (Http.Response.print r))
 
 let test_export_adopt_release () =
   let a = Authority.create () and b = Authority.create () in
@@ -2522,7 +2529,7 @@ let test_mini_topology () =
 let test_mini_topology_pinned () =
   with_dir (fun dir ->
       let report = Topology.run ~dir mini_topology in
-      Alcotest.(check string) "report CRC32" "a8254151"
+      Alcotest.(check string) "report CRC32" "c4591cce"
         (Crc32.to_hex
            (Crc32.string (Json.to_string (Topology.report_to_json report)))))
 
