@@ -9,9 +9,10 @@ let allow =
   ]
 
 let fields = [ ("Record.t.by_pattern", "stale: read through a record pattern") ]
+let exports = [ ("Exported.used_by_main", "stale: the executable names it") ]
 
 let () =
   exit
-    (Reach.run ~allow ~fields
+    (Reach.run ~allow ~fields ~exports
        ~tests:[ "test/reachability/fixture/test" ]
        [ "test/reachability/fixture/lib"; "test/reachability/fixture/bin" ])

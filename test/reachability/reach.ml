@@ -29,7 +29,18 @@
 
    A module is live when any value, constructor or type in it is.  The
    report lists every dead module once, and every dead value or
-   constructor of a live module, each with its file and line. *)
+   constructor of a live module, each with its file and line.
+
+   Two more kinds share the run:
+   - unread fields: a field of a library record that no reached node
+     reads.  A read is a projection ([Texp_field]), a record pattern
+     naming the field, or a [{ r with ... }] copy keeping it; building a
+     record and [<-] are writes.  [type t = M.t = { ... }] re-exports
+     M's fields, like constructors.
+   - unused exports: a [val] of a library interface ([.cmti], nested
+     module signatures included) that no other unit names, or passes on
+     whole.  Test units ([tests]) count here, as users only: they define
+     nothing, reach nothing and read nothing. *)
 
 open Typedtree
 
@@ -669,8 +680,9 @@ let nodes_named st name =
       else None)
     st.defs
 
-(* The allowlist entries that fail: with no one-line reason, or naming
-   nothing, or naming something [ok] says needs no entry. *)
+(* The allowlist entries that fail: with no one-line reason, naming
+   nothing, or naming something that needs no entry ([lookup] answers
+   [Some true]; [needless] says why). *)
 let stale_entries allow ~lookup ~needless =
   List.filter_map
     (fun (name, reason) ->
