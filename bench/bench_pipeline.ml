@@ -1,12 +1,11 @@
 (* Multicore pipeline benchmark.
 
    Measures the parallelized phases — distance-matrix build, whole-trace
-   detection, streaming (fragment-fed) detection, end-to-end signature
-   generation — at several job counts on a deterministic synthetic
-   workload, verifies that every parallel result is identical to the
-   sequential one (exact float equality on matrices, byte equality on
-   serialized signatures, equal detection bitmaps and metrics), and
-   writes BENCH_pipeline.json.
+   detection, end-to-end signature generation — at several job counts on
+   a deterministic synthetic workload, verifies that every parallel result
+   is identical to the sequential one (exact float equality on matrices,
+   byte equality on serialized signatures, equal detection bitmaps and
+   metrics), and writes BENCH_pipeline.json.
 
    Every benched phase draws its pool from [Pool.warm], so domain spin-up
    is paid once per job count for the whole process — the bench measures
@@ -16,7 +15,6 @@
    run it as a correctness gate as well as a perf probe.
 
    Usage: bench_pipeline.exe [--quick] [--jobs N] [--gate-speedup X]
-                             [--throughput-out FILE]
      --quick              tiny workload and sample sizes (CI smoke)
      --jobs N             highest job count to bench (default 4); the
                           benched set is 1, 2, 4, ... doubling up to N
@@ -24,9 +22,7 @@
                           highest job count reached X× over jobs=1; the
                           gate is skipped (with a note) when the machine
                           has fewer hardware domains than the highest job
-                          count, where the speedup is physically capped
-     --throughput-out F   also write the streaming-throughput section to
-                          F as a standalone JSON artifact *)
+                          count, where the speedup is physically capped *)
 
 module Json = Leakdetect_util.Json
 module Prng = Leakdetect_util.Prng
@@ -64,9 +60,6 @@ let max_jobs =
 let gate_speedup =
   arg_value "--gate-speedup" ~default:None (fun s ->
       match float_of_string_opt s with Some x when x > 0. -> Some (Some x) | _ -> None)
-
-let throughput_out =
-  arg_value "--throughput-out" ~default:None (fun s -> Some (Some s))
 
 let job_counts =
   let rec doubling j acc = if j >= max_jobs then List.rev (max_jobs :: acc) else doubling (2 * j) (j :: acc) in
@@ -120,8 +113,8 @@ let dataset =
 let suspicious, normal = Workload.split dataset
 let all_packets = Workload.packets dataset
 
-(* One signature set shared by the detection, streaming and allocation
-   sections, so their numbers are comparable. *)
+(* One signature set shared by the detection and allocation sections, so
+   their numbers are comparable. *)
 let detector =
   let sample_n = if quick then 40 else 300 in
   let sample = Sample.without_replacement (Prng.create 7) sample_n suspicious in
@@ -186,6 +179,16 @@ let bench_matrix () =
 let bench_detection () =
   Printf.printf "\n-- whole-trace detection (%d packets) --\n%!" (Array.length all_packets);
   Printf.printf "  signature set: %d signatures\n%!" (Detector.signature_count detector);
+  (* The bytes each scan walks: a packet's three content fields and the two
+     separators between them. *)
+  let bytes =
+    Array.fold_left
+      (fun acc (p : Packet.t) ->
+        let c = p.Packet.content in
+        acc + String.length c.Packet.request_line + String.length c.Packet.cookie
+        + String.length c.Packet.body + 2)
+      0 all_packets
+  in
   let reference = ref None in
   let seq_seconds = ref nan in
   let rows =
@@ -202,11 +205,14 @@ let bench_detection () =
         | Some r -> check (Printf.sprintf "detection bitmap jobs=%d" jobs) (r = bitmap));
         let speedup = !seq_seconds /. seconds in
         let throughput = float_of_int (Array.length all_packets) /. seconds in
-        Printf.printf "  jobs=%d  %7.3fs  %9.0f packets/s  speedup %4.2fx\n%!" jobs seconds
-          throughput speedup;
+        let mibps = float_of_int bytes /. seconds /. 1048576. in
+        let hits = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 bitmap in
+        Printf.printf "  jobs=%d  %7.3fs  %9.0f packets/s  %7.1f MiB/s  speedup %4.2fx\n%!"
+          jobs seconds throughput mibps speedup;
         Json.Obj
           [ ("jobs", Json.Int jobs); ("seconds", Json.Float seconds);
-            ("packets_per_sec", Json.Float throughput);
+            ("packets_per_sec", Json.Float throughput); ("mib_per_sec", Json.Float mibps);
+            ("bytes", Json.Int bytes); ("hits", Json.Int hits);
             ("speedup_vs_jobs1", Json.Float speedup) ])
       job_counts
   in
@@ -216,122 +222,18 @@ let bench_detection () =
          ("signatures", Json.Int (Detector.signature_count detector));
          ("runs", Json.List rows) ])
 
-(* --- streaming detection ------------------------------------------------- *)
-
-(* RFC 7230 chunked framing of [s] with an irregular chunk width, so the
-   fragment seams land at awkward offsets. *)
-let chunk_encode s =
-  let buf = Buffer.create (String.length s + 64) in
-  let off = ref 0 in
-  let w = ref 5 in
-  while !off < String.length s do
-    let l = min !w (String.length s - !off) in
-    Buffer.add_string buf (Printf.sprintf "%x\r\n" l);
-    Buffer.add_substring buf s !off l;
-    Buffer.add_string buf "\r\n";
-    off := !off + l;
-    w := 1 + ((!w * 3) mod 11)
-  done;
-  Buffer.add_string buf "0\r\n\r\n";
-  Buffer.contents buf
-
-let bench_streaming () =
-  Printf.printf "\n-- streaming detection (fragment-fed flows, batch throughput) --\n%!";
-  (* Flow equivalence: feed every packet as its canonical content stream,
-     the body split into tiny fragments (width cycling 1..7) or framed as a
-     chunked transfer coding, and require the verdict to equal whole-packet
-     detection.  This is the reassembly-free path the monitor runs. *)
-  let stream = Detector.Stream.create detector in
-  let flow = Detector.Stream.open_flow stream in
-  let frag_mismatch = ref 0 and chunk_mismatch = ref 0 in
-  let feed_fragments i s =
-    let w = 1 + (i mod 7) in
-    let len = String.length s in
-    let off = ref 0 in
-    while !off < len do
-      let l = min w (len - !off) in
-      Detector.Stream.feed flow ~off:!off ~len:l s;
-      off := !off + l
-    done
-  in
-  let verify_seconds = ref 0. in
-  let () =
-    let _, seconds =
-      time (fun () ->
-          Array.iteri
-            (fun i (p : Packet.t) ->
-              let c = p.Packet.content in
-              let expect = Detector.detects detector p in
-              feed_fragments i c.Packet.request_line;
-              Detector.Stream.feed flow "\n";
-              feed_fragments i c.Packet.cookie;
-              Detector.Stream.feed flow "\n";
-              feed_fragments i c.Packet.body;
-              if Detector.Stream.close flow <> None <> expect then incr frag_mismatch;
-              Detector.Stream.feed flow c.Packet.request_line;
-              Detector.Stream.feed flow "\n";
-              Detector.Stream.feed flow c.Packet.cookie;
-              Detector.Stream.feed flow "\n";
-              (match Detector.Stream.feed_chunked flow (chunk_encode c.Packet.body) with
-              | Ok _ -> ()
-              | Error _ -> incr chunk_mismatch);
-              if Detector.Stream.close flow <> None <> expect then incr chunk_mismatch)
-            all_packets)
-    in
-    verify_seconds := seconds
-  in
-  check "streaming fragment-fed flow = whole-packet detect" (!frag_mismatch = 0);
-  check "streaming chunked-fed flow = whole-packet detect" (!chunk_mismatch = 0);
-  Printf.printf "  flow equivalence: %d packets x 2 framings in %.3fs (%d mismatches)\n%!"
-    (Array.length all_packets) !verify_seconds (!frag_mismatch + !chunk_mismatch);
-  (* Batch throughput: packets/sec and MiB/s through Detector.Stream at each
-     job count, against the sequential bitmap. *)
-  let reference = ref None in
-  let seq_seconds = ref nan in
-  let rows =
-    List.map
-      (fun jobs ->
-        let pool = Pool.warm jobs in
-        let stream = Detector.Stream.create ?pool detector in
-        let bitmap, seconds = time (fun () -> Detector.Stream.detect_batch stream all_packets) in
-        (match !reference with
-        | None ->
-          reference := Some bitmap;
-          seq_seconds := seconds
-        | Some r -> check (Printf.sprintf "streaming batch bitmap jobs=%d" jobs) (r = bitmap));
-        let st = Detector.Stream.stats stream in
-        let speedup = !seq_seconds /. seconds in
-        let pps = float_of_int st.Detector.Stream.packets /. seconds in
-        let mibps = float_of_int st.Detector.Stream.bytes /. seconds /. 1048576. in
-        Printf.printf "  jobs=%d  %7.3fs  %9.0f packets/s  %7.1f MiB/s  speedup %4.2fx\n%!"
-          jobs seconds pps mibps speedup;
-        Json.Obj
-          [ ("jobs", Json.Int jobs); ("seconds", Json.Float seconds);
-            ("packets_per_sec", Json.Float pps); ("mib_per_sec", Json.Float mibps);
-            ("bytes", Json.Int st.Detector.Stream.bytes);
-            ("hits", Json.Int st.Detector.Stream.hits);
-            ("speedup_vs_jobs1", Json.Float speedup) ])
-      job_counts
-  in
-  let section =
-    Json.Obj
-      [ ("packets", Json.Int (Array.length all_packets));
-        ("signatures", Json.Int (Detector.signature_count detector));
-        ("flow_equivalence_mismatches", Json.Int (!frag_mismatch + !chunk_mismatch));
-        ("runs", Json.List rows) ]
-  in
-  record "streaming" section;
-  section
-
 (* --- detection allocation ------------------------------------------------ *)
 
 let bench_allocation () =
   Printf.printf "\n-- detection allocation (per-packet scratch vs reused scratch) --\n%!";
   let naive () =
-    (* The convenience API: a fresh matched-set and matcher state per
-       packet — what the sequential path allocated before scratch reuse. *)
+    (* A fresh matched-set and matcher state per packet — what the
+       sequential path allocated before scratch reuse. *)
     Array.fold_left
-      (fun acc p -> if Detector.detects detector p then acc + 1 else acc)
+      (fun acc p ->
+        match Detector.first_match_with detector (Detector.scratch detector) p with
+        | Some _ -> acc + 1
+        | None -> acc)
       0 all_packets
   in
   let reused () = Detector.count_detected detector all_packets in
@@ -477,7 +379,6 @@ let bench_normalize_overhead () =
 let () =
   bench_matrix ();
   bench_detection ();
-  let streaming_section = bench_streaming () in
   bench_allocation ();
   bench_end_to_end ();
   bench_obs_overhead ();
@@ -497,18 +398,6 @@ let () =
   output_char oc '\n';
   close_out oc;
   Printf.printf "\nwrote BENCH_pipeline.json\n";
-  (match throughput_out with
-  | None -> ()
-  | Some file ->
-    let oc = open_out file in
-    output_string oc
-      (Json.to_string_pretty
-         (Json.Obj
-            [ ("recommended_domains", Json.Int (Pool.recommended_jobs ()));
-              ("streaming", streaming_section) ]));
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote %s\n" file);
   let gate_failed =
     match gate_speedup with
     | None -> false

@@ -669,7 +669,9 @@ let micro_benchmarks () =
              Leakdetect_text.Edit_distance.distance "googleads.g.doubleclick.net"
                "pagead2.googlesyndication.com"));
       Test.make ~name:"detector_match_packet"
-        (Staged.stage (fun () -> Detector.detects detector p1));
+        (Staged.stage
+           (let sc = Detector.scratch detector in
+            fun () -> Detector.first_match_with detector sc p1));
       Test.make ~name:"cluster_30pkts"
         (Staged.stage (fun () ->
              let d = Distance.create () in

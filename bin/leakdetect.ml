@@ -518,16 +518,16 @@ let detect_cmd =
     let detector = Detector.create signatures in
     let normalize = normalize_of normalize in
     let packets = Array.map (fun r -> r.Trace.packet) records in
-    let stream = Detector.Stream.create ?pool:(Pool.warm jobs) ?normalize detector in
     let t0 = Unix.gettimeofday () in
-    let bitmap = Detector.Stream.detect_batch stream packets in
+    let bitmap = Detector.detect_bitmap ?pool:(Pool.warm jobs) ?normalize detector packets in
     let elapsed = Unix.gettimeofday () -. t0 in
     let detected = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 bitmap in
-    if verbose then
+    if verbose then begin
+      let sc = Detector.scratch detector in
       Array.iteri
         (fun i r ->
           if bitmap.(i) then
-            match Detector.first_match_normalized ?normalize detector r.Trace.packet with
+            match Detector.first_match_with ?normalize detector sc r.Trace.packet with
             | Some (s, steps) ->
               Printf.printf "app %d -> %s matched signature #%d%s\n" r.Trace.app_id
                 r.Trace.packet.Packet.dst.Packet.host s.Signature.id
@@ -536,15 +536,25 @@ let detect_cmd =
                 | steps ->
                   " via " ^ String.concat "+" (List.map Normalize.step_name steps))
             | None -> ())
-        records;
+        records
+    end;
     Printf.printf "%d of %d packets matched %d signatures\n" detected
       (Array.length records) (List.length signatures);
-    let st = Detector.Stream.stats stream in
+    (* The bytes scanned: each packet's three content fields and the two
+       separators between them. *)
+    let bytes =
+      Array.fold_left
+        (fun acc (p : Packet.t) ->
+          let c = p.Packet.content in
+          acc + String.length c.Packet.request_line + String.length c.Packet.cookie
+          + String.length c.Packet.body + 2)
+        0 packets
+    in
     if elapsed > 0. then
-      Printf.printf "scanned %d bytes in %.3fs (%.0f packets/s, %.1f MiB/s)\n"
-        st.Detector.Stream.bytes elapsed
-        (float_of_int st.Detector.Stream.packets /. elapsed)
-        (float_of_int st.Detector.Stream.bytes /. elapsed /. 1048576.)
+      Printf.printf "scanned %d bytes in %.3fs (%.0f packets/s, %.1f MiB/s)\n" bytes
+        elapsed
+        (float_of_int (Array.length packets) /. elapsed)
+        (float_of_int bytes /. elapsed /. 1048576.)
   in
   let sig_file =
     Arg.(required

@@ -13,7 +13,7 @@ module Workload = Leakdetect_android.Workload
 module Pipeline = Leakdetect_core.Pipeline
 module Flow_control = Leakdetect_monitor.Flow_control
 module Policy = Leakdetect_monitor.Policy
-module Signature_match = Leakdetect_monitor.Signature_match
+module Signature = Leakdetect_core.Signature
 module Trace = Leakdetect_http.Trace
 module Packet = Leakdetect_http.Packet
 module Prng = Leakdetect_util.Prng
@@ -32,7 +32,7 @@ let () =
      and remember the decision; this models a cautious user. *)
   let decisions : (int, bool) Hashtbl.t = Hashtbl.create 16 in
   let prompts = ref 0 in
-  let on_prompt ~app_id _packet (m : Signature_match.t) =
+  let on_prompt ~app_id _packet (s : Signature.t) =
     incr prompts;
     match Hashtbl.find_opt decisions app_id with
     | Some answer -> answer
@@ -40,7 +40,7 @@ let () =
       (* First time this app tries to leak: show the user what matched. *)
       if !prompts <= 5 then
         Printf.printf "  [prompt] app %d wants to transmit data matching signature #%d -> user says NO\n"
-          app_id m.Signature_match.signature_id;
+          app_id s.Signature.id;
       Hashtbl.add decisions app_id false;
       false
   in

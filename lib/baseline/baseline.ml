@@ -4,8 +4,7 @@ module Signature = Leakdetect_core.Signature
 module Detector = Leakdetect_core.Detector
 module Tokens = Leakdetect_text.Tokens
 
-let metrics_of ~n ~suspicious ~normal ~detect =
-  let count arr = Array.fold_left (fun acc p -> if detect p then acc + 1 else acc) 0 arr in
+let metrics_of ~n ~suspicious ~normal ~count =
   Metrics.compute
     {
       Metrics.n;
@@ -18,8 +17,12 @@ let metrics_of ~n ~suspicious ~normal ~detect =
 let exact ~sample ~suspicious ~normal =
   let known = Hashtbl.create (Array.length sample) in
   Array.iter (fun p -> Hashtbl.replace known (Packet.content_string p) ()) sample;
-  metrics_of ~n:(Array.length sample) ~suspicious ~normal ~detect:(fun p ->
-      Hashtbl.mem known (Packet.content_string p))
+  let count arr =
+    Array.fold_left
+      (fun acc p -> if Hashtbl.mem known (Packet.content_string p) then acc + 1 else acc)
+      0 arr
+  in
+  metrics_of ~n:(Array.length sample) ~suspicious ~normal ~count
 
 let sample_substring ~sample ~suspicious ~normal =
   let signatures =
@@ -30,7 +33,7 @@ let sample_substring ~sample ~suspicious ~normal =
   in
   let detector = Detector.create signatures in
   metrics_of ~n:(Array.length sample) ~suspicious ~normal
-    ~detect:(Detector.detects detector)
+    ~count:(Detector.count_detected detector)
 
 let signatures_of_partition ?(config = Leakdetect_core.Siggen.default) clusters =
   let next_id = ref 0 in
@@ -60,7 +63,7 @@ let signatures_of_partition ?(config = Leakdetect_core.Siggen.default) clusters 
 let partition_metrics ?(config = Leakdetect_core.Siggen.default) ~n ~clusters
     ~suspicious ~normal () =
   let detector = Detector.create (signatures_of_partition ~config clusters) in
-  metrics_of ~n ~suspicious ~normal ~detect:(Detector.detects detector)
+  metrics_of ~n ~suspicious ~normal ~count:(Detector.count_detected detector)
 
 let random_cluster ~rng ?n_clusters ?(config = Leakdetect_core.Siggen.default)
     ~sample ~suspicious ~normal () =

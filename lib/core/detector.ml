@@ -1,5 +1,4 @@
 module Packet = Leakdetect_http.Packet
-module Wire = Leakdetect_http.Wire
 module Aho_corasick = Leakdetect_text.Aho_corasick
 module Normalize = Leakdetect_normalize.Normalize
 
@@ -27,8 +26,6 @@ type t = {
   leads : int array;  (* entry i's first token id, -1 for a token-less entry *)
   automaton : Aho_corasick.t option;  (* None when there are no signatures *)
 }
-
-type detector = t
 
 let create signatures =
   let token_index = Hashtbl.create 64 in
@@ -79,9 +76,8 @@ let entry_matches entry matched content =
   tokens_matched entry.token_ids matched 0 (Array.length entry.token_ids)
   && ((not entry.ordered) || Signature.matches_content entry.compiled (Lazy.force content))
 
-(* Both lookup flavours run the automaton once over the content and then
-   test entries against the matched set; [matched] may be a reused
-   per-domain scratch buffer. *)
+(* The automaton has run once over the content; test entries against the
+   matched set in list order.  [matched] is a reused scratch buffer. *)
 let first_entry t matched content =
   let leads = t.leads in
   let n = Array.length leads in
@@ -149,196 +145,42 @@ let first_match_with ?normalize t sc packet =
               (first_entry t sc.seen (Lazy.from_val v.Normalize.text)))
           (Normalize.lattice nz (Lazy.force content)).Normalize.derived))
 
-let detects_with ?normalize t sc packet =
-  Option.is_some (first_match_with ?normalize t sc packet)
-
-let first_match_normalized ?normalize t packet =
-  match t.automaton with
-  | None -> None
-  | Some _ -> first_match_with ?normalize t (scratch t) packet
-
-let first_match ?normalize t packet =
-  Option.map fst (first_match_normalized ?normalize t packet)
-
-let detects ?normalize t packet = Option.is_some (first_match ?normalize t packet)
-
 module Pool = Leakdetect_parallel.Pool
 module Obs = Leakdetect_obs.Obs
-
-let record_scan obs ~packets ~hits ~elapsed_ns =
-  if not (Obs.is_noop obs) then begin
-    Obs.Counter.add
-      (Obs.counter obs ~help:"Packets scanned by whole-trace detection."
-         "leakdetect_detection_packets_total")
-      packets;
-    Obs.Counter.add
-      (Obs.counter obs ~help:"Packets matching at least one signature."
-         "leakdetect_detection_hits_total")
-      hits;
-    Obs.Histogram.observe
-      (Obs.histogram obs ~help:"Whole-trace detection scan latency."
-         ~buckets:Obs.duration_buckets "leakdetect_detection_seconds")
-      (float_of_int elapsed_ns /. 1e9)
-  end
-
-let detect_bitmap_raw ?pool ?normalize t packets =
-  match t.automaton with
-  | None -> Array.make (Array.length packets) false
-  | Some _ ->
-    let out = Array.make (Array.length packets) false in
-    (* The automaton, compiled matchers and normalizer are immutable after
-       creation; each domain brings its own scratch, so the only shared
-       writes are to index-owned slots of [out]. *)
-    Pool.parallel_for_with ~pool
-      ~init:(fun () -> scratch t)
-      (Array.length packets)
-      (fun sc i -> out.(i) <- detects_with ?normalize t sc packets.(i));
-    out
 
 let count_bitmap bitmap =
   Array.fold_left (fun acc hit -> if hit then acc + 1 else acc) 0 bitmap
 
+let scan_all ?pool ?normalize t packets =
+  let out = Array.make (Array.length packets) false in
+  (* The automaton, compiled matchers and normalizer are immutable after
+     creation; each domain brings its own scratch, so the only shared
+     writes are to index-owned slots of [out]. *)
+  Pool.parallel_for_with ~pool
+    ~init:(fun () -> scratch t)
+    (Array.length packets)
+    (fun sc i -> out.(i) <- Option.is_some (first_match_with ?normalize t sc packets.(i)));
+  out
+
 let detect_bitmap ?pool ?(obs = Obs.noop) ?normalize t packets =
-  if Obs.is_noop obs then detect_bitmap_raw ?pool ?normalize t packets
+  if Obs.is_noop obs then scan_all ?pool ?normalize t packets
   else
     Obs.with_span obs "detector.scan" @@ fun () ->
     let t0 = Obs.Clock.now_ns () in
-    let bitmap = detect_bitmap_raw ?pool ?normalize t packets in
-    record_scan obs ~packets:(Array.length packets) ~hits:(count_bitmap bitmap)
-      ~elapsed_ns:(Obs.Clock.now_ns () - t0);
+    let bitmap = scan_all ?pool ?normalize t packets in
+    Obs.Counter.add
+      (Obs.counter obs ~help:"Packets scanned by whole-trace detection."
+         "leakdetect_detection_packets_total")
+      (Array.length packets);
+    Obs.Counter.add
+      (Obs.counter obs ~help:"Packets matching at least one signature."
+         "leakdetect_detection_hits_total")
+      (count_bitmap bitmap);
+    Obs.Histogram.observe
+      (Obs.histogram obs ~help:"Whole-trace detection scan latency."
+         ~buckets:Obs.duration_buckets "leakdetect_detection_seconds")
+      (float_of_int (Obs.Clock.now_ns () - t0) /. 1e9);
     bitmap
 
-let count_detected ?pool ?(obs = Obs.noop) ?normalize t packets =
-  match (pool, Obs.is_noop obs) with
-  | None, true ->
-    (* One scratch for the whole trace: the sequential path reuses the
-       shared automaton and matched-set buffer exactly like each parallel
-       domain does, instead of allocating both per packet. *)
-    let sc = scratch t in
-    Array.fold_left
-      (fun acc p -> if detects_with ?normalize t sc p then acc + 1 else acc)
-      0 packets
-  | None, false ->
-    Obs.with_span obs "detector.scan" @@ fun () ->
-    let t0 = Obs.Clock.now_ns () in
-    let sc = scratch t in
-    let hits =
-      Array.fold_left
-        (fun acc p -> if detects_with ?normalize t sc p then acc + 1 else acc)
-        0 packets
-    in
-    record_scan obs ~packets:(Array.length packets) ~hits
-      ~elapsed_ns:(Obs.Clock.now_ns () - t0);
-    hits
-  | Some _, _ -> count_bitmap (detect_bitmap ?pool ~obs ?normalize t packets)
-
-(* --- streaming engine ----------------------------------------------------- *)
-
-module Stream = struct
-  type stats = { packets : int; bytes : int; hits : int }
-
-  type t = {
-    det : detector;
-    pool : Pool.t option;
-    normalize : Normalize.t option;
-    (* Per-flow verification needs the whole content only when an ordered
-       signature must check token order or the lattice must decode it. *)
-    keep_content : bool;
-    n_packets : int Atomic.t;
-    n_bytes : int Atomic.t;
-    n_hits : int Atomic.t;
-  }
-
-  let create ?pool ?normalize det =
-    {
-      det;
-      pool;
-      normalize;
-      keep_content =
-        normalize <> None || Array.exists (fun e -> e.ordered) det.entries;
-      n_packets = Atomic.make 0;
-      n_bytes = Atomic.make 0;
-      n_hits = Atomic.make 0;
-    }
-
-  let stats t =
-    {
-      packets = Atomic.get t.n_packets;
-      bytes = Atomic.get t.n_bytes;
-      hits = Atomic.get t.n_hits;
-    }
-
-  type flow = {
-    stream : t;
-    sc : scratch;
-    buf : Buffer.t;  (* fed bytes, kept only when [keep_content] *)
-  }
-
-  let open_flow stream =
-    { stream; sc = scratch stream.det; buf = Buffer.create 64 }
-
-  let reset_flow flow =
-    Array.fill flow.sc.seen 0 (Array.length flow.sc.seen) false;
-    Aho_corasick.Stream.reset flow.sc.mstate;
-    Buffer.clear flow.buf
-
-  let feed flow ?off ?len fragment =
-    (match flow.stream.det.automaton with
-    | None -> ()
-    | Some automaton ->
-      Aho_corasick.Stream.feed_into automaton flow.sc.mstate flow.sc.seen ?off ?len
-        fragment);
-    if flow.stream.keep_content then begin
-      let off = Option.value off ~default:0 in
-      let len = Option.value len ~default:(String.length fragment - off) in
-      Buffer.add_substring flow.buf fragment off len
-    end
-
-  let feed_chunked flow ?limits raw =
-    Wire.chunked_fragments ?limits raw (fun raw ~pos ~len ->
-        feed flow ~off:pos ~len raw)
-
-  let close flow =
-    let stream = flow.stream in
-    let result =
-      match stream.det.automaton with
-      | None -> None
-      | Some automaton -> (
-        let content = lazy (Buffer.contents flow.buf) in
-        match first_entry stream.det flow.sc.seen content with
-        | Some _ as hit -> hit
-        | None -> (
-          match stream.normalize with
-          | None -> None
-          | Some nz ->
-            List.find_map
-              (fun (v : Normalize.view) ->
-                Aho_corasick.matched_set_into automaton flow.sc.seen v.Normalize.text;
-                first_entry stream.det flow.sc.seen (Lazy.from_val v.Normalize.text))
-              (Normalize.lattice nz (Lazy.force content)).Normalize.derived))
-    in
-    Atomic.incr stream.n_packets;
-    ignore
-      (Atomic.fetch_and_add stream.n_bytes
-         (Aho_corasick.Stream.consumed flow.sc.mstate));
-    if Option.is_some result then Atomic.incr stream.n_hits;
-    reset_flow flow;
-    result
-
-  let content_bytes (p : Packet.t) =
-    let c = p.Packet.content in
-    String.length c.Packet.request_line + String.length c.Packet.cookie
-    + String.length c.Packet.body + 2
-
-  let detect_batch stream packets =
-    let bitmap =
-      detect_bitmap_raw ?pool:stream.pool ?normalize:stream.normalize stream.det
-        packets
-    in
-    let bytes = ref 0 in
-    Array.iter (fun p -> bytes := !bytes + content_bytes p) packets;
-    ignore (Atomic.fetch_and_add stream.n_packets (Array.length packets));
-    ignore (Atomic.fetch_and_add stream.n_bytes !bytes);
-    ignore (Atomic.fetch_and_add stream.n_hits (count_bitmap bitmap));
-    bitmap
-end
+let count_detected ?pool ?obs ?normalize t packets =
+  count_bitmap (detect_bitmap ?pool ?obs ?normalize t packets)

@@ -102,11 +102,9 @@ let header_fields ~limits h =
    line and one above the remaining budget is [Body_too_large], both
    rejected before the size enters any arithmetic.
 
-   [chunked_fragments] is the streaming form: instead of reassembling, it
-   hands each chunk's payload to the callback as an in-place slice of the
-   raw buffer — [f raw ~pos ~len] — so a streaming detector can scan
-   fragments as they are framed, without a reassembly copy followed by a
-   rescan.  Returns the total decoded length. *)
+   Each chunk's payload goes to the callback as an in-place slice of the
+   raw buffer — [f raw ~pos ~len] — starting at offset [start]; returns
+   the total decoded length. *)
 let fragments_from ~limits raw start f =
   let len = String.length raw in
   let rec chunk pos total =
@@ -138,8 +136,6 @@ let fragments_from ~limits raw start f =
         end)
   in
   chunk start 0
-
-let chunked_fragments ?(limits = default_limits) body f = fragments_from ~limits body 0 f
 
 let is_chunked headers =
   match Headers.get headers "Transfer-Encoding" with

@@ -77,20 +77,3 @@ val header_fields : limits:limits -> head -> (Headers.t, error) result
     (a [Syntax] error naming the line).  Values are trimmed of spaces and
     tabs. *)
 
-val chunked_fragments :
-  ?limits:limits ->
-  string ->
-  (string -> pos:int -> len:int -> unit) ->
-  (int, error) result
-(** [chunked_fragments raw f] parses [raw] as an RFC 7230 §4.1 chunked body
-    and calls [f raw ~pos ~len] once per chunk, in order, where
-    [raw.[pos .. pos+len-1]] is the chunk's payload — an in-place slice,
-    never a copy.  This is the streaming producer for incremental
-    detection: a resumable matcher can consume each fragment as it is
-    framed instead of waiting for reassembly and rescanning.  Returns the
-    total decoded length on success, cumulatively bounded by [max_body];
-    every [len] is positive and inside [raw];
-    errors are those of {!parse}'s chunked path and no further fragments
-    are delivered after one.  {!parse} itself decodes chunked bodies by
-    folding these fragments into a buffer, so both paths agree
-    byte-for-byte. *)

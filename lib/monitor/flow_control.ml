@@ -1,4 +1,5 @@
 module Detector = Leakdetect_core.Detector
+module Signature = Leakdetect_core.Signature
 module Normalize = Leakdetect_normalize.Normalize
 module Obs = Leakdetect_obs.Obs
 
@@ -13,7 +14,7 @@ let decision_to_string = function
 type event = {
   app_id : int;
   packet : Leakdetect_http.Packet.t;
-  matched : Signature_match.t option;
+  matched : Signature.t option;
   decision : decision;
 }
 
@@ -27,15 +28,15 @@ type t = {
   policy : Policy.t;
   prompt_budget : int option;
   fail_mode : fail_mode;
-  on_prompt : app_id:int -> Leakdetect_http.Packet.t -> Signature_match.t -> bool;
+  on_prompt : app_id:int -> Leakdetect_http.Packet.t -> Signature.t -> bool;
   prompt_counts : (int, int) Hashtbl.t;
   last_answers : (int, bool) Hashtbl.t;
-  mutable detector : Detector.t;
+  detector : Detector.t;
   (* Reusable scan state (matched-token set + resumable matcher position),
-     sized for [detector]'s automaton; rebuilt whenever the signature set
-     changes.  The monitor processes one packet at a time, so a single
-     scratch removes the per-packet allocation from the enforcement path. *)
-  mutable scratch : Detector.scratch;
+     sized for [detector]'s automaton.  The monitor processes one packet at
+     a time, so a single scratch removes the per-packet allocation from the
+     enforcement path. *)
+  scratch : Detector.scratch;
   normalize : Normalize.t option;
   mutable health : Signature_client.health;
   mutable events : event list;  (* newest first *)
@@ -90,8 +91,7 @@ let fail_mode t = t.fail_mode
 
 let process t ~app_id packet =
   let matched =
-    Option.map
-      (fun (s, _) -> Signature_match.of_signature s)
+    Option.map fst
       (Detector.first_match_with ?normalize:t.normalize t.detector t.scratch packet)
   in
   let rule = Policy.rule_for t.policy ~app_id in

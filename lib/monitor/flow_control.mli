@@ -7,7 +7,8 @@
     framework modification or special privilege is needed.
 
     Prompts are resolved by a callback so that library users (CLI, tests,
-    example apps) can model the human answer. *)
+    example apps) can model the human answer; it receives the signature
+    the packet matched, which the event log also records. *)
 
 type decision = Allowed | Blocked | Prompted of bool  (** [Prompted true] = user let it through. *)
 
@@ -16,7 +17,7 @@ val decision_to_string : decision -> string
 type event = {
   app_id : int;
   packet : Leakdetect_http.Packet.t;
-  matched : Signature_match.t option;
+  matched : Leakdetect_core.Signature.t option;
   decision : decision;
 }
 
@@ -35,7 +36,7 @@ val create :
   ?policy:Policy.t ->
   ?prompt_budget:int ->
   ?fail_mode:fail_mode ->
-  ?on_prompt:(app_id:int -> Leakdetect_http.Packet.t -> Signature_match.t -> bool) ->
+  ?on_prompt:(app_id:int -> Leakdetect_http.Packet.t -> Leakdetect_core.Signature.t -> bool) ->
   ?obs:Leakdetect_obs.Obs.t ->
   ?normalize:Leakdetect_normalize.Normalize.t ->
   Leakdetect_core.Signature.t list ->

@@ -170,15 +170,10 @@ let matched_set_into t seen text =
   ignore (scan_seen t 0 ~off:0 ~len:(String.length text) text seen)
 
 module Stream = struct
-  type state = { mutable row : int; mutable consumed : int }
+  type state = { mutable row : int }
 
-  let create () = { row = 0; consumed = 0 }
-
-  let reset st =
-    st.row <- 0;
-    st.consumed <- 0
-
-  let consumed st = st.consumed
+  let create () = { row = 0 }
+  let reset st = st.row <- 0
 
   (* Two automata over the same bytes.  Each step's lookup depends on the
      previous step of its own automaton only, so interleaving the two walks
@@ -207,8 +202,7 @@ module Stream = struct
     let off = match off with None -> 0 | Some o -> o in
     let len = match len with None -> String.length text - off | Some l -> l in
     check_slice "Aho_corasick.Stream.feed_into" text off len;
-    st.row <- scan_seen t st.row ~off ~len text seen;
-    st.consumed <- st.consumed + len
+    st.row <- scan_seen t st.row ~off ~len text seen
 
   let feed_pair_into a sa seen_a b sb seen_b ?off ?len text =
     if Array.length seen_a <> a.n_patterns || Array.length seen_b <> b.n_patterns then
@@ -216,9 +210,7 @@ module Stream = struct
     let off = match off with None -> 0 | Some o -> o in
     let len = match len with None -> String.length text - off | Some l -> l in
     check_slice "Aho_corasick.Stream.feed_pair_into" text off len;
-    scan_seen_pair a sa seen_a b sb seen_b ~off ~len text;
-    sa.consumed <- sa.consumed + len;
-    sb.consumed <- sb.consumed + len
+    scan_seen_pair a sa seen_a b sb seen_b ~off ~len text
 end
 
 let matched_set t text =

@@ -37,36 +37,33 @@ val matched_set_into : t -> bool array -> string -> unit
     by parallel whole-trace detection.
     @raise Invalid_argument on a buffer of the wrong length. *)
 
-(** Resumable matching for streaming detection.
+(** Resumable matching.
 
-    A {!Stream.state} is the automaton node reached so far plus the number
-    of bytes consumed — everything needed to continue a scan across
-    fragment boundaries.  Feeding fragments [f1, f2, ...] finds exactly
-    the patterns of scanning [f1 ^ f2 ^ ...] in one pass, including
-    occurrences that span fragment seams, because the carried node encodes
-    every live partial match.  No fragment is ever copied or concatenated:
-    [?off]/[?len] scan slices of a caller-owned buffer (e.g. chunk payloads
-    inside a raw HTTP body) in place. *)
+    A {!Stream.state} is the automaton node reached so far — everything
+    needed to continue a scan across fragment boundaries.  Feeding
+    fragments [f1, f2, ...] finds exactly the patterns of scanning
+    [f1 ^ f2 ^ ...] in one pass, including occurrences that span fragment
+    seams, because the carried node encodes every live partial match.  The
+    detector feeds a packet's three content fields and their separators
+    this way without concatenating them; [?off]/[?len] scan slices of a
+    caller-owned buffer in place. *)
 module Stream : sig
   type state
 
   val create : unit -> state
-  (** A fresh scan positioned at the automaton root, zero bytes consumed. *)
+  (** A fresh scan positioned at the automaton root. *)
 
   val reset : state -> unit
-  (** Rewind to the root so the state can be reused for the next stream —
-      streaming detection keeps one state per flow and resets it instead of
-      allocating. *)
-
-  val consumed : state -> int
-  (** Total bytes fed so far. *)
+  (** Rewind to the root so the state can be reused for the next text —
+      the detector keeps one state per scratch and resets it per packet
+      instead of allocating. *)
 
   val feed_into : t -> state -> bool array -> ?off:int -> ?len:int -> string -> unit
   (** [feed_into t st seen text] scans the next fragment ([?off]/[?len]
       delimit a slice, default the whole string) and records the ids of
       the patterns that occur so far into [seen] (length {!pattern_count})
-      {e without clearing it} — the per-flow matched set accumulates across
-      fragments; clear it between flows.
+      {e without clearing it} — the matched set accumulates across
+      fragments; clear it between texts.
       @raise Invalid_argument on a buffer of the wrong length or an
       out-of-bounds slice. *)
 

@@ -562,17 +562,19 @@ let test_siggen_linkage_threaded () =
   Alcotest.(check bool) "default is group average" true
     (Siggen.default.Siggen.linkage = Agglomerative.Group_average)
 
+(* One lookup through a fresh scratch. *)
+let first_match ?normalize d p = Detector.first_match_with ?normalize d (Detector.scratch d) p
+
 let test_detector_basics () =
   let s1 = Signature.make ~id:0 ~mode:Signature.Conjunction ~cluster_size:1 [ "imei=355" ] in
   let s2 = Signature.make ~id:1 ~mode:Signature.Conjunction ~cluster_size:1 [ "aap.do" ] in
   let d = Detector.create [ s1; s2 ] in
   Alcotest.(check int) "count" 2 (Detector.signature_count d);
   let pa = group_a 0 and pb = group_b 0 and pn = mk () in
-  Alcotest.(check (option int)) "first match id" (Some 0)
-    (Option.map (fun s -> s.Signature.id) (Detector.first_match d pa));
-  Alcotest.(check (option int)) "second signature" (Some 1)
-    (Option.map (fun s -> s.Signature.id) (Detector.first_match d pb));
-  Alcotest.(check bool) "miss" false (Detector.detects d pn);
+  let id p = Option.map (fun (s, _) -> s.Signature.id) (first_match d p) in
+  Alcotest.(check (option int)) "first match id" (Some 0) (id pa);
+  Alcotest.(check (option int)) "second signature" (Some 1) (id pb);
+  Alcotest.(check (option int)) "miss" None (id pn);
   Alcotest.(check int) "count detected" 2 (Detector.count_detected d [| pa; pb; pn |]);
   Alcotest.(check (array bool)) "bitmap" [| true; true; false |]
     (Detector.detect_bitmap d [| pa; pb; pn |])
@@ -584,163 +586,216 @@ let test_detector_normalize_reencoded () =
       [ Signature.make ~id:0 ~mode:Signature.Conjunction ~cluster_size:1 [ token ] ]
   in
   let p = mk ~rline:("GET /x?d=" ^ percent_encode token ^ " HTTP/1.1") () in
-  Alcotest.(check bool) "raw scan misses" false (Detector.detects d p);
+  Alcotest.(check bool) "raw scan misses" true (first_match d p = None);
   let normalize = Leakdetect_normalize.Normalize.create () in
-  Alcotest.(check bool) "lattice scan hits" true (Detector.detects ~normalize d p);
-  (match Detector.first_match_normalized ~normalize d p with
+  (match first_match ~normalize d p with
   | Some (_, steps) ->
     Alcotest.(check bool) "attributed to a derived view" true (steps <> [])
   | None -> Alcotest.fail "expected a match");
   (* An unencoded hit is attributed to the raw content even with the
      lattice enabled. *)
   let clean = mk ~rline:("GET /x?" ^ token ^ " HTTP/1.1") () in
-  match Detector.first_match_normalized ~normalize d clean with
+  match first_match ~normalize d clean with
   | Some (_, []) -> ()
   | Some (_, _) -> Alcotest.fail "raw hit attributed to a view"
   | None -> Alcotest.fail "expected a raw match"
 
+(* The kernel's specification, written without the automaton: the first
+   signature in list order whose compiled matcher accepts the flattened
+   content, attributed [[]]; failing that, with a normalizer, the first
+   derived view in lattice order that some signature matches, with that
+   view's decode chain. *)
+let detection_oracle ?normalize sigs (p : Packet.t) =
+  let compiled = List.map (fun s -> (s, Signature.compile s)) sigs in
+  let first text =
+    List.find_map
+      (fun (s, c) -> if Signature.matches_content c text then Some s else None)
+      compiled
+  in
+  let raw = Packet.content_string p in
+  match first raw with
+  | Some s -> Some (s, [])
+  | None -> (
+    match normalize with
+    | None -> None
+    | Some nz ->
+      List.find_map
+        (fun (v : Leakdetect_normalize.Normalize.view) ->
+          Option.map (fun s -> (s, v.Leakdetect_normalize.Normalize.steps))
+            (first v.Leakdetect_normalize.Normalize.text))
+        (Leakdetect_normalize.Normalize.lattice nz raw).Leakdetect_normalize.Normalize.derived)
+
+(* Mixed signature sets whose signatures share lead tokens, and packets
+   carrying tokens raw, in any order, percent-encoded or base64-encoded
+   (several tokens per piece, so a base64 run is long enough to decode). *)
+let detector_case_gen =
+  let leads = [ "imei="; "uid="; "ad." ] and others = [ "355"; "abc"; "k9"; "x.y"; "zz=1" ] in
+  QCheck.Gen.(
+    let signature =
+      triple (oneofl leads) (list_size (0 -- 2) (oneofl others)) bool
+    in
+    let piece =
+      pair (list_size (1 -- 4) (oneofl (leads @ others)))
+        (pair (oneofl [ `Raw; `Percent; `Base64 ]) (0 -- 2))
+    in
+    (* At least 32 packets, so a 4-domain pool really shards the scan. *)
+    pair (list_size (1 -- 5) signature) (list_size (32 -- 40) (list_size (0 -- 5) piece)))
+
+let detector_case_of (sig_specs, packet_specs) =
+  let sigs =
+    List.mapi
+      (fun id (lead, rest, ordered) ->
+        Signature.make ~id
+          ~mode:(if ordered then Signature.Ordered else Signature.Conjunction)
+          ~cluster_size:1 (lead :: rest))
+      sig_specs
+  in
+  let render (tokens, (encoding, _)) =
+    let s = String.concat "&" tokens in
+    match encoding with
+    | `Raw -> s
+    | `Percent -> percent_encode s
+    | `Base64 -> Leakdetect_util.Base64.encode s
+  in
+  let field pieces k =
+    String.concat "/" (List.map render (List.filter (fun (_, (_, f)) -> f = k) pieces))
+  in
+  let packets =
+    Array.of_list
+      (List.map
+         (fun pieces ->
+           mk ~rline:("GET /p?" ^ field pieces 0 ^ " HTTP/1.1") ~cookie:(field pieces 1)
+             ~body:(field pieces 2) ())
+         packet_specs)
+  in
+  (sigs, packets)
+
+let same_match a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (s, steps), Some (s', steps') -> s.Signature.id = s'.Signature.id && steps = steps'
+  | _ -> false
+
+let oracle_normalizer = Leakdetect_normalize.Normalize.create ()
+
+let prop_first_match_with_equals_oracle =
+  QCheck.Test.make ~name:"first_match_with (fresh and reused scratch) = oracle" ~count:150
+    (QCheck.make detector_case_gen) (fun case ->
+      let sigs, packets = detector_case_of case in
+      let d = Detector.create sigs in
+      let reused = Detector.scratch d in
+      List.for_all
+        (fun normalize ->
+          Array.for_all
+            (fun p ->
+              let expect = detection_oracle ?normalize sigs p in
+              same_match (first_match ?normalize d p) expect
+              && same_match (Detector.first_match_with ?normalize d reused p) expect)
+            packets)
+        [ None; Some oracle_normalizer ])
+
+let prop_batch_equals_oracle =
+  QCheck.Test.make ~name:"detect_bitmap (jobs 1 and 4), count_detected = oracle" ~count:60
+    (QCheck.make detector_case_gen) (fun case ->
+      let sigs, packets = detector_case_of case in
+      let d = Detector.create sigs in
+      Fixtures.with_pool 4 (fun pool4 ->
+          List.for_all
+            (fun normalize ->
+              let hits =
+                Array.map (fun p -> detection_oracle ?normalize sigs p <> None) packets
+              in
+              let n_hits = Array.fold_left (fun n h -> if h then n + 1 else n) 0 hits in
+              List.for_all
+                (fun pool ->
+                  Detector.detect_bitmap ?pool ?normalize d packets = hits
+                  && Detector.count_detected ?pool ?normalize d packets = n_hits)
+                [ None; pool4 ])
+            [ None; Some oracle_normalizer ]))
+
+(* An ordered signature whose tokens are in order only in a decoded view is
+   found through that view; one whose tokens are out of order in every
+   view is not, though each token occurs. *)
+let test_detector_ordered_under_views () =
+  let ordered =
+    Signature.make ~id:0 ~mode:Signature.Ordered ~cluster_size:1 [ "uid=abc"; "imei=355" ]
+  in
+  let d = Detector.create [ ordered ] in
+  let normalize = Leakdetect_normalize.Normalize.create () in
+  (* Raw: "imei=355" first, then "uid=abc" encoded; decoded, the encoded
+     "uid=abc" follows "imei=355" — still out of order. *)
+  let out_of_order =
+    mk ~rline:("GET /p?imei=355&" ^ percent_encode "uid=abc" ^ " HTTP/1.1") ()
+  in
+  Alcotest.(check bool) "out of order in every view" true
+    (first_match ~normalize d out_of_order = None);
+  let in_order =
+    mk ~rline:("GET /p?" ^ percent_encode "uid=abc" ^ "&imei=355 HTTP/1.1") ()
+  in
+  Alcotest.(check bool) "raw content alone misses" true (first_match d in_order = None);
+  match first_match ~normalize d in_order with
+  | Some (s, steps) ->
+    Alcotest.(check int) "ordered signature" 0 s.Signature.id;
+    Alcotest.(check bool) "found through a view" true (steps <> [])
+  | None -> Alcotest.fail "expected the decoded view to match in order"
+
+(* No signatures: nothing matches and the batch entries still record. *)
+let test_detector_empty_set () =
+  let d = Detector.create [] in
+  let packets = [| group_a 0; mk () |] in
+  Alcotest.(check int) "no signatures" 0 (Detector.signature_count d);
+  Alcotest.(check bool) "no match" true
+    (first_match ~normalize:(Leakdetect_normalize.Normalize.create ()) d (group_a 0) = None);
+  Alcotest.(check (array bool)) "empty bitmap" [| false; false |]
+    (Detector.detect_bitmap d packets);
+  let obs = Leakdetect_obs.Obs.create () in
+  Alcotest.(check int) "none counted" 0 (Detector.count_detected ~obs d packets);
+  Alcotest.(check int) "packets still counted" 2
+    (Leakdetect_obs.Obs.Counter.value
+       (Leakdetect_obs.Obs.counter obs "leakdetect_detection_packets_total"))
+
+(* Each whole-trace scan, sequential or pooled, through either batch entry,
+   records one [detector.scan] root span, adds its packets and hits to the
+   two counters and makes one latency observation — and a second scan adds
+   as much again. *)
+let test_detection_obs_contract jobs () =
+  let module Obs = Leakdetect_obs.Obs in
+  let d =
+    Detector.create
+      [ Signature.make ~id:0 ~mode:Signature.Conjunction ~cluster_size:1 [ "imei=355" ] ]
+  in
+  let packets = Array.init 40 (fun i -> if i mod 4 = 0 then group_a i else mk ()) in
+  let hits = Detector.count_detected d packets in
+  Alcotest.(check int) "fixture hits" 10 hits;
+  let observations obs =
+    List.fold_left
+      (fun acc (s : Obs.sample) ->
+        match s.Obs.value with
+        | Obs.Histogram_value { count; _ } when s.Obs.family = "leakdetect_detection_seconds"
+          -> acc + count
+        | _ -> acc)
+      0 (Obs.samples obs)
+  in
+  Fixtures.with_pool jobs (fun pool ->
+      List.iter
+        (fun (entry, scan) ->
+          let what k = Printf.sprintf "%s: %s" entry k in
+          let obs = Obs.create () in
+          for round = 1 to 2 do
+            scan ?pool ~obs packets;
+            Alcotest.(check (list string)) (what "root spans")
+              (List.init round (fun _ -> "detector.scan"))
+              (List.map Obs.Span.name (Obs.root_spans obs));
+            Alcotest.(check int) (what "packets_total") (round * Array.length packets)
+              (Obs.Counter.value (Obs.counter obs "leakdetect_detection_packets_total"));
+            Alcotest.(check int) (what "hits_total") (round * hits)
+              (Obs.Counter.value (Obs.counter obs "leakdetect_detection_hits_total"));
+            Alcotest.(check int) (what "histogram observations") round (observations obs)
+          done)
+        [ ("detect_bitmap", fun ?pool ~obs p -> ignore (Detector.detect_bitmap ?pool ~obs d p));
+          ("count_detected", fun ?pool ~obs p -> ignore (Detector.count_detected ?pool ~obs d p)) ])
+
 (* --- Metrics --- *)
-
-(* --- Detector.Stream: fragment-fed flows --- *)
-
-(* Feed one packet through a flow as its canonical content stream, the
-   fields split into [width]-byte fragments. *)
-let feed_packet_split flow ~width (p : Packet.t) =
-  let feed_split s =
-    let len = String.length s in
-    let off = ref 0 in
-    while !off < len do
-      let l = min width (len - !off) in
-      Detector.Stream.feed flow ~off:!off ~len:l s;
-      off := !off + l
-    done
-  in
-  let c = p.Packet.content in
-  feed_split c.Packet.request_line;
-  Detector.Stream.feed flow "\n";
-  feed_split c.Packet.cookie;
-  Detector.Stream.feed flow "\n";
-  feed_split c.Packet.body
-
-(* RFC 7230 chunked framing with the given chunk width, so seams fall mid-token. *)
-let chunk_encode ~width s =
-  let buf = Buffer.create (String.length s + 32) in
-  let off = ref 0 in
-  while !off < String.length s do
-    let l = min width (String.length s - !off) in
-    Buffer.add_string buf (Printf.sprintf "%x\r\n" l);
-    Buffer.add_substring buf s !off l;
-    Buffer.add_string buf "\r\n";
-    off := !off + l
-  done;
-  Buffer.add_string buf "0\r\n\r\n";
-  Buffer.contents buf
-
-let test_stream_flow_matches_across_seams () =
-  let d =
-    Detector.create
-      [ Signature.make ~id:0 ~mode:Signature.Conjunction ~cluster_size:1
-          [ "imei=355021930123456" ] ]
-  in
-  let stream = Detector.Stream.create d in
-  let flow = Detector.Stream.open_flow stream in
-  let hit = group_a 0 and miss = mk () in
-  (* 1-byte fragments: the token spans every seam. *)
-  feed_packet_split flow ~width:1 hit;
-  (match Detector.Stream.close flow with
-  | Some s -> Alcotest.(check int) "token split across every seam still hits" 0 s.Signature.id
-  | None -> Alcotest.fail "expected a match from fragment-fed flow");
-  (* The flow resets itself: the next packet starts clean. *)
-  feed_packet_split flow ~width:3 miss;
-  Alcotest.(check bool) "clean packet after reuse misses" true
-    (Detector.Stream.close flow = None);
-  let st = Detector.Stream.stats stream in
-  Alcotest.(check int) "packets counted" 2 st.Detector.Stream.packets;
-  Alcotest.(check int) "hits counted" 1 st.Detector.Stream.hits;
-  Alcotest.(check bool) "bytes counted" true (st.Detector.Stream.bytes > 0)
-
-let test_stream_chunked_body () =
-  let d =
-    Detector.create
-      [ Signature.make ~id:0 ~mode:Signature.Conjunction ~cluster_size:1
-          [ "ak=k0"; "FL_2.2" ] ]
-  in
-  let stream = Detector.Stream.create d in
-  let flow = Detector.Stream.open_flow stream in
-  let p = group_b 0 in
-  let c = p.Packet.content in
-  Detector.Stream.feed flow c.Packet.request_line;
-  Detector.Stream.feed flow "\n";
-  Detector.Stream.feed flow c.Packet.cookie;
-  Detector.Stream.feed flow "\n";
-  (* Frame the body as a chunked transfer coding with 2-byte chunks: both
-     tokens span chunk seams and must still match without reassembly. *)
-  (match Detector.Stream.feed_chunked flow (chunk_encode ~width:2 c.Packet.body) with
-  | Ok total -> Alcotest.(check int) "decoded length" (String.length c.Packet.body) total
-  | Error e -> Alcotest.fail (Leakdetect_http.Wire.error_to_string e));
-  Alcotest.(check bool) "chunk-seam-spanning tokens match" true
-    (Detector.Stream.close flow <> None);
-  (* A malformed framing is the wire parser's error, through the same path. *)
-  (match Detector.Stream.feed_chunked flow "zz\r\nxx\r\n0\r\n\r\n" with
-  | Ok _ -> Alcotest.fail "bad chunk-size line must be rejected"
-  | Error _ -> ());
-  ignore (Detector.Stream.close flow)
-
-let test_stream_detect_batch_equals_bitmap () =
-  let sample = Array.init 12 (fun i -> if i < 6 then group_a i else group_b i) in
-  let gen = Siggen.generate (Distance.create ()) sample in
-  let d = Detector.create gen.Siggen.signatures in
-  let packets = Array.init 40 (fun i ->
-      if i mod 3 = 0 then group_a i else if i mod 3 = 1 then group_b i else mk ())
-  in
-  let stream = Detector.Stream.create d in
-  let batch = Detector.Stream.detect_batch stream packets in
-  Alcotest.(check (array bool)) "batch equals detect_bitmap"
-    (Detector.detect_bitmap d packets) batch;
-  let st = Detector.Stream.stats stream in
-  Alcotest.(check int) "batch packets counted" 40 st.Detector.Stream.packets;
-  Alcotest.(check int) "batch hits = bitmap hits"
-    (Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 batch)
-    st.Detector.Stream.hits
-
-let prop_stream_split_equals_detect =
-  (* Any fragment split of any packet — including chunked body framing —
-     gives the same verdict as whole-packet detection. *)
-  let gen =
-    QCheck.Gen.(
-      let field = string_size ~gen:(oneofl [ 'a'; 'k'; '0'; '='; '&' ]) (0 -- 25) in
-      pair (pair (1 -- 7) (1 -- 5)) (pair field field))
-  in
-  let sample = Array.init 12 (fun i -> if i < 6 then group_a i else group_b i) in
-  let siggen = Siggen.generate (Distance.create ()) sample in
-  let d = Detector.create siggen.Siggen.signatures in
-  let stream = Detector.Stream.create d in
-  let flow = Detector.Stream.open_flow stream in
-  QCheck.Test.make ~name:"stream flow over any split = whole-packet detect" ~count:200
-    (QCheck.make gen)
-    (fun ((width, chunk_width), (cookie, body)) ->
-      let p = if body = "" then group_a width else group_b width in
-      let p =
-        mk ~host:p.Packet.dst.Packet.host ~rline:p.Packet.content.Packet.request_line
-          ~cookie ~body:(p.Packet.content.Packet.body ^ body) ()
-      in
-      let expect = Detector.detects d p in
-      feed_packet_split flow ~width p;
-      let frag_verdict = Detector.Stream.close flow <> None in
-      let c = p.Packet.content in
-      Detector.Stream.feed flow c.Packet.request_line;
-      Detector.Stream.feed flow "\n";
-      Detector.Stream.feed flow c.Packet.cookie;
-      Detector.Stream.feed flow "\n";
-      let chunk_ok =
-        match
-          Detector.Stream.feed_chunked flow (chunk_encode ~width:chunk_width c.Packet.body)
-        with
-        | Ok total -> total = String.length c.Packet.body
-        | Error _ -> false
-      in
-      let chunk_verdict = Detector.Stream.close flow <> None in
-      frag_verdict = expect && chunk_verdict = expect && chunk_ok)
 
 let test_metrics_paper_formulas () =
   let m =
@@ -933,15 +988,15 @@ let suite =
     ( "core.detector",
       [
         Alcotest.test_case "basics" `Quick test_detector_basics;
-        Alcotest.test_case "stream: matches across fragment seams" `Quick
-          test_stream_flow_matches_across_seams;
-        Alcotest.test_case "stream: chunked body without reassembly" `Quick
-          test_stream_chunked_body;
-        Alcotest.test_case "stream: detect_batch equals bitmap" `Quick
-          test_stream_detect_batch_equals_bitmap;
-        qtest prop_stream_split_equals_detect;
         Alcotest.test_case "normalized detection" `Quick
           test_detector_normalize_reencoded;
+        Alcotest.test_case "ordered signature under views" `Quick
+          test_detector_ordered_under_views;
+        Alcotest.test_case "empty signature set" `Quick test_detector_empty_set;
+        qtest prop_first_match_with_equals_oracle;
+        qtest prop_batch_equals_oracle;
+        Alcotest.test_case "obs contract: sequential" `Quick (test_detection_obs_contract 1);
+        Alcotest.test_case "obs contract: pooled" `Quick (test_detection_obs_contract 4);
       ] );
     ( "core.metrics",
       [

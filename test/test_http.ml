@@ -437,18 +437,6 @@ let test_wire_chunked_overflow () =
   | Error (Wire.Body_too_large n) -> Alcotest.(check int) "saturated size" max_int n
   | Ok _ | Error _ -> Alcotest.fail "expected Body_too_large for a max_int chunk"
 
-let test_chunked_fragments_overflow () =
-  let lens = ref [] in
-  let result =
-    Wire.chunked_fragments ("2\r\nok\r\n" ^ overflow_size ^ "\r\nxx\r\n0\r\n\r\n")
-      (fun _ ~pos:_ ~len -> lens := len :: !lens)
-  in
-  (match result with
-  | Error (Wire.Syntax _) -> ()
-  | Ok n -> Alcotest.failf "framed %d bytes" n
-  | Error e -> Alcotest.failf "unexpected %s" (Wire.error_to_string e));
-  Alcotest.(check (list int)) "only the valid chunk was delivered" [ 2 ] !lens
-
 (* --- Differential fuzz of the framing ------------------------------------ *)
 
 (* Printed workload traffic, as the handset intercepts it: each packet's
@@ -662,8 +650,6 @@ let suite =
         Alcotest.test_case "chunked malformed" `Quick test_wire_chunked_malformed;
         Alcotest.test_case "chunked max_body" `Quick test_wire_chunked_max_body;
         Alcotest.test_case "chunk size overflowing int" `Quick test_wire_chunked_overflow;
-        Alcotest.test_case "fragments: chunk size overflowing int" `Quick
-          test_chunked_fragments_overflow;
         Alcotest.test_case "find_from allocates O(1)" `Quick test_find_from_allocation;
         Alcotest.test_case "parse allocates body + O(1)" `Quick test_wire_parse_allocation;
         qtest prop_wire_matches_oracle;

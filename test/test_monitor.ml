@@ -137,10 +137,27 @@ let test_flow_reconcile () =
   Alcotest.(check bool) "drift detected" true
     (Result.is_error (Flow_control.reconcile m))
 
+(* The prompt and the event log carry the signature the detector
+   returned, not a copy of some of its fields. *)
 let test_signature_match_view () =
-  let s = List.hd signatures in
-  let v = Signature_match.of_signature s in
-  Alcotest.(check int) "id" 0 v.Signature_match.signature_id
+  let miss = Signature.make ~id:4 ~mode:Signature.Conjunction ~cluster_size:1 [ "udid=" ] in
+  let hit = List.hd signatures in
+  let prompted = ref None in
+  let m =
+    Flow_control.create
+      ~on_prompt:(fun ~app_id:_ _p s ->
+        prompted := Some s;
+        false)
+      [ miss; hit ]
+  in
+  ignore (Flow_control.process m ~app_id:1 (leak_packet ()));
+  Alcotest.(check bool) "prompt gets the matched signature" true
+    (match !prompted with Some s -> s == hit | None -> false);
+  match Flow_control.log m with
+  | [ e ] ->
+    Alcotest.(check bool) "event records it" true
+      (match e.Flow_control.matched with Some s -> s == hit | None -> false)
+  | _ -> Alcotest.fail "expected one event"
 
 (* --- Prompt budget --- *)
 
@@ -199,7 +216,7 @@ let test_report_per_app () =
        (List.filter_map
           (fun e ->
             if e.Flow_control.app_id = 2 then
-              Option.map (fun m -> m.Signature_match.signature_id) e.Flow_control.matched
+              Option.map (fun s -> s.Signature.id) e.Flow_control.matched
             else None)
           (Flow_control.log m)));
   let clean = List.find (fun s -> s.Report.app_id = 3) summaries in
