@@ -519,25 +519,23 @@ let detect_cmd =
     let normalize = normalize_of normalize in
     let packets = Array.map (fun r -> r.Trace.packet) records in
     let t0 = Unix.gettimeofday () in
-    let bitmap = Detector.detect_bitmap ?pool:(Pool.warm jobs) ?normalize detector packets in
+    let matches = Detector.first_matches ?pool:(Pool.warm jobs) ?normalize detector packets in
     let elapsed = Unix.gettimeofday () -. t0 in
-    let detected = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 bitmap in
-    if verbose then begin
-      let sc = Detector.scratch detector in
+    let detected =
+      Array.fold_left (fun acc m -> if Option.is_some m then acc + 1 else acc) 0 matches
+    in
+    if verbose then
       Array.iteri
         (fun i r ->
-          if bitmap.(i) then
-            match Detector.first_match_with ?normalize detector sc r.Trace.packet with
-            | Some (s, steps) ->
-              Printf.printf "app %d -> %s matched signature #%d%s\n" r.Trace.app_id
-                r.Trace.packet.Packet.dst.Packet.host s.Signature.id
-                (match steps with
-                | [] -> ""
-                | steps ->
-                  " via " ^ String.concat "+" (List.map Normalize.step_name steps))
-            | None -> ())
-        records
-    end;
+          match matches.(i) with
+          | Some (s, steps) ->
+            Printf.printf "app %d -> %s matched signature #%d%s\n" r.Trace.app_id
+              r.Trace.packet.Packet.dst.Packet.host s.Signature.id
+              (match steps with
+              | [] -> ""
+              | steps -> " via " ^ String.concat "+" (List.map Normalize.step_name steps))
+          | None -> ())
+        records;
     Printf.printf "%d of %d packets matched %d signatures\n" detected
       (Array.length records) (List.length signatures);
     (* The bytes scanned: each packet's three content fields and the two

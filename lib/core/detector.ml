@@ -148,26 +148,26 @@ let first_match_with ?normalize t sc packet =
 module Pool = Leakdetect_parallel.Pool
 module Obs = Leakdetect_obs.Obs
 
-let count_bitmap bitmap =
-  Array.fold_left (fun acc hit -> if hit then acc + 1 else acc) 0 bitmap
+let count_hits matches =
+  Array.fold_left (fun acc m -> if Option.is_some m then acc + 1 else acc) 0 matches
 
 let scan_all ?pool ?normalize t packets =
-  let out = Array.make (Array.length packets) false in
+  let out = Array.make (Array.length packets) None in
   (* The automaton, compiled matchers and normalizer are immutable after
      creation; each domain brings its own scratch, so the only shared
      writes are to index-owned slots of [out]. *)
   Pool.parallel_for_with ~pool
     ~init:(fun () -> scratch t)
     (Array.length packets)
-    (fun sc i -> out.(i) <- Option.is_some (first_match_with ?normalize t sc packets.(i)));
+    (fun sc i -> out.(i) <- first_match_with ?normalize t sc packets.(i));
   out
 
-let detect_bitmap ?pool ?(obs = Obs.noop) ?normalize t packets =
+let first_matches ?pool ?(obs = Obs.noop) ?normalize t packets =
   if Obs.is_noop obs then scan_all ?pool ?normalize t packets
   else
     Obs.with_span obs "detector.scan" @@ fun () ->
     let t0 = Obs.Clock.now_ns () in
-    let bitmap = scan_all ?pool ?normalize t packets in
+    let matches = scan_all ?pool ?normalize t packets in
     Obs.Counter.add
       (Obs.counter obs ~help:"Packets scanned by whole-trace detection."
          "leakdetect_detection_packets_total")
@@ -175,12 +175,15 @@ let detect_bitmap ?pool ?(obs = Obs.noop) ?normalize t packets =
     Obs.Counter.add
       (Obs.counter obs ~help:"Packets matching at least one signature."
          "leakdetect_detection_hits_total")
-      (count_bitmap bitmap);
+      (count_hits matches);
     Obs.Histogram.observe
       (Obs.histogram obs ~help:"Whole-trace detection scan latency."
          ~buckets:Obs.duration_buckets "leakdetect_detection_seconds")
       (float_of_int (Obs.Clock.now_ns () - t0) /. 1e9);
-    bitmap
+    matches
+
+let detect_bitmap ?pool ?obs ?normalize t packets =
+  Array.map Option.is_some (first_matches ?pool ?obs ?normalize t packets)
 
 let count_detected ?pool ?obs ?normalize t packets =
-  count_bitmap (detect_bitmap ?pool ?obs ?normalize t packets)
+  count_hits (first_matches ?pool ?obs ?normalize t packets)

@@ -4,8 +4,9 @@
     evaluation runs for Figure 4.
 
     There is one per-packet kernel, {!first_match_with}, and one batch
-    entry, {!detect_bitmap}, which runs the kernel over a packet array
-    ({!count_detected} counts its bitmap).  The kernel is zero-copy: a
+    entry, {!first_matches}, which runs the kernel over a packet array
+    ({!detect_bitmap} and {!count_detected} are its flag and count
+    views).  The kernel is zero-copy: a
     packet's three content fields are fed through a resumable Aho-Corasick
     scan with the canonical ['\n'] separators in between, so the automaton
     walks the exact bytes of {!Leakdetect_http.Packet.content_string}
@@ -50,25 +51,34 @@ val first_match_with :
     the caller-owned scratch: no per-packet allocation on the conjunction
     fast path. *)
 
+val first_matches :
+  ?pool:Leakdetect_parallel.Pool.t ->
+  ?obs:Leakdetect_obs.Obs.t ->
+  ?normalize:Leakdetect_normalize.Normalize.t ->
+  t -> Leakdetect_http.Packet.t array ->
+  (Signature.t * Leakdetect_normalize.Normalize.step list) option array
+(** {!first_match_with} of every packet, aligned with the input array:
+    one scan per packet names the match too.  [?obs] (default noop)
+    records a [detector.scan] span and the [leakdetect_detection_*]
+    counters/histogram — per scan, not per packet, so the hot loop is
+    untouched.  Sequential runs ([?pool] absent) reuse one scratch across
+    the whole array.  With [?pool], packets are sharded across domains:
+    the Aho-Corasick automaton (and the normalizer, which holds no
+    per-call state) is shared read-only and every domain reuses a private
+    {!scratch}, so the result is identical to the sequential scan. *)
+
 val detect_bitmap :
   ?pool:Leakdetect_parallel.Pool.t ->
   ?obs:Leakdetect_obs.Obs.t ->
   ?normalize:Leakdetect_normalize.Normalize.t ->
   t -> Leakdetect_http.Packet.t array -> bool array
-(** Per-packet detection flags, aligned with the input array: slot [i] is
-    whether {!first_match_with} finds a match for packet [i].  [?obs]
-    (default noop) records a [detector.scan] span and the
-    [leakdetect_detection_*] counters/histogram — per scan, not per packet,
-    so the hot loop is untouched.  Sequential runs ([?pool] absent) reuse
-    one scratch across the whole array.  With [?pool], packets are sharded
-    across domains: the Aho-Corasick automaton (and the normalizer, which
-    holds no per-call state) is shared read-only and every domain reuses a
-    private {!scratch}, so the bitmap is identical to the sequential scan. *)
+(** The [Option.is_some] view of {!first_matches}, which records the
+    observations. *)
 
 val count_detected :
   ?pool:Leakdetect_parallel.Pool.t ->
   ?obs:Leakdetect_obs.Obs.t ->
   ?normalize:Leakdetect_normalize.Normalize.t ->
   t -> Leakdetect_http.Packet.t array -> int
-(** The number of [true] slots of {!detect_bitmap}, which records the
+(** The number of matched packets of {!first_matches}, which records the
     observations. *)

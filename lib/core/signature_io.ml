@@ -1,38 +1,6 @@
 module Leak_error = Leakdetect_util.Leak_error
-
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let unescape s =
-  let n = String.length s in
-  let buf = Buffer.create n in
-  let rec loop i =
-    if i = n then Some (Buffer.contents buf)
-    else if s.[i] = '\\' then
-      if i + 1 = n then None
-      else (
-        match s.[i + 1] with
-        | '\\' -> Buffer.add_char buf '\\'; loop (i + 2)
-        | 't' -> Buffer.add_char buf '\t'; loop (i + 2)
-        | 'n' -> Buffer.add_char buf '\n'; loop (i + 2)
-        | 'r' -> Buffer.add_char buf '\r'; loop (i + 2)
-        | _ -> None)
-    else begin
-      Buffer.add_char buf s.[i];
-      loop (i + 1)
-    end
-  in
-  loop 0
+module Trace = Leakdetect_http.Trace
+module Strutil = Leakdetect_util.Strutil
 
 let mode_to_string = function
   | Signature.Conjunction -> "conjunction"
@@ -43,24 +11,47 @@ let mode_of_string = function
   | "ordered" -> Some Signature.Ordered
   | _ -> None
 
-let to_line (s : Signature.t) =
-  String.concat "\t"
-    (string_of_int s.Signature.id
-    :: mode_to_string s.Signature.mode
-    :: string_of_int s.Signature.cluster_size
-    :: List.map escape s.Signature.tokens)
+let add_line buf (s : Signature.t) =
+  Strutil.add_int buf s.Signature.id;
+  Buffer.add_char buf '\t';
+  Buffer.add_string buf (mode_to_string s.Signature.mode);
+  Buffer.add_char buf '\t';
+  Strutil.add_int buf s.Signature.cluster_size;
+  List.iter
+    (fun token ->
+      Buffer.add_char buf '\t';
+      Buffer.add_string buf (Trace.escape_field token))
+    s.Signature.tokens
+
+(* Room for the three fixed fields and every token unescaped: one buffer
+   that rarely grows. *)
+let line_capacity (s : Signature.t) =
+  List.fold_left (fun n t -> n + 1 + String.length t) 40 s.Signature.tokens
+
+let to_line s =
+  let buf = Buffer.create (line_capacity s) in
+  add_line buf s;
+  Buffer.contents buf
 
 let of_line line =
   match String.split_on_char '\t' line with
   | id_s :: mode_s :: size_s :: tokens when tokens <> [] -> (
     match (int_of_string_opt id_s, mode_of_string mode_s, int_of_string_opt size_s) with
     | Some id, Some mode, Some cluster_size -> (
-      match List.find_opt (fun t -> unescape t = None) tokens with
-      | Some bad -> Error (Leak_error.Bad_escape bad)
-      | None ->
-        let unescaped = List.filter_map unescape tokens in
-        (try Ok (Signature.make ~id ~mode ~cluster_size unescaped)
-         with Invalid_argument m -> Error (Leak_error.Invalid m)))
+      (* Each token is unescaped once; the first bad one, in line order,
+         is the error. *)
+      let rec unescape acc = function
+        | [] -> Ok (List.rev acc)
+        | t :: rest -> (
+          match Trace.unescape_field t with
+          | Some u -> unescape (u :: acc) rest
+          | None -> Error (Leak_error.Bad_escape t))
+      in
+      match unescape [] tokens with
+      | Error _ as e -> e
+      | Ok unescaped -> (
+        try Ok (Signature.make ~id ~mode ~cluster_size unescaped)
+        with Invalid_argument m -> Error (Leak_error.Invalid m)))
     | None, _, _ -> Error (Leak_error.Bad_field ("id", id_s))
     | _, None, _ -> Error (Leak_error.Bad_field ("mode", mode_s))
     | _, _, None -> Error (Leak_error.Bad_field ("cluster size", size_s)))
@@ -76,8 +67,6 @@ let save path signatures =
           output_string oc (to_line s);
           output_char oc '\n')
         signatures)
-
-module Trace = Leakdetect_http.Trace
 
 let load ?(config = Pipeline_config.default) path =
   let on_error = config.Pipeline_config.on_error in

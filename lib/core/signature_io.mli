@@ -6,9 +6,15 @@
 
       id TAB mode TAB cluster_size TAB token1 TAB token2 ...
 
-    with backslash escaping of tab/newline/backslash inside tokens. *)
+    with tokens escaped by {!Leakdetect_http.Trace.escape_field}
+    (backslash, tab, newline and carriage return), the trace format's
+    field codec. *)
 
 val to_line : Signature.t -> string
+
+val add_line : Buffer.t -> Signature.t -> unit
+(** Append [to_line s] to the buffer: for a caller that frames the line
+    with more fields, in one buffer. *)
 
 val of_line : string -> (Signature.t, Leakdetect_util.Leak_error.t) result
 (** Parse errors use the unified {!Leakdetect_util.Leak_error.t} shared

@@ -1,27 +1,33 @@
 module Signature = Leakdetect_core.Signature
 module Signature_io = Leakdetect_core.Signature_io
 module Leak_error = Leakdetect_util.Leak_error
+module Strutil = Leakdetect_util.Strutil
 
 type change = Add of Signature.t | Retire of int
 
 type entry = { version : int; change : change }
 
 let entry_to_line e =
-  match e.change with
-  | Add s -> Printf.sprintf "a\t%d\t%s" e.version (Signature_io.to_line s)
-  | Retire id -> Printf.sprintf "r\t%d\t%d" e.version id
+  let buf = Buffer.create 128 in
+  Buffer.add_string buf (match e.change with Add _ -> "a\t" | Retire _ -> "r\t");
+  Strutil.add_int buf e.version;
+  Buffer.add_char buf '\t';
+  (match e.change with
+  | Add s -> Signature_io.add_line buf s
+  | Retire id -> Strutil.add_int buf id);
+  Buffer.contents buf
 
 let entry_of_line line =
+  let bad () = Error (Printf.sprintf "bad changelog line %S" line) in
   match String.index_opt line '\t' with
-  | None -> Error (Printf.sprintf "bad changelog line %S" line)
+  | None -> bad ()
   | Some i -> (
-    let tag = String.sub line 0 i in
-    let rest = String.sub line (i + 1) (String.length line - i - 1) in
-    match String.index_opt rest '\t' with
-    | None -> Error (Printf.sprintf "bad changelog line %S" line)
+    match String.index_from_opt line (i + 1) '\t' with
+    | None -> bad ()
     | Some j -> (
-      let version = String.sub rest 0 j in
-      let payload = String.sub rest (j + 1) (String.length rest - j - 1) in
+      let tag = String.sub line 0 i in
+      let version = String.sub line (i + 1) (j - i - 1) in
+      let payload = String.sub line (j + 1) (String.length line - j - 1) in
       match int_of_string_opt version with
       | None -> Error (Printf.sprintf "bad changelog version %S" version)
       | Some version when version <= 0 ->
@@ -58,14 +64,23 @@ let apply set = function
   | Add s -> Sigset.add s set
   | Retire id -> Sigset.remove id set
 
+(* [apply] for an entry whose wire line is at hand: an [Add]'s signature
+   line follows the second tab, and the set checksums it in place. *)
+let apply_line set change line =
+  match change with
+  | Add s -> Sigset.add_encoded s ~line ~pos:(String.index_from line 2 '\t' + 1) set
+  | Retire id -> Sigset.remove id set
+
 (* The retained history is indexed by version: [entries.(i)] is the entry
-   at version [base_version + 1 + i] and [sums.(i)] the canonical-set CRC
+   at version [base_version + 1 + i], [lines.(i)] its [entry_to_line],
+   encoded once when it was appended, and [sums.(i)] the canonical-set CRC
    it produced, for [i < count]; the sum at [base_version] is the base
-   set's own.  Both arrays grow by doubling. *)
+   set's own.  The arrays grow by doubling. *)
 type t = {
   mutable base_version : int;
   mutable base : Sigset.t;
   mutable entries : entry array;
+  mutable lines : string array;
   mutable sums : int array;
   mutable count : int;
   mutable set : Sigset.t;  (* current *)
@@ -79,6 +94,7 @@ let create () =
     base_version = 0;
     base = Sigset.empty;
     entries = [||];
+    lines = [||];
     sums = [||];
     count = 0;
     set = Sigset.empty;
@@ -106,21 +122,30 @@ let note_id t = function
   | Add s -> t.next_id <- max t.next_id (s.Signature.id + 1)
   | Retire _ -> ()
 
-let append t change =
+(* Record [entry], whose wire line is [line], at version [version t + 1]. *)
+let push t entry line =
   if t.count = Array.length t.entries then begin
     let cap = max 16 (2 * t.count) in
-    let entries = Array.make cap no_entry and sums = Array.make cap 0 in
+    let entries = Array.make cap no_entry
+    and lines = Array.make cap ""
+    and sums = Array.make cap 0 in
     Array.blit t.entries 0 entries 0 t.count;
+    Array.blit t.lines 0 lines 0 t.count;
     Array.blit t.sums 0 sums 0 t.count;
     t.entries <- entries;
+    t.lines <- lines;
     t.sums <- sums
   end;
-  let entry = { version = version t + 1; change } in
-  t.set <- apply t.set change;
-  note_id t change;
+  t.set <- apply_line t.set entry.change line;
+  note_id t entry.change;
   t.entries.(t.count) <- entry;
+  t.lines.(t.count) <- line;
   t.sums.(t.count) <- Sigset.checksum t.set;
-  t.count <- t.count + 1;
+  t.count <- t.count + 1
+
+let append t change =
+  let entry = { version = version t + 1; change } in
+  push t entry (entry_to_line entry);
   entry
 
 let replay t entries =
@@ -158,7 +183,7 @@ let restore ~base_version ~base ~next_id ~entries =
 let truncate t ~version:v =
   let t' = of_set ~version:t.base_version t.base in
   for i = 0 to min (v - t.base_version) t.count - 1 do
-    ignore (append t' t.entries.(i).change)
+    push t' t.entries.(i) t.lines.(i)
   done;
   t'
 
@@ -170,6 +195,12 @@ let since t v =
       else collect (i - 1) (t.entries.(i) :: acc)
     in
     Some (collect (t.count - 1) [])
+
+let since_lines t v =
+  if v < t.base_version || v > version t then None
+  else
+    let i = v - t.base_version in
+    Some (Array.to_list (Array.sub t.lines i (t.count - i)))
 
 (* Checkpoints ascend from the first retained version in [interval]
    steps; the head is always the last checkpoint, so a digest is never
@@ -195,11 +226,13 @@ let compact t ~keep =
   let fold_n = t.count - keep in
   if fold_n > 0 then begin
     for i = 0 to fold_n - 1 do
-      t.base <- apply t.base t.entries.(i).change
+      t.base <- apply_line t.base t.entries.(i).change t.lines.(i)
     done;
     Array.blit t.entries fold_n t.entries 0 keep;
+    Array.blit t.lines fold_n t.lines 0 keep;
     Array.blit t.sums fold_n t.sums 0 keep;
     Array.fill t.entries keep fold_n no_entry;
+    Array.fill t.lines keep fold_n "";
     t.base_version <- t.base_version + fold_n;
     t.count <- keep
   end

@@ -15,7 +15,11 @@
     must land on the checksum the authority advertises.  The set is a
     {!Sigset}, so each change costs O(log n) and the retained history is
     indexed by version: {!append}, {!checksum_at} and {!wire_checksum}
-    never serialize the whole set, and {!since} costs O(suffix). *)
+    never serialize the whole set, and {!since} costs O(suffix).  Each
+    entry's {!entry_to_line} is encoded once, when it is appended, and
+    kept with it through {!compact}, {!truncate} and {!restore}; the
+    set's piece checksum reads the same bytes, and {!since_lines} serves
+    them. *)
 
 module Signature = Leakdetect_core.Signature
 
@@ -105,6 +109,11 @@ val since : t -> int -> entry list option
     that carries a client at version [v] to the head.  [None] when [v] is
     below the horizon (compacted away) or beyond the head (a gap the
     caller must treat as a full-resync condition). *)
+
+val since_lines : t -> int -> string list option
+(** [Option.map (List.map entry_to_line) (since t v)], from the lines
+    stored when each entry was appended: serving a delta encodes
+    nothing. *)
 
 val digest : t -> since:int -> interval:int -> (int * int) list
 (** Ranged anti-entropy digest: [(version, canonical-set CRC)] checkpoints

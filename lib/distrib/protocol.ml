@@ -182,16 +182,16 @@ let serve_signatures server request params =
     in
     if full then snapshot ()
     else
-      match Changelog.since log since with
+      match Changelog.since_lines log since with
       | None -> snapshot ()
-      | Some entries ->
+      | Some lines ->
         server.served `Delta;
         respond
           (headers
              [ ("X-Signature-Mode", "delta");
                ("X-Signature-Since", string_of_int since);
                tsv ])
-          ~body:(String.concat "\n" (List.map Changelog.entry_to_line entries))
+          ~body:(String.concat "\n" lines)
           200
 
 let serve_digest server request params =

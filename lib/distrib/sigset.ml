@@ -35,9 +35,10 @@ let height = function Empty -> 0 | Node n -> n.h
 
 let newline = Crc32.update Crc32.init "\n"
 
-let piece s =
-  let line = Signature_io.to_line s in
-  pack (Crc32.value (Crc32.update newline line)) (String.length line + 1)
+(* The packed checksum of ["\n" ^ line], for [line] from [pos] on. *)
+let piece line pos =
+  let len = String.length line - pos in
+  pack (Crc32.value (Crc32.update newline ~pos ~len line)) (len + 1)
 
 let append a b = pack (Crc32.combine (pcrc a) (pcrc b) (plen b)) (plen a + plen b)
 
@@ -75,8 +76,8 @@ let bal l s line r =
     | Empty -> assert false
   else create l s line r
 
-let add s t =
-  let id = s.Signature.id and line = piece s in
+let add_encoded s ~line ~pos t =
+  let id = s.Signature.id and line = piece line pos in
   let rec go = function
     | Empty -> create Empty s line Empty
     | Node { l; s = s'; line = line'; r; _ } ->
@@ -86,6 +87,8 @@ let add s t =
       else bal l s' line' (go r)
   in
   go t
+
+let add s t = add_encoded s ~line:(Signature_io.to_line s) ~pos:0 t
 
 let rec remove_min = function
   | Node { l = Empty; r; _ } -> r
@@ -154,7 +157,7 @@ let of_list set =
       else
         let mid = (lo + hi) / 2 in
         let s = sorted.(mid) in
-        create (build lo mid) s (piece s) (build (mid + 1) hi)
+        create (build lo mid) s (piece (Signature_io.to_line s) 0) (build (mid + 1) hi)
     in
     Ok (build 0 n)
 

@@ -20,6 +20,11 @@ val empty : t
 val add : Signature.t -> t -> t
 (** Install [s], replacing any member with the same id. *)
 
+val add_encoded : Signature.t -> line:string -> pos:int -> t -> t
+(** {!add} for a caller that already holds the member's line: [line]
+    from [pos] to its end must be [Signature_io.to_line s], which is then
+    checksummed in place rather than encoded again. *)
+
 val remove : int -> t -> t
 (** Drop the member with this id; absent ids leave the set unchanged. *)
 

@@ -14,39 +14,55 @@ let add_skip s lineno err =
        else s.sample);
   }
 
+let rec clean s i =
+  i = String.length s
+  || match String.unsafe_get s i with
+     | '\\' | '\t' | '\n' | '\r' -> false
+     | _ -> clean s (i + 1)
+
+(* Both directions return their input when there is nothing to rewrite:
+   most fields hold no tab, newline or backslash. *)
 let escape_field s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  if clean s 0 then s
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
+
+let rec no_backslash s i =
+  i = String.length s || (String.unsafe_get s i <> '\\' && no_backslash s (i + 1))
 
 let unescape_field s =
-  let n = String.length s in
-  let buf = Buffer.create n in
-  let rec loop i =
-    if i = n then Some (Buffer.contents buf)
-    else if s.[i] = '\\' then
-      if i + 1 = n then None
-      else (
-        match s.[i + 1] with
-        | '\\' -> Buffer.add_char buf '\\'; loop (i + 2)
-        | 't' -> Buffer.add_char buf '\t'; loop (i + 2)
-        | 'n' -> Buffer.add_char buf '\n'; loop (i + 2)
-        | 'r' -> Buffer.add_char buf '\r'; loop (i + 2)
-        | _ -> None)
-    else begin
-      Buffer.add_char buf s.[i];
-      loop (i + 1)
-    end
-  in
-  loop 0
+  if no_backslash s 0 then Some s
+  else
+    let n = String.length s in
+    let buf = Buffer.create n in
+    let rec loop i =
+      if i = n then Some (Buffer.contents buf)
+      else if s.[i] = '\\' then
+        if i + 1 = n then None
+        else (
+          match s.[i + 1] with
+          | '\\' -> Buffer.add_char buf '\\'; loop (i + 2)
+          | 't' -> Buffer.add_char buf '\t'; loop (i + 2)
+          | 'n' -> Buffer.add_char buf '\n'; loop (i + 2)
+          | 'r' -> Buffer.add_char buf '\r'; loop (i + 2)
+          | _ -> None)
+      else begin
+        Buffer.add_char buf s.[i];
+        loop (i + 1)
+      end
+    in
+    loop 0
 
 let record_to_line r =
   let { Packet.dst; content } = r.packet in

@@ -36,7 +36,12 @@ val add_skip : skipped -> int -> string -> skipped
     binary/compressed readers. *)
 
 val escape_field : string -> string
+(** Backslash-escape backslash, tab, newline and carriage return; the
+    field itself when it holds none of them. *)
+
 val unescape_field : string -> string option
+(** The inverse of {!escape_field}; [None] on a trailing backslash or an
+    unknown escape.  The field itself when it holds no backslash. *)
 
 val record_to_line : record -> string
 val record_of_line : string -> (record, string) result

@@ -37,3 +37,15 @@ let truncate_middle width s =
     let keep = width - 3 in
     let left = (keep + 1) / 2 and right = keep / 2 in
     String.sub s 0 left ^ "..." ^ String.sub s (String.length s - right) right
+
+let add_int buf n =
+  let rec digits n =
+    if n >= 10 then digits (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+  in
+  if n >= 0 then digits n
+  else if n = min_int then Buffer.add_string buf (string_of_int n)
+  else begin
+    Buffer.add_char buf '-';
+    digits (-n)
+  end

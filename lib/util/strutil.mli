@@ -17,3 +17,7 @@ val equal_caseless : string -> string -> bool
 val truncate_middle : int -> string -> string
 (** [truncate_middle width s] shortens [s] to at most [width] characters,
     eliding the middle with ["..."], for display purposes. *)
+
+val add_int : Buffer.t -> int -> unit
+(** [add_int buf n] appends [string_of_int n] to [buf], digit by digit:
+    no intermediate string and no trip through the C formatter. *)

@@ -695,20 +695,23 @@ let prop_first_match_with_equals_oracle =
         [ None; Some oracle_normalizer ])
 
 let prop_batch_equals_oracle =
-  QCheck.Test.make ~name:"detect_bitmap (jobs 1 and 4), count_detected = oracle" ~count:60
+  QCheck.Test.make
+    ~name:"first_matches, detect_bitmap (jobs 1 and 4), count_detected = oracle" ~count:60
     (QCheck.make detector_case_gen) (fun case ->
       let sigs, packets = detector_case_of case in
       let d = Detector.create sigs in
       Fixtures.with_pool 4 (fun pool4 ->
           List.for_all
             (fun normalize ->
-              let hits =
-                Array.map (fun p -> detection_oracle ?normalize sigs p <> None) packets
-              in
+              let expect = Array.map (detection_oracle ?normalize sigs) packets in
+              let hits = Array.map Option.is_some expect in
               let n_hits = Array.fold_left (fun n h -> if h then n + 1 else n) 0 hits in
               List.for_all
                 (fun pool ->
-                  Detector.detect_bitmap ?pool ?normalize d packets = hits
+                  Array.for_all2 same_match
+                    (Detector.first_matches ?pool ?normalize d packets)
+                    expect
+                  && Detector.detect_bitmap ?pool ?normalize d packets = hits
                   && Detector.count_detected ?pool ?normalize d packets = n_hits)
                 [ None; pool4 ])
             [ None; Some oracle_normalizer ]))
@@ -754,7 +757,7 @@ let test_detector_empty_set () =
     (Leakdetect_obs.Obs.Counter.value
        (Leakdetect_obs.Obs.counter obs "leakdetect_detection_packets_total"))
 
-(* Each whole-trace scan, sequential or pooled, through either batch entry,
+(* Each whole-trace scan, sequential or pooled, through any batch entry,
    records one [detector.scan] root span, adds its packets and hits to the
    two counters and makes one latency observation — and a second scan adds
    as much again. *)
@@ -792,7 +795,8 @@ let test_detection_obs_contract jobs () =
               (Obs.Counter.value (Obs.counter obs "leakdetect_detection_hits_total"));
             Alcotest.(check int) (what "histogram observations") round (observations obs)
           done)
-        [ ("detect_bitmap", fun ?pool ~obs p -> ignore (Detector.detect_bitmap ?pool ~obs d p));
+        [ ("first_matches", fun ?pool ~obs p -> ignore (Detector.first_matches ?pool ~obs d p));
+          ("detect_bitmap", fun ?pool ~obs p -> ignore (Detector.detect_bitmap ?pool ~obs d p));
           ("count_detected", fun ?pool ~obs p -> ignore (Detector.count_detected ?pool ~obs d p)) ])
 
 (* --- Metrics --- *)

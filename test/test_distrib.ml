@@ -1491,8 +1491,23 @@ let show_log_op = function
   | Op_truncate k -> Printf.sprintf "truncate -%d" k
   | Op_of_set -> "of_set"
 
+(* A GET /signatures answered over one changelog, as origin and relay
+   answer it. *)
+let serve_delta log since =
+  Protocol.handle
+    { Protocol.resolve = (fun _ -> Ok ());
+      gate = (fun () -> Ok log);
+      headers = (fun () -> []);
+      served = ignore;
+      digest_interval = Protocol.default_digest_interval;
+      candidates = (fun _ _ -> Http.Response.make 404);
+      metrics = (fun () -> "") }
+    (get (Printf.sprintf "/signatures?tenant=t0&since=%d" since))
+
 (* The model keeps the list set at every version since 0 and every entry;
-   the horizon only hides what the changelog may no longer answer. *)
+   the horizon only hides what the changelog may no longer answer.  Every
+   retained delta is also served, and its body must be the entries'
+   [entry_to_line]s joined. *)
 let prop_changelog_matches_oracle =
   QCheck.Test.make ~name:"changelog checksums equal serialise-then-CRC"
     ~count:300
@@ -1536,13 +1551,22 @@ let prop_changelog_matches_oracle =
               Some
                 (List.filter_map
                    (fun (e : Changelog.entry) ->
-                     if e.Changelog.version > v then Some (Changelog.entry_to_line e)
+                     if e.Changelog.version > v then Some (Changelog_oracle.entry_to_line e)
                      else None)
                    (List.rev !entries))
             else None
           in
           if Option.map (List.map Changelog.entry_to_line) (Changelog.since log v) <> want
-          then fail "since %d" v
+          then fail "since %d" v;
+          if Changelog.since_lines log v <> want then fail "since_lines %d" v;
+          match want with
+          | Some lines when v < head ->
+            let r = serve_delta log v in
+            if
+              header r "X-Signature-Mode" <> Some "delta"
+              || r.Http.Response.body <> String.concat "\n" lines
+            then fail "served delta since %d" v
+          | _ -> ()
         done;
         List.iter
           (fun (since, interval) ->
@@ -1612,6 +1636,27 @@ let prop_signature_equality_is_line_equality =
   QCheck.Test.make ~name:"signature equality is line equality" ~count:1000
     (QCheck.make QCheck.Gen.(pair sig_gen sig_gen))
     (fun (a, b) -> (a = b) = (Signature_io.to_line a = Signature_io.to_line b))
+
+(* The entry line decoder against the original, on lines cut from valid
+   entries and on lines with bad tags, versions, retire ids and too few
+   tabs. *)
+let prop_entry_of_line_matches_oracle =
+  let line_gen =
+    QCheck.Gen.(
+      let field = oneofl [ "a"; "r"; "x"; ""; "0"; "7"; "-3"; "+2"; "0x10"; "imei=35"; "b\\tc" ] in
+      oneof
+        [ map
+            (fun (id, v, version) ->
+              Changelog.entry_to_line
+                { Changelog.version; change = Changelog.Add (sig_ id (tokens_of v)) })
+            (triple (int_range 0 9) (int_range 0 17) (int_range 1 99));
+          map (fun fields -> String.concat "\t" fields) (list_size (0 -- 6) field) ]
+      >>= fun line ->
+      map (fun cut -> if cut then String.sub line 0 (String.length line * 2 / 3) else line) bool)
+  in
+  QCheck.Test.make ~name:"entry_of_line = original codec" ~count:1000
+    (QCheck.make ~print:String.escaped line_gen) (fun line ->
+      Changelog.entry_of_line line = Changelog_oracle.entry_of_line line)
 
 let test_restore_rejects_duplicate_ids () =
   let s1' = sig_ 1 [ "other" ] in
@@ -2533,6 +2578,71 @@ let test_mini_topology_pinned () =
         (Crc32.to_hex
            (Crc32.string (Json.to_string (Topology.report_to_json report)))))
 
+(* --- journal bytes: known answers ---
+
+   A fixed seeded history on two tenants: publishes that add, replace and
+   retire signatures whose tokens carry every escape the line codec knows,
+   pending candidate reports, one promotion at k, a compaction, then more
+   of the same.  The CRC-32s of the WAL before the compaction, of the
+   snapshot it writes and of the WAL at the end pin the journal payloads
+   byte for byte. *)
+
+let journal_known_answers () =
+  let rng = Leakdetect_util.Prng.create 4242 in
+  let pool = [| "imei=35"; "tab\there"; "nl\nx"; "back\\slash"; "cr\r"; "GET /t" |] in
+  let token () =
+    Printf.sprintf "%s%d" (Leakdetect_util.Prng.pick rng pool)
+      (Leakdetect_util.Prng.int rng 1000)
+  in
+  let signature id =
+    sig_ id
+      ~mode:(if Leakdetect_util.Prng.bool rng then Signature.Conjunction else Signature.Ordered)
+      ~cluster_size:(1 + Leakdetect_util.Prng.int rng 40)
+      (List.init (1 + Leakdetect_util.Prng.int rng 3) (fun _ -> token ()))
+  in
+  let desired () =
+    List.filter_map
+      (fun id -> if Leakdetect_util.Prng.int rng 4 = 0 then None else Some (signature id))
+      (List.init 10 (fun i -> i + 1))
+  in
+  let file_crc path =
+    Crc32.to_hex (Crc32.string (In_channel.with_open_bin path In_channel.input_all))
+  in
+  let config = { Authority.default_config with Authority.compact_keep = 3 } in
+  with_dir (fun dir ->
+      let auth =
+        match Authority.open_ ~config ~dir () with
+        | Ok (a, _) -> a
+        | Error e -> Alcotest.fail e
+      in
+      let round () =
+        List.iter
+          (fun tenant -> ignore (Authority.publish auth ~tenant (desired ())))
+          [ "t0"; "t1" ];
+        ignore
+          (Authority.report_candidate auth ~tenant:"t0"
+             ~reporter:(Printf.sprintf "r%d" (Leakdetect_util.Prng.int rng 5))
+             (candidate [ token (); token () ]))
+      in
+      for _ = 1 to 4 do round () done;
+      let promoted = candidate [ "promote\tme"; "imsi=2400" ] in
+      List.iter
+        (fun r -> ignore (Authority.report_candidate auth ~tenant:"t1" ~reporter:r promoted))
+        [ "p1"; "p2"; "p3" ];
+      let wal = Authority.wal_path ~dir in
+      let before = file_crc wal in
+      Authority.compact auth;
+      let snapshot = file_crc (Authority.snapshot_path ~dir) in
+      for _ = 1 to 2 do round () done;
+      Authority.close auth;
+      (before, snapshot, file_crc wal))
+
+let test_journal_known_answers () =
+  let before, snapshot, after = journal_known_answers () in
+  Alcotest.(check string) "WAL before compaction" "5298150a" before;
+  Alcotest.(check string) "snapshot" "df88f5ec" snapshot;
+  Alcotest.(check string) "WAL after compaction" "2f986da2" after
+
 let suite =
   [ ( "distrib.changelog",
       [ Alcotest.test_case "ops" `Quick test_changelog_ops;
@@ -2548,6 +2658,7 @@ let suite =
         qtest prop_compact_since_boundary;
         qtest prop_changelog_matches_oracle;
         qtest prop_signature_equality_is_line_equality;
+        qtest prop_entry_of_line_matches_oracle;
         Alcotest.test_case "restore rejects duplicate ids" `Quick
           test_restore_rejects_duplicate_ids ] );
     ( "distrib.shard_map",
@@ -2591,7 +2702,9 @@ let suite =
         Alcotest.test_case "torn writes recover committed" `Quick
           test_torn_writes_recover_committed;
         Alcotest.test_case "corrupt snapshot falls back" `Quick
-          test_corrupt_snapshot_falls_back ] );
+          test_corrupt_snapshot_falls_back;
+        Alcotest.test_case "journal known answers" `Quick
+          test_journal_known_answers ] );
     ( "distrib.delta_client",
       [ Alcotest.test_case "happy path" `Quick test_delta_client_happy_path;
         Alcotest.test_case "Add of a held id replaces" `Quick

@@ -183,6 +183,56 @@ let test_signature_io_skip_mode () =
         Alcotest.(check (list int)) "skipped line numbers" [ 2; 4 ]
           (List.map fst skips.Leakdetect_http.Trace.sample))
 
+(* --- Signature_io against the original codec --- *)
+
+(* Tokens over an alphabet that is mostly the escape syntax itself. *)
+let field_gen =
+  QCheck.Gen.(
+    string_size ~gen:(oneofl [ '\\'; '\t'; '\n'; '\r'; 't'; 'n'; 'r'; 'x'; 'a'; '=' ]) (0 -- 8))
+
+let signature_gen =
+  QCheck.Gen.(
+    map4
+      (fun id mode cluster_size tokens -> { Signature.id; mode; cluster_size; tokens })
+      (oneof [ int; int_range (-5) 5; oneofl [ min_int; max_int ] ])
+      (oneofl [ Signature.Conjunction; Signature.Ordered ])
+      (oneof [ int; small_nat ])
+      (list_size (0 -- 4) field_gen))
+
+let prop_to_line_matches_oracle =
+  QCheck.Test.make ~name:"to_line = original codec" ~count:500
+    (QCheck.make ~print:Signature_io_oracle.to_line signature_gen) (fun s ->
+      Signature_io.to_line s = Signature_io_oracle.to_line s)
+
+(* Lines built from fields the decoder must accept or refuse exactly as
+   before: non-canonical numbers, bad and trailing escapes, empty tokens,
+   too few fields and raw carriage returns. *)
+let line_gen =
+  QCheck.Gen.(
+    let number =
+      oneof
+        [ map string_of_int int;
+          oneofl [ "007"; "+5"; "0x1f"; "1_000"; "-0"; ""; "abc"; "99999999999999999999"; " 1" ] ]
+    in
+    let mode = oneofl [ "conjunction"; "ordered"; "Ordered"; ""; "conjunction\r" ] in
+    map4
+      (fun id mode size tokens -> String.concat "\t" (id :: mode :: size :: tokens))
+      number mode number (list_size (0 -- 4) field_gen)
+    >>= fun line ->
+    (* Sometimes only a prefix, to drop fields. *)
+    map (fun cut -> if cut then String.sub line 0 (String.length line / 2) else line) bool)
+
+let prop_of_line_matches_oracle =
+  QCheck.Test.make ~name:"of_line = original codec" ~count:1000
+    (QCheck.make ~print:String.escaped line_gen) (fun line ->
+      Signature_io.of_line line = Signature_io_oracle.of_line line)
+
+let prop_field_codec_matches_oracle =
+  QCheck.Test.make ~name:"trace field codec = original escape/unescape" ~count:500
+    (QCheck.make ~print:String.escaped field_gen) (fun f ->
+      Leakdetect_http.Trace.escape_field f = Signature_io_oracle.escape f
+      && Leakdetect_http.Trace.unescape_field f = Signature_io_oracle.unescape f)
+
 (* --- Obfuscation --- *)
 
 let device = Device.create (Prng.create 1)
@@ -351,6 +401,9 @@ let suite =
         Alcotest.test_case "file roundtrip" `Quick test_signature_io_file;
         Alcotest.test_case "errors" `Quick test_signature_io_errors;
         Alcotest.test_case "skip mode salvages" `Quick test_signature_io_skip_mode;
+        QCheck_alcotest.to_alcotest prop_to_line_matches_oracle;
+        QCheck_alcotest.to_alcotest prop_of_line_matches_oracle;
+        QCheck_alcotest.to_alcotest prop_field_codec_matches_oracle;
       ] );
     ( "ext.obfuscation",
       [

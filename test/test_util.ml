@@ -559,6 +559,18 @@ let prop_crc32_combine =
       Crc32.combine (Crc32.string a) (Crc32.string b) (String.length b)
       = Crc32.string (a ^ b))
 
+(* The nibble-table product against the bit-at-a-time one: any pair of
+   CRCs, and suffix lengths up to 2^40, past the 4-byte shift table. *)
+let prop_crc32_combine_matches_oracle =
+  let crc = QCheck.Gen.(map (fun x -> x land 0xFFFFFFFF) int) in
+  QCheck.Test.make ~name:"crc32 combine = bitwise-product combine" ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b, n) -> Printf.sprintf "%08x %08x %d" a b n)
+       QCheck.Gen.(
+         triple crc crc
+           (oneof [ int_range 0 300; int_range 0 (1 lsl 20); map (fun n -> n land ((1 lsl 40) - 1)) int ])))
+    (fun (a, b, n) -> Crc32.combine a b n = Crc32_oracle.combine a b n)
+
 let suite =
   [
     ( "util.crc32",
@@ -570,6 +582,7 @@ let suite =
           test_crc32_combine_known_answer;
         qtest prop_crc32_append_homomorphism;
         qtest prop_crc32_combine;
+        qtest prop_crc32_combine_matches_oracle;
       ] );
     ( "util.json",
       [
