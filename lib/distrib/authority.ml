@@ -27,6 +27,7 @@ type tenant_state = {
   candidates : (string, candidate) Hashtbl.t;  (* key -> candidate *)
   pending : (string, int) Hashtbl.t;  (* reporter -> live memberships *)
   published : (string, int) Hashtbl.t;  (* key -> live signatures with it *)
+  mutable version_gauge : Obs.Gauge.t option;  (* interned on first use *)
 }
 
 (* A candidate's identity is its mode plus token list: the reporter-local
@@ -36,8 +37,7 @@ let key_of (s : Signature.t) =
     (Signature.make ~id:0 ~mode:s.Signature.mode ~cluster_size:0
        s.Signature.tokens)
 
-let add_published ts s =
-  let key = key_of s in
+let add_published ts key =
   Hashtbl.replace ts.published key
     (1 + Option.value ~default:0 (Hashtbl.find_opt ts.published key))
 
@@ -56,9 +56,10 @@ let tenant_of_log name log =
       candidates = Hashtbl.create 16;
       pending = Hashtbl.create 16;
       published = Hashtbl.create 64;
+      version_gauge = None;
     }
   in
-  List.iter (add_published ts) (Changelog.current log);
+  List.iter (fun s -> add_published ts (key_of s)) (Changelog.current log);
   ts
 
 let fresh_tenant name = tenant_of_log name (Changelog.create ())
@@ -66,7 +67,8 @@ let fresh_tenant name = tenant_of_log name (Changelog.create ())
 (* --- journal entries --- *)
 
 type jentry =
-  | Change of { tenant : string; entry : Changelog.entry }
+  | Change of { tenant : string; entry : Changelog.entry; line : string }
+      (* [line] is the entry's [Changelog.entry_to_line], journaled as is. *)
   | Report of { tenant : string; reporter : string; signature : Signature.t }
   | Adopt of { tenant : string; payload : string }
       (* A folded tenant section (see the snapshot codec) taken over from
@@ -79,15 +81,15 @@ type jentry =
       (* The shard map (Shard_map line codec) this origin serves under,
          plus its own id — installing a map is a journaled transition. *)
 
-let jentry_to_payload = function
-  | Change { tenant; entry } ->
-    Printf.sprintf "change\t%s\t%s" tenant (Changelog.entry_to_line entry)
-  | Report { tenant; reporter; signature } ->
-    Printf.sprintf "report\t%s\t%s\t%s" tenant reporter
-      (Signature_io.to_line signature)
-  | Adopt { tenant; payload } -> Printf.sprintf "adopt\t%s\t%s" tenant payload
-  | Release { tenant; at } -> Printf.sprintf "release\t%s\t%d" tenant at
-  | Shard { self; line } -> Printf.sprintf "shard\t%s\t%s" self line
+let jentry_to_payload jentry =
+  String.concat "\t"
+    (match jentry with
+    | Change { tenant; line; _ } -> [ "change"; tenant; line ]
+    | Report { tenant; reporter; signature } ->
+      [ "report"; tenant; reporter; Signature_io.to_line signature ]
+    | Adopt { tenant; payload } -> [ "adopt"; tenant; payload ]
+    | Release { tenant; at } -> [ "release"; tenant; string_of_int at ]
+    | Shard { self; line } -> [ "shard"; self; line ])
 
 let split1 s =
   match String.index_opt s '\t' with
@@ -101,7 +103,7 @@ let jentry_of_payload payload =
     match split1 rest with
     | Some (tenant, line) when Protocol.id_ok tenant -> (
       match Changelog.entry_of_line line with
-      | Ok entry -> Ok (Change { tenant; entry })
+      | Ok entry -> Ok (Change { tenant; entry; line })
       | Error e -> Error e)
     | _ -> Error "change entry: bad tenant")
   | Some ("report", rest) -> (
@@ -133,6 +135,78 @@ let jentry_of_payload payload =
   | Some (tag, _) -> Error (Printf.sprintf "unknown journal tag %S" tag)
   | None -> Error "empty journal entry"
 
+(* --- metric handles ---
+
+   A metric handle is interned on first use and then kept.  [Obs] answers
+   every intern of one series with the same cell, so keeping the first
+   answer changes only what later uses cost (no registry lock, no
+   lookup), and a series still appears in the exposition only once it
+   has been used.  The families a publish or a served request touches
+   are kept here; rarer ones (promotions, compactions, rebalances) are
+   interned where they are counted. *)
+
+type 'a handle = { mutable cell : 'a option; intern : unit -> 'a }
+
+let resolve h =
+  match h.cell with
+  | Some c -> c
+  | None ->
+    let c = h.intern () in
+    h.cell <- Some c;
+    c
+
+type metrics = {
+  journal_appends : Obs.Counter.t handle;
+  changes : Obs.Counter.t handle array;  (* by {!kind_index} *)
+  publishes : Obs.Counter.t handle;
+  publish_noops : Obs.Counter.t handle;
+  outcomes : Obs.Counter.t handle array;  (* candidate reports, by outcome *)
+  sync_responses : Obs.Counter.t handle array;  (* by {!mode_index} *)
+  requests : (int, Obs.Counter.t) Hashtbl.t;  (* by status code *)
+}
+
+let kind_index = function Changelog.Add _ -> 0 | Changelog.Retire _ -> 1
+
+let mode_index = function
+  | `Not_modified -> 0
+  | `Delta -> 1
+  | `Snapshot -> 2
+  | `Digest -> 3
+
+let metrics obs =
+  let counter ?labels name help =
+    { cell = None; intern = (fun () -> Obs.counter obs ?labels ~help name) }
+  in
+  let by label values name help =
+    Array.of_list
+      (List.map (fun v -> counter ~labels:[ (label, v) ] name help) values)
+  in
+  {
+    journal_appends =
+      counter "leakdetect_authority_journal_appends_total"
+        "Entries appended to the authority journal.";
+    changes =
+      by "kind" [ "add"; "retire" ] "leakdetect_authority_changes_total"
+        "Changelog entries committed, by kind.";
+    publishes =
+      counter "leakdetect_authority_publishes_total"
+        "Signature sets published (at least one change committed).";
+    publish_noops =
+      counter "leakdetect_authority_publish_noops_total"
+        "Publishes whose set was already live (no version bump).";
+    outcomes =
+      by "outcome"
+        [ "accepted"; "duplicate"; "promoted"; "capped" ]
+        "leakdetect_authority_candidates_total"
+        "Candidate reports received, by outcome.";
+    sync_responses =
+      by "mode"
+        [ "not_modified"; "delta"; "snapshot"; "digest" ]
+        "leakdetect_authority_sync_responses_total"
+        "GET /signatures responses, by transfer mode.";
+    requests = Hashtbl.create 8;
+  }
+
 (* --- the authority --- *)
 
 exception Crashed of string
@@ -140,6 +214,7 @@ exception Crashed of string
 type t = {
   config : config;
   obs : Obs.t;
+  metrics : metrics;
   tenants : (string, tenant_state) Hashtbl.t;
   dir : string option;
   mutable writer : Wal.writer option;
@@ -198,15 +273,23 @@ let promotions t = List.rev t.rev_promotions
 
 (* --- obs --- *)
 
-let count t ?labels name help =
-  Obs.Counter.inc (Obs.counter t.obs ?labels ~help name)
+let count t name help = Obs.Counter.inc (Obs.counter t.obs ~help name)
+let bump h = Obs.Counter.inc (resolve h)
 
 let set_version_gauge t ts =
-  Obs.Gauge.set
-    (Obs.gauge t.obs ~help:"Per-tenant changelog head version."
-       ~labels:[ ("tenant", ts.name) ]
-       "leakdetect_authority_version")
-    (Changelog.version ts.log)
+  let gauge =
+    match ts.version_gauge with
+    | Some g -> g
+    | None ->
+      let g =
+        Obs.gauge t.obs ~help:"Per-tenant changelog head version."
+          ~labels:[ ("tenant", ts.name) ]
+          "leakdetect_authority_version"
+      in
+      ts.version_gauge <- Some g;
+      g
+  in
+  Obs.Gauge.set gauge (Changelog.version ts.log)
 
 (* --- journaling and application --- *)
 
@@ -215,9 +298,7 @@ let journal t jentry =
   | None -> ()
   | Some w ->
     Wal.append w (jentry_to_payload jentry);
-    if not (Obs.is_noop t.obs) then
-      count t "leakdetect_authority_journal_appends_total"
-        "Entries appended to the authority journal."
+    bump t.metrics.journal_appends
 
 let in_published_set ts key = Hashtbl.mem ts.published key
 
@@ -233,8 +314,9 @@ let pending_of ts reporter =
 (* Apply one changelog change to a tenant (in-memory), keeping the
    published-key index in step.  An [Add] clears any pending candidate
    with the same identity: whether it arrived by publish or by promotion,
-   the signature is now published and the tally is spent. *)
-let apply_change ts change =
+   the signature is now published and the tally is spent.  [line], when
+   given, is the entry's line, already encoded for the journal. *)
+let apply_change ?line ts change =
   let id =
     match change with
     | Changelog.Add s -> s.Signature.id
@@ -242,11 +324,15 @@ let apply_change ts change =
   in
   Option.iter (remove_published ts)
     (Sigset.find id (Changelog.current_set ts.log));
-  let entry = Changelog.append ts.log change in
+  let entry =
+    match line with
+    | Some line -> Changelog.append_encoded ts.log change ~line
+    | None -> Changelog.append ts.log change
+  in
   (match change with
   | Changelog.Add s -> (
-    add_published ts s;
     let key = key_of s in
+    add_published ts key;
     match Hashtbl.find_opt ts.candidates key with
     | Some cand ->
       Hashtbl.iter (fun r () -> decr_pending ts r) cand.reporters;
@@ -255,17 +341,16 @@ let apply_change ts change =
   | Changelog.Retire _ -> ());
   entry
 
-(* One committed change: journal first (flush-as-commit), then apply. *)
+(* One committed change: journal first (flush-as-commit), then apply.
+   The entry is encoded once; the journal and the changelog keep the same
+   line. *)
 let commit_change t ts change =
-  let version = Changelog.version ts.log + 1 in
-  journal t (Change { tenant = ts.name; entry = { Changelog.version; change } });
-  let entry = apply_change ts change in
+  let entry = { Changelog.version = Changelog.version ts.log + 1; change } in
+  let line = Changelog.entry_to_line entry in
+  journal t (Change { tenant = ts.name; entry; line });
+  let entry = apply_change ~line ts change in
   if not (Obs.is_noop t.obs) then begin
-    count t
-      ~labels:
-        [ ("kind", match change with Changelog.Add _ -> "add" | _ -> "retire") ]
-      "leakdetect_authority_changes_total"
-      "Changelog entries committed, by kind.";
+    bump t.metrics.changes.(kind_index change);
     set_version_gauge t ts
   end;
   entry
@@ -327,16 +412,19 @@ let cand_lines_of ts =
    travels between origins: the new owner continues at head + 1 and serves
    lagging clients snapshots. *)
 let tenant_section ?(folded = false) ts =
-  let base_version, base, entries =
+  let base_version, base, entry_lines =
     if folded then (Changelog.version ts.log, Changelog.current ts.log, [])
-    else (Changelog.horizon ts.log, Changelog.base ts.log, Changelog.entries ts.log)
+    else
+      ( Changelog.horizon ts.log,
+        Changelog.base ts.log,
+        Option.get (Changelog.since_lines ts.log (Changelog.horizon ts.log)) )
   in
   let cands = cand_lines_of ts in
   (Printf.sprintf "tenant\t%s\t%d\t%d\t%d\t%d\t%d" ts.name base_version
      (Changelog.next_id ts.log)
-     (List.length base) (List.length entries) (List.length cands))
+     (List.length base) (List.length entry_lines) (List.length cands))
   :: List.map Signature_io.to_line base
-  @ List.map Changelog.entry_to_line entries
+  @ entry_lines
   @ cands
 
 let snapshot_payload t =
@@ -463,6 +551,7 @@ let create ?(obs = Obs.noop) ?(config = default_config) () =
   {
     config;
     obs;
+    metrics = metrics obs;
     tenants = Hashtbl.create 8;
     dir = None;
     writer = None;
@@ -486,7 +575,7 @@ let tenant_of_section payload =
    window, or a duplicated tail record). *)
 let replay_jentry t jentry =
   match jentry with
-  | Change { tenant; entry } ->
+  | Change { tenant; entry; _ } ->
     let ts = lookup t tenant in
     if entry.Changelog.version = Changelog.version ts.log + 1 then begin
       ignore (apply_change ts entry.Changelog.change);
@@ -632,12 +721,15 @@ let close t =
 
 (* --- mutations --- *)
 
-(* Signatures are plain data and their line codec is injective, so
-   structural equality decides "same line" without serializing either.
-   [desired] is walked in ascending id order, the last of several
-   signatures with one id winning.  Publishers already pass id-ascending
-   sets, so one linear check skips the sort: on [distrib_history] that
-   skip is worth ~5% of a round's median latency. *)
+(* The changes that carry [current] to [desired]: adds (new or replaced
+   members), then retires, each in ascending id order.  [desired] is
+   taken in ascending id order, the last of several signatures with one
+   id winning.  Publishers already pass id-ascending sets, so one linear
+   check skips the sort: on [distrib_history] that skip is worth ~5% of a
+   round's median latency.  One in-order walk of the tree then merges
+   against it, with no per-member descent.  Signatures are plain data
+   and their line codec is injective, so structural equality decides
+   "same line" without serializing either. *)
 let diff_changes current desired =
   let id (s : Signature.t) = s.Signature.id in
   let rec ascending = function
@@ -653,38 +745,29 @@ let diff_changes current desired =
     if ascending desired then desired
     else last_per_id (List.stable_sort (fun a b -> compare (id a) (id b)) desired)
   in
-  let adds =
-    List.filter_map
-      (fun s ->
-        match Sigset.find (id s) current with
-        | Some old when old == s || old = s -> None
-        | _ -> Some (Changelog.Add s))
-      want
+  (* [want] still to merge, then the adds and retires so far, newest
+     first. *)
+  let rec step s want adds retires =
+    match want with
+    | w :: more when id w < id s -> step s more (Changelog.Add w :: adds) retires
+    | w :: more when id w = id s ->
+      (more, (if w == s || w = s then adds else Changelog.Add w :: adds), retires)
+    | _ -> (want, adds, Changelog.Retire (id s) :: retires)
   in
-  let rest = ref want in
-  let retires =
+  let rest, adds, retires =
     Sigset.fold
-      (fun s acc ->
-        let rec skip = function
-          | x :: more when id x < id s -> skip more
-          | l -> l
-        in
-        rest := skip !rest;
-        match !rest with
-        | x :: _ when id x = id s -> acc
-        | _ -> Changelog.Retire (id s) :: acc)
-      current []
-    |> List.rev
+      (fun s (want, adds, retires) -> step s want adds retires)
+      current (want, [], [])
   in
-  adds @ retires
+  List.rev_append adds (List.map (fun w -> Changelog.Add w) rest)
+  @ List.rev retires
 
 let publish ?(inject = fun _ -> ()) t ~tenant desired =
   check_id "tenant" tenant;
   let ts = lookup t tenant in
   let changes = diff_changes (Changelog.current_set ts.log) desired in
   if changes = [] then begin
-    count t "leakdetect_authority_publish_noops_total"
-      "Publishes whose set was already live (no version bump).";
+    bump t.metrics.publish_noops;
     Changelog.version ts.log
   end
   else begin
@@ -693,8 +776,7 @@ let publish ?(inject = fun _ -> ()) t ~tenant desired =
         inject i;
         ignore (commit_change t ts change))
       changes;
-    count t "leakdetect_authority_publishes_total"
-      "Signature sets published (at least one change committed).";
+    bump t.metrics.publishes;
     Changelog.version ts.log
   end
 
@@ -705,16 +787,14 @@ type candidate_outcome =
   | Capped
 
 let count_candidate t outcome =
-  count t
-    ~labels:
-      [ ( "outcome",
-          match outcome with
-          | Accepted _ -> "accepted"
-          | Duplicate -> "duplicate"
-          | Promoted _ -> "promoted"
-          | Capped -> "capped" ) ]
-    "leakdetect_authority_candidates_total"
-    "Candidate reports received, by outcome.";
+  let i =
+    match outcome with
+    | Accepted _ -> 0
+    | Duplicate -> 1
+    | Promoted _ -> 2
+    | Capped -> 3
+  in
+  bump t.metrics.outcomes.(i);
   outcome
 
 let report_candidate t ~tenant ~reporter signature =
@@ -820,10 +900,19 @@ let release_tenant t ~tenant =
 (* --- HTTP --- *)
 
 let respond t (response : Http.Response.t) =
-  count t
-    ~labels:[ ("code", string_of_int response.Http.Response.status) ]
-    "leakdetect_authority_requests_total"
-    "HTTP requests served, by status code.";
+  let code = response.Http.Response.status in
+  let requests = t.metrics.requests in
+  Obs.Counter.inc
+    (match Hashtbl.find_opt requests code with
+    | Some c -> c
+    | None ->
+      let c =
+        Obs.counter t.obs ~help:"HTTP requests served, by status code."
+          ~labels:[ ("code", string_of_int code) ]
+          "leakdetect_authority_requests_total"
+      in
+      Hashtbl.replace requests code c;
+      c);
   response
 
 (* When a shard map is installed, requests for tenants this origin does
@@ -853,18 +942,7 @@ let server t =
       (fun tenant ->
         Result.map (fun () -> read_log t tenant) (shard_gate t ~tenant));
     headers = (fun _ -> []);
-    served =
-      (fun served ->
-        count t
-          ~labels:
-            [ ( "mode",
-                match served with
-                | `Not_modified -> "not_modified"
-                | `Delta -> "delta"
-                | `Snapshot -> "snapshot"
-                | `Digest -> "digest" ) ]
-          "leakdetect_authority_sync_responses_total"
-          "GET /signatures responses, by transfer mode.");
+    served = (fun served -> bump t.metrics.sync_responses.(mode_index served));
     digest_interval = Protocol.default_digest_interval;
     candidates =
       Protocol.accept_candidates

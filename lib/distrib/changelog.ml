@@ -143,10 +143,14 @@ let push t entry line =
   t.sums.(t.count) <- Sigset.checksum t.set;
   t.count <- t.count + 1
 
-let append t change =
+let append_encoded t change ~line =
   let entry = { version = version t + 1; change } in
-  push t entry (entry_to_line entry);
+  push t entry line;
   entry
+
+let append t change =
+  append_encoded t change
+    ~line:(entry_to_line { version = version t + 1; change })
 
 let replay t entries =
   let rec go = function

@@ -134,6 +134,11 @@ val base : t -> Signature.t list
 val append : t -> change -> entry
 (** Apply and record one change at version [version t + 1]. *)
 
+val append_encoded : t -> change -> line:string -> entry
+(** {!append} for a caller that already holds the entry's line: [line]
+    must be [entry_to_line { version = version t + 1; change }], which is
+    then stored and checksummed as it is rather than encoded again. *)
+
 val compact : t -> keep:int -> unit
 (** Fold all but the newest [keep] entries into the base, advancing the
     horizon.  [keep] is clamped to [0, entries]. *)

@@ -17,6 +17,11 @@ type tenant_state = {
   (* Canonical-set CRC of the verified client state, cached after every
      successful sync so the serve-time consistency guard is O(1). *)
   mutable verified_sum : int;
+  (* The staleness, version-age and version gauges, interned together on
+     first use and then kept: [Obs] answers every intern of one series
+     with the same cell, so later syncs skip the registry's lock and
+     lookup. *)
+  mutable gauges : (Obs.Gauge.t * Obs.Gauge.t * Obs.Gauge.t) option;
 }
 
 type t = {
@@ -96,6 +101,7 @@ let create ?(obs = Obs.noop) ?(config = default_config) ?client_config
           synced = false;
           last_sync_tick = 0;
           verified_sum = Sigset.checksum Sigset.empty;
+          gauges = None;
         })
     tenants;
   t
@@ -266,24 +272,27 @@ let mirror_absorb t st ~transport =
 
 let staleness_gauge t tenant st =
   if not (Obs.is_noop t.obs) then begin
-    Obs.Gauge.set
-      (Obs.gauge t.obs
-         ~help:"Consecutive failed upstream syncs, per relay and tenant."
-         ~labels:[ ("relay", t.id); ("tenant", tenant) ]
-         "leakdetect_relay_staleness")
-      (Delta_client.staleness st.dc).Signature_client.failed_syncs;
-    Obs.Gauge.set
-      (Obs.gauge t.obs
-         ~help:"Ticks since the last verified sync, per relay and tenant."
-         ~labels:[ ("relay", t.id); ("tenant", tenant) ]
-         "leakdetect_relay_version_age")
-      (max 0 (t.clock - st.last_sync_tick));
-    Obs.Gauge.set
-      (Obs.gauge t.obs
-         ~help:"Verified signature version held, per relay and tenant."
-         ~labels:[ ("relay", t.id); ("tenant", tenant) ]
-         "leakdetect_relay_version")
-      (Delta_client.version st.dc)
+    let staleness, age, version =
+      match st.gauges with
+      | Some g -> g
+      | None ->
+        let gauge name help =
+          Obs.gauge t.obs ~help ~labels:[ ("relay", t.id); ("tenant", tenant) ] name
+        in
+        let g =
+          ( gauge "leakdetect_relay_staleness"
+              "Consecutive failed upstream syncs, per relay and tenant.",
+            gauge "leakdetect_relay_version_age"
+              "Ticks since the last verified sync, per relay and tenant.",
+            gauge "leakdetect_relay_version"
+              "Verified signature version held, per relay and tenant." )
+        in
+        st.gauges <- Some g;
+        g
+    in
+    Obs.Gauge.set staleness (Delta_client.staleness st.dc).Signature_client.failed_syncs;
+    Obs.Gauge.set age (max 0 (t.clock - st.last_sync_tick));
+    Obs.Gauge.set version (Delta_client.version st.dc)
   end
 
 let note_verified t st =

@@ -22,10 +22,24 @@ let default_config =
 
 type staleness = { failed_syncs : int; failed_attempts : int; version_gap : int }
 
+(* The metric handles every sync writes, interned together at the first
+   sync and then kept: [Obs] answers every intern of one series with the
+   same cell, so later syncs skip the registry's lock and lookup.  The
+   per-outcome counter is interned at the first sync with that outcome,
+   so a series appears in the exposition only once it has been used. *)
+type handles = {
+  attempts : Obs.Counter.t;
+  backoff : Obs.Counter.t;
+  version_gauge : Obs.Gauge.t;
+  health_gauge : Obs.Gauge.t;
+  syncs : Obs.Counter.t option array;  (* by [outcome_index] *)
+}
+
 type t = {
   config : config;
   rng : Prng.t;
   obs : Obs.t;
+  mutable handles : handles option;
   mutable version : int;
   mutable health : health;
   mutable failed_syncs : int;
@@ -40,6 +54,7 @@ let create ?(config = default_config) ?(obs = Obs.noop) ?(seed = 0) () =
     config;
     rng = Prng.create seed;
     obs;
+    handles = None;
     version = 0;
     health = Healthy;
     failed_syncs = 0;
@@ -74,36 +89,60 @@ let backoff_ticks t ~attempt =
 (* 0 = healthy, 1 = degraded, 2 = stale — the metric encoding of [health]. *)
 let health_rank = function Healthy -> 0 | Degraded -> 1 | Stale -> 2
 
-let record_sync t report =
-  let obs = t.obs in
-  if not (Obs.is_noop obs) then begin
-    let outcome_label =
-      match report.outcome with
+let handles t =
+  match t.handles with
+  | Some h -> h
+  | None ->
+    let obs = t.obs in
+    let h =
+      {
+        attempts =
+          Obs.counter obs ~help:"Fetch attempts made by the sync retry loop."
+            "leakdetect_client_sync_attempts_total";
+        backoff =
+          Obs.counter obs ~help:"Backoff ticks accumulated across syncs."
+            "leakdetect_client_backoff_ticks_total";
+        version_gauge =
+          Obs.gauge obs ~help:"Last-known-good signature version on the device."
+            "leakdetect_client_version";
+        health_gauge =
+          Obs.gauge obs ~help:"Client health: 0 healthy, 1 degraded, 2 stale."
+            "leakdetect_client_health";
+        syncs = Array.make 3 None;
+      }
+    in
+    t.handles <- Some h;
+    h
+
+let outcome_index = function Updated _ -> 0 | Unchanged -> 1 | Failed _ -> 2
+
+let syncs_counter t h outcome =
+  let i = outcome_index outcome in
+  match h.syncs.(i) with
+  | Some c -> c
+  | None ->
+    let label =
+      match outcome with
       | Updated _ -> "updated"
       | Unchanged -> "unchanged"
       | Failed _ -> "failed"
     in
-    Obs.Counter.inc
-      (Obs.counter obs ~help:"Completed sync rounds, by outcome."
-         ~labels:[ ("outcome", outcome_label) ]
-         "leakdetect_client_syncs_total");
-    Obs.Counter.add
-      (Obs.counter obs ~help:"Fetch attempts made by the sync retry loop."
-         "leakdetect_client_sync_attempts_total")
-      report.attempts;
-    Obs.Counter.add
-      (Obs.counter obs ~help:"Backoff ticks accumulated across syncs."
-         "leakdetect_client_backoff_ticks_total")
-      report.waited;
-    Obs.Gauge.set
-      (Obs.gauge obs ~help:"Last-known-good signature version on the device."
-         "leakdetect_client_version")
-      t.version;
-    Obs.Gauge.set
-      (Obs.gauge obs
-         ~help:"Client health: 0 healthy, 1 degraded, 2 stale."
-         "leakdetect_client_health")
-      (health_rank t.health)
+    let c =
+      Obs.counter t.obs ~help:"Completed sync rounds, by outcome."
+        ~labels:[ ("outcome", label) ]
+        "leakdetect_client_syncs_total"
+    in
+    h.syncs.(i) <- Some c;
+    c
+
+let record_sync t report =
+  if not (Obs.is_noop t.obs) then begin
+    let h = handles t in
+    Obs.Counter.inc (syncs_counter t h report.outcome);
+    Obs.Counter.add h.attempts report.attempts;
+    Obs.Counter.add h.backoff report.waited;
+    Obs.Gauge.set h.version_gauge t.version;
+    Obs.Gauge.set h.health_gauge (health_rank t.health)
   end
 
 let sync t ~fetch =

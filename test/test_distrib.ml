@@ -1658,6 +1658,63 @@ let prop_entry_of_line_matches_oracle =
     (QCheck.make ~print:String.escaped line_gen) (fun line ->
       Changelog.entry_of_line line = Changelog_oracle.entry_of_line line)
 
+(* [append_encoded] with the entry's line against [append], over the
+   same random history (compactions, restores, truncations and rebases
+   included): both logs must agree on everything a reader can ask. *)
+let prop_append_encoded_matches_append =
+  QCheck.Test.make ~name:"append_encoded leaves the log append leaves" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_log_op ops))
+       QCheck.Gen.(list_size (1 -- 40) log_op_gen))
+    (fun ops ->
+      let step log encoded op =
+        let append change =
+          (if encoded then
+             let line =
+               Changelog.entry_to_line
+                 { Changelog.version = Changelog.version log + 1; change }
+             in
+             ignore (Changelog.append_encoded log change ~line)
+           else ignore (Changelog.append log change));
+          log
+        in
+        match op with
+        | Op_add (id, v) -> append (Changelog.Add (sig_ id (tokens_of v)))
+        | Op_retire id -> append (Changelog.Retire id)
+        | Op_compact keep ->
+          Changelog.compact log ~keep;
+          log
+        | Op_restore -> (
+          match
+            Changelog.restore ~base_version:(Changelog.horizon log)
+              ~base:(Changelog.base log) ~next_id:(Changelog.next_id log)
+              ~entries:(Changelog.entries log)
+          with
+          | Ok restored -> restored
+          | Error e -> failwith e)
+        | Op_truncate k ->
+          Changelog.truncate log
+            ~version:(max (Changelog.horizon log) (Changelog.version log - k))
+        | Op_of_set ->
+          Changelog.of_set ~version:(Changelog.version log) (Changelog.current_set log)
+      in
+      let view log =
+        let horizon = Changelog.horizon log and head = Changelog.version log in
+        ( (head, horizon, Changelog.next_id log, Changelog.entries log),
+          ( lines (Changelog.base log),
+            lines (Changelog.current log),
+            Changelog.wire_checksum log,
+            List.init (head - horizon + 1) (fun i ->
+                (Changelog.checksum_at log (horizon + i), Changelog.since_lines log (horizon + i))) ) )
+      in
+      let plain = ref (Changelog.create ()) and encoded = ref (Changelog.create ()) in
+      List.for_all
+        (fun op ->
+          plain := step !plain false op;
+          encoded := step !encoded true op;
+          view !plain = view !encoded)
+        ops)
+
 let test_restore_rejects_duplicate_ids () =
   let s1' = sig_ 1 [ "other" ] in
   match Changelog.restore ~base_version:0 ~base:[ s1; s2; s1' ] ~next_id:0 ~entries:[] with
@@ -2066,6 +2123,94 @@ let show_pub_op = function
   | Pub_report (v, r) -> Printf.sprintf "report %d by r%d" v r
   | Pub_reopen c -> if c then "compact+reopen" else "reopen"
   | Pub_migrate -> "migrate"
+
+(* Set-publish against the original lookup-per-member diff: over random
+   live sets and desired lists (unsorted, duplicate ids with the last one
+   winning, members passed again as themselves or as structurally equal
+   copies, replacements, retires, either side empty), [publish] must
+   commit exactly the oracle's change list and journal it in the bytes
+   the original [Printf] codec writes. *)
+type wanted =
+  | Fresh of int * int  (* id, token variant *)
+  | Same of int  (* the live member at this index, itself *)
+  | Twin of int  (* a fresh copy of the live member at this index *)
+
+let show_wanted = function
+  | Fresh (id, v) -> Printf.sprintf "%d/%d" id v
+  | Same i -> Printf.sprintf "same#%d" i
+  | Twin i -> Printf.sprintf "twin#%d" i
+
+let prop_publish_matches_diff_oracle =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (0 -- 8) (pair (int_range 0 9) (int_range 0 5)))
+        (list_size (0 -- 10)
+           (frequency
+              [ (3, map2 (fun id v -> Fresh (id, v)) (int_range 0 9) (int_range 0 5));
+                (2, map (fun i -> Same i) (int_range 0 7));
+                (2, map (fun i -> Twin i) (int_range 0 7)) ])))
+  in
+  let print (live, wanted) =
+    Printf.sprintf "live [%s] want [%s]"
+      (String.concat ";" (List.map (fun (id, v) -> Printf.sprintf "%d/%d" id v) live))
+      (String.concat ";" (List.map show_wanted wanted))
+  in
+  QCheck.Test.make ~name:"publish commits the original diff's changes" ~count:300
+    (QCheck.make ~print gen) (fun (live, wanted) ->
+      let live =
+        List.sort_uniq
+          (fun a b -> compare a.Signature.id b.Signature.id)
+          (List.map (fun (id, v) -> sig_ id (tokens_of v)) live)
+      in
+      let nth i = List.nth_opt live (i mod max 1 (List.length live)) in
+      let desired =
+        List.filter_map
+          (function
+            | Fresh (id, v) -> Some (sig_ id (tokens_of v))
+            | Same i -> nth i
+            | Twin i ->
+              Option.map
+                (fun (s : Signature.t) ->
+                  Signature.make ~id:s.Signature.id ~mode:s.Signature.mode
+                    ~cluster_size:s.Signature.cluster_size
+                    (List.map (fun tok -> String.init (String.length tok) (String.get tok))
+                       s.Signature.tokens))
+                (nth i))
+          wanted
+      in
+      let first = Publish_oracle.diff_changes Sigset.empty live in
+      let set = List.fold_left Changelog.apply Sigset.empty first in
+      let second = Publish_oracle.diff_changes set desired in
+      let payloads =
+        List.mapi
+          (fun i change ->
+            Printf.sprintf "change\tt0\t%s"
+              (Changelog_oracle.entry_to_line { Changelog.version = i + 1; change }))
+          (first @ second)
+      in
+      let read path = In_channel.with_open_bin path In_channel.input_all in
+      with_dir (fun dir ->
+          let wal = Authority.wal_path ~dir in
+          let a =
+            match Authority.open_ ~dir () with Ok (a, _) -> a | Error e -> failwith e
+          in
+          let v1 = Authority.publish a ~tenant:"t0" live in
+          let v2 = Authority.publish a ~tenant:"t0" desired in
+          let committed =
+            List.map
+              (fun (e : Changelog.entry) -> e.Changelog.change)
+              (Authority.changelog_entries a ~tenant:"t0")
+          in
+          Authority.close a;
+          let expected = Filename.concat dir "expected.log" in
+          let w = Wal.create expected in
+          List.iter (Wal.append w) payloads;
+          Wal.close w;
+          v1 = List.length first
+          && v2 = v1 + List.length second
+          && committed = first @ second
+          && read wal = read expected))
 
 let prop_published_index_matches_scan =
   QCheck.Test.make ~name:"published-key index equals a scan of the live set"
@@ -2659,6 +2804,7 @@ let suite =
         qtest prop_changelog_matches_oracle;
         qtest prop_signature_equality_is_line_equality;
         qtest prop_entry_of_line_matches_oracle;
+        qtest prop_append_encoded_matches_append;
         Alcotest.test_case "restore rejects duplicate ids" `Quick
           test_restore_rejects_duplicate_ids ] );
     ( "distrib.shard_map",
@@ -2679,7 +2825,8 @@ let suite =
           test_candidates_endpoint_tally;
         Alcotest.test_case "reads create no tenant" `Quick
           test_reads_create_no_tenant;
-        qtest prop_published_index_matches_scan ] );
+        qtest prop_published_index_matches_scan;
+        qtest prop_publish_matches_diff_oracle ] );
     ( "distrib.durability",
       [ Alcotest.test_case "reopen replays" `Quick test_authority_reopen;
         Alcotest.test_case "compact + reopen" `Quick test_authority_compact_reopen;
