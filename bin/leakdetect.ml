@@ -1200,8 +1200,12 @@ let trace_cmd =
 
     (* Distribution: publish the set in growing chunks to a journaled
        one-tenant authority while an instrumented handset follows, so the
-       authority, journal and client families move too. *)
+       authority, journal and client families move too.  Each sync gets a
+       [client.sync] span of its own in the printed tree. *)
     let client = Delta_client.create ~obs ~seed:(seed + 1) ~tenant:handset_tenant () in
+    let sync transport =
+      ignore (Obs.with_span obs "client.sync" (fun () -> Delta_client.sync client ~transport))
+    in
     let authority =
       with_state_root ~prefix:"leakdetect_trace" None (fun state_dir ->
           let authority, _report =
@@ -1217,11 +1221,11 @@ let trace_cmd =
             ignore
               (Authority.publish authority ~tenant:handset_tenant
                  (Array.to_list (Array.sub all 0 upto)));
-            ignore (Delta_client.sync client ~transport)
+            sync transport
           done;
           (* One sync against an unchanged authority, for the `unchanged`
              outcome. *)
-          ignore (Delta_client.sync client ~transport);
+          sync transport;
           Authority.compact authority;
           (* Closing detaches the journal; the in-memory state and the
              registry keep serving /metrics below. *)

@@ -122,9 +122,10 @@ let scan_packet_into automaton sc (p : Packet.t) =
   Aho_corasick.Stream.feed_into automaton st sc.seen sep;
   Aho_corasick.Stream.feed_into automaton st sc.seen c.Packet.body
 
-(* With a normalizer, the same shared automaton runs once per derived view;
-   the raw content is always scanned first so legacy matches keep their
-   attribution and the normalize-off path stays zero-copy. *)
+(* With a normalizer, the same shared automaton runs over each derived view
+   as the lattice walk derives it, and the walk stops at the first view that
+   matches; the raw content is always scanned first so legacy matches keep
+   their attribution and the normalize-off path stays zero-copy. *)
 let first_match_with ?normalize t sc packet =
   match t.automaton with
   | None -> None
@@ -137,13 +138,11 @@ let first_match_with ?normalize t sc packet =
       match normalize with
       | None -> None
       | Some nz ->
-        List.find_map
-          (fun (v : Normalize.view) ->
+        Normalize.find_view nz (Lazy.force content) (fun (v : Normalize.view) ->
             Aho_corasick.matched_set_into automaton sc.seen v.Normalize.text;
             Option.map
               (fun s -> (s, v.Normalize.steps))
-              (first_entry t sc.seen (Lazy.from_val v.Normalize.text)))
-          (Normalize.lattice nz (Lazy.force content)).Normalize.derived))
+              (first_entry t sc.seen (Lazy.from_val v.Normalize.text)))))
 
 module Pool = Leakdetect_parallel.Pool
 module Obs = Leakdetect_obs.Obs

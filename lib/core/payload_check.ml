@@ -120,18 +120,15 @@ let view_bits t sc text =
   feed t sc text;
   exact_bits t sc lor caseless_bits t sc
 
-(* The decoded views are derived from the flattened content, so only the
-   [?normalize] path builds it. *)
-let derived_views nz p =
-  (Normalize.lattice nz (Packet.content_string p)).Normalize.derived
-
 type via = Raw | Folded | View of Normalize.step list
 
 type verdict = { kind : Sensitive.kind; via : via }
 
 (* Kinds are resolved stage by stage — raw, folded, then each derived view
    in lattice order — and a kind keeps the first stage that matched any of
-   its needles, whatever order the needles were given in. *)
+   its needles, whatever order the needles were given in.  The lattice walk
+   stops once every kind is resolved.  The decoded views are derived from
+   the flattened content, so only the [?normalize] path builds it. *)
 let scan_verdicts_with ?normalize t sc p =
   scan_content t sc p;
   let raw = exact_bits t sc in
@@ -144,15 +141,13 @@ let scan_verdicts_with ?normalize t sc p =
   record folded Folded;
   (match normalize with
   | Some nz when raw lor folded <> t.all_bits ->
-    let rec views resolved = function
-      | [] -> ()
-      | (v : Normalize.view) :: rest ->
-        let fresh = view_bits t sc v.Normalize.text land lnot resolved in
-        record fresh (View v.Normalize.steps);
-        let resolved = resolved lor fresh in
-        if resolved <> t.all_bits then views resolved rest
-    in
-    views (raw lor folded) (derived_views nz p)
+    let resolved = ref (raw lor folded) in
+    ignore
+      (Normalize.find_view nz (Packet.content_string p) (fun (v : Normalize.view) ->
+           let fresh = view_bits t sc v.Normalize.text land lnot !resolved in
+           record fresh (View v.Normalize.steps);
+           resolved := !resolved lor fresh;
+           if !resolved = t.all_bits then Some () else None))
   | _ -> ());
   List.sort (fun a b -> Sensitive.compare a.kind b.kind) !verdicts
 
@@ -175,9 +170,9 @@ let is_sensitive_with ?normalize t sc packet =
   match normalize with
   | None -> false
   | Some nz ->
-    List.exists
-      (fun (v : Normalize.view) -> view_bits t sc v.Normalize.text <> 0)
-      (derived_views nz packet)
+    Normalize.find_view nz (Packet.content_string packet) (fun (v : Normalize.view) ->
+        if view_bits t sc v.Normalize.text <> 0 then Some () else None)
+    <> None
 
 let is_sensitive ?normalize t packet =
   is_sensitive_with ?normalize t (scratch t) packet

@@ -146,7 +146,6 @@ let record_sync t report =
   end
 
 let sync t ~fetch =
-  Obs.with_span t.obs "client.sync" @@ fun () ->
   let rec attempt k waited =
     match fetch ~since:t.version with
     | Ok payload ->

@@ -49,7 +49,9 @@ val create : ?config:config -> ?obs:Leakdetect_obs.Obs.t -> ?seed:int -> unit ->
     (default 0) drives the backoff jitter only.  [?obs] (default noop)
     records per-sync counters
     ([leakdetect_client_syncs_total{outcome}], attempt and backoff-tick
-    totals) and the version / health gauges, plus a [client.sync] span. *)
+    totals) and the version / health gauges.  A sync opens no span: a
+    handset's registry has no reader that drains spans, so a caller that
+    wants one wraps the sync in its own. *)
 
 val version : t -> int
 (** Last-known-good signature version (0 before the first update). *)

@@ -308,20 +308,22 @@ let record_error t = function
   | Bytes_exhausted _ -> Obs.Counter.inc t.c_errors_bytes
   | View_too_large _ -> Obs.Counter.inc t.c_errors_view_bytes
 
-(* One derivation: the budgets and the views derived so far, plus what is
-   known about the text being expanded.  The dedup table is created with
-   the first derived view; until then the root is the only text seen. *)
-type run = {
+(* One walk: the budgets, the consumer each derived view is handed to and
+   its answer, plus what is known about the text being expanded.  The
+   dedup table is created with the first derived view; until then the root
+   is the only text seen. *)
+type 'a run = {
   nz : t;
   root : string;
+  consume : view -> 'a option;
+  mutable found : 'a option;
   mutable seen : (string, unit) Hashtbl.t option;
-  mutable derived : view list;  (** newest first *)
   mutable next : view list;  (** the next level to expand, newest first *)
   mutable n_views : int;
   mutable total_bytes : int;
   mutable errors : error list;  (** newest first *)
   mutable failed : int;
-  mutable stop : bool;
+  mutable stop : bool;  (** a budget ran out or the consumer answered *)
   (* The text being expanded, as [classify] found it. *)
   mutable facts : int;  (** the byte classes present, and [foldable] *)
   mutable std_run : int;
@@ -433,8 +435,8 @@ let add_view r text steps =
   r.n_views <- r.n_views + 1;
   r.total_bytes <- r.total_bytes + String.length text;
   let v = { text; steps } in
-  r.derived <- v :: r.derived;
-  r.next <- v :: r.next
+  r.next <- v :: r.next;
+  v
 
 let offer r ~chain ~depth step = function
   | Inapplicable -> ()
@@ -456,8 +458,13 @@ let offer r ~chain ~depth step = function
       r.stop <- true
     end
     else begin
-      add_view r text (chain @ [ step ]);
-      match List.assq_opt step r.nz.c_views with Some c -> Obs.Counter.inc c | None -> ()
+      let v = add_view r text (chain @ [ step ]) in
+      (match List.assq_opt step r.nz.c_views with Some c -> Obs.Counter.inc c | None -> ());
+      match r.consume v with
+      | None -> ()
+      | found ->
+        r.found <- found;
+        r.stop <- true
     end
 
 let rec apply_steps r s ~chain ~depth = function
@@ -482,14 +489,23 @@ let rec expand_levels r depth =
     expand_levels r (depth + 1)
   end
 
-let lattice t root =
+(* The one walk: each view goes to [consume] as it is derived, so a
+   consumer that answers stops the walk before the next step is attempted. *)
+let walk t root consume =
   let r =
-    { nz = t; root; seen = None; derived = []; next = []; n_views = 0; total_bytes = 0;
-      errors = []; failed = 0; stop = false; facts = 0; std_run = -1; url_run = -1;
-      hex_run = -1; strict = None; b64 = None }
+    { nz = t; root; consume; found = None; seen = None; next = []; n_views = 0;
+      total_bytes = 0; errors = []; failed = 0; stop = false; facts = 0; std_run = -1;
+      url_run = -1; hex_run = -1; strict = None; b64 = None }
   in
   expand r root ~chain:[] ~depth:0;
   expand_levels r 1;
-  { derived = List.rev r.derived; errors = List.rev r.errors; failed_decodes = r.failed }
+  r
+
+let find_view t root consume = (walk t root consume).found
+
+let lattice t root =
+  let derived = ref [] in
+  let r = walk t root (fun v -> derived := v :: !derived; None) in
+  { derived = List.rev !derived; errors = List.rev r.errors; failed_decodes = r.failed }
 
 let texts t root = root :: List.map (fun v -> v.text) (lattice t root).derived

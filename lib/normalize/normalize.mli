@@ -6,7 +6,10 @@
     Polygraph and Hamsa warn signature systems about).  This module derives
     a small lattice of decoded views from one packet content: each view is
     the content with one more decoding layer peeled off, and detection
-    simply scans every view with the same matcher it uses on the raw bytes.
+    scans the views with the same matcher it uses on the raw bytes.  The
+    lattice is one breadth-first walk that hands each view on as soon as it
+    is derived ({!find_view}), so a detector stops deriving at the first
+    view that matches.
 
     Derivation is bounded by explicit budgets (decode depth, view count,
     total derived bytes, single-view bytes) so adversarial inputs — decode
@@ -81,12 +84,24 @@ val create :
     instrumentation.  With an active [obs], every derivation bumps
     [leakdetect_normalize_views_total{step=...}], budget exhaustions bump
     [leakdetect_normalize_errors_total{budget=...}], and failed decodes
-    bump [leakdetect_normalize_failed_decodes_total].
+    bump [leakdetect_normalize_failed_decodes_total].  The counters bump
+    as the walk goes, so they count the derivations actually performed: a
+    {!find_view} walk that stops early counts only the prefix it derived.
     @raise Invalid_argument on empty [steps] or non-positive budgets. *)
 
+val find_view : t -> string -> (view -> 'a option) -> 'a option
+(** [find_view t root f] walks the lattice of [root] breadth first and
+    hands each derived view to [f] as soon as it is derived, in the order of
+    {!lattice}'s [derived].  The first [Some] answer stops the walk: no
+    further step is attempted and no further level expanded, so the views
+    [f] saw are a prefix of [derived].  [None] once the lattice is
+    exhausted (or a budget stops it) without an answer. *)
+
 val lattice : t -> string -> lattice
-(** Derive the bounded lattice of decoded views of a text. *)
+(** Derive the bounded lattice of decoded views of a text: {!find_view}
+    with a consumer that never answers. *)
 
 val texts : t -> string -> string list
-(** The root followed by every derived view text — what the detector scans.
-    Always non-empty; equals [[root]] when the root is a fixpoint. *)
+(** The root followed by every derived view text — every text a detector
+    may scan.  Always non-empty; equals [[root]] when the root is a
+    fixpoint. *)

@@ -694,6 +694,25 @@ let prop_first_match_with_equals_oracle =
             packets)
         [ None; Some oracle_normalizer ])
 
+(* Instrumentation only counts: a normalizer on an active registry derives
+   the same views, so detection names the same signature through the same
+   decode chain as on the noop registry. *)
+let prop_first_match_with_obs_identity =
+  QCheck.Test.make ~name:"first_match_with: active-obs normalizer = noop normalizer" ~count:100
+    (QCheck.make detector_case_gen) (fun case ->
+      let sigs, packets = detector_case_of case in
+      let d = Detector.create sigs in
+      let sc = Detector.scratch d in
+      let active =
+        Leakdetect_normalize.Normalize.create ~obs:(Leakdetect_obs.Obs.create ()) ()
+      in
+      Array.for_all
+        (fun p ->
+          same_match
+            (Detector.first_match_with ~normalize:active d sc p)
+            (Detector.first_match_with ~normalize:oracle_normalizer d sc p))
+        packets)
+
 let prop_batch_equals_oracle =
   QCheck.Test.make
     ~name:"first_matches, detect_bitmap (jobs 1 and 4), count_detected = oracle" ~count:60
@@ -998,6 +1017,7 @@ let suite =
           test_detector_ordered_under_views;
         Alcotest.test_case "empty signature set" `Quick test_detector_empty_set;
         qtest prop_first_match_with_equals_oracle;
+        qtest prop_first_match_with_obs_identity;
         qtest prop_batch_equals_oracle;
         Alcotest.test_case "obs contract: sequential" `Quick (test_detection_obs_contract 1);
         Alcotest.test_case "obs contract: pooled" `Quick (test_detection_obs_contract 4);

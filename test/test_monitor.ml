@@ -306,6 +306,21 @@ let test_client_304_without_news () =
         (Signature_client.staleness client).Signature_client.version_gap)
     [ (None, 2); (Some 1, 0); (None, 0) ]
 
+(* A handset's registry has nothing that drains spans, so a sync must not
+   leave one behind: with no parent span open, each would be kept as a root
+   for the life of the registry.  The sync counters still move. *)
+let test_client_sync_keeps_no_span () =
+  let obs = Leakdetect_obs.Obs.create () in
+  let client = Signature_client.create ~obs () in
+  for v = 1 to 100 do
+    ignore (Signature_client.sync client ~fetch:(fun ~since:_ -> Ok (Signature_client.Installed v)))
+  done;
+  Alcotest.(check int) "no root spans" 0 (List.length (Leakdetect_obs.Obs.root_spans obs));
+  Alcotest.(check int) "syncs counted" 100
+    (Leakdetect_obs.Obs.Counter.value
+       (Leakdetect_obs.Obs.counter obs ~labels:[ ("outcome", "updated") ]
+          "leakdetect_client_syncs_total"))
+
 let suite =
   [
     ( "monitor.policy",
@@ -330,7 +345,8 @@ let suite =
       [ Alcotest.test_case "304 version gap" `Quick test_client_records_gap_from_304;
         Alcotest.test_case "install records the gap" `Quick
           test_client_install_records_gap;
-        Alcotest.test_case "304 without news" `Quick test_client_304_without_news ] );
+        Alcotest.test_case "304 without news" `Quick test_client_304_without_news;
+        Alcotest.test_case "sync keeps no span" `Quick test_client_sync_keeps_no_span ] );
     ( "monitor.flow_control",
       [
         Alcotest.test_case "benign allowed" `Quick test_flow_benign_allowed;

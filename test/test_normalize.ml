@@ -480,6 +480,62 @@ let prop_counters_match_lattices =
              = sum (fun l -> count (fun e -> fst (error_parts e) = budget) l.Normalize.errors))
            [ "depth"; "views"; "bytes"; "view_bytes" ])
 
+(* --- the streaming walk against the lattice it streams ---------------------- *)
+
+(* A consumer that answers at its [k]-th view sees the first [min k n] views
+   of the lattice's [derived], answers with the [k]-th if there is one, and
+   leaves the views counters at that prefix counted by step. *)
+let prop_find_view_is_prefix =
+  QCheck.Test.make ~name:"find_view stopped at view k = first min(k, n) lattice views"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun ((_, _, root), k) -> Printf.sprintf "k=%d %S" k root)
+       (fun st -> (gen_lattice_case st, 1 + Random.State.int st 8)))
+    (fun ((budgets, steps, root), k) ->
+      let full = (Normalize.lattice (Normalize.create ~budgets ~steps ()) root).Normalize.derived in
+      let obs = Leakdetect_obs.Obs.create () in
+      let seen = ref [] in
+      let answer =
+        Normalize.find_view (Normalize.create ~obs ~budgets ~steps ()) root (fun v ->
+            seen := v :: !seen;
+            if List.length !seen = k then Some v else None)
+      in
+      let prefix = List.filteri (fun i _ -> i < k) full in
+      let last_step (v : Normalize.view) =
+        List.nth v.Normalize.steps (List.length v.Normalize.steps - 1)
+      in
+      List.rev !seen = prefix
+      && answer = List.nth_opt full (k - 1)
+      && List.for_all
+           (fun step ->
+             Leakdetect_obs.Obs.Counter.value
+               (Leakdetect_obs.Obs.counter obs
+                  ~labels:[ ("step", Normalize.step_name step) ]
+                  "leakdetect_normalize_views_total")
+             = List.length (List.filter (fun v -> last_step v = step) prefix))
+           steps)
+
+(* A consumer that never answers walks the whole lattice: it sees
+   [derived], and every counter — views, budget errors, failed decodes —
+   ends where [lattice]'s leave it. *)
+let prop_find_view_exhaustive =
+  QCheck.Test.make ~name:"find_view never answering = lattice (views and every counter)"
+    ~count:500
+    (QCheck.make ~print:(fun (_, _, root) -> Printf.sprintf "%S" root) gen_lattice_case)
+    (fun (budgets, steps, root) ->
+      let walk_obs = Leakdetect_obs.Obs.create () and lattice_obs = Leakdetect_obs.Obs.create () in
+      let seen = ref [] in
+      let answer =
+        Normalize.find_view (Normalize.create ~obs:walk_obs ~budgets ~steps ()) root (fun v ->
+            seen := v :: !seen;
+            None)
+      in
+      let l = Normalize.lattice (Normalize.create ~obs:lattice_obs ~budgets ~steps ()) root in
+      answer = None
+      && List.rev !seen = l.Normalize.derived
+      && Leakdetect_obs.Obs.to_prometheus walk_obs
+         = Leakdetect_obs.Obs.to_prometheus lattice_obs)
+
 (* --- known answer on generated traffic ------------------------------------ *)
 
 (* Every packet content of the seed-42, scale-0.02 trace, then one copy of
@@ -576,6 +632,8 @@ let suite =
         qtest prop_hex_matches_oracle;
         qtest prop_percent_matches_oracle;
         qtest prop_counters_match_lattices;
+        qtest prop_find_view_is_prefix;
+        qtest prop_find_view_exhaustive;
         Alcotest.test_case "lattice known answer on seed-42 traffic" `Quick
           test_lattice_known_answer;
       ] );
