@@ -201,16 +201,14 @@ let bench_sync ~versions ~rounds lag =
                 in
                 counting_transport bytes raw
               in
-              let before = Delta_client.counters c in
               match
                 (Delta_client.sync c ~transport)
                   .Leakdetect_monitor.Signature_client.outcome
               with
-              | Leakdetect_monitor.Signature_client.Updated _ ->
-                let k = Delta_client.counters c in
-                if k.Delta_client.delta_updates > before.Delta_client.delta_updates
-                then incr deltas
-                else incr snapshots
+              | Leakdetect_monitor.Signature_client.Updated _ -> (
+                match Delta_client.last_update c with
+                | Some (`Delta _) -> incr deltas
+                | Some `Snapshot | None -> incr snapshots)
               | _ -> failwith "catch-up sync must update")
             clients)
     in

@@ -663,6 +663,13 @@ let monitor_cmd =
 (* The one tenant the chaos and trace loops publish to and sync. *)
 let handset_tenant = "handset"
 
+(* What the chaos and trace loops publish in round [round] of [rounds]: a
+   prefix of [all] growing to the whole of it, at least one signature
+   while there is one, none from an empty set. *)
+let published_prefix all ~round ~rounds =
+  let n = Array.length all in
+  Array.to_list (Array.sub all 0 (if n = 0 then 0 else max 1 (n * round / rounds)))
+
 let rec rm_rf path =
   if Sys.is_directory path then begin
     Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
@@ -808,9 +815,7 @@ let chaos_cmd =
       let head () = Authority.version authority ~tenant:handset_tenant in
       let all_signatures = Array.of_list baseline.Pipeline.signatures in
       let n_sigs = Array.length all_signatures in
-      let chunk round =
-        Array.to_list (Array.sub all_signatures 0 (max 1 (n_sigs * round / syncs)))
-      in
+      let chunk round = published_prefix all_signatures ~round ~rounds:syncs in
       let total_attempts = ref 0 and total_waited = ref 0 and failed_syncs = ref 0 in
       let sync () =
         let r = Delta_client.sync client ~transport in
@@ -1215,12 +1220,10 @@ let trace_cmd =
           in
           let transport = Authority.wire_transport authority in
           let all = Array.of_list signatures in
-          let n_sigs = Array.length all in
           for round = 1 to syncs do
-            let upto = if n_sigs = 0 then 0 else max 1 (n_sigs * round / syncs) in
             ignore
               (Authority.publish authority ~tenant:handset_tenant
-                 (Array.to_list (Array.sub all 0 upto)));
+                 (published_prefix all ~round ~rounds:syncs));
             sync transport
           done;
           (* One sync against an unchanged authority, for the `unchanged`

@@ -2,12 +2,12 @@ module Http = Leakdetect_http
 module Signature_client = Leakdetect_monitor.Signature_client
 
 type counters = {
-  delta_updates : int;
-  snapshot_updates : int;
-  forced_full : int;
-  regressions_refused : int;
-  fork_smells : int;
-  escalations : int;
+  mutable delta_updates : int;
+  mutable snapshot_updates : int;
+  mutable forced_full : int;
+  mutable regressions_refused : int;
+  mutable fork_smells : int;
+  mutable escalations : int;
 }
 
 type update = [ `Delta of Changelog.entry list | `Snapshot ]
@@ -19,12 +19,7 @@ type t = {
      delta application read and update without serializing it. *)
   inner : Signature_client.t;
   mutable set : Sigset.t;
-  mutable delta_updates : int;
-  mutable snapshot_updates : int;
-  mutable forced_full : int;
-  mutable regressions_refused : int;
-  mutable fork_smells : int;
-  mutable escalations : int;
+  k : counters;
   (* Which transfer produced the set whose version the inner client is
      about to take; read back after sync to attribute the update (and,
      by a relay, to mirror the applied entry suffix). *)
@@ -45,12 +40,9 @@ let create ?config ?obs ?seed ~tenant () =
     tenant;
     inner = Signature_client.create ?config ?obs ?seed ();
     set = Sigset.empty;
-    delta_updates = 0;
-    snapshot_updates = 0;
-    forced_full = 0;
-    regressions_refused = 0;
-    fork_smells = 0;
-    escalations = 0;
+    k =
+      { delta_updates = 0; snapshot_updates = 0; forced_full = 0;
+        regressions_refused = 0; fork_smells = 0; escalations = 0 };
     last_update = None;
     verify_failed = false;
     preferred = 0;
@@ -65,15 +57,7 @@ let health t = Signature_client.health t.inner
 let staleness t = Signature_client.staleness t.inner
 let last_update t = t.last_update
 
-let counters t =
-  {
-    delta_updates = t.delta_updates;
-    snapshot_updates = t.snapshot_updates;
-    forced_full = t.forced_full;
-    regressions_refused = t.regressions_refused;
-    fork_smells = t.fork_smells;
-    escalations = t.escalations;
-  }
+let counters t = t.k
 
 let request t ~transport ~since ~full =
   Result.map snd
@@ -81,7 +65,7 @@ let request t ~transport ~since ~full =
        (Protocol.signatures_target ~tenant:t.tenant ~since ~full))
 
 let refuse_regression t ~server ~held =
-  t.regressions_refused <- t.regressions_refused + 1;
+  t.k.regressions_refused <- t.k.regressions_refused + 1;
   t.verify_failed <- true;
   Error
     (Printf.sprintf "version regression: server at %d, we hold %d" server held)
@@ -143,7 +127,7 @@ let apply_delta t ~since ~version ~advertised entries =
    own "recovery" bytes. *)
 let fetch t ~transport ~full_transport ~since =
   let full_resync () =
-    t.forced_full <- t.forced_full + 1;
+    t.k.forced_full <- t.k.forced_full + 1;
     match request t ~transport:full_transport ~since ~full:true with
     | Error _ as e -> e
     | Ok response -> (
@@ -188,7 +172,7 @@ let fetch t ~transport ~full_transport ~since =
         (match Protocol.checksum response with
         | Some sum when sum = ours -> Ok (Signature_client.Up_to_date { observed })
         | Some _ | None ->
-          t.fork_smells <- t.fork_smells + 1;
+          t.k.fork_smells <- t.k.fork_smells + 1;
           t.verify_failed <- true;
           full_resync ())
       | _ -> Ok (Signature_client.Up_to_date { observed }))
@@ -224,9 +208,9 @@ let fetch t ~transport ~full_transport ~since =
 let attribute t report =
   (match (report.Signature_client.outcome, t.last_update) with
   | Signature_client.Updated _, Some (`Delta _) ->
-    t.delta_updates <- t.delta_updates + 1
+    t.k.delta_updates <- t.k.delta_updates + 1
   | Signature_client.Updated _, Some `Snapshot ->
-    t.snapshot_updates <- t.snapshot_updates + 1
+    t.k.snapshot_updates <- t.k.snapshot_updates + 1
   | _ -> ());
   report
 
@@ -259,7 +243,7 @@ let sync_via t ~relays ~origin =
         if !escalated || !attempt > n then begin
           if not !escalated then begin
             escalated := true;
-            t.escalations <- t.escalations + 1
+            t.k.escalations <- t.k.escalations + 1
           end;
           fetch t ~transport:origin ~full_transport:origin ~since
         end
@@ -275,7 +259,7 @@ let sync_via t ~relays ~origin =
             t.preferred <- (ix + 1) mod n;
             if not !escalated then begin
               escalated := true;
-              t.escalations <- t.escalations + 1
+              t.k.escalations <- t.k.escalations + 1
             end;
             t.verify_failed <- false
           end;

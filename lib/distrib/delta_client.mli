@@ -71,23 +71,24 @@ val last_update : t -> update option
     mirrors it into its own changelog); [None] when the round did not
     install anything. *)
 
-type counters = {
-  delta_updates : int;  (** Updates assembled from a changelog suffix. *)
-  snapshot_updates : int;  (** Updates downloaded as a full set. *)
-  forced_full : int;
+type counters = private {
+  mutable delta_updates : int;  (** Updates assembled from a changelog suffix. *)
+  mutable snapshot_updates : int;  (** Updates downloaded as a full set. *)
+  mutable forced_full : int;
       (** Delta attempts that fell back to [full=1] mid-attempt (gap,
           checksum mismatch, fork smell, or sub-horizon [since]). *)
-  regressions_refused : int;
+  mutable regressions_refused : int;
       (** Responses advertising a version below ours, dropped unapplied. *)
-  fork_smells : int;
+  mutable fork_smells : int;
       (** [304]s whose advertised checksum did not match our set at the
           same version — divergent-history evidence. *)
-  escalations : int;
+  mutable escalations : int;
       (** {!sync_via} rounds that abandoned the relay tier for the origin
           (verification failure, or relay attempts exhausted). *)
 }
 
 val counters : t -> counters
+(** The client's own counters, live: later syncs keep moving them. *)
 
 val sync :
   ?full_transport:(string -> (string, string) result) ->

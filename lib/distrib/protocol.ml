@@ -301,6 +301,16 @@ let shard_answer ~epoch extra status =
 let misdirected ~epoch ~owner = shard_answer ~epoch [ ("X-Shard-Owner", owner) ] 421
 let not_adopted ~epoch = shard_answer ~epoch [ ("Retry-After", "1") ] 503
 
+let retry_later extra =
+  Http.Response.make
+    ~headers:(Http.Headers.of_list (("Retry-After", "1") :: extra))
+    503
+
+let relay_headers ~id ~staleness ~version_age =
+  [ ("X-Relay-Id", id);
+    ("X-Relay-Staleness", string_of_int staleness);
+    ("X-Relay-Version-Age", string_of_int version_age) ]
+
 let misdirected_to raw =
   match Http.Response.parse raw with
   | Ok r when r.Http.Response.status = 421 -> header r "X-Shard-Owner"

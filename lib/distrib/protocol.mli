@@ -121,6 +121,18 @@ val misdirected_to : string -> string option
     do not parse as a [421] with an [X-Shard-Owner].  The [Content-Length]
     is not checked. *)
 
+(** {1 Relay answers} *)
+
+val relay_headers :
+  id:string -> staleness:int -> version_age:int -> (string * string) list
+(** [X-Relay-Id], [X-Relay-Staleness] and [X-Relay-Version-Age], in that
+    order: what a relay adds to every tenant answer. *)
+
+val retry_later : (string * string) list -> Http.Response.t
+(** [503] with [Retry-After: 1], then the given headers: a relay's
+    refusal of an unready or diverged mirror (with its {!relay_headers}),
+    and of a candidate POST it could not forward (with none). *)
+
 (** {1 Asking} *)
 
 type transport = string -> (string, string) result

@@ -24,15 +24,7 @@ type tenant_state = {
   mutable gauges : (Obs.Gauge.t * Obs.Gauge.t * Obs.Gauge.t) option;
 }
 
-type t = {
-  id : string;
-  config : config;
-  obs : Obs.t;
-  tenant_tbl : (string, tenant_state) Hashtbl.t;
-  mutable upstream : (string -> (string, string) result) option;
-  mutable peers : (string * (string -> (string, string) result)) list;
-  mutable shard : Shard_map.t option;
-  mutable clock : int;
+type counters = {
   mutable sync_rounds : int;
   mutable sync_failures : int;
   mutable resnapshots : int;
@@ -51,6 +43,18 @@ type t = {
   mutable forward_failures : int;
 }
 
+type t = {
+  id : string;
+  config : config;
+  obs : Obs.t;
+  tenant_tbl : (string, tenant_state) Hashtbl.t;
+  mutable upstream : (string -> (string, string) result) option;
+  mutable peers : (string * (string -> (string, string) result)) list;
+  mutable shard : Shard_map.t option;
+  mutable clock : int;
+  k : counters;
+}
+
 let create ?(obs = Obs.noop) ?(config = default_config) ?client_config
     ?(seed = 0) ~id ~tenants () =
   if not (Protocol.id_ok id) then
@@ -67,22 +71,13 @@ let create ?(obs = Obs.noop) ?(config = default_config) ?client_config
       peers = [];
       shard = None;
       clock = 0;
-      sync_rounds = 0;
-      sync_failures = 0;
-      resnapshots = 0;
-      resnapshot_bytes = 0;
-      repairs = 0;
-      repair_bytes = 0;
-      gossip_rounds = 0;
-      gossip_catchups = 0;
-      served_delta = 0;
-      served_snapshot = 0;
-      served_not_modified = 0;
-      served_unready = 0;
-      served_inconsistent = 0;
-      served_digest = 0;
-      forwarded = 0;
-      forward_failures = 0;
+      k =
+        { sync_rounds = 0; sync_failures = 0; resnapshots = 0;
+          resnapshot_bytes = 0; repairs = 0; repair_bytes = 0;
+          gossip_rounds = 0; gossip_catchups = 0; served_delta = 0;
+          served_snapshot = 0; served_not_modified = 0; served_unready = 0;
+          served_inconsistent = 0; served_digest = 0; forwarded = 0;
+          forward_failures = 0 };
     }
   in
   List.iteri
@@ -158,9 +153,9 @@ let resnapshot t st =
      the wire cost a full resync would have paid, so repair savings are
      directly comparable. *)
   let set = Delta_client.set st.dc in
-  t.resnapshot_bytes <- t.resnapshot_bytes + Sigset.canonical_length set;
+  t.k.resnapshot_bytes <- t.k.resnapshot_bytes + Sigset.canonical_length set;
   st.mirror <- Changelog.of_set ~version:(Delta_client.version st.dc) set;
-  t.resnapshots <- t.resnapshots + 1
+  t.k.resnapshots <- t.k.resnapshots + 1
 
 (* Ranged anti-entropy repair.  Fetch the checkpoint digest from
    [transport] (origin, or a sibling whose own serving guard vouches for
@@ -214,9 +209,9 @@ let try_repair t st ~transport =
               then begin
                 st.mirror <- log;
                 Changelog.compact st.mirror ~keep:t.config.compact_keep;
-                t.repairs <- t.repairs + 1;
-                t.repair_bytes <-
-                  t.repair_bytes + String.length draw
+                t.k.repairs <- t.k.repairs + 1;
+                t.k.repair_bytes <-
+                  t.k.repair_bytes + String.length draw
                   + String.length fetched_raw;
                 true
               end
@@ -302,7 +297,7 @@ let note_verified t st =
 
 let sync_tenant t ~tenant ~transport =
   let st = state t ~tenant in
-  t.sync_rounds <- t.sync_rounds + 1;
+  t.k.sync_rounds <- t.k.sync_rounds + 1;
   let report = Delta_client.sync st.dc ~transport in
   (match report.Signature_client.outcome with
   | Signature_client.Updated _ ->
@@ -314,7 +309,7 @@ let sync_tenant t ~tenant ~transport =
        rot) — heal it now rather than waiting for the next delta. *)
     note_verified t st;
     ensure_consistent t st ~transport
-  | Signature_client.Failed _ -> t.sync_failures <- t.sync_failures + 1);
+  | Signature_client.Failed _ -> t.k.sync_failures <- t.k.sync_failures + 1);
   staleness_gauge t tenant st;
   report
 
@@ -327,7 +322,7 @@ let sync_tenant t ~tenant ~transport =
    gossip only moves *verified* suffixes sideways, and any full=1
    escalation inside the catch-up sync is pinned to the origin. *)
 let gossip t ~upstream =
-  t.gossip_rounds <- t.gossip_rounds + 1;
+  t.k.gossip_rounds <- t.k.gossip_rounds + 1;
   List.iter
     (fun tenant ->
       let st = state t ~tenant in
@@ -368,7 +363,7 @@ let gossip t ~upstream =
           | Signature_client.Updated _ ->
             note_verified t st;
             mirror_absorb t st ~transport:ptransport;
-            t.gossip_catchups <- t.gossip_catchups + 1;
+            t.k.gossip_catchups <- t.k.gossip_catchups + 1;
             staleness_gauge t tenant st
           | Signature_client.Unchanged | Signature_client.Failed _ ->
             catch_up rest)
@@ -398,67 +393,23 @@ let inject_fork t ~tenant =
 
 (* --- serving --- *)
 
-type counters = {
-  sync_rounds : int;
-  sync_failures : int;
-  resnapshots : int;
-  resnapshot_bytes : int;
-  repairs : int;
-  repair_bytes : int;
-  gossip_rounds : int;
-  gossip_catchups : int;
-  served_delta : int;
-  served_snapshot : int;
-  served_not_modified : int;
-  served_unready : int;
-  served_inconsistent : int;
-  served_digest : int;
-  forwarded : int;
-  forward_failures : int;
-}
-
-let counters (t : t) : counters =
-  {
-    sync_rounds = t.sync_rounds;
-    sync_failures = t.sync_failures;
-    resnapshots = t.resnapshots;
-    resnapshot_bytes = t.resnapshot_bytes;
-    repairs = t.repairs;
-    repair_bytes = t.repair_bytes;
-    gossip_rounds = t.gossip_rounds;
-    gossip_catchups = t.gossip_catchups;
-    served_delta = t.served_delta;
-    served_snapshot = t.served_snapshot;
-    served_not_modified = t.served_not_modified;
-    served_unready = t.served_unready;
-    served_inconsistent = t.served_inconsistent;
-    served_digest = t.served_digest;
-    forwarded = t.forwarded;
-    forward_failures = t.forward_failures;
-  }
+let counters t = t.k
 
 let relay_headers t st =
-  [ ("X-Relay-Id", t.id);
-    ( "X-Relay-Staleness",
-      string_of_int
-        (Delta_client.staleness st.dc).Signature_client.failed_syncs );
-    ( "X-Relay-Version-Age",
-      string_of_int (max 0 (t.clock - st.last_sync_tick)) ) ]
+  Protocol.relay_headers ~id:t.id
+    ~staleness:(Delta_client.staleness st.dc).Signature_client.failed_syncs
+    ~version_age:(max 0 (t.clock - st.last_sync_tick))
 
-let unready (t : t) st ~counter =
+let unready t st ~counter =
   (match counter with
-  | `Unready -> t.served_unready <- t.served_unready + 1
-  | `Inconsistent -> t.served_inconsistent <- t.served_inconsistent + 1);
-  Http.Response.make
-    ~headers:(Http.Headers.of_list (("Retry-After", "1") :: relay_headers t st))
-    503
+  | `Unready -> t.k.served_unready <- t.k.served_unready + 1
+  | `Inconsistent -> t.k.served_inconsistent <- t.k.served_inconsistent + 1);
+  Protocol.retry_later (relay_headers t st)
 
-let forward (t : t) (request : Http.Request.t) =
+let forward t (request : Http.Request.t) =
   let failed () =
-    t.forward_failures <- t.forward_failures + 1;
-    Http.Response.make
-      ~headers:(Http.Headers.of_list [ ("Retry-After", "1") ])
-      503
+    t.k.forward_failures <- t.k.forward_failures + 1;
+    Protocol.retry_later []
   in
   match t.upstream with
   | None -> failed ()
@@ -469,7 +420,7 @@ let forward (t : t) (request : Http.Request.t) =
       match Protocol.parse_response raw with
       | Error _ -> failed ()
       | Ok response ->
-        t.forwarded <- t.forwarded + 1;
+        t.k.forwarded <- t.k.forwarded + 1;
         response))
 
 (* Scrape-time export: the counter totals as gauges plus the per-tenant
@@ -483,40 +434,40 @@ let refresh_metrics t =
         value
     in
     gauge "leakdetect_relay_sync_rounds" "Upstream sync rounds attempted."
-      t.sync_rounds;
+      t.k.sync_rounds;
     gauge "leakdetect_relay_sync_failures"
       "Upstream sync rounds that exhausted the retry budget."
-      t.sync_failures;
+      t.k.sync_failures;
     gauge "leakdetect_relay_resnapshots" "Full mirror rebuilds."
-      t.resnapshots;
+      t.k.resnapshots;
     gauge "leakdetect_relay_resnapshot_bytes"
-      "Canonical snapshot bytes paid by mirror rebuilds." t.resnapshot_bytes;
+      "Canonical snapshot bytes paid by mirror rebuilds." t.k.resnapshot_bytes;
     gauge "leakdetect_relay_repairs" "Ranged anti-entropy mirror repairs."
-      t.repairs;
+      t.k.repairs;
     gauge "leakdetect_relay_repair_bytes"
-      "Wire bytes paid by ranged repairs (digest + suffix)." t.repair_bytes;
+      "Wire bytes paid by ranged repairs (digest + suffix)." t.k.repair_bytes;
     gauge "leakdetect_relay_gossip_rounds" "Sibling gossip rounds run."
-      t.gossip_rounds;
+      t.k.gossip_rounds;
     gauge "leakdetect_relay_gossip_catchups"
       "Tenant catch-ups pulled from a sibling during gossip."
-      t.gossip_catchups;
+      t.k.gossip_catchups;
     gauge "leakdetect_relay_served_delta" "Delta responses served."
-      t.served_delta;
+      t.k.served_delta;
     gauge "leakdetect_relay_served_snapshot" "Snapshot responses served."
-      t.served_snapshot;
+      t.k.served_snapshot;
     gauge "leakdetect_relay_served_not_modified" "304 responses served."
-      t.served_not_modified;
+      t.k.served_not_modified;
     gauge "leakdetect_relay_served_unready"
-      "503s before the first verified sync." t.served_unready;
+      "503s before the first verified sync." t.k.served_unready;
     gauge "leakdetect_relay_served_inconsistent"
       "503s while the mirror diverged from the verified state."
-      t.served_inconsistent;
+      t.k.served_inconsistent;
     gauge "leakdetect_relay_served_digest" "Digest responses served."
-      t.served_digest;
+      t.k.served_digest;
     gauge "leakdetect_relay_forwarded" "Candidate POSTs relayed upstream."
-      t.forwarded;
+      t.k.forwarded;
     gauge "leakdetect_relay_forward_failures" "Candidate forwards that failed."
-      t.forward_failures;
+      t.k.forward_failures;
     Hashtbl.iter (fun tenant st -> staleness_gauge t tenant st) t.tenant_tbl
   end
 
@@ -542,10 +493,10 @@ let server t =
     headers = relay_headers t;
     served =
       (function
-      | `Not_modified -> t.served_not_modified <- t.served_not_modified + 1
-      | `Delta -> t.served_delta <- t.served_delta + 1
-      | `Snapshot -> t.served_snapshot <- t.served_snapshot + 1
-      | `Digest -> t.served_digest <- t.served_digest + 1);
+      | `Not_modified -> t.k.served_not_modified <- t.k.served_not_modified + 1
+      | `Delta -> t.k.served_delta <- t.k.served_delta + 1
+      | `Snapshot -> t.k.served_snapshot <- t.k.served_snapshot + 1
+      | `Digest -> t.k.served_digest <- t.k.served_digest + 1);
     digest_interval = t.config.digest_interval;
     candidates = (fun request _ -> forward t request);
     metrics =

@@ -147,30 +147,31 @@ val inject_fork : t -> tenant:string -> unit
     the shape ranged repair must heal without a resnapshot.  The
     serving guard refuses the mirror from the next request on. *)
 
-type counters = {
-  sync_rounds : int;
-  sync_failures : int;  (** Rounds that exhausted the upstream budget. *)
-  resnapshots : int;  (** Mirror rebuilds — the last-resort heal. *)
-  resnapshot_bytes : int;
+type counters = private {
+  mutable sync_rounds : int;
+  mutable sync_failures : int;  (** Rounds that exhausted the upstream budget. *)
+  mutable resnapshots : int;  (** Mirror rebuilds — the last-resort heal. *)
+  mutable resnapshot_bytes : int;
       (** Canonical snapshot bytes paid by those rebuilds. *)
-  repairs : int;  (** Ranged anti-entropy repairs (splice, no rebuild). *)
-  repair_bytes : int;
+  mutable repairs : int;  (** Ranged anti-entropy repairs (splice, no rebuild). *)
+  mutable repair_bytes : int;
       (** Wire bytes paid by those repairs: digest + suffix responses. *)
-  gossip_rounds : int;
-  gossip_catchups : int;
+  mutable gossip_rounds : int;
+  mutable gossip_catchups : int;
       (** Tenant catch-ups pulled from a sibling during gossip. *)
-  served_delta : int;
-  served_snapshot : int;
-  served_not_modified : int;
-  served_unready : int;  (** 503s before the first verified sync. *)
-  served_inconsistent : int;
+  mutable served_delta : int;
+  mutable served_snapshot : int;
+  mutable served_not_modified : int;
+  mutable served_unready : int;  (** 503s before the first verified sync. *)
+  mutable served_inconsistent : int;
       (** 503s while the mirror diverged from the verified state. *)
-  served_digest : int;  (** Anti-entropy digests answered. *)
-  forwarded : int;  (** Candidate POSTs relayed upstream. *)
-  forward_failures : int;
+  mutable served_digest : int;  (** Anti-entropy digests answered. *)
+  mutable forwarded : int;  (** Candidate POSTs relayed upstream. *)
+  mutable forward_failures : int;
 }
 
 val counters : t -> counters
+(** The relay's own counters, live: later rounds keep moving them. *)
 
 val handle : t -> Leakdetect_http.Request.t -> Leakdetect_http.Response.t
 (** Origin-shaped [GET /signatures] and [GET /digest] from the mirror

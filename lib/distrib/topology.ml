@@ -73,22 +73,22 @@ let default_config =
   }
 
 type phase_counters = {
-  delta : int;
-  snapshot : int;
-  unchanged : int;
-  failed : int;
+  mutable delta : int;
+  mutable snapshot : int;
+  mutable unchanged : int;
+  mutable failed : int;
 }
 
 type invariants = {
-  divergences : int;
-  regressions : int;
-  sub_k_promotions : int;
-  recovery_mismatches : int;
-  unconverged : int;
-  relay_divergences : int;
+  mutable divergences : int;
+  mutable regressions : int;
+  mutable sub_k_promotions : int;
+  mutable recovery_mismatches : int;
+  mutable unconverged : int;
+  mutable relay_divergences : int;
       (* A relay whose serving guard passed while its mirror did not
          match the committed checksum at its version. *)
-  staleness_lapses : int;
+  mutable staleness_lapses : int;
       (* A partitioned relay left strictly behind a reachable honest
          sibling right after its own gossip round. *)
 }
@@ -98,47 +98,47 @@ type report = {
   ramp : phase_counters;
   steady : phase_counters;
   drain : phase_counters;
-  relay_requests : int;
-  origin_requests : int;
-  offload : float;
-  escalations : int;
-  fork_smells : int;
-  forced_full : int;
-  regressions_refused : int;
-  misdirected_follows : int;
-  origin_crashes : int;
-  torn_tails : int;
-  recoveries : int;
-  promoted_on_recovery : int;
-  relay_crashes_done : int;
-  partitions_done : int;
-  epoch_flips_done : int;
-  migrations : int;
-  final_epoch : int;
-  relay_sync_rounds : int;
-  relay_sync_failures : int;
-  relay_resnapshots : int;
-  relay_served : int;
-  relay_unready : int;
-  relay_inconsistent : int;
-  gossip_rounds : int;
-  gossip_catchups : int;
-  repairs : int;
-  repair_bytes : int;
-  resnapshot_bytes : int;
-  forks_done : int;
-  forwarded_reports : int;
-  forward_failures : int;
-  client_restarts : int;
-  compactions : int;
-  promotions : int;
-  accepted_reports : int;
-  duplicate_reports : int;
-  capped_reports : int;
-  lost_reports : int;
-  fault_events : (Fault.kind * int) list;
-  final_versions : (string * int) list;
-  tenant_owners : (string * string) list;
+  mutable relay_requests : int;
+  mutable origin_requests : int;
+  mutable offload : float;
+  mutable escalations : int;
+  mutable fork_smells : int;
+  mutable forced_full : int;
+  mutable regressions_refused : int;
+  mutable misdirected_follows : int;
+  mutable origin_crashes : int;
+  mutable torn_tails : int;
+  mutable recoveries : int;
+  mutable promoted_on_recovery : int;
+  mutable relay_crashes_done : int;
+  mutable partitions_done : int;
+  mutable epoch_flips_done : int;
+  mutable migrations : int;
+  mutable final_epoch : int;
+  mutable relay_sync_rounds : int;
+  mutable relay_sync_failures : int;
+  mutable relay_resnapshots : int;
+  mutable relay_served : int;
+  mutable relay_unready : int;
+  mutable relay_inconsistent : int;
+  mutable gossip_rounds : int;
+  mutable gossip_catchups : int;
+  mutable repairs : int;
+  mutable repair_bytes : int;
+  mutable resnapshot_bytes : int;
+  mutable forks_done : int;
+  mutable forwarded_reports : int;
+  mutable forward_failures : int;
+  mutable client_restarts : int;
+  mutable compactions : int;
+  mutable promotions : int;
+  mutable accepted_reports : int;
+  mutable duplicate_reports : int;
+  mutable capped_reports : int;
+  mutable lost_reports : int;
+  mutable fault_events : (Fault.kind * int) list;
+  mutable final_versions : (string * int) list;
+  mutable tenant_owners : (string * string) list;
   invariants : invariants;
 }
 
@@ -157,36 +157,6 @@ let ok r =
 let steady_delta_ratio r =
   float_of_int (r.steady.delta + r.drain.delta)
   /. float_of_int (max 1 (r.steady.snapshot + r.drain.snapshot))
-
-(* --- accumulators --- *)
-
-type phase_acc = {
-  mutable a_delta : int;
-  mutable a_snapshot : int;
-  mutable a_unchanged : int;
-  mutable a_failed : int;
-}
-
-let fresh_acc () = { a_delta = 0; a_snapshot = 0; a_unchanged = 0; a_failed = 0 }
-
-let freeze a =
-  {
-    delta = a.a_delta;
-    snapshot = a.a_snapshot;
-    unchanged = a.a_unchanged;
-    failed = a.a_failed;
-  }
-
-type sim_client = {
-  index : int;
-  tenant : string;
-  plan : Fault.plan;
-  rng : Prng.t;
-  known : string ref;  (* owner origin as this client last learned it *)
-  mutable dc : Delta_client.t;
-  mutable prev_version : int;
-  mutable next_sync : int;
-}
 
 let validate config =
   let bad fmt = Printf.ksprintf invalid_arg fmt in
@@ -220,819 +190,829 @@ let validate config =
 
 let tenant_name i = Printf.sprintf "tenant%d" i
 let origin_name i = Printf.sprintf "origin%d" i
+let relay_name i = Printf.sprintf "relay%d" i
 
-let run ?(obs = Obs.noop) ?(on_sync = fun _ -> ()) ~dir config =
-  validate config;
-  let master_rng = Prng.create config.seed in
-  let seed_of () = Prng.bits30 master_rng in
-  let server_rng = Prng.create (seed_of ()) in
-  let mutate_rng = Prng.create (seed_of ()) in
-  let reporter_plan = Fault.create ~seed:(seed_of ()) config.fault in
-  let byz_plan =
-    Fault.create ~seed:(seed_of ())
-      { Fault.default with Fault.corrupt_rate = config.byzantine_corrupt_rate }
-  in
-  let acfg =
-    {
-      Authority.k = config.k;
-      reporter_cap = config.reporter_cap;
-      compact_keep = config.compact_keep;
-    }
-  in
+(* --- engine state --- *)
+
+type event =
+  | Publish of string
+  | Compact
+  | Flip
+  | Partition of int  (* relay slot *)
+  | Relay_crash of int
+  | Fork of int
+  | Report of string * string * Signature.t list * int
+      (* tenant, reporter, candidates, attempts left *)
+
+type origin = {
+  odir : string;
+  mutable auth : Authority.t;
+  mutable crashed : Authority.t list;
+      (* Closed incarnations, still counted for their promotions. *)
+}
+
+type sim_client = {
+  index : int;
+  tenant : string;
+  plan : Fault.plan;
+  rng : Prng.t;
+  known : string ref;  (* owner origin as this client last learned it *)
+  mutable dc : Delta_client.t;
+  mutable restarted : Delta_client.t list;
+      (* Earlier incarnations, still counted for their fetch counters. *)
+  mutable prev_version : int;
+  mutable next_sync : int;
+}
+
+type state = {
+  config : config;
+  obs : Obs.t;
+  on_sync : Delta_client.t -> unit;
+  seeds : Prng.t;  (* seeds every plan, relay and client, in creation order *)
+  server_rng : Prng.t;  (* crash points, torn tails, report routing *)
+  mutate_rng : Prng.t;  (* published-set evolution *)
+  reporter_plan : Fault.plan;
+  byz_plan : Fault.plan;
+  origins : (string, origin) Hashtbl.t;
+  origin_names : string list;  (* the initial map's origins, then standbys *)
+  mutable map : Shard_map.t;
+  tenants : string list;
+  audit : (string, (int, int) Hashtbl.t) Hashtbl.t;
+      (* committed (tenant, version) -> checksum *)
+  last_recorded : (string, int) Hashtbl.t;
+  next_pub_id : (string, int) Hashtbl.t;
+  mutable now : int;
+  partitioned_until : int array;
+  relay_plans : Fault.plan array;
+  relay_known : (string, string ref) Hashtbl.t array;
+      (* Per relay slot, per tenant: the owner as the relay last learned it. *)
+  relays : Relay.t array;
+  mutable crashed_relays : Relay.t list;
+      (* Replaced incarnations, still counted for their counters. *)
+  clients : sim_client array;
+  schedule : event list array;  (* per tick, newest first *)
+  mutable retries : (int * event) list;  (* (due tick, report) *)
+  r : report;  (* every count, kept where it is observed *)
+}
+
+let origin s name = (Hashtbl.find s.origins name).auth
+let owner_of s tenant = Shard_map.owner s.map ~tenant
+let owner s tenant = origin s (owner_of s tenant)
+
+let authority_config (config : config) =
+  {
+    Authority.k = config.k;
+    reporter_cap = config.reporter_cap;
+    compact_keep = config.compact_keep;
+  }
+
+let install_map s =
+  List.iter
+    (fun name -> Authority.set_shard (origin s name) ~self:name s.map)
+    s.origin_names
+
+(* --- the audit table: committed (tenant, version) -> checksum --- *)
+
+let audit_of s tenant =
+  match Hashtbl.find_opt s.audit tenant with
+  | Some tbl -> tbl
+  | None ->
+    let tbl = Hashtbl.create 256 in
+    Hashtbl.replace s.audit tenant tbl;
+    tbl
+
+let last_recorded s tenant =
+  Option.value ~default:0 (Hashtbl.find_opt s.last_recorded tenant)
+
+let record_committed s tenant =
+  let tbl = audit_of s tenant in
+  let auth = owner s tenant in
+  let last = last_recorded s tenant in
+  let head = Authority.version auth ~tenant in
+  for v = last + 1 to head do
+    match Authority.checksum_at auth ~tenant ~version:v with
+    | Some sum -> Hashtbl.replace tbl v sum
+    | None -> ()
+  done;
+  if head > last then Hashtbl.replace s.last_recorded tenant head
+
+let record_all s = List.iter (record_committed s) s.tenants
+
+(* --- origin crash and recovery --- *)
+
+(* The recovered origin must still answer for everything the audit table
+   recorded about the tenants it holds. *)
+let check_recovery s auth =
+  let inv = s.r.invariants in
+  let mismatch () = inv.recovery_mismatches <- inv.recovery_mismatches + 1 in
+  List.iter
+    (fun tenant ->
+      if Authority.owns auth ~tenant && List.mem tenant (Authority.tenants auth)
+      then begin
+        if Authority.version auth ~tenant < last_recorded s tenant then
+          mismatch ();
+        let horizon = Authority.horizon auth ~tenant in
+        Hashtbl.iter
+          (fun v sum ->
+            if v >= horizon then
+              match Authority.checksum_at auth ~tenant ~version:v with
+              | Some sum' when sum' = sum -> ()
+              | Some _ -> mismatch ()
+              | None ->
+                if v <= Authority.version auth ~tenant then mismatch ())
+          (audit_of s tenant)
+      end)
+    s.tenants
+
+let reopen s name =
+  let r = s.r and o = Hashtbl.find s.origins name in
+  Authority.close o.auth;
+  o.crashed <- o.auth :: o.crashed;
+  if Prng.chance s.server_rng 0.5 then begin
+    r.torn_tails <- r.torn_tails + 1;
+    let path = Authority.wal_path ~dir:o.odir in
+    let frame = Leakdetect_store.Wal.frame "torn garbage payload" in
+    let partial = String.sub frame 0 (String.length frame - 3) in
+    let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+    output_string oc partial;
+    close_out oc
+  end;
   (match
-     if Sys.file_exists dir then
-       if Sys.is_directory dir then Ok () else Error (dir ^ ": not a directory")
-     else match Sys.mkdir dir 0o755 with
-       | () -> Ok ()
-       | exception Sys_error e -> Error e
+     Authority.open_ ~obs:s.obs ~config:(authority_config s.config)
+       ~dir:o.odir ()
    with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Topology: " ^ e));
+  | Ok (t, rep) ->
+    o.auth <- t;
+    r.recoveries <- r.recoveries + 1;
+    r.promoted_on_recovery <-
+      r.promoted_on_recovery + rep.Authority.promoted_on_recovery;
+    (* The shard map rides the journal; a recovered origin that lost it
+       would serve tenants it no longer owns.  Re-assert the current map
+       (idempotent when replay already restored it). *)
+    Authority.set_shard t ~self:name s.map
+  | Error e -> invalid_arg ("Topology: recovery failed: " ^ e));
+  check_recovery s o.auth;
+  record_all s
 
-  (* --- origins --- *)
-  let n_all_origins = config.origins + config.standby_origins in
-  let base_names = List.init config.origins origin_name in
-  let all_names = List.init n_all_origins origin_name in
-  let wide_names = all_names in
-  let origin_tbl = Hashtbl.create 8 in
+let publish_with_crash s tenant desired =
+  let name = owner_of s tenant in
+  let crash_at =
+    if Prng.chance s.server_rng s.config.origin_crash_rate then
+      Some (Prng.int s.server_rng 4)
+    else None
+  in
+  (try
+     ignore
+       (Authority.publish
+          ~inject:(fun i ->
+            if crash_at = Some i then raise (Authority.Crashed "mid-publish"))
+          (origin s name) ~tenant desired)
+   with Authority.Crashed _ ->
+     s.r.origin_crashes <- s.r.origin_crashes + 1;
+     reopen s name;
+     ignore (Authority.publish (origin s name) ~tenant desired));
+  record_committed s tenant
+
+let compact_with_crash s =
   List.iter
     (fun name ->
-      let odir = Filename.concat dir name in
-      match Authority.open_ ~obs ~config:acfg ~dir:odir () with
-      | Ok (t, _) -> Hashtbl.replace origin_tbl name (ref t, odir)
-      | Error e ->
-        invalid_arg (Printf.sprintf "Topology: cannot open %s: %s" name e))
-    all_names;
-  let origin name = fst (Hashtbl.find origin_tbl name) in
-  let relay_name i = Printf.sprintf "relay%d" i in
-  (* Capacity weights (origin0 optionally heavier) and a synthetic
-     proximity table — relay-to-origin and relay-to-relay distances that
-     bias gossip peer preference without ever affecting ownership. *)
+      let crash_at =
+        if Prng.chance s.server_rng s.config.origin_crash_rate then
+          Some (if Prng.bool s.server_rng then "pre_snapshot" else "post_snapshot")
+        else None
+      in
+      try
+        Authority.compact
+          ~inject:(fun point ->
+            if crash_at = Some point then
+              raise (Authority.Crashed ("mid-compaction " ^ point)))
+          (origin s name);
+        s.r.compactions <- s.r.compactions + 1
+      with Authority.Crashed _ ->
+        s.r.origin_crashes <- s.r.origin_crashes + 1;
+        reopen s name)
+    s.origin_names;
+  record_all s
+
+(* --- published-set evolution --- *)
+
+let fresh_id s tenant =
+  let floor_id =
+    List.fold_left
+      (fun m sg -> max m sg.Signature.id)
+      0
+      (Authority.signatures (owner s tenant) ~tenant)
+  in
+  let n =
+    max (floor_id + 1)
+      (Option.value ~default:1 (Hashtbl.find_opt s.next_pub_id tenant))
+  in
+  Hashtbl.replace s.next_pub_id tenant (n + 1);
+  n
+
+let mutate_set s tenant =
+  let fresh_token () = Printf.sprintf "x%06x" (Prng.int s.mutate_rng 0xFFFFFF) in
+  let current = Authority.signatures (owner s tenant) ~tenant in
+  let adds = 1 + Prng.int s.mutate_rng 2 in
+  let added =
+    List.init adds (fun _ ->
+        Signature.make ~id:(fresh_id s tenant) ~mode:Signature.Conjunction
+          ~cluster_size:(1 + Prng.int s.mutate_rng 9)
+          [ "leak"; tenant; fresh_token (); "imei=" ^ fresh_token () ])
+  in
+  let current =
+    if List.length current > 3 && Prng.chance s.mutate_rng 0.3 then
+      match current with
+      | sg :: _ -> Changelog.apply_change current (Changelog.Retire sg.Signature.id)
+      | [] -> current
+    else current
+  in
+  current @ added
+
+(* --- transports --- *)
+
+(* Send to the owner as [known] remembers it, following one 421 redirect:
+   stale routing self-heals through the misdirection answer itself, never
+   through out-of-band knowledge. *)
+let route_421 s plan known raw =
+  let send name = Fault.transport plan (Authority.wire_transport (origin s name)) raw in
+  match send !known with
+  | Error _ as e -> e
+  | Ok resp_raw -> (
+    match Protocol.misdirected_to resp_raw with
+    | Some next when next <> !known && Hashtbl.mem s.origins next ->
+      s.r.misdirected_follows <- s.r.misdirected_follows + 1;
+      known := next;
+      send next
+    | _ -> Ok resp_raw)
+
+let partitioned s i = s.now <= s.partitioned_until.(i)
+let is_byzantine s i = i < s.config.byzantine_relays
+
+let relay_upstream s i tenant raw =
+  if partitioned s i then Error "partitioned from origins"
+  else route_421 s s.relay_plans.(i) (Hashtbl.find s.relay_known.(i) tenant) raw
+
+let relay_post_upstream s i raw =
+  if partitioned s i then Error "partitioned from origins"
+  else
+    match Protocol.parse_request raw with
+    | Error _ as e -> e
+    | Ok request -> (
+      match Protocol.tenant_of request with
+      | Some tenant when Hashtbl.mem s.relay_known.(i) tenant ->
+        route_421 s s.relay_plans.(i) (Hashtbl.find s.relay_known.(i) tenant) raw
+      | _ -> Error "forward: unroutable tenant")
+
+(* What clients see of relay [i]: its wire transport, with responses
+   corrupted at the byzantine rate for compromised slots. *)
+let relay_server s i raw =
+  match Relay.wire_transport s.relays.(i) raw with
+  | Error _ as e -> e
+  | Ok response ->
+    if is_byzantine s i then Ok (Fault.corrupt_string s.byz_plan response)
+    else Ok response
+
+let client_relay_transports s c =
+  (* Rotate the relay list per client so preferred relays spread. *)
+  List.init s.config.relays (fun j ->
+      let ix = (c.index + j) mod s.config.relays in
+      fun raw ->
+        s.r.relay_requests <- s.r.relay_requests + 1;
+        Fault.transport c.plan (relay_server s ix) raw)
+
+let client_origin_transport s c raw =
+  s.r.origin_requests <- s.r.origin_requests + 1;
+  route_421 s c.plan c.known raw
+
+(* --- set-up: origins, map, relays, clients, schedule --- *)
+
+let ensure_dir dir =
+  match
+    if Sys.file_exists dir then
+      if Sys.is_directory dir then Ok () else Error (dir ^ ": not a directory")
+    else match Sys.mkdir dir 0o755 with
+      | () -> Ok ()
+      | exception Sys_error e -> Error e
+  with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Topology: " ^ e)
+
+let open_origin ~obs ~dir (config : config) name =
+  let odir = Filename.concat dir name in
+  match Authority.open_ ~obs ~config:(authority_config config) ~dir:odir () with
+  | Ok (auth, _) -> { odir; auth; crashed = [] }
+  | Error e -> invalid_arg (Printf.sprintf "Topology: cannot open %s: %s" name e)
+
+(* Capacity weights (origin0 optionally heavier) and a synthetic proximity
+   table — relay-to-origin and relay-to-relay distances that bias gossip
+   peer preference without ever affecting ownership. *)
+let initial_map (config : config) origin_names =
   let weights =
     if config.origin_weight > 1 then [ (origin_name 0, config.origin_weight) ]
     else []
   in
+  let relay_ixs = List.init config.relays Fun.id in
   let proximity =
     List.concat_map
       (fun i ->
         let rid = relay_name i in
-        List.mapi (fun j o -> (rid, o, (i + j) mod 3)) all_names
+        List.mapi (fun j o -> (rid, o, (i + j) mod 3)) origin_names
         @ List.filter_map
-            (fun j ->
-              if j = i then None else Some (rid, relay_name j, abs (i - j)))
-            (List.init config.relays Fun.id))
-      (List.init config.relays Fun.id)
+            (fun j -> if j = i then None else Some (rid, relay_name j, abs (i - j)))
+            relay_ixs)
+      relay_ixs
   in
-  let map =
-    match Shard_map.create ~weights ~proximity ~epoch:0 ~origins:base_names () with
-    | Ok m -> ref m
-    | Error e -> invalid_arg ("Topology: " ^ e)
-  in
-  let install_map () =
-    List.iter (fun name -> Authority.set_shard !(origin name) ~self:name !map)
-      all_names
-  in
-  install_map ();
-  let owner_of tenant = Shard_map.owner !map ~tenant in
-  let tenants = List.init config.tenants tenant_name in
+  match
+    Shard_map.create ~weights ~proximity ~epoch:0
+      ~origins:(List.init config.origins origin_name) ()
+  with
+  | Ok m -> m
+  | Error e -> invalid_arg ("Topology: " ^ e)
 
-  (* --- counters --- *)
-  let ramp = fresh_acc () and steady = fresh_acc () and drain = fresh_acc () in
-  let relay_requests = ref 0
-  and origin_requests = ref 0
-  and misdirected_follows = ref 0
-  and origin_crashes = ref 0
-  and torn_tails = ref 0
-  and recoveries = ref 0
-  and promoted_on_recovery = ref 0
-  and relay_crashes_done = ref 0
-  and partitions_done = ref 0
-  and epoch_flips_done = ref 0
-  and migrations = ref 0
-  and client_restarts = ref 0
-  and compactions = ref 0
-  and accepted_reports = ref 0
-  and duplicate_reports = ref 0
-  and capped_reports = ref 0
-  and lost_reports = ref 0
-  and divergences = ref 0
-  and regressions = ref 0
-  and recovery_mismatches = ref 0
-  and relay_divergences = ref 0
-  and staleness_lapses = ref 0
-  and forks_done = ref 0 in
-  let all_promotions = ref [] in
-  (* Client fetch counters survive restarts via these accumulators. *)
-  let acc_escalations = ref 0
-  and acc_fork_smells = ref 0
-  and acc_forced_full = ref 0
-  and acc_regr_refused = ref 0 in
-  let harvest_client dc =
-    let k = Delta_client.counters dc in
-    acc_escalations := !acc_escalations + k.Delta_client.escalations;
-    acc_fork_smells := !acc_fork_smells + k.Delta_client.fork_smells;
-    acc_forced_full := !acc_forced_full + k.Delta_client.forced_full;
-    acc_regr_refused := !acc_regr_refused + k.Delta_client.regressions_refused
-  in
-  (* Relay counters survive crashes the same way. *)
-  let acc_relay = ref Relay.{
-    sync_rounds = 0; sync_failures = 0; resnapshots = 0; resnapshot_bytes = 0;
-    repairs = 0; repair_bytes = 0; gossip_rounds = 0; gossip_catchups = 0;
-    served_delta = 0; served_snapshot = 0; served_not_modified = 0;
-    served_unready = 0; served_inconsistent = 0; served_digest = 0;
-    forwarded = 0; forward_failures = 0;
-  } in
-  let harvest_relay r =
-    let c = Relay.counters r and a = !acc_relay in
-    acc_relay := Relay.{
-      sync_rounds = a.sync_rounds + c.Relay.sync_rounds;
-      sync_failures = a.sync_failures + c.Relay.sync_failures;
-      resnapshots = a.resnapshots + c.Relay.resnapshots;
-      resnapshot_bytes = a.resnapshot_bytes + c.Relay.resnapshot_bytes;
-      repairs = a.repairs + c.Relay.repairs;
-      repair_bytes = a.repair_bytes + c.Relay.repair_bytes;
-      gossip_rounds = a.gossip_rounds + c.Relay.gossip_rounds;
-      gossip_catchups = a.gossip_catchups + c.Relay.gossip_catchups;
-      served_delta = a.served_delta + c.Relay.served_delta;
-      served_snapshot = a.served_snapshot + c.Relay.served_snapshot;
-      served_not_modified = a.served_not_modified + c.Relay.served_not_modified;
-      served_unready = a.served_unready + c.Relay.served_unready;
-      served_inconsistent = a.served_inconsistent + c.Relay.served_inconsistent;
-      served_digest = a.served_digest + c.Relay.served_digest;
-      forwarded = a.forwarded + c.Relay.forwarded;
-      forward_failures = a.forward_failures + c.Relay.forward_failures;
-    }
-  in
+let new_relay ~obs (config : config) seeds tenants i =
+  Relay.create ~obs
+    ~config:
+      {
+        Relay.compact_keep = config.compact_keep;
+        digest_interval = Relay.default_config.Relay.digest_interval;
+      }
+    ~seed:(Prng.bits30 seeds) ~id:(relay_name i) ~tenants ()
 
-  (* --- audit table: committed (tenant, version) -> checksum --- *)
-  let audit = Hashtbl.create 8 in
-  let last_recorded = Hashtbl.create 8 in
-  let audit_of tenant =
-    match Hashtbl.find_opt audit tenant with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Hashtbl.create 256 in
-      Hashtbl.replace audit tenant tbl;
-      tbl
-  in
-  let record_committed tenant =
-    let tbl = audit_of tenant in
-    let auth = !(origin (owner_of tenant)) in
-    let last = Option.value ~default:0 (Hashtbl.find_opt last_recorded tenant) in
-    let head = Authority.version auth ~tenant in
-    for v = last + 1 to head do
-      match Authority.checksum_at auth ~tenant ~version:v with
-      | Some sum -> Hashtbl.replace tbl v sum
-      | None -> ()
-    done;
-    if head > last then Hashtbl.replace last_recorded tenant head
-  in
-  let record_all () = List.iter record_committed tenants in
+(* Relay-to-relay gossip links are loss-free (the partition model cuts
+   relays off from origins, not from each other), but a byzantine sibling
+   corrupts what it serves — gossip has to survive that. *)
+let wire_relay s i =
+  let r = s.relays.(i) in
+  Relay.set_upstream r (relay_post_upstream s i);
+  Relay.set_peers r
+    (List.filter_map
+       (fun j -> if j = i then None else Some (relay_name j, relay_server s j))
+       (List.init s.config.relays Fun.id));
+  Relay.set_shard r s.map;
+  Relay.set_clock r s.now
 
-  (* --- origin crash / recovery --- *)
-  let reopen name =
-    let auth_ref, odir = Hashtbl.find origin_tbl name in
-    all_promotions := Authority.promotions !auth_ref @ !all_promotions;
-    Authority.close !auth_ref;
-    if Prng.chance server_rng 0.5 then begin
-      incr torn_tails;
-      let path = Authority.wal_path ~dir:odir in
-      let frame = Leakdetect_store.Wal.frame "torn garbage payload" in
-      let partial = String.sub frame 0 (String.length frame - 3) in
-      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-      output_string oc partial;
-      close_out oc
-    end;
-    (match Authority.open_ ~obs ~config:acfg ~dir:odir () with
-    | Ok (t, rep) ->
-      auth_ref := t;
-      incr recoveries;
-      promoted_on_recovery :=
-        !promoted_on_recovery + rep.Authority.promoted_on_recovery;
-      (* The shard map rides the journal; a recovered origin that lost it
-         would serve tenants it no longer owns.  Re-assert the current
-         map (idempotent when replay already restored it). *)
-      Authority.set_shard t ~self:name !map
-    | Error e -> invalid_arg ("Topology: recovery failed: " ^ e));
-    (* The recovered origin must still answer for everything the audit
-       table recorded about the tenants it holds. *)
-    let auth = !auth_ref in
-    List.iter
-      (fun tenant ->
-        if Authority.owns auth ~tenant && List.mem tenant (Authority.tenants auth)
-        then begin
-          let last =
-            Option.value ~default:0 (Hashtbl.find_opt last_recorded tenant)
-          in
-          if Authority.version auth ~tenant < last then incr recovery_mismatches;
-          let horizon = Authority.horizon auth ~tenant in
-          Hashtbl.iter
-            (fun v sum ->
-              if v >= horizon then
-                match Authority.checksum_at auth ~tenant ~version:v with
-                | Some sum' when sum' = sum -> ()
-                | Some _ -> incr recovery_mismatches
-                | None ->
-                  if v <= Authority.version auth ~tenant then
-                    incr recovery_mismatches)
-            (audit_of tenant)
-        end)
-      tenants;
-    record_all ()
-  in
+let new_client (config : config) seeds map i =
+  let tenant = tenant_name (i mod config.tenants) in
+  let seed = Prng.bits30 seeds in
+  let rng = Prng.create (Prng.bits30 seeds) in
+  {
+    index = i;
+    tenant;
+    plan = Fault.create ~seed config.fault;
+    rng;
+    known = ref (Shard_map.owner map ~tenant);
+    dc = Delta_client.create ~seed ~tenant ();
+    restarted = [];
+    prev_version = 0;
+    next_sync = i mod config.sync_period;
+  }
 
-  let publish_with_crash tenant desired =
-    let name = owner_of tenant in
-    let crash_at =
-      if Prng.chance server_rng config.origin_crash_rate then
-        Some (Prng.int server_rng 4)
-      else None
-    in
-    (try
-       ignore
-         (Authority.publish
-            ~inject:(fun i ->
-              if crash_at = Some i then raise (Authority.Crashed "mid-publish"))
-            !(origin name) ~tenant desired)
-     with Authority.Crashed _ ->
-       incr origin_crashes;
-       reopen name;
-       ignore (Authority.publish !(origin name) ~tenant desired));
-    record_committed tenant
-  in
-  let compact_with_crash () =
-    List.iter
-      (fun name ->
-        let crash_at =
-          if Prng.chance server_rng config.origin_crash_rate then
-            Some (if Prng.bool server_rng then "pre_snapshot" else "post_snapshot")
-          else None
-        in
-        (try
-           Authority.compact
-             ~inject:(fun point ->
-               if crash_at = Some point then
-                 raise (Authority.Crashed ("mid-compaction " ^ point)))
-             !(origin name);
-           incr compactions
-         with Authority.Crashed _ ->
-           incr origin_crashes;
-           reopen name))
-      all_names;
-    record_all ()
-  in
-
-  (* --- published-set evolution --- *)
-  let fresh_token () = Printf.sprintf "x%06x" (Prng.int mutate_rng 0xFFFFFF) in
-  let next_pub_id = Hashtbl.create 8 in
-  let fresh_id tenant =
-    let auth = !(origin (owner_of tenant)) in
-    let floor_id =
-      List.fold_left
-        (fun m s -> max m s.Signature.id)
-        0
-        (Authority.signatures auth ~tenant)
-    in
-    let n =
-      max (floor_id + 1)
-        (Option.value ~default:1 (Hashtbl.find_opt next_pub_id tenant))
-    in
-    Hashtbl.replace next_pub_id tenant (n + 1);
-    n
-  in
-  let mutate_set tenant =
-    let current = Authority.signatures !(origin (owner_of tenant)) ~tenant in
-    let adds = 1 + Prng.int mutate_rng 2 in
-    let added =
-      List.init adds (fun _ ->
-          Signature.make ~id:(fresh_id tenant) ~mode:Signature.Conjunction
-            ~cluster_size:(1 + Prng.int mutate_rng 9)
-            [ "leak"; tenant; fresh_token (); "imei=" ^ fresh_token () ])
-    in
-    let current =
-      if List.length current > 3 && Prng.chance mutate_rng 0.3 then
-        match current with
-        | s :: _ ->
-          Changelog.apply_change current (Changelog.Retire s.Signature.id)
-        | [] -> current
-      else current
-    in
-    current @ added
-  in
-
-  (* --- transports --- *)
-  (* Send to the owner as [known] remembers it, following one 421
-     redirect: stale routing self-heals through the misdirection answer
-     itself, never through out-of-band knowledge. *)
-  let route_421 plan known raw =
-    let send name = Fault.transport plan (Authority.wire_transport !(origin name)) raw in
-    match send !known with
-    | Error _ as e -> e
-    | Ok resp_raw -> (
-      match Protocol.misdirected_to resp_raw with
-      | Some next when next <> !known && Hashtbl.mem origin_tbl next ->
-        incr misdirected_follows;
-        known := next;
-        send next
-      | _ -> Ok resp_raw)
-  in
-
-  (* --- relays --- *)
-  let current_tick = ref 0 in
-  let partitioned_until = Array.make config.relays (-1) in
-  let partitioned i = !current_tick <= partitioned_until.(i) in
-  let relay_plans =
-    Array.init config.relays (fun _ -> Fault.create ~seed:(seed_of ()) config.fault)
-  in
-  (* Per relay slot, per tenant: the owner as the relay last learned it. *)
-  let relay_known =
-    Array.init config.relays (fun _ ->
-        let tbl = Hashtbl.create 8 in
-        List.iter (fun t -> Hashtbl.replace tbl t (ref (owner_of t))) tenants;
-        tbl)
-  in
-  let relay_upstream i tenant raw =
-    if partitioned i then Error "partitioned from origins"
-    else route_421 relay_plans.(i) (Hashtbl.find relay_known.(i) tenant) raw
-  in
-  let relay_post_upstream i raw =
-    if partitioned i then Error "partitioned from origins"
-    else
-      match Protocol.parse_request raw with
-      | Error _ as e -> e
-      | Ok request -> (
-        match Protocol.tenant_of request with
-        | Some tenant when Hashtbl.mem relay_known.(i) tenant ->
-          route_421 relay_plans.(i) (Hashtbl.find relay_known.(i) tenant) raw
-        | _ -> Error "forward: unroutable tenant")
-  in
-  let fresh_relay i =
-    Relay.create ~obs
-      ~config:
-        {
-          Relay.compact_keep = config.compact_keep;
-          digest_interval = Relay.default_config.Relay.digest_interval;
-        }
-      ~seed:(seed_of ())
-      ~id:(relay_name i)
-      ~tenants ()
-  in
-  let relays = Array.init config.relays fresh_relay in
-  let is_byzantine i = i < config.byzantine_relays in
-  (* What clients see of relay [i]: its wire transport, with responses
-     corrupted at the byzantine rate for compromised slots. *)
-  let relay_server i raw =
-    match Relay.wire_transport relays.(i) raw with
-    | Error _ as e -> e
-    | Ok response ->
-      if is_byzantine i then Ok (Fault.corrupt_string byz_plan response)
-      else Ok response
-  in
-  (* Relay-to-relay gossip links are loss-free (the partition model cuts
-     relays off from origins, not from each other), but a byzantine
-     sibling corrupts what it serves — gossip has to survive that. *)
-  let peer_list i =
-    List.filter_map
-      (fun j ->
-        if j = i then None
-        else Some (relay_name j, fun raw -> relay_server j raw))
-      (List.init config.relays Fun.id)
-  in
-  let wire_relay i =
-    let r = relays.(i) in
-    Relay.set_upstream r (relay_post_upstream i);
-    Relay.set_peers r (peer_list i);
-    Relay.set_shard r !map;
-    Relay.set_clock r !current_tick
-  in
-  Array.iteri (fun i _ -> wire_relay i) relays;
-  let relay_sync_all i =
-    List.iter
-      (fun tenant ->
-        ignore (Relay.sync_tenant relays.(i) ~tenant ~transport:(relay_upstream i tenant)))
-      tenants
-  in
-
-  (* --- epoch flip / rebalance --- *)
-  let flip () =
-    incr epoch_flips_done;
-    let target =
-      (* Odd flips widen to the standby set, even flips shrink back. *)
-      if !epoch_flips_done mod 2 = 1 then wide_names else base_names
-    in
-    let before = !map in
-    (match Shard_map.advance before ~origins:target with
-    | Ok after ->
-      map := after;
-      install_map ();
-      Array.iteri (fun _ r -> Relay.set_shard r !map) relays;
-      List.iter
-        (fun (tenant, from_, to_) ->
-          incr migrations;
-          match Authority.export_tenant !(origin from_) ~tenant with
-          | Error e -> invalid_arg ("Topology: export failed: " ^ e)
-          | Ok payload -> (
-            match Authority.adopt_tenant !(origin to_) payload with
-            | Error e -> invalid_arg ("Topology: adopt failed: " ^ e)
-            | Ok _ -> (
-              match Authority.release_tenant !(origin from_) ~tenant with
-              | Ok _ -> ()
-              | Error e -> invalid_arg ("Topology: release failed: " ^ e))))
-        (Shard_map.moved ~before ~after ~tenants)
-    | Error e -> invalid_arg ("Topology: flip failed: " ^ e))
-  in
-
-  (* --- schedules --- *)
-  let phase_split = max 1 (config.ticks / 3) in
+(* Every hostility at its tick.  Publishes and reports stop at 90% of the
+   run, leaving the rest to settle. *)
+let schedule (config : config) =
   let mutation_end = max 1 (config.ticks * 9 / 10) in
   let buckets = Array.make config.ticks [] in
   let at tick ev =
     let tick = min (config.ticks - 1) (max 0 tick) in
     buckets.(tick) <- ev :: buckets.(tick)
   in
-  List.iteri
-    (fun j tenant_ix ->
-      let tick = j * mutation_end / config.publishes in
-      at tick (`Publish (tenant_name (tenant_ix mod config.tenants)));
-      if config.compact_every > 0 && (j + 1) mod config.compact_every = 0 then
-        at (tick + 1) `Compact)
-    (List.init config.publishes (fun j -> j));
-  let candidate_sig tenant j =
-    Signature.make ~id:0 ~mode:Signature.Conjunction ~cluster_size:1
-      [ "cand"; tenant; Printf.sprintf "c%d" j; "imsi=240080000000000" ]
-  in
-  List.iteri
-    (fun t_ix tenant ->
-      for j = 0 to config.candidates - 1 do
-        for r = 0 to config.k - 1 do
-          let tick =
-            ((j * config.k) + r + 1)
-            * mutation_end
-            / ((config.candidates * config.k) + 2)
-          in
-          at (tick + t_ix)
-            (`Report
-              (tenant, Printf.sprintf "rep%d" r, [ candidate_sig tenant j ], 3))
-        done
-      done)
-    tenants;
-  let byz_counter = ref 0 in
+  for j = 0 to config.publishes - 1 do
+    let tick = j * mutation_end / config.publishes in
+    at tick (Publish (tenant_name (j mod config.tenants)));
+    if config.compact_every > 0 && (j + 1) mod config.compact_every = 0 then
+      at (tick + 1) Compact
+  done;
+  for t_ix = 0 to config.tenants - 1 do
+    let tenant = tenant_name t_ix in
+    for j = 0 to config.candidates - 1 do
+      for r = 0 to config.k - 1 do
+        let tick =
+          ((j * config.k) + r + 1) * mutation_end
+          / ((config.candidates * config.k) + 2)
+        in
+        let candidate =
+          Signature.make ~id:0 ~mode:Signature.Conjunction ~cluster_size:1
+            [ "cand"; tenant; Printf.sprintf "c%d" j; "imsi=240080000000000" ]
+        in
+        at (tick + t_ix) (Report (tenant, Printf.sprintf "rep%d" r, [ candidate ], 3))
+      done
+    done
+  done;
+  let flooded = ref 0 in
   for b = 0 to config.byzantine - 1 do
     let tenant = tenant_name (b mod config.tenants) in
-    let reporter = Printf.sprintf "byz%d" b in
     let tick = ref (5 + b) in
     while !tick < mutation_end do
       let batch =
         List.init 3 (fun _ ->
-            incr byz_counter;
+            incr flooded;
             Signature.make ~id:0 ~mode:Signature.Conjunction ~cluster_size:1
-              [ "flood"; tenant; Printf.sprintf "z%d" !byz_counter ])
+              [ "flood"; tenant; Printf.sprintf "z%d" !flooded ])
       in
-      at !tick (`Report (tenant, reporter, batch, 1));
+      at !tick (Report (tenant, Printf.sprintf "byz%d" b, batch, 1));
       tick := !tick + max 1 (mutation_end / 20)
     done
   done;
   for f = 0 to config.epoch_flips - 1 do
-    at ((f + 1) * config.ticks / (config.epoch_flips + 1)) `Flip
+    at ((f + 1) * config.ticks / (config.epoch_flips + 1)) Flip
   done;
   for p = 0 to config.partitions - 1 do
     at ((p + 1) * config.ticks / (config.partitions + 2))
-      (`Partition (p mod config.relays))
+      (Partition (p mod config.relays))
   done;
   for c = 0 to config.relay_crashes - 1 do
     at (((c + 1) * config.ticks / (config.relay_crashes + 1)) + 3)
-      (`RelayCrash (c mod config.relays))
+      (Relay_crash (c mod config.relays))
   done;
   (* Forks are injected into honest relays (the byzantine slots already
      corrupt their responses at the transport), offset so they land away
      from the partition/crash edges. *)
   for f = 0 to config.fork_injections - 1 do
     at (((f + 1) * config.ticks / (config.fork_injections + 2)) + 11)
-      (`Fork ((config.byzantine_relays + f) mod config.relays))
+      (Fork ((config.byzantine_relays + f) mod config.relays))
   done;
+  buckets
 
-  (* --- initial sets: every tenant exists on its owner before tick 0 --- *)
+let new_report config =
+  let phase () = { delta = 0; snapshot = 0; unchanged = 0; failed = 0 } in
+  {
+    config; ramp = phase (); steady = phase (); drain = phase ();
+    relay_requests = 0; origin_requests = 0; offload = 0.; escalations = 0;
+    fork_smells = 0; forced_full = 0; regressions_refused = 0;
+    misdirected_follows = 0; origin_crashes = 0; torn_tails = 0;
+    recoveries = 0; promoted_on_recovery = 0; relay_crashes_done = 0;
+    partitions_done = 0; epoch_flips_done = 0; migrations = 0;
+    final_epoch = 0; relay_sync_rounds = 0; relay_sync_failures = 0;
+    relay_resnapshots = 0; relay_served = 0; relay_unready = 0;
+    relay_inconsistent = 0; gossip_rounds = 0; gossip_catchups = 0;
+    repairs = 0; repair_bytes = 0; resnapshot_bytes = 0; forks_done = 0;
+    forwarded_reports = 0; forward_failures = 0; client_restarts = 0;
+    compactions = 0; promotions = 0; accepted_reports = 0;
+    duplicate_reports = 0; capped_reports = 0; lost_reports = 0;
+    fault_events = []; final_versions = []; tenant_owners = [];
+    invariants =
+      { divergences = 0; regressions = 0; sub_k_promotions = 0;
+        recovery_mismatches = 0; unconverged = 0; relay_divergences = 0;
+        staleness_lapses = 0 };
+  }
+
+(* The seed draws happen in a fixed order — server, mutation, reporter and
+   byzantine streams, then each relay's fault plan, each relay, each
+   client — so a run is a function of [config.seed] alone.  Every tenant
+   exists on its owner before tick 0. *)
+let setup ~obs ~on_sync ~dir (config : config) =
+  validate config;
+  let seeds = Prng.create config.seed in
+  let server_rng = Prng.create (Prng.bits30 seeds) in
+  let mutate_rng = Prng.create (Prng.bits30 seeds) in
+  let reporter_plan = Fault.create ~seed:(Prng.bits30 seeds) config.fault in
+  let byz_plan =
+    Fault.create ~seed:(Prng.bits30 seeds)
+      { Fault.default with Fault.corrupt_rate = config.byzantine_corrupt_rate }
+  in
+  ensure_dir dir;
+  let origin_names = List.init (config.origins + config.standby_origins) origin_name in
+  let origins = Hashtbl.create 8 in
+  List.iter
+    (fun name -> Hashtbl.replace origins name (open_origin ~obs ~dir config name))
+    origin_names;
+  let map = initial_map config origin_names in
+  let tenants = List.init config.tenants tenant_name in
+  let relay_plans =
+    Array.init config.relays (fun _ ->
+        Fault.create ~seed:(Prng.bits30 seeds) config.fault)
+  in
+  let relays = Array.init config.relays (new_relay ~obs config seeds tenants) in
+  let clients = Array.init config.clients (new_client config seeds map) in
+  let s =
+    {
+      config; obs; on_sync; seeds; server_rng; mutate_rng; reporter_plan;
+      byz_plan; origins; origin_names; map; tenants;
+      audit = Hashtbl.create 8;
+      last_recorded = Hashtbl.create 8;
+      next_pub_id = Hashtbl.create 8;
+      now = 0;
+      partitioned_until = Array.make config.relays (-1);
+      relay_plans;
+      relay_known =
+        Array.init config.relays (fun _ ->
+            let tbl = Hashtbl.create 8 in
+            List.iter
+              (fun t -> Hashtbl.replace tbl t (ref (Shard_map.owner map ~tenant:t)))
+              tenants;
+            tbl);
+      relays;
+      crashed_relays = [];
+      clients;
+      schedule = schedule config;
+      retries = [];
+      r = new_report config;
+    }
+  in
+  install_map s;
+  Array.iteri (fun i _ -> wire_relay s i) relays;
   List.iter
     (fun tenant ->
       ignore
-        (Authority.publish !(origin (owner_of tenant)) ~tenant
+        (Authority.publish (owner s tenant) ~tenant
            [
-             Signature.make ~id:(fresh_id tenant) ~mode:Signature.Conjunction
+             Signature.make ~id:(fresh_id s tenant) ~mode:Signature.Conjunction
                ~cluster_size:1
                [ "leak"; tenant; "seed"; "imei=000000000000000" ];
            ]);
-      record_committed tenant)
+      record_committed s tenant)
     tenants;
+  s
 
-  (* --- clients --- *)
-  let clients =
-    Array.init config.clients (fun i ->
-        let tenant = tenant_name (i mod config.tenants) in
-        let seed = seed_of () in
-        let rng = Prng.create (seed_of ()) in
-        {
-          index = i;
-          tenant;
-          plan = Fault.create ~seed config.fault;
-          rng;
-          known = ref (owner_of tenant);
-          dc = Delta_client.create ~seed ~tenant ();
-          prev_version = 0;
-          next_sync = i mod config.sync_period;
-        })
-  in
-  let client_relay_transports c =
-    (* Rotate the relay list per client so preferred relays spread. *)
-    List.init config.relays (fun j ->
-        let ix = (c.index + j) mod config.relays in
-        fun raw ->
-          incr relay_requests;
-          Fault.transport c.plan (relay_server ix) raw)
-  in
-  let client_origin_transport c raw =
-    incr origin_requests;
-    route_421 c.plan c.known raw
-  in
-  let check_sync c (acc : phase_acc) =
-    let before = Delta_client.counters c.dc in
-    let sync_report =
-      if config.relays = 0 then
-        Delta_client.sync c.dc ~transport:(client_origin_transport c)
-      else
-        Delta_client.sync_via c.dc
-          ~relays:(client_relay_transports c)
-          ~origin:(client_origin_transport c)
-    in
-    let after = Delta_client.counters c.dc in
-    (match sync_report.Signature_client.outcome with
-    | Signature_client.Updated v ->
-      if after.Delta_client.delta_updates > before.Delta_client.delta_updates
-      then acc.a_delta <- acc.a_delta + 1
-      else acc.a_snapshot <- acc.a_snapshot + 1;
-      (match Hashtbl.find_opt (audit_of c.tenant) v with
-      | Some sum when sum = Delta_client.checksum c.dc -> ()
-      | _ -> incr divergences);
-      if v < c.prev_version then incr regressions;
-      c.prev_version <- v
-    | Signature_client.Unchanged -> acc.a_unchanged <- acc.a_unchanged + 1
-    | Signature_client.Failed _ -> acc.a_failed <- acc.a_failed + 1);
-    on_sync c.dc;
-    if Prng.chance c.rng config.client_restart_rate then begin
-      incr client_restarts;
-      harvest_client c.dc;
-      c.dc <- Delta_client.create ~seed:(Prng.bits30 c.rng) ~tenant:c.tenant ();
-      c.prev_version <- 0
-    end
-  in
+(* --- one tick: events, relay sync and gossip, serving audit, client syncs --- *)
 
-  (* --- the tick loop --- *)
-  let retries = ref [] in
-  for tick = 0 to config.ticks - 1 do
-    current_tick := tick;
-    let events = List.rev buckets.(tick) in
-    let due, later = List.partition (fun (t, _) -> t <= tick) !retries in
-    retries := later;
-    let events = events @ List.map snd due in
+(* Odd flips widen the map to the standby origins, even flips shrink it
+   back; every tenant that changes owner migrates by export, adopt and
+   release. *)
+let flip s =
+  let r = s.r in
+  r.epoch_flips_done <- r.epoch_flips_done + 1;
+  let target =
+    if r.epoch_flips_done mod 2 = 1 then s.origin_names
+    else List.init s.config.origins origin_name
+  in
+  let before = s.map in
+  match Shard_map.advance before ~origins:target with
+  | Error e -> invalid_arg ("Topology: flip failed: " ^ e)
+  | Ok after ->
+    s.map <- after;
+    install_map s;
+    Array.iter (fun relay -> Relay.set_shard relay after) s.relays;
     List.iter
-      (fun ev ->
-        match ev with
-        | `Publish tenant -> publish_with_crash tenant (mutate_set tenant)
-        | `Compact -> compact_with_crash ()
-        | `Flip -> flip ()
-        | `Partition i ->
-          incr partitions_done;
-          partitioned_until.(i) <-
-            min (tick + config.partition_ticks) (config.ticks - 1)
-        | `RelayCrash i ->
-          incr relay_crashes_done;
-          harvest_relay relays.(i);
-          relays.(i) <- fresh_relay i;
-          wire_relay i
-        | `Fork i ->
-          incr forks_done;
-          List.iter
-            (fun tenant ->
-              if Relay.synced relays.(i) ~tenant then
-                Relay.inject_fork relays.(i) ~tenant)
-            tenants
-        | `Report (tenant, reporter, sigs, attempts) -> (
-          (* Reports enter through the relay tier and are forwarded;
-             without relays they go straight to the owner origin. *)
-          let server =
-            if config.relays = 0 then
-              Authority.wire_transport !(origin (owner_of tenant))
-            else relay_server (Prng.int server_rng config.relays)
-          in
-          let transport raw = Fault.transport reporter_plan server raw in
-          match Protocol.post_candidates transport ~tenant ~reporter sigs with
-          | Ok tally ->
-            accepted_reports := !accepted_reports + tally.Protocol.accepted;
-            duplicate_reports := !duplicate_reports + tally.Protocol.duplicate;
-            capped_reports := !capped_reports + tally.Protocol.capped;
-            record_committed tenant
-          | Error _ ->
-            if attempts > 1 then
-              retries :=
-                (tick + 3, `Report (tenant, reporter, sigs, attempts - 1))
-                :: !retries
-            else incr lost_reports))
-      events;
-    if events <> [] then record_all ();
-    Array.iter (fun r -> Relay.set_clock r tick) relays;
-    for i = 0 to config.relays - 1 do
-      if (tick + i) mod config.relay_sync_period = 0 then relay_sync_all i
-    done;
-    (* Gossip: each relay exchanges head digests with its siblings once
-       per period.  A partitioned relay must come out of its round no
-       staler than the freshest reachable honest sibling — that bound is
-       the second new gated invariant. *)
-    if config.gossip_period > 0 then
-      for i = 0 to config.relays - 1 do
-        if (tick + i) mod config.gossip_period = 0 then begin
-          Relay.gossip relays.(i)
-            ~upstream:(fun ~tenant -> relay_upstream i tenant);
-          if partitioned i then
-            List.iter
-              (fun tenant ->
-                if Relay.synced relays.(i) ~tenant then begin
-                  let best = ref (Relay.version relays.(i) ~tenant) in
-                  for j = 0 to config.relays - 1 do
-                    if
-                      j <> i && (not (is_byzantine j))
-                      && Relay.consistent relays.(j) ~tenant
-                    then best := max !best (Relay.version relays.(j) ~tenant)
-                  done;
-                  if Relay.version relays.(i) ~tenant < !best then
-                    incr staleness_lapses
-                end)
-              tenants
-        end
-      done;
-    (* Serving audit: any relay whose guard vouches for its mirror must
-       match the committed checksum at the version it serves. *)
-    for i = 0 to config.relays - 1 do
+      (fun (tenant, from_, to_) ->
+        r.migrations <- r.migrations + 1;
+        match Authority.export_tenant (origin s from_) ~tenant with
+        | Error e -> invalid_arg ("Topology: export failed: " ^ e)
+        | Ok payload -> (
+          match Authority.adopt_tenant (origin s to_) payload with
+          | Error e -> invalid_arg ("Topology: adopt failed: " ^ e)
+          | Ok _ -> (
+            match Authority.release_tenant (origin s from_) ~tenant with
+            | Ok _ -> ()
+            | Error e -> invalid_arg ("Topology: release failed: " ^ e))))
+      (Shard_map.moved ~before ~after ~tenants:s.tenants)
+
+(* Reports enter through the relay tier and are forwarded; without relays
+   they go straight to the owner origin.  A lost answer is retried three
+   ticks later while attempts are left. *)
+let post_report s tenant reporter sigs attempts =
+  let r = s.r in
+  let server =
+    if s.config.relays = 0 then Authority.wire_transport (owner s tenant)
+    else relay_server s (Prng.int s.server_rng s.config.relays)
+  in
+  let transport raw = Fault.transport s.reporter_plan server raw in
+  match Protocol.post_candidates transport ~tenant ~reporter sigs with
+  | Ok tally ->
+    r.accepted_reports <- r.accepted_reports + tally.Protocol.accepted;
+    r.duplicate_reports <- r.duplicate_reports + tally.Protocol.duplicate;
+    r.capped_reports <- r.capped_reports + tally.Protocol.capped;
+    record_committed s tenant
+  | Error _ ->
+    if attempts > 1 then
+      s.retries <-
+        (s.now + 3, Report (tenant, reporter, sigs, attempts - 1)) :: s.retries
+    else r.lost_reports <- r.lost_reports + 1
+
+let run_event s = function
+  | Publish tenant -> publish_with_crash s tenant (mutate_set s tenant)
+  | Compact -> compact_with_crash s
+  | Flip -> flip s
+  | Partition i ->
+    s.r.partitions_done <- s.r.partitions_done + 1;
+    s.partitioned_until.(i) <-
+      min (s.now + s.config.partition_ticks) (s.config.ticks - 1)
+  | Relay_crash i ->
+    s.r.relay_crashes_done <- s.r.relay_crashes_done + 1;
+    s.crashed_relays <- s.relays.(i) :: s.crashed_relays;
+    s.relays.(i) <- new_relay ~obs:s.obs s.config s.seeds s.tenants i;
+    wire_relay s i
+  | Fork i ->
+    s.r.forks_done <- s.r.forks_done + 1;
+    List.iter
+      (fun tenant ->
+        if Relay.synced s.relays.(i) ~tenant then
+          Relay.inject_fork s.relays.(i) ~tenant)
+      s.tenants
+  | Report (tenant, reporter, sigs, attempts) ->
+    post_report s tenant reporter sigs attempts
+
+let relay_sync_all s i =
+  List.iter
+    (fun tenant ->
+      ignore
+        (Relay.sync_tenant s.relays.(i) ~tenant
+           ~transport:(relay_upstream s i tenant)))
+    s.tenants
+
+(* Bounded staleness: a partitioned relay must come out of its gossip
+   round no staler than the freshest reachable honest sibling. *)
+let check_staleness s i =
+  List.iter
+    (fun tenant ->
+      if Relay.synced s.relays.(i) ~tenant then begin
+        let best = ref (Relay.version s.relays.(i) ~tenant) in
+        Array.iteri
+          (fun j sibling ->
+            if j <> i && (not (is_byzantine s j)) && Relay.consistent sibling ~tenant
+            then best := max !best (Relay.version sibling ~tenant))
+          s.relays;
+        if Relay.version s.relays.(i) ~tenant < !best then
+          s.r.invariants.staleness_lapses <- s.r.invariants.staleness_lapses + 1
+      end)
+    s.tenants
+
+(* Each relay syncs from the origins once per [relay_sync_period] and
+   gossips with its siblings once per [gossip_period], staggered by slot. *)
+let relay_rounds s =
+  for i = 0 to s.config.relays - 1 do
+    if (s.now + i) mod s.config.relay_sync_period = 0 then relay_sync_all s i
+  done;
+  if s.config.gossip_period > 0 then
+    for i = 0 to s.config.relays - 1 do
+      if (s.now + i) mod s.config.gossip_period = 0 then begin
+        Relay.gossip s.relays.(i) ~upstream:(fun ~tenant -> relay_upstream s i tenant);
+        if partitioned s i then check_staleness s i
+      end
+    done
+
+(* Serving guard: any relay that vouches for its mirror must match the
+   committed checksum at the version it serves. *)
+let serving_audit s =
+  Array.iter
+    (fun relay ->
       List.iter
         (fun tenant ->
-          if Relay.consistent relays.(i) ~tenant then begin
-            let v = Relay.version relays.(i) ~tenant in
-            match Hashtbl.find_opt (audit_of tenant) v with
-            | Some sum ->
-              if Relay.checksum relays.(i) ~tenant <> sum then
-                incr relay_divergences
-            | None -> ()
-          end)
-        tenants
-    done;
-    let acc = if tick < phase_split then ramp else steady in
-    Array.iter
-      (fun c ->
-        if tick >= c.next_sync then begin
-          check_sync c acc;
-          c.next_sync <- tick + config.sync_period + Prng.int c.rng 3
-        end)
-      clients
-  done;
-  !retries
-  |> List.iter (fun (_, ev) ->
-         match ev with `Report _ -> incr lost_reports | _ -> ());
+          if Relay.consistent relay ~tenant then
+            match Hashtbl.find_opt (audit_of s tenant) (Relay.version relay ~tenant) with
+            | Some sum when Relay.checksum relay ~tenant <> sum ->
+              let inv = s.r.invariants in
+              inv.relay_divergences <- inv.relay_divergences + 1
+            | Some _ | None -> ())
+        s.tenants)
+    s.relays
 
-  (* --- drain --- *)
-  current_tick := config.ticks;  (* all partitions healed *)
-  Array.iter (fun r -> Relay.set_clock r config.ticks) relays;
-  let final_version tenant =
-    Authority.version !(origin (owner_of tenant)) ~tenant
+(* One client sync, judged against the audit table: an installed set must
+   be the one committed at its version, and versions never go back. *)
+let client_sync s c (phase : phase_counters) =
+  let inv = s.r.invariants in
+  let report =
+    if s.config.relays = 0 then
+      Delta_client.sync c.dc ~transport:(client_origin_transport s c)
+    else
+      Delta_client.sync_via c.dc
+        ~relays:(client_relay_transports s c)
+        ~origin:(client_origin_transport s c)
   in
-  let final_sum tenant =
-    Authority.checksum !(origin (owner_of tenant)) ~tenant
-  in
-  let converged c =
-    Delta_client.version c.dc = final_version c.tenant
-    && Delta_client.checksum c.dc = final_sum c.tenant
-  in
+  (match report.Signature_client.outcome with
+  | Signature_client.Updated v ->
+    (match Delta_client.last_update c.dc with
+    | Some (`Delta _) -> phase.delta <- phase.delta + 1
+    | Some `Snapshot | None -> phase.snapshot <- phase.snapshot + 1);
+    (match Hashtbl.find_opt (audit_of s c.tenant) v with
+    | Some sum when sum = Delta_client.checksum c.dc -> ()
+    | _ -> inv.divergences <- inv.divergences + 1);
+    if v < c.prev_version then inv.regressions <- inv.regressions + 1;
+    c.prev_version <- v
+  | Signature_client.Unchanged -> phase.unchanged <- phase.unchanged + 1
+  | Signature_client.Failed _ -> phase.failed <- phase.failed + 1);
+  s.on_sync c.dc;
+  if Prng.chance c.rng s.config.client_restart_rate then begin
+    s.r.client_restarts <- s.r.client_restarts + 1;
+    c.restarted <- c.dc :: c.restarted;
+    c.dc <- Delta_client.create ~seed:(Prng.bits30 c.rng) ~tenant:c.tenant ();
+    c.prev_version <- 0
+  end
+
+let tick s now =
+  s.now <- now;
+  let due, later = List.partition (fun (t, _) -> t <= now) s.retries in
+  s.retries <- later;
+  let events = List.rev s.schedule.(now) @ List.map snd due in
+  List.iter (run_event s) events;
+  if events <> [] then record_all s;
+  Array.iter (fun relay -> Relay.set_clock relay now) s.relays;
+  relay_rounds s;
+  serving_audit s;
+  let phase = if now < max 1 (s.config.ticks / 3) then s.r.ramp else s.r.steady in
+  Array.iter
+    (fun c ->
+      if now >= c.next_sync then begin
+        client_sync s c phase;
+        c.next_sync <- now + s.config.sync_period + Prng.int c.rng 3
+      end)
+    s.clients
+
+(* --- drain: no more events, every partition healed --- *)
+
+let converged s c =
+  let auth = owner s c.tenant in
+  Delta_client.version c.dc = Authority.version auth ~tenant:c.tenant
+  && Delta_client.checksum c.dc = Authority.checksum auth ~tenant:c.tenant
+
+let drain s =
+  (* A report still waiting for its retry is lost. *)
+  s.r.lost_reports <- s.r.lost_reports + List.length s.retries;
+  s.now <- s.config.ticks;
+  Array.iter (fun relay -> Relay.set_clock relay s.config.ticks) s.relays;
+  let unconverged () = Array.exists (fun c -> not (converged s c)) s.clients in
   let round = ref 0 in
-  while
-    !round < config.drain_rounds
-    && Array.exists (fun c -> not (converged c)) clients
-  do
+  while !round < s.config.drain_rounds && unconverged () do
     incr round;
-    for i = 0 to config.relays - 1 do relay_sync_all i done;
-    Array.iter (fun c -> if not (converged c) then check_sync c drain) clients
+    for i = 0 to s.config.relays - 1 do relay_sync_all s i done;
+    Array.iter
+      (fun c -> if not (converged s c) then client_sync s c s.r.drain)
+      s.clients
   done;
-  let unconverged =
-    Array.fold_left (fun n c -> if converged c then n else n + 1) 0 clients
-  in
+  s.r.invariants.unconverged <-
+    Array.fold_left (fun n c -> if converged s c then n else n + 1) 0 s.clients
 
-  (* --- judgment --- *)
-  List.iter
-    (fun name -> all_promotions := Authority.promotions !(origin name) @ !all_promotions)
-    all_names;
-  let promotions = List.length !all_promotions in
-  let sub_k_promotions =
-    List.length
-      (List.filter (fun reporters -> reporters < config.k) !all_promotions)
+(* --- final checks: sums over every incarnation, promotions, fault tally --- *)
+
+let finish s =
+  let r = s.r and config = s.config in
+  let promotions =
+    List.concat_map
+      (fun name ->
+        let o = Hashtbl.find s.origins name in
+        List.concat_map Authority.promotions (o.auth :: o.crashed))
+      s.origin_names
   in
-  Array.iter (fun c -> harvest_client c.dc) clients;
-  Array.iter harvest_relay relays;
-  let fault_events =
-    let totals = Hashtbl.create 8 in
-    let add plan =
-      List.iter
-        (fun (kind, n) ->
-          Hashtbl.replace totals kind
-            (n + Option.value ~default:0 (Hashtbl.find_opt totals kind)))
-        (Fault.summary plan)
-    in
-    add reporter_plan;
-    add byz_plan;
-    Array.iter add relay_plans;
-    Array.iter (fun c -> add c.plan) clients;
+  r.promotions <- List.length promotions;
+  r.invariants.sub_k_promotions <-
+    List.length (List.filter (fun reporters -> reporters < config.k) promotions);
+  let clients =
+    Array.fold_right (fun c acc -> (c.dc :: c.restarted) @ acc) s.clients []
+  in
+  let client_sum f =
+    List.fold_left (fun n dc -> n + f (Delta_client.counters dc)) 0 clients
+  in
+  r.escalations <- client_sum (fun k -> k.Delta_client.escalations);
+  r.fork_smells <- client_sum (fun k -> k.Delta_client.fork_smells);
+  r.forced_full <- client_sum (fun k -> k.Delta_client.forced_full);
+  r.regressions_refused <-
+    client_sum (fun k -> k.Delta_client.regressions_refused);
+  let relays = Array.to_list s.relays @ s.crashed_relays in
+  let relay_sum f =
+    List.fold_left (fun n relay -> n + f (Relay.counters relay)) 0 relays
+  in
+  r.relay_sync_rounds <- relay_sum (fun k -> k.Relay.sync_rounds);
+  r.relay_sync_failures <- relay_sum (fun k -> k.Relay.sync_failures);
+  r.relay_resnapshots <- relay_sum (fun k -> k.Relay.resnapshots);
+  r.relay_served <-
+    relay_sum (fun k ->
+        k.Relay.served_delta + k.Relay.served_snapshot + k.Relay.served_not_modified);
+  r.relay_unready <- relay_sum (fun k -> k.Relay.served_unready);
+  r.relay_inconsistent <- relay_sum (fun k -> k.Relay.served_inconsistent);
+  r.gossip_rounds <- relay_sum (fun k -> k.Relay.gossip_rounds);
+  r.gossip_catchups <- relay_sum (fun k -> k.Relay.gossip_catchups);
+  r.repairs <- relay_sum (fun k -> k.Relay.repairs);
+  r.repair_bytes <- relay_sum (fun k -> k.Relay.repair_bytes);
+  r.resnapshot_bytes <- relay_sum (fun k -> k.Relay.resnapshot_bytes);
+  r.forwarded_reports <- relay_sum (fun k -> k.Relay.forwarded);
+  r.forward_failures <- relay_sum (fun k -> k.Relay.forward_failures);
+  let plans =
+    s.reporter_plan :: s.byz_plan :: Array.to_list s.relay_plans
+    @ Array.to_list (Array.map (fun c -> c.plan) s.clients)
+  in
+  r.fault_events <-
     List.map
       (fun kind ->
-        (kind, Option.value ~default:0 (Hashtbl.find_opt totals kind)))
-      Fault.all_kinds
-  in
-  let final_versions = List.map (fun t -> (t, final_version t)) tenants in
-  let tenant_owners = List.map (fun t -> (t, owner_of t)) tenants in
-  List.iter (fun name -> Authority.close !(origin name)) all_names;
-  let rc = !acc_relay in
-  let total_requests = !relay_requests + !origin_requests in
-  let offload =
-    float_of_int !relay_requests /. float_of_int (max 1 total_requests)
-  in
-  let report =
-    {
-      config;
-      ramp = freeze ramp;
-      steady = freeze steady;
-      drain = freeze drain;
-      relay_requests = !relay_requests;
-      origin_requests = !origin_requests;
-      offload;
-      escalations = !acc_escalations;
-      fork_smells = !acc_fork_smells;
-      forced_full = !acc_forced_full;
-      regressions_refused = !acc_regr_refused;
-      misdirected_follows = !misdirected_follows;
-      origin_crashes = !origin_crashes;
-      torn_tails = !torn_tails;
-      recoveries = !recoveries;
-      promoted_on_recovery = !promoted_on_recovery;
-      relay_crashes_done = !relay_crashes_done;
-      partitions_done = !partitions_done;
-      epoch_flips_done = !epoch_flips_done;
-      migrations = !migrations;
-      final_epoch = Shard_map.epoch !map;
-      relay_sync_rounds = rc.Relay.sync_rounds;
-      relay_sync_failures = rc.Relay.sync_failures;
-      relay_resnapshots = rc.Relay.resnapshots;
-      relay_served =
-        rc.Relay.served_delta + rc.Relay.served_snapshot
-        + rc.Relay.served_not_modified;
-      relay_unready = rc.Relay.served_unready;
-      relay_inconsistent = rc.Relay.served_inconsistent;
-      gossip_rounds = rc.Relay.gossip_rounds;
-      gossip_catchups = rc.Relay.gossip_catchups;
-      repairs = rc.Relay.repairs;
-      repair_bytes = rc.Relay.repair_bytes;
-      resnapshot_bytes = rc.Relay.resnapshot_bytes;
-      forks_done = !forks_done;
-      forwarded_reports = rc.Relay.forwarded;
-      forward_failures = rc.Relay.forward_failures;
-      client_restarts = !client_restarts;
-      compactions = !compactions;
-      promotions;
-      accepted_reports = !accepted_reports;
-      duplicate_reports = !duplicate_reports;
-      capped_reports = !capped_reports;
-      lost_reports = !lost_reports;
-      fault_events;
-      final_versions;
-      tenant_owners;
-      invariants =
-        {
-          divergences = !divergences;
-          regressions = !regressions;
-          sub_k_promotions;
-          recovery_mismatches = !recovery_mismatches;
-          unconverged;
-          relay_divergences = !relay_divergences;
-          staleness_lapses = !staleness_lapses;
-        };
-    }
-  in
-  if not (Obs.is_noop obs) then begin
-    let gauge name help v = Obs.Gauge.set (Obs.gauge obs ~help name) v in
+        (kind, List.fold_left (fun n plan -> n + Fault.count plan kind) 0 plans))
+      Fault.all_kinds;
+  r.final_versions <-
+    List.map (fun t -> (t, Authority.version (owner s t) ~tenant:t)) s.tenants;
+  r.tenant_owners <- List.map (fun t -> (t, owner_of s t)) s.tenants;
+  r.final_epoch <- Shard_map.epoch s.map;
+  List.iter (fun name -> Authority.close (origin s name)) s.origin_names;
+  r.offload <-
+    float_of_int r.relay_requests
+    /. float_of_int (max 1 (r.relay_requests + r.origin_requests));
+  if not (Obs.is_noop s.obs) then begin
+    let gauge name help v = Obs.Gauge.set (Obs.gauge s.obs ~help name) v in
     gauge "leakdetect_topology_divergences"
       "Client/committed set divergences in the topology soak."
-      report.invariants.divergences;
+      r.invariants.divergences;
     gauge "leakdetect_topology_unconverged"
       "Clients that never converged to the post-rebalance owner."
-      report.invariants.unconverged;
+      r.invariants.unconverged;
     gauge "leakdetect_topology_offload_permille"
       "Relay share of client sync requests, in permille."
-      (int_of_float (offload *. 1000.))
+      (int_of_float (r.offload *. 1000.))
   end;
-  report
+  r
+
+let run ?(obs = Obs.noop) ?(on_sync = fun _ -> ()) ~dir (config : config) =
+  let s = setup ~obs ~on_sync ~dir config in
+  for now = 0 to config.ticks - 1 do tick s now done;
+  drain s;
+  finish s
 
 (* --- rendering --- *)
 
@@ -1045,7 +1025,7 @@ let phase_to_json p =
       ("failed", Json.Int p.failed);
     ]
 
-let report_to_json r =
+let report_to_json (r : report) =
   Json.Obj
     [
       ( "config",
@@ -1156,7 +1136,7 @@ let report_to_json r =
       ("ok", Json.Bool (ok r));
     ]
 
-let summary r =
+let summary (r : report) =
   let p name c =
     Printf.sprintf "%s: %d delta / %d snapshot / %d unchanged / %d failed" name
       c.delta c.snapshot c.unchanged c.failed

@@ -91,25 +91,29 @@ val default_config : config
     4 tenants, 2000 ticks, 3 partitions × 150 ticks, 2 relay crashes,
     1 epoch flip, offload floor 0.8, seed 42. *)
 
+(** The report and its parts are mutable because {!run} fills them in
+    place, each count where the soak observes it; nothing writes them
+    after {!run} returns. *)
+
 type phase_counters = {
-  delta : int;
-  snapshot : int;
-  unchanged : int;
-  failed : int;
+  mutable delta : int;
+  mutable snapshot : int;
+  mutable unchanged : int;
+  mutable failed : int;
 }
 
 type invariants = {
-  divergences : int;
-  regressions : int;
-  sub_k_promotions : int;
-  recovery_mismatches : int;
-  unconverged : int;
-  relay_divergences : int;
+  mutable divergences : int;
+  mutable regressions : int;
+  mutable sub_k_promotions : int;
+  mutable recovery_mismatches : int;
+  mutable unconverged : int;
+  mutable relay_divergences : int;
       (** Ticks on which a relay served (was willing to serve) a tenant
           set whose canonical checksum differed from the committed
           checksum at its claimed version — the serving-guard invariant:
           a diverged mirror must refuse, not serve. *)
-  staleness_lapses : int;
+  mutable staleness_lapses : int;
       (** Gossip rounds after which a partitioned relay remained behind
           the freshest reachable honest sibling — the bounded-staleness
           invariant: while siblings are reachable, a partition bounds
@@ -121,51 +125,51 @@ type report = {
   ramp : phase_counters;
   steady : phase_counters;
   drain : phase_counters;
-  relay_requests : int;  (** Client sync requests sent to the relay tier. *)
-  origin_requests : int;  (** Client sync requests sent to origins. *)
-  offload : float;  (** relay_requests / (relay_requests + origin_requests). *)
-  escalations : int;  (** Client syncs that abandoned the relay tier. *)
-  fork_smells : int;  (** 304s refused for a checksum mismatch. *)
-  forced_full : int;
-  regressions_refused : int;
-  misdirected_follows : int;  (** 421 redirects followed to a new owner. *)
-  origin_crashes : int;
-  torn_tails : int;
-  recoveries : int;
-  promoted_on_recovery : int;
-  relay_crashes_done : int;
-  partitions_done : int;
-  epoch_flips_done : int;
-  migrations : int;  (** Tenants moved across origins by flips. *)
-  final_epoch : int;
-  relay_sync_rounds : int;
-  relay_sync_failures : int;
-  relay_resnapshots : int;
-  relay_served : int;
-  relay_unready : int;  (** 503s served before a first verified sync. *)
-  relay_inconsistent : int;
+  mutable relay_requests : int;  (** Client sync requests sent to the relay tier. *)
+  mutable origin_requests : int;  (** Client sync requests sent to origins. *)
+  mutable offload : float;  (** relay_requests / (relay_requests + origin_requests). *)
+  mutable escalations : int;  (** Client syncs that abandoned the relay tier. *)
+  mutable fork_smells : int;  (** 304s refused for a checksum mismatch. *)
+  mutable forced_full : int;
+  mutable regressions_refused : int;
+  mutable misdirected_follows : int;  (** 421 redirects followed to a new owner. *)
+  mutable origin_crashes : int;
+  mutable torn_tails : int;
+  mutable recoveries : int;
+  mutable promoted_on_recovery : int;
+  mutable relay_crashes_done : int;
+  mutable partitions_done : int;
+  mutable epoch_flips_done : int;
+  mutable migrations : int;  (** Tenants moved across origins by flips. *)
+  mutable final_epoch : int;
+  mutable relay_sync_rounds : int;
+  mutable relay_sync_failures : int;
+  mutable relay_resnapshots : int;
+  mutable relay_served : int;
+  mutable relay_unready : int;  (** 503s served before a first verified sync. *)
+  mutable relay_inconsistent : int;
       (** 503s served while a relay's mirror diverged from its verified
           state (the serving guard refusing, as it must). *)
-  gossip_rounds : int;
-  gossip_catchups : int;
+  mutable gossip_rounds : int;
+  mutable gossip_catchups : int;
       (** Tenant catch-ups pulled from a sibling relay during gossip. *)
-  repairs : int;  (** Ranged anti-entropy repairs (splice, no rebuild). *)
-  repair_bytes : int;  (** Wire bytes paid by those repairs. *)
-  resnapshot_bytes : int;
+  mutable repairs : int;  (** Ranged anti-entropy repairs (splice, no rebuild). *)
+  mutable repair_bytes : int;  (** Wire bytes paid by those repairs. *)
+  mutable resnapshot_bytes : int;
       (** Canonical snapshot bytes paid by full mirror rebuilds. *)
-  forks_done : int;  (** Adversarial forks actually injected. *)
-  forwarded_reports : int;
-  forward_failures : int;
-  client_restarts : int;
-  compactions : int;
-  promotions : int;
-  accepted_reports : int;
-  duplicate_reports : int;
-  capped_reports : int;
-  lost_reports : int;
-  fault_events : (Leakdetect_fault.Fault.kind * int) list;
-  final_versions : (string * int) list;
-  tenant_owners : (string * string) list;  (** Post-rebalance owners. *)
+  mutable forks_done : int;  (** Adversarial forks actually injected. *)
+  mutable forwarded_reports : int;
+  mutable forward_failures : int;
+  mutable client_restarts : int;
+  mutable compactions : int;
+  mutable promotions : int;
+  mutable accepted_reports : int;
+  mutable duplicate_reports : int;
+  mutable capped_reports : int;
+  mutable lost_reports : int;
+  mutable fault_events : (Leakdetect_fault.Fault.kind * int) list;
+  mutable final_versions : (string * int) list;
+  mutable tenant_owners : (string * string) list;  (** Post-rebalance owners. *)
   invariants : invariants;
 }
 

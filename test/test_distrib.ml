@@ -1895,6 +1895,64 @@ let prop_shard_map_minimal_disruption =
                  = Shard_map.owner before ~tenant:t)
                tenants))
 
+(* --- delta client: an update is counted as the transfer it names --- *)
+
+(* The soak and the distribution bench tell delta from snapshot updates by
+   [last_update] alone, so it must agree with the counters: an [Updated]
+   sync names [`Delta] exactly when [delta_updates] rose by one, and
+   [`Snapshot] exactly when [snapshot_updates] did; any other sync moves
+   neither.  Lossy, corrupting links (and, for [sync_via], a relay that
+   corrupts more) drive deltas, snapshots past a compacted horizon, forced
+   fulls and failed syncs. *)
+let prop_sync_attribution =
+  let gen =
+    QCheck.make
+      ~print:(fun (seed, rate, via) ->
+        Printf.sprintf "seed %d, fault rate %.2f, %s" seed rate
+          (if via then "sync_via" else "sync"))
+      QCheck.Gen.(triple (int_range 0 9999) (float_range 0. 0.3) bool)
+  in
+  QCheck.Test.make ~name:"an update is counted as the transfer last_update names"
+    ~count:200 gen
+    (fun (seed, rate, via) ->
+      let auth =
+        Authority.create ~config:{ Authority.default_config with compact_keep = 1 } ()
+      in
+      let faults rate =
+        { Fixtures.no_faults with
+          Fault.corrupt_rate = rate;
+          drop_rate = rate;
+          truncate_rate = rate /. 2.;
+          server_error_rate = rate }
+      in
+      let link seed rate =
+        Fault.transport (Fault.create ~seed (faults rate)) (loss_free auth)
+      in
+      let origin = link seed rate and relay = link (seed + 1) (2. *. rate) in
+      let c = Delta_client.create ~seed ~tenant:"t0" () in
+      let k = Delta_client.counters c in
+      List.for_all
+        (fun round ->
+          ignore
+            (Authority.publish auth ~tenant:"t0"
+               (s1 :: List.init round (fun i -> sig_ (10 + i) [ Printf.sprintf "tok%d" i ])));
+          if round mod 3 = 0 then Authority.compact auth;
+          let deltas = k.Delta_client.delta_updates
+          and snapshots = k.Delta_client.snapshot_updates in
+          let report =
+            if via then Delta_client.sync_via c ~relays:[ relay ] ~origin
+            else Delta_client.sync c ~transport:origin
+          in
+          let moved =
+            (k.Delta_client.delta_updates - deltas, k.Delta_client.snapshot_updates - snapshots)
+          in
+          match (report.Signature_client.outcome, Delta_client.last_update c) with
+          | Signature_client.Updated _, Some (`Delta _) -> moved = (1, 0)
+          | Signature_client.Updated _, Some `Snapshot -> moved = (0, 1)
+          | Signature_client.Updated _, None -> false
+          | (Signature_client.Unchanged | Signature_client.Failed _), _ -> moved = (0, 0))
+        (List.init 12 (fun i -> i + 1)))
+
 (* --- delta client: 304 fork smell (split-brain defense) --- *)
 
 let test_delta_client_304_fork_smell () =
@@ -2875,7 +2933,8 @@ let suite =
         Alcotest.test_case "content-length overrun" `Quick
           test_delta_client_content_length_overrun;
         Alcotest.test_case "drives the monitor" `Quick
-          test_delta_client_drives_monitor ] );
+          test_delta_client_drives_monitor;
+        qtest prop_sync_attribution ] );
     ( "distrib.sharding",
       [ Alcotest.test_case "shard gate" `Quick test_authority_shard_gate;
         Alcotest.test_case "export / adopt / release" `Quick
