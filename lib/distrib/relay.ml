@@ -53,6 +53,9 @@ type t = {
   mutable shard : Shard_map.t option;
   mutable clock : int;
   k : counters;
+  (* The counter gauges, interned on the first scrape and then kept (see
+     [refresh_metrics]). *)
+  mutable counter_gauges : (Obs.Gauge.t * (counters -> int)) list option;
 }
 
 let create ?(obs = Obs.noop) ?(config = default_config) ?client_config
@@ -78,6 +81,7 @@ let create ?(obs = Obs.noop) ?(config = default_config) ?client_config
           served_snapshot = 0; served_not_modified = 0; served_unready = 0;
           served_inconsistent = 0; served_digest = 0; forwarded = 0;
           forward_failures = 0 };
+      counter_gauges = None;
     }
   in
   List.iteri
@@ -423,51 +427,64 @@ let forward t (request : Http.Request.t) =
         t.k.forwarded <- t.k.forwarded + 1;
         response))
 
+(* The counter totals a scrape exports as gauges: name, help, reader. *)
+let counter_gauge_specs =
+  [
+    ("leakdetect_relay_sync_rounds", "Upstream sync rounds attempted.", fun k -> k.sync_rounds);
+    ( "leakdetect_relay_sync_failures",
+      "Upstream sync rounds that exhausted the retry budget.",
+      fun k -> k.sync_failures );
+    ("leakdetect_relay_resnapshots", "Full mirror rebuilds.", fun k -> k.resnapshots);
+    ( "leakdetect_relay_resnapshot_bytes",
+      "Canonical snapshot bytes paid by mirror rebuilds.",
+      fun k -> k.resnapshot_bytes );
+    ("leakdetect_relay_repairs", "Ranged anti-entropy mirror repairs.", fun k -> k.repairs);
+    ( "leakdetect_relay_repair_bytes",
+      "Wire bytes paid by ranged repairs (digest + suffix).",
+      fun k -> k.repair_bytes );
+    ("leakdetect_relay_gossip_rounds", "Sibling gossip rounds run.", fun k -> k.gossip_rounds);
+    ( "leakdetect_relay_gossip_catchups",
+      "Tenant catch-ups pulled from a sibling during gossip.",
+      fun k -> k.gossip_catchups );
+    ("leakdetect_relay_served_delta", "Delta responses served.", fun k -> k.served_delta);
+    ("leakdetect_relay_served_snapshot", "Snapshot responses served.", fun k -> k.served_snapshot);
+    ( "leakdetect_relay_served_not_modified",
+      "304 responses served.",
+      fun k -> k.served_not_modified );
+    ( "leakdetect_relay_served_unready",
+      "503s before the first verified sync.",
+      fun k -> k.served_unready );
+    ( "leakdetect_relay_served_inconsistent",
+      "503s while the mirror diverged from the verified state.",
+      fun k -> k.served_inconsistent );
+    ("leakdetect_relay_served_digest", "Digest responses served.", fun k -> k.served_digest);
+    ("leakdetect_relay_forwarded", "Candidate POSTs relayed upstream.", fun k -> k.forwarded);
+    ( "leakdetect_relay_forward_failures",
+      "Candidate forwards that failed.",
+      fun k -> k.forward_failures );
+  ]
+
 (* Scrape-time export: the counter totals as gauges plus the per-tenant
    freshness gauges, refreshed so a scrape between events still sees
-   current values. *)
+   current values.  The counter gauges are interned on the first scrape,
+   not at [create], so a registry shows no relay series before one is
+   used; later scrapes reuse the cells. *)
 let refresh_metrics t =
   if not (Obs.is_noop t.obs) then begin
-    let gauge name help value =
-      Obs.Gauge.set
-        (Obs.gauge t.obs ~help ~labels:[ ("relay", t.id) ] name)
-        value
+    let gauges =
+      match t.counter_gauges with
+      | Some g -> g
+      | None ->
+        let g =
+          List.map
+            (fun (name, help, read) ->
+              (Obs.gauge t.obs ~help ~labels:[ ("relay", t.id) ] name, read))
+            counter_gauge_specs
+        in
+        t.counter_gauges <- Some g;
+        g
     in
-    gauge "leakdetect_relay_sync_rounds" "Upstream sync rounds attempted."
-      t.k.sync_rounds;
-    gauge "leakdetect_relay_sync_failures"
-      "Upstream sync rounds that exhausted the retry budget."
-      t.k.sync_failures;
-    gauge "leakdetect_relay_resnapshots" "Full mirror rebuilds."
-      t.k.resnapshots;
-    gauge "leakdetect_relay_resnapshot_bytes"
-      "Canonical snapshot bytes paid by mirror rebuilds." t.k.resnapshot_bytes;
-    gauge "leakdetect_relay_repairs" "Ranged anti-entropy mirror repairs."
-      t.k.repairs;
-    gauge "leakdetect_relay_repair_bytes"
-      "Wire bytes paid by ranged repairs (digest + suffix)." t.k.repair_bytes;
-    gauge "leakdetect_relay_gossip_rounds" "Sibling gossip rounds run."
-      t.k.gossip_rounds;
-    gauge "leakdetect_relay_gossip_catchups"
-      "Tenant catch-ups pulled from a sibling during gossip."
-      t.k.gossip_catchups;
-    gauge "leakdetect_relay_served_delta" "Delta responses served."
-      t.k.served_delta;
-    gauge "leakdetect_relay_served_snapshot" "Snapshot responses served."
-      t.k.served_snapshot;
-    gauge "leakdetect_relay_served_not_modified" "304 responses served."
-      t.k.served_not_modified;
-    gauge "leakdetect_relay_served_unready"
-      "503s before the first verified sync." t.k.served_unready;
-    gauge "leakdetect_relay_served_inconsistent"
-      "503s while the mirror diverged from the verified state."
-      t.k.served_inconsistent;
-    gauge "leakdetect_relay_served_digest" "Digest responses served."
-      t.k.served_digest;
-    gauge "leakdetect_relay_forwarded" "Candidate POSTs relayed upstream."
-      t.k.forwarded;
-    gauge "leakdetect_relay_forward_failures" "Candidate forwards that failed."
-      t.k.forward_failures;
+    List.iter (fun (gauge, read) -> Obs.Gauge.set gauge (read t.k)) gauges;
     Hashtbl.iter (fun tenant st -> staleness_gauge t tenant st) t.tenant_tbl
   end
 

@@ -44,31 +44,34 @@ let print t =
   Buffer.add_string buf t.body;
   Buffer.contents buf
 
-module Strutil = Leakdetect_util.Strutil
-
 let parse ?(limits = Wire.default_limits) raw =
-  let h = Wire.split_head raw in
-  if Wire.body_length h > limits.Wire.max_body then
-    Error (Wire.Body_too_large (Wire.body_length h))
+  let h = Wire.read_head ~limits raw in
+  let body_length = String.length raw - h.Wire.body_start in
+  if body_length > limits.Wire.max_body then Error (Wire.Body_too_large body_length)
   else if h.Wire.head_end = 0 then Error (Wire.Syntax "missing status line")
   else
     (* "version code reason...": the reason is everything after the second
        space, and may itself hold spaces or be absent. *)
-    let stop = h.Wire.line_end in
-    match Strutil.index_in raw ~pos:0 ~stop ' ' with
-    | -1 -> Error (Wire.Syntax (Printf.sprintf "malformed status line %S" (Wire.start_line h)))
-    | i -> (
-      let code_end =
-        match Strutil.index_in raw ~pos:(i + 1) ~stop ' ' with -1 -> stop | j -> j
-      in
+    let stop = h.Wire.line_end and i = h.Wire.sp1 in
+    if i < 0 then
+      Error (Wire.Syntax (Printf.sprintf "malformed status line %S" (String.sub raw 0 stop)))
+    else
+      let code_end = if h.Wire.sp2 < 0 then stop else h.Wire.sp2 in
       let code = String.sub raw (i + 1) (code_end - i - 1) in
       match int_of_string_opt code with
       | None -> Error (Wire.Syntax (Printf.sprintf "bad status code %S" code))
       | Some status -> (
-        match Wire.header_fields ~limits h with
+        match h.Wire.headers with
         | Error _ as e -> e
         | Ok headers ->
           let reason =
             if code_end = stop then "" else String.sub raw (code_end + 1) (stop - code_end - 1)
           in
-          Ok { version = String.sub raw 0 i; status; reason; headers; body = Wire.body h }))
+          Ok
+            {
+              version = String.sub raw 0 i;
+              status;
+              reason;
+              headers;
+              body = String.sub raw h.Wire.body_start body_length;
+            })

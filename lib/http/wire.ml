@@ -35,65 +35,130 @@ let print (r : Request.t) =
 
 module Strutil = Leakdetect_util.Strutil
 
-let crlf = "\r\n"
+(* [s.[a .. b-1]] trims to [s.[trim_start s a b .. trim_end s a b - 1]]:
+   ASCII spaces and tabs go from both ends. *)
+let is_sp c = c = ' ' || c = '\t'
+let rec trim_start s a b =
+  if a < b && is_sp (String.unsafe_get s a) then trim_start s (a + 1) b else a
 
-(* [s.[a .. b-1]] with ASCII spaces and tabs trimmed from both ends. *)
-let trimmed s a b =
-  let is_sp c = c = ' ' || c = '\t' in
-  let a = ref a and b = ref b in
-  while !a < !b && is_sp s.[!a] do incr a done;
-  while !b > !a && is_sp s.[!b - 1] do decr b done;
-  (!a, !b)
+let rec trim_end s a b =
+  if b > a && is_sp (String.unsafe_get s (b - 1)) then trim_end s a (b - 1) else b
 
 let trimmed_sub s a b =
-  let a, b = trimmed s a b in
-  String.sub s a (b - a)
+  let a = trim_start s a b in
+  String.sub s a (trim_end s a b - a)
 
-type head = { raw : string; line_end : int; head_end : int; body_start : int }
+(* The head walk's byte classes: each state skips every byte whose class
+   misses its mask, so only ' ', ':' and '\r' can stop it, and only when
+   the state looks for them. *)
+let c_space = 1
+let c_colon = 2
+let c_cr = 4
 
-(* One pass finds the first blank line; the start line and the header
-   lines are then walked by offset inside [0, head_end), so a "\r\n" can
-   never straddle the blank line, and nothing is copied until a field is
-   taken. *)
-let split_head raw =
+let classes =
+  String.init 256 (fun i ->
+      Char.unsafe_chr
+        (match Char.unsafe_chr i with ' ' -> c_space | ':' -> c_colon | '\r' -> c_cr | _ -> 0))
+
+(* The first offset in [i, n) whose byte class meets [mask], or [n]. *)
+let class_of raw i = Char.code (String.unsafe_get classes (Char.code (String.unsafe_get raw i)))
+
+let rec skip raw i n mask =
+  if i < n && class_of raw i land mask = 0 then skip raw (i + 1) n mask else i
+
+let crlf_at raw i n =
+  i + 1 < n && String.unsafe_get raw i = '\r' && String.unsafe_get raw (i + 1) = '\n'
+
+(* The first CRLF at or after [i], or [n]. *)
+let rec crlf_from raw i n =
+  let j = skip raw i n c_cr in
+  if j >= n || crlf_at raw j n then j else crlf_from raw (j + 1) n
+
+(* The first ':' or CRLF at or after [i], or [n]. *)
+let rec colon_or_crlf raw i n =
+  let j = skip raw i n (c_colon lor c_cr) in
+  if j >= n || String.unsafe_get raw j = ':' || crlf_at raw j n then j
+  else colon_or_crlf raw (j + 1) n
+
+type head = {
+  raw : string;
+  line_end : int;
+  sp1 : int;
+  sp2 : int;
+  sp3 : bool;
+  head_end : int;
+  body_start : int;
+  headers : (Headers.t, error) result;
+}
+
+(* One forward walk.  The head ends at the first CRLF followed by another
+   CRLF, which is exactly where the first "\r\n\r\n" falls, since two CRLFs
+   cannot overlap; every CRLF before it ends a line.  On the start line the
+   walk records its first two spaces and whether a third exists; on each
+   header line, its first colon.  The first [max_headers] lines are checked
+   and built as they go (length, then colon); past that, or past the first
+   bad line, lines are only counted, and the count is checked first. *)
+let read_head ~limits raw =
   let n = String.length raw in
-  let head_end, body_start =
-    match Strutil.find_from raw ~pos:0 ~stop:n "\r\n\r\n" with -1 -> (n, n) | i -> (i, i + 4)
+  let sp1 = ref (-1) and sp2 = ref (-1) and sp3 = ref false in
+  let pos = ref 0 and line_end = ref (-1) in
+  while !line_end < 0 do
+    let j = skip raw !pos n (if !sp3 then c_cr else c_space lor c_cr) in
+    if j >= n then line_end := n
+    else if String.unsafe_get raw j = ' ' then begin
+      if !sp1 < 0 then sp1 := j else if !sp2 < 0 then sp2 := j else sp3 := true;
+      pos := j + 1
+    end
+    else if crlf_at raw j n then line_end := j
+    else pos := j + 1
+  done;
+  let line_end = !line_end in
+  let head_end = ref (if line_end = n || crlf_at raw (line_end + 2) n then line_end else -1) in
+  let lines = ref 0 and fields = ref [] and bad = ref None in
+  pos := line_end + 2;
+  while !head_end < 0 do
+    let p = !pos in
+    incr lines;
+    let eol =
+      if !lines > limits.max_headers || Option.is_some !bad then crlf_from raw p n
+      else
+        let stop = colon_or_crlf raw p n in
+        if stop < n && String.unsafe_get raw stop = ':' then begin
+          let eol = crlf_from raw (stop + 1) n in
+          if eol - p > limits.max_header_line then bad := Some (Header_line_too_long (eol - p))
+          else fields := (String.sub raw p (stop - p), trimmed_sub raw (stop + 1) eol) :: !fields;
+          eol
+        end
+        else begin
+          let len = stop - p in
+          bad :=
+            Some
+              (if len > limits.max_header_line then Header_line_too_long len
+               else Syntax (Printf.sprintf "malformed header line %S" (String.sub raw p len)));
+          stop
+        end
+    in
+    if eol = n || crlf_at raw (eol + 2) n then head_end := eol else pos := eol + 2
+  done;
+  let head_end = !head_end in
+  let headers =
+    if !lines > limits.max_headers then Error (Too_many_headers !lines)
+    else match !bad with Some e -> Error e | None -> Ok (Headers.of_list (List.rev !fields))
   in
-  let line_end =
-    match Strutil.find_from raw ~pos:0 ~stop:head_end crlf with -1 -> head_end | i -> i
-  in
-  { raw; line_end; head_end; body_start }
+  {
+    raw;
+    line_end;
+    sp1 = !sp1;
+    sp2 = !sp2;
+    sp3 = !sp3;
+    head_end;
+    body_start = (if head_end = n then n else head_end + 4);
+    headers;
+  }
 
 let start_line h = String.sub h.raw 0 h.line_end
 let body_length h = String.length h.raw - h.body_start
 let body h = String.sub h.raw h.body_start (body_length h)
-
-let header_fields ~limits h =
-  let raw = h.raw and stop = h.head_end in
-  let next_line pos = match Strutil.find_from raw ~pos ~stop crlf with -1 -> stop | i -> i in
-  (* Header lines follow the start line's CRLF; a head without one has
-     none.  Each line is the span up to the next CRLF or the head's end. *)
-  let first = if h.line_end < stop then h.line_end + 2 else stop + 1 in
-  let rec count pos acc = if pos > stop then acc else count (next_line pos + 2) (acc + 1) in
-  let n = count first 0 in
-  if n > limits.max_headers then Error (Too_many_headers n)
-  else
-    let rec fields pos acc =
-      if pos > stop then Ok (Headers.of_list (List.rev acc))
-      else
-        let eol = next_line pos in
-        let len = eol - pos in
-        if len > limits.max_header_line then Error (Header_line_too_long len)
-        else
-          match Strutil.index_in raw ~pos ~stop:eol ':' with
-          | -1 ->
-            Error (Syntax (Printf.sprintf "malformed header line %S" (String.sub raw pos len)))
-          | i ->
-            let field = (String.sub raw pos (i - pos), trimmed_sub raw (i + 1) eol) in
-            fields (eol + 2) (field :: acc)
-    in
-    fields first []
 
 (* RFC 7230 §4.1 chunked bodies: [<hex-size>[;ext]\r\n<data>\r\n]* 0\r\n.
    The decoded payload is bounded by [max_body]; a malformed chunk-size
@@ -117,8 +182,8 @@ let fragments_from ~limits raw start f =
       let size_end =
         match Strutil.index_in raw ~pos ~stop:line_end ';' with -1 -> line_end | i -> i
       in
-      let a, b = trimmed raw pos size_end in
-      match Leakdetect_util.Hex.int_of_sub raw ~pos:a ~len:(b - a) with
+      let a = trim_start raw pos size_end in
+      match Leakdetect_util.Hex.int_of_sub raw ~pos:a ~len:(trim_end raw a size_end - a) with
       | -1 ->
         let line = String.sub raw pos (line_end - pos) in
         Error (Syntax (Printf.sprintf "chunked: bad chunk-size line %S" line))
@@ -137,55 +202,64 @@ let fragments_from ~limits raw start f =
   in
   chunk start 0
 
+(* RFC 7230 §3.2.2: repeated fields combine in order, so the framing is
+   the last coding of the last [Transfer-Encoding] field. *)
 let is_chunked headers =
-  match Headers.get headers "Transfer-Encoding" with
+  let rec last_coding found = function
+    | [] -> found
+    | (name, v) :: rest ->
+      last_coding (if Strutil.equal_caseless name "Transfer-Encoding" then Some v else found) rest
+  in
+  match last_coding None (Headers.to_list headers) with
   | None -> false
   | Some v ->
     let from = match String.rindex_opt v ',' with Some i -> i + 1 | None -> 0 in
     Strutil.equal_caseless (trimmed_sub v from (String.length v)) "chunked"
 
-(* The two spaces of a request line [raw.[0 .. stop-1]] that splits into
-   exactly three space-separated parts, or [None]. *)
-let request_line_spaces raw stop =
-  let i = Strutil.index_in raw ~pos:0 ~stop ' ' in
-  let j = if i < 0 then -1 else Strutil.index_in raw ~pos:(i + 1) ~stop ' ' in
-  if j < 0 || Strutil.index_in raw ~pos:(j + 1) ~stop ' ' >= 0 then None else Some (i, j)
+let rec same_prefix raw s i =
+  i = String.length s
+  || (String.unsafe_get raw i = String.unsafe_get s i && same_prefix raw s (i + 1))
+
+(* The method [raw.[0 .. len-1]], matched in place. *)
+let meth_in raw len =
+  if len = 3 && same_prefix raw "GET" 0 then Some Request.GET
+  else if len = 4 && same_prefix raw "POST" 0 then Some Request.POST
+  else None
 
 let parse ?(limits = default_limits) raw =
-  let h = split_head raw in
+  let h = read_head ~limits raw in
   if h.head_end = 0 then Error (Syntax "missing request line")
+  else if h.sp2 < 0 || h.sp3 then
+    Error (Syntax (Printf.sprintf "malformed request line %S" (start_line h)))
   else
-    match request_line_spaces raw h.line_end with
-    | None -> Error (Syntax (Printf.sprintf "malformed request line %S" (start_line h)))
-    | Some (i, j) -> (
-      let meth_s = String.sub raw 0 i in
-      match Request.meth_of_string meth_s with
-      | None -> Error (Syntax (Printf.sprintf "unsupported method %S" meth_s))
-      | Some meth -> (
+    let i = h.sp1 and j = h.sp2 in
+    match meth_in raw i with
+    | None -> Error (Syntax (Printf.sprintf "unsupported method %S" (String.sub raw 0 i)))
+    | Some meth -> (
+      match h.headers with
+      | Error _ as e -> e
+      | Ok headers ->
         let target = String.sub raw (i + 1) (j - i - 1) in
         let version = String.sub raw (j + 1) (h.line_end - j - 1) in
-        match header_fields ~limits h with
-        | Error _ as e -> e
-        | Ok headers ->
-          (* [max_body] bounds the payload the request carries: the raw
-             body when identity-coded, the reassembled body when chunked
-             (the framing itself only shrinks on decode). *)
-          if not (is_chunked headers) then
-            if body_length h > limits.max_body then Error (Body_too_large (body_length h))
-            else Ok (Request.make ~version ~headers ~body:(body h) meth target)
-          else
-            let buf = Buffer.create (min (body_length h) 1024) in
-            match
-              fragments_from ~limits raw h.body_start (fun raw ~pos ~len ->
-                  Buffer.add_substring buf raw pos len)
-            with
-            | Error _ as e -> e
-            | Ok decoded ->
-              (* The framing is consumed here, so the surviving request
-                 describes the payload it actually carries. *)
-              let headers = Headers.remove headers "Transfer-Encoding" in
-              let headers =
-                if decoded = 0 then Headers.remove headers "Content-Length"
-                else Headers.replace headers "Content-Length" (string_of_int decoded)
-              in
-              Ok (Request.make ~version ~headers ~body:(Buffer.contents buf) meth target)))
+        (* [max_body] bounds the payload the request carries: the raw
+           body when identity-coded, the reassembled body when chunked
+           (the framing itself only shrinks on decode). *)
+        if not (is_chunked headers) then
+          if body_length h > limits.max_body then Error (Body_too_large (body_length h))
+          else Ok (Request.make ~version ~headers ~body:(body h) meth target)
+        else
+          let buf = Buffer.create (min (body_length h) 1024) in
+          match
+            fragments_from ~limits raw h.body_start (fun raw ~pos ~len ->
+                Buffer.add_substring buf raw pos len)
+          with
+          | Error _ as e -> e
+          | Ok decoded ->
+            (* The framing is consumed here, so the surviving request
+               describes the payload it actually carries. *)
+            let headers = Headers.remove headers "Transfer-Encoding" in
+            let headers =
+              if decoded = 0 then Headers.remove headers "Content-Length"
+              else Headers.replace headers "Content-Length" (string_of_int decoded)
+            in
+            Ok (Request.make ~version ~headers ~body:(Buffer.contents buf) meth target))

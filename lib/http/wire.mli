@@ -36,7 +36,8 @@ val print : Request.t -> string
 
 val parse : ?limits:limits -> string -> (Request.t, error) result
 (** Parses exactly one request.  The body is everything after the blank
-    line; when the last [Transfer-Encoding] coding is [chunked] the chunks
+    line; when the last coding of the last [Transfer-Encoding] field is
+    [chunked] (repeated fields combine in order, RFC 7230 §3.2.2) the chunks
     are reassembled (under [max_body], trailers ignored) and the returned
     request carries the decoded body with [Transfer-Encoding] removed and
     [Content-Length] rewritten.  A malformed chunk-size line (a size too
@@ -44,36 +45,28 @@ val parse : ?limits:limits -> string -> (Request.t, error) result
     a chunk size above what is left of [max_body] a [Body_too_large].  Errors describe the first offending line
     or the first limit exceeded. *)
 
-(** {2 The shared head splitter}
+(** {2 The shared head walk}
 
-    {!parse} and {!Response.parse} frame a message the same way: one pass
-    finds the first blank line (["\r\n\r\n"]), and the start line, the
-    header lines and the body are then read by offset into the raw bytes.
-    Nothing is copied until a field is taken, and the body is taken with
-    one [String.sub]. *)
+    {!parse} and {!Response.parse} frame a message with one forward walk
+    over its head that visits each head byte once.  A 256-entry class
+    table skips ordinary bytes; only [' '], [':'] and ['\r'] stop it.  The
+    head ends at the first CRLF followed by another CRLF (the first
+    ["\r\n\r\n"]); every CRLF before it ends a line. *)
 
 type head = private {
   raw : string;  (** The whole message. *)
-  line_end : int;  (** End of the start line: its first CRLF, or [head_end]. *)
+  line_end : int;  (** End of the start line: its CRLF, or [head_end]. *)
+  sp1 : int;  (** The start line's first space, or [-1]. *)
+  sp2 : int;  (** Its second space, or [-1]. *)
+  sp3 : bool;  (** Whether it has a third space. *)
   head_end : int;  (** Offset of the first blank line, or [String.length raw]. *)
   body_start : int;  (** [head_end + 4], or [String.length raw] without a blank line. *)
+  headers : (Headers.t, error) result;
+      (** The header lines between the start line and the blank line, in
+          wire order.  The line count is checked against [max_headers]
+          first; then, line by line, its length against [max_header_line]
+          and its [':'] (a [Syntax] error naming the line).  Values are
+          trimmed of spaces and tabs. *)
 }
 
-val split_head : string -> head
-
-val start_line : head -> string
-(** [raw.\[0 .. line_end-1\]]; [""] when [head_end = 0], which both parsers
-    report as a missing start line. *)
-
-val body_length : head -> int
-
-val body : head -> string
-(** Everything after the blank line ([""] without one), copied once. *)
-
-val header_fields : limits:limits -> head -> (Headers.t, error) result
-(** The header lines between the start line and the blank line, in wire
-    order.  The line count is checked against [max_headers] first; then,
-    line by line, its length against [max_header_line] and its [':']
-    (a [Syntax] error naming the line).  Values are trimmed of spaces and
-    tabs. *)
-
+val read_head : limits:limits -> string -> head

@@ -1,21 +1,3 @@
-let find_from s ~pos ~stop sub =
-  let m = String.length sub in
-  if m = 0 then invalid_arg "Strutil: empty separator";
-  if pos < 0 || stop > String.length s then invalid_arg "Strutil.find_from";
-  (* Bytes are compared in place: no substring is ever taken, and the
-     loops allocate nothing. *)
-  let c0 = sub.[0] and last = stop - m in
-  let i = ref pos and found = ref (-1) in
-  while !found < 0 && !i <= last do
-    if String.unsafe_get s !i = c0 then begin
-      let k = ref 1 in
-      while !k < m && String.unsafe_get s (!i + !k) = String.unsafe_get sub !k do incr k done;
-      if !k = m then found := !i
-    end;
-    incr i
-  done;
-  !found
-
 let index_in s ~pos ~stop c =
   if pos < 0 || stop > String.length s then invalid_arg "Strutil.index_in";
   let i = ref pos in

@@ -1,11 +1,5 @@
 (** Small string helpers shared across the codebase. *)
 
-val find_from : string -> pos:int -> stop:int -> string -> int
-(** [find_from s ~pos ~stop sub] is the offset of the first occurrence of the
-    non-empty [sub] lying wholly inside [s.\[pos .. stop-1\]], or [-1].
-    Bytes are compared in place, so a search allocates nothing.
-    @raise Invalid_argument on an empty [sub] or a range outside [s]. *)
-
 val index_in : string -> pos:int -> stop:int -> char -> int
 (** [index_in s ~pos ~stop c] is the offset of the first [c] in
     [s.\[pos .. stop-1\]], or [-1].

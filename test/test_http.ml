@@ -163,6 +163,43 @@ let test_wire_chunked_max_body () =
   | Error (Wire.Body_too_large _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected Body_too_large for huge declared size"
 
+(* RFC 7230 §3.2.2: repeated fields combine in order, so a coding list
+   split over several lines frames the body by its last coding, as the
+   same list on one line does. *)
+let framed = "5\r\nhello\r\n0\r\n\r\n"
+
+let te_lines codings =
+  "POST /upload HTTP/1.1\r\nHost: x.jp\r\n"
+  ^ String.concat "" (List.map (fun c -> "Transfer-Encoding: " ^ c ^ "\r\n") codings)
+  ^ "\r\n" ^ framed
+
+let transfer_encodings (r : Request.t) =
+  List.filter_map
+    (fun (n, v) -> if String.lowercase_ascii n = "transfer-encoding" then Some v else None)
+    (Headers.to_list r.Request.headers)
+
+let parsed_ok raw =
+  match Wire.parse raw with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "parse failed: %s" (Wire.error_to_string e)
+
+let test_wire_te_lines_chunked_then_gzip () =
+  let r = parsed_ok (te_lines [ "chunked"; "gzip" ]) in
+  Alcotest.(check string) "framed body kept" framed r.Request.body;
+  Alcotest.(check (list string)) "both lines kept" [ "chunked"; "gzip" ] (transfer_encodings r)
+
+let test_wire_te_list_chunked_gzip () =
+  let r = parsed_ok (te_lines [ "chunked, gzip" ]) in
+  Alcotest.(check string) "framed body kept" framed r.Request.body;
+  Alcotest.(check (list string)) "line kept" [ "chunked, gzip" ] (transfer_encodings r)
+
+let test_wire_te_lines_gzip_then_chunked () =
+  let r = parsed_ok (te_lines [ "gzip"; "chunked" ]) in
+  Alcotest.(check string) "de-chunked" "hello" r.Request.body;
+  Alcotest.(check (list string)) "both lines consumed" [] (transfer_encodings r);
+  Alcotest.(check (option string)) "content-length" (Some "5")
+    (Headers.get r.Request.headers "Content-Length")
+
 (* --- Packet --- *)
 
 let sample_packet () =
@@ -582,6 +619,7 @@ let prop_wire_matches_oracle =
   QCheck.Test.make ~name:"Wire.parse = split-and-concat oracle" ~count:2000
     (framing_case gen_request) (fun (limits, raw) ->
       QCheck.assume (not (Wire_oracle.overflowing_chunk_size raw));
+      QCheck.assume (not (Wire_oracle.repeated_transfer_encoding raw));
       same_outcome (Wire.parse ~limits raw) (Wire_oracle.parse ~limits raw))
 
 let prop_response_matches_oracle =
@@ -589,19 +627,156 @@ let prop_response_matches_oracle =
     (framing_case gen_response) (fun (limits, raw) ->
       same_outcome (Response.parse ~limits raw) (Wire_oracle.parse_response ~limits raw))
 
+(* --- The head walk's corners ------------------------------------------- *)
+
+(* Heads built from the bytes and words the walk branches on, under small
+   limits, so every stop byte, line shape and limit meets every other. *)
+let structural_tokens =
+  [| "\r"; "\n"; "\r\n"; "\r\n"; " "; " "; ":"; "\t"; "x"; "GET"; "POST"; "HTTP/1.1"; "200";
+     "Transfer-Encoding: chunked"; "5\r\nhello\r\n"; "3;x\r\nabc\r\n"; "0\r\n\r\n" |]
+
+let gen_structural st =
+  let starts = [| ""; "GET / HTTP/1.1\r\n"; "POST /p HTTP/1.1\r\n"; "HTTP/1.1 200 OK\r\n" |] in
+  let buf = Buffer.create 128 in
+  Buffer.add_string buf starts.(Random.State.int st (Array.length starts));
+  for _ = 1 to Random.State.int st 40 do
+    Buffer.add_string buf structural_tokens.(Random.State.int st (Array.length structural_tokens))
+  done;
+  let limits =
+    if Random.State.int st 4 = 0 then Wire.default_limits
+    else
+      { Wire.max_headers = Random.State.int st 5; max_header_line = Random.State.int st 30;
+        max_body = Random.State.int st 40 }
+  in
+  (limits, Buffer.contents buf)
+
+let prop_walk_matches_oracle =
+  QCheck.Test.make ~name:"head walk = oracle on structural heads" ~count:20_000
+    (framing_case gen_structural) (fun (limits, raw) ->
+      same_outcome (Response.parse ~limits raw) (Wire_oracle.parse_response ~limits raw)
+      && (Wire_oracle.overflowing_chunk_size raw
+         || Wire_oracle.repeated_transfer_encoding raw
+         || same_outcome (Wire.parse ~limits raw) (Wire_oracle.parse ~limits raw)))
+
+let check_outcome what expected actual =
+  match (expected, actual) with
+  | Error e, Error e' when e = e' -> ()
+  | Error e, Error e' ->
+    Alcotest.failf "%s: expected %s, got %s" what (Wire.error_to_string e) (Wire.error_to_string e')
+  | Error e, Ok _ -> Alcotest.failf "%s: expected %s, parsed" what (Wire.error_to_string e)
+  | Ok check, Ok v -> check v
+  | Ok _, Error e -> Alcotest.failf "%s: %s" what (Wire.error_to_string e)
+
+(* Both parsers give [request] and [response] on [raw], and the oracle
+   agrees with each. *)
+let corner ?(limits = Wire.default_limits) raw ~request ~response =
+  check_outcome (Printf.sprintf "Wire.parse %S" raw) request (Wire.parse ~limits raw);
+  check_outcome (Printf.sprintf "Response.parse %S" raw) response (Response.parse ~limits raw);
+  Alcotest.(check bool) (Printf.sprintf "Wire.parse %S = oracle" raw) true
+    (same_outcome (Wire.parse ~limits raw) (Wire_oracle.parse ~limits raw));
+  Alcotest.(check bool) (Printf.sprintf "Response.parse %S = oracle" raw) true
+    (same_outcome (Response.parse ~limits raw) (Wire_oracle.parse_response ~limits raw))
+
+let syntax fmt = Printf.ksprintf (fun m -> Error (Wire.Syntax m)) fmt
+let malformed what line = syntax "malformed %s %S" what line
+let unsupported meth = syntax "unsupported method %S" meth
+let bad_code code = syntax "bad status code %S" code
+let no_headers = Alcotest.(check (list (pair string string))) "no headers" []
+
+let test_head_crlf_without_blank_line () =
+  (* The CRLF ends the Host line and opens an empty last line, which has
+     no colon. *)
+  corner "GET /a HTTP/1.1\r\nHost: x\r\n" ~request:(malformed "header line" "")
+    ~response:(bad_code "/a");
+  corner "HTTP/1.1 200 OK\r\nHost: x\r\n" ~request:(unsupported "HTTP/1.1")
+    ~response:(malformed "header line" "")
+
+let test_head_cr_cr_lf () =
+  (* The lone '\r' is an ordinary start-line byte; the CRLF after it opens
+     an empty header line. *)
+  corner "\r\r\n" ~request:(malformed "request line" "\r") ~response:(malformed "status line" "\r")
+
+let test_head_blank_after_start_line () =
+  let limits = { Wire.default_limits with Wire.max_headers = 0 } in
+  corner ~limits "POST /a HTTP/1.1\r\n\r\nk=v"
+    ~request:
+      (Ok
+         (fun r ->
+           no_headers (Headers.to_list r.Request.headers);
+           Alcotest.(check string) "body" "k=v" r.Request.body))
+    ~response:(bad_code "/a");
+  corner ~limits "HTTP/1.1 204 No Content\r\n\r\n"
+    ~request:(malformed "request line" "HTTP/1.1 204 No Content")
+    ~response:
+      (Ok
+         (fun r ->
+           no_headers (Headers.to_list r.Response.headers);
+           Alcotest.(check string) "reason" "No Content" r.Response.reason))
+
+let test_head_three_spaces () =
+  corner "GET /a HTTP/1.1 \r\n\r\n" ~request:(malformed "request line" "GET /a HTTP/1.1 ")
+    ~response:(bad_code "/a");
+  corner "GET  /a HTTP/1.1\r\n\r\n" ~request:(malformed "request line" "GET  /a HTTP/1.1")
+    ~response:(bad_code "")
+
+let test_head_exactly_max_headers () =
+  let limits = { Wire.default_limits with Wire.max_headers = 2 } in
+  corner ~limits "GET / HTTP/1.1\r\nA: 1\r\nB:2\r\n\r\n"
+    ~request:
+      (Ok
+         (fun r ->
+           Alcotest.(check (list (pair string string))) "both built" [ ("A", "1"); ("B", "2") ]
+             (Headers.to_list r.Request.headers)))
+    ~response:(bad_code "/");
+  corner ~limits "HTTP/1.1 200 OK\r\nA: 1\r\nB:2\r\n\r\n" ~request:(unsupported "HTTP/1.1")
+    ~response:(Ok ignore);
+  (* One line more is counted, not built, and the count is checked before
+     the extra line's missing colon. *)
+  corner ~limits "HTTP/1.1 200 OK\r\nA: 1\r\nB:2\r\nnocolon\r\n\r\n"
+    ~request:(unsupported "HTTP/1.1") ~response:(Error (Wire.Too_many_headers 3))
+
+let test_head_reason_with_spaces () =
+  let reason expected = Ok (fun r -> Alcotest.(check string) "reason" expected r.Response.reason) in
+  corner "HTTP/1.1 502 Bad  Gateway \r\n\r\n"
+    ~request:(malformed "request line" "HTTP/1.1 502 Bad  Gateway ")
+    ~response:(reason "Bad  Gateway ");
+  corner "HTTP/1.1 200\r\n\r\n" ~request:(malformed "request line" "HTTP/1.1 200")
+    ~response:(reason "")
+
 (* --- Allocation: no per-byte garbage in the framing ---------------------- *)
 
-let allocated_words f =
-  let before = Gc.minor_words () in
-  ignore (Sys.opaque_identity (f ()));
-  Gc.minor_words () -. before
-
-let test_find_from_allocation () =
-  let s = String.make (64 * 1024) 'a' ^ "\r\n\r\n" in
-  let find () = Leakdetect_util.Strutil.find_from s ~pos:0 ~stop:(String.length s) "\r\n\r\n" in
-  Alcotest.(check int) "found last" (64 * 1024) (find ());
-  let words = allocated_words find in
-  if words > 16. then Alcotest.failf "find_from over 64 KiB allocated %.0f words" words
+let test_walk_allocation () =
+  (* A 64 KiB header block costs what it builds, never a word per byte:
+     one long field costs its value copy (counted in bytes: at this size it
+     goes straight to the major heap), and ten thousand short lines past
+     [max_headers] are counted, not built. *)
+  let allocated_bytes f =
+    ignore (f ());
+    let before = Gc.allocated_bytes () in
+    let r = Sys.opaque_identity (f ()) in
+    (r, Gc.allocated_bytes () -. before)
+  in
+  let value = String.make (64 * 1024) 'v' in
+  let long = "GET / HTTP/1.1\r\nX-Big: " ^ value ^ "\r\n\r\n" in
+  let limits = { Wire.default_limits with Wire.max_header_line = 1 lsl 20 } in
+  let parsed, bytes = allocated_bytes (fun () -> Wire.parse ~limits long) in
+  (match parsed with
+  | Ok r ->
+    Alcotest.(check (option string)) "value" (Some value) (Headers.get r.Request.headers "X-Big")
+  | Error e -> Alcotest.failf "parse: %s" (Wire.error_to_string e));
+  let overhead = bytes -. float_of_int (String.length value) in
+  if overhead > 2048. then
+    Alcotest.failf "a 64 KiB header line allocated %.0f bytes beyond its value copy" overhead;
+  let lines = 64 * 1024 / 6 in
+  let many =
+    "GET / HTTP/1.1\r\n" ^ String.concat "" (List.init lines (fun _ -> "a: b\r\n")) ^ "\r\n"
+  in
+  let parsed, bytes = allocated_bytes (fun () -> Wire.parse many) in
+  (match parsed with
+  | Error (Wire.Too_many_headers n) -> Alcotest.(check int) "lines counted" lines n
+  | Ok _ | Error _ -> Alcotest.fail "expected Too_many_headers");
+  if bytes > 8192. then
+    Alcotest.failf "%d header lines past max_headers allocated %.0f bytes" lines bytes
 
 let test_wire_parse_allocation () =
   (* The body is copied once (straight to the major heap at this size, so
@@ -650,10 +825,26 @@ let suite =
         Alcotest.test_case "chunked malformed" `Quick test_wire_chunked_malformed;
         Alcotest.test_case "chunked max_body" `Quick test_wire_chunked_max_body;
         Alcotest.test_case "chunk size overflowing int" `Quick test_wire_chunked_overflow;
-        Alcotest.test_case "find_from allocates O(1)" `Quick test_find_from_allocation;
+        Alcotest.test_case "transfer-encoding lines: chunked then gzip" `Quick
+          test_wire_te_lines_chunked_then_gzip;
+        Alcotest.test_case "transfer-encoding list: chunked, gzip" `Quick
+          test_wire_te_list_chunked_gzip;
+        Alcotest.test_case "transfer-encoding lines: gzip then chunked" `Quick
+          test_wire_te_lines_gzip_then_chunked;
+        Alcotest.test_case "head: CRLF without a blank line" `Quick
+          test_head_crlf_without_blank_line;
+        Alcotest.test_case "head: \\r\\r\\n" `Quick test_head_cr_cr_lf;
+        Alcotest.test_case "head: blank line after the start line" `Quick
+          test_head_blank_after_start_line;
+        Alcotest.test_case "head: three spaces in a request line" `Quick test_head_three_spaces;
+        Alcotest.test_case "head: exactly max_headers lines" `Quick test_head_exactly_max_headers;
+        Alcotest.test_case "head: reason phrase with spaces" `Quick test_head_reason_with_spaces;
+        Alcotest.test_case "head walk allocates per field, not per byte" `Quick
+          test_walk_allocation;
         Alcotest.test_case "parse allocates body + O(1)" `Quick test_wire_parse_allocation;
         qtest prop_wire_matches_oracle;
         qtest prop_response_matches_oracle;
+        qtest prop_walk_matches_oracle;
       ] );
     ( "http.packet",
       [

@@ -296,20 +296,7 @@ let prop_base64url_roundtrip =
 
 (* --- Strutil --- *)
 
-let test_find_from_range () =
-  let find ?(pos = 0) ?stop sub s =
-    Strutil.find_from s ~pos ~stop:(Option.value stop ~default:(String.length s)) sub
-  in
-  Alcotest.(check int) "first" 1 (find "--" "a--b--c");
-  Alcotest.(check int) "from pos" 4 (find ~pos:2 "--" "a--b--c");
-  Alcotest.(check int) "absent" (-1) (find "|" "abc");
-  Alcotest.(check int) "at the end" 3 (find "cd" "abccd");
-  (* A match must lie wholly inside [pos, stop): "\r\n" straddling stop is
-     not one. *)
-  Alcotest.(check int) "straddles stop" (-1) (find ~stop:3 "\r\n" "ab\r\n");
-  Alcotest.(check int) "empty range" (-1) (find ~pos:2 ~stop:2 "a" "aaa");
-  Alcotest.check_raises "empty separator" (Invalid_argument "Strutil: empty separator")
-    (fun () -> ignore (find "" "abc"));
+let test_index_in_caseless () =
   Alcotest.(check int) "index_in" 2 (Strutil.index_in "ab:c:" ~pos:0 ~stop:5 ':');
   Alcotest.(check int) "index_in bounded" (-1) (Strutil.index_in "ab:c:" ~pos:0 ~stop:2 ':');
   Alcotest.(check bool) "caseless" true
@@ -323,25 +310,6 @@ let test_truncate_middle () =
   Alcotest.(check int) "width respected" 9 (String.length t);
   Alcotest.(check bool) "has ellipsis" true
     (Leakdetect_text.Search.contains ~needle:"..." t)
-
-(* [Strutil.find_from] against a literal scan of [s] for [sub] starting
-   in [pos, stop - |sub|]. *)
-let prop_find_from_naive =
-  let gen =
-    QCheck.Gen.(
-      let str n = string_size ~gen:(oneofl [ 'a'; 'b'; '\r'; '\n' ]) n in
-      str (0 -- 24) >>= fun s ->
-      str (1 -- 3) >>= fun sub ->
-      int_range 0 (String.length s) >>= fun pos ->
-      int_range pos (String.length s) >|= fun stop -> (s, sub, pos, stop))
-  in
-  QCheck.Test.make ~name:"find_from agrees with a literal scan" ~count:1000
-    (QCheck.make gen) (fun (s, sub, pos, stop) ->
-      let m = String.length sub in
-      let rec naive i =
-        if i + m > stop then -1 else if String.sub s i m = sub then i else naive (i + 1)
-      in
-      Strutil.find_from s ~pos ~stop sub = naive pos)
 
 (* --- Stats --- *)
 
@@ -638,9 +606,8 @@ let suite =
       ] );
     ( "util.strutil",
       [
-        Alcotest.test_case "find_from/index_in/equal_caseless" `Quick test_find_from_range;
+        Alcotest.test_case "index_in/equal_caseless" `Quick test_index_in_caseless;
         Alcotest.test_case "truncate_middle" `Quick test_truncate_middle;
-        qtest prop_find_from_naive;
       ] );
     ( "util.stats",
       [

@@ -5,9 +5,13 @@
    fresh substring), concatenates the body back together and splits the
    head into line strings; only its output matters here, not its speed.
 
-   It is the original code, defects included: a chunk size too large for an
-   [int] wraps negative here, which makes it raise or misframe.  Callers
-   exclude such inputs (see [overflowing_chunk_size]). *)
+   It is the original code, defects included, and callers exclude the
+   inputs where those show:
+   - a chunk size too large for an [int] wraps negative here, which makes
+     it raise or misframe (see [overflowing_chunk_size]);
+   - framing is decided by the first [Transfer-Encoding] field alone, not
+     by the last coding of the last one as RFC 7230 §3.2.2 combines
+     repeated fields (see [repeated_transfer_encoding]). *)
 
 module Headers = Leakdetect_http.Headers
 module Request = Leakdetect_http.Request
@@ -181,7 +185,7 @@ let parse_response ?(limits = Wire.default_limits) raw =
 let overflowing_chunk_size raw =
   let n = String.length raw in
   let overflows pos =
-    let stop = match Strutil.find_from raw ~pos ~stop:n "\r\n" with -1 -> n | i -> i in
+    let stop = match find_from raw pos "\r\n" with None -> n | Some i -> i in
     let stop = match Strutil.index_in raw ~pos ~stop ';' with -1 -> stop | i -> i in
     let a = ref pos and b = ref stop in
     while !a < !b && (raw.[!a] = ' ' || raw.[!a] = '\t') do incr a done;
@@ -200,3 +204,17 @@ let overflowing_chunk_size raw =
        || match String.index_from_opt raw pos '\n' with Some nl -> scan (nl + 1) | None -> false)
   in
   scan 0
+
+(* True when the head (up to the first "\r\n\r\n") has more than one header
+   line named [Transfer-Encoding]: this oracle frames such a request on the
+   first one alone. *)
+let repeated_transfer_encoding raw =
+  let head = List.hd (split_on_string ~sep:"\r\n\r\n" raw) in
+  let is_te line =
+    match String.index_opt line ':' with
+    | Some i -> Strutil.equal_caseless (String.sub line 0 i) "Transfer-Encoding"
+    | None -> false
+  in
+  match split_on_string ~sep:"\r\n" head with
+  | _start :: lines -> List.length (List.filter is_te lines) > 1
+  | [] -> false
