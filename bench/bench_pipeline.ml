@@ -32,7 +32,7 @@ module Pipeline = Leakdetect_core.Pipeline
 module Distance = Leakdetect_core.Distance
 module Siggen = Leakdetect_core.Siggen
 module Detector = Leakdetect_core.Detector
-module Signature_io = Leakdetect_core.Signature_io
+module Protocol = Leakdetect_distrib.Protocol
 module Metrics = Leakdetect_core.Metrics
 module Dist_matrix = Leakdetect_cluster.Dist_matrix
 module Pool = Leakdetect_parallel.Pool
@@ -98,8 +98,6 @@ let matrices_equal a b =
     done;
     !ok
   end
-
-let serialize_signatures sigs = String.concat "\n" (List.map Signature_io.to_line sigs)
 
 let dataset =
   Printf.printf "workload: seed 42, scale %.2f...\n%!" scale;
@@ -280,7 +278,7 @@ let bench_end_to_end () =
                     ~config:(Pipeline.Config.with_pool pool Pipeline.default_config)
                     ~rng:(Prng.create (7 + n)) ~n ~suspicious ~normal ())
             in
-            let sigs = serialize_signatures outcome.Pipeline.signatures in
+            let sigs = Protocol.sig_body outcome.Pipeline.signatures in
             (match !reference with
             | None ->
               reference := Some (sigs, outcome.Pipeline.metrics);
@@ -324,8 +322,8 @@ let bench_obs_overhead () =
   let obs = Obs.create () in
   let active_outcome, active_seconds = time (fun () -> run obs) in
   check "obs-active signatures identical to noop"
-    (serialize_signatures noop_outcome.Pipeline.signatures
-    = serialize_signatures active_outcome.Pipeline.signatures);
+    (Protocol.sig_body noop_outcome.Pipeline.signatures
+    = Protocol.sig_body active_outcome.Pipeline.signatures);
   check "obs-active metrics identical to noop"
     (compare noop_outcome.Pipeline.metrics active_outcome.Pipeline.metrics = 0);
   check "obs-active run recorded"
@@ -356,12 +354,12 @@ let bench_normalize_overhead () =
         run (Pipeline.Config.with_normalize (Some normalize) Pipeline.Config.default))
   in
   check "normalize-off explicit None identical to default"
-    (serialize_signatures off_outcome.Pipeline.signatures
-     = serialize_signatures explicit_off.Pipeline.signatures
+    (Protocol.sig_body off_outcome.Pipeline.signatures
+     = Protocol.sig_body explicit_off.Pipeline.signatures
     && compare off_outcome.Pipeline.metrics explicit_off.Pipeline.metrics = 0);
   check "normalize-on signatures identical to off"
-    (serialize_signatures off_outcome.Pipeline.signatures
-    = serialize_signatures on_outcome.Pipeline.signatures);
+    (Protocol.sig_body off_outcome.Pipeline.signatures
+    = Protocol.sig_body on_outcome.Pipeline.signatures);
   (* On clean (never re-encoded) traffic the lattice may only add matches,
      never lose one: recall must not drop with normalization enabled. *)
   check "normalize-on recall >= off"

@@ -40,8 +40,6 @@ module Prng = Leakdetect_util.Prng
 module Sample = Leakdetect_util.Sample
 module Fault = Leakdetect_fault.Fault
 module Flow_control = Leakdetect_monitor.Flow_control
-module Signature_client = Leakdetect_monitor.Signature_client
-module Wal = Leakdetect_store.Wal
 module Pool = Leakdetect_parallel.Pool
 module Payload_check = Leakdetect_core.Payload_check
 module Request = Leakdetect_http.Request
@@ -55,6 +53,8 @@ module Topology = Leakdetect_distrib.Topology
 module Authority = Leakdetect_distrib.Authority
 module Protocol = Leakdetect_distrib.Protocol
 module Delta_client = Leakdetect_distrib.Delta_client
+module Chaos = Leakdetect_distrib.Chaos
+module State_dir = Leakdetect_store.State_dir
 
 let exit_err fmt = Printf.ksprintf (fun m -> prerr_endline ("leakdetect: " ^ m); exit 1) fmt
 
@@ -142,14 +142,17 @@ let load_signatures path =
     end;
     signatures
 
-let split_records records =
-  let suspicious = ref [] and normal = ref [] in
-  Array.iter
-    (fun r ->
-      if r.Trace.labels = [] then normal := r.Trace.packet :: !normal
-      else suspicious := r.Trace.packet :: !suspicious)
-    records;
-  (Array.of_list (List.rev !suspicious), Array.of_list (List.rev !normal))
+(* [Some "-"] prints [contents] to stdout (ending it with a newline);
+   [Some path] writes it to [path] as is and says so. *)
+let write_out dest contents =
+  match dest with
+  | None -> ()
+  | Some "-" ->
+    print_string contents;
+    if not (String.ends_with ~suffix:"\n" contents) then print_newline ()
+  | Some path ->
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+    Printf.printf "wrote %s\n" path
 
 (* --- generate --- *)
 
@@ -185,50 +188,31 @@ let stats_cmd =
       (* From a trace file: destination and label statistics only (the
          permission table needs the app population, which traces do not
          carry). *)
-      let records = load_records ~trace ~seed ~scale in
-      let total = Array.length records in
-      let sens =
-        Array.fold_left
-          (fun acc r -> if r.Trace.labels = [] then acc else acc + 1)
-          0 records
-      in
+      let records = Array.to_list (load_records ~trace ~seed ~scale) in
+      let total = List.length records in
+      let sens = List.length (List.filter (fun r -> r.Trace.labels <> []) records) in
       Printf.printf "packets: %d total, %d sensitive, %d normal\n\n" total sens
         (total - sens);
-      let module SM = Map.Make (String) in
-      let dests =
-        Array.fold_left
-          (fun acc (r : Trace.record) ->
-            let d =
-              Leakdetect_net.Domain.registrable r.Trace.packet.Packet.dst.Packet.host
-            in
-            SM.update d (function None -> Some 1 | Some c -> Some (c + 1)) acc)
-          SM.empty records
+      (* [(key, occurrences)] rows, in key order. *)
+      let tally keys =
+        let h = Hashtbl.create 64 in
+        let bump k = Hashtbl.replace h k (1 + Option.value ~default:0 (Hashtbl.find_opt h k)) in
+        List.iter bump keys;
+        List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) h [])
       in
-      let rows =
-        SM.bindings dests
-        |> List.sort (fun (_, a) (_, b) -> compare b a)
-        |> List.filteri (fun i _ -> i < top)
-        |> List.map (fun (d, c) -> [ d; string_of_int c ])
+      let table title key rows =
+        print_string
+          (Table.render ~title
+             ~columns:[ (key, Table.Left); ("packets", Table.Right) ]
+             (List.map (fun (k, c) -> [ k; string_of_int c ]) rows))
       in
-      print_string
-        (Table.render ~title:"Top destination domains"
-           ~columns:[ ("destination", Table.Left); ("packets", Table.Right) ]
-           rows);
-      let labels = Hashtbl.create 16 in
-      Array.iter
-        (fun (r : Trace.record) ->
-          List.iter
-            (fun l ->
-              Hashtbl.replace labels l
-                (1 + Option.value ~default:0 (Hashtbl.find_opt labels l)))
-            r.Trace.labels)
-        records;
+      let host r = Leakdetect_net.Domain.registrable r.Trace.packet.Packet.dst.Packet.host in
+      table "Top destination domains" "destination"
+        (tally (List.map host records)
+        |> List.stable_sort (fun (_, a) (_, b) -> compare b a)
+        |> List.filteri (fun i _ -> i < top));
       print_newline ();
-      print_string
-        (Table.render ~title:"Sensitive labels"
-           ~columns:[ ("label", Table.Left); ("packets", Table.Right) ]
-           (Hashtbl.fold (fun l c acc -> [ l; string_of_int c ] :: acc) labels []
-           |> List.sort compare))
+      table "Sensitive labels" "label" (tally (List.concat_map (fun r -> r.Trace.labels) records))
     | None ->
       let ds = Workload.generate ~seed ~scale () in
       let total, sens, norm = Trace_stats.totals ds in
@@ -277,20 +261,20 @@ let stats_cmd =
 
 (* --- shared pipeline configuration flags --- *)
 
-(* A sample size: cmdliner refuses a negative one (exit 124). *)
-let sample_size =
+(* An integer cmdliner refuses below [min] (exit 124). *)
+let int_at_least ~what min =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "invalid sample size %S, expected an integer >= 0" s))
+    | Some n when n >= min -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid %s %S, expected an integer >= %d" what s min))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let sample_size = int_at_least ~what:"sample size" 0
 
 let sample_t ?(names = [ "n"; "sample" ]) default =
   Arg.(value & opt sample_size default
       & info names ~docv:"N" ~doc:"Suspicious packets sampled for signature generation.")
-
-let n_t = sample_t 500
 
 let limit_t default =
   Arg.(value & opt int default
@@ -347,58 +331,53 @@ let lsh_rows_t =
           ~doc:"Minhash slots per LSH band; more rows raise the similarity needed \
                 to share a bucket.")
 
-let backend_of ~clustering ~lsh_bands ~lsh_rows =
-  match clustering with
-  | `Exact -> Clustering.Exact
-  | `Sketch ->
-    let params =
-      { Clustering.default_sketch with Sketch.bands = lsh_bands; rows = lsh_rows }
-    in
-    (match Sketch.validate params with
-    | Ok () -> Clustering.Sketch params
-    | Error msg -> exit_err "invalid sketch parameters: %s" msg)
-
-let pp_bucket_stats (stats : Clustering.stats) =
-  if stats.Clustering.backend = "sketch" then
+let pp_bucket_stats { Clustering.backend; buckets; largest_bucket; exact_pairs; total_pairs } =
+  if backend = "sketch" then
     Printf.printf
       "sketch prefilter: %d buckets (largest %d), %d of %d exact pairs (%.1f%% avoided)\n"
-      stats.Clustering.buckets stats.Clustering.largest_bucket
-      stats.Clustering.exact_pairs stats.Clustering.total_pairs
-      (if stats.Clustering.total_pairs = 0 then 0.
-       else
-         100.
-         *. float_of_int (stats.Clustering.total_pairs - stats.Clustering.exact_pairs)
-         /. float_of_int stats.Clustering.total_pairs)
+      buckets largest_bucket exact_pairs total_pairs
+      (if total_pairs = 0 then 0.
+       else 100. *. float_of_int (total_pairs - exact_pairs) /. float_of_int total_pairs)
 
-let config_of ?(clustering = Clustering.Exact) ~compressor ~linkage ~cut () =
-  let siggen =
-    { Siggen.default with
-      Siggen.linkage;
-      cut = (match cut with Some v -> Siggen.Threshold v | None -> Siggen.Auto);
+let backend_t =
+  let backend clustering bands rows =
+    match clustering with
+    | `Exact -> Clustering.Exact
+    | `Sketch -> (
+      let params = { Clustering.default_sketch with Sketch.bands; rows } in
+      match Sketch.validate params with
+      | Ok () -> Clustering.Sketch params
+      | Error msg -> exit_err "invalid sketch parameters: %s" msg)
+  in
+  Term.(const backend $ clustering_t $ lsh_bands_t $ lsh_rows_t)
+
+(* The pipeline configuration the --compressor, --linkage and --cut flags
+   select, and with [~clustering:true] the --clustering and LSH flags. *)
+let pipeline_config_t ~clustering =
+  let config compressor linkage cut clustering =
+    let cut = match cut with Some v -> Siggen.Threshold v | None -> Siggen.Auto in
+    { Pipeline.default_config with
+      Pipeline.compressor;
+      siggen = { Siggen.default with Siggen.linkage; cut };
+      clustering;
     }
   in
-  { Pipeline.default_config with Pipeline.compressor; siggen; clustering }
+  Term.(const config $ compressor_t $ linkage_t $ cut_t
+        $ if clustering then backend_t else const Clustering.Exact)
+
+(* [n] suspicious packets sampled (seeded by [seed]) from the trace. *)
+let sample_suspicious ~trace ~seed ~scale n =
+  let suspicious, _ = Trace.split (load_records ~trace ~seed ~scale) in
+  if Array.length suspicious = 0 then exit_err "trace has no sensitive packets";
+  Sample.without_replacement (Prng.create seed) n suspicious
 
 (* --- sign --- *)
 
 let sign_cmd =
-  let run seed scale trace n compressor linkage cut clustering lsh_bands lsh_rows jobs
-      output =
-    let records = load_records ~trace ~seed ~scale in
-    let suspicious, _ = split_records records in
-    if Array.length suspicious = 0 then exit_err "trace has no sensitive packets";
-    let rng = Prng.create seed in
-    let sample = Sample.without_replacement rng n suspicious in
-    let clustering = backend_of ~clustering ~lsh_bands ~lsh_rows in
-    let config = config_of ~clustering ~compressor ~linkage ~cut () in
-    let dist =
-      Distance.create ~components:config.Pipeline.components
-        ~compressor:config.Pipeline.compressor ()
-    in
-    let result =
-      let pool = Pool.warm jobs in
-      Siggen.generate ~config:{ config with Pipeline.pool } dist sample
-    in
+  let run seed scale trace n config jobs output =
+    let sample = sample_suspicious ~trace ~seed ~scale n in
+    let config = Pipeline.Config.with_jobs jobs config in
+    let result = Siggen.generate ~config (Pipeline.Config.distance config) sample in
     Signature_io.save output result.Siggen.signatures;
     Printf.printf "sampled %d suspicious packets -> %d clusters, %d signatures (%d rejected)\n"
       (Array.length sample)
@@ -414,48 +393,37 @@ let sign_cmd =
   in
   Cmd.v
     (Cmd.info "sign" ~doc:"Cluster suspicious packets and generate signatures.")
-    Term.(const run $ seed_t $ scale_t $ trace_t $ n_t $ compressor_t $ linkage_t $ cut_t
-          $ clustering_t $ lsh_bands_t $ lsh_rows_t $ jobs_t $ output)
+    Term.(const run $ seed_t $ scale_t $ trace_t $ sample_t 500
+          $ pipeline_config_t ~clustering:true $ jobs_t $ output)
 
 (* --- cluster --- *)
 
 let cluster_cmd =
-  let run () seed scale trace n compressor linkage cut clustering lsh_bands lsh_rows
-      jobs newick =
-    let records = load_records ~trace ~seed ~scale in
-    let suspicious, _ = split_records records in
-    if Array.length suspicious = 0 then exit_err "trace has no sensitive packets";
-    let rng = Prng.create seed in
-    let sample = Sample.without_replacement rng n suspicious in
-    let backend = backend_of ~clustering ~lsh_bands ~lsh_rows in
-    let config = config_of ~clustering:backend ~compressor ~linkage ~cut () in
-    let dist =
-      Distance.create ~components:config.Pipeline.components
-        ~compressor:config.Pipeline.compressor ()
-    in
+  let run () seed scale trace n config jobs newick =
+    let sample = sample_suspicious ~trace ~seed ~scale n in
+    let backend = config.Pipeline.clustering in
+    let linkage = config.Pipeline.siggen.Siggen.linkage in
+    let dist = Pipeline.Config.distance config in
     let pool = Pool.warm jobs in
     (* The exact path keeps its own matrix so the cophenetic correlation can
        be reported; sketch mode never materializes the full matrix, so the
        bucket statistics stand in for it. *)
     let tree, cophenetic, stats =
       match backend with
-      | Clustering.Exact -> (
+      | Clustering.Exact ->
         let matrix = Distance.matrix ?pool dist sample in
-        match Agglomerative.cluster ~linkage matrix with
-        | Some tree ->
-          (tree, Some (Leakdetect_cluster.Cophenetic.correlation matrix tree), None)
-        | None -> exit_err "empty sample")
-      | Clustering.Sketch _ -> (
+        let tree = Agglomerative.cluster ~linkage matrix in
+        (tree, Option.map (Leakdetect_cluster.Cophenetic.correlation matrix) tree, None)
+      | Clustering.Sketch _ ->
         let r = Clustering.run ?pool ~backend ~linkage dist sample in
-        match r.Clustering.dendrogram with
-        | Some tree -> (tree, None, Some r.Clustering.stats)
-        | None -> exit_err "empty sample")
+        (r.Clustering.dendrogram, None, Some r.Clustering.stats)
     in
+    let tree = match tree with Some tree -> tree | None -> exit_err "empty sample" in
     begin
       let threshold =
-        match cut with
-        | Some v -> v
-        | None -> 0.25 *. Distance.max_possible dist
+        match config.Pipeline.siggen.Siggen.cut with
+        | Siggen.Threshold v -> v
+        | _ -> 0.25 *. Distance.max_possible dist
       in
       let forest = Leakdetect_cluster.Dendrogram.cut ~threshold tree in
       Printf.printf "clustered %d packets at threshold %.2f -> %d clusters\n\n"
@@ -479,18 +447,11 @@ let cluster_cmd =
       match newick with
       | None -> ()
       | Some path ->
-        let oc = open_out path in
-        output_string oc
-          (Leakdetect_cluster.Dendrogram.to_newick
-             ~label:(fun i ->
-               Printf.sprintf "p%d_%s" i
-                 (String.map
-                    (fun c -> if c = '.' then '_' else c)
-                    sample.(i).Packet.dst.Packet.host))
-             tree);
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "wrote %s\n" path
+        let label i =
+          Printf.sprintf "p%d_%s" i
+            (String.map (fun c -> if c = '.' then '_' else c) sample.(i).Packet.dst.Packet.host)
+        in
+        write_out (Some path) (Leakdetect_cluster.Dendrogram.to_newick ~label tree ^ "\n")
     end
   in
   let n_small =
@@ -505,11 +466,15 @@ let cluster_cmd =
   Cmd.v
     (Cmd.info "cluster"
        ~doc:"Cluster a sample of suspicious packets and report the dendrogram.")
-    Term.(const run $ setup_log_t $ seed_t $ scale_t $ trace_t $ n_small $ compressor_t
-          $ linkage_t $ cut_t $ clustering_t $ lsh_bands_t $ lsh_rows_t $ jobs_t
-          $ newick)
+    Term.(const run $ setup_log_t $ seed_t $ scale_t $ trace_t $ n_small
+          $ pipeline_config_t ~clustering:true $ jobs_t $ newick)
 
 (* --- detect --- *)
+
+let sig_file_t =
+  Arg.(required
+      & opt (some string) None
+      & info [ "signatures" ] ~docv:"FILE" ~doc:"Signature file from `sign`.")
 
 let detect_cmd =
   let run seed scale trace sig_file jobs verbose normalize =
@@ -538,15 +503,9 @@ let detect_cmd =
         records;
     Printf.printf "%d of %d packets matched %d signatures\n" detected
       (Array.length records) (List.length signatures);
-    (* The bytes scanned: each packet's three content fields and the two
-       separators between them. *)
+    (* The bytes scanned: each packet's flattened content. *)
     let bytes =
-      Array.fold_left
-        (fun acc (p : Packet.t) ->
-          let c = p.Packet.content in
-          acc + String.length c.Packet.request_line + String.length c.Packet.cookie
-          + String.length c.Packet.body + 2)
-        0 packets
+      Array.fold_left (fun acc p -> acc + String.length (Packet.content_string p)) 0 packets
     in
     if elapsed > 0. then
       Printf.printf "scanned %d bytes in %.3fs (%.0f packets/s, %.1f MiB/s)\n" bytes
@@ -554,51 +513,38 @@ let detect_cmd =
         (float_of_int (Array.length packets) /. elapsed)
         (float_of_int bytes /. elapsed /. 1048576.)
   in
-  let sig_file =
-    Arg.(required
-        & opt (some string) None
-        & info [ "signatures" ] ~docv:"FILE" ~doc:"Signature file from `sign`.")
-  in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print each matching packet.")
   in
   Cmd.v
     (Cmd.info "detect" ~doc:"Apply a signature file to a trace.")
-    Term.(const run $ seed_t $ scale_t $ trace_t $ sig_file $ jobs_t $ verbose
+    Term.(const run $ seed_t $ scale_t $ trace_t $ sig_file_t $ jobs_t $ verbose
           $ normalize_t)
 
 (* --- evaluate --- *)
 
 let evaluate_cmd =
-  let run () seed scale trace ns compressor linkage cut clustering lsh_bands lsh_rows
-      jobs bayes normalize =
+  let run () seed scale trace ns config jobs bayes normalize =
     let records = load_records ~trace ~seed ~scale in
-    let suspicious, normal = split_records records in
+    let suspicious, normal = Trace.split records in
     Printf.printf "dataset: %d suspicious, %d normal%s\n\n" (Array.length suspicious)
       (Array.length normal)
       (if bayes then " (probabilistic signatures)" else "");
-    let clustering = backend_of ~clustering ~lsh_bands ~lsh_rows in
     let config =
-      Pipeline.Config.with_normalize (normalize_of normalize)
-        (config_of ~clustering ~compressor ~linkage ~cut ())
+      Pipeline.Config.(config |> with_normalize (normalize_of normalize) |> with_jobs jobs)
     in
     let rows =
-      let config = Pipeline.Config.with_pool (Pool.warm jobs) config in
       List.map
         (fun n ->
           let rng = Prng.create (seed + n) in
-          if bayes then begin
-            let o =
-              Leakdetect_core.Bayes.run ~config ~rng ~n ~suspicious ~normal ()
-            in
+          if bayes then
+            let o = Leakdetect_core.Bayes.run ~config ~rng ~n ~suspicious ~normal () in
             Metrics.to_row o.Leakdetect_core.Bayes.metrics
             @ [ string_of_int o.Leakdetect_core.Bayes.n_tokens ^ " tokens" ]
-          end
-          else begin
+          else
             let o = Pipeline.run ~config ~rng ~n ~suspicious ~normal () in
             Metrics.to_row o.Pipeline.metrics
-            @ [ string_of_int (List.length o.Pipeline.signatures) ^ " sigs" ]
-          end)
+            @ [ string_of_int (List.length o.Pipeline.signatures) ^ " sigs" ])
         ns
     in
     print_string
@@ -610,7 +556,7 @@ let evaluate_cmd =
   in
   let ns =
     Arg.(value
-        & opt (list int) [ 100; 200; 300; 400; 500 ]
+        & opt (list sample_size) [ 100; 200; 300; 400; 500 ]
         & info [ "ns" ] ~docv:"N1,N2,..." ~doc:"Sample sizes to evaluate (Figure 4 sweep).")
   in
   let bayes =
@@ -621,9 +567,8 @@ let evaluate_cmd =
   Cmd.v
     (Cmd.info "evaluate"
        ~doc:"Run the full pipeline and report the paper's TP/FN/FP metrics.")
-    Term.(const run $ setup_log_t $ seed_t $ scale_t $ trace_t $ ns $ compressor_t
-          $ linkage_t $ cut_t $ clustering_t $ lsh_bands_t $ lsh_rows_t $ jobs_t
-          $ bayes $ normalize_t)
+    Term.(const run $ setup_log_t $ seed_t $ scale_t $ trace_t $ ns
+          $ pipeline_config_t ~clustering:true $ jobs_t $ bayes $ normalize_t)
 
 (* --- monitor --- *)
 
@@ -631,92 +576,24 @@ let monitor_cmd =
   let run seed scale trace sig_file limit normalize =
     let records = load_records ~trace ~seed ~scale in
     let signatures = load_signatures sig_file in
-    let monitor =
-      Leakdetect_monitor.Flow_control.create ?normalize:(normalize_of normalize)
-        signatures
-    in
-    let n = min limit (Array.length records) in
-    for i = 0 to n - 1 do
-      let r = records.(i) in
-      ignore
-        (Leakdetect_monitor.Flow_control.process monitor ~app_id:r.Trace.app_id
-           r.Trace.packet)
-    done;
-    let allowed, blocked, prompted = Leakdetect_monitor.Flow_control.stats monitor in
+    let monitor = Flow_control.create ?normalize:(normalize_of normalize) signatures in
+    let n = Flow_control.replay monitor ~limit records in
+    let allowed, blocked, prompted = Flow_control.stats monitor in
     Printf.printf "processed %d packets: %d allowed, %d blocked, %d prompted\n\n" n allowed
       blocked prompted;
     print_string (Leakdetect_monitor.Report.render ~limit:15 monitor)
   in
-  let sig_file =
-    Arg.(required
-        & opt (some string) None
-        & info [ "signatures" ] ~docv:"FILE" ~doc:"Signature file from `sign`.")
-  in
   Cmd.v
     (Cmd.info "monitor"
        ~doc:"Replay a trace through the on-device information-flow-control application.")
-    Term.(const run $ seed_t $ scale_t $ trace_t $ sig_file $ limit_t 10_000
+    Term.(const run $ seed_t $ scale_t $ trace_t $ sig_file_t $ limit_t 10_000
           $ normalize_t)
 
-(* --- chaos --- *)
+(* --- terms shared by chaos, store, trace, evade and soak --- *)
 
-(* The one tenant the chaos and trace loops publish to and sync. *)
-let handset_tenant = "handset"
-
-(* What the chaos and trace loops publish in round [round] of [rounds]: a
-   prefix of [all] growing to the whole of it, at least one signature
-   while there is one, none from an empty set. *)
-let published_prefix all ~round ~rounds =
-  let n = Array.length all in
-  Array.to_list (Array.sub all 0 (if n = 0 then 0 else max 1 (n * round / rounds)))
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
-let slurp path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let spit path contents =
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
-
-(* --- plumbing and terms shared by chaos, store, trace, evade and soak --- *)
-
-(* [Some "-"] prints [contents] to stdout (ending it with a newline);
-   [Some path] writes it to [path] as is and says so. *)
-let write_out dest contents =
-  match dest with
-  | None -> ()
-  | Some "-" ->
-    print_string contents;
-    if not (String.ends_with ~suffix:"\n" contents) then print_newline ()
-  | Some path ->
-    spit path contents;
-    Printf.printf "wrote %s\n" path
-
-(* Run [f] in [dir] (created if missing, kept afterwards), or without a
-   [dir] in a fresh temporary directory removed when [f] returns. *)
-let with_state_root ~prefix dir f =
-  match dir with
-  | Some d ->
-    if not (Sys.file_exists d) then Sys.mkdir d 0o755;
-    f d
-  | None ->
-    let d = Filename.temp_file prefix "" in
-    Sys.remove d;
-    Sys.mkdir d 0o755;
-    Fun.protect ~finally:(fun () -> rm_rf d) (fun () -> f d)
-
-let syncs_t default =
-  Arg.(value & opt int default
+(* [count] is the option's converter: trace allows 0 rounds, chaos does not. *)
+let syncs_t count default =
+  Arg.(value & opt count default
       & info [ "syncs" ] ~docv:"N"
           ~doc:"Publish/sync rounds against the signature authority.")
 
@@ -737,316 +614,35 @@ let json_out_t =
 let state_dir_arg doc =
   Arg.(opt (some string) None & info [ "state-dir" ] ~docv:"DIR" ~doc)
 
+(* --- chaos --- *)
+
 let chaos_cmd =
-  let run () seed scale n corrupt truncate drop duplicate delay server_error syncs
-      fail_closed limit crash_points crash_rate torn_write_rate state_dir =
-    let fault_config =
-      { Fault.default with
-        Fault.corrupt_rate = corrupt;
-        truncate_rate = truncate;
-        drop_rate = drop;
-        duplicate_rate = duplicate;
-        delay_rate = delay;
-        server_error_rate = server_error;
-        crash_rate;
-        torn_write_rate;
-      }
+  let run () seed scale sample_n corrupt_rate truncate_rate drop_rate duplicate_rate
+      delay_rate server_error_rate syncs fail_closed limit crash_points crash_rate
+      torn_write_rate state_dir =
+    let fault =
+      { Fault.default with Fault.corrupt_rate; truncate_rate; drop_rate; duplicate_rate;
+        delay_rate; server_error_rate; crash_rate; torn_write_rate }
     in
-    let soak () =
-      (* Fault-free baseline: workload, signatures, whole-trace detection. *)
-      let ds = Workload.generate ~seed ~scale () in
-      let records = Array.to_list ds.Workload.records in
-      let suspicious, normal = split_records ds.Workload.records in
-      if Array.length suspicious = 0 then exit_err "trace has no sensitive packets";
-      let baseline =
-        Pipeline.run ~rng:(Prng.create seed) ~n ~suspicious ~normal ()
-      in
-      let base_detector = Detector.create baseline.Pipeline.signatures in
-      let base_detected =
-        Detector.count_detected base_detector (Workload.packets ds)
-      in
-      let total = List.length records in
-      Printf.printf "baseline: %d packets, %d signatures, %d detected (%.2f%%)\n" total
-        (List.length baseline.Pipeline.signatures)
-        base_detected
-        (100. *. float_of_int base_detected /. float_of_int total);
-      Format.printf "baseline metrics: %a@." Metrics.pp baseline.Pipeline.metrics;
-
-      (* Ingest soak: every record rides the wire through the fault plan,
-         then the lenient reader recovers what it can. *)
-      let ingest_plan = Fault.create ~seed:(seed + 1) fault_config in
-      let delivered = Fault.apply_stream ingest_plan records in
-      let path = Filename.temp_file "leakdetect_chaos" ".trace" in
-      let recovered, skips =
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            let oc = open_out path in
-            List.iter
-              (fun r ->
-                output_string oc (Fault.corrupt_string ingest_plan (Trace.record_to_line r));
-                output_char oc '\n')
-              delivered;
-            close_out oc;
-            match Trace.load ~on_error:`Skip path with
-            | Ok x -> x
-            | Error e -> exit_err "lenient load still failed: %s" e)
-      in
-      let damaged =
-        Fault.count ingest_plan Fault.Corrupt + Fault.count ingest_plan Fault.Truncate
-      in
-      let n_delivered = List.length delivered in
-      let n_recovered = List.length recovered in
-      Printf.printf
-        "\ningest: %d sent, %d delivered, %d recovered, %d skipped (intact lower bound %d)\n"
-        total n_delivered n_recovered skips.Trace.skipped (n_delivered - damaged);
-      List.iter
-        (fun (lineno, e) -> Printf.printf "  skipped line %d: %s\n" lineno e)
-        skips.Trace.sample;
-      if n_recovered < n_delivered - damaged then
-        exit_err "recovered %d < intact lower bound %d" n_recovered (n_delivered - damaged);
-
-      (* Signature-sync soak: a one-tenant authority publishes growing
-         signature sets while the handset syncs over a faulty transport. *)
-      let authority = Authority.create () in
-      let client = Delta_client.create ~seed:(seed + 2) ~tenant:handset_tenant () in
-      let sync_plan = Fault.create ~seed:(seed + 3) fault_config in
-      let transport = Fault.transport sync_plan (Authority.wire_transport authority) in
-      let head () = Authority.version authority ~tenant:handset_tenant in
-      let all_signatures = Array.of_list baseline.Pipeline.signatures in
-      let n_sigs = Array.length all_signatures in
-      let chunk round = published_prefix all_signatures ~round ~rounds:syncs in
-      let total_attempts = ref 0 and total_waited = ref 0 and failed_syncs = ref 0 in
-      let sync () =
-        let r = Delta_client.sync client ~transport in
-        total_attempts := !total_attempts + r.Signature_client.attempts;
-        total_waited := !total_waited + r.Signature_client.waited;
-        match r.Signature_client.outcome with
-        | Signature_client.Failed _ -> incr failed_syncs
-        | _ -> ()
-      in
-      Printf.printf "\nsync: %d rounds against %d signatures\n" syncs n_sigs;
-      for round = 1 to syncs do
-        ignore (Authority.publish authority ~tenant:handset_tenant (chunk round));
-        sync ()
-      done;
-      (* Catch-up: keep syncing until the client holds the latest version. *)
-      let extra = ref 0 in
-      while Delta_client.version client < head () && !extra < 50 do
-        incr extra;
-        sync ()
-      done;
-      let st = Delta_client.staleness client in
-      Printf.printf
-        "sync done: client v%d / authority v%d after %d extra syncs; %d attempts, %d failed syncs, %d backoff ticks, %d delayed responses, health %s\n"
-        (Delta_client.version client) (head ()) !extra !total_attempts !failed_syncs
-        !total_waited
-        (Fault.count sync_plan Fault.Delay)
-        (Signature_client.health_to_string (Delta_client.health client));
-      Printf.printf "staleness: %d failed syncs, %d failed attempts, version gap %d\n"
-        st.Signature_client.failed_syncs st.Signature_client.failed_attempts
-        st.Signature_client.version_gap;
-      if
-        Delta_client.version client <> head ()
-        || Delta_client.checksum client
-           <> Authority.checksum authority ~tenant:handset_tenant
-      then exit_err "client failed to converge to the latest signature version";
-
-      (* Enforcement under the synced set: replay recovered packets through
-         the monitor with the client's health driving the fail mode. *)
-      let monitor =
-        Flow_control.create
-          ~fail_mode:(if fail_closed then Flow_control.Fail_closed else Flow_control.Fail_open)
-          (Delta_client.signatures client)
-      in
-      Flow_control.set_health monitor (Delta_client.health client);
-      let replay = List.filteri (fun i _ -> i < limit) recovered in
-      List.iter
-        (fun (r : Trace.record) ->
-          ignore (Flow_control.process monitor ~app_id:r.Trace.app_id r.Trace.packet))
-        replay;
-      let allowed, blocked, prompted = Flow_control.stats monitor in
-      Printf.printf
-        "\nenforcement (%s, health %s): %d replayed, %d allowed, %d blocked, %d prompted\n"
-        (Flow_control.fail_mode_to_string (Flow_control.fail_mode monitor))
-        (Signature_client.health_to_string (Flow_control.health monitor))
-        (List.length replay) allowed blocked prompted;
-
-      (* Detection delta: the synced signatures over the recovered records
-         against the fault-free detection rate. *)
-      let detector = Detector.create (Delta_client.signatures client) in
-      let chaos_detected =
-        Detector.count_detected detector
-          (Array.of_list (List.map (fun r -> r.Trace.packet) recovered))
-      in
-      let rate detected count =
-        if count = 0 then 0. else 100. *. float_of_int detected /. float_of_int count
-      in
-      let base_rate = rate base_detected total in
-      let chaos_rate = rate chaos_detected n_recovered in
-      Printf.printf
-        "\ndetection: baseline %d/%d (%.2f%%) vs chaos %d/%d (%.2f%%), delta %+.2f points\n"
-        base_detected total base_rate chaos_detected n_recovered chaos_rate
-        (chaos_rate -. base_rate);
-
-      (* Durability soak: journal the publish history through a durable
-         authority, then crash the journal at plan-chosen byte offsets
-         (with torn-write damage on the committed image), recover each
-         time, and check the recovered state against the committed
-         history. *)
-      let dur_plan = Fault.create ~seed:(seed + 4) fault_config in
-      let open_journal what dir =
-        match Authority.open_ ~dir () with
-        | Ok x -> x
-        | Error e -> exit_err "%s %s: %s" what dir e
-      in
-      (* The state a journal recovers to: head version and set checksum. *)
-      let state_of auth =
-        ( Authority.version auth ~tenant:handset_tenant,
-          Authority.checksum auth ~tenant:handset_tenant )
-      in
-      with_state_root ~prefix:"leakdetect_state" state_dir (fun state_root ->
-          let history_dir = Filename.concat state_root "history" in
-          if Sys.file_exists history_dir then rm_rf history_dir;
-          let journal, _ = open_journal "cannot open journal" history_dir in
-          (* Committed history: one checkpoint per journal record, i.e. per
-             changelog version, keyed by the journal size at which it
-             became durable.  [publish] calls [inject] before each append,
-             when the previous change is committed; offset 0 covers crash
-             points inside the log header itself. *)
-          let history = ref [ (0, state_of journal) ] in
-          let checkpoint () =
-            let v = Authority.version journal ~tenant:handset_tenant in
-            match !history with
-            | (_, (v', _)) :: _ when v' = v -> ()
-            | _ ->
-              let sum =
-                Option.get
-                  (Authority.checksum_at journal ~tenant:handset_tenant ~version:v)
-              in
-              history := (Authority.wal_size journal, (v, sum)) :: !history
-          in
-          for round = 1 to syncs do
-            ignore
-              (Authority.publish journal
-                 ~inject:(fun _ -> checkpoint ())
-                 ~tenant:handset_tenant (chunk round));
-            checkpoint ()
-          done;
-          let final_state = state_of journal in
-          Authority.close journal;
-          let wal_image = slurp (Authority.wal_path ~dir:history_dir) in
-
-          (* Uninterrupted recovery must restore the exact final state and
-             the set the handset converged to, byte for byte. *)
-          let recovered_sigs =
-            let auth, report = open_journal "clean recovery failed" history_dir in
-            if report.Authority.tail <> Wal.Clean then
-              exit_err "clean log reported a torn tail: %s"
-                (Authority.report_to_string report);
-            if state_of auth <> final_state then
-              exit_err "clean recovery diverged from the pre-restart state";
-            let sigs = Authority.signatures auth ~tenant:handset_tenant in
-            Authority.close auth;
-            sigs
-          in
-          let serialize sigs = String.concat "\n" (List.map Signature_io.to_line sigs) in
-          if serialize recovered_sigs <> serialize (Delta_client.signatures client) then
-            exit_err "recovered signature set is not byte-identical";
-          let recovered_detected =
-            Detector.count_detected (Detector.create recovered_sigs) (Workload.packets ds)
-          in
-          Printf.printf
-            "\ndurability: %d committed checkpoints (%d WAL bytes); clean recovery detects %d/%d (baseline %d)\n"
-            (List.length !history - 1)
-            (String.length wal_image) recovered_detected total base_detected;
-          if recovered_detected <> base_detected then
-            exit_err "post-recovery detection diverged from the fault-free baseline";
-
-          (* Crash-point loop: every trial must recover to a committed
-             state — the exact pre-crash one unless torn-write damage
-             forced an earlier truncation. *)
-          let last_record_start =
-            List.fold_left
-              (fun acc (b, _) -> if b < String.length wal_image then max acc b else acc)
-              0 !history
-          in
-          let exact = ref 0 and earlier = ref 0 in
-          for trial = 1 to crash_points do
-            let torn_before = Fault.count dur_plan Fault.Torn_write in
-            let damaged =
-              Fault.torn_write dur_plan ~protect:(String.length Wal.magic)
-                ~tail_start:last_record_start wal_image
-            in
-            let torn_fired = Fault.count dur_plan Fault.Torn_write > torn_before in
-            let cut =
-              match Fault.crash_point dur_plan ~len:(String.length damaged) with
-              | Some off -> off
-              | None -> String.length damaged
-            in
-            let damaged = String.sub damaged 0 cut in
-            let crash_dir = Filename.concat state_root (Printf.sprintf "crash%d" trial) in
-            if Sys.file_exists crash_dir then rm_rf crash_dir;
-            Sys.mkdir crash_dir 0o755;
-            spit (Authority.wal_path ~dir:crash_dir) damaged;
-            let auth, _ =
-              open_journal (Printf.sprintf "trial %d: recovery failed in" trial) crash_dir
-            in
-            let recovered = state_of auth in
-            Authority.close auth;
-            (* The newest checkpoint whose record lies wholly before the cut. *)
-            let expected =
-              snd (List.find (fun (off, _) -> off <= cut) !history)
-            in
-            if (not torn_fired) && recovered <> expected then
-              exit_err "trial %d: crash at byte %d did not restore the committed state"
-                trial cut;
-            if recovered = expected then incr exact
-            else if List.exists (fun (_, st) -> st = recovered) !history then incr earlier
-            else
-              exit_err "trial %d: recovery produced a state that was never committed"
-                trial;
-            rm_rf crash_dir
-          done;
-          Printf.printf
-            "durability: %d crash trials — %d exact pre-crash restores, %d truncated to an earlier committed state\n"
-            crash_points !exact !earlier;
-
-          (* Compaction: snapshot + log reset must preserve the state. *)
-          let auth, _ = open_journal "reopen for compaction failed" history_dir in
-          Authority.compact auth;
-          Authority.close auth;
-          let auth, report = open_journal "post-compaction recovery failed" history_dir in
-          if state_of auth <> final_state then
-            exit_err "compaction changed the recovered state";
-          Printf.printf "durability: compaction ok (%s)\n"
-            (Authority.report_to_string report);
-          Authority.close auth);
-
-      Printf.printf "\nfaults injected:\n";
-      List.iter
-        (fun (plan_name, plan) ->
-          Printf.printf "  %-8s" (plan_name ^ ":");
-          List.iter
-            (fun (k, c) -> Printf.printf " %s=%d" (Fault.kind_name k) c)
-            (Fault.summary plan);
-          print_newline ())
-        [ ("ingest", ingest_plan); ("sync", sync_plan); ("journal", dur_plan) ]
+    let fail_mode = if fail_closed then Flow_control.Fail_closed else Flow_control.Fail_open in
+    let config = { Chaos.seed; sample_n; fault; syncs; fail_mode; limit; crash_points } in
+    let report =
+      Chaos.run ?state_dir config (Workload.generate ~seed ~scale ()).Workload.records
     in
-    match soak () with
-    | () -> Printf.printf "uncaught exceptions: 0\n"
-    | exception e -> exit_err "uncaught exception: %s" (Printexc.to_string e)
+    print_string (Chaos.render report);
+    Option.iter (exit_err "%s") report.Chaos.failure
   in
-  let rate ~names ~doc ~default =
+  let rate names doc default =
     Arg.(value & opt float default & info names ~docv:"RATE" ~doc)
   in
-  let corrupt = rate ~names:[ "corrupt-rate" ] ~doc:"Byte-corruption rate." ~default:0.1 in
-  let truncate = rate ~names:[ "truncate-rate" ] ~doc:"Payload truncation rate." ~default:0.03 in
-  let drop = rate ~names:[ "drop-rate" ] ~doc:"Record drop rate." ~default:0.03 in
-  let duplicate = rate ~names:[ "duplicate-rate" ] ~doc:"Record duplication rate." ~default:0.03 in
-  let delay = rate ~names:[ "delay-rate" ] ~doc:"Response delay rate." ~default:0.1 in
+  let d = Fault.default in
+  let corrupt = rate [ "corrupt-rate" ] "Byte-corruption rate." d.Fault.corrupt_rate in
+  let truncate = rate [ "truncate-rate" ] "Payload truncation rate." d.Fault.truncate_rate in
+  let drop = rate [ "drop-rate" ] "Record drop rate." d.Fault.drop_rate in
+  let duplicate = rate [ "duplicate-rate" ] "Record duplication rate." d.Fault.duplicate_rate in
+  let delay = rate [ "delay-rate" ] "Response delay rate." d.Fault.delay_rate in
   let server_error =
-    rate ~names:[ "server-error-rate" ] ~doc:"Transient server error rate." ~default:0.2
+    rate [ "server-error-rate" ] "Transient server error rate." d.Fault.server_error_rate
   in
   let fail_closed =
     Arg.(value & flag
@@ -1055,16 +651,14 @@ let chaos_cmd =
   in
   let crash_points =
     Arg.(value & opt int 8
-        & info [ "crash-points" ] ~docv:"N"
-            ~doc:"Crash/recover trials in the durability soak.")
+        & info [ "crash-points" ] ~docv:"N" ~doc:"Crash/recover trials in the durability soak.")
   in
   let crash_rate =
-    rate ~names:[ "crash-rate" ]
-      ~doc:"Probability a durability trial cuts the log at a crash point." ~default:0.75
+    rate [ "crash-rate" ] "Probability a durability trial cuts the log at a crash point." 0.75
   in
   let torn_write_rate =
-    rate ~names:[ "torn-write-rate" ]
-      ~doc:"Probability a durability trial damages committed log bytes." ~default:0.25
+    rate [ "torn-write-rate" ] "Probability a durability trial damages committed log bytes."
+      0.25
   in
   let state_dir =
     Arg.value
@@ -1081,32 +675,31 @@ let chaos_cmd =
           delta client, crash and recover the authority's journal, and report \
           recovery.")
     Term.(const run $ setup_log_t $ seed_t $ scale_small_t $ sample_t 150 $ corrupt
-          $ truncate $ drop $ duplicate $ delay $ server_error $ syncs_t 5 $ fail_closed
-          $ limit_t 5_000 $ crash_points $ crash_rate $ torn_write_rate $ state_dir)
+          $ truncate $ drop $ duplicate $ delay $ server_error
+          $ syncs_t (int_at_least ~what:"sync count" 1) 5 $ fail_closed $ limit_t 5_000
+          $ crash_points $ crash_rate $ torn_write_rate $ state_dir)
 
 (* --- store --- *)
 
 let store_cmd =
   let run () dir compact =
-    match Authority.open_ ~dir () with
-    | Error e -> exit_err "cannot open journal %s: %s" dir e
-    | Ok (auth, report) ->
-      Printf.printf "state dir: %s\nrecovery:  %s\n" dir (Authority.report_to_string report);
-      List.iter
-        (fun tenant ->
-          Printf.printf "tenant %s: v%d, %d signature(s), horizon %d\n" tenant
-            (Authority.version auth ~tenant)
-            (List.length (Authority.signatures auth ~tenant))
-            (Authority.horizon auth ~tenant))
-        (Authority.tenants auth);
-      Printf.printf "wal:       %d byte(s) at %s\n" (Authority.wal_size auth)
-        (Authority.wal_path ~dir);
-      if compact then begin
-        Authority.compact auth;
-        Printf.printf "compacted: snapshot written, log reset to %d byte(s)\n"
-          (Authority.wal_size auth)
-      end;
-      Authority.close auth
+    let auth, report = Authority.open_or ~fail:(exit_err "%s") "cannot open journal" ~dir in
+    Printf.printf "state dir: %s\nrecovery:  %s\n" dir (Authority.report_to_string report);
+    List.iter
+      (fun tenant ->
+        Printf.printf "tenant %s: v%d, %d signature(s), horizon %d\n" tenant
+          (Authority.version auth ~tenant)
+          (List.length (Authority.signatures auth ~tenant))
+          (Authority.horizon auth ~tenant))
+      (Authority.tenants auth);
+    Printf.printf "wal:       %d byte(s) at %s\n" (Authority.wal_size auth)
+      (Authority.wal_path ~dir);
+    if compact then begin
+      Authority.compact auth;
+      Printf.printf "compacted: snapshot written, log reset to %d byte(s)\n"
+        (Authority.wal_size auth)
+    end;
+    Authority.close auth
   in
   let dir = Arg.required (state_dir_arg "Signature-authority journal directory.") in
   let compact =
@@ -1168,37 +761,27 @@ let stats_json obs =
     ]
 
 let trace_cmd =
-  let run () seed scale trace n compressor linkage cut jobs limit syncs metrics_out
-      stats_json_out normalize =
+  let run () seed scale trace n config jobs limit syncs metrics_out stats_json_out
+      normalize =
     let obs = Obs.create () in
     let normalize = normalize_of ~obs normalize in
     (* When generating the workload we also hold the ground-truth payload
        checker, so the payload_check family populates; a loaded trace file
        carries labels instead and skips that stage. *)
-    let ds, records =
+    let records =
       match trace with
       | None ->
         let ds = Workload.generate ~seed ~scale () in
-        (Some ds, ds.Workload.records)
-      | Some _ -> (None, load_records ~trace ~seed ~scale)
+        ignore (Payload_check.split ~obs ds.Workload.payload_check (Workload.packets ds));
+        ds.Workload.records
+      | Some _ -> load_records ~trace ~seed ~scale
     in
-    (match ds with
-    | Some ds ->
-      ignore
-        (Payload_check.split ~obs ds.Workload.payload_check
-           (Array.map (fun r -> r.Trace.packet) records))
-    | None -> ());
-    let suspicious, normal = split_records records in
+    let suspicious, normal = Trace.split records in
     if Array.length suspicious = 0 then exit_err "trace has no sensitive packets";
     let config =
-      Pipeline.Config.with_normalize normalize
-        (Pipeline.Config.with_obs obs (config_of ~compressor ~linkage ~cut ()))
+      Pipeline.Config.(config |> with_normalize normalize |> with_obs obs |> with_jobs ~obs jobs)
     in
-    let outcome =
-      Pipeline.run
-        ~config:(Pipeline.Config.with_jobs ~obs jobs config)
-        ~rng:(Prng.create seed) ~n ~suspicious ~normal ()
-    in
+    let outcome = Pipeline.run ~config ~rng:(Prng.create seed) ~n ~suspicious ~normal () in
     let signatures = outcome.Pipeline.signatures in
     Printf.printf "pipeline: %d suspicious / %d normal packets -> %d signatures\n"
       (Array.length suspicious) (Array.length normal) (List.length signatures);
@@ -1207,28 +790,22 @@ let trace_cmd =
        one-tenant authority while an instrumented handset follows, so the
        authority, journal and client families move too.  Each sync gets a
        [client.sync] span of its own in the printed tree. *)
-    let client = Delta_client.create ~obs ~seed:(seed + 1) ~tenant:handset_tenant () in
-    let sync transport =
-      ignore (Obs.with_span obs "client.sync" (fun () -> Delta_client.sync client ~transport))
-    in
+    let tenant = Chaos.tenant in
+    let client = Delta_client.create ~obs ~seed:(seed + 1) ~tenant () in
     let authority =
-      with_state_root ~prefix:"leakdetect_trace" None (fun state_dir ->
-          let authority, _report =
-            match Authority.open_ ~obs ~dir:state_dir () with
-            | Ok x -> x
-            | Error e -> exit_err "cannot open journal %s: %s" state_dir e
+      State_dir.with_root ~prefix:"leakdetect_trace" None (fun dir ->
+          let authority, _ =
+            Authority.open_or ~obs ~fail:(exit_err "%s") "cannot open journal" ~dir
           in
           let transport = Authority.wire_transport authority in
-          let all = Array.of_list signatures in
-          for round = 1 to syncs do
+          let follow () =
             ignore
-              (Authority.publish authority ~tenant:handset_tenant
-                 (published_prefix all ~round ~rounds:syncs));
-            sync transport
-          done;
+              (Obs.with_span obs "client.sync" (fun () -> Delta_client.sync client ~transport))
+          in
+          Authority.publish_rounds authority ~tenant ~rounds:syncs ~follow signatures;
           (* One sync against an unchanged authority, for the `unchanged`
              outcome. *)
-          sync transport;
+          follow ();
           Authority.compact authority;
           (* Closing detaches the journal; the in-memory state and the
              registry keep serving /metrics below. *)
@@ -1236,20 +813,12 @@ let trace_cmd =
           authority)
     in
     Printf.printf "distribution: authority v%d, client v%d (%d publish/sync rounds)\n"
-      (Authority.version authority ~tenant:handset_tenant)
-      (Delta_client.version client)
-      syncs;
+      (Authority.version authority ~tenant) (Delta_client.version client) syncs;
 
     (* Enforcement: replay through the monitor, then cross-check the O(1)
        stats against the event log and the obs counters. *)
-    let monitor =
-      Flow_control.create ~obs ?normalize (Delta_client.signatures client)
-    in
-    let replayed = min limit (Array.length records) in
-    for i = 0 to replayed - 1 do
-      let r = records.(i) in
-      ignore (Flow_control.process monitor ~app_id:r.Trace.app_id r.Trace.packet)
-    done;
+    let monitor = Flow_control.create ~obs ?normalize (Delta_client.signatures client) in
+    let replayed = Flow_control.replay monitor ~limit records in
     (match Flow_control.reconcile monitor with
     | Ok () -> ()
     | Error e -> exit_err "monitor stats reconciliation failed: %s" e);
@@ -1259,14 +828,10 @@ let trace_cmd =
       replayed allowed blocked prompted;
 
     (* Scrape through the authority's real /metrics endpoint. *)
-    let response =
-      Authority.handle authority
-        (Request.make Request.GET Protocol.metrics_endpoint)
+    let { Response.status; body = scrape; _ } =
+      Authority.handle authority (Request.make Request.GET Protocol.metrics_endpoint)
     in
-    if response.Response.status <> 200 then
-      exit_err "GET %s answered %d" Protocol.metrics_endpoint
-        response.Response.status;
-    let scrape = response.Response.body in
+    if status <> 200 then exit_err "GET %s answered %d" Protocol.metrics_endpoint status;
     write_out metrics_out scrape;
     write_out stats_json_out (Json.to_string (stats_json obs) ^ "\n");
     let families =
@@ -1289,31 +854,22 @@ let trace_cmd =
           journal) with an active metrics registry, print the span tree, and scrape \
           the /metrics endpoint.")
     Term.(const run $ setup_log_t $ seed_t $ scale_small_t $ trace_t $ sample_t 150
-          $ compressor_t $ linkage_t $ cut_t $ jobs_t $ limit_t 5_000 $ syncs_t 3
+          $ pipeline_config_t ~clustering:false $ jobs_t $ limit_t 5_000 $ syncs_t Arg.int 3
           $ metrics_out_t $ stats_json_t $ normalize_t)
 
 (* --- evade --- *)
 
 let evade_cmd =
-  let run () seed scale rates mutators depth sample_n json_out recall_floor metrics_out
-      =
-    let mutators =
-      match mutators with
-      | [] -> Mutator.all
-      | names ->
-        List.map
-          (fun name ->
-            match Mutator.by_name name with
-            | Some m -> m
-            | None ->
-              exit_err "unknown mutator %S (known: %s)" name
-                (String.concat ", " (Mutator.names ())))
-          names
+  let run () seed scale rates mutators depth sample_n json_out recall_floor metrics_out =
+    let mutator name =
+      match Mutator.by_name name with
+      | Some m -> m
+      | None ->
+        exit_err "unknown mutator %S (known: %s)" name (String.concat ", " (Mutator.names ()))
     in
+    let mutators = if mutators = [] then Mutator.all else List.map mutator mutators in
     if rates = [] then exit_err "need at least one --rates value";
-    List.iter
-      (fun r -> if r < 0.0 || r > 1.0 then exit_err "rate %g outside [0, 1]" r)
-      rates;
+    List.iter (fun r -> if r < 0.0 || r > 1.0 then exit_err "rate %g outside [0, 1]" r) rates;
     let obs = if metrics_out = None then Obs.noop else Obs.create () in
     let budgets = { Normalize.default_budgets with Normalize.max_depth = depth } in
     let report = Harness.run ~obs ~budgets ~mutators ~rates ~seed ~scale ~sample_n () in
@@ -1339,7 +895,7 @@ let evade_cmd =
             ~doc:"Mutators to replay (default: the full catalogue).")
   in
   let depth =
-    Arg.(value & opt int Normalize.default_budgets.Normalize.max_depth
+    Arg.(value & opt (int_at_least ~what:"depth" 1) Normalize.default_budgets.Normalize.max_depth
         & info [ "depth" ] ~docv:"N" ~doc:"Lattice decode-depth budget.")
   in
   let recall_floor =
@@ -1359,58 +915,12 @@ let evade_cmd =
           $ sample_t ~names:[ "sample" ] 300 $ json_out_t $ recall_floor $ metrics_out_t)
 
 let soak_cmd =
-  let run () seed clients tenants ticks sync_period publishes compact_every k
-      reporter_cap candidates byzantine drop corrupt server_error
-      server_crash_rate client_restart_rate drain_rounds min_delta_ratio
-      origins standby_origins relays byzantine_relays byzantine_corrupt
-      relay_sync_period partitions partition_ticks relay_crashes epoch_flips
-      gossip_period fork_injections origin_weight min_offload state_dir json_out
-      metrics_out =
-    let config =
-      {
-        Topology.default_config with
-        Topology.origins;
-        standby_origins;
-        relays;
-        byzantine_relays;
-        byzantine_corrupt_rate = byzantine_corrupt;
-        clients;
-        tenants;
-        ticks;
-        sync_period;
-        relay_sync_period;
-        publishes;
-        compact_every;
-        k;
-        reporter_cap;
-        candidates;
-        byzantine;
-        fault =
-          {
-            Fault.default with
-            Fault.drop_rate = drop;
-            corrupt_rate = corrupt;
-            server_error_rate = server_error;
-          };
-        partitions;
-        partition_ticks;
-        relay_crashes;
-        epoch_flips;
-        origin_crash_rate = server_crash_rate;
-        client_restart_rate;
-        min_offload;
-        drain_rounds;
-        gossip_period;
-        fork_injections;
-        origin_weight;
-        seed;
-      }
-    in
+  let run () config min_delta_ratio state_dir json_out metrics_out =
     let obs = if metrics_out <> None then Obs.create () else Obs.noop in
     let report =
-      with_state_root ~prefix:"leakdetect_soak" state_dir (fun root ->
+      State_dir.with_root ~prefix:"leakdetect_soak" state_dir (fun root ->
           let dir = Filename.concat root "topology" in
-          if Sys.file_exists dir then rm_rf dir;
+          if Sys.file_exists dir then State_dir.remove dir;
           try Topology.run ~obs ~dir config
           with Invalid_argument m -> exit_err "%s" m)
     in
@@ -1423,40 +933,88 @@ let soak_cmd =
     if ratio < min_delta_ratio then
       exit_err "steady-state delta ratio %.1f below floor %.1f" ratio min_delta_ratio
   in
-  let flag_int name v doc =
-    Arg.(value & opt int v & info [ name ] ~docv:"N" ~doc)
+  (* Each flag's term sets its own field of the soak configuration. *)
+  let flag kind docv flag_name v doc set =
+    let arg = Arg.(value & opt kind v & info [ flag_name ] ~docv ~doc) in
+    Term.(const (fun x c -> set c x) $ arg)
   in
-  let flag_rate name v doc =
-    Arg.(value & opt float v & info [ name ] ~docv:"RATE" ~doc)
+  let count = flag Arg.int "N" and rate = flag Arg.float "RATE" in
+  let fault set c x = { c with Topology.fault = set c.Topology.fault x } in
+  let fields =
+    [
+      Term.(const (fun seed c -> { c with Topology.seed }) $ seed_t);
+      count "clients" 500 "Simulated delta-sync clients." (fun c clients ->
+          { c with Topology.clients });
+      count "tenants" 2 "Tenants (clients assigned round-robin)." (fun c tenants ->
+          { c with Topology.tenants });
+      count "ticks" 2000 "Scheduler ticks (ramp is the first third)." (fun c ticks ->
+          { c with Topology.ticks });
+      count "sync-period" 20 "Ticks between one client's syncs." (fun c sync_period ->
+          { c with Topology.sync_period });
+      count "publishes" 40 "Signature-set publishes over the first 9/10 of the run."
+        (fun c publishes -> { c with Topology.publishes });
+      count "compact-every" 5 "Compact the changelog every N publishes (0 = never)."
+        (fun c compact_every -> { c with Topology.compact_every });
+      count "k" 3 "Distinct reporters required to promote a candidate." (fun c k ->
+          { c with Topology.k });
+      count "reporter-cap" 16 "Pending candidates one reporter may be party to."
+        (fun c reporter_cap -> { c with Topology.reporter_cap });
+      count "candidates" 6 "Honest candidate signatures per tenant." (fun c candidates ->
+          { c with Topology.candidates });
+      count "byzantine" 2 "Hostile reporters flooding candidates." (fun c byzantine ->
+          { c with Topology.byzantine });
+      rate "drop" 0.10 "Transport record-drop rate."
+        (fault (fun f drop_rate -> { f with Fault.drop_rate }));
+      rate "corrupt" 0.10 "Transport byte-corruption rate."
+        (fault (fun f corrupt_rate -> { f with Fault.corrupt_rate }));
+      rate "server-error" 0.2 "Transient server-error rate."
+        (fault (fun f server_error_rate -> { f with Fault.server_error_rate }));
+      rate "server-crash-rate" 0.25 "Origin crash-point probability per publish / compaction."
+        (fun c origin_crash_rate -> { c with Topology.origin_crash_rate });
+      rate "client-restart-rate" 0.01 "Per-sync client state-loss probability."
+        (fun c client_restart_rate -> { c with Topology.client_restart_rate });
+      count "drain-rounds" 40 "Extra sync rounds for stragglers after the run."
+        (fun c drain_rounds -> { c with Topology.drain_rounds });
+      count "origins" 1 "Origins in the initial shard map." (fun c origins ->
+          { c with Topology.origins });
+      count "standby-origins" 0 "Standby origins joining the map at odd epoch flips."
+        (fun c standby_origins -> { c with Topology.standby_origins });
+      count "relays" 0
+        "Relay nodes between clients and origins; 0 has clients sync straight \
+         from their origin."
+        (fun c relays -> { c with Topology.relays });
+      count "byzantine-relays" 0 "Relays serving corrupted bytes (needs relays)."
+        (fun c byzantine_relays -> { c with Topology.byzantine_relays });
+      rate "byzantine-corrupt" 0.5 "Per-response corruption rate of a byzantine relay."
+        (fun c byzantine_corrupt_rate -> { c with Topology.byzantine_corrupt_rate });
+      count "relay-sync-period" 4 "Ticks between relay upstream syncs."
+        (fun c relay_sync_period -> { c with Topology.relay_sync_period });
+      count "partitions" 0 "Relay-from-origin partitions scheduled (needs relays)."
+        (fun c partitions -> { c with Topology.partitions });
+      count "partition-ticks" 150 "Duration of each partition." (fun c partition_ticks ->
+          { c with Topology.partition_ticks });
+      count "relay-crashes" 0 "Relay crashes (total state loss) scheduled (needs relays)."
+        (fun c relay_crashes -> { c with Topology.relay_crashes });
+      count "epoch-flips" 0
+        "Mid-soak shard-map advances migrating tenants (needs a standby origin)."
+        (fun c epoch_flips -> { c with Topology.epoch_flips });
+      count "gossip-period" 8 "Ticks between relay gossip rounds, 0 to disable."
+        (fun c gossip_period -> { c with Topology.gossip_period });
+      count "fork-injections" 0 "Adversarial relay-mirror forks injected mid-soak (needs relays)."
+        (fun c fork_injections -> { c with Topology.fork_injections });
+      count "origin-weight" 1 "Shard-map capacity weight of origin 0; 1 keeps the map unweighted."
+        (fun c origin_weight -> { c with Topology.origin_weight });
+      rate "min-offload" 0.8
+        "With relays, exit non-zero unless they absorb at least this share of \
+         client sync requests."
+        (fun c min_offload -> { c with Topology.min_offload });
+    ]
   in
-  let clients = flag_int "clients" 500 "Simulated delta-sync clients." in
-  let tenants = flag_int "tenants" 2 "Tenants (clients assigned round-robin)." in
-  let ticks = flag_int "ticks" 2000 "Scheduler ticks (ramp is the first third)." in
-  let sync_period = flag_int "sync-period" 20 "Ticks between one client's syncs." in
-  let publishes =
-    flag_int "publishes" 40 "Signature-set publishes over the first 9/10 of the run."
-  in
-  let compact_every =
-    flag_int "compact-every" 5 "Compact the changelog every N publishes (0 = never)."
-  in
-  let k = flag_int "k" 3 "Distinct reporters required to promote a candidate." in
-  let reporter_cap =
-    flag_int "reporter-cap" 16 "Pending candidates one reporter may be party to."
-  in
-  let candidates = flag_int "candidates" 6 "Honest candidate signatures per tenant." in
-  let byzantine = flag_int "byzantine" 2 "Hostile reporters flooding candidates." in
-  let drop = flag_rate "drop" 0.10 "Transport record-drop rate." in
-  let corrupt = flag_rate "corrupt" 0.10 "Transport byte-corruption rate." in
-  let server_error = flag_rate "server-error" 0.2 "Transient server-error rate." in
-  let server_crash_rate =
-    flag_rate "server-crash-rate" 0.25
-      "Origin crash-point probability per publish / compaction."
-  in
-  let client_restart_rate =
-    flag_rate "client-restart-rate" 0.01 "Per-sync client state-loss probability."
-  in
-  let drain_rounds =
-    flag_int "drain-rounds" 40 "Extra sync rounds for stragglers after the run."
+  let config =
+    List.fold_left
+      (fun acc field -> Term.(const (fun c set -> set c) $ acc $ field))
+      (Term.const { Topology.default_config with Topology.fault = Fault.default })
+      fields
   in
   let min_delta_ratio =
     Arg.(value
@@ -1465,52 +1023,6 @@ let soak_cmd =
             ~doc:
               "Exit non-zero unless steady-state delta syncs outnumber full \
                downloads by at least R.")
-  in
-  let origins = flag_int "origins" 1 "Origins in the initial shard map." in
-  let standby_origins =
-    flag_int "standby-origins" 0 "Standby origins joining the map at odd epoch flips."
-  in
-  let relays =
-    flag_int "relays" 0
-      "Relay nodes between clients and origins; 0 has clients sync straight \
-       from their origin."
-  in
-  let byzantine_relays =
-    flag_int "byzantine-relays" 0 "Relays serving corrupted bytes (needs relays)."
-  in
-  let byzantine_corrupt =
-    flag_rate "byzantine-corrupt" 0.5 "Per-response corruption rate of a byzantine relay."
-  in
-  let relay_sync_period =
-    flag_int "relay-sync-period" 4 "Ticks between relay upstream syncs."
-  in
-  let partitions =
-    flag_int "partitions" 0 "Relay-from-origin partitions scheduled (needs relays)."
-  in
-  let partition_ticks = flag_int "partition-ticks" 150 "Duration of each partition." in
-  let relay_crashes =
-    flag_int "relay-crashes" 0
-      "Relay crashes (total state loss) scheduled (needs relays)."
-  in
-  let epoch_flips =
-    flag_int "epoch-flips" 0
-      "Mid-soak shard-map advances migrating tenants (needs a standby origin)."
-  in
-  let gossip_period =
-    flag_int "gossip-period" 8 "Ticks between relay gossip rounds, 0 to disable."
-  in
-  let fork_injections =
-    flag_int "fork-injections" 0
-      "Adversarial relay-mirror forks injected mid-soak (needs relays)."
-  in
-  let origin_weight =
-    flag_int "origin-weight" 1
-      "Shard-map capacity weight of origin 0; 1 keeps the map unweighted."
-  in
-  let min_offload =
-    flag_rate "min-offload" 0.8
-      "With relays, exit non-zero unless they absorb at least this share of \
-       client sync requests."
   in
   let state_dir =
     Arg.value
@@ -1525,15 +1037,8 @@ let soak_cmd =
           sharded signature origins (optionally behind a relay tier) through \
           faulty transports, with crash points, and check the convergence \
           invariants.")
-    Term.(const run $ setup_log_t $ seed_t $ clients $ tenants $ ticks
-          $ sync_period $ publishes $ compact_every $ k $ reporter_cap
-          $ candidates $ byzantine $ drop $ corrupt $ server_error
-          $ server_crash_rate $ client_restart_rate $ drain_rounds
-          $ min_delta_ratio $ origins $ standby_origins $ relays
-          $ byzantine_relays $ byzantine_corrupt $ relay_sync_period
-          $ partitions $ partition_ticks $ relay_crashes $ epoch_flips
-          $ gossip_period $ fork_injections $ origin_weight
-          $ min_offload $ state_dir $ json_out_t $ metrics_out_t)
+    Term.(const run $ setup_log_t $ config $ min_delta_ratio $ state_dir $ json_out_t
+          $ metrics_out_t)
 
 let main_cmd =
   let doc = "signature generation for sensitive information leakage (ICDE 2013 reproduction)" in

@@ -51,11 +51,7 @@ let () =
   in
 
   Printf.printf "device: replaying the first 4000 packets through the monitor\n";
-  Array.iteri
-    (fun i (r : Trace.record) ->
-      if i < 4000 then
-        ignore (Flow_control.process monitor ~app_id:r.Trace.app_id r.Trace.packet))
-    ds.Workload.records;
+  ignore (Flow_control.replay monitor ~limit:4000 ds.Workload.records);
 
   let allowed, blocked, prompted = Flow_control.stats monitor in
   Printf.printf "\nsession summary: %d allowed, %d blocked, %d prompted\n\n" allowed blocked

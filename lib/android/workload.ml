@@ -175,14 +175,7 @@ let generate ?(seed = 42) ?(scale = 1.0) ?(n_apps = 1188) () =
 
 let packets dataset = Array.map (fun r -> r.Http.Trace.packet) dataset.records
 
-let split dataset =
-  let suspicious = ref [] and normal = ref [] in
-  Array.iter
-    (fun r ->
-      if r.Http.Trace.labels = [] then normal := r.Http.Trace.packet :: !normal
-      else suspicious := r.Http.Trace.packet :: !suspicious)
-    dataset.records;
-  (Array.of_list (List.rev !suspicious), Array.of_list (List.rev !normal))
+let split dataset = Http.Trace.split dataset.records
 
 let labels_of_record r =
   List.filter_map Sensitive.of_string r.Http.Trace.labels

@@ -638,17 +638,8 @@ let promote_ready t =
         acc ready)
     0 (tenant_names t)
 
-let ensure_dir dir =
-  if Sys.file_exists dir then
-    if Sys.is_directory dir then Ok ()
-    else Error (Printf.sprintf "%s exists and is not a directory" dir)
-  else
-    match Sys.mkdir dir 0o755 with
-    | () -> Ok ()
-    | exception Sys_error e -> Error e
-
 let open_ ?(obs = Obs.noop) ?(config = default_config) ~dir () =
-  match ensure_dir dir with
+  match Leakdetect_store.State_dir.ensure dir with
   | Error _ as e -> e
   | Ok () -> (
     let t = create ~obs ~config () in
@@ -711,6 +702,11 @@ let open_ ?(obs = Obs.noop) ?(config = default_config) ~dir () =
           ( t,
             { snapshot; replayed; stale; undecodable; tail; promoted_on_recovery }
           )))
+
+let open_or ?obs ~fail what ~dir =
+  match open_ ?obs ~dir () with
+  | Ok x -> x
+  | Error e -> fail (Printf.sprintf "%s %s: %s" what dir e)
 
 let close t =
   match t.writer with
@@ -779,6 +775,14 @@ let publish ?(inject = fun _ -> ()) t ~tenant desired =
     bump t.metrics.publishes;
     Changelog.version ts.log
   end
+
+let publish_rounds ?inject t ~tenant ~rounds ~follow desired =
+  let n = List.length desired in
+  for round = 1 to rounds do
+    let prefix = if n = 0 then 0 else max 1 (n * round / rounds) in
+    ignore (publish ?inject t ~tenant (List.filteri (fun i _ -> i < prefix) desired));
+    follow ()
+  done
 
 type candidate_outcome =
   | Accepted of int

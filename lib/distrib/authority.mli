@@ -71,6 +71,11 @@ val open_ :
     in place), then promote any candidates the crash caught between
     their k-th report and the promotion entry. *)
 
+val open_or :
+  ?obs:Leakdetect_obs.Obs.t -> fail:(string -> t * report) -> string -> dir:string -> t * report
+(** [open_or ~fail what ~dir] is {!open_}'s recovered authority, or
+    [fail "<what> <dir>: <error>"] when it cannot open. *)
+
 val close : t -> unit
 
 val wal_path : dir:string -> string
@@ -115,6 +120,13 @@ val publish :
     index before each journal append — a crash-point hook for harnesses
     (raise {!Crashed} to simulate dying mid-publish).
     @raise Invalid_argument on a bad tenant id. *)
+
+val publish_rounds :
+  ?inject:(int -> unit) -> t -> tenant:string -> rounds:int -> follow:(unit -> unit) ->
+  Signature.t list -> unit
+(** {!publish} [rounds] growing prefixes of a set, calling [follow] after
+    each: round [r] of [n] signatures publishes [max 1 (n * r / rounds)]
+    of them (none of an empty set), so the last round publishes all. *)
 
 type candidate_outcome =
   | Accepted of int  (** Distinct reporters so far, this one included. *)

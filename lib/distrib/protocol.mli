@@ -50,6 +50,10 @@ val digest_of_body : string -> ((int * int) list, string) result
 (** A [/digest] body as [(version, crc)] checkpoints; rejects
     non-ascending versions and malformed lines. *)
 
+val sig_body : Leakdetect_core.Signature.t list -> string
+(** Snapshot and candidate bodies: one {!Leakdetect_core.Signature_io}
+    line per signature, newline-separated. *)
+
 type tally = { accepted : int; duplicate : int; promoted : int; capped : int }
 (** The answer to a candidate POST: how its signatures fared. *)
 

@@ -487,17 +487,6 @@ let client_origin_transport s c raw =
 
 (* --- set-up: origins, map, relays, clients, schedule --- *)
 
-let ensure_dir dir =
-  match
-    if Sys.file_exists dir then
-      if Sys.is_directory dir then Ok () else Error (dir ^ ": not a directory")
-    else match Sys.mkdir dir 0o755 with
-      | () -> Ok ()
-      | exception Sys_error e -> Error e
-  with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Topology: " ^ e)
-
 let open_origin ~obs ~dir (config : config) name =
   let odir = Filename.concat dir name in
   match Authority.open_ ~obs ~config:(authority_config config) ~dir:odir () with
@@ -671,7 +660,8 @@ let setup ~obs ~on_sync ~dir (config : config) =
     Fault.create ~seed:(Prng.bits30 seeds)
       { Fault.default with Fault.corrupt_rate = config.byzantine_corrupt_rate }
   in
-  ensure_dir dir;
+  Result.iter_error (fun e -> invalid_arg ("Topology: " ^ e))
+    (Leakdetect_store.State_dir.ensure dir);
   let origin_names = List.init (config.origins + config.standby_origins) origin_name in
   let origins = Hashtbl.create 8 in
   List.iter

@@ -111,6 +111,11 @@ let record_of_line line =
       (match e with Error m -> Error m | Ok _ -> assert false))
   | fields -> Error (Printf.sprintf "expected 8 fields, got %d" (List.length fields))
 
+let split records =
+  let labeled, clean = List.partition (fun r -> r.labels <> []) (Array.to_list records) in
+  let packets rs = Array.of_list (List.map (fun r -> r.packet) rs) in
+  (packets labeled, packets clean)
+
 let save path records =
   let oc = open_out path in
   Fun.protect

@@ -46,6 +46,9 @@ val unescape_field : string -> string option
 val record_to_line : record -> string
 val record_of_line : string -> (record, string) result
 
+val split : record array -> Packet.t array * Packet.t array
+(** [(suspicious, normal)]: the labeled and unlabeled packets, in trace order. *)
+
 val save : string -> record list -> unit
 (** Writes a trace file (overwrites). *)
 

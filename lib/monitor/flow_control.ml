@@ -86,8 +86,6 @@ let prompts_for t ~app_id =
   Option.value ~default:0 (Hashtbl.find_opt t.prompt_counts app_id)
 
 let set_health t health = t.health <- health
-let health t = t.health
-let fail_mode t = t.fail_mode
 
 let process t ~app_id packet =
   let matched =
@@ -143,6 +141,14 @@ let process t ~app_id packet =
     t.n_prompted <- t.n_prompted + 1;
     Obs.Counter.inc t.c_prompted);
   decision
+
+let replay t ~limit records =
+  let n = max 0 (min limit (Array.length records)) in
+  for i = 0 to n - 1 do
+    let r = records.(i) in
+    ignore (process t ~app_id:r.Leakdetect_http.Trace.app_id r.packet)
+  done;
+  n
 
 let log t = List.rev t.events
 

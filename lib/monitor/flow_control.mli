@@ -61,14 +61,15 @@ val set_health : t -> Signature_client.health -> unit
 (** Feed the monitor the signature client's health after each sync; while
     [Stale] and [Fail_closed], {!process} blocks everything. *)
 
-val health : t -> Signature_client.health
-val fail_mode : t -> fail_mode
-
 val prompts_for : t -> app_id:int -> int
 (** How many times the given app has prompted so far. *)
 
 val process : t -> app_id:int -> Leakdetect_http.Packet.t -> decision
 (** Inspect one outgoing packet, record the event, return the decision. *)
+
+val replay : t -> limit:int -> Leakdetect_http.Trace.record array -> int
+(** {!process} the first [limit] records (all of them when fewer) in
+    order, each as its own app's packet; returns how many it processed. *)
 
 val log : t -> event list
 (** All events, oldest first. *)

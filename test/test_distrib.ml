@@ -19,6 +19,7 @@ module Delta_client = Leakdetect_distrib.Delta_client
 module Shard_map = Leakdetect_distrib.Shard_map
 module Relay = Leakdetect_distrib.Relay
 module Topology = Leakdetect_distrib.Topology
+module Chaos = Leakdetect_distrib.Chaos
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -1125,6 +1126,75 @@ let test_delta_client_drives_monitor () =
 (* The library-level chaos sync: 10% corruption and 20% transient errors
    on the wire; the handset must still converge on the authority's head,
    version and set. *)
+(* Round r of n signatures over k rounds publishes max 1 (n * r / k) of
+   them, so the last round publishes the whole set; an empty set publishes
+   nothing. *)
+let test_publish_rounds () =
+  let auth = Authority.create () in
+  let sizes tenant rounds set =
+    let seen = ref [] in
+    let follow () = seen := List.length (Authority.signatures auth ~tenant) :: !seen in
+    Authority.publish_rounds auth ~tenant ~rounds ~follow set;
+    List.rev !seen
+  in
+  Alcotest.(check (list int)) "two rounds of three" [ 1; 3 ] (sizes "t0" 2 [ s1; s2; s3 ]);
+  Alcotest.(check (list int)) "five rounds of two" [ 1; 1; 1; 1; 2 ] (sizes "t1" 5 [ s1; s2 ]);
+  Alcotest.(check (list int)) "an empty set" [ 0; 0 ] (sizes "t2" 2 []);
+  Alcotest.(check int) "an empty set commits no version" 0 (Authority.version auth ~tenant:"t2")
+
+(* The chaos run over a small generated trace. *)
+let chaos_config =
+  { Chaos.seed = 42; sample_n = 30; fault = Fault.default; syncs = 3;
+    fail_mode = Leakdetect_monitor.Flow_control.Fail_open; limit = 500; crash_points = 4 }
+
+let chaos_trace =
+  lazy (Leakdetect_android.Workload.generate ~seed:42 ~scale:0.01 ()).Leakdetect_android.Workload.records
+
+let ends_with suffix s = String.ends_with ~suffix s
+
+(* A passing run reaches every phase, and its kept state directory holds
+   the journal at the version the handset converged to. *)
+let test_chaos_run_passes () =
+  with_dir (fun dir ->
+      let r = Chaos.run ~state_dir:dir chaos_config (Lazy.force chaos_trace) in
+      Alcotest.(check (option string)) "no failure" None r.Chaos.failure;
+      Alcotest.(check bool) "render closes the report" true
+        (ends_with "uncaught exceptions: 0\n" (Chaos.render r));
+      match (r.Chaos.sync, r.Chaos.durability) with
+      | Some y, Some { Chaos.trials = Some _; compaction = Some _; _ } -> (
+        Alcotest.(check int) "client at the head" y.Chaos.head y.Chaos.client_version;
+        match Authority.open_ ~dir:(Filename.concat dir "history") () with
+        | Ok (auth, _) ->
+          Alcotest.(check int) "kept journal at the head" y.Chaos.head
+            (Authority.version auth ~tenant:Chaos.tenant);
+          Authority.close auth
+        | Error e -> Alcotest.fail e)
+      | _ -> Alcotest.fail "a phase is missing")
+
+(* A failed check stops the run in its phase: the report keeps the phases
+   before it, and the rendering prints them without the closing tally. *)
+let test_chaos_run_stops () =
+  let benign =
+    Array.of_list
+      (List.filter (fun r -> r.Http.Trace.labels = []) (Array.to_list (Lazy.force chaos_trace)))
+  in
+  let r = Chaos.run chaos_config benign in
+  Alcotest.(check (option string)) "no leaks to sign" (Some "trace has no sensitive packets")
+    r.Chaos.failure;
+  Alcotest.(check string) "nothing reached" "" (Chaos.render r);
+  with_dir (fun dir ->
+      let file = Filename.concat dir "file" in
+      Out_channel.with_open_bin file ignore;
+      let r = Chaos.run ~state_dir:file chaos_config (Lazy.force chaos_trace) in
+      Alcotest.(check bool) "the journal cannot open" true
+        (String.starts_with ~prefix:"cannot open journal " (Option.get r.Chaos.failure));
+      Alcotest.(check bool) "enforce ran, durability did not" true
+        (r.Chaos.enforce <> None && r.Chaos.durability = None);
+      let out = Chaos.render r in
+      Alcotest.(check bool) "no closing tally" false
+        (ends_with "uncaught exceptions: 0\n" out
+        || List.mem "faults injected:" (String.split_on_char '\n' out)))
+
 let test_chaos_sync_converges () =
   let auth = Authority.create () in
   let plan =
@@ -2957,7 +3027,10 @@ let suite =
         Alcotest.test_case "version age + metrics" `Quick
           test_relay_version_age_and_metrics ] );
     ( "distrib.soak",
-      [ Alcotest.test_case "chaos sync converges" `Quick test_chaos_sync_converges;
+      [ Alcotest.test_case "publish rounds" `Quick test_publish_rounds;
+        Alcotest.test_case "chaos run passes" `Quick test_chaos_run_passes;
+        Alcotest.test_case "chaos run stops at a failed check" `Quick test_chaos_run_stops;
+        Alcotest.test_case "chaos sync converges" `Quick test_chaos_sync_converges;
         Alcotest.test_case "chaos sync over a lossy link" `Quick
           test_chaos_sync_converges_lossy;
         Alcotest.test_case "mini soak" `Quick test_mini_soak;

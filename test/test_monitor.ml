@@ -15,6 +15,28 @@ let leak_packet () = mk ~rline:"GET /ad?imei=355021930123456 HTTP/1.1" ()
 let signatures =
   [ Signature.make ~id:0 ~mode:Signature.Conjunction ~cluster_size:2 [ "imei=355021930123456" ] ]
 
+(* --- Replay --- *)
+
+(* [replay] processes the first [limit] records in order, none for a
+   negative limit, and says how many it processed. *)
+let test_flow_replay () =
+  let records =
+    Array.init 5 (fun i ->
+        { Leakdetect_http.Trace.packet = (if i mod 2 = 0 then leak_packet () else mk ());
+          app_id = i; labels = [] })
+  in
+  let replayed limit =
+    let m = Flow_control.create signatures in
+    let n = Flow_control.replay m ~limit records in
+    let a, b, p = Flow_control.stats m in
+    Alcotest.(check int) "every processed packet decided" n (a + b + p);
+    (n, List.map (fun e -> e.Flow_control.app_id) (Flow_control.log m))
+  in
+  Alcotest.(check (pair int (list int))) "a prefix" (3, [ 0; 1; 2 ]) (replayed 3);
+  Alcotest.(check (pair int (list int))) "capped at the trace" (5, [ 0; 1; 2; 3; 4 ])
+    (replayed 10);
+  Alcotest.(check (pair int (list int))) "negative limit" (0, []) (replayed (-1))
+
 (* --- Policy --- *)
 
 let test_policy_defaults () =
@@ -357,5 +379,6 @@ let suite =
         Alcotest.test_case "log and stats" `Quick test_flow_log_and_stats;
         Alcotest.test_case "stats reconcile" `Quick test_flow_reconcile;
         Alcotest.test_case "match view" `Quick test_signature_match_view;
+        Alcotest.test_case "replay" `Quick test_flow_replay;
       ] );
   ]
